@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, lie, maglag, models, numerics, routh, semidirect
 from .lie import CoVector
 from .maglag import MagLagState, RegularityError
-from .numerics import NewtonConvergenceError, StepSizeError, StepperChoice
+from .numerics import (NewtonConvergenceError, NonFiniteStateError,
+                       StepSizeError, StepperChoice)
 
 MODES = {
     "rotor": ("full", "reduce-full-group"),
@@ -49,6 +50,15 @@ DEFAULT_THRESHOLDS = {
                                        "casimir_drift": 1e-9,
                                        "nu_drift": 1e-9},
     ("beanie", "verify-lemma"): {"lemma_residual": 1e-6},
+}
+
+# Length of the "initial" state for each (model, mode) that reads it.
+INITIAL_SIZES = {
+    ("rotor", "full"): 8,
+    ("rotor", "reduce-full-group"): 5,
+    ("beanie", "full"): 8,
+    ("beanie", "reduce-full-group"): 5,
+    ("beanie", "reduce-abelian"): 4,
 }
 
 
@@ -96,11 +106,19 @@ def validate_config(cfg: dict) -> dict:
     _require(isinstance(thresholds, dict)
              and all(isinstance(v, (int, float)) for v in thresholds.values()),
              "thresholds must map names to numbers")
+    known = sorted(DEFAULT_THRESHOLDS[(model, mode)])
+    unknown = sorted(set(thresholds) - set(known))
+    _require(not unknown, f"unknown thresholds {unknown} for {model} {mode} "
+                          f"(choose from {known})")
     initial = cfg.get("initial")
     if initial is not None:
         _require(isinstance(initial, list)
                  and all(isinstance(v, (int, float)) for v in initial),
                  "initial must be a list of numbers")
+        size = INITIAL_SIZES.get((model, mode))
+        _require(size is None or len(initial) == size,
+                 f"initial must hold {size} numbers for {model} {mode}, "
+                 f"got {len(initial)}")
     out = dict(cfg)
     out.setdefault("params", {})
     out.setdefault("momentum", {})
@@ -242,7 +260,7 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[int, dict]:
             metrics["lemma_residual"] = semidirect.verify_lemma_B_equals_dtheta(
                 sd, CoVector([a.real, a.imag]), samples)
 
-    passed = all(metrics.get(name, 0.0) <= bound
+    passed = all(metrics[name] <= bound
                  for name, bound in thresholds.items())
     report = {
         "tool": "magreduce",
@@ -305,7 +323,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         code, report = run_config(cfg, args.out_dir)
-    except (RegularityError, NewtonConvergenceError, StepSizeError, ValueError) as exc:
+    except (RegularityError, NewtonConvergenceError, StepSizeError,
+            NonFiniteStateError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     status = "PASS" if report["passed"] else "FAIL"

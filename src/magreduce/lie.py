@@ -490,10 +490,6 @@ def c2r(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
-def r2c(v: np.ndarray) -> complex:
-    return complex(v[0], v[1])
-
-
 def _rotmat(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])

@@ -9,8 +9,8 @@ with a first-order equation in p:
     d/dt(dL/dv) - dL/dq = B_QQ v + B_QP pdot
     B_PP pdot = B_QP^T v - dL/dp
 
-Derivatives of L come from analytic callables when supplied and central
-finite differences otherwise.
+Derivatives of L come from `numerics.derivative`: analytic callables when
+supplied, central finite differences otherwise.
 """
 from __future__ import annotations
 
@@ -27,6 +27,17 @@ DET_FLOOR = 1e-12
 
 class RegularityError(RuntimeError):
     """A regularity determinant fell below the floor."""
+
+
+def require_regular(matrix: np.ndarray, what: str, t: float | None = None) -> None:
+    """Raise RegularityError when |det matrix| <= DET_FLOOR.
+
+    `what` names the determinant in the message; `t`, when given, is the
+    time at which a trajectory met it."""
+    det = abs(np.linalg.det(matrix))
+    if det <= DET_FLOOR:
+        at = "" if t is None else f" at t = {t:.6g}"
+        raise RegularityError(f"{what} = {det:.3e} <= {DET_FLOOR}{at}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +101,8 @@ class MagneticSystem:
     """Coordinate presentation of a magnetic Lagrangian system.
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
-    form.  Analytic derivative callables are optional; missing first
-    derivatives fall back to central differences of the Lagrangian and
-    missing second derivatives to differences of the best available first
-    derivative.
+    form.  Analytic derivative callables are optional; missing ones are
+    supplied by the fallback rule of `numerics.derivative`.
     """
     n: int
     k: int
@@ -110,52 +119,37 @@ class MagneticSystem:
     constant_bform: bool = False
     name: str = ""
 
-    # -- derivative supply ---------------------------------------------
+    # -- derivative supply (fallback rule: numerics.derivative) --------
 
     def value(self, q, v, p) -> float:
         return float(self.lagrangian(q, v, p))
 
     def grad_q(self, q, v, p) -> np.ndarray:
-        if self.dL_dq is not None:
-            return np.asarray(self.dL_dq(q, v, p), dtype=float)
-        return numerics.fd_gradient(lambda z: self.value(z, v, p), q)
+        return numerics.derivative(self.value, (q, v, p), 0, first=self.dL_dq)
 
     def grad_v(self, q, v, p) -> np.ndarray:
-        if self.dL_dv is not None:
-            return np.asarray(self.dL_dv(q, v, p), dtype=float)
-        return numerics.fd_gradient(lambda z: self.value(q, z, p), v)
+        return numerics.derivative(self.value, (q, v, p), 1, first=self.dL_dv)
 
     def grad_p(self, q, v, p) -> np.ndarray:
         if self.k == 0:
             return np.zeros(0)
-        if self.dL_dp is not None:
-            return np.asarray(self.dL_dp(q, v, p), dtype=float)
-        return numerics.fd_gradient(lambda z: self.value(q, v, z), p)
+        return numerics.derivative(self.value, (q, v, p), 2, first=self.dL_dp)
 
     def hess_vv(self, q, v, p) -> np.ndarray:
-        if self.d2L_dv_dv is not None:
-            return np.asarray(self.d2L_dv_dv(q, v, p), dtype=float)
-        if self.dL_dv is not None:
-            return numerics.fd_jacobian(lambda z: self.grad_v(q, z, p), v)
-        return numerics.fd_hessian(lambda z: self.value(q, z, p), v)
+        return numerics.derivative(self.value, (q, v, p), 1, 1,
+                                   self.dL_dv, self.d2L_dv_dv)
 
     def hess_vq(self, q, v, p) -> np.ndarray:
         """Matrix with entries d2L / dv_i dq_j."""
-        if self.d2L_dv_dq is not None:
-            return np.asarray(self.d2L_dv_dq(q, v, p), dtype=float)
-        return numerics.fd_jacobian(
-            lambda z: self.grad_v(z, v, p), q,
-            h0=numerics.H_GRADIENT if self.dL_dv else numerics.H_SECOND)
+        return numerics.derivative(self.value, (q, v, p), 1, 0,
+                                   self.dL_dv, self.d2L_dv_dq)
 
     def hess_vp(self, q, v, p) -> np.ndarray:
         """Matrix with entries d2L / dv_i dp_a."""
         if self.k == 0:
             return np.zeros((self.n, 0))
-        if self.d2L_dv_dp is not None:
-            return np.asarray(self.d2L_dv_dp(q, v, p), dtype=float)
-        return numerics.fd_jacobian(
-            lambda z: self.grad_v(q, v, z), p,
-            h0=numerics.H_GRADIENT if self.dL_dv else numerics.H_SECOND)
+        return numerics.derivative(self.value, (q, v, p), 1, 2,
+                                   self.dL_dv, self.d2L_dv_dp)
 
     def bblocks(self, q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.bform is None:
@@ -201,31 +195,35 @@ def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
             f"match system (n={sys.n}, k={sys.k})")
 
 
+def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
+               bqq, bqp, bpp, bpp_inv: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Accelerations and fibre rates (qddot, pdot) of the mixed equations
+    for given blocks.  `bpp_inv` is the inverse of a constant B_PP that the
+    caller checked once; without it B_PP is checked and solved here.  `t`
+    goes into regularity errors."""
+    if sys.k > 0:
+        rhs_p = bqp.T @ v - sys.grad_p(q, v, p)
+        if bpp_inv is None:
+            require_regular(bpp, "singular fibre block: |det B_PP|", t)
+            pdot = np.linalg.solve(bpp, rhs_p)
+        else:
+            pdot = bpp_inv @ rhs_p
+    else:
+        pdot = np.zeros(0)
+    hess = sys.hess_vv(q, v, p)
+    require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
+    rhs = (sys.grad_q(q, v, p) + bqq @ v + bqp @ pdot
+           - sys.hess_vq(q, v, p) @ v - sys.hess_vp(q, v, p) @ pdot)
+    return np.linalg.solve(hess, rhs), pdot
+
+
 def vector_field(sys: MagneticSystem, s: MagLagState
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand side (qdot, qddot, pdot) of the mixed equations of motion."""
     _check_state(sys, s)
-    q, v, p = s.q, s.v, s.p
-    bqq, bqp, bpp = sys.bblocks(q, p)
-
-    if sys.k > 0:
-        det_bpp = np.linalg.det(bpp)
-        if abs(det_bpp) <= DET_FLOOR:
-            raise RegularityError(
-                f"singular fibre block: |det B_PP| = {abs(det_bpp):.3e} <= {DET_FLOOR}")
-        pdot = np.linalg.solve(bpp, bqp.T @ v - sys.grad_p(q, v, p))
-    else:
-        pdot = np.zeros(0)
-
-    hess = sys.hess_vv(q, v, p)
-    det_h = np.linalg.det(hess)
-    if abs(det_h) <= DET_FLOOR:
-        raise RegularityError(
-            f"singular velocity Hessian: |det d2L/dv2| = {abs(det_h):.3e} <= {DET_FLOOR}")
-    rhs = (sys.grad_q(q, v, p) + bqq @ v + bqp @ pdot
-           - sys.hess_vq(q, v, p) @ v - sys.hess_vp(q, v, p) @ pdot)
-    a = np.linalg.solve(hess, rhs)
-    return v, a, pdot
+    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, None, *sys.bblocks(s.q, s.p))
+    return s.v, a, pdot
 
 
 def pack(s: MagLagState) -> np.ndarray:
@@ -244,63 +242,25 @@ def state_columns(sys: MagneticSystem) -> tuple[str, ...]:
 
 
 def _field_factory(sys: MagneticSystem, s0: MagLagState):
-    """Flat-state right-hand side with the derivative supply hoisted.
+    """Flat-state right-hand side over `_mixed_rhs`.
 
-    Block antisymmetry is validated once on the initial state; the loop
-    keeps the pointwise regularity determinant checks.
+    Block antisymmetry is validated once on the initial state.  A constant
+    (or absent) form is evaluated once, and B_PP is checked and inverted
+    once; a state-dependent form is evaluated and checked at every call.
     """
-    n, k = sys.n, sys.k
-    grad_q, grad_p = sys.grad_q, sys.grad_p
-    hess_vv, hess_vq, hess_vp = sys.hess_vv, sys.hess_vq, sys.hess_vp
-    sys.bblocks(s0.q, s0.p)
-    if sys.bform is None or sys.constant_bform:
-        bqq0, bqp0, bpp0 = sys.bblocks(s0.q, s0.p)
-        blocks = lambda q, p: (bqq0, bqp0, bpp0)  # noqa: E731
-        bpp_solve = None
-        if k > 0:
-            det = np.linalg.det(bpp0)
-            if abs(det) <= DET_FLOOR:
-                raise RegularityError(
-                    f"singular fibre block: |det B_PP| = {abs(det):.3e} <= {DET_FLOOR}")
-            bpp_inv = np.linalg.inv(bpp0)
-            bpp_solve = lambda rhs: bpp_inv @ rhs  # noqa: E731
-    else:
-        blocks = sys.bform
-
-        def bpp_solve_var(bpp, rhs):
-            det = np.linalg.det(bpp)
-            if abs(det) <= DET_FLOOR:
-                raise RegularityError(
-                    f"singular fibre block: |det B_PP| = {abs(det):.3e} <= {DET_FLOOR}")
-            return np.linalg.solve(bpp, rhs)
-
-        bpp_solve = None
+    n = sys.n
+    blocks0 = sys.bblocks(s0.q, s0.p)
+    constant = sys.bform is None or sys.constant_bform
+    bpp_inv = None
+    if constant and sys.k > 0:
+        require_regular(blocks0[2], "singular fibre block: |det B_PP|")
+        bpp_inv = np.linalg.inv(blocks0[2])
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
-        q = y[:n]
-        v = y[n:2 * n]
-        p = y[2 * n:]
-        bqq, bqp, bpp = blocks(q, p)
-        if k > 0:
-            rhs_p = bqp.T @ v - grad_p(q, v, p)
-            if bpp_solve is not None:
-                pdot = bpp_solve(rhs_p)
-            else:
-                try:
-                    pdot = bpp_solve_var(bpp, rhs_p)
-                except RegularityError as exc:
-                    raise RegularityError(f"{exc} at t = {t:.6g}") from exc
-        else:
-            pdot = np.zeros(0)
-        hess = hess_vv(q, v, p)
-        det_h = np.linalg.det(hess)
-        if abs(det_h) <= DET_FLOOR:
-            raise RegularityError(
-                f"singular velocity Hessian: |det d2L/dv2| = {abs(det_h):.3e} "
-                f"<= {DET_FLOOR} at t = {t:.6g}")
-        rhs = (grad_q(q, v, p) + bqq @ v + bqp @ pdot
-               - hess_vq(q, v, p) @ v - hess_vp(q, v, p) @ pdot)
-        return np.concatenate([v, np.linalg.solve(hess, rhs), pdot])
+        q, v, p = y[:n], y[n:2 * n], y[2 * n:]
+        blocks = blocks0 if constant else sys.bform(q, p)
+        a, pdot = _mixed_rhs(sys, q, v, p, t, *blocks, bpp_inv)
+        return np.concatenate([v, a, pdot])
 
     return field
 

@@ -1,11 +1,13 @@
 """Shared numerical kernel.
 
-Finite differences, a dense Newton solver, fixed-step RK4 and the embedded
+Finite differences and the derivative supply rule built on them
+(`derivative`), a dense Newton solver, fixed-step RK4 and the embedded
 Fehlberg 4(5) pair, and the Lie-group reconstruction step.  Everything here
 is stateless: all scratch is allocated per call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,6 +30,16 @@ class NewtonConvergenceError(RuntimeError):
 
 class StepSizeError(RuntimeError):
     """Adaptive stepper drove the step size below its floor."""
+
+
+class NonFiniteStateError(RuntimeError):
+    """An integrator produced an inf or nan state component."""
+
+
+def _raise_non_finite(t: float, y: np.ndarray) -> None:
+    j = int(np.argmin(np.isfinite(y)))
+    raise NonFiniteStateError(
+        f"non-finite state at t = {t:.6g}: component {j} is {y[j]}")
 
 
 def _steps(x: np.ndarray, h0: float) -> np.ndarray:
@@ -85,6 +97,45 @@ def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
             hess[i, j] = val
             hess[j, i] = val
     return hess
+
+
+def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object]:
+    """`fn` as a function of argument `slot` alone, the others fixed."""
+    fixed = list(args)
+
+    def of_slot(z):
+        fixed[slot] = z
+        return fn(*fixed)
+
+    return of_slot
+
+
+def derivative(value: Callable[..., float], args: tuple, outer: int,
+               inner: int | None = None, first: Callable | None = None,
+               second: Callable | None = None) -> np.ndarray:
+    """Derivative supply for a function of several array slots.
+
+    Returns the gradient of `value(*args)` in slot `outer` or, when `inner`
+    is given, the Jacobian of that gradient with respect to slot `inner`,
+    shape (len(args[outer]), len(args[inner])).  One fallback rule:
+
+    1. the analytic callable: `first` for a gradient, `second` for a block;
+    2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
+    3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
+       fd_hessian of `value` (H_SECOND) for a diagonal block, and
+       fd_jacobian (H_SECOND) of the differenced gradient for a mixed block.
+    """
+    analytic = first if inner is None else second
+    if analytic is not None:
+        return np.asarray(analytic(*args), dtype=float)
+    if inner is None:
+        return fd_gradient(_vary(value, args, outer), args[outer])
+    if first is not None:
+        return fd_jacobian(_vary(first, args, inner), args[inner])
+    if inner == outer:
+        return fd_hessian(_vary(value, args, inner), args[inner])
+    return fd_jacobian(_vary(lambda *a: derivative(value, a, outer), args, inner),
+                       args[inner], h0=H_SECOND)
 
 
 def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
@@ -179,7 +230,10 @@ def rk4_step(f: Field, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                   h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end."""
+    """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end.
+
+    A non-finite state raises NonFiniteStateError naming the first such
+    sample; the check runs once, after the loop."""
     y = np.array(y0, dtype=float)
     times = [t0]
     states = [y.copy()]
@@ -191,7 +245,12 @@ def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
         t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
         times.append(t)
         states.append(y.copy())
-    return np.array(times), np.array(states)
+    times, states = np.array(times), np.array(states)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _raise_non_finite(times[i], states[i])
+    return times, states
 
 
 # Fehlberg 4(5) tableau.  The 4th-order solution is propagated; the
@@ -213,7 +272,10 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                     h_init: float = 1e-3, atol: float = 1e-10,
                     rtol: float = 1e-10, h_min: float = 1e-12
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Embedded RKF45 with step rejection; returns accepted sample times."""
+    """Embedded RKF45 with step rejection; returns accepted sample times.
+
+    An attempted step whose error norm is not finite raises
+    NonFiniteStateError instead of shrinking the step."""
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)
@@ -231,6 +293,8 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
         y5 = y + h * (_RKF_B5 @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+        if not math.isfinite(err):
+            _raise_non_finite(t + h, np.where(np.isfinite(y4), y5, y4))
         if err <= 1.0:
             t = t + h
             y = y4

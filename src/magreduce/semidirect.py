@@ -102,11 +102,6 @@ def solve_tau(sd: SemiDirectLagrangian, x, xdot, xi, b: CoVector) -> np.ndarray:
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d0 = sd.d0
-    cache = sd.inner._metric_cache
-    if cache is not None:
-        c33 = cache["Cm"][d0:, d0:]
-        offset = sd.linear_slot_momentum(x, xdot, xi, np.zeros(sd.vdim))
-        return np.linalg.solve(c33, b.coords - offset)
 
     def residual(u):
         return sd.linear_slot_momentum(x, xdot, xi, u) - b.coords
@@ -204,13 +199,15 @@ class _QuadraticSplit:
     Schur complement that the V-reduction induces on (xdot | xi)."""
 
     def __init__(self, sd: SemiDirectLagrangian, a: CoVector):
-        cache = sd.inner._metric_cache
-        if cache is None or not sd.inner.mechanical:
+        lag = sd.inner
+        if not (lag.constant_group_metric and lag.mechanical):
             raise ValueError(
                 "closed-form stage reduction requires a mechanical Lagrangian "
                 "with constant_group_metric")
         d0 = sd.d0
-        am, bm, cm = cache["A"], cache["Bm"], cache["Cm"]
+        zero = np.zeros(sd.sdim), np.zeros(sd.sdim), np.zeros(sd.gv.dim)
+        am, bm, cm = (lag.jac_xdot_xdot(*zero), lag.jac_xdot_xi(*zero),
+                      lag.jac_xi_xi(*zero))
         self.m_yy = np.block([[am, bm[:, :d0]],
                               [bm[:, :d0].T, cm[:d0, :d0]]])
         self.m_yu = np.vstack([bm[:, d0:], cm[:d0, d0:]])

@@ -94,3 +94,31 @@ def test_rotor_modes_run(tmp_path):
     assert cli.main(["run", str(cfg2), "--out-dir", str(tmp_path / "o2")]) == 0
     report = json.loads((tmp_path / "o2" / "report.json").read_text())
     assert report["metrics"]["casimir_drift"] <= 1e-9
+
+
+def test_unknown_threshold_name_rejected(tmp_path, capsys):
+    # a misspelt threshold used to score the missing metric as 0 and pass
+    cfg = write_config(tmp_path, "typo.json", model="rotor",
+                       mode="reduce-full-group", t_end=0.1,
+                       thresholds={"energy_drfit": 0})
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "energy_drfit" in capsys.readouterr().err
+
+
+def test_initial_length_checked_per_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, "short.json", model="rotor",
+                       mode="reduce-full-group", initial=[0.1, 0.2])
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "initial must hold 5 numbers" in capsys.readouterr().err
+
+
+def test_non_finite_trajectory_exits_1(tmp_path, capsys):
+    # body rates far beyond what h = 0.5 resolves: RK4 overflows
+    cfg = write_config(tmp_path, "blowup.json", model="rotor",
+                       mode="reduce-full-group", t_end=50.0,
+                       initial=[0.0, 0.2, 1e3, 1e3, 1e3],
+                       stepper={"kind": "rk4", "h": 0.5})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "non-finite state at t =" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import pytest
 
 from magreduce import models, numerics, routh
 from magreduce.lie import CoVector
-from magreduce.numerics import (NewtonConvergenceError, StepperChoice,
-                                StepSizeError)
+from magreduce.numerics import (NewtonConvergenceError, NonFiniteStateError,
+                                StepperChoice, StepSizeError)
 
 
 def test_fd_gradient_quadratic():
@@ -125,6 +125,28 @@ def test_rkf45_step_rejection_and_underflow():
     with pytest.raises(StepSizeError):
         numerics.rkf45_integrate(f, np.array([0.0]), 0.0, 1.0,
                                  h_init=0.1, atol=1e-10, rtol=1e-10, h_min=1e-10)
+
+
+def test_rk4_non_finite_state_raises():
+    # y' = y^2, y(0) = 1 blows up at t = 1; the overflowed rows are not
+    # returned as a trajectory
+    f = lambda t, y: y * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as err:
+            numerics.rk4_integrate(f, np.array([1.0]), 0.0, 2.0, 0.01)
+    assert "at t = " in str(err.value)
+    assert "component 0" in str(err.value)
+
+
+def test_rkf45_non_finite_error_norm_raises():
+    # the first stage overflows, so the error norm of the attempted step
+    # is not finite; this raises instead of resizing the step
+    f = lambda t, y: np.array([y[0], y[1] * y[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError) as err:
+            numerics.rkf45_integrate(f, np.array([1.0, 1e200]), 0.0, 1.0)
+    assert "at t = 0.001" in str(err.value)
+    assert "component 1" in str(err.value)
 
 
 def test_stepper_choice_validation():

@@ -326,3 +326,42 @@ def test_g_regularity_error_reported():
     lag = routh.InvariantLagrangian(sdim=1, group=spec, ell=ell)
     with pytest.raises(RegularityError):
         routh.solve_chi(lag, [0.0], [0.0], CoVector([-1.0]))
+
+
+def step_lagrangian(group_metric_drops: bool):
+    """ell = 1/2 a(x) xdot^2 + 1/2 c(x) xi^2 with a or c dropping from 1 to 0
+    at x = 0.5; from x = 0, xdot = 1 the shape moves as x = t."""
+    def drop(x):
+        return 1.0 if x[0] < 0.5 else 0.0
+
+    def a(x):
+        return 1.0 if group_metric_drops else drop(x)
+
+    def c(x):
+        return drop(x) if group_metric_drops else 1.0
+
+    zero = lambda x, xd, xi: np.zeros((1, 1))  # noqa: E731
+    return routh.InvariantLagrangian(
+        sdim=1, group=lie.translations(1),
+        ell=lambda x, xd, xi: 0.5 * a(x) * xd[0] ** 2 + 0.5 * c(x) * xi[0] ** 2,
+        dell_dx=lambda x, xd, xi: np.zeros(1),
+        dell_dxdot=lambda x, xd, xi: a(x) * xd,
+        dell_dxi=lambda x, xd, xi: c(x) * xi,
+        d2_dxdot_dx=zero, d2_dxdot_dxi=zero, d2_dxi_dx=zero, d2_dxi_dxdot=zero,
+        d2_dxdot_dxdot=lambda x, xd, xi: np.array([[a(x)]]),
+        d2_dxi_dxi=lambda x, xd, xi: np.array([[c(x)]]))
+
+
+@pytest.mark.parametrize("group_metric_drops, nu, what", [
+    (True, 0.0, "singular group metric"),
+    (True, 0.3, "group-velocity inversion failed"),  # Newton meets it first
+    (False, 0.0, "singular Routhian Hessian")])
+def test_regularity_error_mid_trajectory_names_t(group_metric_drops, nu, what):
+    lag = step_lagrangian(group_metric_drops)
+    nu = CoVector([nu])
+    sys = routh.ReducedRouthSystem(lag, mu=nu)
+    with pytest.raises(RegularityError) as err:
+        routh.integrate_reduced(sys, routh.ReducedState([0.0], [1.0], nu), 1.0,
+                                StepperChoice(kind="rk4", h=0.1))
+    assert what in str(err.value)
+    assert "at t = 0.5" in str(err.value)

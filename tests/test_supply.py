@@ -1,0 +1,168 @@
+"""The derivative supply rule of `numerics.derivative`, shared by
+MagneticSystem and InvariantLagrangian, and the single implementation of
+each equation of motion behind the public fields and the integrators."""
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magreduce import lie, maglag, models, numerics, routh
+from magreduce.lie import CoVector
+from magreduce.maglag import MagLagState, MagneticSystem
+from magreduce.numerics import StepperChoice
+
+A = np.array([[1.7]])
+B = np.array([[0.3, -0.2, 0.5]])
+C = np.diag([2.0, 3.0, 1.5])
+
+
+def quadratic():
+    return routh.quadratic_invariant_lagrangian(
+        1, lie.so3(), A, B, C,
+        potential=lambda x: float(np.cos(x[0])),
+        dpotential=lambda x: np.array([-np.sin(x[0])]))
+
+
+def invariant_case(level):
+    """(lagrangian, block method name, analytic block) per fallback level."""
+    quad = quadratic()
+    first = dict(dell_dx=quad.dell_dx, dell_dxdot=quad.dell_dxdot,
+                 dell_dxi=quad.dell_dxi)
+    lag = {"analytic": quad,
+           "fd_first": routh.InvariantLagrangian(1, lie.so3(), quad.ell, **first),
+           }.get(level, routh.InvariantLagrangian(1, lie.so3(), quad.ell))
+    if level in ("analytic", "values_mixed"):
+        return lag, "jac_xdot_xi", B
+    return lag, "jac_xi_xi", C
+
+
+def magnetic_case(level):
+    """The same Lagrangian read as L(q, v, p) with q = x, v = xdot, p = xi."""
+    quad = quadratic()
+    extra = {"analytic": dict(d2L_dv_dp=quad.d2_dxdot_dxi),
+             "fd_first": dict(dL_dv=quad.dell_dxdot)}.get(level, {})
+    sys = MagneticSystem(n=1, k=3, lagrangian=quad.ell, **extra)
+    if level in ("analytic", "values_mixed"):
+        return sys, "hess_vp", B
+    return sys, "hess_vv", A
+
+
+# level -> (differencing routine, base step) of the outermost stencil
+RULE = {
+    "analytic": None,
+    "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
+    "values_diagonal": ("fd_hessian", numerics.H_SECOND),
+    "values_mixed": ("fd_jacobian", numerics.H_SECOND),
+}
+
+
+@pytest.mark.parametrize("case", [invariant_case, magnetic_case])
+@pytest.mark.parametrize("level", list(RULE))
+def test_supply_rule_levels(case, level, monkeypatch):
+    calls = []
+    for name in ("fd_jacobian", "fd_hessian"):
+        fn = getattr(numerics, name)
+        default = inspect.signature(fn).parameters["h0"].default
+
+        def spy(f, x, h0=default, _fn=fn, _name=name):
+            calls.append((_name, h0))
+            return _fn(f, x, h0)
+
+        monkeypatch.setattr(numerics, name, spy)
+    system, method, expected = case(level)
+    # nested central differences of values carry rounding noise of about
+    # 5e-7 * |L| (README), so the points keep |L| of order one
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        calls.clear()
+        point = (rng.uniform(-0.5, 0.5, 1), rng.uniform(-0.5, 0.5, 1),
+                 rng.uniform(-0.5, 0.5, 3))
+        block = getattr(system, method)(*point)
+        assert block.shape == expected.shape
+        assert np.max(np.abs(block - expected)) <= 1e-6
+        assert (calls[0] if calls else None) == RULE[level]
+
+
+def capture_field(monkeypatch):
+    """Record the right-hand side that the integrators hand to the stepper."""
+    seen = []
+    integrate_ode = numerics.integrate_ode
+
+    def spy(f, *args, **kwargs):
+        seen.append(f)
+        return integrate_ode(f, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate_ode", spy)
+    return seen
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_integrator_field_is_reduced_vector_field(constant, monkeypatch):
+    # constant: blocks kept on the Lagrangian, chi by one linear solve;
+    # otherwise blocks assembled per point and chi by warm-started Newton
+    lag = dataclasses.replace(models.rotor_lagrangian(models.RotorParams()),
+                              constant_group_metric=constant)
+    assert (lag.reduced_metric is not None) == constant
+    seen = capture_field(monkeypatch)
+    nu0 = CoVector([0.8, 0.2, 0.3])
+    sys = routh.ReducedRouthSystem(lag, mu=nu0)
+    traj = routh.integrate_reduced(sys, routh.ReducedState([0.1], [0.2], nu0),
+                                   0.05, StepperChoice(kind="rk4", h=1e-2))
+    field, = seen
+    for t, y in zip(traj.times, traj.states):
+        s = routh.unpack_reduced(lag, y)
+        xdot, xddot, nudot = routh.reduced_vector_field(sys, s)
+        expected = np.concatenate([xdot, xddot, nudot.coords])
+        assert np.max(np.abs(field(t, y) - expected)) <= 1e-12
+
+
+def varying_form_system():
+    """Fibre block B_PP depending on the base point (k = 2)."""
+    def bform(q, p):
+        g = 2.0 + np.cos(q[0])
+        return (np.zeros((1, 1)), np.array([[0.0, p[0] * -np.sin(q[0])]]),
+                np.array([[0.0, g], [-g, 0.0]]))
+
+    return MagneticSystem(
+        n=1, k=2,
+        lagrangian=lambda q, v, p: (0.5 * v[0] ** 2 - 0.5 * q[0] ** 2
+                                    - 0.25 * float(p @ p)),
+        bform=bform)
+
+
+@pytest.mark.parametrize("sys, s0", [
+    (models.beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
+     MagLagState([0.4], [0.3], [0.2, 1.1])),
+    (varying_form_system(), MagLagState([0.3], [0.5], [0.2, -0.1])),
+])
+def test_integrator_field_is_maglag_vector_field(sys, s0, monkeypatch):
+    seen = capture_field(monkeypatch)
+    traj = maglag.integrate(sys, s0, 0.05, StepperChoice(kind="rk4", h=1e-2))
+    field, = seen
+    for t, y in zip(traj.times, traj.states):
+        v, a, pdot = maglag.vector_field(sys, maglag.unpack(sys, y))
+        expected = np.concatenate([v, a, pdot])
+        assert np.max(np.abs(field(t, y) - expected)) <= 1e-12
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(w=st.lists(unit, min_size=9, max_size=9),
+       a=st.floats(1.0, 2.0), b=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+       state=st.lists(unit, min_size=5, max_size=5))
+def test_values_only_twin_reduced_field(w, a, b, state):
+    w = np.reshape(w, (3, 3))
+    c = w @ w.T + np.eye(3)       # symmetric positive definite
+    lag = routh.quadratic_invariant_lagrangian(1, lie.so3(), [[a]], [b], c)
+    twin = routh.InvariantLagrangian(sdim=1, group=lie.so3(), ell=lag.ell)
+    nu = CoVector(state[2:])
+    s = routh.ReducedState(state[:1], state[1:2], nu)
+    exact = routh.reduced_vector_field(routh.ReducedRouthSystem(lag, nu), s)
+    approx = routh.reduced_vector_field(routh.ReducedRouthSystem(twin, nu), s)
+    assert np.max(np.abs(exact[1] - approx[1])) <= 1e-6
+    assert np.max(np.abs(exact[2].coords - approx[2].coords)) <= 1e-6
