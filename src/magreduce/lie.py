@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -149,6 +149,14 @@ class LieGroupSpec:
     @property
     def is_semidirect(self) -> bool:
         return self.base is not None
+
+    @cached_property
+    def rep_inf_basis(self) -> np.ndarray:
+        """rho'(e_i) over the base basis, shape (base dim, vdim, vdim); built
+        on first use and kept with the spec (semi-direct specs only)."""
+        if not self.is_semidirect:
+            raise ValueError(f"rep_inf_basis requires a semi-direct spec, got {self.name}")
+        return _freeze([self.rep_inf(e) for e in np.eye(self.base.dim)])
 
 
 def _check_algebra(spec: LieGroupSpec, v: AlgebraVector, what: str = "algebra vector"):

@@ -184,12 +184,16 @@ def _mass_stencil() -> np.ndarray:
 _MASS_STENCIL = _mass_stencil()
 
 
-def _mass_matrix(lag, q) -> tuple[np.ndarray, np.ndarray]:
-    """Rate-gradient columns at unit rates; exact for a Lagrangian
-    quadratic in the rates (up to the gradient stencil error)."""
-    vals = lag(np.repeat(q[None, :], 40, axis=0), _MASS_STENCIL)
-    grads = (vals[0::2] - vals[1::2]).reshape(5, 4) / (2.0 * _H_RATE_GRAD)
-    return grads[1:].T - grads[0], grads[0]
+def _rates(lag, q, pi) -> np.ndarray:
+    """Chart rates from conjugate momenta at stacked rows q, pi of shape
+    (N, 4), by one call of the vectorised Lagrangian and one stacked solve.
+    The mass matrix comes from rate-gradient columns at unit rates, exact
+    for a Lagrangian quadratic in the rates (up to the stencil error)."""
+    rows = len(q)
+    vals = lag(np.repeat(q, 40, axis=0), np.tile(_MASS_STENCIL, (rows, 1)))
+    grads = (vals[0::2] - vals[1::2]).reshape(rows, 5, 4) / (2.0 * _H_RATE_GRAD)
+    mm = np.swapaxes(grads[:, 1:], 1, 2) - grads[:, 0, :, None]
+    return np.linalg.solve(mm, (pi - grads[:, 0])[:, :, None])[:, :, 0]
 
 
 def rotor_full_oracle(params: RotorParams, state: np.ndarray) -> np.ndarray:
@@ -248,14 +252,11 @@ def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
     Integrates in (coordinates, conjugate momenta): the momentum equation
     needs only first derivatives of the Lagrangian, which keeps the
     finite-difference noise per step near 1e-10.  Rates are recovered
-    per sample by a linear solve (the Lagrangian is quadratic in rates).
+    by a linear solve (the Lagrangian is quadratic in rates), for all output
+    samples in one stacked call.
     """
     state0 = np.asarray(state0, dtype=float)
     lag = rotor_chart_lagrangian(params)
-
-    def rates_from(q, pi):
-        mm, base = _mass_matrix(lag, q)
-        return np.linalg.solve(mm, pi - base)
 
     q0, qd0 = state0[:4], state0[4:]
     _guard_gimbal(q0[1:])
@@ -264,15 +265,12 @@ def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
     def field(t, y):
         q, pi = y[:4], y[4:]
         _guard_gimbal(q[1:])
-        qd = rates_from(q, pi)
+        qd = _rates(lag, q[None], pi[None])[0]
         return np.concatenate([qd, _grad_q(lag, q, qd)])
 
     times, ys = numerics.integrate_ode(field, np.concatenate([q0, pi0]),
                                        0.0, t_end, stepper)
-    states = np.empty((len(times), 8))
-    for i, y in enumerate(ys):
-        states[i, :4] = y[:4]
-        states[i, 4:] = rates_from(y[:4], y[4:])
+    states = np.hstack([ys[:, :4], _rates(lag, ys[:, :4], ys[:, 4:])])
     cols = ("x", "alpha", "beta", "gamma", "xdot", "alphadot", "betadot", "gammadot")
     return Trajectory(times, states, cols)
 

@@ -77,6 +77,42 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.column_stack(cols) if cols else np.zeros((0, 0))
 
 
+def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                     h0: float = H_GRADIENT) -> np.ndarray:
+    """Central-difference Jacobians at many points, in one call of `f`.
+
+    `f` maps stacked rows (M, n) to stacked values (M, m).  For points x of
+    shape (N, n) the whole stencil, 2n shifted copies of each row with the
+    steps of fd_jacobian, is passed to `f` at once; returns shape (N, m, n)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows, n = x.shape
+    h = _steps(x, h0)
+    shift = h[:, :, None] * np.eye(n)
+    pts = np.concatenate([x[:, None, :] + shift, x[:, None, :] - shift], axis=1)
+    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float)
+    vals = vals.reshape((rows, 2, n) + vals.shape[1:])
+    return np.swapaxes((vals[:, 0] - vals[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+
+
+def fd_mixed(f: Callable[[np.ndarray, np.ndarray], float], x: np.ndarray,
+             y: np.ndarray, h0: float = H_SECOND) -> np.ndarray:
+    """Mixed block d2f/dx dy by the four-point cross stencil of fd_hessian's
+    off-diagonal, shape (len(x), len(y)), steps h0*max(1,|.|) in both."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hx, hy = _steps(x, h0), _steps(y, h0)
+    out = np.empty((x.size, y.size))
+    for i in range(x.size):
+        ei = np.zeros_like(x)
+        ei[i] = hx[i]
+        for j in range(y.size):
+            ej = np.zeros_like(y)
+            ej[j] = hy[j]
+            out[i, j] = (f(x + ei, y + ej) - f(x + ei, y - ej)
+                         - f(x - ei, y + ej) + f(x - ei, y - ej)) / (4.0 * hx[i] * hy[j])
+    return out
+
+
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
                h0: float = H_SECOND) -> np.ndarray:
     """Nested central-difference Hessian (symmetric by construction)."""
@@ -122,8 +158,9 @@ def derivative(value: Callable[..., float], args: tuple, outer: int,
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
     3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
-       fd_hessian of `value` (H_SECOND) for a diagonal block, and
-       fd_jacobian (H_SECOND) of the differenced gradient for a mixed block.
+       fd_hessian of `value` (H_SECOND) for a diagonal block, and the
+       four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
+       block.
     """
     analytic = first if inner is None else second
     if analytic is not None:
@@ -134,8 +171,13 @@ def derivative(value: Callable[..., float], args: tuple, outer: int,
         return fd_jacobian(_vary(first, args, inner), args[inner])
     if inner == outer:
         return fd_hessian(_vary(value, args, inner), args[inner])
-    return fd_jacobian(_vary(lambda *a: derivative(value, a, outer), args, inner),
-                       args[inner], h0=H_SECOND)
+    fixed = list(args)
+
+    def of_pair(u, w):
+        fixed[outer], fixed[inner] = u, w
+        return value(*fixed)
+
+    return fd_mixed(of_pair, args[outer], args[inner])
 
 
 def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],

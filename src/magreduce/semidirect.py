@@ -14,6 +14,11 @@ transformation and verifies the relation numerically.
 The full-group reduction reuses the product-space machinery with the
 combined algebra, so a SemiDirectLagrangian is a thin wrapper around an
 InvariantLagrangian over the semi-direct spec.
+
+The orbit 1-form and 2-form are evaluated by one kernel batched over orbit
+points (rows) and tangents: `theta_form`, `orbit_tangent_generator` and
+`orbit_kks` are its one-row cases, while the lemma check and the form
+identity of `build_stage_equivalence` pass all their points at once.
 """
 from __future__ import annotations
 
@@ -282,33 +287,71 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
 
 
 # ---------------------------------------------------------------------------
-# orbit 1-form and the orbit 2-form check
+# orbit 1-form and the orbit 2-form check, row-batched
 
 
-def _xi_action_matrix(gv: LieGroupSpec, b: np.ndarray) -> np.ndarray:
-    """Matrix of xi -> xi*b as a (vdim, d0) map."""
+def _dual_action_rows(gv: LieGroupSpec, b: np.ndarray) -> np.ndarray:
+    """Matrices of xi -> xi*b, one (vdim, d0) map per row of b.  Their
+    transposes are the maps u -> u*(b)."""
+    # (xi*b)_k = sum_j rho'(xi)_{jk} b_j
+    return np.einsum("ijk,nj->nki", gv.rep_inf_basis, b)
+
+
+def _raise_first(failed: np.ndarray, message: str) -> None:
+    rows = np.flatnonzero(failed.any(axis=1))
+    if rows.size:
+        raise ValueError(f"row {rows[0]}: {message}")
+
+
+def _orbit_generator_rows(gv: LieGroupSpec, nu: np.ndarray, b: np.ndarray,
+                          nudot: np.ndarray, bdot: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (xi, u) of orbit tangents, batched over points and tangents.
+
+    nu (N, d0) and b (N, vdim) hold one orbit point per row; nudot (N, T, d0)
+    and bdot (N, T, vdim) hold T tangents at each.  xi solves xi*b = bdot and
+    u solves u*(b) = ad*_xi nu - nudot, both as minimum-norm least-squares
+    solutions from one SVD of the dual-action matrix M(b) per point (the
+    second map is M(b)^T).  The rank check counts singular values above
+    1e-12, as matrix_rank(tol=1e-12); the solves drop those at or below
+    numpy.lstsq's default cutoff eps * max(vdim, d0) * S_max.  Errors name
+    the first failing row."""
     d0 = gv.base.dim
-    eye = np.eye(d0)
-    return np.column_stack([gv.rep_inf(eye[i]).T @ b for i in range(d0)])
+    m = _dual_action_rows(gv, b)
+    left, sv, right_t = np.linalg.svd(m, full_matrices=False)
+    degenerate = np.flatnonzero(np.sum(sv > 1e-12, axis=1) < d0)
+    if degenerate.size:
+        raise ValueError(f"momentum b in row {degenerate[0]} is in a degenerate "
+                         "position: the infinitesimal dual action is not injective")
+    cutoff = np.finfo(float).eps * max(m.shape[1:]) * sv[:, :1]
+    sv_inv = np.where(sv > cutoff, 1.0 / sv, 0.0)[:, None, :]
+
+    xi = np.einsum("nri,ntr->nti", right_t,
+                   sv_inv * np.einsum("nkr,ntk->ntr", left, bdot))
+    miss = np.linalg.norm(np.einsum("nki,nti->ntk", m, xi) - bdot, axis=2)
+    _raise_first(miss > 1e-10 * (1.0 + np.linalg.norm(bdot, axis=2)),
+                 "bdot is not tangent to the orbit at b")
+
+    # (ad*_xi nu)_c = nu_a xi_b structure[a, b, c]
+    rhs = np.einsum("na,ntb,abc->ntc", nu, xi, gv.base.structure) - nudot
+    u = np.einsum("nkr,ntr->ntk", left,
+                  sv_inv * np.einsum("nri,nti->ntr", right_t, rhs))
+    miss = np.linalg.norm(np.einsum("nki,ntk->nti", m, u) - rhs, axis=2)
+    _raise_first(miss > GENERATOR_TOL * (1.0 + np.linalg.norm(rhs, axis=2)),
+                 "tangent vector is not generated by the coadjoint action")
+    return xi, u
 
 
-def _ustar_matrix(gv: LieGroupSpec, b: np.ndarray) -> np.ndarray:
-    """Matrix of u -> u*(b) as a (d0, vdim) map."""
-    d0 = gv.base.dim
-    eye = np.eye(d0)
-    return np.vstack([b @ gv.rep_inf(eye[i]) for i in range(d0)])
-
-
-def _solve_xi_from_bdot(gv: LieGroupSpec, b: np.ndarray, bdot: np.ndarray
-                        ) -> np.ndarray:
-    m = _xi_action_matrix(gv, b)
-    if np.linalg.matrix_rank(m, tol=1e-12) < gv.base.dim:
-        raise ValueError("momentum b is in a degenerate position: the "
-                         "infinitesimal dual action is not injective")
-    xi, *_ = np.linalg.lstsq(m, bdot, rcond=None)
-    if np.linalg.norm(m @ xi - bdot) > 1e-10 * (1.0 + np.linalg.norm(bdot)):
-        raise ValueError("bdot is not tangent to the orbit at b")
-    return xi
+def _orbit_kks_rows(gv: LieGroupSpec, nu: np.ndarray, b: np.ndarray,
+                    t1: tuple[np.ndarray, np.ndarray],
+                    t2: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Orbit 2-form <(nu, b), [g1, g2]> at each row, with g1 and g2 the
+    generators of the tangent rows t1 = (nudot, bdot) and t2."""
+    xi, u = _orbit_generator_rows(gv, nu, b, np.stack([t1[0], t2[0]], axis=1),
+                                  np.stack([t1[1], t2[1]], axis=1))
+    g = np.concatenate([xi, u], axis=2)
+    return np.einsum("na,abc,nb,nc->n", np.hstack([nu, b]), gv.structure,
+                     g[:, 0], g[:, 1])
 
 
 def theta_form(gv: LieGroupSpec, nu: CoVector, b: CoVector,
@@ -318,23 +361,18 @@ def theta_form(gv: LieGroupSpec, nu: CoVector, b: CoVector,
     solve."""
     if not gv.is_semidirect:
         raise ValueError("theta_form requires a semi-direct spec")
-    xi = _solve_xi_from_bdot(gv, b.coords, bdot.coords)
-    return float(nu.coords @ xi)
+    xi, _ = _orbit_generator_rows(gv, nu.coords[None], b.coords[None],
+                                  nudot.coords[None, None], bdot.coords[None, None])
+    return float(nu.coords @ xi[0, 0])
 
 
 def orbit_tangent_generator(gv: LieGroupSpec, nu: CoVector, b: CoVector,
                             nudot: CoVector, bdot: CoVector) -> AlgebraVector:
     """An algebra element (xi, u) generating the orbit tangent (nudot, bdot)
     through the infinitesimal coadjoint action."""
-    xi = _solve_xi_from_bdot(gv, b.coords, bdot.coords)
-    base = gv.base
-    adstar = lie.inf_coadjoint(base, AlgebraVector(xi), CoVector(nu.coords))
-    rhs = adstar.coords - nudot.coords
-    nmat = _ustar_matrix(gv, b.coords)
-    u, *_ = np.linalg.lstsq(nmat, rhs, rcond=None)
-    if np.linalg.norm(nmat @ u - rhs) > GENERATOR_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise ValueError("tangent vector is not generated by the coadjoint action")
-    return AlgebraVector(np.concatenate([xi, u]))
+    xi, u = _orbit_generator_rows(gv, nu.coords[None], b.coords[None],
+                                  nudot.coords[None, None], bdot.coords[None, None])
+    return AlgebraVector(np.concatenate([xi[0, 0], u[0, 0]]))
 
 
 def orbit_kks(gv: LieGroupSpec, nu: CoVector, b: CoVector,
@@ -342,10 +380,9 @@ def orbit_kks(gv: LieGroupSpec, nu: CoVector, b: CoVector,
               ) -> float:
     """Orbit 2-form on two tangents, through generator matching and the
     combined-algebra pairing."""
-    g1 = orbit_tangent_generator(gv, nu, b, *t1)
-    g2 = orbit_tangent_generator(gv, nu, b, *t2)
-    combined = CoVector(np.concatenate([nu.coords, b.coords]))
-    return routh.kks_form(gv, combined, g1, g2)
+    rows = lambda t: tuple(c.coords[None] for c in t)  # noqa: E731
+    return float(_orbit_kks_rows(gv, nu.coords[None], b.coords[None],
+                                 rows(t1), rows(t2))[0])
 
 
 def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
@@ -355,7 +392,9 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     1-form on the cylinder chart (nu, alpha), b = |a| e^{i alpha}.
 
     Returns the maximum residual between the finite-difference d(theta)
-    and the generator-matched orbit pairing over the samples."""
+    and the generator-matched orbit pairing over the samples.  The central
+    stencil of every sample (step fd_step * max(1, |z_a|)) is evaluated in
+    one batched call of the orbit-form kernel, and the pairing in another."""
     if sd.d0 != 1 or sd.vdim != 2:
         raise ValueError("the cylinder chart requires a 1-dimensional base "
                          "acting on a 2-dimensional V")
@@ -364,29 +403,24 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     if r == 0.0:
         raise ValueError("a must be nonzero")
 
-    def chart_b(alpha: float) -> np.ndarray:
-        return r * np.array([np.cos(alpha), np.sin(alpha)])
+    def chart(z: np.ndarray):
+        """nu, b and the chart tangents d/dnu, d/dalpha at rows z."""
+        b = r * np.column_stack([np.cos(z[:, 1]), np.sin(z[:, 1])])
+        ones, zeros = np.ones((len(z), 1)), np.zeros((len(z), 1))
+        t_nu = (ones, np.zeros_like(b))
+        t_alpha = (zeros, np.column_stack([-b[:, 1], b[:, 0]]))
+        return z[:, :1], b, t_nu, t_alpha
 
-    def theta_components(z: np.ndarray) -> np.ndarray:
-        nu = CoVector(z[:1])
-        b = CoVector(chart_b(z[1]))
-        ib = CoVector(np.array([-b.coords[1], b.coords[0]]))
-        t_nu = theta_form(gv, nu, b, CoVector([1.0]), CoVector(np.zeros(2)))
-        t_alpha = theta_form(gv, nu, b, CoVector([0.0]), ib)
-        return np.array([t_nu, t_alpha])
+    def theta_rows(z: np.ndarray) -> np.ndarray:
+        nu, b, t_nu, t_alpha = chart(z)
+        xi, _ = _orbit_generator_rows(gv, nu, b, np.stack([t_nu[0], t_alpha[0]], axis=1),
+                                      np.stack([t_nu[1], t_alpha[1]], axis=1))
+        return np.einsum("ni,nti->nt", nu, xi)
 
-    worst = 0.0
-    for row in np.atleast_2d(samples):
-        z = np.asarray(row, dtype=float)
-        d = numerics.fd_exterior_derivative(theta_components, z, fd_step)
-        nu = CoVector(z[:1])
-        b = CoVector(chart_b(z[1]))
-        ib = CoVector(np.array([-b.coords[1], b.coords[0]]))
-        t_nu = (CoVector([1.0]), CoVector(np.zeros(2)))
-        t_alpha = (CoVector([0.0]), ib)
-        kks = orbit_kks(gv, nu, b, t_nu, t_alpha)
-        worst = max(worst, abs(d[0, 1] - kks))
-    return worst
+    z = np.atleast_2d(np.asarray(samples, dtype=float))
+    d = numerics.fd_jacobian_rows(theta_rows, z, fd_step)  # d[n, b, a] = dtheta_b/dz_a
+    kks = _orbit_kks_rows(gv, *chart(z))
+    return float(np.max(np.abs((d[:, 1, 0] - d[:, 0, 1]) - kks), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +428,7 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
 
 
 def _check_vstar_onto(gv: LieGroupSpec, a: CoVector) -> None:
-    mat = _ustar_matrix(gv, a.coords)
+    mat = _dual_action_rows(gv, a.coords[None])[0]
     if np.linalg.matrix_rank(mat, tol=1e-12) < gv.base.dim:
         raise ValueError("dual action not onto: v -> v*(a) does not span the "
                          "dual of the base algebra (is a = 0?)")
@@ -471,8 +505,10 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         built = l1_built(z1[:s], z1[s:2 * s], z1[2 * s:])
         routhian_resid = max(routhian_resid, abs(built - r_full))
 
-    # 2-form identity on chart tangents of the fibre (theta, nu).
+    # 2-form identity on chart tangents of the fibre (theta, nu): B1_built
+    # per point, then the orbit pairing of all points per base direction.
     form_resid = 0.0
+    nus, bs, bps, bpp_nu = [], [], [], []
     for _ in range(n_points):
         x = rng.uniform(-1.0, 1.0, size=s)
         theta = rng.uniform(-np.pi, np.pi)
@@ -482,16 +518,19 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         form_resid = max(form_resid, float(np.max(np.abs(bqq))),
                          float(np.max(np.abs(bqp))))
         b = q.b_of_theta(theta)
-        bp = q.db_dtheta(b)
-        t_theta = (CoVector(np.zeros(d0)), CoVector(bp))
-        nuv = CoVector(nu)
-        bv = CoVector(b)
-        for j in range(d0):
-            ej = np.zeros(d0)
-            ej[j] = 1.0
-            t_nu = (CoVector(ej), CoVector(np.zeros(sd.vdim)))
-            kks = orbit_kks(sd.gv, nuv, bv, t_theta, t_nu)
-            form_resid = max(form_resid, abs(bpp[0, 1 + j] - kks))
+        nus.append(nu)
+        bs.append(b)
+        bps.append(q.db_dtheta(b))
+        bpp_nu.append(bpp[0, 1:])
+    nus, bs = np.reshape(nus, (-1, d0)), np.reshape(bs, (-1, sd.vdim))
+    bpp_nu = np.reshape(bpp_nu, nus.shape)
+    t_theta = (np.zeros_like(nus), np.reshape(bps, bs.shape))
+    for j in range(d0):
+        t_nu = (np.zeros_like(nus), np.zeros_like(bs))
+        t_nu[0][:, j] = 1.0
+        kks = _orbit_kks_rows(sd.gv, nus, bs, t_theta, t_nu)
+        form_resid = max(form_resid,
+                         float(np.max(np.abs(bpp_nu[:, j] - kks), initial=0.0)))
 
     # Trajectory mapping: orbit flow, pushed through psi, against the flow
     # of the V-reduced system from the psi-matched initial condition.

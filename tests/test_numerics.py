@@ -33,6 +33,28 @@ def test_fd_vs_analytic_on_rotor_routhian(rotor_params):
     assert abs(fd[0] - analytic[0]) < 1e-7
 
 
+def test_fd_jacobian_rows_is_fd_jacobian_per_row(rng):
+    calls = []
+
+    def f(z):   # rows (M, 2) -> rows (M, 3)
+        calls.append(len(z))
+        return np.column_stack([np.sin(z[:, 0]) * z[:, 1], z[:, 1] ** 3,
+                                np.exp(0.3 * z[:, 0])])
+
+    x = rng.uniform(-3.0, 3.0, (7, 2))
+    jac = numerics.fd_jacobian_rows(f, x, 1e-4)
+    assert calls == [7 * 4]   # the whole central stencil in one call
+    for row, j in zip(x, jac):
+        assert np.array_equal(j, numerics.fd_jacobian(lambda z: f(z[None])[0], row, 1e-4))
+
+
+def test_fd_mixed_cross_stencil():
+    f = lambda x, y: float(np.sin(x[0]) * y @ y + x[1] * y[0])
+    x, y = np.array([0.4, -1.5]), np.array([2.5, 0.3, -0.7])
+    exact = np.vstack([2.0 * np.cos(x[0]) * y, [1.0, 0.0, 0.0]])
+    assert np.max(np.abs(numerics.fd_mixed(f, x, y) - exact)) < 1e-7
+
+
 def test_fd_gradient_nonfinite_raises():
     f = lambda x: np.inf if x[0] > 0.5 else 0.0
     with pytest.raises(ValueError):

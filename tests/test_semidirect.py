@@ -3,7 +3,7 @@ reduced flow, the orbit 1-form, and the equivalence of the two reductions."""
 import numpy as np
 import pytest
 
-from magreduce import lie, maglag, models, routh, semidirect
+from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.maglag import RegularityError
 from magreduce.numerics import StepperChoice
@@ -348,3 +348,116 @@ def test_v_regularity_error():
     with pytest.raises(RegularityError):
         semidirect.solve_tau(sd_bad, [0.0], [0.0], [0.1],
                              CoVector([-1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the row-batched orbit-form kernel
+
+
+def orbit_rows(rng, n):
+    """n orbit points with two orbit tangents (nudot, bdot = s * i b) each."""
+    nu = rng.uniform(-1.5, 1.5, (n, 1))
+    alpha = rng.uniform(-np.pi, np.pi, n)
+    b = rng.uniform(0.3, 2.0, (n, 1)) * np.column_stack([np.cos(alpha), np.sin(alpha)])
+    ib = np.column_stack([-b[:, 1], b[:, 0]])
+    nudot = rng.normal(size=(n, 2, 1))
+    bdot = rng.normal(size=(n, 2, 1)) * ib[:, None, :]
+    return nu, b, nudot, bdot
+
+
+def test_kernel_rows_equal_scalar_wrappers(sd, rng):
+    nu, b, nudot, bdot = orbit_rows(rng, 40)
+    xi, u = semidirect._orbit_generator_rows(sd.gv, nu, b, nudot, bdot)
+    kks = semidirect._orbit_kks_rows(sd.gv, nu, b, (nudot[:, 0], bdot[:, 0]),
+                                     (nudot[:, 1], bdot[:, 1]))
+    for n in range(len(nu)):
+        nuv, bv = CoVector(nu[n]), CoVector(b[n])
+        tangents = [(CoVector(nudot[n, t]), CoVector(bdot[n, t])) for t in range(2)]
+        for t, tangent in enumerate(tangents):
+            gen = semidirect.orbit_tangent_generator(sd.gv, nuv, bv, *tangent)
+            batched = np.concatenate([xi[n, t], u[n, t]])
+            assert np.max(np.abs(gen.coords - batched)) <= 1e-14
+            theta = semidirect.theta_form(sd.gv, nuv, bv, *tangent)
+            assert abs(theta - nu[n] @ xi[n, t]) <= 1e-14
+        assert abs(semidirect.orbit_kks(sd.gv, nuv, bv, *tangents) - kks[n]) <= 1e-14
+
+
+def test_kernel_names_degenerate_row(sd, rng):
+    nu, b, nudot, bdot = orbit_rows(rng, 5)
+    b[3] = 0.0
+    with pytest.raises(ValueError, match="row 3.*degenerate"):
+        semidirect._orbit_generator_rows(sd.gv, nu, b, nudot, bdot)
+
+
+def test_kernel_rejects_non_tangent_bdot(sd, rng):
+    nu, b, nudot, bdot = orbit_rows(rng, 5)
+    bdot[2, 1] += 0.1 * b[2]   # a radial part leaves the orbit |b| = const
+    with pytest.raises(ValueError, match="row 2.*not tangent"):
+        semidirect._orbit_generator_rows(sd.gv, nu, b, nudot, bdot)
+    with pytest.raises(ValueError, match="not tangent"):
+        semidirect.theta_form(sd.gv, CoVector([0.3]), CoVector([1.0, 0.0]),
+                              CoVector([0.0]), CoVector([1.0, 1.0]))
+
+
+def reference_form_residual(sd, eq, a, n_points, seed):
+    """form_identity_residual point by point with the public orbit_kks,
+    drawing the random points in build_stage_equivalence's order."""
+    rng = np.random.default_rng(seed)
+    s, d0 = sd.sdim, sd.d0
+    for _ in range(n_points):   # the Routhian-identity points come first
+        rng.uniform(-1.0, 1.0, size=s)
+        rng.uniform(-1.0, 1.0, size=s)
+        rng.uniform(-np.pi, np.pi)
+        rng.uniform(-1.5, 1.5, size=d0)
+    worst = 0.0
+    for _ in range(n_points):
+        x = rng.uniform(-1.0, 1.0, size=s)
+        theta = rng.uniform(-np.pi, np.pi)
+        nu = rng.uniform(-1.5, 1.5, size=d0)
+        bqq, bqp, bpp = eq.b1_built(x, np.concatenate([[theta], nu]))
+        worst = max(worst, float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
+        b = lie.dual_action(sd.gv, lie.circle_element(theta), a)
+        bp = lie.inf_dual_action(sd.gv, AlgebraVector([1.0]), b)
+        for j in range(d0):
+            t_nu = (CoVector(np.eye(d0)[j]), CoVector(np.zeros(sd.vdim)))
+            kks = semidirect.orbit_kks(sd.gv, CoVector(nu), b,
+                                       (CoVector(np.zeros(d0)), bp), t_nu)
+            worst = max(worst, abs(bpp[0, 1 + j] - kks))
+    return worst
+
+
+def reference_lemma_residual(sd, a, samples, fd_step=1e-4):
+    """verify_lemma_B_equals_dtheta sample by sample with the public scalar
+    theta_form and orbit_kks."""
+    r = float(np.linalg.norm(a.coords))
+
+    def tangents(z):
+        b = r * np.array([np.cos(z[1]), np.sin(z[1])])
+        t_nu = (CoVector([1.0]), CoVector([0.0, 0.0]))
+        t_alpha = (CoVector([0.0]), CoVector([-b[1], b[0]]))
+        return CoVector(z[:1]), CoVector(b), t_nu, t_alpha
+
+    def theta(z):
+        nu, b, t_nu, t_alpha = tangents(z)
+        return np.array([semidirect.theta_form(sd.gv, nu, b, *t_nu),
+                         semidirect.theta_form(sd.gv, nu, b, *t_alpha)])
+
+    worst = 0.0
+    for z in samples:
+        d = numerics.fd_exterior_derivative(theta, z, fd_step)
+        worst = max(worst, abs(d[0, 1] - semidirect.orbit_kks(sd.gv, *tangents(z))))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_batched_reports_match_point_by_point_reference(sd, seed):
+    a = CoVector([0.6, -0.8])
+    eq = semidirect.build_stage_equivalence(sd, CoVector([0.7]), a, n_points=20,
+                                            t_end=0.05, seed=seed)
+    expected = reference_form_residual(sd, eq, a, 20, seed)
+    assert abs(eq.report["form_identity_residual"] - expected) <= 1e-12
+
+    rng = np.random.default_rng(seed)
+    samples = np.column_stack([rng.uniform(-2, 2, 30), rng.uniform(-np.pi, np.pi, 30)])
+    res = semidirect.verify_lemma_B_equals_dtheta(sd, a, samples)
+    assert abs(res - reference_lemma_residual(sd, a, samples)) <= 1e-12

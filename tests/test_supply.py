@@ -55,35 +55,54 @@ RULE = {
     "analytic": None,
     "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
     "values_diagonal": ("fd_hessian", numerics.H_SECOND),
-    "values_mixed": ("fd_jacobian", numerics.H_SECOND),
+    "values_mixed": ("fd_mixed", numerics.H_SECOND),
 }
+
+
+def spy_stencils(monkeypatch):
+    """Record (routine, base step) of every second-derivative stencil."""
+    calls = []
+    for name in ("fd_jacobian", "fd_hessian", "fd_mixed"):
+        fn = getattr(numerics, name)
+        sig = inspect.signature(fn)
+
+        def spy(*args, _fn=fn, _name=name, _sig=sig, **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((_name, bound.arguments["h0"]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, name, spy)
+    return calls
+
+
+def check_level(case, level, radius, monkeypatch):
+    """The block at 20 points with |coords| <= radius matches the analytic
+    one to 1e-6, and its outermost stencil is the rule's."""
+    calls = spy_stencils(monkeypatch)
+    system, method, expected = case(level)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        calls.clear()
+        point = (rng.uniform(-radius, radius, 1), rng.uniform(-radius, radius, 1),
+                 rng.uniform(-radius, radius, 3))
+        block = getattr(system, method)(*point)
+        assert block.shape == expected.shape
+        assert np.max(np.abs(block - expected)) <= 1e-6
+        assert (calls[0] if calls else None) == RULE[level]
 
 
 @pytest.mark.parametrize("case", [invariant_case, magnetic_case])
 @pytest.mark.parametrize("level", list(RULE))
 def test_supply_rule_levels(case, level, monkeypatch):
-    calls = []
-    for name in ("fd_jacobian", "fd_hessian"):
-        fn = getattr(numerics, name)
-        default = inspect.signature(fn).parameters["h0"].default
+    check_level(case, level, 0.5, monkeypatch)
 
-        def spy(f, x, h0=default, _fn=fn, _name=name):
-            calls.append((_name, h0))
-            return _fn(f, x, h0)
 
-        monkeypatch.setattr(numerics, name, spy)
-    system, method, expected = case(level)
-    # nested central differences of values carry rounding noise of about
-    # 5e-7 * |L| (README), so the points keep |L| of order one
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        calls.clear()
-        point = (rng.uniform(-0.5, 0.5, 1), rng.uniform(-0.5, 0.5, 1),
-                 rng.uniform(-0.5, 0.5, 3))
-        block = getattr(system, method)(*point)
-        assert block.shape == expected.shape
-        assert np.max(np.abs(block - expected)) <= 1e-6
-        assert (calls[0] if calls else None) == RULE[level]
+@pytest.mark.parametrize("case", [invariant_case, magnetic_case])
+def test_values_only_mixed_block_wide_coords(case, monkeypatch):
+    # the nested rule that the cross stencil replaced was off by up to
+    # 5.5e-6 at |coords| <= 2 (200 random points of jac_xdot_xi)
+    check_level(case, "values_mixed", 2.0, monkeypatch)
 
 
 def capture_field(monkeypatch):
