@@ -14,52 +14,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, lie, maglag, models, numerics, routh, semidirect
+from . import __version__, maglag, models, routh, semidirect
 from .lie import CoVector
 from .maglag import MagLagState, RegularityError
 from .numerics import (NewtonConvergenceError, NonFiniteStateError,
                        StepSizeError, StepperChoice)
-
-MODES = {
-    "rotor": ("full", "reduce-full-group"),
-    "beanie": ("full", "reduce-full-group", "reduce-abelian",
-               "verify-equivalence", "verify-lemma"),
-}
-VERIFY_MODES = ("verify-equivalence", "verify-lemma")
-
-# Default pass thresholds per (model, mode); all overridable from the
-# config "thresholds" block.
-DEFAULT_THRESHOLDS = {
-    ("rotor", "full"): {"momentum_drift": 1e-7},
-    ("rotor", "reduce-full-group"): {"energy_drift": 1e-8,
-                                     "casimir_drift": 1e-9},
-    ("beanie", "full"): {"nu_drift": 1e-8, "b_norm_drift": 1e-8,
-                         "energy_drift": 1e-8},
-    ("beanie", "reduce-full-group"): {"energy_drift": 1e-8,
-                                      "nu_drift": 1e-9,
-                                      "casimir_drift": 1e-9},
-    ("beanie", "reduce-abelian"): {"energy_drift": 1e-8},
-    ("beanie", "verify-equivalence"): {"routhian_identity_residual": 1e-8,
-                                       "form_identity_residual": 1e-6,
-                                       "trajectory_deviation": 1e-5,
-                                       "casimir_drift": 1e-9,
-                                       "nu_drift": 1e-9},
-    ("beanie", "verify-lemma"): {"lemma_residual": 1e-6},
-}
-
-# Length of the "initial" state for each (model, mode) that reads it.
-INITIAL_SIZES = {
-    ("rotor", "full"): 8,
-    ("rotor", "reduce-full-group"): 5,
-    ("beanie", "full"): 8,
-    ("beanie", "reduce-full-group"): 5,
-    ("beanie", "reduce-abelian"): 4,
-}
 
 
 class ConfigError(ValueError):
@@ -71,216 +37,242 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def validate_config(cfg: dict) -> dict:
-    """Schema check; returns the config with defaults filled in."""
-    _require(isinstance(cfg, dict), "config must be a JSON object")
-    unknown = set(cfg) - {"model", "mode", "params", "momentum", "initial",
-                          "stepper", "t_end", "seed", "output", "thresholds"}
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    model = cfg.get("model")
-    _require(model in MODES, f"model must be one of {sorted(MODES)}")
-    mode = cfg.get("mode")
-    _require(mode in MODES[model],
-             f"mode {mode!r} is not defined for model {model!r} "
-             f"(choose from {MODES[model]})")
-    params = cfg.get("params", {})
-    _require(isinstance(params, dict), "params must be an object")
-    momentum = cfg.get("momentum", {})
-    _require(isinstance(momentum, dict), "momentum must be an object")
-    if model == "beanie":
-        a = momentum.get("a", [1.0, 0.0])
-        _require(isinstance(a, list) and len(a) == 2,
-                 "momentum.a must be [re, im]")
-        if abs(complex(a[0], a[1])) == 0.0:
-            raise ConfigError("dual action not onto: momentum.a must be nonzero")
-    stepper = cfg.get("stepper", {})
-    _require(isinstance(stepper, dict), "stepper must be an object")
-    kind = stepper.get("kind", "rk4")
-    _require(kind in ("rk4", "rkf45"), "stepper.kind must be rk4 or rkf45")
-    t_end = cfg.get("t_end", 10.0)
-    _require(isinstance(t_end, (int, float)) and t_end > 0,
-             "t_end must be a positive number")
-    seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
-    thresholds = cfg.get("thresholds", {})
-    _require(isinstance(thresholds, dict)
-             and all(isinstance(v, (int, float)) for v in thresholds.values()),
-             "thresholds must map names to numbers")
-    known = sorted(DEFAULT_THRESHOLDS[(model, mode)])
-    unknown = sorted(set(thresholds) - set(known))
-    _require(not unknown, f"unknown thresholds {unknown} for {model} {mode} "
-                          f"(choose from {known})")
-    initial = cfg.get("initial")
-    if initial is not None:
-        _require(isinstance(initial, list)
-                 and all(isinstance(v, (int, float)) for v in initial),
-                 "initial must be a list of numbers")
-        size = INITIAL_SIZES.get((model, mode))
-        _require(size is None or len(initial) == size,
-                 f"initial must hold {size} numbers for {model} {mode}, "
-                 f"got {len(initial)}")
-    out = dict(cfg)
-    out.setdefault("params", {})
-    out.setdefault("momentum", {})
-    out.setdefault("stepper", {"kind": "rk4", "h": 1e-3})
-    out.setdefault("t_end", 10.0)
-    out.setdefault("seed", 0)
-    out.setdefault("output", {})
-    out.setdefault("thresholds", {})
-    return out
+def _check_keys(block: dict, name: str, allowed: tuple) -> None:
+    unknown = sorted(set(block) - set(allowed))
+    _require(not unknown, f"unknown {name} keys {unknown} (choose from {sorted(allowed)})")
 
 
-def _stepper_from(cfg: dict) -> StepperChoice:
-    block = cfg["stepper"]
-    return StepperChoice(kind=block.get("kind", "rk4"),
-                         h=block.get("h", 1e-3),
-                         atol=block.get("atol", 1e-10),
-                         rtol=block.get("rtol", 1e-10),
-                         h_min=block.get("h_min", 1e-12))
+def _check_numbers(value, key: str = "") -> None:
+    """Booleans and non-finite numbers are config errors wherever they
+    appear; the message names the key."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_numbers(v, f"{key}[{i}]")
+    else:
+        _require(not isinstance(value, bool), f"{key} must be a number, not a boolean")
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"{key} must be finite, got {value}")
 
 
-def _rotor_params(cfg: dict) -> models.RotorParams:
-    p = cfg["params"]
-    return models.RotorParams(
-        inertia_body=p.get("inertia_body", (3.0, 2.0, 1.0)),
-        inertia_rotor=p.get("inertia_rotor", (0.0, 0.0, 1.0)))
+def _vector(value, size: int, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(value))
+    _require(arr.shape == (size,) and arr.dtype.kind in "iuf",
+             f"{name} must hold {size} number(s)")
+    return arr.astype(float)
 
 
-def _beanie_params(cfg: dict) -> models.BeanieParams:
-    p = cfg["params"]
-    c = p.get("potential_strength", 1.0)
-    return models.BeanieParams(
-        m=p.get("m", 1.0), i1=p.get("i1", 2.0), i2=p.get("i2", 1.0),
-        potential=lambda phi: c * (1.0 - np.cos(float(np.atleast_1d(phi)[0]))),
-        dpotential=lambda phi: np.array([c * np.sin(float(np.atleast_1d(phi)[0]))]))
+def _rotor_inputs(params: dict, momentum: dict):
+    _check_keys(params, "params", ("inertia_body", "inertia_rotor"))
+    _check_keys(momentum, "momentum", ("mu",))
+    mu = _vector(momentum.get("mu", [0.8, 0.2, 0.3]), 3, "momentum.mu")
+    return models.RotorParams(**params), (CoVector(mu),)
+
+
+def _beanie_inputs(params: dict, momentum: dict):
+    _check_keys(params, "params", ("m", "i1", "i2", "potential_strength"))
+    _check_keys(momentum, "momentum", ("mu", "a"))
+    kwargs = {k: v for k, v in params.items() if k != "potential_strength"}
+    if "potential_strength" in params:
+        kwargs["potential"], kwargs["dpotential"] = models.default_potential(
+            _vector(params["potential_strength"], 1, "params.potential_strength")[0])
+    mu = _vector(momentum.get("mu", 1.0), 1, "momentum.mu")
+    a = _vector(momentum.get("a", [1.0, 0.0]), 2, "momentum.a")
+    _require(a.any(), "dual action not onto: momentum.a must be nonzero")
+    return models.BeanieParams(**kwargs), (CoVector(mu), CoVector(a))
+
+
+class Job(NamedTuple):
+    """What a mode runner reads."""
+    params: object
+    level: tuple  # the momentum level, as CoVectors
+    initial: list | None  # None: the runner's default
+    t_end: float
+    stepper: StepperChoice
+    seed: int
+    csv: Path
 
 
 def _drift(series: np.ndarray) -> float:
     return float(np.max(np.abs(series - series[0])))
 
 
+def _rotor_full(job: Job) -> dict:
+    state0 = np.asarray(job.initial or models.rotor_chart_state_from_momentum(
+        job.params, job.level[0].coords, xdot=0.2), dtype=float)
+    traj = models.rotor_full_trajectory(job.params, state0, job.t_end, job.stepper)
+    j = np.array([models.rotor_spatial_momentum(job.params, s) for s in traj.states])
+    maglag.write_csv(job.csv, traj.times, np.column_stack([traj.states, j]),
+                     traj.columns + ("J0", "J1", "J2"))
+    return {"momentum_drift": _drift(j)}
+
+
+def _rotor_reduced(job: Job) -> dict:
+    init = np.asarray(job.initial or np.concatenate([[0.0, 0.2], job.level[0].coords]),
+                      dtype=float)
+    nu0 = CoVector(init[2:5])
+    traj = routh.integrate_reduced(models.rotor_reduced_system(job.params, nu0),
+                                   routh.ReducedState(init[:1], init[1:2], nu0),
+                                   job.t_end, job.stepper)
+    traj.to_csv(job.csv)
+    return {"energy_drift": traj.report.entries["energy_drift"],
+            "casimir_drift": traj.report.entries["casimir_momentum_norm_drift"]}
+
+
+def _beanie_full(job: Job) -> dict:
+    state0 = np.asarray(job.initial or [0.4, 0.0, 0.0, 0.0, 0.3, 0.1, 1.0, 0.0], dtype=float)
+    traj = models.beanie_full_trajectory(job.params, state0, job.t_end, job.stepper)
+    momenta = [models.beanie_momenta(job.params, s) for s in traj.states]
+    nus = np.array([nu for nu, _ in momenta])
+    babs = np.array([abs(b) for _, b in momenta])
+    energies = np.array([models.beanie_energy(job.params, s) for s in traj.states])
+    maglag.write_csv(job.csv, traj.times, np.column_stack([traj.states, nus, babs]),
+                     traj.columns + ("nu", "b_abs"))
+    return {"nu_drift": _drift(nus), "b_norm_drift": _drift(babs),
+            "energy_drift": _drift(energies)}
+
+
+def _beanie_reduced(job: Job) -> dict:
+    mu, a = job.level
+    init = np.asarray(job.initial or np.concatenate([[0.4, 0.3], mu.coords, a.coords]),
+                      dtype=float)
+    traj = semidirect.integrate_reduced_full(
+        models.beanie_gv_lagrangian(job.params), init[:1], init[1:2],
+        CoVector(init[2:3]), CoVector(init[3:5]), job.t_end, job.stepper)
+    traj.to_csv(job.csv)
+    return {"energy_drift": traj.report.entries["energy_drift"],
+            "casimir_drift": traj.report.entries["casimir_translation_momentum_norm_drift"],
+            "nu_drift": _drift(traj.states[:, 2])}
+
+
+def _beanie_abelian(job: Job) -> dict:
+    init = np.asarray(job.initial or [0.4, 0.0, 0.3, 0.1], dtype=float)
+    sys_ = models.beanie_r2_system(job.params, complex(*job.level[1].coords))
+    traj = maglag.integrate(sys_, MagLagState(init[:2], init[2:4], np.zeros(0)),
+                            job.t_end, job.stepper)
+    traj.to_csv(job.csv)
+    return {"energy_drift": traj.report.entries["energy_drift"]}
+
+
+def _beanie_equivalence(job: Job) -> dict:
+    mu, a = job.level
+    return dict(semidirect.build_stage_equivalence(
+        models.beanie_gv_lagrangian(job.params), mu, a, n_points=100,
+        t_end=job.t_end, stepper=job.stepper, seed=job.seed).report)
+
+
+def _beanie_lemma(job: Job) -> dict:
+    rng = np.random.default_rng(job.seed)
+    samples = np.column_stack([rng.uniform(-2.0, 2.0, 100),
+                               rng.uniform(-np.pi, np.pi, 100)])
+    return {"lemma_residual": semidirect.verify_lemma_B_equals_dtheta(
+        models.beanie_gv_lagrangian(job.params), job.level[1], samples)}
+
+
+class Mode(NamedTuple):
+    """One (model, mode): the runner, its default pass thresholds (one per
+    metric it reports), the length of `initial` (None: the mode reads none)
+    and whether the `verify` subcommand accepts it."""
+    run: Callable[[Job], dict]
+    thresholds: dict
+    initial: int | None = None
+    verify: bool = False
+
+
+class Model(NamedTuple):
+    inputs: Callable[[dict, dict], tuple]  # params, momentum blocks -> params, level
+    modes: dict[str, Mode]
+
+
+MODELS = {
+    "rotor": Model(_rotor_inputs, {
+        "full": Mode(_rotor_full, {"momentum_drift": 1e-7}, initial=8),
+        "reduce-full-group": Mode(
+            _rotor_reduced, {"energy_drift": 1e-8, "casimir_drift": 1e-9}, initial=5),
+    }),
+    "beanie": Model(_beanie_inputs, {
+        "full": Mode(_beanie_full, {"nu_drift": 1e-8, "b_norm_drift": 1e-8,
+                                    "energy_drift": 1e-8}, initial=8),
+        "reduce-full-group": Mode(_beanie_reduced, {
+            "energy_drift": 1e-8, "nu_drift": 1e-9, "casimir_drift": 1e-9}, initial=5),
+        "reduce-abelian": Mode(_beanie_abelian, {"energy_drift": 1e-8}, initial=4),
+        "verify-equivalence": Mode(_beanie_equivalence, {
+            "routhian_identity_residual": 1e-8, "form_identity_residual": 1e-6,
+            "trajectory_deviation": 1e-5, "casimir_drift": 1e-9, "nu_drift": 1e-9},
+            verify=True),
+        "verify-lemma": Mode(_beanie_lemma, {"lemma_residual": 1e-6}, verify=True),
+    }),
+}
+MODES = {name: tuple(model.modes) for name, model in MODELS.items()}
+DEFAULT_THRESHOLDS = {(name, mode): rec.thresholds for name, model in MODELS.items()
+                      for mode, rec in model.modes.items()}
+_BLOCKS = ("params", "momentum", "stepper", "output", "thresholds")
+
+
+def _inputs(cfg: dict):
+    """(params, momentum level, stepper) from the library constructors."""
+    try:
+        params, level = MODELS[cfg["model"]].inputs(cfg["params"], cfg["momentum"])
+        return params, level, StepperChoice(**cfg["stepper"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def validate_config(cfg: dict) -> dict:
+    """Schema check; returns the config with defaults filled in."""
+    _require(isinstance(cfg, dict), "config must be a JSON object")
+    _check_keys(cfg, "config", ("model", "mode", "initial", "t_end", "seed") + _BLOCKS)
+    _check_numbers(cfg)
+    model, mode = cfg.get("model"), cfg.get("mode")
+    _require(isinstance(model, str) and model in MODELS,
+             f"model must be one of {sorted(MODELS)}")
+    _require(mode in MODES[model], f"mode {mode!r} is not defined for model "
+                                   f"{model!r} (choose from {MODES[model]})")
+    # the stepper default echoes only kind and h, as config_sha256 always did
+    out = {"params": {}, "momentum": {}, "output": {}, "thresholds": {},
+           "stepper": {"kind": StepperChoice.kind, "h": StepperChoice.h},
+           "t_end": 10.0, "seed": 0, **cfg}
+    for name in _BLOCKS:
+        _require(isinstance(out[name], dict), f"{name} must be an object")
+    _require(isinstance(out["t_end"], (int, float)) and out["t_end"] > 0,
+             "t_end must be a positive number")
+    _require(isinstance(out["seed"], int) and out["seed"] >= 0,
+             "seed must be a nonnegative integer")
+    known = sorted(DEFAULT_THRESHOLDS[(model, mode)])
+    for name, bound in out["thresholds"].items():
+        _require(name in known, f"unknown threshold {name!r} for {model} {mode} "
+                                f"(choose from {known})")
+        _require(isinstance(bound, (int, float)), f"thresholds.{name} must be a number")
+    initial, size = out.get("initial"), MODELS[model].modes[mode].initial
+    if initial is not None:
+        _require(isinstance(initial, list) and all(isinstance(v, (int, float)) for v in initial),
+                 "initial must be a list of numbers")
+        _require(size is None or len(initial) == size,
+                 f"initial must hold {size} numbers for {model} {mode}, got {len(initial)}")
+    _check_keys(out["output"], "output", ("csv", "report"))
+    _require(all(isinstance(v, str) and v for v in out["output"].values()),
+             "output file names must be nonempty strings")
+    _inputs(out)
+    return out
+
+
 def run_config(cfg: dict, out_dir: Path) -> tuple[int, dict]:
     """Execute a validated config; writes outputs and returns (exit, report)."""
     model, mode = cfg["model"], cfg["mode"]
-    stepper = _stepper_from(cfg)
-    t_end = float(cfg["t_end"])
-    thresholds = dict(DEFAULT_THRESHOLDS[(model, mode)])
-    thresholds.update(cfg["thresholds"])
-    metrics: dict[str, float] = {}
-    csv_path = out_dir / cfg["output"].get("csv", "trajectory.csv")
+    rec = MODELS[model].modes[mode]
+    params, level, stepper = _inputs(cfg)
+    metrics = rec.run(Job(params, level, cfg.get("initial"), float(cfg["t_end"]), stepper,
+                          cfg["seed"], out_dir / cfg["output"].get("csv", "trajectory.csv")))
+    thresholds = {**rec.thresholds, **cfg["thresholds"]}
+    passed = all(metrics[name] <= bound for name, bound in thresholds.items())
+    report = {"tool": "magreduce", "version": __version__,
+              "config_sha256": config_hash(cfg), "model": model, "mode": mode,
+              "metrics": metrics, "thresholds": thresholds, "passed": bool(passed)}
     report_path = out_dir / cfg["output"].get("report", "report.json")
-
-    if model == "rotor":
-        params = _rotor_params(cfg)
-        m0 = np.asarray(cfg["momentum"].get("mu", [0.8, 0.2, 0.3]), dtype=float)
-        if mode == "full":
-            init = cfg.get("initial")
-            state0 = (np.asarray(init, dtype=float) if init is not None
-                      else models.rotor_chart_state_from_momentum(params, m0, xdot=0.2))
-            traj = models.rotor_full_trajectory(params, state0, t_end, stepper)
-            j = np.array([models.rotor_spatial_momentum(params, s)
-                          for s in traj.states])
-            metrics["momentum_drift"] = float(np.max(np.abs(j - j[0])))
-            extra = np.column_stack([j])
-            cols = traj.columns + ("J0", "J1", "J2")
-            maglag.write_csv(csv_path, traj.times,
-                             np.column_stack([traj.states, extra]), cols)
-        else:  # reduce-full-group
-            init = cfg.get("initial")
-            if init is not None:
-                arr = np.asarray(init, dtype=float)
-                x0, xd0, nu0 = arr[:1], arr[1:2], arr[2:5]
-            else:
-                x0, xd0, nu0 = np.zeros(1), np.array([0.2]), m0
-            sys = models.rotor_reduced_system(params, CoVector(nu0))
-            traj = routh.integrate_reduced(
-                sys, routh.ReducedState(x0, xd0, CoVector(nu0)), t_end, stepper)
-            metrics["energy_drift"] = traj.report.entries["energy_drift"]
-            metrics["casimir_drift"] = traj.report.entries[
-                "casimir_momentum_norm_drift"]
-            traj.to_csv(csv_path)
-
-    else:  # beanie
-        params = _beanie_params(cfg)
-        a_list = cfg["momentum"].get("a", [1.0, 0.0])
-        a = complex(a_list[0], a_list[1])
-        mu = float(np.atleast_1d(cfg["momentum"].get("mu", 1.0))[0])
-        if mode == "full":
-            init = cfg.get("initial")
-            state0 = (np.asarray(init, dtype=float) if init is not None
-                      else np.array([0.4, 0.0, 0.0, 0.0, 0.3, 0.1, 1.0, 0.0]))
-            traj = models.beanie_full_trajectory(params, state0, t_end, stepper)
-            momenta = [models.beanie_momenta(params, s) for s in traj.states]
-            nus = np.array([m[0] for m in momenta])
-            babs = np.array([abs(m[1]) for m in momenta])
-            energies = np.array([_beanie_energy(params, s) for s in traj.states])
-            metrics["nu_drift"] = _drift(nus)
-            metrics["b_norm_drift"] = _drift(babs)
-            metrics["energy_drift"] = _drift(energies)
-            cols = traj.columns + ("nu", "b_abs")
-            maglag.write_csv(csv_path, traj.times,
-                             np.column_stack([traj.states, nus, babs]), cols)
-        elif mode == "reduce-full-group":
-            sd = models.beanie_gv_lagrangian(params)
-            init = cfg.get("initial")
-            if init is not None:
-                arr = np.asarray(init, dtype=float)
-                x0, xd0 = arr[:1], arr[1:2]
-                nu0, b0 = arr[2:3], arr[3:5]
-            else:
-                x0, xd0 = np.array([0.4]), np.array([0.3])
-                nu0, b0 = np.array([mu]), np.array([a.real, a.imag])
-            traj = semidirect.integrate_reduced_full(
-                sd, x0, xd0, CoVector(nu0), CoVector(b0), t_end, stepper)
-            metrics["energy_drift"] = traj.report.entries["energy_drift"]
-            metrics["casimir_drift"] = traj.report.entries[
-                "casimir_translation_momentum_norm_drift"]
-            metrics["nu_drift"] = _drift(traj.states[:, 2])
-            traj.to_csv(csv_path)
-        elif mode == "reduce-abelian":
-            sys = models.beanie_r2_system(params, a)
-            init = cfg.get("initial")
-            arr = (np.asarray(init, dtype=float) if init is not None
-                   else np.array([0.4, 0.0, 0.3, 0.1]))
-            s0 = MagLagState(arr[:2], arr[2:4], np.zeros(0))
-            traj = maglag.integrate(sys, s0, t_end, stepper)
-            metrics["energy_drift"] = traj.report.entries["energy_drift"]
-            traj.to_csv(csv_path)
-        elif mode == "verify-equivalence":
-            sd = models.beanie_gv_lagrangian(params)
-            eq = semidirect.build_stage_equivalence(
-                sd, CoVector([mu]), CoVector([a.real, a.imag]),
-                n_points=100, t_end=t_end, stepper=stepper, seed=cfg["seed"])
-            metrics.update(eq.report)
-        else:  # verify-lemma
-            sd = models.beanie_gv_lagrangian(params)
-            rng = np.random.default_rng(cfg["seed"])
-            samples = np.column_stack([rng.uniform(-2.0, 2.0, 100),
-                                       rng.uniform(-np.pi, np.pi, 100)])
-            metrics["lemma_residual"] = semidirect.verify_lemma_B_equals_dtheta(
-                sd, CoVector([a.real, a.imag]), samples)
-
-    passed = all(metrics[name] <= bound
-                 for name, bound in thresholds.items())
-    report = {
-        "tool": "magreduce",
-        "version": __version__,
-        "config_sha256": config_hash(cfg),
-        "model": model,
-        "mode": mode,
-        "metrics": metrics,
-        "thresholds": thresholds,
-        "passed": bool(passed),
-    }
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return (0 if passed else 1), report
-
-
-def _beanie_energy(params: models.BeanieParams, state: np.ndarray) -> float:
-    phid, thetad, xd, yd = state[4:]
-    return (0.5 * params.m * (xd ** 2 + yd ** 2) + 0.5 * params.i1 * thetad ** 2
-            + 0.5 * params.i2 * (thetad + phid) ** 2
-            + params.potential(state[:1]))
 
 
 def config_hash(cfg: dict) -> str:
@@ -309,13 +301,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
+    if args.seed is not None and isinstance(cfg, dict):
         cfg["seed"] = args.seed
     try:
         cfg = validate_config(cfg)
-        if args.command == "verify" and cfg["mode"] not in VERIFY_MODES:
-            raise ConfigError(
-                f"'verify' requires one of the modes {VERIFY_MODES}")
+        verify_modes = sorted({mode for model in MODELS.values()
+                               for mode, rec in model.modes.items() if rec.verify})
+        _require(args.command != "verify" or MODELS[cfg["model"]].modes[cfg["mode"]].verify,
+                 f"'verify' requires one of the modes {verify_modes}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -302,11 +302,17 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     pull-back residual and, when (beta, pair) are supplied, the fibre
     momentum-condition residual.
     """
+    samples = np.atleast_2d(samples)
+    if samples.size == 0:
+        raise ValueError("samples is empty: the symplectomorphism check needs "
+                         "at least one sample")
+    if tangent_pairs < 1:
+        raise ValueError(f"tangent_pairs must be positive, got {tangent_pairs}")
     dim1 = 2 * sys1.n + sys1.k
     max_form = 0.0
     max_energy = 0.0
     max_momentum = 0.0
-    for z1 in np.atleast_2d(samples):
+    for z1 in samples:
         z1 = np.asarray(z1, dtype=float)
         m1 = maglag.symplectic_form_matrix(
             sys1, z1[:sys1.n], z1[sys1.n:2 * sys1.n], z1[2 * sys1.n:])
@@ -337,7 +343,7 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
             max_momentum = max(max_momentum, float(np.linalg.norm(resid)))
 
     return {
-        "samples": int(np.atleast_2d(samples).shape[0]),
+        "samples": samples.shape[0],
         "max_residual_form": max_form,
         "max_residual_energy": max_energy,
         "max_residual_momentum": max_momentum,

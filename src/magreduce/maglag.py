@@ -293,6 +293,9 @@ def check_closedness(sys: MagneticSystem, sample_states: Sequence[MagLagState],
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
+    if len(sample_states) == 0:
+        raise ValueError("sample_states is empty: the closedness check needs "
+                         "at least one state")
     dim = sys.n + sys.k
 
     def b_at(z: np.ndarray) -> np.ndarray:

@@ -330,7 +330,9 @@ def rotor_spatial_momentum(params: RotorParams, state: np.ndarray) -> np.ndarray
 # coupled planar bodies
 
 
-def _default_potential(c: float = 1.0):
+def default_potential(c: float = 1.0):
+    """The shape potential c (1 - cos phi) of the relative angle and its
+    gradient."""
     return (lambda phi: c * (1.0 - math.cos(float(np.atleast_1d(phi)[0]))),
             lambda phi: np.array([c * math.sin(float(np.atleast_1d(phi)[0]))]))
 
@@ -349,7 +351,7 @@ class BeanieParams:
         if self.m <= 0 or self.i1 <= 0 or self.i2 <= 0:
             raise ValueError("mass and inertias must be positive")
         if self.potential is None:
-            v, dv = _default_potential()
+            v, dv = default_potential()
             object.__setattr__(self, "potential", v)
             object.__setattr__(self, "dpotential", dv)
         elif self.dpotential is None:
@@ -402,6 +404,14 @@ def beanie_momenta(params: BeanieParams, state: np.ndarray) -> tuple[float, comp
     a = params.m * complex(xd, yd)
     b = complex(math.cos(-state[1]), math.sin(-state[1])) * a
     return float(nu), b
+
+
+def beanie_energy(params: BeanieParams, state: np.ndarray) -> float:
+    """Total energy of a full state (phi, theta, x, y, rates)."""
+    phid, thetad, xd, yd = state[4:]
+    return (0.5 * params.m * (xd ** 2 + yd ** 2) + 0.5 * params.i1 * thetad ** 2
+            + 0.5 * params.i2 * (thetad + phid) ** 2
+            + params.potential(state[:1]))
 
 
 def beanie_chart_system(params: BeanieParams, mu: float, a: complex) -> MagneticSystem:

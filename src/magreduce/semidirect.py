@@ -418,6 +418,8 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
         return np.einsum("ni,nti->nt", nu, xi)
 
     z = np.atleast_2d(np.asarray(samples, dtype=float))
+    if z.size == 0:
+        raise ValueError("samples is empty: the lemma check needs at least one sample")
     d = numerics.fd_jacobian_rows(theta_rows, z, fd_step)  # d[n, b, a] = dtheta_b/dz_a
     kks = _orbit_kks_rows(gv, *chart(z))
     return float(np.max(np.abs((d[:, 1, 0] - d[:, 0, 1]) - kks), initial=0.0))
@@ -478,6 +480,8 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     """
     if len(mu) != sd.d0 or len(a) != sd.vdim:
         raise ValueError("momentum level has wrong dimensions")
+    if n_points < 1:
+        raise ValueError(f"n_points must be positive, got {n_points}")
     _check_vstar_onto(sd.gv, a)
     stepper = stepper or StepperChoice(kind="rk4", h=1e-3)
     rng = np.random.default_rng(seed)
@@ -549,13 +553,17 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     s0 = maglag.MagLagState(z2_0[:s + 1], z2_0[s + 1:2 * (s + 1)], np.zeros(0))
     traj2 = maglag.integrate(r2sys, s0, t_end, stepper)
 
+    # Only samples at equal times are compared: adaptive steppers put the
+    # two flows on different grids, which share t = 0 and t_end.
+    _, idx1, idx2 = np.intersect1d(traj.times, traj2.times, assume_unique=True,
+                                   return_indices=True)
     deviation = 0.0
-    stride = max(1, len(traj.times) // 2000)
-    for i in range(0, len(traj.times), stride):
+    stride = max(1, len(idx1) // 2000)
+    for i, j in zip(idx1[::stride], idx2[::stride]):
         z1 = np.concatenate([states[i, :s], states[i, s:2 * s],
                              [thetas[i]], nus[i]])
         z2 = psi(z1)
-        deviation = max(deviation, float(np.max(np.abs(z2 - traj2.states[i]))))
+        deviation = max(deviation, float(np.max(np.abs(z2 - traj2.states[j]))))
     z1 = np.concatenate([states[-1, :s], states[-1, s:2 * s], [thetas[-1]], nus[-1]])
     deviation = max(deviation, float(np.max(np.abs(psi(z1) - traj2.states[-1]))))
 

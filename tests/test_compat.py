@@ -222,3 +222,15 @@ def test_dimension_balance():
     pair = compat.TransformationPair(n1=2, vf=3, k2=1)
     assert pair.k1 == 3 + 1 + 3
     assert 2 * pair.n1 + pair.k1 == 2 * pair.n2 + pair.k2
+
+
+def test_symplectomorphism_rejects_empty_samples(beanie_pair, rng):
+    sys1 = compat.build_system(beanie_pair.r2_system, beanie_pair.pair,
+                               beanie_pair.beta)
+    with pytest.raises(ValueError, match="samples"):
+        compat.verify_symplectomorphism(sys1, beanie_pair.r2_system,
+                                        beanie_pair.psi, np.zeros((0, 4)), rng)
+    with pytest.raises(ValueError, match="tangent_pairs"):
+        compat.verify_symplectomorphism(sys1, beanie_pair.r2_system,
+                                        beanie_pair.psi, np.zeros((1, 4)), rng,
+                                        tangent_pairs=0)

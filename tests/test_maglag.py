@@ -295,3 +295,8 @@ def test_state_dimension_mismatch():
     sys = free_particle(2)
     with pytest.raises(ValueError):
         maglag.vector_field(sys, MagLagState([0.0], [1.0], []))
+
+
+def test_check_closedness_rejects_empty_samples():
+    with pytest.raises(ValueError, match="sample_states"):
+        maglag.check_closedness(charged_particle(), [])

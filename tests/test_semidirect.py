@@ -1,5 +1,7 @@
 """Reduction by stages: the two-slot momentum inversions, the full-group
 reduced flow, the orbit 1-form, and the equivalence of the two reductions."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -461,3 +463,31 @@ def test_batched_reports_match_point_by_point_reference(sd, seed):
     samples = np.column_stack([rng.uniform(-2, 2, 30), rng.uniform(-np.pi, np.pi, 30)])
     res = semidirect.verify_lemma_B_equals_dtheta(sd, a, samples)
     assert abs(res - reference_lemma_residual(sd, a, samples)) <= 1e-12
+
+
+def test_stage_equivalence_reads_only_shared_times(sd, monkeypatch):
+    # a V-reduced flow on a coarser grid than the orbit flow (as adaptive
+    # steppers give): only the samples at shared times are compared
+    integrate = maglag.integrate
+
+    def coarse(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        keep = np.unique(np.r_[0:len(traj.times):3, len(traj.times) - 1])
+        return dataclasses.replace(traj, times=traj.times[keep], states=traj.states[keep])
+
+    monkeypatch.setattr(maglag, "integrate", coarse)
+    eq = semidirect.build_stage_equivalence(sd, CoVector([1.0]), CoVector([1.0, 0.0]),
+                                            n_points=5, t_end=1.0)
+    assert eq.report["trajectory_deviation"] <= 1e-5
+
+
+def test_lemma_rejects_empty_samples(sd):
+    with pytest.raises(ValueError, match="samples"):
+        semidirect.verify_lemma_B_equals_dtheta(sd, CoVector([1.0, 0.0]),
+                                                np.zeros((0, 2)))
+
+
+def test_stage_equivalence_rejects_zero_points(sd):
+    with pytest.raises(ValueError, match="n_points"):
+        semidirect.build_stage_equivalence(sd, CoVector([1.0]),
+                                           CoVector([1.0, 0.0]), n_points=0)
