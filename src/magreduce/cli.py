@@ -88,7 +88,7 @@ class Job(NamedTuple):
     """What a mode runner reads."""
     params: object
     level: tuple  # the momentum level, as CoVectors
-    initial: list | None  # None: the runner's default
+    initial: np.ndarray | None  # None: the mode reads none
     t_end: float
     stepper: StepperChoice
     seed: int
@@ -99,19 +99,26 @@ def _drift(series: np.ndarray) -> float:
     return float(np.max(np.abs(series - series[0])))
 
 
+def _rotor_full_start(params, level) -> np.ndarray:
+    """The chart state with body momentum `momentum.mu`, x = 0, xdot = 0.2."""
+    mu = level[0].coords
+    try:
+        return models.rotor_chart_state_from_momentum(params, mu, xdot=0.2)
+    except ValueError as exc:
+        raise ConfigError(f"momentum.mu = {mu.tolist()} gives rotor full no start "
+                          f"state ({exc}); give `initial` instead") from exc
+
+
 def _rotor_full(job: Job) -> dict:
-    state0 = np.asarray(job.initial or models.rotor_chart_state_from_momentum(
-        job.params, job.level[0].coords, xdot=0.2), dtype=float)
-    traj = models.rotor_full_trajectory(job.params, state0, job.t_end, job.stepper)
-    j = np.array([models.rotor_spatial_momentum(job.params, s) for s in traj.states])
+    traj = models.rotor_full_trajectory(job.params, job.initial, job.t_end, job.stepper)
+    j = models.rotor_spatial_momentum(job.params, traj.states)
     maglag.write_csv(job.csv, traj.times, np.column_stack([traj.states, j]),
                      traj.columns + ("J0", "J1", "J2"))
     return {"momentum_drift": _drift(j)}
 
 
 def _rotor_reduced(job: Job) -> dict:
-    init = np.asarray(job.initial or np.concatenate([[0.0, 0.2], job.level[0].coords]),
-                      dtype=float)
+    init = job.initial
     nu0 = CoVector(init[2:5])
     traj = routh.integrate_reduced(models.rotor_reduced_system(job.params, nu0),
                                    routh.ReducedState(init[:1], init[1:2], nu0),
@@ -122,12 +129,10 @@ def _rotor_reduced(job: Job) -> dict:
 
 
 def _beanie_full(job: Job) -> dict:
-    state0 = np.asarray(job.initial or [0.4, 0.0, 0.0, 0.0, 0.3, 0.1, 1.0, 0.0], dtype=float)
-    traj = models.beanie_full_trajectory(job.params, state0, job.t_end, job.stepper)
-    momenta = [models.beanie_momenta(job.params, s) for s in traj.states]
-    nus = np.array([nu for nu, _ in momenta])
-    babs = np.array([abs(b) for _, b in momenta])
-    energies = np.array([models.beanie_energy(job.params, s) for s in traj.states])
+    traj = models.beanie_full_trajectory(job.params, job.initial, job.t_end, job.stepper)
+    nus, bs = models.beanie_momenta(job.params, traj.states)
+    babs = np.hypot(bs.real, bs.imag)  # as abs() of a complex; np.abs rounds differently
+    energies = models.beanie_energy(job.params, traj.states)
     maglag.write_csv(job.csv, traj.times, np.column_stack([traj.states, nus, babs]),
                      traj.columns + ("nu", "b_abs"))
     return {"nu_drift": _drift(nus), "b_norm_drift": _drift(babs),
@@ -135,9 +140,7 @@ def _beanie_full(job: Job) -> dict:
 
 
 def _beanie_reduced(job: Job) -> dict:
-    mu, a = job.level
-    init = np.asarray(job.initial or np.concatenate([[0.4, 0.3], mu.coords, a.coords]),
-                      dtype=float)
+    init = job.initial
     traj = semidirect.integrate_reduced_full(
         models.beanie_gv_lagrangian(job.params), init[:1], init[1:2],
         CoVector(init[2:3]), CoVector(init[3:5]), job.t_end, job.stepper)
@@ -148,7 +151,7 @@ def _beanie_reduced(job: Job) -> dict:
 
 
 def _beanie_abelian(job: Job) -> dict:
-    init = np.asarray(job.initial or [0.4, 0.0, 0.3, 0.1], dtype=float)
+    init = job.initial
     sys_ = models.beanie_r2_system(job.params, complex(*job.level[1].coords))
     traj = maglag.integrate(sys_, MagLagState(init[:2], init[2:4], np.zeros(0)),
                             job.t_end, job.stepper)
@@ -174,10 +177,12 @@ def _beanie_lemma(job: Job) -> dict:
 class Mode(NamedTuple):
     """One (model, mode): the runner, its default pass thresholds (one per
     metric it reports), the length of `initial` (None: the mode reads none)
-    and whether the `verify` subcommand accepts it."""
+    and its default from (params, momentum level), and whether the `verify`
+    subcommand accepts it."""
     run: Callable[[Job], dict]
     thresholds: dict
     initial: int | None = None
+    start: Callable[[object, tuple], object] | None = None
     verify: bool = False
 
 
@@ -188,16 +193,21 @@ class Model(NamedTuple):
 
 MODELS = {
     "rotor": Model(_rotor_inputs, {
-        "full": Mode(_rotor_full, {"momentum_drift": 1e-7}, initial=8),
+        "full": Mode(_rotor_full, {"momentum_drift": 1e-7}, 8, _rotor_full_start),
         "reduce-full-group": Mode(
-            _rotor_reduced, {"energy_drift": 1e-8, "casimir_drift": 1e-9}, initial=5),
+            _rotor_reduced, {"energy_drift": 1e-8, "casimir_drift": 1e-9}, 5,
+            lambda params, level: np.concatenate([[0.0, 0.2], level[0].coords])),
     }),
     "beanie": Model(_beanie_inputs, {
         "full": Mode(_beanie_full, {"nu_drift": 1e-8, "b_norm_drift": 1e-8,
-                                    "energy_drift": 1e-8}, initial=8),
+                                    "energy_drift": 1e-8}, 8,
+                     lambda params, level: [0.4, 0.0, 0.0, 0.0, 0.3, 0.1, 1.0, 0.0]),
         "reduce-full-group": Mode(_beanie_reduced, {
-            "energy_drift": 1e-8, "nu_drift": 1e-9, "casimir_drift": 1e-9}, initial=5),
-        "reduce-abelian": Mode(_beanie_abelian, {"energy_drift": 1e-8}, initial=4),
+            "energy_drift": 1e-8, "nu_drift": 1e-9, "casimir_drift": 1e-9}, 5,
+            lambda params, level: np.concatenate([[0.4, 0.3], level[0].coords,
+                                                  level[1].coords])),
+        "reduce-abelian": Mode(_beanie_abelian, {"energy_drift": 1e-8}, 4,
+                               lambda params, level: [0.4, 0.0, 0.3, 0.1]),
         "verify-equivalence": Mode(_beanie_equivalence, {
             "routhian_identity_residual": 1e-8, "form_identity_residual": 1e-6,
             "trajectory_deviation": 1e-5, "casimir_drift": 1e-9, "nu_drift": 1e-9},
@@ -212,10 +222,20 @@ _BLOCKS = ("params", "momentum", "stepper", "output", "thresholds")
 
 
 def _inputs(cfg: dict):
-    """(params, momentum level, stepper) from the library constructors."""
+    """(params, momentum level, stepper, initial state) from the library
+    constructors; the initial state is the mode's default when the config
+    gives none, and None when the mode reads none."""
+    model = MODELS[cfg["model"]]
+    rec = model.modes[cfg["mode"]]
     try:
-        params, level = MODELS[cfg["model"]].inputs(cfg["params"], cfg["momentum"])
-        return params, level, StepperChoice(**cfg["stepper"])
+        params, level = model.inputs(cfg["params"], cfg["momentum"])
+        initial = cfg.get("initial")
+        if rec.initial is None:
+            initial = None
+        elif initial is None:
+            initial = rec.start(params, level)
+        return (params, level, StepperChoice(**cfg["stepper"]),
+                None if initial is None else np.asarray(initial, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -262,8 +282,8 @@ def run_config(cfg: dict, out_dir: Path) -> tuple[int, dict]:
     """Execute a validated config; writes outputs and returns (exit, report)."""
     model, mode = cfg["model"], cfg["mode"]
     rec = MODELS[model].modes[mode]
-    params, level, stepper = _inputs(cfg)
-    metrics = rec.run(Job(params, level, cfg.get("initial"), float(cfg["t_end"]), stepper,
+    params, level, stepper, initial = _inputs(cfg)
+    metrics = rec.run(Job(params, level, initial, float(cfg["t_end"]), stepper,
                           cfg["seed"], out_dir / cfg["output"].get("csv", "trajectory.csv")))
     thresholds = {**rec.thresholds, **cfg["thresholds"]}
     passed = all(metrics[name] <= bound for name, bound in thresholds.items())

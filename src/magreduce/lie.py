@@ -20,6 +20,8 @@ from typing import Any, Callable
 import numpy as np
 import scipy.linalg
 
+from . import numerics
+
 ORTHO_TOL = 1e-10
 # Matrix payloads are re-orthonormalized after this many chained compositions.
 PROJECT_EVERY = 100
@@ -114,8 +116,10 @@ class LieGroupSpec:
 
     `structure[a, b, c]` holds the a-th coordinate of [e_b, e_c]; it is
     tabulated from the bracket at construction so that coadjoint arithmetic
-    is a single contraction.  Semi-direct products additionally carry the
-    base spec and the representation rho / its differential rho'.
+    is a single contraction.  `casimirs` are named functions of one
+    covector; one marked with `numerics.takes_rows` also takes stacked
+    covectors (N, dim).  Semi-direct products additionally carry the base
+    spec and the representation rho / its differential rho'.
     """
     name: str
     dim: int
@@ -361,7 +365,8 @@ def so3() -> LieGroupSpec:
         check_fn=_check_rotation,
         project_fn=_mgs_orthonormalize,
         sample_fn=sample,
-        casimirs=(("momentum_norm", lambda nu: float(np.linalg.norm(nu))),),
+        casimirs=(("momentum_norm",
+                   numerics.takes_rows(lambda nu: np.linalg.norm(nu, axis=-1))),),
     )
 
 
@@ -525,7 +530,7 @@ def se2() -> LieGroupSpec:
         name="SE2",
         exp_fn=_se2_exp,
         casimirs=(("translation_momentum_norm",
-                   lambda nu: float(np.linalg.norm(nu[1:3]))),),
+                   numerics.takes_rows(lambda nu: np.linalg.norm(nu[..., 1:3], axis=-1))),),
     )
 
 

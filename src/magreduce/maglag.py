@@ -15,6 +15,7 @@ supplied, central finite differences otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,13 +84,21 @@ class Trajectory:
         write_csv(path, self.times, self.states, self.columns)
 
 
+CSV_CHUNK_ROWS = 512
+
+
 def write_csv(path, times: np.ndarray, states: np.ndarray,
               columns: Sequence[str]) -> None:
-    """17-significant-digit CSV with a `t` column first."""
+    """17-significant-digit CSV with a `t` column first.  Rows are
+    formatted CSV_CHUNK_ROWS at a time, with one "%.17g,..." format per
+    chunk, so the text in memory stays small for long trajectories."""
+    line = ",".join(["%.17g"] * (1 + np.shape(states)[1])) + "\n"
     with open(path, "w") as fh:
         fh.write("t," + ",".join(columns) + "\n")
-        for t, row in zip(times, states):
-            fh.write(",".join(f"{x:.17g}" for x in (t, *row)) + "\n")
+        for start in range(0, len(times), CSV_CHUNK_ROWS):
+            chunk = np.column_stack([times[start:start + CSV_CHUNK_ROWS],
+                                     states[start:start + CSV_CHUNK_ROWS]])
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 BlockForm = Callable[[np.ndarray, np.ndarray],
@@ -102,7 +111,9 @@ class MagneticSystem:
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
     form.  Analytic derivative callables are optional; missing ones are
-    supplied by the fallback rule of `numerics.derivative`.
+    supplied by the fallback rule of `numerics.supply`.  When `lagrangian`
+    and `dL_dv` are marked with `numerics.takes_rows`, the energy monitor
+    of `integrate` runs over all its samples in one call of each.
     """
     n: int
     k: int
@@ -119,37 +130,42 @@ class MagneticSystem:
     constant_bform: bool = False
     name: str = ""
 
-    # -- derivative supply (fallback rule: numerics.derivative) --------
+    # -- derivative supply (fallback rule: numerics.supply), resolved on
+    # first use and kept with the system; each is called as
+    # sys.<name>(q, v, p).  With k = 0 the fibre slots are empty.
 
     def value(self, q, v, p) -> float:
         return float(self.lagrangian(q, v, p))
 
-    def grad_q(self, q, v, p) -> np.ndarray:
-        return numerics.derivative(self.value, (q, v, p), 0, first=self.dL_dq)
+    @cached_property
+    def grad_q(self) -> Callable:
+        return numerics.supply(self.value, 0, first=self.dL_dq)
 
-    def grad_v(self, q, v, p) -> np.ndarray:
-        return numerics.derivative(self.value, (q, v, p), 1, first=self.dL_dv)
+    @cached_property
+    def grad_v(self) -> Callable:
+        return numerics.supply(self.value, 1, first=self.dL_dv)
 
-    def grad_p(self, q, v, p) -> np.ndarray:
+    @cached_property
+    def grad_p(self) -> Callable:
         if self.k == 0:
-            return np.zeros(0)
-        return numerics.derivative(self.value, (q, v, p), 2, first=self.dL_dp)
+            return lambda q, v, p: np.zeros(0)
+        return numerics.supply(self.value, 2, first=self.dL_dp)
 
-    def hess_vv(self, q, v, p) -> np.ndarray:
-        return numerics.derivative(self.value, (q, v, p), 1, 1,
-                                   self.dL_dv, self.d2L_dv_dv)
+    @cached_property
+    def hess_vv(self) -> Callable:
+        return numerics.supply(self.value, 1, 1, self.dL_dv, self.d2L_dv_dv)
 
-    def hess_vq(self, q, v, p) -> np.ndarray:
+    @cached_property
+    def hess_vq(self) -> Callable:
         """Matrix with entries d2L / dv_i dq_j."""
-        return numerics.derivative(self.value, (q, v, p), 1, 0,
-                                   self.dL_dv, self.d2L_dv_dq)
+        return numerics.supply(self.value, 1, 0, self.dL_dv, self.d2L_dv_dq)
 
-    def hess_vp(self, q, v, p) -> np.ndarray:
+    @cached_property
+    def hess_vp(self) -> Callable:
         """Matrix with entries d2L / dv_i dp_a."""
         if self.k == 0:
-            return np.zeros((self.n, 0))
-        return numerics.derivative(self.value, (q, v, p), 1, 2,
-                                   self.dL_dv, self.d2L_dv_dp)
+            return lambda q, v, p: np.zeros((self.n, 0))
+        return numerics.supply(self.value, 1, 2, self.dL_dv, self.d2L_dv_dp)
 
     def bblocks(self, q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.bform is None:
@@ -176,16 +192,34 @@ class MagneticSystem:
 def legendre(sys: MagneticSystem, s: MagLagState) -> np.ndarray:
     """Base-velocity fibre derivative alpha_i = dL/dv^i."""
     _check_state(sys, s)
-    alpha = sys.grad_v(s.q, s.v, s.p)
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("non-finite Legendre transform")
-    return alpha
+    return _legendre(sys.grad_v, s.q, s.v, s.p)
 
 
 def energy(sys: MagneticSystem, s: MagLagState) -> float:
     """E = <dL/dv, v> - L."""
     _check_state(sys, s)
-    return float(legendre(sys, s) @ s.v - sys.value(s.q, s.v, s.p))
+    return float(_energy(sys.grad_v, sys.value, s.q, s.v, s.p))
+
+
+def _legendre(grad_v: Callable, q, v, p) -> np.ndarray:
+    alpha = grad_v(q, v, p)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("non-finite Legendre transform")
+    return alpha
+
+
+def _energy(grad_v: Callable, value: Callable, q, v, p):
+    """E = <dL/dv, v> - L at one point or at stacked rows."""
+    return numerics.rowdot(_legendre(grad_v, q, v, p), v) - value(q, v, p)
+
+
+def _energies(sys: MagneticSystem, ys: np.ndarray) -> np.ndarray:
+    """Energy at each flat (q, v, p) row of ys: array operations when the
+    system's callables take rows, one state at a time otherwise."""
+    if not numerics.rows_ok(sys.lagrangian, sys.dL_dv):
+        return np.array([energy(sys, unpack(sys, y)) for y in ys])
+    n = sys.n
+    return _energy(sys.dL_dv, sys.lagrangian, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
 
 
 def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
@@ -200,9 +234,10 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations and fibre rates (qddot, pdot) of the mixed equations
     for given blocks.  `bpp_inv` is the inverse of a constant B_PP that the
-    caller checked once; without it B_PP is checked and solved here.  `t`
-    goes into regularity errors."""
-    if sys.k > 0:
+    caller checked once; without it B_PP is checked and solved here.  With
+    k = 0 the fibre terms are skipped.  `t` goes into regularity errors."""
+    fibre = sys.k > 0
+    if fibre:
         rhs_p = bqp.T @ v - sys.grad_p(q, v, p)
         if bpp_inv is None:
             require_regular(bpp, "singular fibre block: |det B_PP|", t)
@@ -213,8 +248,12 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
         pdot = np.zeros(0)
     hess = sys.hess_vv(q, v, p)
     require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
-    rhs = (sys.grad_q(q, v, p) + bqq @ v + bqp @ pdot
-           - sys.hess_vq(q, v, p) @ v - sys.hess_vp(q, v, p) @ pdot)
+    rhs = sys.grad_q(q, v, p) + bqq @ v
+    if fibre:
+        rhs = rhs + bqp @ pdot
+    rhs = rhs - sys.hess_vq(q, v, p) @ v
+    if fibre:
+        rhs = rhs - sys.hess_vp(q, v, p) @ pdot
     return np.linalg.solve(hess, rhs), pdot
 
 
@@ -242,7 +281,8 @@ def state_columns(sys: MagneticSystem) -> tuple[str, ...]:
 
 
 def _field_factory(sys: MagneticSystem, s0: MagLagState):
-    """Flat-state right-hand side over `_mixed_rhs`.
+    """Flat-state right-hand side over `_mixed_rhs`, which reads the
+    system's supply callables (resolved once per system).
 
     Block antisymmetry is validated once on the initial state.  A constant
     (or absent) form is evaluated once, and B_PP is checked and inverted
@@ -277,9 +317,9 @@ def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
     field = _field_factory(sys, s0)
     times, states = numerics.integrate_ode(field, pack(s0), t0, t_end, stepper)
     e0 = energy(sys, s0)
-    stride = max(1, len(states) // 400)
-    sampled = list(states[::stride]) + [states[-1]]
-    drift = max(abs(energy(sys, unpack(sys, y)) - e0) for y in sampled)
+    pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
+                     len(states) - 1)
+    drift = float(np.max(np.abs(_energies(sys, states[pick]) - e0)))
     report = InvariantReport({"energy_drift": drift})
     return Trajectory(times, states, state_columns(sys), report)
 

@@ -88,26 +88,39 @@ def rotor_reduced_field_closed_form(params: RotorParams, x, xdot, m: np.ndarray
 # -- unreduced rotor in a Z-X-Z Euler chart ---------------------------------
 
 
+def _columns(arr) -> np.ndarray:
+    """The last axis first, so that `a, b, c = _columns(rows)` unpacks the
+    columns of stacked rows and the entries of one vector alike."""
+    return np.moveaxis(np.asarray(arr, dtype=float), -1, 0)
+
+
+def _matrices(entries: list, shape: tuple) -> np.ndarray:
+    """3x3 matrices from nine row-major entries (scalars or arrays)."""
+    return np.stack(np.broadcast_arrays(*entries), -1).reshape(shape + (3, 3))
+
+
 def euler_zxz_matrix(angles: np.ndarray) -> np.ndarray:
-    a, b, g = angles
-    ca, sa = math.cos(a), math.sin(a)
-    cb, sb = math.cos(b), math.sin(b)
-    cg, sg = math.cos(g), math.sin(g)
-    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    rx_b = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
-    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    """Rotation matrix of Z-X-Z Euler angles (3,), or stacked matrices
+    (N, 3, 3) for stacked angles (N, 3)."""
+    a, b, g = _columns(angles)
+    ca, sa = np.cos(a), np.sin(a)
+    cb, sb = np.cos(b), np.sin(b)
+    cg, sg = np.cos(g), np.sin(g)
+    rz_a = _matrices([ca, -sa, 0.0, sa, ca, 0.0, 0.0, 0.0, 1.0], ca.shape)
+    rx_b = _matrices([1.0, 0.0, 0.0, 0.0, cb, -sb, 0.0, sb, cb], cb.shape)
+    rz_g = _matrices([cg, -sg, 0.0, sg, cg, 0.0, 0.0, 0.0, 1.0], cg.shape)
     return rz_a @ rx_b @ rz_g
 
 
 def euler_zxz_body_velocity(angles: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Body angular velocity of the Z-X-Z chart."""
-    _, b, g = angles
-    ad, bd, gd = rates
-    sb, cb = math.sin(b), math.cos(b)
-    sg, cg = math.sin(g), math.cos(g)
-    return np.array([ad * sb * sg + bd * cg,
+    """Body angular velocity of the Z-X-Z chart; one point or stacked rows."""
+    _, b, g = _columns(angles)
+    ad, bd, gd = _columns(rates)
+    sb, cb = np.sin(b), np.cos(b)
+    sg, cg = np.sin(g), np.cos(g)
+    return np.stack([ad * sb * sg + bd * cg,
                      ad * sb * cg - bd * sg,
-                     ad * cb + gd])
+                     ad * cb + gd], -1)
 
 
 def rotor_chart_lagrangian(params: RotorParams) -> Callable:
@@ -185,10 +198,17 @@ _MASS_STENCIL = _mass_stencil()
 
 
 def _rates(lag, q, pi) -> np.ndarray:
-    """Chart rates from conjugate momenta at stacked rows q, pi of shape
-    (N, 4), by one call of the vectorised Lagrangian and one stacked solve.
-    The mass matrix comes from rate-gradient columns at unit rates, exact
-    for a Lagrangian quadratic in the rates (up to the stencil error)."""
+    """Chart rates from conjugate momenta, at one point q, pi of shape (4,)
+    or at stacked rows (N, 4), by one call of the vectorised Lagrangian and
+    one solve (stacked for rows).  The mass matrix comes from rate-gradient
+    columns at unit rates, exact for a Lagrangian quadratic in the rates
+    (up to the stencil error).  The Lagrangian gets q repeated per stencil
+    row: with equal shapes its array arithmetic is faster than with q
+    broadcast."""
+    if q.ndim == 1:
+        vals = lag(np.repeat(q[None], 40, axis=0), _MASS_STENCIL)
+        grads = (vals[0::2] - vals[1::2]).reshape(5, 4) / (2.0 * _H_RATE_GRAD)
+        return np.linalg.solve(grads[1:].T - grads[0, :, None], pi - grads[0])
     rows = len(q)
     vals = lag(np.repeat(q, 40, axis=0), np.tile(_MASS_STENCIL, (rows, 1)))
     grads = (vals[0::2] - vals[1::2]).reshape(rows, 5, 4) / (2.0 * _H_RATE_GRAD)
@@ -265,7 +285,7 @@ def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
     def field(t, y):
         q, pi = y[:4], y[4:]
         _guard_gimbal(q[1:])
-        qd = _rates(lag, q[None], pi[None])[0]
+        qd = _rates(lag, q, pi)
         return np.concatenate([qd, _grad_q(lag, q, qd)])
 
     times, ys = numerics.integrate_ode(field, np.concatenate([q0, pi0]),
@@ -312,18 +332,21 @@ def rotor_chart_state_from_momentum(params: RotorParams, m0: np.ndarray,
 
 
 def rotor_body_momentum(params: RotorParams, state: np.ndarray) -> np.ndarray:
-    """Body momentum of a chart state (the reduced variable)."""
+    """Body momentum of a chart state (the reduced variable), or of each
+    row of stacked states (N, 8)."""
     state = np.asarray(state, dtype=float)
     lam = params.lam
     j3 = params.inertia_rotor[2]
-    w = euler_zxz_body_velocity(state[1:4], state[5:])
-    return np.array([lam[0] * w[0], lam[1] * w[1], lam[2] * w[2] + j3 * state[4]])
+    w = _columns(euler_zxz_body_velocity(state[..., 1:4], state[..., 5:]))
+    return np.stack([lam[0] * w[0], lam[1] * w[1], lam[2] * w[2] + j3 * state[..., 4]], -1)
 
 
 def rotor_spatial_momentum(params: RotorParams, state: np.ndarray) -> np.ndarray:
-    """Conserved momentum of the rotation symmetry along chart states."""
+    """Conserved momentum of the rotation symmetry at a chart state, or at
+    each row of stacked states (N, 8)."""
     state = np.asarray(state, dtype=float)
-    return euler_zxz_matrix(state[1:4]) @ rotor_body_momentum(params, state)
+    m = rotor_body_momentum(params, state)
+    return (euler_zxz_matrix(state[..., 1:4]) @ m[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +419,28 @@ def beanie_full_trajectory(params: BeanieParams, state0: np.ndarray,
 
 
 def beanie_momenta(params: BeanieParams, state: np.ndarray) -> tuple[float, complex]:
-    """Rotational momentum nu and body-frame translational momentum b of a
-    full state."""
+    """Rotational momentum nu and body-frame translational momentum
+    b = e^{-i theta} m (xdot + i ydot) of a full state, or arrays of both
+    for stacked states (N, 8)."""
     state = np.asarray(state, dtype=float)
-    phid, thetad, xd, yd = state[4:]
+    phid, thetad, xd, yd = _columns(state[..., 4:])
     nu = (params.i1 + params.i2) * thetad + params.i2 * phid
-    a = params.m * complex(xd, yd)
-    b = complex(math.cos(-state[1]), math.sin(-state[1])) * a
-    return float(nu), b
+    c, s = np.cos(-state[..., 1]), np.sin(-state[..., 1])
+    # Python's complex product, written out: numpy's complex multiply may
+    # fuse its terms and round differently
+    ar, ai = params.m * xd, params.m * yd
+    b = (c * ar - s * ai) + 1j * (c * ai + s * ar)
+    return (float(nu), complex(b)) if state.ndim == 1 else (nu, b)
 
 
 def beanie_energy(params: BeanieParams, state: np.ndarray) -> float:
-    """Total energy of a full state (phi, theta, x, y, rates)."""
-    phid, thetad, xd, yd = state[4:]
+    """Total energy of a full state (phi, theta, x, y, rates), or of each
+    row of stacked states (N, 8)."""
+    state = np.asarray(state, dtype=float)
+    phid, thetad, xd, yd = _columns(state[..., 4:])
     return (0.5 * params.m * (xd ** 2 + yd ** 2) + 0.5 * params.i1 * thetad ** 2
             + 0.5 * params.i2 * (thetad + phid) ** 2
-            + params.potential(state[:1]))
+            + numerics.each_row(params.potential, state[..., :1]))
 
 
 def beanie_chart_system(params: BeanieParams, mu: float, a: complex) -> MagneticSystem:
@@ -458,17 +487,24 @@ def beanie_r2_system(params: BeanieParams, a: complex) -> MagneticSystem:
     const = abs(a) ** 2 / (2.0 * m)
     pot, dpot = params.potential, params.dpotential
 
+    # the Lagrangian and dL/dv take one point or stacked rows
+    @numerics.takes_rows
     def lagrangian(q, v, p):
-        return (0.5 * i1 * v[1] ** 2 + 0.5 * i2 * (v[1] + v[0]) ** 2
-                - pot(q[:1]) - const)
+        return (0.5 * i1 * v[..., 1] ** 2 + 0.5 * i2 * (v[..., 1] + v[..., 0]) ** 2
+                - numerics.each_row(pot, q[..., :1]) - const)
 
     hvv = np.array([[i2, i2], [i2, i1 + i2]])
     hvq = np.zeros((2, 2))
+
+    @numerics.takes_rows
+    def dl_dv(q, v, p):
+        return np.stack([i2 * (v[..., 1] + v[..., 0]),
+                         i1 * v[..., 1] + i2 * (v[..., 1] + v[..., 0])], -1)
+
     return MagneticSystem(
         n=2, k=0, lagrangian=lagrangian,
         dL_dq=lambda q, v, p: np.array([-float(dpot(q[:1])[0]), 0.0]),
-        dL_dv=lambda q, v, p: np.array([i2 * (v[1] + v[0]),
-                                        i1 * v[1] + i2 * (v[1] + v[0])]),
+        dL_dv=dl_dv,
         d2L_dv_dv=lambda q, v, p: hvv,
         d2L_dv_dq=lambda q, v, p: hvq,
         constant_bform=True,

@@ -1,9 +1,16 @@
 """Shared numerical kernel.
 
 Finite differences and the derivative supply rule built on them
-(`derivative`), a dense Newton solver, fixed-step RK4 and the embedded
-Fehlberg 4(5) pair, and the Lie-group reconstruction step.  Everything here
-is stateless: all scratch is allocated per call.
+(`supply`, called by `derivative`), a dense Newton solver, fixed-step RK4
+and the embedded Fehlberg 4(5) pair, and the Lie-group reconstruction step.
+Nothing here keeps state between calls: the integrators allocate their
+output arrays per call (RK4 all at once, since its step count is known),
+and `supply` returns a callable that closes over nothing but its inputs.
+
+Callables marked with `takes_rows` also accept stacked rows: every array
+argument may carry a leading axis of N rows, and the result then has one
+leading row per input row.  Whole-trajectory monitors use that mark to run
+as array operations instead of one call per sample.
 """
 from __future__ import annotations
 
@@ -146,14 +153,14 @@ def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object
     return of_slot
 
 
-def derivative(value: Callable[..., float], args: tuple, outer: int,
-               inner: int | None = None, first: Callable | None = None,
-               second: Callable | None = None) -> np.ndarray:
-    """Derivative supply for a function of several array slots.
-
-    Returns the gradient of `value(*args)` in slot `outer` or, when `inner`
-    is given, the Jacobian of that gradient with respect to slot `inner`,
-    shape (len(args[outer]), len(args[inner])).  One fallback rule:
+def supply(value: Callable[..., float], outer: int, inner: int | None = None,
+           first: Callable | None = None, second: Callable | None = None
+           ) -> Callable[..., np.ndarray]:
+    """Derivative supply for a function of several array slots, resolved
+    once: returns the callable of the argument slots that gives the
+    gradient of `value(*args)` in slot `outer` or, when `inner` is given,
+    the Jacobian of that gradient with respect to slot `inner`, shape
+    (len(args[outer]), len(args[inner])).  One fallback rule:
 
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
@@ -161,23 +168,66 @@ def derivative(value: Callable[..., float], args: tuple, outer: int,
        fd_hessian of `value` (H_SECOND) for a diagonal block, and the
        four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
        block.
+
+    The differencing routines are looked up at call time, so a wrapper
+    installed on them later still sees every stencil.
     """
     analytic = first if inner is None else second
     if analytic is not None:
-        return np.asarray(analytic(*args), dtype=float)
+        return lambda *args: np.asarray(analytic(*args), dtype=float)
     if inner is None:
-        return fd_gradient(_vary(value, args, outer), args[outer])
+        return lambda *args: fd_gradient(_vary(value, args, outer), args[outer])
     if first is not None:
-        return fd_jacobian(_vary(first, args, inner), args[inner])
+        return lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])
     if inner == outer:
-        return fd_hessian(_vary(value, args, inner), args[inner])
-    fixed = list(args)
+        return lambda *args: fd_hessian(_vary(value, args, inner), args[inner])
 
-    def of_pair(u, w):
-        fixed[outer], fixed[inner] = u, w
-        return value(*fixed)
+    def mixed(*args):
+        fixed = list(args)
 
-    return fd_mixed(of_pair, args[outer], args[inner])
+        def of_pair(u, w):
+            fixed[outer], fixed[inner] = u, w
+            return value(*fixed)
+
+        return fd_mixed(of_pair, args[outer], args[inner])
+
+    return mixed
+
+
+def derivative(value: Callable[..., float], args: tuple, outer: int,
+               inner: int | None = None, first: Callable | None = None,
+               second: Callable | None = None) -> np.ndarray:
+    """The derivative that `supply` resolves, evaluated at `args`."""
+    return supply(value, outer, inner, first, second)(*args)
+
+
+def takes_rows(fn: Callable) -> Callable:
+    """Mark `fn` as accepting stacked rows (see the module docstring) and
+    return it."""
+    fn.takes_rows = True
+    return fn
+
+
+def rows_ok(*fns: Callable | None) -> bool:
+    """True when every callable is given and marked with `takes_rows`."""
+    return all(getattr(fn, "takes_rows", False) for fn in fns)
+
+
+def each_row(fn: Callable, x: np.ndarray):
+    """`fn` of one point x, or of each row of stacked points x (N, n): one
+    call when `fn` takes rows, one call per row otherwise."""
+    x = np.asarray(x)
+    if x.ndim < 2 or rows_ok(fn):
+        return fn(x)
+    return np.array([fn(row) for row in x])
+
+
+def rowdot(u: np.ndarray, w: np.ndarray):
+    """u @ w for two vectors, or row by row for stacked rows (N, n); each
+    row gets the same dot product as the one-vector case."""
+    if u.ndim == 1:
+        return u @ w
+    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
@@ -277,17 +327,16 @@ def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     A non-finite state raises NonFiniteStateError naming the first such
     sample; the check runs once, after the loop."""
     y = np.array(y0, dtype=float)
-    times = [t0]
-    states = [y.copy()]
+    n_steps = max(0, int(np.ceil((t_end - t0) / h - 1e-12)))
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1,) + y.shape)
+    times[0], states[0] = t0, y
     t = t0
-    n_steps = int(np.ceil((t_end - t0) / h - 1e-12))
     for k in range(n_steps):
         step = min(h, t_end - t)
         y = rk4_step(f, t, y, step)
         t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
-        times.append(t)
-        states.append(y.copy())
-    times, states = np.array(times), np.array(states)
+        times[k + 1], states[k + 1] = t, y
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -18,6 +18,7 @@ rounding accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -51,7 +52,7 @@ class InvariantLagrangian:
     First derivatives: dell_dx, dell_dxdot, dell_dxi.  Second derivatives
     follow the naming d2_<outer>_<inner>; e.g. d2_dxi_dxdot is the Jacobian
     of dell_dxi with respect to xdot, with shape (gdim, sdim).  Missing
-    callables are supplied by the fallback rule of `numerics.derivative`.
+    callables are supplied by the fallback rule of `numerics.supply`.
 
     For mechanical systems (kinetic quadratic form minus a shape potential),
     set mechanical=True and supply `potential`.  If every second-derivative
@@ -59,6 +60,11 @@ class InvariantLagrangian:
     reduced-equation blocks are then assembled once at the origin and kept
     in `reduced_metric`, which makes the reduced flow a handful of small
     matrix products.
+
+    When the metric is constant and `ell`, `dell_dxdot` and `dell_dxi` are
+    marked with `numerics.takes_rows`, the energy monitor of
+    `integrate_reduced` and the midpoint velocities of `reconstruct` are
+    computed for all samples in one call of each.
     """
     sdim: int
     group: LieGroupSpec
@@ -87,45 +93,50 @@ class InvariantLagrangian:
     def gdim(self) -> int:
         return self.group.dim
 
-    # -- derivative supply (fallback rule: numerics.derivative) ----------
+    # -- derivative supply (fallback rule: numerics.supply), resolved on
+    # first use and kept with the Lagrangian; each is called as
+    # lag.<name>(x, xdot, xi)
 
     def value(self, x, xdot, xi) -> float:
         return float(self.ell(x, xdot, xi))
 
-    def grad_x(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 0, first=self.dell_dx)
+    @cached_property
+    def grad_x(self) -> Callable:
+        return numerics.supply(self.value, 0, first=self.dell_dx)
 
-    def shape_momentum(self, x, xdot, xi) -> np.ndarray:
+    @cached_property
+    def shape_momentum(self) -> Callable:
         """dell/dxdot, the shape-velocity fibre derivative."""
-        return numerics.derivative(self.value, (x, xdot, xi), 1, first=self.dell_dxdot)
+        return numerics.supply(self.value, 1, first=self.dell_dxdot)
 
-    def group_momentum(self, x, xdot, xi) -> np.ndarray:
+    @cached_property
+    def group_momentum(self) -> Callable:
         """dell/dxi, the group-velocity fibre derivative."""
-        return numerics.derivative(self.value, (x, xdot, xi), 2, first=self.dell_dxi)
+        return numerics.supply(self.value, 2, first=self.dell_dxi)
 
-    def jac_xdot_x(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 1, 0,
-                                   self.dell_dxdot, self.d2_dxdot_dx)
+    @cached_property
+    def jac_xdot_x(self) -> Callable:
+        return numerics.supply(self.value, 1, 0, self.dell_dxdot, self.d2_dxdot_dx)
 
-    def jac_xdot_xdot(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 1, 1,
-                                   self.dell_dxdot, self.d2_dxdot_dxdot)
+    @cached_property
+    def jac_xdot_xdot(self) -> Callable:
+        return numerics.supply(self.value, 1, 1, self.dell_dxdot, self.d2_dxdot_dxdot)
 
-    def jac_xdot_xi(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 1, 2,
-                                   self.dell_dxdot, self.d2_dxdot_dxi)
+    @cached_property
+    def jac_xdot_xi(self) -> Callable:
+        return numerics.supply(self.value, 1, 2, self.dell_dxdot, self.d2_dxdot_dxi)
 
-    def jac_xi_x(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 2, 0,
-                                   self.dell_dxi, self.d2_dxi_dx)
+    @cached_property
+    def jac_xi_x(self) -> Callable:
+        return numerics.supply(self.value, 2, 0, self.dell_dxi, self.d2_dxi_dx)
 
-    def jac_xi_xdot(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 2, 1,
-                                   self.dell_dxi, self.d2_dxi_dxdot)
+    @cached_property
+    def jac_xi_xdot(self) -> Callable:
+        return numerics.supply(self.value, 2, 1, self.dell_dxi, self.d2_dxi_dxdot)
 
-    def jac_xi_xi(self, x, xdot, xi) -> np.ndarray:
-        return numerics.derivative(self.value, (x, xdot, xi), 2, 2,
-                                   self.dell_dxi, self.d2_dxi_dxi)
+    @cached_property
+    def jac_xi_xi(self) -> Callable:
+        return numerics.supply(self.value, 2, 2, self.dell_dxi, self.d2_dxi_dxi)
 
 
 def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray,
@@ -171,16 +182,21 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     v = potential or (lambda x: 0.0)
     dv = dpotential or ((lambda x: numerics.fd_gradient(v, np.atleast_1d(x)))
                         if potential else (lambda x: np.zeros(sdim)))
+    rowdot = numerics.rowdot
+    a_t, b_t, c_t = a.T, b.T, c.T
 
+    # ell and the two fibre derivatives take one point or stacked rows; the
+    # potential is called once per row unless it takes rows itself.
+    @numerics.takes_rows
     def ell(x, xdot, xi):
-        return (0.5 * xdot @ a @ xdot + xdot @ b @ xi + 0.5 * xi @ c @ xi
-                - v(np.atleast_1d(x)))
+        return (rowdot(0.5 * xdot @ a, xdot) + rowdot(xdot @ b, xi)
+                + rowdot(0.5 * xi @ c, xi) - numerics.each_row(v, np.atleast_1d(x)))
 
     return InvariantLagrangian(
         sdim=sdim, group=group, ell=ell,
         dell_dx=lambda x, xd, xi: -np.atleast_1d(dv(np.atleast_1d(x))),
-        dell_dxdot=lambda x, xd, xi: a @ xd + b @ xi,
-        dell_dxi=lambda x, xd, xi: b.T @ xd + c @ xi,
+        dell_dxdot=numerics.takes_rows(lambda x, xd, xi: xd @ a_t + xi @ b_t),
+        dell_dxi=numerics.takes_rows(lambda x, xd, xi: xd @ b + xi @ c_t),
         d2_dxdot_dx=lambda x, xd, xi: np.zeros((sdim, sdim)),
         d2_dxdot_dxdot=lambda x, xd, xi: a,
         d2_dxdot_dxi=lambda x, xd, xi: b,
@@ -272,16 +288,8 @@ def solve_chi(lag: InvariantLagrangian, x, xdot, nu: CoVector,
         raise ValueError("nu must be a CoVector of the group dimension")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    metric = lag.reduced_metric
-    if metric is not None:
-        offset = lag.group_momentum(x, xdot, np.zeros(lag.gdim))
-        chi = metric.cm_inv @ (nu.coords - offset)
-        resid = lag.group_momentum(x, xdot, chi) - nu.coords
-        if np.max(np.abs(resid)) > CHI_TOL:
-            raise RegularityError(
-                "momentum inversion residual exceeds tolerance; the group "
-                "metric is not constant as declared")
-        return AlgebraVector(chi)
+    if lag.reduced_metric is not None:
+        return AlgebraVector(_constant_chi(lag, lag.group_momentum, x, xdot, nu.coords))
     seed = np.zeros(lag.gdim) if seed is None else np.asarray(seed, dtype=float)
     try:
         res = numerics.newton_solve(
@@ -293,6 +301,40 @@ def solve_chi(lag: InvariantLagrangian, x, xdot, nu: CoVector,
         raise RegularityError(
             f"group-velocity inversion failed (group regularity): {exc}") from exc
     return AlgebraVector(res.x)
+
+
+def _constant_chi(lag: InvariantLagrangian, momentum: Callable, x, xdot,
+                  nu: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
+    """chi from the constant metric at one point or at stacked rows: the
+    linear solve and its CHI_TOL residual check.  `momentum` is dell/dxi
+    for the shape of x (lag.dell_dxi for rows); `times`, the rows' times,
+    names the first failing row."""
+    offset = momentum(x, xdot, np.zeros_like(nu))
+    chi = (nu - offset) @ lag.reduced_metric.cm_inv.T
+    bad = np.max(np.abs(momentum(x, xdot, chi) - nu), axis=-1) > CHI_TOL
+    if np.any(bad):
+        at = "" if times is None else f" at t = {times[np.argmax(bad)]:.6g}"
+        raise RegularityError(
+            "momentum inversion residual exceeds tolerance; the group "
+            f"metric is not constant as declared{at}")
+    return chi
+
+
+def _row_path(lag: InvariantLagrangian) -> bool:
+    return lag.reduced_metric is not None and numerics.rows_ok(
+        lag.ell, lag.dell_dxdot, lag.dell_dxi)
+
+
+def _chi_rows(lag: InvariantLagrangian, times: np.ndarray, ys: np.ndarray
+              ) -> np.ndarray:
+    """chi at each flat (x, xdot, nu) row of ys: in one call when the
+    Lagrangian takes rows, by solve_chi per row otherwise."""
+    sd = lag.sdim
+    x, xdot, nu = ys[:, :sd], ys[:, sd:2 * sd], ys[:, 2 * sd:]
+    if _row_path(lag):
+        return _constant_chi(lag, lag.dell_dxi, x, xdot, nu, times)
+    return np.array([solve_chi(lag, x[i], xdot[i], CoVector(nu[i])).coords
+                     for i in range(len(ys))])
 
 
 def routhian(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
@@ -324,9 +366,29 @@ def reduced_energy(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
     chi = solve_chi(lag, x, xdot, nu).coords
-    f1 = lag.shape_momentum(x, xdot, chi)  # equals dR/dxdot on the constraint
-    r = lag.value(x, xdot, chi) - float(nu.coords @ chi)
-    return float(f1 @ xdot) - r
+    return float(_energy(lag.shape_momentum, lag.value, x, xdot, nu.coords, chi))
+
+
+def _energy(momentum: Callable, value: Callable, x, xdot, nu, chi):
+    """<dR/dxdot, xdot> - R at chi on the momentum constraint, where
+    dR/dxdot = dell/dxdot (`momentum`) and R = ell (`value`) - <nu, chi>;
+    one point or stacked rows."""
+    r = value(x, xdot, chi) - numerics.rowdot(nu, chi)
+    return numerics.rowdot(momentum(x, xdot, chi), xdot) - r
+
+
+def _energies(lag: InvariantLagrangian, times: np.ndarray, ys: np.ndarray
+              ) -> np.ndarray:
+    """Reduced energy at each flat (x, xdot, nu) row of ys: array
+    operations when the Lagrangian takes rows, one point at a time
+    otherwise."""
+    sd = lag.sdim
+    x, xdot, nu = ys[:, :sd], ys[:, sd:2 * sd], ys[:, 2 * sd:]
+    if not _row_path(lag):
+        return np.array([reduced_energy(lag, x[i], xdot[i], CoVector(nu[i]))
+                         for i in range(len(ys))])
+    chi = _constant_chi(lag, lag.dell_dxi, x, xdot, nu, times)
+    return _energy(lag.dell_dxdot, lag.ell, x, xdot, nu, chi)
 
 
 def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState,
@@ -338,22 +400,29 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState,
     (`_assemble_metric`), and the time-varying momentum enters through the
     mixed d2R/dxdot dnu term.
     """
-    chi = solve_chi(sys.lagrangian, s.x, s.xdot, s.nu, seed=chi_seed).coords
-    xddot, nudot = _reduced_rhs(sys, s.x, s.xdot, s.nu.coords, chi, None)
+    lag = sys.lagrangian
+    chi = solve_chi(lag, s.x, s.xdot, s.nu, seed=chi_seed).coords
+    metric = lag.reduced_metric or _assemble_metric(lag, s.x, s.xdot, chi)
+    xddot, nudot = _reduced_rhs(lag.grad_x, sys.sign, _structure(lag.group), metric,
+                                s.x, s.xdot, s.nu.coords, chi)
     return s.xdot.copy(), xddot, CoVector(nudot)
 
 
-def _reduced_rhs(sys: ReducedRouthSystem, x, xdot, nu: np.ndarray,
-                 chi: np.ndarray, t: float | None
+def _structure(group: LieGroupSpec) -> np.ndarray:
+    """Structure constants as (g, g*g): (ad*_chi nu)_c = nu_a chi_b
+    structure[a, b, c] is chi @ (nu @ this).reshape(g, g)."""
+    return group.structure.reshape(group.dim, group.dim * group.dim)
+
+
+def _reduced_rhs(grad_x: Callable, sign: float, structure: np.ndarray,
+                 metric: ReducedMetric, x, xdot, nu: np.ndarray, chi: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(xddot, nudot) at chi solving the momentum constraint, with the
-    constant blocks when the Lagrangian keeps them and the blocks at this
-    point otherwise; `t` goes into regularity errors."""
-    lag = sys.lagrangian
-    metric = lag.reduced_metric or _assemble_metric(lag, x, xdot, chi, t)
-    g = nu.size  # (ad*_chi nu)_c = nu_a chi_b structure[a, b, c]
-    nudot = sys.sign * (chi @ (nu @ lag.group.structure.reshape(g, g * g)).reshape(g, g))
-    rhs = lag.grad_x(x, xdot, chi) - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
+    """(xddot, nudot) at chi solving the momentum constraint, from dell/dx
+    (`grad_x`), the momentum sign, the reshaped structure constants
+    (`_structure`) and the reduced-equation blocks at this point."""
+    g = nu.size
+    nudot = sign * (chi @ (nu @ structure).reshape(g, g))
+    rhs = grad_x(x, xdot, chi) - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
     return metric.hess_inv @ rhs, nudot
 
 
@@ -375,12 +444,17 @@ def unpack_reduced(lag: InvariantLagrangian, y: np.ndarray) -> ReducedState:
 def _field_factory(sys: ReducedRouthSystem):
     """ODE right-hand side over flat (x, xdot, nu) states.
 
-    With a constant metric chi is the unchecked linear solve (the public
-    solve_chi also checks its residual); otherwise Newton is warm-started
-    from the previous chi, local to this factory's closure."""
+    The supply callables, the momentum sign and the reshaped structure
+    constants are looked up once, here.  With a constant metric chi is the
+    unchecked linear solve (the public solve_chi also checks its
+    residual); otherwise Newton is warm-started from the previous chi,
+    local to this factory's closure, and the blocks are assembled per
+    point."""
     lag = sys.lagrangian
     sd = lag.sdim
     metric = lag.reduced_metric
+    momentum, grad_x = lag.group_momentum, lag.grad_x
+    sign, structure = sys.sign, _structure(lag.group)
     zero_xi = np.zeros(lag.gdim)
     chi = None
 
@@ -388,13 +462,15 @@ def _field_factory(sys: ReducedRouthSystem):
         nonlocal chi
         x, xdot, nu = y[:sd], y[sd:2 * sd], y[2 * sd:]
         if metric is not None:
-            chi = metric.cm_inv @ (nu - lag.group_momentum(x, xdot, zero_xi))
+            chi = metric.cm_inv @ (nu - momentum(x, xdot, zero_xi))
+            blocks = metric
         else:
             try:
                 chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
             except RegularityError as exc:
                 raise RegularityError(f"{exc} at t = {t:.6g}") from exc
-        xddot, nudot = _reduced_rhs(sys, x, xdot, nu, chi, t)
+            blocks = _assemble_metric(lag, x, xdot, chi, t)
+        xddot, nudot = _reduced_rhs(grad_x, sign, structure, blocks, x, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
     return field
@@ -402,20 +478,22 @@ def _field_factory(sys: ReducedRouthSystem):
 
 def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
                       stepper: StepperChoice, t0: float = 0.0) -> Trajectory:
-    """Integrate the reduced flow with energy and Casimir monitors."""
+    """Integrate the reduced flow with energy and Casimir monitors.
+
+    The energy is checked at every (len // 400)-th sample and the last one,
+    the Casimirs at every sample."""
     lag = sys.lagrangian
     sd = lag.sdim
     times, states = numerics.integrate_ode(_field_factory(sys), pack_reduced(s0),
                                            t0, t_end, stepper)
     e0 = reduced_energy(lag, s0.x, s0.xdot, s0.nu)
-    sampled = list(states[:: max(1, len(states) // 400)]) + [states[-1]]
-    entries = {"energy_drift": max(
-        abs(reduced_energy(lag, y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:])) - e0)
-        for y in sampled)}
+    pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
+                     len(states) - 1)
+    energies = _energies(lag, times[pick], states[pick])
+    entries = {"energy_drift": float(np.max(np.abs(energies - e0)))}
     for cname, cfun in lag.group.casimirs:
-        c0 = cfun(s0.nu.coords)
-        cd = float(np.max(np.abs([cfun(y[2 * sd:]) - c0 for y in states])))
-        entries[f"casimir_{cname}_drift"] = cd
+        drift = numerics.each_row(cfun, states[:, 2 * sd:]) - cfun(s0.nu.coords)
+        entries[f"casimir_{cname}_drift"] = float(np.max(np.abs(drift)))
     return Trajectory(times, states, reduced_state_columns(sd, lag.gdim),
                       InvariantReport(entries))
 
@@ -433,19 +511,15 @@ def reconstruct(sys: ReducedRouthSystem, traj: Trajectory, g0: GroupElement
 
     Integrates gdot = g.chi with the midpoint update
     g_{n+1} = g_n exp(h chi_mid), evaluating chi at the averaged state of
-    each sampling interval; requires a densely sampled trajectory.
+    each sampling interval (all intervals at once when the Lagrangian
+    takes rows); requires a densely sampled trajectory.
     """
     lag = sys.lagrangian
-    spec = lag.group
+    ys, ts = traj.states, traj.times
+    chis = _chi_rows(lag, 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ys[:-1] + ys[1:]))
     out = [g0]
     g = g0
-    ys = traj.states
-    ts = traj.times
-    for i in range(len(ts) - 1):
-        h = ts[i + 1] - ts[i]
-        ymid = 0.5 * (ys[i] + ys[i + 1])
-        st = unpack_reduced(lag, ymid)
-        chi = solve_chi(lag, st.x, st.xdot, st.nu)
-        g = numerics.lie_step(spec, g, chi, h)
+    for h, chi in zip(np.diff(ts), chis):
+        g = numerics.lie_step(lag.group, g, AlgebraVector(chi), h)
         out.append(g)
     return out

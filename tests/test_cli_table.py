@@ -61,6 +61,8 @@ BAD_CONFIGS = {
     "tiny_atol": (dict(BEANIE_FULL, stepper={"kind": "rkf45", "atol": 1e-20}), "atol"),
     "rotor_mu_string": (dict(ROTOR_FULL, momentum={"mu": ["a", "b", "c"]}), "momentum.mu"),
     "potential_object": (dict(BEANIE_FULL, params={"potential": 1.0}), "potential"),
+    # rotor full starts from the momentum when no initial state is given
+    "rotor_full_zero_mu": (dict(ROTOR_FULL, momentum={"mu": [0, 0, 0]}), "momentum.mu"),
 }
 
 
@@ -69,6 +71,11 @@ def test_bad_config_exits_2(tmp_path, capsys, name):
     cfg, needle = BAD_CONFIGS[name]
     assert run(tmp_path, cfg) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_rotor_full_zero_mu_runs_from_initial(tmp_path):
+    state0 = [0.0, 0.3, 1.0, 0.2, 0.2, 0.1, 0.0, 0.4]
+    assert run(tmp_path, dict(ROTOR_FULL, momentum={"mu": [0, 0, 0]}, initial=state0)) == 0
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)

@@ -160,6 +160,40 @@ def test_rk4_non_finite_state_raises():
     assert "component 0" in str(err.value)
 
 
+def rk4_loop(f, y0, t0, t_end, h):
+    """Reference RK4 loop: per-step lists over numerics.rk4_step."""
+    y = np.array(y0, dtype=float)
+    times, states, t = [t0], [y.copy()], t0
+    n_steps = int(np.ceil((t_end - t0) / h - 1e-12))
+    for k in range(n_steps):
+        y = numerics.rk4_step(f, t, y, min(h, t_end - t))
+        t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
+        times.append(t)
+        states.append(y.copy())
+    return np.array(times), np.array(states)
+
+
+@pytest.mark.parametrize("t0, t_end, h", [(0.0, 1.0, 0.1), (0.3, 1.234, 0.01),
+                                          (0.0, 0.005, 0.01), (1.0, 1.0, 0.1)])
+def test_rk4_integrate_is_rk4_step_loop(t0, t_end, h):
+    # bit for bit, including the clamped last step and an empty horizon
+    f = lambda t, y: np.array([y[1], -np.sin(y[0]) + 0.1 * t])
+    times, states = numerics.rk4_integrate(f, np.array([0.3, 0.1]), t0, t_end, h)
+    ref_times, ref_states = rk4_loop(f, np.array([0.3, 0.1]), t0, t_end, h)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(states, ref_states)
+
+
+def test_rk4_non_finite_error_names_the_first_bad_sample():
+    f = lambda t, y: y * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states = rk4_loop(f, np.array([1.0]), 0.0, 2.0, 0.01)
+        first = int(np.argmin(np.isfinite(states).all(axis=1)))
+        with pytest.raises(NonFiniteStateError) as err:
+            numerics.rk4_integrate(f, np.array([1.0]), 0.0, 2.0, 0.01)
+    assert f"at t = {times[first]:.6g}:" in str(err.value)
+
+
 def test_rkf45_non_finite_error_norm_raises():
     # the first stage overflows, so the error norm of the attempted step
     # is not finite; this raises instead of resizing the step

@@ -1,12 +1,16 @@
 """Property tests of the orbit forms and the compatible map, at the README
-tolerances: orbit-form identity 1e-6, solver round trips 1e-10."""
+tolerances: orbit-form identity 1e-6, solver round trips 1e-10; and of the
+regularity errors that the integrators' right-hand sides raise."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magreduce import compat, models, semidirect
+from magreduce import compat, lie, maglag, models, routh, semidirect
 from magreduce.lie import CoVector
+from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +66,58 @@ def test_psi_round_trip(beanie_pair, z1):
     assert np.max(np.abs(momentum)) <= 1e-10
     back = compat.invert_psi(eq.r2_system, eq.pair, eq.beta, z2)
     assert np.max(np.abs(back - z1)) <= 1e-10
+
+
+# Right-hand sides from the integrators' factories, evaluated at a point
+# where a regularity determinant vanishes (|det| <= DET_FLOOR = 1e-12): the
+# error names the determinant and the time.
+near = st.floats(-1e-7, 1e-7)
+time = st.floats(0.0, 100.0)
+centre = st.floats(-2.0, 2.0)
+
+
+def raises_at(field, t, y, what):
+    with pytest.raises(RegularityError, match=what) as err:
+        field(t, y)
+    assert re.search(rf"at t = {re.escape(f'{t:.6g}')}\b", str(err.value))
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=centre, off=near, v=st.floats(-2.0, 2.0), t=time)
+def test_singular_velocity_hessian_names_t(c, off, v, t):
+    sys = MagneticSystem(
+        n=1, k=0, lagrangian=lambda q, v, p: 0.5 * (q[0] - c) ** 2 * v[0] ** 2,
+        dL_dq=lambda q, v, p: np.array([(q[0] - c) * v[0] ** 2]),
+        dL_dv=lambda q, v, p: np.array([(q[0] - c) ** 2 * v[0]]),
+        d2L_dv_dv=lambda q, v, p: np.array([[(q[0] - c) ** 2]]))
+    field = maglag._field_factory(sys, MagLagState([c + 1.0], [v], np.zeros(0)))
+    raises_at(field, t, np.array([c + off, v]), "singular velocity Hessian")
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=centre, off=near, p=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+       t=time)
+def test_singular_fibre_block_names_t(c, off, p, t):
+    def bform(q, p):
+        g = q[0] - c
+        return np.zeros((1, 1)), np.zeros((1, 2)), np.array([[0.0, g], [-g, 0.0]])
+
+    sys = MagneticSystem(
+        n=1, k=2, bform=bform,
+        lagrangian=lambda q, v, p: 0.5 * v[0] ** 2 - 0.25 * float(p @ p))
+    field = maglag._field_factory(sys, MagLagState([c + 1.0], [0.1], p))
+    raises_at(field, t, np.array([c + off, 0.1, *p]), "singular fibre block")
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=centre, off=near, nu=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
+       t=time)
+def test_singular_group_metric_names_t(c, off, nu, t):
+    # group metric (x - c)^2 on so(3), not declared constant
+    lag = routh.InvariantLagrangian(
+        sdim=1, group=lie.so3(),
+        ell=lambda x, xd, xi: 0.5 * xd[0] ** 2 + 0.5 * (x[0] - c) ** 2 * float(xi @ xi),
+        dell_dxi=lambda x, xd, xi: (x[0] - c) ** 2 * xi,
+        d2_dxi_dxi=lambda x, xd, xi: (x[0] - c) ** 2 * np.eye(3))
+    field = routh._field_factory(routh.ReducedRouthSystem(lag, mu=CoVector(nu)))
+    raises_at(field, t, np.array([c + off, 0.1, *nu]), "group")

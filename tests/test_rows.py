@@ -1,0 +1,210 @@
+"""Whole-trajectory post-processing: the row-wise monitors, the batched
+reconstruction and the chunked CSV writer give the results of the per-point
+functions, and Lagrangians whose callables take one point keep the
+per-point path."""
+import math
+
+import numpy as np
+import pytest
+
+from magreduce import lie, maglag, models, numerics, routh
+from magreduce.lie import CoVector
+from magreduce.maglag import MagLagState, RegularityError
+from magreduce.numerics import StepperChoice
+
+RK4 = StepperChoice(kind="rk4", h=1e-2)
+ROW_TOL = 1e-14
+
+
+@pytest.fixture(scope="module")
+def rotor_traj(rotor_params):
+    nu0 = CoVector([0.8, 0.2, 0.3])
+    sys = models.rotor_reduced_system(rotor_params, nu0)
+    return sys, routh.integrate_reduced(sys, routh.ReducedState([0.1], [0.4], nu0), 2.0, RK4)
+
+
+def beanie_reduced(beanie_params):
+    sd = models.beanie_gv_lagrangian(beanie_params)
+    w0 = CoVector([1.0, 0.6, -0.8])
+    sys = routh.ReducedRouthSystem(sd.inner, mu=w0)
+    return sys, routh.integrate_reduced(sys, routh.ReducedState([0.4], [0.3], w0), 2.0, RK4)
+
+
+def per_point_report(sys, traj, s0):
+    """The monitors of integrate_reduced, one state at a time."""
+    lag, sd = sys.lagrangian, sys.lagrangian.sdim
+    e0 = routh.reduced_energy(lag, s0.x, s0.xdot, s0.nu)
+    ys = traj.states
+    sampled = list(ys[::max(1, len(ys) // 400)]) + [ys[-1]]
+    out = {"energy_drift": max(abs(routh.reduced_energy(
+        lag, y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:])) - e0) for y in sampled)}
+    for name, fn in lag.group.casimirs:
+        c0 = fn(s0.nu.coords)
+        out[f"casimir_{name}_drift"] = max(abs(fn(y[2 * sd:]) - c0) for y in ys)
+    return out
+
+
+@pytest.mark.parametrize("case", ["rotor", "beanie"])
+def test_row_monitors_match_per_point(case, rotor_traj, beanie_params):
+    sys, traj = rotor_traj if case == "rotor" else beanie_reduced(beanie_params)
+    lag = sys.lagrangian
+    assert routh._row_path(lag)
+    sd = lag.sdim
+    y0 = traj.states[0]
+    s0 = routh.ReducedState(y0[:sd], y0[sd:2 * sd], CoVector(y0[2 * sd:]))
+    expected = per_point_report(sys, traj, s0)
+    assert set(traj.report.entries) == set(expected)
+    for name, value in expected.items():
+        assert abs(traj.report.entries[name] - value) <= ROW_TOL
+    energies = routh._energies(lag, traj.times, traj.states)
+    for e, y in zip(energies, traj.states):
+        point = routh.reduced_energy(lag, y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:]))
+        assert abs(e - point) <= ROW_TOL
+
+
+def test_batched_reconstruct_matches_solve_chi(rotor_traj):
+    sys, traj = rotor_traj
+    lag = sys.lagrangian
+    ys, ts = traj.states, traj.times
+    mids = 0.5 * (ys[:-1] + ys[1:])
+    chis = routh._chi_rows(lag, 0.5 * (ts[:-1] + ts[1:]), mids)
+    g = g_ref = lie.identity(lag.group)
+    gs = routh.reconstruct(sys, traj, g)
+    assert len(gs) == len(ts)
+    for i, y in enumerate(mids):
+        chi = routh.solve_chi(lag, y[:1], y[1:2], CoVector(y[2:]))
+        assert np.max(np.abs(chis[i] - chi.coords)) <= ROW_TOL
+        g_ref = numerics.lie_step(lag.group, g_ref, chi, ts[i + 1] - ts[i])
+        assert np.max(np.abs(gs[i + 1].payload - g_ref.payload)) <= 1e-12
+
+
+def test_maglag_row_energy_matches_per_point(beanie_params):
+    sys = models.beanie_r2_system(beanie_params, 1.0 + 0.5j)
+    assert numerics.rows_ok(sys.lagrangian, sys.dL_dv)
+    traj = maglag.integrate(sys, MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0)), 3.0, RK4)
+    e0 = maglag.energy(sys, maglag.unpack(sys, traj.states[0]))
+    rows = maglag._energies(sys, traj.states)
+    points = [maglag.energy(sys, maglag.unpack(sys, y)) for y in traj.states]
+    assert np.max(np.abs(rows - points)) <= ROW_TOL
+    sampled = list(traj.states[::max(1, len(traj.states) // 400)]) + [traj.states[-1]]
+    drift = max(abs(maglag.energy(sys, maglag.unpack(sys, y)) - e0) for y in sampled)
+    assert abs(traj.report.entries["energy_drift"] - drift) <= ROW_TOL
+
+
+def test_model_row_functions_match_per_state(rotor_params, beanie_params):
+    rng = np.random.default_rng(11)
+    rotor_states = rng.uniform(-2.0, 2.0, (50, 8))
+    j = models.rotor_spatial_momentum(rotor_params, rotor_states)
+    m = models.rotor_body_momentum(rotor_params, rotor_states)
+    for s, j_row, m_row in zip(rotor_states, j, m):
+        j_one = models.rotor_spatial_momentum(rotor_params, s)
+        assert np.max(np.abs(j_row - j_one)) <= ROW_TOL
+        assert np.max(np.abs(m_row - models.rotor_body_momentum(rotor_params, s))) <= ROW_TOL
+    beanie_states = rng.uniform(-2.0, 2.0, (50, 8))
+    nus, bs = models.beanie_momenta(beanie_params, beanie_states)
+    energies = models.beanie_energy(beanie_params, beanie_states)
+    for s, nu, b, e in zip(beanie_states, nus, bs, energies):
+        nu1, b1 = models.beanie_momenta(beanie_params, s)
+        assert isinstance(nu1, float) and isinstance(b1, complex)
+        assert abs(nu - nu1) <= ROW_TOL and abs(b - b1) <= ROW_TOL
+        assert abs(e - models.beanie_energy(beanie_params, s)) <= ROW_TOL
+
+
+def test_oracle_states_equal_stacked_rates_field(rotor_params):
+    # the oracle's right-hand side written with the stacked (1, 4, 4) path
+    lag = models.rotor_chart_lagrangian(rotor_params)
+    s0 = models.rotor_chart_state_from_momentum(rotor_params, np.array([0.8, 0.2, 0.3]),
+                                                xdot=0.2)
+    for stepper in (StepperChoice(kind="rk4", h=1e-2), StepperChoice(kind="rkf45", h=1e-2)):
+        traj = models.rotor_full_trajectory(rotor_params, s0, 1.0, stepper)
+
+        def field(t, y):
+            qd = models._rates(lag, y[None, :4], y[None, 4:])[0]
+            return np.concatenate([qd, models._grad_q(lag, y[:4], qd)])
+
+        y0 = np.concatenate([s0[:4], models._grad_rates(lag, s0[:4], s0[4:])])
+        times, ys = numerics.integrate_ode(field, y0, 0.0, 1.0, stepper)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states[:, :4], ys[:, :4])
+
+
+def quartic_lagrangian(c4=0.3, cx=0.2):
+    """A Lagrangian whose callables take one point only (the quartic form of
+    the benchmark's fd_supply workload)."""
+    def ell(x, xd, xi):
+        return (0.5 * float(xd @ xd) + 0.5 * float(xi @ xi)
+                + c4 * float(xi @ xi) ** 2 + cx * x[0] * xi[0])
+
+    def dell_dxi(x, xd, xi):
+        return xi + 4.0 * c4 * float(xi @ xi) * xi + np.array([cx * x[0], 0.0])
+
+    return routh.InvariantLagrangian(sdim=1, group=lie.translations(2), ell=ell,
+                                     dell_dxi=dell_dxi)
+
+
+def test_single_point_lagrangian_keeps_per_point_path():
+    lag = quartic_lagrangian()
+    assert not routh._row_path(lag)
+    with pytest.raises((TypeError, ValueError)):  # one point only
+        lag.ell(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2)))
+    nu0 = CoVector([0.5, -0.3])
+    sys = routh.ReducedRouthSystem(lag, mu=nu0)
+    s0 = routh.ReducedState([0.2], [0.4], nu0)
+    traj = routh.integrate_reduced(sys, s0, 1.0, RK4)
+    assert traj.report.entries == per_point_report(sys, traj, s0)
+    assert traj.report.entries["energy_drift"] <= 1e-8
+
+
+def varying_metric_declared_constant():
+    """Row callables whose group metric (1 + x^2) is not constant, declared
+    constant: the linear momentum inversion is then wrong away from x = 0."""
+    rowdot = numerics.rowdot
+
+    @numerics.takes_rows
+    def ell(x, xd, xi):
+        return 0.5 * rowdot(xd, xd) + 0.5 * (1.0 + x[..., 0] ** 2) * rowdot(xi, xi)
+
+    return routh.InvariantLagrangian(
+        sdim=1, group=lie.so3(), ell=ell,
+        dell_dxdot=numerics.takes_rows(lambda x, xd, xi: xd),
+        dell_dxi=numerics.takes_rows(lambda x, xd, xi: (1.0 + x[..., :1] ** 2) * xi),
+        constant_group_metric=True)
+
+
+def test_false_constant_metric_raises_from_rows():
+    lag = varying_metric_declared_constant()
+    assert routh._row_path(lag)
+    nu0 = CoVector([0.3, 0.1, 0.2])
+    sys = routh.ReducedRouthSystem(lag, mu=nu0)
+    with pytest.raises(RegularityError, match="not constant as declared at t = "):
+        routh.integrate_reduced(sys, routh.ReducedState([0.0], [1.0], nu0), 0.5, RK4)
+    ts = np.array([0.0, 0.1, 0.2])
+    ys = np.array([[0.0, 1.0, 0.3, 0.1, 0.2], [0.0, 1.0, 0.3, 0.1, 0.2],
+                   [0.5, 1.0, 0.3, 0.1, 0.2]])
+    traj = maglag.Trajectory(ts, ys, routh.reduced_state_columns(1, 3))
+    with pytest.raises(RegularityError, match="at t = 0.15"):
+        routh.reconstruct(sys, traj, lie.identity(lag.group))
+
+
+def f_string_csv(path, times, states, columns):
+    """The formatter that write_csv replaced, one f-string per value."""
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(columns) + "\n")
+        for t, row in zip(times, states):
+            fh.write(",".join(f"{x:.17g}" for x in (t, *row)) + "\n")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, maglag.CSV_CHUNK_ROWS + 3])
+def test_write_csv_matches_f_string_formatter(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    awkward = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1 / 3, 2 / 3,
+                        3.0, -7.0, 1e16, 123456789012345678.0, math.pi, 1e-7,
+                        float(np.nextafter(1.0, 2.0)), 0.1])
+    times = np.arange(rows) * 0.01
+    states = rng.choice(awkward, size=(rows, 5)) * rng.choice([1.0, -1.0], size=(rows, 5))
+    if rows:
+        states[0, :] = awkward[:5]
+    columns = ("a", "b", "c", "d", "e")
+    maglag.write_csv(tmp_path / "new.csv", times, states, columns)
+    f_string_csv(tmp_path / "old.csv", times, states, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magreduce import lie, maglag, models, numerics, routh
+from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem
 from magreduce.numerics import StepperChoice
@@ -165,6 +165,62 @@ def test_integrator_field_is_maglag_vector_field(sys, s0, monkeypatch):
         v, a, pdot = maglag.vector_field(sys, maglag.unpack(sys, y))
         expected = np.concatenate([v, a, pdot])
         assert np.max(np.abs(field(t, y) - expected)) <= 1e-12
+
+
+def reduced_case(name):
+    """(system, initial state) of the reduced flows behind the CLI."""
+    if name == "rotor":
+        nu = CoVector([0.8, 0.2, 0.3])
+        return (models.rotor_reduced_system(models.RotorParams(), nu),
+                routh.ReducedState([0.1], [0.2], nu))
+    w = CoVector([1.0, 0.6, -0.8])
+    lag = models.beanie_gv_lagrangian(models.BeanieParams()).inner
+    return routh.ReducedRouthSystem(lag, mu=w), routh.ReducedState([0.4], [0.3], w)
+
+
+@pytest.mark.parametrize("name", ["rotor", "beanie"])
+def test_reduced_factory_field_is_public_field_bit_for_bit(name, monkeypatch):
+    sys, s0 = reduced_case(name)
+    seen = capture_field(monkeypatch)
+    traj = routh.integrate_reduced(sys, s0, 0.2, StepperChoice(kind="rk4", h=1e-2))
+    field, = seen
+    for t, y in zip(traj.times, traj.states):
+        xdot, xddot, nudot = routh.reduced_vector_field(
+            sys, routh.unpack_reduced(sys.lagrangian, y))
+        assert np.array_equal(field(t, y), np.concatenate([xdot, xddot, nudot.coords]))
+
+
+@pytest.mark.parametrize("sys, s0", [
+    (models.beanie_r2_system(models.BeanieParams(), 1.0 + 0.5j),
+     MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0))),
+    (semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(models.BeanieParams()),
+                                       CoVector([1.0, 0.5])),
+     MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0))),
+    (models.beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
+     MagLagState([0.4], [0.3], [0.2, 1.1])),
+    (varying_form_system(), MagLagState([0.3], [0.5], [0.2, -0.1])),
+], ids=["k0", "k0_v_reduced", "beanie_chart", "varying_form"])
+def test_magnetic_factory_field_is_public_field_bit_for_bit(sys, s0, monkeypatch):
+    seen = capture_field(monkeypatch)
+    traj = maglag.integrate(sys, s0, 0.2, StepperChoice(kind="rk4", h=1e-2))
+    field, = seen
+    for t, y in zip(traj.times, traj.states):
+        v, a, pdot = maglag.vector_field(sys, maglag.unpack(sys, y))
+        assert np.array_equal(field(t, y), np.concatenate([v, a, pdot]))
+
+
+def test_k0_field_keeps_the_mixed_block():
+    # L = (1 + q^2) v^2 / 2 has d2L/dv dq = 2 q v, and qddot = -q v^2 / (1 + q^2)
+    sys = MagneticSystem(
+        n=1, k=0, lagrangian=lambda q, v, p: 0.5 * (1.0 + q[0] ** 2) * v[0] ** 2,
+        dL_dq=lambda q, v, p: np.array([q[0] * v[0] ** 2]),
+        dL_dv=lambda q, v, p: np.array([(1.0 + q[0] ** 2) * v[0]]),
+        d2L_dv_dv=lambda q, v, p: np.array([[1.0 + q[0] ** 2]]),
+        d2L_dv_dq=lambda q, v, p: np.array([[2.0 * q[0] * v[0]]]))
+    for q, v in [(0.5, 0.3), (-1.2, 2.0), (2.0, -0.7)]:
+        _, a, pdot = maglag.vector_field(sys, MagLagState([q], [v], np.zeros(0)))
+        assert pdot.shape == (0,)
+        assert abs(a[0] + q * v ** 2 / (1.0 + q ** 2)) <= 1e-14
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
