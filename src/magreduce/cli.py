@@ -177,12 +177,14 @@ def _beanie_lemma(job: Job) -> dict:
 class Mode(NamedTuple):
     """One (model, mode): the runner, its default pass thresholds (one per
     metric it reports), the length of `initial` (None: the mode reads none)
-    and its default from (params, momentum level), and whether the `verify`
-    subcommand accepts it."""
+    and its default from (params, momentum level), the momentum keys that
+    only feed that default (a config may not give them with `initial`), and
+    whether the `verify` subcommand accepts it."""
     run: Callable[[Job], dict]
     thresholds: dict
     initial: int | None = None
     start: Callable[[object, tuple], object] | None = None
+    start_only: tuple[str, ...] = ()
     verify: bool = False
 
 
@@ -196,7 +198,8 @@ MODELS = {
         "full": Mode(_rotor_full, {"momentum_drift": 1e-7}, 8, _rotor_full_start),
         "reduce-full-group": Mode(
             _rotor_reduced, {"energy_drift": 1e-8, "casimir_drift": 1e-9}, 5,
-            lambda params, level: np.concatenate([[0.0, 0.2], level[0].coords])),
+            lambda params, level: np.concatenate([[0.0, 0.2], level[0].coords]),
+            start_only=("mu",)),
     }),
     "beanie": Model(_beanie_inputs, {
         "full": Mode(_beanie_full, {"nu_drift": 1e-8, "b_norm_drift": 1e-8,
@@ -230,9 +233,7 @@ def _inputs(cfg: dict):
     try:
         params, level = model.inputs(cfg["params"], cfg["momentum"])
         initial = cfg.get("initial")
-        if rec.initial is None:
-            initial = None
-        elif initial is None:
+        if initial is None and rec.start is not None:
             initial = rec.start(params, level)
         return (params, level, StepperChoice(**cfg["stepper"]),
                 None if initial is None else np.asarray(initial, dtype=float))
@@ -265,12 +266,18 @@ def validate_config(cfg: dict) -> dict:
         _require(name in known, f"unknown threshold {name!r} for {model} {mode} "
                                 f"(choose from {known})")
         _require(isinstance(bound, (int, float)), f"thresholds.{name} must be a number")
-    initial, size = out.get("initial"), MODELS[model].modes[mode].initial
+    initial, rec = out.get("initial"), MODELS[model].modes[mode]
     if initial is not None:
+        # input that would be accepted and never read
+        _require(rec.initial is not None, f"initial is not read by {model} {mode}")
+        for key in rec.start_only:
+            _require(key not in out["momentum"], f"momentum.{key} is not read by "
+                                                 f"{model} {mode} when initial is given")
         _require(isinstance(initial, list) and all(isinstance(v, (int, float)) for v in initial),
                  "initial must be a list of numbers")
-        _require(size is None or len(initial) == size,
-                 f"initial must hold {size} numbers for {model} {mode}, got {len(initial)}")
+        _require(len(initial) == rec.initial,
+                 f"initial must hold {rec.initial} numbers for {model} {mode}, "
+                 f"got {len(initial)}")
     _check_keys(out["output"], "output", ("csv", "report"))
     _require(all(isinstance(v, str) and v for v in out["output"].values()),
              "output file names must be nonempty strings")

@@ -21,6 +21,11 @@ Flat state layouts used throughout:
     z1 = [q, qdot, qbar, pbar, p]      (a maglag state of the P1 system,
                                         whose fibre is (qbar, pbar, p))
     z2 = [q, qbar, qdot, qbardot, pbar] (a maglag state of the P2 system)
+
+The maps, the pulled-back callables and the checks also take stacked states
+(N, dim), one per row (`numerics.takes_rows`).  Callables supplied by the
+caller (beta, the connection, psi) are called once for all rows when they
+are marked and once per row otherwise.
 """
 from __future__ import annotations
 
@@ -61,29 +66,31 @@ class TransformationPair:
     def k1(self) -> int:
         return self.vf + self.k2 + self.pdim
 
+    # the layouts below act on one state or on stacked rows of states
+
     def split1(self, z1: np.ndarray):
         n1, vf, k2 = self.n1, self.vf, self.k2
-        q = z1[:n1]
-        qdot = z1[n1:2 * n1]
-        qbar = z1[2 * n1:2 * n1 + vf]
-        pbar = z1[2 * n1 + vf:2 * n1 + vf + k2]
-        p = z1[2 * n1 + vf + k2:]
+        q = z1[..., :n1]
+        qdot = z1[..., n1:2 * n1]
+        qbar = z1[..., 2 * n1:2 * n1 + vf]
+        pbar = z1[..., 2 * n1 + vf:2 * n1 + vf + k2]
+        p = z1[..., 2 * n1 + vf + k2:]
         return q, qdot, qbar, pbar, p
 
     def p1_coords(self, z1: np.ndarray) -> np.ndarray:
         """Base-point coordinates (q, qbar, pbar, p) of a z1 state."""
         q, _, qbar, pbar, p = self.split1(z1)
-        return np.concatenate([q, qbar, pbar, p])
+        return np.concatenate([q, qbar, pbar, p], axis=-1)
 
     def split2(self, z2: np.ndarray):
-        n1, n2 = self.n1, self.n2
-        q2 = z2[:n2]
-        v2 = z2[n2:2 * n2]
-        pbar = z2[2 * n2:]
+        n2 = self.n2
+        q2 = z2[..., :n2]
+        v2 = z2[..., n2:2 * n2]
+        pbar = z2[..., 2 * n2:]
         return q2, v2, pbar
 
     def join2(self, q, qbar, qdot, qbardot, pbar) -> np.ndarray:
-        return np.concatenate([q, qbar, qdot, qbardot, pbar])
+        return np.concatenate([q, qbar, qdot, qbardot, pbar], axis=-1)
 
 
 BetaMap = Callable[[np.ndarray], np.ndarray]
@@ -91,7 +98,18 @@ ConnectionOnF = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def zero_connection(pair: TransformationPair) -> ConnectionOnF:
-    return lambda q, qbar: np.zeros((pair.vf, pair.n1))
+    return numerics.takes_rows(
+        lambda q, qbar: np.zeros(np.shape(q)[:-1] + (pair.vf, pair.n1)))
+
+
+def _betas(beta: BetaMap, p1: np.ndarray) -> np.ndarray:
+    """beta at one base point or at stacked rows (`numerics.each_row`)."""
+    return np.asarray(numerics.each_row(beta, p1), dtype=float)
+
+
+def _tmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m^T @ x for one matrix and vector, or row by row."""
+    return numerics.matvec(np.swapaxes(m, -1, -2), x)
 
 
 def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
@@ -99,24 +117,29 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     """The compatible map: all coordinates pass through except the qbar
     velocity, which is solved from the fibre momentum condition.
 
-    Raises RegularityError when the Newton iteration for the qbar velocity
-    fails (the Lagrangian is not f-regular near the seed).
+    Stacked states z1 (N, dim) are solved by one row Newton, with l2's
+    `grad_v` and `hess_vv` called through `numerics.each_row`; the PSI_TOL
+    check holds per row.  Raises RegularityError when the Newton iteration
+    for the qbar velocity fails (the Lagrangian is not f-regular near the
+    seed), naming the first failing row.
     """
     z1 = np.asarray(z1, dtype=float)
     q, qdot, qbar, pbar, p = pair.split1(z1)
-    q2 = np.concatenate([q, qbar])
-    target = np.asarray(beta(pair.p1_coords(z1)), dtype=float)
-    if target.shape != (pair.vf,):
+    q2 = np.concatenate([q, qbar], axis=-1)
+    target = _betas(beta, pair.p1_coords(z1))
+    if target.shape != z1.shape[:-1] + (pair.vf,):
         raise ValueError(f"beta must return a {pair.vf}-vector")
     n1 = pair.n1
 
     def residual(w):
-        return l2.grad_v(q2, np.concatenate([qdot, w]), pbar)[n1:] - target
+        v2 = np.concatenate([qdot, w], axis=-1)
+        return numerics.each_row(l2.grad_v, q2, v2, pbar)[..., n1:] - target
 
     def jacobian(w):
-        return l2.hess_vv(q2, np.concatenate([qdot, w]), pbar)[n1:, n1:]
+        v2 = np.concatenate([qdot, w], axis=-1)
+        return numerics.each_row(l2.hess_vv, q2, v2, pbar)[..., n1:, n1:]
 
-    seed = np.zeros(pair.vf) if seed is None else np.asarray(seed, dtype=float)
+    seed = np.zeros(target.shape) if seed is None else np.asarray(seed, dtype=float)
     try:
         res = numerics.newton_solve(residual, seed, jacobian=jacobian,
                                     tol=PSI_TOL, max_iter=50)
@@ -128,23 +151,34 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
                z2: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
     """Inverse of psi: recover the F-fibre coordinate p from the fibre
-    momentum of a point on the smaller bundle (beta must be fibre-regular)."""
+    momentum of a point on the smaller bundle (beta must be fibre-regular).
+    Stacked states z2 (N, dim) are inverted as solve_psi solves them; the
+    Jacobian in p is one stencil_jacobian call."""
     z2 = np.asarray(z2, dtype=float)
     q2, v2, pbar = pair.split2(z2)
     n1 = pair.n1
-    q, qbar = q2[:n1], q2[n1:]
-    qdot = v2[:n1]
-    target = l2.grad_v(q2, v2, pbar)[n1:]
+    q, qbar = q2[..., :n1], q2[..., n1:]
+    qdot = v2[..., :n1]
+    target = numerics.each_row(l2.grad_v, q2, v2, pbar)[..., n1:]
+
+    @numerics.takes_rows
+    def mismatch(q, qbar, pbar, p, target):
+        return _betas(beta, np.concatenate([q, qbar, pbar, p], axis=-1)) - target
 
     def residual(p):
-        return np.asarray(beta(np.concatenate([q, qbar, pbar, p])), dtype=float) - target
+        return mismatch(q, qbar, pbar, p, target)
 
-    seed = np.zeros(pair.pdim) if seed is None else np.asarray(seed, dtype=float)
+    def jacobian(p):
+        return numerics.stencil_jacobian(mismatch, (q, qbar, pbar, p, target), 3)
+
+    seed = (np.zeros(target.shape[:-1] + (pair.pdim,)) if seed is None
+            else np.asarray(seed, dtype=float))
     try:
-        res = numerics.newton_solve(residual, seed, tol=PSI_TOL, max_iter=50)
+        res = numerics.newton_solve(residual, seed, jacobian=jacobian,
+                                    tol=PSI_TOL, max_iter=50)
     except numerics.NewtonConvergenceError as exc:
         raise RegularityError(f"beta fibre inversion failed: {exc}") from exc
-    return np.concatenate([q, qdot, qbar, pbar, res.x])
+    return np.concatenate([q, qdot, qbar, pbar, res.x], axis=-1)
 
 
 def build_L1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
@@ -153,19 +187,23 @@ def build_L1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
         L1 = L2 o psi - beta_a (psi^a + Gamma^a_i qdot^i).
 
-    Returns a callable L1(q, v, pfib) in the maglag layout of the P1 system.
+    Returns a callable L1(q, v, pfib) in the maglag layout of the P1 system;
+    it takes one point or stacked rows.
     """
     gamma = gamma or zero_connection(pair)
-    n1, n2 = pair.n1, pair.n2
+    n1 = pair.n1
 
+    @numerics.takes_rows
     def l1(q, v, pfib):
-        z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)])
+        z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)],
+                            axis=-1)
         z2 = solve_psi(l2, pair, beta, z1)
         q2, v2, pbar = pair.split2(z2)
-        w = v2[n1:]
-        b = np.asarray(beta(pair.p1_coords(z1)), dtype=float)
-        gam = gamma(q2[:n1], q2[n1:])
-        return float(l2.value(q2, v2, pbar) - b @ (w + gam @ v2[:n1]))
+        b = _betas(beta, pair.p1_coords(z1))
+        gam = numerics.each_row(gamma, q2[..., :n1], q2[..., n1:])
+        out = (numerics.each_row(l2.lagrangian, q2, v2, pbar)
+               - numerics.rowdot(b, v2[..., n1:] + numerics.matvec(gam, v2[..., :n1])))
+        return out if z1.ndim == 2 else float(out)
 
     return l1
 
@@ -184,52 +222,70 @@ def build_L1_gradients(l2: MagneticSystem, pair: TransformationPair,
 
     for any base or fibre coordinate zeta; only beta and the connection
     coefficients are differenced numerically.  Returns (dL_dq, dL_dv, dL_dp)
-    in the maglag layout of the P1 system.
+    in the maglag layout of the P1 system; each takes one point or stacked
+    rows.
     """
     gamma = gamma or zero_connection(pair)
-    n1, vf, k2, pdim = pair.n1, pair.vf, pair.k2, pair.pdim
+    n1, vf, k2 = pair.n1, pair.vf, pair.k2
 
     def pieces(q, v, pfib):
-        z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)])
+        z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)],
+                            axis=-1)
         z2 = solve_psi(l2, pair, beta, z1)
         q2, v2, pbar = pair.split2(z2)
         p1 = pair.p1_coords(z1)
-        b = np.asarray(beta(p1), dtype=float)
-        gam = gamma(q2[:n1], q2[n1:])
-        vert = v2[n1:] + gam @ v2[:n1]
-        dbeta = numerics.fd_jacobian(beta, p1)  # (vf, n1+k1)
-        return z2, q2, v2, pbar, p1, b, gam, vert, dbeta
+        b = _betas(beta, p1)
+        gam = numerics.each_row(gamma, q2[..., :n1], q2[..., n1:])
+        vert = v2[..., n1:] + numerics.matvec(gam, v2[..., :n1])
+        return q2, v2, pbar, p1, b, gam, vert
 
+    def dbeta_at(p1):
+        # (vf, n1+k1) per point: the stencil of all points in one call
+        d = numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), np.atleast_2d(p1))
+        return d if p1.ndim == 2 else d[0]
+
+    @numerics.takes_rows
     def dl_dv(q, v, pfib):
-        _, q2, v2, pbar, _, b, gam, _, _ = pieces(q, v, pfib)
-        return l2.grad_v(q2, v2, pbar)[:n1] - gam.T @ b
+        q2, v2, pbar, _, b, gam, _ = pieces(q, v, pfib)
+        return numerics.each_row(l2.grad_v, q2, v2, pbar)[..., :n1] - _tmatvec(gam, b)
 
-    def _gamma_derivative_term(q2, qdot, b, wrt: str):
-        # beta . (d Gamma / d zeta) qdot for zeta ranging over q or qbar
-        q, qbar = q2[:n1], q2[n1:]
-        if wrt == "q":
-            def f(z):
-                return float(b @ (gamma(z, qbar) @ qdot))
-            return numerics.fd_gradient(f, np.array(q, dtype=float))
-        def f(z):
-            return float(b @ (gamma(q, z) @ qdot))
-        return numerics.fd_gradient(f, np.array(qbar, dtype=float))
+    @numerics.takes_rows
+    def pairing(q, qbar, b, qdot):
+        gam = numerics.each_row(gamma, q, qbar)
+        return numerics.rowdot(b, numerics.matvec(gam, qdot))[..., None]
 
+    def gamma_term(q2, qdot, b, slot: int):
+        # beta . (d Gamma / d zeta) qdot for zeta ranging over q (slot 0)
+        # or qbar (slot 1); a non-finite stencil value gives a non-finite
+        # difference, which names its row and coordinate
+        args = (q2[..., :n1], q2[..., n1:], b, qdot)
+        d = numerics.stencil_jacobian(pairing, args, slot)[..., 0, :]
+        bad = np.argwhere(~np.isfinite(d))
+        if bad.size:
+            where = f"row {bad[0][0]}: " if d.ndim == 2 else ""
+            raise ValueError(f"{where}non-finite evaluation while differencing "
+                             f"coordinate {bad[0][-1]}")
+        return d
+
+    @numerics.takes_rows
     def dl_dq(q, v, pfib):
-        _, q2, v2, pbar, _, b, _, vert, dbeta = pieces(q, v, pfib)
-        direct = l2.grad_q(q2, v2, pbar)[:n1]
-        return (direct - dbeta[:, :n1].T @ vert
-                - _gamma_derivative_term(q2, v2[:n1], b, "q"))
+        q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
+        dbeta = dbeta_at(p1)
+        direct = numerics.each_row(l2.grad_q, q2, v2, pbar)[..., :n1]
+        return (direct - _tmatvec(dbeta[..., :n1], vert)
+                - gamma_term(q2, v2[..., :n1], b, 0))
 
+    @numerics.takes_rows
     def dl_dp(q, v, pfib):
-        _, q2, v2, pbar, _, b, _, vert, dbeta = pieces(q, v, pfib)
-        out = np.empty(pair.k1)
-        out[:vf] = (l2.grad_q(q2, v2, pbar)[n1:]
-                    - dbeta[:, n1:n1 + vf].T @ vert
-                    - _gamma_derivative_term(q2, v2[:n1], b, "qbar"))
-        out[vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
-                           - dbeta[:, n1 + vf:n1 + vf + k2].T @ vert)
-        out[vf + k2:] = -dbeta[:, n1 + vf + k2:].T @ vert
+        q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
+        dbeta = dbeta_at(p1)
+        out = np.empty(vert.shape[:-1] + (pair.k1,))
+        out[..., :vf] = (numerics.each_row(l2.grad_q, q2, v2, pbar)[..., n1:]
+                         - _tmatvec(dbeta[..., n1:n1 + vf], vert)
+                         - gamma_term(q2, v2[..., :n1], b, 1))
+        out[..., vf:vf + k2] = (numerics.each_row(l2.grad_p, q2, v2, pbar)
+                                - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
+        out[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
         return out
 
     return dl_dq, dl_dv, dl_dp
@@ -244,28 +300,30 @@ def build_B1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     the exterior derivative taken by central differences of the coordinate
     1-form beta_a (dqbar^a + Gamma^a_i dq^i).  Returns a maglag block form
-    on the P1 coordinates.
+    on the P1 coordinates; at stacked rows of (q, pfib) the stencil of all
+    points is one fd_jacobian_rows call.
     """
     gamma = gamma or zero_connection(pair)
-    n1, vf, k2, pdim = pair.n1, pair.vf, pair.k2, pair.pdim
+    n1, vf, k2 = pair.n1, pair.vf, pair.k2
     dim1 = n1 + pair.k1
     dim2 = pair.n2 + k2
 
+    @numerics.takes_rows
     def one_form(z: np.ndarray) -> np.ndarray:
-        q, qbar = z[:n1], z[n1:n1 + vf]
-        b = np.asarray(beta(z), dtype=float)
-        theta = np.zeros(dim1)
-        theta[:n1] = gamma(q, qbar).T @ b
-        theta[n1:n1 + vf] = b
+        b = _betas(beta, z)
+        theta = np.zeros(z.shape[:-1] + (dim1,))
+        theta[..., :n1] = _tmatvec(numerics.each_row(gamma, z[..., :n1], z[..., n1:n1 + vf]), b)
+        theta[..., n1:n1 + vf] = b
         return theta
 
+    @numerics.takes_rows
     def bform(q, pfib):
-        z = np.concatenate([np.atleast_1d(q), np.atleast_1d(pfib)])
+        z = np.concatenate([np.atleast_1d(q), np.atleast_1d(pfib)], axis=-1)
         full = numerics.fd_exterior_derivative(one_form, z, fd_step)
         if l2.bform is not None:
-            b2 = l2.full_bmatrix(z[:pair.n2], z[pair.n2:pair.n2 + k2])
-            full[:dim2, :dim2] += b2
-        return full[:n1, :n1], full[:n1, n1:], full[n1:, n1:]
+            full[..., :dim2, :dim2] += l2.full_bmatrix(z[..., :pair.n2],
+                                                       z[..., pair.n2:dim2])
+        return full[..., :n1, :n1], full[..., :n1, n1:], full[..., n1:, n1:]
 
     return bform
 
@@ -301,49 +359,45 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     forward differences with the given step.  Also records the energy
     pull-back residual and, when (beta, pair) are supplied, the fibre
     momentum-condition residual.
+
+    The tangents are drawn sample by sample, u then w for each pair.  The
+    form matrices, energies and momentum residuals of all samples are then
+    evaluated over rows, and all base and shifted points go through one
+    `numerics.each_row(psi, ...)` call.
     """
-    samples = np.atleast_2d(samples)
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples is empty: the symplectomorphism check needs "
                          "at least one sample")
     if tangent_pairs < 1:
         raise ValueError(f"tangent_pairs must be positive, got {tangent_pairs}")
-    dim1 = 2 * sys1.n + sys1.k
-    max_form = 0.0
-    max_energy = 0.0
+    count, dim1 = samples.shape[0], 2 * sys1.n + sys1.k
+    tangents = rng.normal(size=(count, tangent_pairs, 2, dim1))
+    tangents /= np.sqrt(numerics.rowdot(tangents, tangents))[..., None]
+    shifted = samples[:, None, None, :] + fd_step * tangents
+    z_all = np.asarray(numerics.each_row(
+        psi, np.concatenate([samples, shifted.reshape(-1, dim1)])), dtype=float)
+    z2 = z_all[:count]
+    push = (z_all[count:].reshape(shifted.shape[:3] + (-1,)) - z2[:, None, None, :]) / fd_step
+
+    def form_values(sys, z, t):
+        n = sys.n
+        m = maglag.symplectic_form_matrix(sys, z[:, :n], z[:, n:2 * n], z[:, 2 * n:])
+        return (t[:, :, 0, None, :] @ m[:, None] @ t[:, :, 1, :, None])[..., 0, 0]
+
+    max_form = float(np.max(np.abs(form_values(sys1, samples, tangents)
+                                   - form_values(sys2, z2, push))))
+    max_energy = float(np.max(np.abs(maglag.energies(sys1, samples)
+                                     - maglag.energies(sys2, z2))))
     max_momentum = 0.0
-    for z1 in samples:
-        z1 = np.asarray(z1, dtype=float)
-        m1 = maglag.symplectic_form_matrix(
-            sys1, z1[:sys1.n], z1[sys1.n:2 * sys1.n], z1[2 * sys1.n:])
-        z2 = psi(z1)
-        m2 = maglag.symplectic_form_matrix(
-            sys2, z2[:sys2.n], z2[sys2.n:2 * sys2.n], z2[2 * sys2.n:])
-
-        def push(u):
-            return (psi(z1 + fd_step * u) - z2) / fd_step
-
-        for _ in range(tangent_pairs):
-            u = rng.normal(size=dim1)
-            w = rng.normal(size=dim1)
-            u /= np.linalg.norm(u)
-            w /= np.linalg.norm(w)
-            val1 = float(u @ m1 @ w)
-            val2 = float(push(u) @ m2 @ push(w))
-            max_form = max(max_form, abs(val1 - val2))
-
-        e1 = maglag.energy(sys1, maglag.unpack(sys1, z1))
-        e2 = maglag.energy(sys2, maglag.unpack(sys2, z2))
-        max_energy = max(max_energy, abs(e1 - e2))
-
-        if beta is not None and pair is not None:
-            q2, v2, pbar = pair.split2(z2)
-            resid = sys2.grad_v(q2, v2, pbar)[pair.n1:] \
-                - np.asarray(beta(pair.p1_coords(z1)), dtype=float)
-            max_momentum = max(max_momentum, float(np.linalg.norm(resid)))
+    if beta is not None and pair is not None:
+        q2, v2, pbar = pair.split2(z2)
+        resid = (numerics.each_row(sys2.grad_v, q2, v2, pbar)[:, pair.n1:]
+                 - _betas(beta, pair.p1_coords(samples)))
+        max_momentum = float(np.max(np.linalg.norm(resid, axis=-1)))
 
     return {
-        "samples": samples.shape[0],
+        "samples": count,
         "max_residual_form": max_form,
         "max_residual_energy": max_energy,
         "max_residual_momentum": max_momentum,

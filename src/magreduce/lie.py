@@ -119,7 +119,10 @@ class LieGroupSpec:
     is a single contraction.  `casimirs` are named functions of one
     covector; one marked with `numerics.takes_rows` also takes stacked
     covectors (N, dim).  Semi-direct products additionally carry the base
-    spec and the representation rho / its differential rho'.
+    spec and the representation rho / its differential rho'.  A marked
+    `exp_fn` also takes stacked algebra elements, and a marked `rep` the
+    stacked payloads such an `exp_fn` returns (the circle's exponential
+    and the plane rotation of `se2` are marked).
     """
     name: str
     dim: int
@@ -323,6 +326,15 @@ def _wrap_angle(theta: float) -> float:
     return float(np.mod(theta, 2.0 * np.pi))
 
 
+@numerics.takes_rows
+def _circle_exp(z: np.ndarray):
+    """The angle exp(z) of one circle algebra element z (1,), or the angles
+    of stacked elements (N, 1)."""
+    if getattr(z, "ndim", 1) == 2:
+        return np.mod(z[:, 0], 2.0 * np.pi)
+    return _wrap_angle(float(z[0]))
+
+
 @lru_cache(maxsize=None)
 def circle() -> LieGroupSpec:
     """The circle group; elements are angles in [0, 2pi)."""
@@ -337,7 +349,7 @@ def circle() -> LieGroupSpec:
         bracket_fn=lambda a, b: np.zeros(1),
         compose_fn=lambda a, b: _wrap_angle(a + b),
         inverse_fn=lambda a: _wrap_angle(-a),
-        exp_fn=lambda z: _wrap_angle(float(z[0])),
+        exp_fn=_circle_exp,
         adjoint_fn=lambda a: np.eye(1),
         identity_payload=0.0,
         check_fn=check,
@@ -503,9 +515,13 @@ def c2r(z: complex) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
-def _rotmat(theta: float) -> np.ndarray:
+@numerics.takes_rows
+def _rotmat(theta) -> np.ndarray:
+    """Rotation matrix of one angle, or one per angle of an array (N, 2, 2)."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    if getattr(theta, "ndim", 0) == 0:
+        return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
 def _se2_exp(z: np.ndarray):
@@ -524,7 +540,7 @@ def se2() -> LieGroupSpec:
     """Planar Euclidean group as the circle acting on R^2 ~ C by rotation."""
     return make_semidirect(
         circle(),
-        rep=lambda theta: _rotmat(theta),
+        rep=_rotmat,
         rep_inf=lambda xi: np.array([[0.0, -float(xi[0])], [float(xi[0]), 0.0]]),
         vdim=2,
         name="SE2",

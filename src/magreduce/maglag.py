@@ -113,7 +113,8 @@ class MagneticSystem:
     form.  Analytic derivative callables are optional; missing ones are
     supplied by the fallback rule of `numerics.supply`.  When `lagrangian`
     and `dL_dv` are marked with `numerics.takes_rows`, the energy monitor
-    of `integrate` runs over all its samples in one call of each.
+    of `integrate` runs over all its samples in one call of each; when the
+    second-derivative supplies take rows, so does `symplectic_form_matrix`.
     """
     n: int
     k: int
@@ -128,6 +129,9 @@ class MagneticSystem:
     # Set when bform does not depend on the state; lets the integrator hoist
     # the blocks and their factorization out of the stepping loop.
     constant_bform: bool = False
+    # Set when d2L/dv2 does not depend on the state; the integrator then
+    # checks and inverts it once, on the initial state.
+    constant_hessian: bool = False
     name: str = ""
 
     # -- derivative supply (fallback rule: numerics.supply), resolved on
@@ -148,7 +152,7 @@ class MagneticSystem:
     @cached_property
     def grad_p(self) -> Callable:
         if self.k == 0:
-            return lambda q, v, p: np.zeros(0)
+            return numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
         return numerics.supply(self.value, 2, first=self.dL_dp)
 
     @cached_property
@@ -164,29 +168,37 @@ class MagneticSystem:
     def hess_vp(self) -> Callable:
         """Matrix with entries d2L / dv_i dp_a."""
         if self.k == 0:
-            return lambda q, v, p: np.zeros((self.n, 0))
+            return numerics.takes_rows(
+                lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
         return numerics.supply(self.value, 1, 2, self.dL_dv, self.d2L_dv_dp)
 
     def bblocks(self, q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(B_QQ, B_QP, B_PP) at one point, or at stacked rows of q and p
+        (one call when `bform` takes rows, one per row otherwise)."""
+        n, k = self.n, self.k
+        lead = np.shape(q)[:-1]
         if self.bform is None:
-            return (np.zeros((self.n, self.n)), np.zeros((self.n, self.k)),
-                    np.zeros((self.k, self.k)))
-        bqq, bqp, bpp = self.bform(q, p)
-        bqq = np.asarray(bqq, dtype=float).reshape(self.n, self.n)
-        bqp = np.asarray(bqp, dtype=float).reshape(self.n, self.k)
-        bpp = np.asarray(bpp, dtype=float).reshape(self.k, self.k)
-        if not np.array_equal(bqq, -bqq.T):
+            return (np.zeros(lead + (n, n)), np.zeros(lead + (n, k)),
+                    np.zeros(lead + (k, k)))
+        if not lead or numerics.rows_ok(self.bform):
+            blocks = self.bform(q, p)
+        else:
+            blocks = [np.array(b) for b in zip(*map(self.bform, q, p))]
+        bqq, bqp, bpp = (np.asarray(b, dtype=float).reshape(lead + shape)
+                         for b, shape in zip(blocks, ((n, n), (n, k), (k, k))))
+        if not np.array_equal(bqq, -np.swapaxes(bqq, -1, -2)):
             raise ValueError("B_QQ block must be exactly antisymmetric")
-        if not np.array_equal(bpp, -bpp.T):
+        if not np.array_equal(bpp, -np.swapaxes(bpp, -1, -2)):
             raise ValueError("B_PP block must be exactly antisymmetric")
         return bqq, bqp, bpp
 
     def full_bmatrix(self, q, p) -> np.ndarray:
-        """The 2-form as one antisymmetric matrix over (q, p) coordinates."""
+        """The 2-form as one antisymmetric matrix over (q, p) coordinates,
+        at one point or at stacked rows."""
         bqq, bqp, bpp = self.bblocks(q, p)
-        top = np.hstack([bqq, bqp])
-        bottom = np.hstack([-bqp.T, bpp])
-        return np.vstack([top, bottom])
+        top = np.concatenate([bqq, bqp], axis=-1)
+        bottom = np.concatenate([-np.swapaxes(bqp, -1, -2), bpp], axis=-1)
+        return np.concatenate([top, bottom], axis=-2)
 
 
 def legendre(sys: MagneticSystem, s: MagLagState) -> np.ndarray:
@@ -201,6 +213,15 @@ def energy(sys: MagneticSystem, s: MagLagState) -> float:
     return float(_energy(sys.grad_v, sys.value, s.q, s.v, s.p))
 
 
+def energies(sys: MagneticSystem, ys: np.ndarray) -> np.ndarray:
+    """Energy at each flat (q, v, p) row of ys: array operations when the
+    system's callables take rows, one state at a time otherwise."""
+    if not numerics.rows_ok(sys.lagrangian, sys.dL_dv):
+        return np.array([energy(sys, unpack(sys, y)) for y in ys])
+    n = sys.n
+    return _energy(sys.dL_dv, sys.lagrangian, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
+
+
 def _legendre(grad_v: Callable, q, v, p) -> np.ndarray:
     alpha = grad_v(q, v, p)
     if not np.all(np.isfinite(alpha)):
@@ -213,15 +234,6 @@ def _energy(grad_v: Callable, value: Callable, q, v, p):
     return numerics.rowdot(_legendre(grad_v, q, v, p), v) - value(q, v, p)
 
 
-def _energies(sys: MagneticSystem, ys: np.ndarray) -> np.ndarray:
-    """Energy at each flat (q, v, p) row of ys: array operations when the
-    system's callables take rows, one state at a time otherwise."""
-    if not numerics.rows_ok(sys.lagrangian, sys.dL_dv):
-        return np.array([energy(sys, unpack(sys, y)) for y in ys])
-    n = sys.n
-    return _energy(sys.dL_dv, sys.lagrangian, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
-
-
 def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
     if s.q.size != sys.n or s.v.size != sys.n or s.p.size != sys.k:
         raise ValueError(
@@ -230,12 +242,14 @@ def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
 
 
 def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
-               bqq, bqp, bpp, bpp_inv: np.ndarray | None = None
+               bqq, bqp, bpp, bpp_inv: np.ndarray | None = None,
+               hess_inv: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations and fibre rates (qddot, pdot) of the mixed equations
-    for given blocks.  `bpp_inv` is the inverse of a constant B_PP that the
-    caller checked once; without it B_PP is checked and solved here.  With
-    k = 0 the fibre terms are skipped.  `t` goes into regularity errors."""
+    for given blocks.  `bpp_inv` and `hess_inv` are the inverses of a
+    constant B_PP and a constant d2L/dv2 that the caller checked once;
+    without them each is checked and solved here.  With k = 0 the fibre
+    terms are skipped.  `t` goes into regularity errors."""
     fibre = sys.k > 0
     if fibre:
         rhs_p = bqp.T @ v - sys.grad_p(q, v, p)
@@ -246,22 +260,36 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
             pdot = bpp_inv @ rhs_p
     else:
         pdot = np.zeros(0)
-    hess = sys.hess_vv(q, v, p)
-    require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
+    if hess_inv is None:
+        hess = sys.hess_vv(q, v, p)
+        require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
     rhs = sys.grad_q(q, v, p) + bqq @ v
     if fibre:
         rhs = rhs + bqp @ pdot
     rhs = rhs - sys.hess_vq(q, v, p) @ v
     if fibre:
         rhs = rhs - sys.hess_vp(q, v, p) @ pdot
-    return np.linalg.solve(hess, rhs), pdot
+    if hess_inv is None:
+        return np.linalg.solve(hess, rhs), pdot
+    return hess_inv @ rhs, pdot
+
+
+def _hessian_inverse(sys: MagneticSystem, s: MagLagState) -> np.ndarray | None:
+    """The checked inverse of a velocity Hessian declared constant (None
+    when it is not declared so), from its value at s."""
+    if not sys.constant_hessian:
+        return None
+    hess = sys.hess_vv(s.q, s.v, s.p)
+    require_regular(hess, "singular velocity Hessian: |det d2L/dv2|")
+    return np.linalg.inv(hess)
 
 
 def vector_field(sys: MagneticSystem, s: MagLagState
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand side (qdot, qddot, pdot) of the mixed equations of motion."""
     _check_state(sys, s)
-    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, None, *sys.bblocks(s.q, s.p))
+    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, None, *sys.bblocks(s.q, s.p),
+                         hess_inv=_hessian_inverse(sys, s))
     return s.v, a, pdot
 
 
@@ -287,6 +315,8 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
     Block antisymmetry is validated once on the initial state.  A constant
     (or absent) form is evaluated once, and B_PP is checked and inverted
     once; a state-dependent form is evaluated and checked at every call.
+    A velocity Hessian declared constant is likewise checked and inverted
+    once, on the initial state.
     """
     n = sys.n
     blocks0 = sys.bblocks(s0.q, s0.p)
@@ -295,11 +325,12 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
     if constant and sys.k > 0:
         require_regular(blocks0[2], "singular fibre block: |det B_PP|")
         bpp_inv = np.linalg.inv(blocks0[2])
+    hess_inv = _hessian_inverse(sys, s0)
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         q, v, p = y[:n], y[n:2 * n], y[2 * n:]
         blocks = blocks0 if constant else sys.bform(q, p)
-        a, pdot = _mixed_rhs(sys, q, v, p, t, *blocks, bpp_inv)
+        a, pdot = _mixed_rhs(sys, q, v, p, t, *blocks, bpp_inv, hess_inv)
         return np.concatenate([v, a, pdot])
 
     return field
@@ -319,7 +350,7 @@ def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
     e0 = energy(sys, s0)
     pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
                      len(states) - 1)
-    drift = float(np.max(np.abs(_energies(sys, states[pick]) - e0)))
+    drift = float(np.max(np.abs(energies(sys, states[pick]) - e0)))
     report = InvariantReport({"energy_drift": drift})
     return Trajectory(times, states, state_columns(sys), report)
 
@@ -363,22 +394,28 @@ def symplectic_form_matrix(sys: MagneticSystem, q, v, p) -> np.ndarray:
     """Local matrix of the system 2-form on (q, v, p) tangents.
 
     Assembled from d(dL/dv_i) ^ dq^i plus the magnetic blocks; evaluating
-    it on a pair of tangent vectors is u^T M w.
+    it on a pair of tangent vectors is u^T M w.  Stacked rows of (q, v, p)
+    give one matrix per row: as array operations when the second-derivative
+    supplies take rows, one row at a time otherwise (the blocks of `bform`
+    come as `bblocks` gives them).
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float)) if np.size(p) else np.zeros(0)
+    p = np.asarray(p, dtype=float).reshape(v.shape[:-1] + (sys.k,))
+    if v.ndim == 2 and not numerics.rows_ok(sys.hess_vq, sys.hess_vv, sys.hess_vp):
+        return np.array([symplectic_form_matrix(sys, *row) for row in zip(q, v, p)])
     n, k = sys.n, sys.k
     bqq, bqp, bpp = sys.bblocks(q, p)
     w = sys.hess_vq(q, v, p)      # w[i, j] = d2L / dv_i dq_j
     hvv = sys.hess_vv(q, v, p)
     g = sys.hess_vp(q, v, p)      # g[i, a] = d2L / dv_i dp_a
+    t = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
     dim = 2 * n + k
-    m = np.zeros((dim, dim))
-    m[:n, :n] = bqq + w.T - w
-    m[:n, n:2 * n] = -hvv
-    m[n:2 * n, :n] = hvv
-    m[:n, 2 * n:] = bqp - g
-    m[2 * n:, :n] = g.T - bqp.T
-    m[2 * n:, 2 * n:] = bpp
+    m = np.zeros(v.shape[:-1] + (dim, dim))
+    m[..., :n, :n] = bqq + t(w) - w
+    m[..., :n, n:2 * n] = -hvv
+    m[..., n:2 * n, :n] = hvv
+    m[..., :n, 2 * n:] = bqp - g
+    m[..., 2 * n:, :n] = t(g) - t(bqp)
+    m[..., 2 * n:, 2 * n:] = bpp
     return m

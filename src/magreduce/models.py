@@ -508,4 +508,5 @@ def beanie_r2_system(params: BeanieParams, a: complex) -> MagneticSystem:
         d2L_dv_dv=lambda q, v, p: hvv,
         d2L_dv_dq=lambda q, v, p: hvq,
         constant_bform=True,
+        constant_hessian=True,
         name="planar_pair_translation_reduced")

@@ -9,11 +9,14 @@ and `supply` returns a callable that closes over nothing but its inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
-leading row per input row.  Whole-trajectory monitors use that mark to run
-as array operations instead of one call per sample.
+leading row per input row.  Whole-trajectory monitors, the derivative
+supply and the compatible-map checks use that mark to run as array
+operations instead of one call per point.  `newton_solve` takes stacked
+seeds too, for a residual and Jacobian that send rows to rows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -164,19 +167,26 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
 
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
+       when `first` takes rows, its whole stencil is one fd_jacobian_rows
+       call, on the points and steps of fd_jacobian;
     3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
        fd_hessian of `value` (H_SECOND) for a diagonal block, and the
        four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
        block.
 
-    The differencing routines are looked up at call time, so a wrapper
+    The result takes rows (and is marked so) when the callable it rests on
+    does: the analytic one under rule 1, `first` under rule 2.  The
+    differencing routines are looked up at call time, so a wrapper
     installed on them later still sees every stencil.
     """
     analytic = first if inner is None else second
     if analytic is not None:
-        return lambda *args: np.asarray(analytic(*args), dtype=float)
+        out = lambda *args: np.asarray(analytic(*args), dtype=float)  # noqa: E731
+        return takes_rows(out) if rows_ok(analytic) else out
     if inner is None:
         return lambda *args: fd_gradient(_vary(value, args, outer), args[outer])
+    if first is not None and rows_ok(first):
+        return takes_rows(lambda *args: stencil_jacobian(first, args, inner))
     if first is not None:
         return lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])
     if inner == outer:
@@ -192,6 +202,27 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
         return fd_mixed(of_pair, args[outer], args[inner])
 
     return mixed
+
+
+def stencil_jacobian(fn: Callable, args: tuple, slot: int,
+                     h0: float = H_GRADIENT) -> np.ndarray:
+    """Central-difference Jacobian of `fn(*args)` in argument `slot`, at one
+    point or at stacked rows of every argument, by one fd_jacobian_rows
+    call: `fn` must take rows, and every other argument is repeated over
+    the 2n stencil points of its row.  The points and steps are those of
+    fd_jacobian; returns (m, n), or (N, m, n) for rows."""
+    x = np.asarray(args[slot], dtype=float)
+    one = x.ndim == 1
+    reps = 2 * x.shape[-1]
+    fixed = [np.repeat(a[None] if one else a, reps, axis=0)
+             for a in map(np.asarray, args)]
+
+    def of_stencil(pts):
+        fixed[slot] = pts
+        return fn(*fixed)
+
+    d = fd_jacobian_rows(of_stencil, x, h0)
+    return d[0] if one else d
 
 
 def derivative(value: Callable[..., float], args: tuple, outer: int,
@@ -213,13 +244,22 @@ def rows_ok(*fns: Callable | None) -> bool:
     return all(getattr(fn, "takes_rows", False) for fn in fns)
 
 
-def each_row(fn: Callable, x: np.ndarray):
-    """`fn` of one point x, or of each row of stacked points x (N, n): one
-    call when `fn` takes rows, one call per row otherwise."""
-    x = np.asarray(x)
-    if x.ndim < 2 or rows_ok(fn):
-        return fn(x)
-    return np.array([fn(row) for row in x])
+def each_row(fn: Callable, *xs: np.ndarray):
+    """`fn` of one point, or of each row of stacked points (N, n) in every
+    argument: one call when `fn` takes rows, one call per row otherwise."""
+    if np.asarray(xs[0]).ndim < 2 or rows_ok(fn):
+        return fn(*xs)
+    return np.array([fn(*row) for row in zip(*xs)])
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for one vector x, or row by row for stacked rows x (N, n), with
+    m one matrix or one per row (N, k, n).  Each row gets the same product
+    as the one-vector case (a 2-D product of all rows at once may round
+    differently)."""
+    if x.ndim == 1:
+        return m @ x
+    return (m @ x[..., None])[..., 0]
 
 
 def rowdot(u: np.ndarray, w: np.ndarray):
@@ -235,10 +275,15 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     """Exterior derivative of a coordinate 1-form by central differences.
 
     Returns the antisymmetric matrix D - D^T with D[a, b] = d(theta_b)/dz_a,
-    i.e. (dtheta)_{ab} evaluated at z.
+    i.e. (dtheta)_{ab} evaluated at z.  At stacked points z (N, dim) the
+    1-form must take rows; the stencil of all points is then one
+    fd_jacobian_rows call, and the result is (N, dim, dim).
     """
-    d = fd_jacobian(one_form, z, h0)  # d[b, a] = d theta_b / d z_a
-    return d.T - d
+    if np.ndim(z) == 2:
+        d = fd_jacobian_rows(one_form, z, h0)
+    else:
+        d = fd_jacobian(one_form, z, h0)  # d[b, a] = d theta_b / d z_a
+    return np.swapaxes(d, -1, -2) - d
 
 
 @dataclass
@@ -247,6 +292,12 @@ class NewtonResult:
     iterations: int
     residual_norm: float
     trace: list[tuple[np.ndarray, float]] = field(default_factory=list)
+
+
+def _newton_failure(trace: list, rows: bool, message: str, bad=None, cause=None):
+    if rows:
+        message = f"row {int(np.flatnonzero(bad)[0])}: {message}"
+    raise NewtonConvergenceError(message, trace) from cause
 
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
@@ -259,31 +310,57 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
     `jacobian` may be None, in which case it is approximated by central
     differences of the residual.  Divergence raises NewtonConvergenceError
     carrying the (iterate, residual norm) trace.
+
+    A stacked seed (N, m) solves N independent systems at once: `residual`
+    and `jacobian` then take rows (N, m) and return rows (N, m) and
+    (N, m, m), and `jacobian` must be given.  Each step is one stacked solve over the rows whose residual
+    norm is still above `tol`; converged rows stay as they are, so each row
+    follows its one-row iteration.  `iterations` counts the steps of the
+    slowest row, `residual_norm` and the trace hold the largest row norm,
+    and an error names the first failing row.
     """
     x = np.array(seed, dtype=float)
+    rows = x.ndim == 2
+    if rows and jacobian is None:
+        raise ValueError("a stacked seed needs the row jacobian")
     jac = jacobian or (lambda z: fd_jacobian(residual, z))
     trace: list[tuple[np.ndarray, float]] = []
-    for it in range(max_iter):
+    fail = functools.partial(_newton_failure, trace, rows)
+    for it in range(max_iter + 1):
         r = np.asarray(residual(x), dtype=float)
-        rnorm = float(np.linalg.norm(r))
+        if rows:
+            norms = np.linalg.norm(r, axis=-1)
+            rnorm = float(np.max(norms))
+            open_ = ~(norms <= tol)
+            done = not open_.any()
+        else:
+            rnorm = float(np.linalg.norm(r))
+            done = rnorm <= tol
         trace.append((x.copy(), rnorm))
-        if not np.isfinite(rnorm):
-            raise NewtonConvergenceError("non-finite residual", trace)
-        if rnorm <= tol:
+        if it < max_iter and not math.isfinite(rnorm):
+            fail("non-finite residual", rows and ~np.isfinite(norms))
+        if done:
             return NewtonResult(x=x, iterations=it, residual_norm=rnorm, trace=trace)
+        if it == max_iter:
+            fail(f"no convergence after {max_iter} iterations (|r| = {rnorm:.3e})",
+                 rows and open_)
         j = np.asarray(jac(x), dtype=float)
+        if not rows:
+            try:
+                x = x + np.linalg.solve(j, -r)
+            except np.linalg.LinAlgError as exc:
+                fail(f"singular Jacobian: {exc}", cause=exc)
+            continue
         try:
-            dx = np.linalg.solve(j, -r)
+            x[open_] += np.linalg.solve(j[open_], -r[open_][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise NewtonConvergenceError(f"singular Jacobian: {exc}", trace) from exc
-        x = x + dx
-    r = np.asarray(residual(x), dtype=float)
-    rnorm = float(np.linalg.norm(r))
-    trace.append((x.copy(), rnorm))
-    if rnorm <= tol:
-        return NewtonResult(x=x, iterations=max_iter, residual_norm=rnorm, trace=trace)
-    raise NewtonConvergenceError(
-        f"no convergence after {max_iter} iterations (|r| = {rnorm:.3e})", trace)
+            singular = np.zeros_like(open_)
+            for i in np.flatnonzero(open_):
+                try:
+                    np.linalg.solve(j[i], r[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+            fail(f"singular Jacobian: {exc}", singular, exc)
 
 
 @dataclass(frozen=True)

@@ -219,15 +219,27 @@ class _QuadraticSplit:
         self.m_uu = cm[d0:, d0:]
         self.m_uu_inv = np.linalg.inv(self.m_uu)
         self.schur = self.m_yy - self.m_yu @ self.m_uu_inv @ self.m_yu.T
-        self.sd = sd
         self._a_coords = np.array(a.coords)
+        self._exp, self._rep = sd.gv.base.exp_fn, sd.gv.rep
+        self._rows = numerics.rows_ok(self._exp, self._rep)
+        self._generator = sd.gv.rep_inf(np.ones(1))
 
-    def b_of_theta(self, theta: float) -> np.ndarray:
-        g = self.sd.gv.base.exp_fn(np.array([theta]))
-        return self.sd.gv.rep(g).T @ self._a_coords
+    def b_of_theta(self, theta) -> np.ndarray:
+        """b = rho(exp(theta))^T a at one angle, or one row per angle of an
+        array (N,) -> (N, vdim).  The base exponential and rho are called
+        once for all angles when both take rows, once per angle otherwise."""
+        if getattr(theta, "ndim", 0) == 0:
+            return self._rep(self._exp(np.array([theta]))).T @ self._a_coords
+        theta = np.asarray(theta, dtype=float)
+        if self._rows:
+            reps = self._rep(self._exp(theta[:, None]))
+        else:
+            reps = np.array([self._rep(self._exp(t[None])) for t in theta])
+        return numerics.matvec(np.swapaxes(reps, -1, -2), self._a_coords)
 
     def db_dtheta(self, b: np.ndarray) -> np.ndarray:
-        return self.sd.gv.rep_inf(np.ones(1)).T @ b
+        """d b / d theta = rho'(1)^T b, at one b or row by row."""
+        return numerics.matvec(self._generator.T, b)
 
 
 def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSystem:
@@ -235,7 +247,9 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     zero magnetic form, in the exponential chart theta of the base group.
 
     Requires a one-dimensional abelian base and a constant kinetic metric;
-    all derivatives are closed-form (Schur-complement algebra)."""
+    all derivatives are closed-form (Schur-complement algebra), take one
+    point or stacked rows, and the velocity Hessian (the Schur complement)
+    is declared constant."""
     if sd.d0 != 1 or not sd.gv.base.abelian:
         raise ValueError("the V-reduction chart is implemented for "
                          "one-dimensional abelian base groups")
@@ -245,44 +259,45 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     s = sd.sdim
     n = s + 1
     pot = sd.inner.potential or (lambda x: 0.0)
-    grad_pot = (lambda x: -np.asarray(sd.inner.grad_x(x, np.zeros(s), np.zeros(sd.gv.dim)),
-                                      dtype=float))
+    grad_x, zeros = sd.inner.grad_x, (np.zeros(s), np.zeros(sd.gv.dim))
+    rowdot, matvec = numerics.rowdot, numerics.matvec
+    schur, schur_t, m_uu_inv_t = q.schur, q.schur.T, q.m_uu_inv.T
+    coupling = q.m_yu @ q.m_uu_inv
 
-    def dterm(theta):
-        b = q.b_of_theta(theta)
-        return q.m_yu @ (q.m_uu_inv @ b), b
-
+    # every callable takes one point or stacked rows; the potential and
+    # its gradient are called once per row unless they take rows
+    @numerics.takes_rows
     def lagrangian(q2, v2, p):
-        x, theta = q2[:s], float(q2[s])
-        d, b = dterm(theta)
-        return (0.5 * v2 @ q.schur @ v2 + v2 @ d
-                - 0.5 * b @ q.m_uu_inv @ b - pot(x))
+        b = q.b_of_theta(q2[..., s])
+        return (rowdot(matvec(schur_t, 0.5 * v2), v2) + rowdot(v2, matvec(coupling, b))
+                - rowdot(matvec(m_uu_inv_t, 0.5 * b), b) - numerics.each_row(pot, q2[..., :s]))
 
+    @numerics.takes_rows
     def dl_dv(q2, v2, p):
-        d, _ = dterm(float(q2[s]))
-        return q.schur @ v2 + d
+        return matvec(schur, v2) + matvec(coupling, q.b_of_theta(q2[..., s]))
 
+    @numerics.takes_rows
     def dl_dq(q2, v2, p):
-        x, theta = q2[:s], float(q2[s])
-        b = q.b_of_theta(theta)
+        b = q.b_of_theta(q2[..., s])
         bp = q.db_dtheta(b)
-        out = np.zeros(n)
-        out[:s] = -grad_pot(x)
-        out[s] = v2 @ (q.m_yu @ (q.m_uu_inv @ bp)) - b @ q.m_uu_inv @ bp
+        out = np.empty(np.shape(v2))
+        out[..., :s] = numerics.each_row(lambda x: grad_x(x, *zeros), q2[..., :s])
+        out[..., s] = rowdot(v2, matvec(coupling, bp)) - rowdot(matvec(m_uu_inv_t, b), bp)
         return out
 
+    @numerics.takes_rows
     def d2l_dv_dq(q2, v2, p):
-        theta = float(q2[s])
-        bp = q.db_dtheta(q.b_of_theta(theta))
-        out = np.zeros((n, n))
-        out[:, s] = q.m_yu @ (q.m_uu_inv @ bp)
+        out = np.zeros(np.shape(v2) + (n,))
+        out[..., :, s] = matvec(coupling, q.db_dtheta(q.b_of_theta(q2[..., s])))
         return out
 
     return MagneticSystem(
         n=n, k=0, lagrangian=lagrangian,
         dL_dq=dl_dq, dL_dv=dl_dv,
-        d2L_dv_dv=lambda q2, v2, p: q.schur,
+        d2L_dv_dv=numerics.takes_rows(
+            lambda q2, v2, p: schur if v2.ndim == 1 else np.broadcast_to(schur, v2.shape + (n,))),
         d2L_dv_dq=d2l_dv_dq,
+        constant_hessian=True,
         name="abelian_reduced")
 
 
@@ -489,52 +504,45 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
 
     r2sys = abelian_reduced_system(sd, a)
     pair = compat.TransformationPair(n1=s, vf=d0, k2=0)
-    beta = lambda p1: np.array(p1[s + d0:])  # noqa: E731  (p1 = (x, theta, nu))
+    # p1 = (x, theta, nu); beta and psi take one point or stacked rows
+    beta = numerics.takes_rows(lambda p1: np.array(p1[..., s + d0:]))
     gamma = compat.zero_connection(pair)
-    psi = lambda z1: compat.solve_psi(r2sys, pair, beta, z1)  # noqa: E731
+    psi = numerics.takes_rows(lambda z1: compat.solve_psi(r2sys, pair, beta, z1))
     l1_built = compat.build_L1(r2sys, pair, beta, gamma)
     b1_built = compat.build_B1(r2sys, pair, beta, gamma)
     q = _QuadraticSplit(sd, a)
 
-    # Routhian identity at random points of T_{P1}Q1.
-    routhian_resid = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-1.0, 1.0, size=s)
-        xd = rng.uniform(-1.0, 1.0, size=s)
-        theta = rng.uniform(-np.pi, np.pi)
-        nu = rng.uniform(-1.5, 1.5, size=d0)
-        z1 = np.concatenate([x, xd, [theta], nu])
-        b = q.b_of_theta(theta)
-        r_full = routhian_full(sd, x, xd, CoVector(nu), CoVector(b))
-        built = l1_built(z1[:s], z1[s:2 * s], z1[2 * s:])
-        routhian_resid = max(routhian_resid, abs(built - r_full))
+    def draw(*sizes):
+        """Columns of n_points random points; the coordinates (lo, hi,
+        size) of one point are drawn in turn, point after point."""
+        pts = [[rng.uniform(lo, hi, size=size) for lo, hi, size in sizes]
+               for _ in range(n_points)]
+        return [np.array(col) for col in zip(*pts)]
+
+    # Routhian identity at random points of T_{P1}Q1: the built Lagrangian
+    # at all points in one call, the full-group Routhian point by point.
+    x, xd, theta, nu = draw((-1.0, 1.0, s), (-1.0, 1.0, s), (-np.pi, np.pi, None),
+                            (-1.5, 1.5, d0))
+    bs = q.b_of_theta(theta)
+    r_full = np.array([routhian_full(sd, xi, xdi, CoVector(nui), CoVector(bi))
+                       for xi, xdi, nui, bi in zip(x, xd, nu, bs)])
+    built = l1_built(x, xd, np.column_stack([theta, nu]))
+    routhian_resid = float(np.max(np.abs(built - r_full)))
 
     # 2-form identity on chart tangents of the fibre (theta, nu): B1_built
-    # per point, then the orbit pairing of all points per base direction.
-    form_resid = 0.0
-    nus, bs, bps, bpp_nu = [], [], [], []
-    for _ in range(n_points):
-        x = rng.uniform(-1.0, 1.0, size=s)
-        theta = rng.uniform(-np.pi, np.pi)
-        nu = rng.uniform(-1.5, 1.5, size=d0)
-        pfib = np.concatenate([[theta], nu])
-        bqq, bqp, bpp = b1_built(x, pfib)
-        form_resid = max(form_resid, float(np.max(np.abs(bqq))),
-                         float(np.max(np.abs(bqp))))
-        b = q.b_of_theta(theta)
-        nus.append(nu)
-        bs.append(b)
-        bps.append(q.db_dtheta(b))
-        bpp_nu.append(bpp[0, 1:])
-    nus, bs = np.reshape(nus, (-1, d0)), np.reshape(bs, (-1, sd.vdim))
-    bpp_nu = np.reshape(bpp_nu, nus.shape)
-    t_theta = (np.zeros_like(nus), np.reshape(bps, bs.shape))
+    # at all points in one call, then the orbit pairing of all points per
+    # base direction.
+    x, theta, nus = draw((-1.0, 1.0, s), (-np.pi, np.pi, None), (-1.5, 1.5, d0))
+    bqq, bqp, bpp = b1_built(x, np.column_stack([theta, nus]))
+    form_resid = max(float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
+    bs = q.b_of_theta(theta)
+    t_theta = (np.zeros_like(nus), q.db_dtheta(bs))
     for j in range(d0):
         t_nu = (np.zeros_like(nus), np.zeros_like(bs))
         t_nu[0][:, j] = 1.0
         kks = _orbit_kks_rows(sd.gv, nus, bs, t_theta, t_nu)
         form_resid = max(form_resid,
-                         float(np.max(np.abs(bpp_nu[:, j] - kks), initial=0.0)))
+                         float(np.max(np.abs(bpp[:, 0, 1 + j] - kks), initial=0.0)))
 
     # Trajectory mapping: orbit flow, pushed through psi, against the flow
     # of the V-reduced system from the psi-matched initial condition.
@@ -554,18 +562,15 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     traj2 = maglag.integrate(r2sys, s0, t_end, stepper)
 
     # Only samples at equal times are compared: adaptive steppers put the
-    # two flows on different grids, which share t = 0 and t_end.
+    # two flows on different grids, which share t = 0 and t_end.  All
+    # compared samples go through psi in one call.
     _, idx1, idx2 = np.intersect1d(traj.times, traj2.times, assume_unique=True,
                                    return_indices=True)
-    deviation = 0.0
     stride = max(1, len(idx1) // 2000)
-    for i, j in zip(idx1[::stride], idx2[::stride]):
-        z1 = np.concatenate([states[i, :s], states[i, s:2 * s],
-                             [thetas[i]], nus[i]])
-        z2 = psi(z1)
-        deviation = max(deviation, float(np.max(np.abs(z2 - traj2.states[j]))))
-    z1 = np.concatenate([states[-1, :s], states[-1, s:2 * s], [thetas[-1]], nus[-1]])
-    deviation = max(deviation, float(np.max(np.abs(psi(z1) - traj2.states[-1]))))
+    i1 = np.append(idx1[::stride], len(states) - 1)
+    i2 = np.append(idx2[::stride], len(traj2.states) - 1)
+    z1 = np.column_stack([states[i1, :2 * s], thetas[i1], nus[i1]])
+    deviation = float(np.max(np.abs(psi(z1) - traj2.states[i2])))
 
     r0 = float(np.linalg.norm(a.coords))
     casimir_drift = float(np.max(np.abs(np.linalg.norm(bs, axis=1) - r0)))

@@ -63,6 +63,14 @@ BAD_CONFIGS = {
     "potential_object": (dict(BEANIE_FULL, params={"potential": 1.0}), "potential"),
     # rotor full starts from the momentum when no initial state is given
     "rotor_full_zero_mu": (dict(ROTOR_FULL, momentum={"mu": [0, 0, 0]}), "momentum.mu"),
+    # input the mode would accept and never read
+    "equivalence_initial": ({"model": "beanie", "mode": "verify-equivalence",
+                             "initial": [1, 2, 3]}, "initial is not read"),
+    "lemma_initial": ({"model": "beanie", "mode": "verify-lemma", "initial": [0.5]},
+                      "initial is not read"),
+    "rotor_reduced_mu_and_initial": ({"model": "rotor", "mode": "reduce-full-group",
+                                      "momentum": {"mu": [0.8, 0.2, 0.3]},
+                                      "initial": [0.0, 0.2, 0.8, 0.2, 0.3]}, "momentum.mu"),
 }
 
 
@@ -76,6 +84,16 @@ def test_bad_config_exits_2(tmp_path, capsys, name):
 def test_rotor_full_zero_mu_runs_from_initial(tmp_path):
     state0 = [0.0, 0.3, 1.0, 0.2, 0.2, 0.1, 0.0, 0.4]
     assert run(tmp_path, dict(ROTOR_FULL, momentum={"mu": [0, 0, 0]}, initial=state0)) == 0
+
+
+def test_momentum_without_initial_still_read(tmp_path):
+    # the check reads the keys the user gave, not the filled-in defaults
+    cfg = {"model": "rotor", "mode": "reduce-full-group", "t_end": 0.1,
+           "momentum": {"mu": [0.8, 0.2, 0.3]}}
+    assert cli.validate_config(cfg)["momentum"] == {"mu": [0.8, 0.2, 0.3]}
+    assert run(tmp_path, cfg) == 0
+    assert run(tmp_path, {"model": "rotor", "mode": "reduce-full-group", "t_end": 0.1,
+                          "initial": [0.0, 0.2, 0.8, 0.2, 0.3]}) == 0
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)

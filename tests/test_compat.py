@@ -234,3 +234,139 @@ def test_symplectomorphism_rejects_empty_samples(beanie_pair, rng):
         compat.verify_symplectomorphism(sys1, beanie_pair.r2_system,
                                         beanie_pair.psi, np.zeros((1, 4)), rng,
                                         tangent_pairs=0)
+
+
+# -- stacked rows against one-row calls ----------------------------------------
+
+ROW_TOL = 1e-14
+
+
+def beanie_rows(rng, count=40):
+    return np.column_stack([rng.uniform(-1, 1, count), rng.uniform(-1, 1, count),
+                            rng.uniform(-np.pi, np.pi, count), rng.uniform(-1.5, 1.5, count)])
+
+
+def test_row_psi_and_inverse_match_one_row_calls(beanie_pair, rng):
+    eq = beanie_pair
+    assert numerics.rows_ok(eq.psi, eq.beta)
+    one_point_beta = lambda p1: np.array(p1[2:])  # noqa: E731  (unmarked)
+    z1 = beanie_rows(rng)
+    for beta in (eq.beta, one_point_beta):
+        z2 = compat.solve_psi(eq.r2_system, eq.pair, beta, z1)
+        back = compat.invert_psi(eq.r2_system, eq.pair, beta, z2)
+        for i, row in enumerate(z1):
+            one = compat.solve_psi(eq.r2_system, eq.pair, beta, row)
+            assert np.max(np.abs(z2[i] - one)) <= ROW_TOL
+            assert np.max(np.abs(back[i] - compat.invert_psi(
+                eq.r2_system, eq.pair, beta, one))) <= ROW_TOL
+    # an l2 whose callables take one point only is solved row by row
+    pair = compat.TransformationPair(n1=1, vf=1, k2=0)
+    beta = lambda p1: np.array([p1[2]])  # noqa: E731
+    rows = compat.solve_psi(quadratic_l2(), pair, beta, z1)
+    assert np.array_equal(rows, [compat.solve_psi(quadratic_l2(), pair, beta, z) for z in z1])
+
+
+def exp_l2():
+    """dL2/d(qbardot) = e^w, which never reaches a negative beta."""
+    return MagneticSystem(
+        n=2, k=0,
+        lagrangian=numerics.takes_rows(lambda q, v, p: 0.5 * v[..., 0] ** 2 + np.exp(v[..., 1])),
+        dL_dv=numerics.takes_rows(
+            lambda q, v, p: np.stack([v[..., 0], np.exp(v[..., 1])], axis=-1)),
+        d2L_dv_dv=numerics.takes_rows(
+            lambda q, v, p: np.stack([np.stack([np.ones_like(v[..., 0]), 0 * v[..., 0]], -1),
+                                      np.stack([0 * v[..., 0], np.exp(v[..., 1])], -1)], -2)))
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_row_psi_error_names_the_first_failing_row(marked):
+    pair = compat.TransformationPair(n1=1, vf=1, k2=0)
+    beta = numerics.takes_rows(lambda p1: np.array(p1[..., 2:]))
+    l2 = rows = exp_l2()
+    if not marked:
+        l2 = MagneticSystem(n=2, k=0, lagrangian=lambda q, v, p: rows.lagrangian(q, v, p),
+                            dL_dv=lambda q, v, p: rows.dL_dv(q, v, p),
+                            d2L_dv_dv=lambda q, v, p: rows.d2L_dv_dv(q, v, p))
+    z1 = np.array([[0.1, 0.2, 0.3, 0.5], [0.0, 0.1, 0.2, 1.2], [0.3, 0.3, 0.3, -1.0],
+                   [0.2, 0.1, 0.0, 0.7], [0.1, 0.1, 0.1, -1.0]])
+    with pytest.raises(RegularityError, match=r"row 2\b"):
+        compat.solve_psi(l2, pair, beta, z1)
+    ok = compat.solve_psi(l2, pair, beta, z1[[0, 1, 3]])
+    assert np.max(np.abs(np.exp(ok[:, 3]) - z1[[0, 1, 3], 3])) <= 1e-10
+
+
+def test_row_pullback_callables_match_per_point(beanie_pair, rng):
+    eq = beanie_pair
+    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+    z = beanie_rows(rng, 20)
+    q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
+    for fn in (sys1.lagrangian, sys1.dL_dq, sys1.dL_dv, sys1.dL_dp):
+        assert numerics.rows_ok(fn)
+        stacked = fn(q, v, p)
+        for i in range(len(z)):
+            assert np.max(np.abs(stacked[i] - fn(q[i], v[i], p[i]))) <= ROW_TOL
+    blocks = sys1.bform(q, p)
+    forms = maglag.symplectic_form_matrix(sys1, q, v, p)
+    for i in range(len(z)):
+        for row_block, point_block in zip(blocks, sys1.bform(q[i], p[i])):
+            assert np.max(np.abs(row_block[i] - point_block)) <= ROW_TOL
+        assert np.max(np.abs(forms[i] - maglag.symplectic_form_matrix(
+            sys1, q[i], v[i], p[i]))) <= ROW_TOL
+
+
+def test_symplectomorphism_report_same_for_marked_and_one_point_psi(beanie_pair):
+    eq = beanie_pair
+    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+    samples = beanie_rows(np.random.default_rng(6), 12)
+    reports = [compat.verify_symplectomorphism(
+        sys1, eq.r2_system, psi, samples, np.random.default_rng(31), tangent_pairs=4,
+        beta=eq.beta, pair=eq.pair) for psi in (eq.psi, lambda z: eq.psi(z))]
+    assert reports[0].keys() == reports[1].keys()
+    for name in reports[0]:
+        assert abs(reports[0][name] - reports[1][name]) <= 1e-12
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_gradients_with_a_connection_match_differenced_l1(beanie_pair, rng, marked):
+    # a nonzero connection Gamma(q, qbar) = 0.3 sin(q) + 0.2 qbar
+    @numerics.takes_rows
+    def gamma(q, qbar):
+        return (0.3 * np.sin(q[..., :1]) + 0.2 * qbar[..., :1])[..., None]
+
+    eq = beanie_pair
+    conn = gamma if marked else (lambda q, qbar: gamma(q, qbar))
+    l1 = compat.build_L1(eq.r2_system, eq.pair, eq.beta, conn)
+    grads = compat.build_L1_gradients(eq.r2_system, eq.pair, eq.beta, conn)
+    z = beanie_rows(rng, 8)
+    q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
+    for slot, grad in enumerate(grads):
+        stacked = grad(q, v, p)
+        for i in range(len(z)):
+            point = [q[i], v[i], p[i]]
+            assert np.max(np.abs(stacked[i] - grad(*point))) <= ROW_TOL
+
+            def l1_of_slot(x):
+                return l1(*point[:slot], x, *point[slot + 1:])
+
+            fd = numerics.fd_gradient(l1_of_slot, point[slot])
+            assert np.max(np.abs(grad(*point) - fd)) <= 1e-6
+
+
+def test_connection_non_finite_off_the_base_point_is_named(beanie_pair, rng):
+    # finite at q0 < 0.5, NaN at the stencil point q0 + h past it
+    @numerics.takes_rows
+    def gamma(q, qbar):
+        return np.where(q[..., :1] > 0.5, np.nan, 0.2 * qbar[..., :1])[..., None]
+
+    eq = beanie_pair
+    dl_dq, _, _ = compat.build_L1_gradients(eq.r2_system, eq.pair, eq.beta, gamma)
+    z = beanie_rows(rng, 4)
+    z[:, 0] = [0.1, 0.5 - 1e-7, -0.3, 0.5 - 1e-7]
+    q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
+    assert np.isfinite(dl_dq(q[0], v[0], p[0])).all()
+    with pytest.raises(ValueError, match=r"^non-finite evaluation while differencing "
+                                         r"coordinate 0"):
+        dl_dq(q[1], v[1], p[1])
+    with pytest.raises(ValueError, match=r"^row 1: non-finite evaluation while "
+                                         r"differencing coordinate 0"):
+        dl_dq(q, v, p)

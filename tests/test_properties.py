@@ -1,6 +1,7 @@
 """Property tests of the orbit forms and the compatible map, at the README
-tolerances: orbit-form identity 1e-6, solver round trips 1e-10; and of the
-regularity errors that the integrators' right-hand sides raise."""
+tolerances: orbit-form identity 1e-6, solver round trips 1e-10, closedness
+of the pulled-back 2-form 1e-6; and of the regularity errors that the
+integrators' right-hand sides raise."""
 import re
 
 import numpy as np
@@ -66,6 +67,27 @@ def test_psi_round_trip(beanie_pair, z1):
     assert np.max(np.abs(momentum)) <= 1e-10
     back = compat.invert_psi(eq.r2_system, eq.pair, eq.beta, z2)
     assert np.max(np.abs(back - z1)) <= 1e-10
+
+
+positive = st.floats(0.3, 3.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=positive, i1=positive, i2=positive, radius=st.floats(0.1, 3.0), a_arg=angle,
+       points=st.lists(st.tuples(unit, angle, st.floats(-1.5, 1.5)), min_size=1, max_size=3))
+def test_row_built_b1_is_closed(m, i1, i2, radius, a_arg, points):
+    a = CoVector(radius * np.array([np.cos(a_arg), np.sin(a_arg)]))
+    eq = semidirect.build_stage_equivalence(
+        models.beanie_gv_lagrangian(models.BeanieParams(m=m, i1=i1, i2=i2)),
+        CoVector([1.0]), a, n_points=1, t_end=0.01)
+    rows = compat.build_B1(eq.r2_system, eq.pair, eq.beta)
+
+    def one_row(q, p):  # the row-built form, evaluated as a batch of one
+        return tuple(block[0] for block in rows(q[None], p[None]))
+
+    sys1 = MagneticSystem(n=1, k=2, lagrangian=lambda q, v, p: 0.0, bform=one_row)
+    samples = [MagLagState([x], [0.0], [theta, nu]) for x, theta, nu in points]
+    assert maglag.check_closedness(sys1, samples, fd_step=1e-4) <= 1e-6
 
 
 # Right-hand sides from the integrators' factories, evaluated at a point

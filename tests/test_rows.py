@@ -1,16 +1,17 @@
-"""Whole-trajectory post-processing: the row-wise monitors, the batched
-reconstruction and the chunked CSV writer give the results of the per-point
-functions, and Lagrangians whose callables take one point keep the
+"""Row paths against their per-point references: the whole-trajectory
+monitors, the batched reconstruction, the chunked CSV writer, the row
+Newton, the row stencil of the derivative supply and the row callables of
+the V-reduced system; Lagrangians whose callables take one point keep the
 per-point path."""
 import math
 
 import numpy as np
 import pytest
 
-from magreduce import lie, maglag, models, numerics, routh
+from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
-from magreduce.maglag import MagLagState, RegularityError
-from magreduce.numerics import StepperChoice
+from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
+from magreduce.numerics import NewtonConvergenceError, StepperChoice
 
 RK4 = StepperChoice(kind="rk4", h=1e-2)
 ROW_TOL = 1e-14
@@ -83,7 +84,7 @@ def test_maglag_row_energy_matches_per_point(beanie_params):
     assert numerics.rows_ok(sys.lagrangian, sys.dL_dv)
     traj = maglag.integrate(sys, MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0)), 3.0, RK4)
     e0 = maglag.energy(sys, maglag.unpack(sys, traj.states[0]))
-    rows = maglag._energies(sys, traj.states)
+    rows = maglag.energies(sys, traj.states)
     points = [maglag.energy(sys, maglag.unpack(sys, y)) for y in traj.states]
     assert np.max(np.abs(rows - points)) <= ROW_TOL
     sampled = list(traj.states[::max(1, len(traj.states) // 400)]) + [traj.states[-1]]
@@ -208,3 +209,143 @@ def test_write_csv_matches_f_string_formatter(tmp_path, rows):
     maglag.write_csv(tmp_path / "new.csv", times, states, columns)
     f_string_csv(tmp_path / "old.csv", times, states, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# -- row Newton ---------------------------------------------------------------
+
+
+def cubic_rows(c):
+    """Residual x^3 + x - c of each row (one system per row), and its
+    Jacobian; rows converge after different numbers of steps."""
+    def residual(x):
+        return x ** 3 + x - c
+
+    def jacobian(x):
+        return (3.0 * x ** 2 + 1.0)[..., None] * np.eye(x.shape[-1])
+
+    return residual, jacobian
+
+
+def test_row_newton_is_newton_per_row():
+    c = np.random.default_rng(4).uniform(-30.0, 30.0, (9, 2))
+    c[3] = [2.0, 2.0]  # the seed x = 1 solves this row at once
+    seed = np.ones_like(c)
+    residual, jacobian = cubic_rows(c)
+    with pytest.raises(ValueError, match="stacked seed needs the row jacobian"):
+        numerics.newton_solve(residual, seed)
+    res = numerics.newton_solve(residual, seed, jacobian)
+    iterations = []
+    for i in range(len(c)):
+        r1, j1 = cubic_rows(c[i])
+        one = numerics.newton_solve(r1, seed[i], j1)
+        assert np.array_equal(res.x[i], one.x)
+        iterations.append(one.iterations)
+    assert iterations[3] == 0
+    assert res.iterations == max(iterations)
+    assert isinstance(res.iterations, int)
+    assert res.residual_norm == pytest.approx(np.max(np.linalg.norm(residual(res.x), axis=1)))
+
+
+def test_row_newton_error_names_the_first_failing_row():
+    # x^2 + 1 = c has no root for c < 1, and those rows never converge
+    c = np.array([[4.0], [0.5], [9.0], [0.5]])
+    with pytest.raises(NewtonConvergenceError, match=r"^row 1: no convergence") as err:
+        numerics.newton_solve(lambda x: x ** 2 + 1.0 - c, np.full((4, 1), 0.7),
+                              lambda x: 2.0 * x[..., None], max_iter=20)
+    assert len(err.value.trace) == 21
+    with pytest.raises(NewtonConvergenceError, match=r"^row 2: singular Jacobian"):
+        numerics.newton_solve(lambda x: x - 1.0, np.zeros((3, 1)),
+                              lambda x: np.array([[[1.0]], [[1.0]], [[0.0]]]))
+
+
+# -- the row stencil of supply rule 2 -------------------------------------------
+
+
+def recording_first():
+    """dL/dv of L = v^T A v / 2 + q0 v0 p0 + sin(q0) v1, marked, recording
+    the points it is called at."""
+    a = np.array([[2.0, 0.3], [0.3, 1.5]])
+    seen = []
+
+    @numerics.takes_rows
+    def dl_dv(q, v, p):
+        seen.append(np.concatenate([np.atleast_2d(x) for x in (q, v, p)], axis=-1))
+        extra = np.stack([q[..., 0] * p[..., 0], np.sin(q[..., 0])], axis=-1)
+        return numerics.matvec(a, v) + extra
+
+    return dl_dv, seen
+
+
+@pytest.mark.parametrize("block", ["hess_vq", "hess_vv", "hess_vp"])
+def test_rule2_row_stencil_points_and_values(block):
+    dl_dv, seen = recording_first()
+    lag = lambda q, v, p: 0.0  # noqa: E731  (never called by rule 2)
+    rows = MagneticSystem(n=2, k=1, lagrangian=lag, dL_dv=dl_dv)
+    one = MagneticSystem(n=2, k=1, lagrangian=lag, dL_dv=lambda *args: dl_dv(*args))
+    assert numerics.rows_ok(getattr(rows, block))
+    assert not numerics.rows_ok(getattr(one, block))
+    rng = np.random.default_rng(8)
+    q, v, p = rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 1))
+    stacked = getattr(rows, block)(q, v, p)
+    for i in range(6):
+        seen.clear()
+        point = getattr(rows, block)(q[i], v[i], p[i])
+        row_points = np.concatenate(seen)
+        seen.clear()
+        reference = getattr(one, block)(q[i], v[i], p[i])
+        # the same points bit for bit (fd_jacobian visits them in another order)
+        assert sorted(map(tuple, row_points)) == sorted(map(tuple, np.concatenate(seen)))
+        assert np.max(np.abs(point - reference)) <= ROW_TOL
+        assert np.max(np.abs(stacked[i] - reference)) <= ROW_TOL
+
+
+# -- the V-reduced system ------------------------------------------------------
+
+
+def test_b_of_theta_takes_many_angles():
+    sd = models.beanie_gv_lagrangian(models.BeanieParams())
+    a = np.array([-0.55, 0.3])
+    split = semidirect._QuadraticSplit(sd, CoVector(a))
+    thetas = np.random.default_rng(3).uniform(-7.0, 7.0, 50)
+    for rows in (True, False):  # one call for all angles, or one per angle
+        split._rows = rows
+        bs, bps = split.b_of_theta(thetas), split.db_dtheta(split.b_of_theta(thetas))
+        for theta, b, bp in zip(thetas, bs, bps):
+            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            assert np.max(np.abs(b - rot.T @ a)) <= 1e-15
+            assert np.max(np.abs(b - split.b_of_theta(theta))) <= ROW_TOL
+            assert np.max(np.abs(bp - split.db_dtheta(split.b_of_theta(theta)))) <= ROW_TOL
+
+
+def test_abelian_reduced_row_callables_match_per_point():
+    params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
+    sys = semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
+                                            CoVector([-0.55, 0.3]))
+    assert sys.constant_hessian
+    rng = np.random.default_rng(2)
+    q, v = rng.uniform(-3, 3, (40, 2)), rng.uniform(-2, 2, (40, 2))
+    p, p0 = np.zeros((40, 0)), np.zeros(0)
+    for fn in (sys.lagrangian, sys.dL_dq, sys.dL_dv, sys.d2L_dv_dv, sys.d2L_dv_dq,
+               sys.grad_v, sys.hess_vv, sys.hess_vq, sys.hess_vp):
+        assert numerics.rows_ok(fn)
+        stacked = fn(q, v, p)
+        for i in range(40):
+            assert np.max(np.abs(stacked[i] - fn(q[i], v[i], p0)), initial=0.0) <= ROW_TOL
+    forms = maglag.symplectic_form_matrix(sys, q, v, p)
+    for i in range(40):
+        assert np.array_equal(forms[i], maglag.symplectic_form_matrix(sys, q[i], v[i], p0))
+
+
+def test_singular_constant_hessian_raises_before_the_first_step(monkeypatch):
+    sys = MagneticSystem(
+        n=2, k=0, lagrangian=lambda q, v, p: 0.5 * (v[0] + v[1]) ** 2 - 0.5 * float(q @ q),
+        dL_dv=lambda q, v, p: np.full(2, v[0] + v[1]),
+        d2L_dv_dv=lambda q, v, p: np.ones((2, 2)), constant_hessian=True)
+    s0 = MagLagState([0.1, 0.2], [0.3, 0.4], np.zeros(0))
+    with pytest.raises(RegularityError, match="singular velocity Hessian"):
+        maglag._field_factory(sys, s0)
+    stepped = []
+    monkeypatch.setattr(numerics, "integrate_ode", lambda *args: stepped.append(args))
+    with pytest.raises(RegularityError, match="singular velocity Hessian"):
+        maglag.integrate(sys, s0, 1.0, RK4)
+    assert not stepped

@@ -26,13 +26,20 @@ def quadratic():
         dpotential=lambda x: np.array([-np.sin(x[0])]))
 
 
+def one_point(fn):
+    """`fn` without its `takes_rows` mark."""
+    return lambda *args: fn(*args)
+
+
 def invariant_case(level):
     """(lagrangian, block method name, analytic block) per fallback level."""
     quad = quadratic()
     first = dict(dell_dx=quad.dell_dx, dell_dxdot=quad.dell_dxdot,
                  dell_dxi=quad.dell_dxi)
     lag = {"analytic": quad,
-           "fd_first": routh.InvariantLagrangian(1, lie.so3(), quad.ell, **first),
+           "fd_first": routh.InvariantLagrangian(
+               1, lie.so3(), quad.ell, **{k: one_point(f) for k, f in first.items()}),
+           "fd_first_rows": routh.InvariantLagrangian(1, lie.so3(), quad.ell, **first),
            }.get(level, routh.InvariantLagrangian(1, lie.so3(), quad.ell))
     if level in ("analytic", "values_mixed"):
         return lag, "jac_xdot_xi", B
@@ -43,17 +50,20 @@ def magnetic_case(level):
     """The same Lagrangian read as L(q, v, p) with q = x, v = xdot, p = xi."""
     quad = quadratic()
     extra = {"analytic": dict(d2L_dv_dp=quad.d2_dxdot_dxi),
-             "fd_first": dict(dL_dv=quad.dell_dxdot)}.get(level, {})
+             "fd_first": dict(dL_dv=one_point(quad.dell_dxdot)),
+             "fd_first_rows": dict(dL_dv=quad.dell_dxdot)}.get(level, {})
     sys = MagneticSystem(n=1, k=3, lagrangian=quad.ell, **extra)
     if level in ("analytic", "values_mixed"):
         return sys, "hess_vp", B
     return sys, "hess_vv", A
 
 
-# level -> (differencing routine, base step) of the outermost stencil
+# level -> (differencing routine, base step) of the outermost stencil; a
+# first derivative that takes rows has its whole stencil in one call
 RULE = {
     "analytic": None,
     "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
+    "fd_first_rows": ("fd_jacobian_rows", numerics.H_GRADIENT),
     "values_diagonal": ("fd_hessian", numerics.H_SECOND),
     "values_mixed": ("fd_mixed", numerics.H_SECOND),
 }
@@ -62,7 +72,7 @@ RULE = {
 def spy_stencils(monkeypatch):
     """Record (routine, base step) of every second-derivative stencil."""
     calls = []
-    for name in ("fd_jacobian", "fd_hessian", "fd_mixed"):
+    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_hessian", "fd_mixed"):
         fn = getattr(numerics, name)
         sig = inspect.signature(fn)
 
