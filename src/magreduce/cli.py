@@ -208,7 +208,8 @@ MODELS = {
         "reduce-full-group": Mode(_beanie_reduced, {
             "energy_drift": 1e-8, "nu_drift": 1e-9, "casimir_drift": 1e-9}, 5,
             lambda params, level: np.concatenate([[0.4, 0.3], level[0].coords,
-                                                  level[1].coords])),
+                                                  level[1].coords]),
+            start_only=("mu", "a")),
         "reduce-abelian": Mode(_beanie_abelian, {"energy_drift": 1e-8}, 4,
                                lambda params, level: [0.4, 0.0, 0.3, 0.1]),
         "verify-equivalence": Mode(_beanie_equivalence, {

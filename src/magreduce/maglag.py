@@ -9,11 +9,12 @@ with a first-order equation in p:
     d/dt(dL/dv) - dL/dq = B_QQ v + B_QP pdot
     B_PP pdot = B_QP^T v - dL/dp
 
-Derivatives of L come from `numerics.derivative`: analytic callables when
+Derivatives of L come from `numerics.supply`: analytic callables when
 supplied, central finite differences otherwise.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -369,24 +370,18 @@ def check_closedness(sys: MagneticSystem, sample_states: Sequence[MagLagState],
                          "at least one state")
     dim = sys.n + sys.k
 
-    def b_at(z: np.ndarray) -> np.ndarray:
-        return sys.full_bmatrix(z[:sys.n], z[sys.n:])
+    def b_flat(z: np.ndarray) -> np.ndarray:
+        return sys.full_bmatrix(z[:sys.n], z[sys.n:]).ravel()
 
+    # the cyclic sum d_a B_bc + d_b B_ca + d_c B_ab over a < b < c, where
+    # d_a B_bc is db[b, c, a]
+    a, b, c = np.array([*itertools.combinations(range(dim), 3)], dtype=int).reshape(-1, 3).T
     worst = 0.0
     for s in sample_states:
         z = np.concatenate([s.q, s.p])
-        h = fd_step * np.maximum(1.0, np.abs(z))
-        db = np.zeros((dim, dim, dim))
-        grads = []
-        for a in range(dim):
-            e = np.zeros(dim)
-            e[a] = h[a]
-            grads.append((b_at(z + e) - b_at(z - e)) / (2.0 * h[a]))
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                for c in range(b + 1, dim):
-                    val = grads[a][b, c] + grads[b][c, a] + grads[c][a, b]
-                    worst = max(worst, abs(val))
+        db = numerics.fd_jacobian(b_flat, z, fd_step).reshape(dim, dim, dim)
+        cyclic = db[b, c, a] + db[c, a, b] + db[a, b, c]
+        worst = max(worst, float(np.max(np.abs(cyclic), initial=0.0)))
     return worst
 
 

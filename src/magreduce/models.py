@@ -147,19 +147,8 @@ def rotor_chart_lagrangian(params: RotorParams) -> Callable:
     return lag
 
 
-def _guard_gimbal(angles: np.ndarray) -> None:
-    if abs(math.cos(angles[1])) >= GIMBAL_GUARD:
-        raise ValueError(
-            "Euler chart near gimbal lock (|cos beta| >= 0.99); restart the "
-            "trajectory in a rotated chart")
-
-
-# FD steps for the chart oracle.  The Lagrangian is exactly quadratic in
-# the rates, so a wide rate stencil is truncation-free and keeps rounding
-# noise down; angle stencils stay narrow.
-_H_RATE = 1e-2
+# FD steps for the chart field.
 _H_RATE_GRAD = 1e-6
-_H_ANGLE = 2e-4
 _H_ANGLE_GRAD = 1e-5
 
 
@@ -216,80 +205,40 @@ def _rates(lag, q, pi) -> np.ndarray:
     return np.linalg.solve(mm, (pi - grads[:, 0])[:, :, None])[:, :, 0]
 
 
-def rotor_full_oracle(params: RotorParams, state: np.ndarray) -> np.ndarray:
-    """Chart accelerations of the unreduced rotor by a finite-difference
-    Euler-Lagrange solve: (d2L/dqd2) qdd = dL/dq - (d2L/dqd dq) qd."""
-    state = np.asarray(state, dtype=float)
-    q, qd = state[:4], state[4:]
-    _guard_gimbal(q[1:])
+def rotor_chart_field(params: RotorParams) -> Callable:
+    """Right-hand side field(t, y) of the unreduced rotor in the Euler
+    chart, with y = (q, pi): chart coordinates q = (x, alpha, beta, gamma)
+    and their conjugate momenta pi = dL/dqdot.
+
+    The momentum equation needs only first derivatives of the Lagrangian,
+    which keeps the finite-difference noise per call near 1e-10; the rates
+    come from pi by a linear solve (the Lagrangian is quadratic in rates).
+    Raises ValueError near gimbal lock (|cos beta| >= GIMBAL_GUARD).
+    """
     lag = rotor_chart_lagrangian(params)
 
-    hv = _H_RATE * np.maximum(1.0, np.abs(qd))
-    hq = _H_ANGLE * np.maximum(1.0, np.abs(q))
-    qs = []
-    qds = []
-    for i in range(4):
-        for j in range(4):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    r = qd.copy()
-                    r[i] += si * hv[i]
-                    r[j] += sj * hv[j]
-                    qs.append(q)
-                    qds.append(r)
-    for i in range(4):
-        for j in range(4):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    r = qd.copy()
-                    r[i] += si * hv[i]
-                    x = q.copy()
-                    x[j] += sj * hq[j]
-                    qs.append(x)
-                    qds.append(r)
-    vals = lag(np.array(qs), np.array(qds))
-    hess = np.empty((4, 4))
-    mixed = np.empty((4, 4))
-    idx = 0
-    for i in range(4):
-        for j in range(4):
-            pp, pm, mp, mm = vals[idx:idx + 4]
-            hess[i, j] = (pp - pm - mp + mm) / (4.0 * hv[i] * hv[j])
-            idx += 4
-    for i in range(4):
-        for j in range(4):
-            pp, pm, mp, mm = vals[idx:idx + 4]
-            mixed[i, j] = (pp - mp - pm + mm) / (4.0 * hv[i] * hq[j])
-            idx += 4
-    rhs = _grad_q(lag, q, qd) - mixed @ qd
-    return np.linalg.solve(hess, rhs)
+    def field(t, y):
+        q, pi = y[:4], y[4:]
+        if abs(math.cos(q[2])) >= GIMBAL_GUARD:
+            raise ValueError(
+                "Euler chart near gimbal lock (|cos beta| >= 0.99); restart the "
+                "trajectory in a rotated chart")
+        qd = _rates(lag, q, pi)
+        return np.concatenate([qd, _grad_q(lag, q, qd)])
+
+    return field
 
 
 def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
                           stepper: StepperChoice) -> Trajectory:
-    """Unreduced rotor trajectory in the Euler chart.
-
-    Integrates in (coordinates, conjugate momenta): the momentum equation
-    needs only first derivatives of the Lagrangian, which keeps the
-    finite-difference noise per step near 1e-10.  Rates are recovered
-    by a linear solve (the Lagrangian is quadratic in rates), for all output
-    samples in one stacked call.
-    """
+    """Unreduced rotor trajectory in the Euler chart: integrates
+    `rotor_chart_field` from the momenta of the chart state (q, qdot), and
+    recovers the rates of all output samples in one stacked call."""
     state0 = np.asarray(state0, dtype=float)
     lag = rotor_chart_lagrangian(params)
-
-    q0, qd0 = state0[:4], state0[4:]
-    _guard_gimbal(q0[1:])
-    pi0 = _grad_rates(lag, q0, qd0)
-
-    def field(t, y):
-        q, pi = y[:4], y[4:]
-        _guard_gimbal(q[1:])
-        qd = _rates(lag, q, pi)
-        return np.concatenate([qd, _grad_q(lag, q, qd)])
-
-    times, ys = numerics.integrate_ode(field, np.concatenate([q0, pi0]),
-                                       0.0, t_end, stepper)
+    y0 = np.concatenate([state0[:4], _grad_rates(lag, state0[:4], state0[4:])])
+    times, ys = numerics.integrate_ode(rotor_chart_field(params), y0, 0.0, t_end,
+                                       stepper)
     states = np.hstack([ys[:, :4], _rates(lag, ys[:, :4], ys[:, 4:])])
     cols = ("x", "alpha", "beta", "gamma", "xdot", "alphadot", "betadot", "gammadot")
     return Trajectory(times, states, cols)

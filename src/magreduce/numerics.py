@@ -1,8 +1,8 @@
 """Shared numerical kernel.
 
 Finite differences and the derivative supply rule built on them
-(`supply`, called by `derivative`), a dense Newton solver, fixed-step RK4
-and the embedded Fehlberg 4(5) pair, and the Lie-group reconstruction step.
+(`supply`), a dense Newton solver, fixed-step RK4 and the embedded
+Fehlberg 4(5) pair, and the Lie-group reconstruction step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
 and `supply` returns a callable that closes over nothing but its inputs.
@@ -223,13 +223,6 @@ def stencil_jacobian(fn: Callable, args: tuple, slot: int,
 
     d = fd_jacobian_rows(of_stencil, x, h0)
     return d[0] if one else d
-
-
-def derivative(value: Callable[..., float], args: tuple, outer: int,
-               inner: int | None = None, first: Callable | None = None,
-               second: Callable | None = None) -> np.ndarray:
-    """The derivative that `supply` resolves, evaluated at `args`."""
-    return supply(value, outer, inner, first, second)(*args)
 
 
 def takes_rows(fn: Callable) -> Callable:

@@ -66,11 +66,6 @@ class SemiDirectLagrangian:
         return self.inner.value(np.atleast_1d(x), np.atleast_1d(xdot),
                                 np.concatenate([np.atleast_1d(xi), np.atleast_1d(u)]))
 
-    def group_slot_momentum(self, x, xdot, xi, u) -> np.ndarray:
-        """d ell / d xi, the g-slot fibre derivative."""
-        z = np.concatenate([np.atleast_1d(xi), np.atleast_1d(u)])
-        return self.inner.group_momentum(np.atleast_1d(x), np.atleast_1d(xdot), z)[:self.d0]
-
     def linear_slot_momentum(self, x, xdot, xi, u) -> np.ndarray:
         """d ell / d u, the V-slot fibre derivative."""
         z = np.concatenate([np.atleast_1d(xi), np.atleast_1d(u)])
@@ -451,13 +446,16 @@ def _check_vstar_onto(gv: LieGroupSpec, a: CoVector) -> None:
                          "dual of the base algebra (is a = 0?)")
 
 
-def group_angle_from_b(gv: LieGroupSpec, a: CoVector, b: np.ndarray) -> float:
+def group_angle_from_b(gv: LieGroupSpec, a: CoVector, b: np.ndarray):
     """Recover the base-group chart angle from b = g*a (circle base acting
-    on the plane by rotation): theta = arg(a) - arg(b)."""
+    on the plane by rotation): theta = arg(a) - arg(b).  One b (2,) gives a
+    float; stacked rows (N, 2) give N angles."""
     if gv.base.dim != 1 or gv.vdim != 2:
         raise ValueError("group recovery from b is implemented for circle "
                          "bases acting on the plane")
-    return float(np.arctan2(a.coords[1], a.coords[0]) - np.arctan2(b[1], b[0]))
+    b = np.asarray(b, dtype=float)
+    theta = np.arctan2(a.coords[1], a.coords[0]) - np.arctan2(b[..., 1], b[..., 0])
+    return float(theta) if b.ndim == 1 else theta
 
 
 @dataclass(frozen=True)
@@ -552,8 +550,7 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     states = traj.states
     nus = states[:, 2 * s:2 * s + d0]
     bs = states[:, 2 * s + d0:]
-    raw_theta = np.array([group_angle_from_b(sd.gv, a, brow) for brow in bs])
-    thetas = np.unwrap(raw_theta)
+    thetas = np.unwrap(group_angle_from_b(sd.gv, a, bs))
     thetas -= thetas[0]
 
     z1_0 = np.concatenate([x0, xdot0, [thetas[0]], mu.coords])

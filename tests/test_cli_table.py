@@ -71,6 +71,9 @@ BAD_CONFIGS = {
     "rotor_reduced_mu_and_initial": ({"model": "rotor", "mode": "reduce-full-group",
                                       "momentum": {"mu": [0.8, 0.2, 0.3]},
                                       "initial": [0.0, 0.2, 0.8, 0.2, 0.3]}, "momentum.mu"),
+    "beanie_reduced_a_and_initial": ({"model": "beanie", "mode": "reduce-full-group",
+                                      "momentum": {"a": [0, 3]},
+                                      "initial": [0.4, 0.3, 1, 1, 0]}, "momentum.a"),
 }
 
 

@@ -1,7 +1,11 @@
 """Group/algebra kernel: brackets, actions, exponentials, semi-direct
 products, and the structural invariants of every registered instance."""
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magreduce import lie
 from magreduce.lie import AlgebraVector, CoVector
@@ -270,6 +274,40 @@ def test_make_semidirect_rejects_bad_rep():
         lie.make_semidirect(lie.circle(),
                             rep=lambda theta: lie._rotmat(theta),
                             rep_inf=lambda xi: np.zeros((2, 2)), vdim=2)
+
+
+@functools.lru_cache(maxsize=None)
+def circle_on_plane(k: int) -> lie.LieGroupSpec:
+    """The circle acting on the plane by rotation at rate k (a representation
+    of the circle for integer k only)."""
+    return lie.make_semidirect(
+        lie.circle(), rep=lambda theta: lie._rotmat(k * theta),
+        rep_inf=lambda xi: k * np.array([[0.0, -float(xi[0])], [float(xi[0]), 0.0]]),
+        vdim=2, name=f"S1xR2_rate{k}")
+
+
+rate = st.integers(-3, 3)
+algebra = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+element = st.tuples(st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+                    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=rate, x=algebra, y=algebra, z=algebra)
+def test_semidirect_jacobi_on_random_elements(k, x, y, z):
+    # validate_spec checks basis triples only
+    br = circle_on_plane(k).bracket_fn
+    s = br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y))
+    assert np.max(np.abs(s)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=rate, g=element, h=element)
+def test_semidirect_ad_homomorphism_on_random_elements(k, g, h):
+    spec = circle_on_plane(k)
+    lhs = spec.adjoint_fn(spec.compose_fn(g, h))
+    rhs = spec.adjoint_fn(g) @ spec.adjoint_fn(h)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_se2_dual_isotropy_trivial_on_grid():

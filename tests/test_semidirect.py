@@ -325,7 +325,12 @@ def test_group_recovery_from_momentum(sd, rng):
         g = lie.circle_element(theta)
         b = lie.dual_action(sd.gv, g, a)
         rec = semidirect.group_angle_from_b(sd.gv, a, b.coords)
+        assert isinstance(rec, float)
         assert abs(np.exp(1j * rec) - np.exp(1j * theta)) < 1e-12
+    # stacked b rows give the angles of the one-b calls
+    bs = rng.normal(size=(200, 2))
+    rows = semidirect.group_angle_from_b(sd.gv, a, bs)
+    assert np.array_equal(rows, [semidirect.group_angle_from_b(sd.gv, a, b) for b in bs])
 
 
 def test_abelian_reduced_system_requires_structure():

@@ -1,4 +1,4 @@
-"""The derivative supply rule of `numerics.derivative`, shared by
+"""The derivative supply rule of `numerics.supply`, shared by
 MagneticSystem and InvariantLagrangian, and the single implementation of
 each equation of motion behind the public fields and the integrators."""
 import dataclasses
