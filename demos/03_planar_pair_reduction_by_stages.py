@@ -56,7 +56,7 @@ for name, value in eq.report.items():
     print(f"  {name}: {value:.2e}")
 
 # psi also intertwines the two symplectic structures
-sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+sys1 = eq.p1_system
 samples = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50),
                            rng.uniform(-np.pi, np.pi, 50),
                            rng.uniform(-1.5, 1.5, 50)])

@@ -44,19 +44,13 @@ PSI_TOL = 1e-10
 class TransformationPair:
     """Dimensions of the adapted-coordinate chain.
 
-    n1: dim Q1; vf: fibre dimension of f (the qbar block); k2: fibre
-    dimension of the smaller bundle; pdim: fibre dimension of F (the p
-    block).  A diffeomorphic psi requires pdim == vf, which balances
-    2*n1 + k1 == 2*n2 + k2.
+    n1: dim Q1; vf: fibre dimension of f (the qbar block) and of F (the p
+    block), as a diffeomorphic psi requires, which balances
+    2*n1 + k1 == 2*n2 + k2; k2: fibre dimension of the smaller bundle.
     """
     n1: int
     vf: int
     k2: int = 0
-    pdim: int | None = None
-
-    def __post_init__(self):
-        if self.pdim is None:
-            object.__setattr__(self, "pdim", self.vf)
 
     @property
     def n2(self) -> int:
@@ -64,7 +58,7 @@ class TransformationPair:
 
     @property
     def k1(self) -> int:
-        return self.vf + self.k2 + self.pdim
+        return 2 * self.vf + self.k2
 
     # the layouts below act on one state or on stacked rows of states
 
@@ -171,8 +165,7 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     def jacobian(p):
         return numerics.stencil_jacobian(mismatch, (q, qbar, pbar, p, target), 3)
 
-    seed = (np.zeros(target.shape[:-1] + (pair.pdim,)) if seed is None
-            else np.asarray(seed, dtype=float))
+    seed = np.zeros(target.shape) if seed is None else np.asarray(seed, dtype=float)
     try:
         res = numerics.newton_solve(residual, seed, jacobian=jacobian,
                                     tol=PSI_TOL, max_iter=50)
@@ -181,52 +174,33 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     return np.concatenate([q, qdot, qbar, pbar, res.x], axis=-1)
 
 
-def build_L1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
-             gamma: ConnectionOnF | None = None) -> Callable:
-    """Pulled-back Lagrangian on the larger bundle:
+def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
+                 gamma: ConnectionOnF | None = None) -> MagneticSystem:
+    """The pulled-back magnetic Lagrangian system on P1, named
+    l2.name + "_pullback", with Lagrangian and 2-form
 
-        L1 = L2 o psi - beta_a (psi^a + Gamma^a_i qdot^i).
+        L1 = L2 o psi - beta_a (psi^a + Gamma^a_i qdot^i),
+        B1 = F*B2 + d<beta, connection>.
 
-    Returns a callable L1(q, v, pfib) in the maglag layout of the P1 system;
-    it takes one point or stacked rows.
-    """
-    gamma = gamma or zero_connection(pair)
-    n1 = pair.n1
-
-    @numerics.takes_rows
-    def l1(q, v, pfib):
-        z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)],
-                            axis=-1)
-        z2 = solve_psi(l2, pair, beta, z1)
-        q2, v2, pbar = pair.split2(z2)
-        b = _betas(beta, pair.p1_coords(z1))
-        gam = numerics.each_row(gamma, q2[..., :n1], q2[..., n1:])
-        out = (numerics.each_row(l2.lagrangian, q2, v2, pbar)
-               - numerics.rowdot(b, v2[..., n1:] + numerics.matvec(gam, v2[..., :n1])))
-        return out if z1.ndim == 2 else float(out)
-
-    return l1
-
-
-def build_L1_gradients(l2: MagneticSystem, pair: TransformationPair,
-                       beta: BetaMap, gamma: ConnectionOnF | None = None
-                       ) -> tuple[Callable, Callable, Callable]:
-    """First derivatives of the pulled-back Lagrangian without differencing
-    through the velocity solve.
-
-    On the momentum condition the qbar-velocity derivative terms cancel, so
+    The first derivatives of L1 avoid differencing through the velocity
+    solve: on the momentum condition the qbar-velocity terms cancel, so
 
         dL1/dqdot = dL2/dqdot o psi - Gamma^T beta,
         dL1/dzeta = dL2/dzeta|direct - (dbeta/dzeta)^T (w + Gamma qdot)
                     - beta . (dGamma/dzeta) qdot
 
     for any base or fibre coordinate zeta; only beta and the connection
-    coefficients are differenced numerically.  Returns (dL_dq, dL_dv, dL_dp)
-    in the maglag layout of the P1 system; each takes one point or stacked
-    rows.
+    coefficients are differenced numerically, and the second derivatives
+    difference these gradients.  The exterior derivative of the coordinate
+    1-form beta_a (dqbar^a + Gamma^a_i dq^i) is taken by central differences
+    at step H_SECOND.  `lagrangian`, `dL_dq`, `dL_dv`, `dL_dp` and `bform`
+    are marked and take one point or stacked rows; at stacked rows the
+    stencil of the exterior derivative is one fd_jacobian_rows call.
     """
     gamma = gamma or zero_connection(pair)
     n1, vf, k2 = pair.n1, pair.vf, pair.k2
+    dim1 = n1 + pair.k1
+    dim2 = pair.n2 + k2
 
     def pieces(q, v, pfib):
         z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)],
@@ -243,6 +217,12 @@ def build_L1_gradients(l2: MagneticSystem, pair: TransformationPair,
         # (vf, n1+k1) per point: the stencil of all points in one call
         d = numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), np.atleast_2d(p1))
         return d if p1.ndim == 2 else d[0]
+
+    @numerics.takes_rows
+    def lagrangian(q, v, pfib):
+        q2, v2, pbar, _, b, _, vert = pieces(q, v, pfib)
+        out = numerics.each_row(l2.lagrangian, q2, v2, pbar) - numerics.rowdot(b, vert)
+        return out if q2.ndim == 2 else float(out)
 
     @numerics.takes_rows
     def dl_dv(q, v, pfib):
@@ -288,26 +268,6 @@ def build_L1_gradients(l2: MagneticSystem, pair: TransformationPair,
         out[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
         return out
 
-    return dl_dq, dl_dv, dl_dp
-
-
-def build_B1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
-             gamma: ConnectionOnF | None = None,
-             fd_step: float = numerics.H_SECOND) -> maglag.BlockForm:
-    """Magnetic 2-form of the pulled-back system:
-
-        B1 = F*B2 + d<beta, connection>,
-
-    the exterior derivative taken by central differences of the coordinate
-    1-form beta_a (dqbar^a + Gamma^a_i dq^i).  Returns a maglag block form
-    on the P1 coordinates; at stacked rows of (q, pfib) the stencil of all
-    points is one fd_jacobian_rows call.
-    """
-    gamma = gamma or zero_connection(pair)
-    n1, vf, k2 = pair.n1, pair.vf, pair.k2
-    dim1 = n1 + pair.k1
-    dim2 = pair.n2 + k2
-
     @numerics.takes_rows
     def one_form(z: np.ndarray) -> np.ndarray:
         b = _betas(beta, z)
@@ -319,29 +279,15 @@ def build_B1(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     @numerics.takes_rows
     def bform(q, pfib):
         z = np.concatenate([np.atleast_1d(q), np.atleast_1d(pfib)], axis=-1)
-        full = numerics.fd_exterior_derivative(one_form, z, fd_step)
+        full = numerics.fd_exterior_derivative(one_form, z, numerics.H_SECOND)
         if l2.bform is not None:
             full[..., :dim2, :dim2] += l2.full_bmatrix(z[..., :pair.n2],
                                                        z[..., pair.n2:dim2])
         return full[..., :n1, :n1], full[..., :n1, n1:], full[..., n1:, n1:]
 
-    return bform
-
-
-def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
-                 gamma: ConnectionOnF | None = None,
-                 fd_step: float = numerics.H_SECOND,
-                 name: str = "") -> MagneticSystem:
-    """The full pulled-back magnetic Lagrangian system on P1, with the
-    envelope first derivatives wired in so second derivatives difference
-    an analytic gradient rather than the Newton-backed Lagrangian."""
-    dl_dq, dl_dv, dl_dp = build_L1_gradients(l2, pair, beta, gamma)
-    return MagneticSystem(
-        n=pair.n1, k=pair.k1,
-        lagrangian=build_L1(l2, pair, beta, gamma),
-        bform=build_B1(l2, pair, beta, gamma, fd_step),
-        dL_dq=dl_dq, dL_dv=dl_dv, dL_dp=dl_dp,
-        name=name or (l2.name + "_pullback"))
+    return MagneticSystem(n=n1, k=pair.k1, lagrangian=lagrangian, bform=bform,
+                          dL_dq=dl_dq, dL_dv=dl_dv, dL_dp=dl_dp,
+                          name=l2.name + "_pullback")
 
 
 def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,

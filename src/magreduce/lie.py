@@ -33,6 +33,14 @@ def _freeze(arr) -> np.ndarray:
     return a
 
 
+def _same_kind(vec, other):
+    """`other` when it has the class of `vec`; TypeError otherwise."""
+    if type(other) is not type(vec):
+        raise TypeError(f"cannot combine {type(vec).__name__} with "
+                        f"{type(other).__name__}")
+    return other
+
+
 @dataclass(frozen=True)
 class AlgebraVector:
     """Element of a Lie algebra as coordinates in a fixed basis."""
@@ -47,10 +55,10 @@ class AlgebraVector:
         return self.coords.size
 
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.coords + other.coords)
+        return AlgebraVector(self.coords + _same_kind(self, other).coords)
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.coords - other.coords)
+        return AlgebraVector(self.coords - _same_kind(self, other).coords)
 
     def __mul__(self, s: float) -> "AlgebraVector":
         return AlgebraVector(self.coords * s)
@@ -79,10 +87,10 @@ class CoVector:
         return self.coords.size
 
     def __add__(self, other: "CoVector") -> "CoVector":
-        return CoVector(self.coords + other.coords)
+        return CoVector(self.coords + _same_kind(self, other).coords)
 
     def __sub__(self, other: "CoVector") -> "CoVector":
-        return CoVector(self.coords - other.coords)
+        return CoVector(self.coords - _same_kind(self, other).coords)
 
     def __mul__(self, s: float) -> "CoVector":
         return CoVector(self.coords * s)

@@ -32,14 +32,15 @@ class RegularityError(RuntimeError):
 
 
 def require_regular(matrix: np.ndarray, what: str, t: float | None = None) -> None:
-    """Raise RegularityError when |det matrix| <= DET_FLOOR.
+    """Raise RegularityError unless DET_FLOOR < |det matrix| < inf.
 
     `what` names the determinant in the message; `t`, when given, is the
     time at which a trajectory met it."""
     det = abs(np.linalg.det(matrix))
-    if det <= DET_FLOOR:
+    if not DET_FLOOR < det < np.inf:
         at = "" if t is None else f" at t = {t:.6g}"
-        raise RegularityError(f"{what} = {det:.3e} <= {DET_FLOOR}{at}")
+        bound = f"<= {DET_FLOOR}" if det <= DET_FLOOR else "is not finite"
+        raise RegularityError(f"{what} = {det:.3e} {bound}{at}")
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,8 @@ def check_closedness(sys: MagneticSystem, sample_states: Sequence[MagLagState],
     """Maximum |dB| component over the samples, by central differences.
 
     Closedness of the magnetic form is an input requirement; this is a
-    diagnostic for user-supplied forms.
+    diagnostic for user-supplied forms.  A non-finite difference raises
+    ValueError naming the sample and the coordinate.
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
@@ -377,9 +379,13 @@ def check_closedness(sys: MagneticSystem, sample_states: Sequence[MagLagState],
     # d_a B_bc is db[b, c, a]
     a, b, c = np.array([*itertools.combinations(range(dim), 3)], dtype=int).reshape(-1, 3).T
     worst = 0.0
-    for s in sample_states:
+    for i, s in enumerate(sample_states):
         z = np.concatenate([s.q, s.p])
         db = numerics.fd_jacobian(b_flat, z, fd_step).reshape(dim, dim, dim)
+        bad = np.argwhere(~np.isfinite(db))
+        if bad.size:
+            raise ValueError(f"sample {i}: non-finite evaluation while "
+                             f"differencing coordinate {bad[0][-1]}")
         cyclic = db[b, c, a] + db[c, a, b] + db[a, b, c]
         worst = max(worst, float(np.max(np.abs(cyclic), initial=0.0)))
     return worst

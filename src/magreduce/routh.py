@@ -51,7 +51,8 @@ class InvariantLagrangian:
 
     First derivatives: dell_dx, dell_dxdot, dell_dxi.  Second derivatives
     follow the naming d2_<outer>_<inner>; e.g. d2_dxi_dxdot is the Jacobian
-    of dell_dxi with respect to xdot, with shape (gdim, sdim).  Missing
+    of dell_dxi with respect to xdot, with shape (gdim, sdim); its transpose
+    is the (xdot, xi) block, which is not supplied separately.  Missing
     callables are supplied by the fallback rule of `numerics.supply`.
 
     For mechanical systems (kinetic quadratic form minus a shape potential),
@@ -74,7 +75,6 @@ class InvariantLagrangian:
     dell_dxi: Callable | None = None
     d2_dxdot_dx: Callable | None = None
     d2_dxdot_dxdot: Callable | None = None
-    d2_dxdot_dxi: Callable | None = None
     d2_dxi_dx: Callable | None = None
     d2_dxi_dxdot: Callable | None = None
     d2_dxi_dxi: Callable | None = None
@@ -123,10 +123,6 @@ class InvariantLagrangian:
         return numerics.supply(self.value, 1, 1, self.dell_dxdot, self.d2_dxdot_dxdot)
 
     @cached_property
-    def jac_xdot_xi(self) -> Callable:
-        return numerics.supply(self.value, 1, 2, self.dell_dxdot, self.d2_dxdot_dxi)
-
-    @cached_property
     def jac_xi_x(self) -> Callable:
         return numerics.supply(self.value, 2, 0, self.dell_dxi, self.d2_dxi_dx)
 
@@ -151,9 +147,10 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray,
     k = lag.jac_xi_xi(x, xdot, chi)
     maglag.require_regular(k, "singular group metric: |det d2ell/dxi2|", t)
     k_inv = np.linalg.inv(k)
-    dchi_dxdot = -k_inv @ lag.jac_xi_xdot(x, xdot, chi)
+    xi_xdot = lag.jac_xi_xdot(x, xdot, chi)
+    dchi_dxdot = -k_inv @ xi_xdot
     dchi_dx = -k_inv @ lag.jac_xi_x(x, xdot, chi)
-    f1_xi = lag.jac_xdot_xi(x, xdot, chi)
+    f1_xi = xi_xdot.T
     hess = lag.jac_xdot_xdot(x, xdot, chi) + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|", t)
     return ReducedMetric(cm_inv=k_inv, hess_inv=np.linalg.inv(hess),
@@ -199,7 +196,6 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
         dell_dxi=numerics.takes_rows(lambda x, xd, xi: xd @ b + xi @ c_t),
         d2_dxdot_dx=lambda x, xd, xi: np.zeros((sdim, sdim)),
         d2_dxdot_dxdot=lambda x, xd, xi: a,
-        d2_dxdot_dxi=lambda x, xd, xi: b,
         d2_dxi_dx=lambda x, xd, xi: np.zeros((group.dim, sdim)),
         d2_dxi_dxdot=lambda x, xd, xi: b.T,
         d2_dxi_dxi=lambda x, xd, xi: c,
@@ -222,9 +218,9 @@ def validate_mechanical(lag: InvariantLagrangian,
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        hess = np.block([
-            [lag.jac_xdot_xdot(x, xdot, xi), lag.jac_xdot_xi(x, xdot, xi)],
-            [lag.jac_xi_xdot(x, xdot, xi), lag.jac_xi_xi(x, xdot, xi)]])
+        xi_xdot = lag.jac_xi_xdot(x, xdot, xi)
+        hess = np.block([[lag.jac_xdot_xdot(x, xdot, xi), xi_xdot.T],
+                         [xi_xdot, lag.jac_xi_xi(x, xdot, xi)]])
         if np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) <= 0:
             raise ValueError("kinetic metric is not positive definite at a sample")
         kin = lag.value(x, xdot, xi) + float(v(x))

@@ -206,7 +206,7 @@ class _QuadraticSplit:
                 "with constant_group_metric")
         d0 = sd.d0
         zero = np.zeros(sd.sdim), np.zeros(sd.sdim), np.zeros(sd.gv.dim)
-        am, bm, cm = (lag.jac_xdot_xdot(*zero), lag.jac_xdot_xi(*zero),
+        am, bm, cm = (lag.jac_xdot_xdot(*zero), lag.jac_xi_xdot(*zero).T,
                       lag.jac_xi_xi(*zero))
         self.m_yy = np.block([[am, bm[:, :d0]],
                               [bm[:, :d0].T, cm[:d0, :d0]]])
@@ -461,13 +461,13 @@ def group_angle_from_b(gv: LieGroupSpec, a: CoVector, b: np.ndarray):
 @dataclass(frozen=True)
 class StageEquivalence:
     """The compatible transformation relating the two reduced systems,
-    together with the built pullback data and the verification report."""
+    together with the pulled-back system on P1 (`compat.build_system`, zero
+    connection) and the verification report."""
     pair: compat.TransformationPair
     beta: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
     r2_system: MagneticSystem
-    l1_built: Callable
-    b1_built: Callable
+    p1_system: MagneticSystem
     report: dict
 
 
@@ -485,8 +485,8 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     v -> v*(a) is onto (for the plane representation both amount to a != 0).
     The report records:
 
-      routhian_identity_residual : |L1_built - R_full| over random points
-      form_identity_residual     : |B1_built - orbit 2-form| on chart tangents
+      routhian_identity_residual : |L1 - R_full| over random points
+      form_identity_residual     : |B1 - orbit 2-form| on chart tangents
       trajectory_deviation       : flow of the orbit system mapped through
                                    psi versus the flow of the V-reduced system
       casimir_drift, nu_drift    : conservation monitors along the orbit flow
@@ -504,10 +504,8 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     pair = compat.TransformationPair(n1=s, vf=d0, k2=0)
     # p1 = (x, theta, nu); beta and psi take one point or stacked rows
     beta = numerics.takes_rows(lambda p1: np.array(p1[..., s + d0:]))
-    gamma = compat.zero_connection(pair)
     psi = numerics.takes_rows(lambda z1: compat.solve_psi(r2sys, pair, beta, z1))
-    l1_built = compat.build_L1(r2sys, pair, beta, gamma)
-    b1_built = compat.build_B1(r2sys, pair, beta, gamma)
+    p1sys = compat.build_system(r2sys, pair, beta)
     q = _QuadraticSplit(sd, a)
 
     def draw(*sizes):
@@ -524,14 +522,14 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     bs = q.b_of_theta(theta)
     r_full = np.array([routhian_full(sd, xi, xdi, CoVector(nui), CoVector(bi))
                        for xi, xdi, nui, bi in zip(x, xd, nu, bs)])
-    built = l1_built(x, xd, np.column_stack([theta, nu]))
+    built = p1sys.lagrangian(x, xd, np.column_stack([theta, nu]))
     routhian_resid = float(np.max(np.abs(built - r_full)))
 
-    # 2-form identity on chart tangents of the fibre (theta, nu): B1_built
+    # 2-form identity on chart tangents of the fibre (theta, nu): B1
     # at all points in one call, then the orbit pairing of all points per
     # base direction.
     x, theta, nus = draw((-1.0, 1.0, s), (-np.pi, np.pi, None), (-1.5, 1.5, d0))
-    bqq, bqp, bpp = b1_built(x, np.column_stack([theta, nus]))
+    bqq, bqp, bpp = p1sys.bform(x, np.column_stack([theta, nus]))
     form_resid = max(float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
     bs = q.b_of_theta(theta)
     t_theta = (np.zeros_like(nus), q.db_dtheta(bs))
@@ -581,4 +579,4 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         "nu_drift": nu_drift,
     }
     return StageEquivalence(pair=pair, beta=beta, psi=psi, r2_system=r2sys,
-                            l1_built=l1_built, b1_built=b1_built, report=report)
+                            p1_system=p1sys, report=report)

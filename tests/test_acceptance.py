@@ -265,7 +265,7 @@ def test_criterion_5_stage_equivalence(beanie, rng):
     eq = semidirect.build_stage_equivalence(beanie, CoVector([1.0]),
                                             CoVector([1.0, 0.0]),
                                             n_points=100, t_end=10.0)
-    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+    sys1 = eq.p1_system
     samples = np.column_stack([rng.uniform(-1, 1, 100),
                                rng.uniform(-1, 1, 100),
                                rng.uniform(-np.pi, np.pi, 100),

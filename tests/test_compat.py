@@ -77,7 +77,7 @@ def test_build_l1_trivial_beta():
     l2 = MagneticSystem(n=2, k=0,
                         lagrangian=lambda q, v, p: 0.5 * v[0] ** 2 - q[0] ** 2)
     beta = lambda p1: np.zeros(1)
-    l1 = compat.build_L1(l2, pair, beta)
+    l1 = compat.build_system(l2, pair, beta).lagrangian
     val = l1(np.array([0.4]), np.array([0.7]), np.array([0.2, 0.3]))
     assert abs(val - (0.5 * 0.49 - 0.16)) < 1e-12
 
@@ -86,7 +86,7 @@ def test_build_l1_beanie_identity(beanie_params, beanie_pair, rng):
     # L1 = psi*L2 - nu * (nu - I2 phidot)/(I1+I2), matching the full-group
     # reduced Lagrangian at matched points
     i1, i2 = beanie_params.i1, beanie_params.i2
-    l1 = beanie_pair.l1_built
+    l1 = beanie_pair.p1_system.lagrangian
     l2 = beanie_pair.r2_system
     for _ in range(100):
         z1 = rng.normal(size=4)
@@ -113,7 +113,7 @@ def test_energy_pullback_identity(beanie_pair, rng):
 def test_build_b1_constant_beta_zero():
     pair = compat.TransformationPair(n1=1, vf=1, k2=0)
     beta = lambda p1: np.array([2.5])
-    bform = compat.build_B1(quadratic_l2(), pair, beta)
+    bform = compat.build_system(quadratic_l2(), pair, beta).bform
     bqq, bqp, bpp = bform(np.array([0.3]), np.array([0.8, -0.4]))
     assert np.max(np.abs(bqq)) < 1e-12
     assert np.max(np.abs(bqp)) < 1e-12
@@ -297,7 +297,7 @@ def test_row_psi_error_names_the_first_failing_row(marked):
 
 def test_row_pullback_callables_match_per_point(beanie_pair, rng):
     eq = beanie_pair
-    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+    sys1 = eq.p1_system
     z = beanie_rows(rng, 20)
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
     for fn in (sys1.lagrangian, sys1.dL_dq, sys1.dL_dv, sys1.dL_dp):
@@ -316,7 +316,7 @@ def test_row_pullback_callables_match_per_point(beanie_pair, rng):
 
 def test_symplectomorphism_report_same_for_marked_and_one_point_psi(beanie_pair):
     eq = beanie_pair
-    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta)
+    sys1 = eq.p1_system
     samples = beanie_rows(np.random.default_rng(6), 12)
     reports = [compat.verify_symplectomorphism(
         sys1, eq.r2_system, psi, samples, np.random.default_rng(31), tangent_pairs=4,
@@ -335,8 +335,8 @@ def test_gradients_with_a_connection_match_differenced_l1(beanie_pair, rng, mark
 
     eq = beanie_pair
     conn = gamma if marked else (lambda q, qbar: gamma(q, qbar))
-    l1 = compat.build_L1(eq.r2_system, eq.pair, eq.beta, conn)
-    grads = compat.build_L1_gradients(eq.r2_system, eq.pair, eq.beta, conn)
+    sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta, conn)
+    l1, grads = sys1.lagrangian, (sys1.dL_dq, sys1.dL_dv, sys1.dL_dp)
     z = beanie_rows(rng, 8)
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
     for slot, grad in enumerate(grads):
@@ -359,7 +359,7 @@ def test_connection_non_finite_off_the_base_point_is_named(beanie_pair, rng):
         return np.where(q[..., :1] > 0.5, np.nan, 0.2 * qbar[..., :1])[..., None]
 
     eq = beanie_pair
-    dl_dq, _, _ = compat.build_L1_gradients(eq.r2_system, eq.pair, eq.beta, gamma)
+    dl_dq = compat.build_system(eq.r2_system, eq.pair, eq.beta, gamma).dL_dq
     z = beanie_rows(rng, 4)
     z[:, 0] = [0.1, 0.5 - 1e-7, -0.3, 0.5 - 1e-7]
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]

@@ -354,6 +354,16 @@ def test_semantic_types_not_interchangeable():
         lie.pair(AlgebraVector([1, 0, 0]), AlgebraVector([0, 1, 0]))
 
 
+@pytest.mark.parametrize("left, right", [(CoVector([1.0]), AlgebraVector([1.0])),
+                                         (AlgebraVector([1.0]), CoVector([1.0]))])
+def test_covector_and_algebra_vector_refuse_each_other(left, right):
+    with pytest.raises(TypeError, match="cannot combine"):
+        left + right
+    with pytest.raises(TypeError, match="cannot combine"):
+        left - right
+    assert type(left + left) is type(left) and type(left - left) is type(left)
+
+
 def test_dimension_mismatch_errors():
     spec = lie.so3()
     with pytest.raises(ValueError):

@@ -219,6 +219,16 @@ def test_vector_field_singular_hessian_named():
     assert "d2L/dv2" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("t", [None, 1.5])
+def test_require_regular_rejects_non_finite_determinant(bad, t):
+    matrix = np.array([[1.0, 0.0], [0.0, bad]])
+    with np.errstate(invalid="ignore"), pytest.raises(
+            RegularityError, match=r"^\|det M\| = (nan|inf) is not finite") as err:
+        maglag.require_regular(matrix, "|det M|", t)
+    assert ("at t = 1.5" in str(err.value)) == (t is not None)
+
+
 def test_bblocks_reject_symmetric_parts(rng):
     # feeding a symmetric component must be rejected, not silently fixed
     sym = rng.normal(size=(2, 2))
@@ -277,6 +287,24 @@ def test_check_closedness_flags_non_closed():
                          bform=bform)
     samples = [MagLagState([0.5, 1.2], [0, 0], [0.1])]
     assert maglag.check_closedness(sys, samples, fd_step=1e-4) > 1e-2
+
+
+def test_check_closedness_rejects_non_finite_derivative():
+    # finite at q1 = 1.2, NaN at the stencil point q1 + 1e-4
+    def bform(q, p):
+        return (np.zeros((2, 2)), np.array([[np.sqrt(1.20001 - q[1])], [0.0]]),
+                np.zeros((1, 1)))
+
+    sys = MagneticSystem(n=2, k=1,
+                         lagrangian=lambda q, v, p: 0.5 * float(v @ v) + p[0],
+                         bform=bform)
+    samples = [MagLagState([0.5, 1.0], [0, 0], [0.1]),
+               MagLagState([0.5, 1.2], [0, 0], [0.1])]
+    assert np.isfinite(maglag.check_closedness(sys, samples[:1], fd_step=1e-4))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^sample 1: non-finite evaluation while "
+                              r"differencing coordinate 1$"):
+        maglag.check_closedness(sys, samples, fd_step=1e-4)
 
 
 def test_trajectory_csv_format(tmp_path, rk4_fine):

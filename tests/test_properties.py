@@ -80,7 +80,7 @@ def test_row_built_b1_is_closed(m, i1, i2, radius, a_arg, points):
     eq = semidirect.build_stage_equivalence(
         models.beanie_gv_lagrangian(models.BeanieParams(m=m, i1=i1, i2=i2)),
         CoVector([1.0]), a, n_points=1, t_end=0.01)
-    rows = compat.build_B1(eq.r2_system, eq.pair, eq.beta)
+    rows = eq.p1_system.bform
 
     def one_row(q, p):  # the row-built form, evaluated as a batch of one
         return tuple(block[0] for block in rows(q[None], p[None]))

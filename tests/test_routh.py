@@ -347,7 +347,7 @@ def step_lagrangian(group_metric_drops: bool):
         dell_dx=lambda x, xd, xi: np.zeros(1),
         dell_dxdot=lambda x, xd, xi: a(x) * xd,
         dell_dxi=lambda x, xd, xi: c(x) * xi,
-        d2_dxdot_dx=zero, d2_dxdot_dxi=zero, d2_dxi_dx=zero, d2_dxi_dxdot=zero,
+        d2_dxdot_dx=zero, d2_dxi_dx=zero, d2_dxi_dxdot=zero,
         d2_dxdot_dxdot=lambda x, xd, xi: np.array([[a(x)]]),
         d2_dxi_dxi=lambda x, xd, xi: np.array([[c(x)]]))
 

@@ -421,7 +421,7 @@ def reference_form_residual(sd, eq, a, n_points, seed):
         x = rng.uniform(-1.0, 1.0, size=s)
         theta = rng.uniform(-np.pi, np.pi)
         nu = rng.uniform(-1.5, 1.5, size=d0)
-        bqq, bqp, bpp = eq.b1_built(x, np.concatenate([[theta], nu]))
+        bqq, bqp, bpp = eq.p1_system.bform(x, np.concatenate([[theta], nu]))
         worst = max(worst, float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
         b = lie.dual_action(sd.gv, lie.circle_element(theta), a)
         bp = lie.inf_dual_action(sd.gv, AlgebraVector([1.0]), b)

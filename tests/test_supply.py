@@ -42,14 +42,14 @@ def invariant_case(level):
            "fd_first_rows": routh.InvariantLagrangian(1, lie.so3(), quad.ell, **first),
            }.get(level, routh.InvariantLagrangian(1, lie.so3(), quad.ell))
     if level in ("analytic", "values_mixed"):
-        return lag, "jac_xdot_xi", B
+        return lag, "jac_xi_xdot", B.T
     return lag, "jac_xi_xi", C
 
 
 def magnetic_case(level):
     """The same Lagrangian read as L(q, v, p) with q = x, v = xdot, p = xi."""
     quad = quadratic()
-    extra = {"analytic": dict(d2L_dv_dp=quad.d2_dxdot_dxi),
+    extra = {"analytic": dict(d2L_dv_dp=lambda q, v, p: quad.d2_dxi_dxdot(q, v, p).T),
              "fd_first": dict(dL_dv=one_point(quad.dell_dxdot)),
              "fd_first_rows": dict(dL_dv=quad.dell_dxdot)}.get(level, {})
     sys = MagneticSystem(n=1, k=3, lagrangian=quad.ell, **extra)
@@ -111,7 +111,7 @@ def test_supply_rule_levels(case, level, monkeypatch):
 @pytest.mark.parametrize("case", [invariant_case, magnetic_case])
 def test_values_only_mixed_block_wide_coords(case, monkeypatch):
     # the nested rule that the cross stencil replaced was off by up to
-    # 5.5e-6 at |coords| <= 2 (200 random points of jac_xdot_xi)
+    # 5.5e-6 at |coords| <= 2 (200 random points of the (xdot, xi) block)
     check_level(case, "values_mixed", 2.0, monkeypatch)
 
 
