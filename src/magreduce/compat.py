@@ -22,10 +22,10 @@ Flat state layouts used throughout:
                                         whose fibre is (qbar, pbar, p))
     z2 = [q, qbar, qdot, qbardot, pbar] (a maglag state of the P2 system)
 
-The maps, the pulled-back callables and the checks also take stacked states
-(N, dim), one per row (`numerics.takes_rows`).  Callables supplied by the
-caller (beta, the connection, psi) are called once for all rows when they
-are marked and once per row otherwise.
+The maps, the pulled-back callables, the checks and the derivative supplies
+take stacked states (N, dim), one per row (`numerics.takes_rows`); callables
+supplied by the caller (beta, the connection, psi, l2's Lagrangian) are
+called once for all rows when they are marked and once per row otherwise.
 """
 from __future__ import annotations
 
@@ -111,11 +111,11 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     """The compatible map: all coordinates pass through except the qbar
     velocity, which is solved from the fibre momentum condition.
 
-    Stacked states z1 (N, dim) are solved by one row Newton, with l2's
-    `grad_v` and `hess_vv` called through `numerics.each_row`; the PSI_TOL
-    check holds per row.  Raises RegularityError when the Newton iteration
-    for the qbar velocity fails (the Lagrangian is not f-regular near the
-    seed), naming the first failing row.
+    Stacked states z1 (N, dim) are solved by one row Newton over l2's
+    `grad_v` and `hess_vv` at rows; the PSI_TOL check holds per row.
+    Raises RegularityError when the Newton iteration for the qbar velocity
+    fails (the Lagrangian is not f-regular near the seed), naming the first
+    failing row.
     """
     z1 = np.asarray(z1, dtype=float)
     q, qdot, qbar, pbar, p = pair.split1(z1)
@@ -127,11 +127,11 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     def residual(w):
         v2 = np.concatenate([qdot, w], axis=-1)
-        return numerics.each_row(l2.grad_v, q2, v2, pbar)[..., n1:] - target
+        return l2.grad_v(q2, v2, pbar)[..., n1:] - target
 
     def jacobian(w):
         v2 = np.concatenate([qdot, w], axis=-1)
-        return numerics.each_row(l2.hess_vv, q2, v2, pbar)[..., n1:, n1:]
+        return l2.hess_vv(q2, v2, pbar)[..., n1:, n1:]
 
     seed = np.zeros(target.shape) if seed is None else np.asarray(seed, dtype=float)
     try:
@@ -153,7 +153,7 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     n1 = pair.n1
     q, qbar = q2[..., :n1], q2[..., n1:]
     qdot = v2[..., :n1]
-    target = numerics.each_row(l2.grad_v, q2, v2, pbar)[..., n1:]
+    target = l2.grad_v(q2, v2, pbar)[..., n1:]
 
     @numerics.takes_rows
     def mismatch(q, qbar, pbar, p, target):
@@ -227,7 +227,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     @numerics.takes_rows
     def dl_dv(q, v, pfib):
         q2, v2, pbar, _, b, gam, _ = pieces(q, v, pfib)
-        return numerics.each_row(l2.grad_v, q2, v2, pbar)[..., :n1] - _tmatvec(gam, b)
+        return l2.grad_v(q2, v2, pbar)[..., :n1] - _tmatvec(gam, b)
 
     @numerics.takes_rows
     def pairing(q, qbar, b, qdot):
@@ -251,7 +251,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     def dl_dq(q, v, pfib):
         q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
         dbeta = dbeta_at(p1)
-        direct = numerics.each_row(l2.grad_q, q2, v2, pbar)[..., :n1]
+        direct = l2.grad_q(q2, v2, pbar)[..., :n1]
         return (direct - _tmatvec(dbeta[..., :n1], vert)
                 - gamma_term(q2, v2[..., :n1], b, 0))
 
@@ -260,10 +260,10 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
         dbeta = dbeta_at(p1)
         out = np.empty(vert.shape[:-1] + (pair.k1,))
-        out[..., :vf] = (numerics.each_row(l2.grad_q, q2, v2, pbar)[..., n1:]
+        out[..., :vf] = (l2.grad_q(q2, v2, pbar)[..., n1:]
                          - _tmatvec(dbeta[..., n1:n1 + vf], vert)
                          - gamma_term(q2, v2[..., :n1], b, 1))
-        out[..., vf:vf + k2] = (numerics.each_row(l2.grad_p, q2, v2, pbar)
+        out[..., vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
                                 - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
         out[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
         return out
@@ -338,7 +338,7 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     max_momentum = 0.0
     if beta is not None and pair is not None:
         q2, v2, pbar = pair.split2(z2)
-        resid = (numerics.each_row(sys2.grad_v, q2, v2, pbar)[:, pair.n1:]
+        resid = (sys2.grad_v(q2, v2, pbar)[:, pair.n1:]
                  - _betas(beta, pair.p1_coords(samples)))
         max_momentum = float(np.max(np.linalg.norm(resid, axis=-1)))
 

@@ -10,13 +10,14 @@ with a first-order equation in p:
     B_PP pdot = B_QP^T v - dL/dp
 
 Derivatives of L come from `numerics.supply`: analytic callables when
-supplied, central finite differences otherwise.
+supplied, central finite differences otherwise; each takes one point or
+stacked rows.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,10 +114,8 @@ class MagneticSystem:
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
     form.  Analytic derivative callables are optional; missing ones are
-    supplied by the fallback rule of `numerics.supply`.  When `lagrangian`
-    and `dL_dv` are marked with `numerics.takes_rows`, the energy monitor
-    of `integrate` runs over all its samples in one call of each; when the
-    second-derivative supplies take rows, so does `symplectic_form_matrix`.
+    supplied by the fallback rule of `numerics.supply`.  A `lagrangian` or
+    `bform` not marked with `numerics.takes_rows` is called once per row.
     """
     n: int
     k: int
@@ -216,12 +215,10 @@ def energy(sys: MagneticSystem, s: MagLagState) -> float:
 
 
 def energies(sys: MagneticSystem, ys: np.ndarray) -> np.ndarray:
-    """Energy at each flat (q, v, p) row of ys: array operations when the
-    system's callables take rows, one state at a time otherwise."""
-    if not numerics.rows_ok(sys.lagrangian, sys.dL_dv):
-        return np.array([energy(sys, unpack(sys, y)) for y in ys])
+    """Energy at each flat (q, v, p) row of ys, over all rows at once."""
     n = sys.n
-    return _energy(sys.dL_dv, sys.lagrangian, ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
+    return _energy(sys.grad_v, partial(numerics.each_row, sys.lagrangian),
+                   ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
 
 
 def _legendre(grad_v: Callable, q, v, p) -> np.ndarray:
@@ -339,8 +336,9 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
 
 
 def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
-              stepper: StepperChoice, t0: float = 0.0) -> Trajectory:
-    """Integrate the mixed equations; the report records the energy drift.
+              stepper: StepperChoice) -> Trajectory:
+    """Integrate the mixed equations over [0, t_end]; the report records
+    the energy drift.
 
     A regularity failure mid-trajectory aborts with the offending time in
     the error message.
@@ -348,7 +346,7 @@ def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
     _check_state(sys, s0)
     vector_field(sys, s0)  # fail fast on an irregular initial state
     field = _field_factory(sys, s0)
-    times, states = numerics.integrate_ode(field, pack(s0), t0, t_end, stepper)
+    times, states = numerics.integrate_ode(field, pack(s0), 0.0, t_end, stepper)
     e0 = energy(sys, s0)
     pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
                      len(states) - 1)
@@ -396,15 +394,11 @@ def symplectic_form_matrix(sys: MagneticSystem, q, v, p) -> np.ndarray:
 
     Assembled from d(dL/dv_i) ^ dq^i plus the magnetic blocks; evaluating
     it on a pair of tangent vectors is u^T M w.  Stacked rows of (q, v, p)
-    give one matrix per row: as array operations when the second-derivative
-    supplies take rows, one row at a time otherwise (the blocks of `bform`
-    come as `bblocks` gives them).
+    give one matrix per row.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     p = np.asarray(p, dtype=float).reshape(v.shape[:-1] + (sys.k,))
-    if v.ndim == 2 and not numerics.rows_ok(sys.hess_vq, sys.hess_vv, sys.hess_vp):
-        return np.array([symplectic_form_matrix(sys, *row) for row in zip(q, v, p)])
     n, k = sys.n, sys.k
     bqq, bqp, bpp = sys.bblocks(q, p)
     w = sys.hess_vq(q, v, p)      # w[i, j] = d2L / dv_i dq_j

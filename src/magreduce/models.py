@@ -260,12 +260,11 @@ def rotor_chart_state(params: RotorParams, angles: np.ndarray, x: float,
 
 
 def rotor_chart_state_from_momentum(params: RotorParams, m0: np.ndarray,
-                                    x: float = 0.0, xdot: float = 0.0,
-                                    alpha0: float = 0.3) -> np.ndarray:
+                                    x: float = 0.0, xdot: float = 0.0) -> np.ndarray:
     """Chart state realizing body momentum m0 with the conserved spatial
     momentum pointing along the vertical axis, which pins the middle Euler
-    angle to cos(beta) = m3/|m| for the whole motion (a gimbal-safe chart
-    whenever m3/|m| stays away from +-1)."""
+    angle to cos(beta) = m3/|m| for the whole motion (gimbal-safe while
+    m3/|m| stays away from +-1); the first Euler angle starts at 0.3."""
     m0 = np.asarray(m0, dtype=float)
     norm = float(np.linalg.norm(m0))
     if norm == 0.0:
@@ -276,7 +275,7 @@ def rotor_chart_state_from_momentum(params: RotorParams, m0: np.ndarray,
     j3 = params.inertia_rotor[2]
     omega0 = np.array([m0[0] / lam[0], m0[1] / lam[1],
                        (m0[2] - j3 * xdot) / lam[2]])
-    return rotor_chart_state(params, np.array([alpha0, beta0, gamma0]),
+    return rotor_chart_state(params, np.array([0.3, beta0, gamma0]),
                              x, xdot, omega0)
 
 

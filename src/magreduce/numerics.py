@@ -9,10 +9,12 @@ and `supply` returns a callable that closes over nothing but its inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
-leading row per input row.  Whole-trajectory monitors, the derivative
-supply and the compatible-map checks use that mark to run as array
-operations instead of one call per point.  `newton_solve` takes stacked
-seeds too, for a residual and Jacobian that send rows to rows.
+leading row per input row.  Every callable that `supply` returns takes
+rows, so code downstream of a supply never asks; only user callables
+(Lagrangian values, potentials, beta, the connection, psi, `bform`,
+Casimirs, `exp_fn` / `rep`) are marked or called per row (`each_row`).
+`newton_solve` takes stacked seeds too, for a residual and Jacobian that
+send rows to rows.
 """
 from __future__ import annotations
 
@@ -31,11 +33,14 @@ H_SECOND = 1e-4
 
 
 class NewtonConvergenceError(RuntimeError):
-    """Newton iteration failed; carries the iterate trace for diagnosis."""
+    """Newton iteration failed; carries the iterate trace for diagnosis and,
+    for a stacked seed, the index of the first failing row."""
 
-    def __init__(self, message: str, trace: list[tuple[np.ndarray, float]]):
+    def __init__(self, message: str, trace: list[tuple[np.ndarray, float]],
+                 row: int | None = None):
         super().__init__(message)
         self.trace = trace
+        self.row = row
 
 
 class StepSizeError(RuntimeError):
@@ -174,34 +179,43 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
        four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
        block.
 
-    The result takes rows (and is marked so) when the callable it rests on
-    does: the analytic one under rule 1, `first` under rule 2.  The
-    differencing routines are looked up at call time, so a wrapper
-    installed on them later still sees every stencil.
+    The result takes rows and is marked so.  Resting on a marked callable
+    it passes rows to it; resting on a one-point callable or stencil it
+    passes one point straight through and evaluates stacked rows one row
+    at a time (the same calls, so the same bits).  The differencing
+    routines are looked up at call time, so a wrapper installed on them
+    later still sees every stencil.
     """
     analytic = first if inner is None else second
-    if analytic is not None:
-        out = lambda *args: np.asarray(analytic(*args), dtype=float)  # noqa: E731
-        return takes_rows(out) if rows_ok(analytic) else out
-    if inner is None:
-        return lambda *args: fd_gradient(_vary(value, args, outer), args[outer])
-    if first is not None and rows_ok(first):
+    if rows_ok(analytic):
+        return takes_rows(lambda *args: np.asarray(analytic(*args), dtype=float))
+    if analytic is None and inner is not None and rows_ok(first):
         return takes_rows(lambda *args: stencil_jacobian(first, args, inner))
-    if first is not None:
-        return lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])
-    if inner == outer:
-        return lambda *args: fd_hessian(_vary(value, args, inner), args[inner])
+    if analytic is not None:
+        point = analytic
+    elif inner is None:
+        point = lambda *args: fd_gradient(_vary(value, args, outer), args[outer])  # noqa: E731
+    elif first is not None:
+        point = lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])  # noqa: E731
+    elif inner == outer:
+        point = lambda *args: fd_hessian(_vary(value, args, inner), args[inner])  # noqa: E731
+    else:
+        def point(*args):
+            fixed = list(args)
 
-    def mixed(*args):
-        fixed = list(args)
+            def of_pair(u, w):
+                fixed[outer], fixed[inner] = u, w
+                return value(*fixed)
 
-        def of_pair(u, w):
-            fixed[outer], fixed[inner] = u, w
-            return value(*fixed)
+            return fd_mixed(of_pair, args[outer], args[inner])
 
-        return fd_mixed(of_pair, args[outer], args[inner])
+    @takes_rows
+    def rows(*args):
+        if getattr(args[outer], "ndim", 1) < 2:
+            return np.asarray(point(*args), dtype=float)
+        return np.array([point(*row) for row in zip(*args)], dtype=float)
 
-    return mixed
+    return rows
 
 
 def stencil_jacobian(fn: Callable, args: tuple, slot: int,
@@ -288,9 +302,9 @@ class NewtonResult:
 
 
 def _newton_failure(trace: list, rows: bool, message: str, bad=None, cause=None):
-    if rows:
-        message = f"row {int(np.flatnonzero(bad)[0])}: {message}"
-    raise NewtonConvergenceError(message, trace) from cause
+    row = int(np.flatnonzero(bad)[0]) if rows else None
+    where = "" if row is None else f"row {row}: "
+    raise NewtonConvergenceError(where + message, trace, row) from cause
 
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray],

@@ -14,6 +14,9 @@ Derivatives of the reduced Lagrangian are assembled through the implicit
 function theorem from the derivative supply of the unreduced one, so systems
 with analytic derivatives reproduce closed-form reduced equations to
 rounding accuracy.
+One momentum inversion, for one point and for stacked rows alike, sits
+behind `solve_chi`, the Routhian (`routhians` over rows), the reduced
+energy, the monitors of `integrate_reduced` and `reconstruct`.
 """
 from __future__ import annotations
 
@@ -62,10 +65,7 @@ class InvariantLagrangian:
     in `reduced_metric`, which makes the reduced flow a handful of small
     matrix products.
 
-    When the metric is constant and `ell`, `dell_dxdot` and `dell_dxi` are
-    marked with `numerics.takes_rows`, the energy monitor of
-    `integrate_reduced` and the midpoint velocities of `reconstruct` are
-    computed for all samples in one call of each.
+    An `ell` not marked with `numerics.takes_rows` is called once per row.
     """
     sdim: int
     group: LieGroupSpec
@@ -284,62 +284,64 @@ def solve_chi(lag: InvariantLagrangian, x, xdot, nu: CoVector,
         raise ValueError("nu must be a CoVector of the group dimension")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    if lag.reduced_metric is not None:
-        return AlgebraVector(_constant_chi(lag, lag.group_momentum, x, xdot, nu.coords))
-    seed = np.zeros(lag.gdim) if seed is None else np.asarray(seed, dtype=float)
+    return AlgebraVector(_chi(lag, x, xdot, nu.coords, seed))
+
+
+def _chi(lag: InvariantLagrangian, x, xdot, nu: np.ndarray,
+         seed: np.ndarray | None = None, times: np.ndarray | None = None
+         ) -> np.ndarray:
+    """chi with dell/dxi(x, xdot, chi) = nu at one point or at stacked rows:
+    the constant-metric linear solve with its CHI_TOL residual check, or
+    Newton from `seed` (default zero).  A failure over rows names the time
+    of the first failing row, from `times`, when given."""
+    metric = lag.reduced_metric
+    if metric is not None:
+        offset = lag.group_momentum(x, xdot, np.zeros_like(nu))
+        chi = (nu - offset) @ metric.cm_inv.T
+        bad = np.max(np.abs(lag.group_momentum(x, xdot, chi) - nu), axis=-1) > CHI_TOL
+        if np.any(bad):
+            raise RegularityError(
+                "momentum inversion residual exceeds tolerance; the group "
+                f"metric is not constant as declared{_at(times, np.argmax(bad))}")
+        return chi
+    seed = np.zeros_like(nu) if seed is None else np.asarray(seed, dtype=float)
     try:
         res = numerics.newton_solve(
-            lambda z: lag.group_momentum(x, xdot, z) - nu.coords,
+            lambda z: lag.group_momentum(x, xdot, z) - nu,
             seed,
             jacobian=lambda z: lag.jac_xi_xi(x, xdot, z),
             tol=CHI_TOL, max_iter=50)
     except numerics.NewtonConvergenceError as exc:
         raise RegularityError(
-            f"group-velocity inversion failed (group regularity): {exc}") from exc
-    return AlgebraVector(res.x)
+            f"group-velocity inversion failed (group regularity): {exc}"
+            f"{_at(times, exc.row)}") from exc
+    return res.x
 
 
-def _constant_chi(lag: InvariantLagrangian, momentum: Callable, x, xdot,
-                  nu: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
-    """chi from the constant metric at one point or at stacked rows: the
-    linear solve and its CHI_TOL residual check.  `momentum` is dell/dxi
-    for the shape of x (lag.dell_dxi for rows); `times`, the rows' times,
-    names the first failing row."""
-    offset = momentum(x, xdot, np.zeros_like(nu))
-    chi = (nu - offset) @ lag.reduced_metric.cm_inv.T
-    bad = np.max(np.abs(momentum(x, xdot, chi) - nu), axis=-1) > CHI_TOL
-    if np.any(bad):
-        at = "" if times is None else f" at t = {times[np.argmax(bad)]:.6g}"
-        raise RegularityError(
-            "momentum inversion residual exceeds tolerance; the group "
-            f"metric is not constant as declared{at}")
-    return chi
-
-
-def _row_path(lag: InvariantLagrangian) -> bool:
-    return lag.reduced_metric is not None and numerics.rows_ok(
-        lag.ell, lag.dell_dxdot, lag.dell_dxi)
-
-
-def _chi_rows(lag: InvariantLagrangian, times: np.ndarray, ys: np.ndarray
-              ) -> np.ndarray:
-    """chi at each flat (x, xdot, nu) row of ys: in one call when the
-    Lagrangian takes rows, by solve_chi per row otherwise."""
-    sd = lag.sdim
-    x, xdot, nu = ys[:, :sd], ys[:, sd:2 * sd], ys[:, 2 * sd:]
-    if _row_path(lag):
-        return _constant_chi(lag, lag.dell_dxi, x, xdot, nu, times)
-    return np.array([solve_chi(lag, x[i], xdot[i], CoVector(nu[i])).coords
-                     for i in range(len(ys))])
+def _at(times: np.ndarray | None, row) -> str:
+    return "" if times is None or row is None else f" at t = {times[row]:.6g}"
 
 
 def routhian(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
     """Reduced Lagrangian R(x, xdot, nu) = ell - <nu, xi> at xi solving the
     momentum constraint."""
-    chi = solve_chi(lag, x, xdot, nu)
+    chi = solve_chi(lag, x, xdot, nu).coords
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    return lag.value(x, xdot, chi.coords) - float(nu.coords @ chi.coords)
+    return float(_routhian(lag, x, xdot, nu.coords, chi))
+
+
+def routhians(lag: InvariantLagrangian, x: np.ndarray, xdot: np.ndarray,
+              nu: np.ndarray) -> np.ndarray:
+    """The Routhian at each row of stacked (x, xdot, nu), shapes (N, sdim)
+    and (N, gdim), with one momentum inversion over all rows."""
+    return _routhian(lag, x, xdot, nu, _chi(lag, x, xdot, nu))
+
+
+def _routhian(lag: InvariantLagrangian, x, xdot, nu, chi):
+    """ell - <nu, chi> at chi on the momentum constraint; one point or
+    stacked rows."""
+    return numerics.each_row(lag.ell, x, xdot, chi) - numerics.rowdot(nu, chi)
 
 
 def routhian_mechanical(lag: InvariantLagrangian, x, xdot, nu: CoVector,
@@ -362,33 +364,23 @@ def reduced_energy(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
     chi = solve_chi(lag, x, xdot, nu).coords
-    return float(_energy(lag.shape_momentum, lag.value, x, xdot, nu.coords, chi))
+    return float(_energy(lag, x, xdot, nu.coords, chi))
 
 
-def _energy(momentum: Callable, value: Callable, x, xdot, nu, chi):
+def _energy(lag: InvariantLagrangian, x, xdot, nu, chi):
     """<dR/dxdot, xdot> - R at chi on the momentum constraint, where
-    dR/dxdot = dell/dxdot (`momentum`) and R = ell (`value`) - <nu, chi>;
-    one point or stacked rows."""
-    r = value(x, xdot, chi) - numerics.rowdot(nu, chi)
-    return numerics.rowdot(momentum(x, xdot, chi), xdot) - r
+    dR/dxdot = dell/dxdot; one point or stacked rows."""
+    return (numerics.rowdot(lag.shape_momentum(x, xdot, chi), xdot)
+            - _routhian(lag, x, xdot, nu, chi))
 
 
-def _energies(lag: InvariantLagrangian, times: np.ndarray, ys: np.ndarray
-              ) -> np.ndarray:
-    """Reduced energy at each flat (x, xdot, nu) row of ys: array
-    operations when the Lagrangian takes rows, one point at a time
-    otherwise."""
+def _split(lag: InvariantLagrangian, ys: np.ndarray):
+    """(x, xdot, nu) of flat reduced states, one state or stacked rows."""
     sd = lag.sdim
-    x, xdot, nu = ys[:, :sd], ys[:, sd:2 * sd], ys[:, 2 * sd:]
-    if not _row_path(lag):
-        return np.array([reduced_energy(lag, x[i], xdot[i], CoVector(nu[i]))
-                         for i in range(len(ys))])
-    chi = _constant_chi(lag, lag.dell_dxi, x, xdot, nu, times)
-    return _energy(lag.dell_dxdot, lag.ell, x, xdot, nu, chi)
+    return ys[..., :sd], ys[..., sd:2 * sd], ys[..., 2 * sd:]
 
 
-def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState,
-                         chi_seed: np.ndarray | None = None
+def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState
                          ) -> tuple[np.ndarray, np.ndarray, CoVector]:
     """Right-hand side (xdot, xddot, nudot) of the reduced equations.
 
@@ -397,7 +389,7 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState,
     mixed d2R/dxdot dnu term.
     """
     lag = sys.lagrangian
-    chi = solve_chi(lag, s.x, s.xdot, s.nu, seed=chi_seed).coords
+    chi = solve_chi(lag, s.x, s.xdot, s.nu).coords
     metric = lag.reduced_metric or _assemble_metric(lag, s.x, s.xdot, chi)
     xddot, nudot = _reduced_rhs(lag.grad_x, sys.sign, _structure(lag.group), metric,
                                 s.x, s.xdot, s.nu.coords, chi)
@@ -433,8 +425,8 @@ def pack_reduced(s: ReducedState) -> np.ndarray:
 
 
 def unpack_reduced(lag: InvariantLagrangian, y: np.ndarray) -> ReducedState:
-    sd = lag.sdim
-    return ReducedState(y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:]))
+    x, xdot, nu = _split(lag, y)
+    return ReducedState(x, xdot, CoVector(nu))
 
 
 def _field_factory(sys: ReducedRouthSystem):
@@ -473,19 +465,21 @@ def _field_factory(sys: ReducedRouthSystem):
 
 
 def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
-                      stepper: StepperChoice, t0: float = 0.0) -> Trajectory:
-    """Integrate the reduced flow with energy and Casimir monitors.
+                      stepper: StepperChoice) -> Trajectory:
+    """Integrate the reduced flow over [0, t_end] with energy and Casimir
+    monitors.
 
     The energy is checked at every (len // 400)-th sample and the last one,
     the Casimirs at every sample."""
     lag = sys.lagrangian
     sd = lag.sdim
     times, states = numerics.integrate_ode(_field_factory(sys), pack_reduced(s0),
-                                           t0, t_end, stepper)
+                                           0.0, t_end, stepper)
     e0 = reduced_energy(lag, s0.x, s0.xdot, s0.nu)
     pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
                      len(states) - 1)
-    energies = _energies(lag, times[pick], states[pick])
+    x, xdot, nu = _split(lag, states[pick])
+    energies = _energy(lag, x, xdot, nu, _chi(lag, x, xdot, nu, times=times[pick]))
     entries = {"energy_drift": float(np.max(np.abs(energies - e0)))}
     for cname, cfun in lag.group.casimirs:
         drift = numerics.each_row(cfun, states[:, 2 * sd:]) - cfun(s0.nu.coords)
@@ -507,12 +501,13 @@ def reconstruct(sys: ReducedRouthSystem, traj: Trajectory, g0: GroupElement
 
     Integrates gdot = g.chi with the midpoint update
     g_{n+1} = g_n exp(h chi_mid), evaluating chi at the averaged state of
-    each sampling interval (all intervals at once when the Lagrangian
-    takes rows); requires a densely sampled trajectory.
+    each sampling interval (one momentum inversion over all intervals);
+    requires a densely sampled trajectory.
     """
     lag = sys.lagrangian
     ys, ts = traj.states, traj.times
-    chis = _chi_rows(lag, 0.5 * (ts[:-1] + ts[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    chis = _chi(lag, *_split(lag, 0.5 * (ys[:-1] + ys[1:])),
+                times=0.5 * (ts[:-1] + ts[1:]))
     out = [g0]
     g = g0
     for h, chi in zip(np.diff(ts), chis):

@@ -370,3 +370,71 @@ def test_connection_non_finite_off_the_base_point_is_named(beanie_pair, rng):
     with pytest.raises(ValueError, match=r"^row 1: non-finite evaluation while "
                                          r"differencing coordinate 0"):
         dl_dq(q, v, p)
+
+
+# -- a magnetic l2 --------------------------------------------------------------
+
+
+def magnetic_l2():
+    """A system on (q, qbar | pbar), quadratic in the velocities, whose
+    2-form B2 = d theta, theta = pbar cos(q) dqbar + q qbar^2 / 2 dpbar, is
+    closed, state dependent and given by an unmarked one-point `bform`."""
+    def bform(q2, pbar):
+        q, qbar = q2
+        c = pbar[0] * np.sin(q)
+        return (np.array([[0.0, -c], [c, 0.0]]),
+                np.array([[0.5 * qbar ** 2], [q * qbar - np.cos(q)]]), np.zeros((1, 1)))
+
+    return MagneticSystem(
+        n=2, k=1,
+        lagrangian=lambda q, v, p: (0.5 * v[0] ** 2 + 0.5 * (1.0 + 0.2 * q[0] ** 2) * v[1] ** 2
+                                    + 0.1 * v[0] * v[1] + 0.3 * p[0] * v[1]
+                                    - 0.5 * q[0] ** 2 - 0.1 * q[1] ** 2 - 0.25 * p[0] ** 2),
+        dL_dv=lambda q, v, p: np.array([v[0] + 0.1 * v[1],
+                                        (1.0 + 0.2 * q[0] ** 2) * v[1] + 0.1 * v[0] + 0.3 * p[0]]),
+        d2L_dv_dv=lambda q, v, p: np.array([[1.0, 0.1], [0.1, 1.0 + 0.2 * q[0] ** 2]]),
+        bform=bform, name="magnetic_l2")
+
+
+def magnetic_beta(p1):
+    """beta(q, qbar, pbar, p), fibre-regular in p (one point only)."""
+    q, qbar, pbar, p = p1
+    return np.array([p + 0.2 * np.sin(qbar) + 0.1 * q * pbar])
+
+
+def test_pullback_of_a_magnetic_l2(rng):
+    l2 = magnetic_l2()
+    pair = compat.TransformationPair(n1=1, vf=1, k2=1)
+    sys1 = compat.build_system(l2, pair, magnetic_beta)
+    z1 = np.column_stack([rng.uniform(-1, 1, (30, 3)), rng.uniform(-0.5, 0.5, (30, 2))])
+    q, v, pfib = z1[:, :1], z1[:, 1:2], z1[:, 2:]
+    # B1 = F*B2 + d<beta, dqbar>: B2 on (q, qbar, pbar), and the exterior
+    # derivative of beta dqbar from beta's analytic gradient
+    b1 = sys1.full_bmatrix(q, pfib)
+    for i, (qi, qbar, pbar, p) in enumerate(np.column_stack([q, pfib])):
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = l2.full_bmatrix(np.array([qi, qbar]), np.array([pbar]))
+        dbeta = np.array([0.1 * pbar, 0.2 * np.cos(qbar), 0.1 * qi, 1.0])
+        expected[:, 1] += dbeta
+        expected[1, :] -= dbeta
+        assert np.max(np.abs(b1[i] - expected)) <= 1e-7
+
+    def psi(z):
+        return compat.solve_psi(l2, pair, magnetic_beta, z)
+
+    z2 = psi(z1)
+    q2, v2, pbar = pair.split2(z2)
+    for sys, states in ((sys1, zip(q, v, pfib)), (l2, zip(q2, v2, pbar))):
+        samples = [MagLagState(*state) for state in list(states)[:3]]
+        assert maglag.check_closedness(sys, samples) <= 1e-6
+
+    rep = compat.verify_symplectomorphism(sys1, l2, psi, z1, rng, tangent_pairs=4,
+                                          beta=magnetic_beta, pair=pair)
+    assert rep["max_residual_form"] <= 1e-6
+    assert rep["max_residual_energy"] <= 1e-9
+    assert rep["max_residual_momentum"] <= 1e-10
+    # the form matrices of l2 over rows (its bform called row by row) are
+    # the one-point matrices
+    forms = maglag.symplectic_form_matrix(l2, q2, v2, pbar)
+    for i in range(len(z2)):
+        assert np.array_equal(forms[i], maglag.symplectic_form_matrix(l2, q2[i], v2[i], pbar[i]))

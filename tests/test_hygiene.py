@@ -1,0 +1,82 @@
+"""Module boundaries: no module of the package reads a private name (one
+with a leading underscore, dunder names aside) of another package module,
+by attribute or by import."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import magreduce
+
+PACKAGE = Path(magreduce.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def package_module(node: ast.ImportFrom) -> str | None:
+    """The package module a `from ... import` reads from, "" for the
+    package itself, None for anything else."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "magreduce":
+        return ".".join(node.module.split(".")[1:])
+    return None
+
+
+def private_reads(source: str, own: str) -> list[str]:
+    """`module.name` for each read of another package module's private name
+    in `source`, the text of module `own`."""
+    tree = ast.parse(source)
+    aliases: dict[str, str] = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (base := package_module(node)) is not None:
+            for alias in node.names:
+                if base == "" and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif base in MODULES and base != own and private(alias.name):
+                    found.append(f"{base}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "magreduce" and len(parts) == 2 and alias.asname:
+                    aliases[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not private(node.attr):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name):
+            module = aliases.get(value.id)
+        elif (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+              and value.value.id == "magreduce"):
+            module = value.attr
+        else:
+            module = None
+        if module in MODULES and module != own:
+            found.append(f"{module}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_reads_another_modules_private_names(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert private_reads(source, module) == []
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("from . import routh\nrouth._chi(1)", ["routh._chi"]),
+    ("from . import routh as r\nr._energies", ["routh._energies"]),
+    ("from .routh import _chi, solve_chi", ["routh._chi"]),
+    ("from magreduce.routh import _chi", ["routh._chi"]),
+    ("from magreduce import routh\nrouth._chi", ["routh._chi"]),
+    ("import magreduce.routh as r\nr._chi", ["routh._chi"]),
+    ("import magreduce.routh\nmagreduce.routh._chi", ["routh._chi"]),
+    ("def f():\n    from . import routh\n    return routh._chi", ["routh._chi"]),
+    ("from . import numerics\nnumerics._vary", []),  # its own private name
+    ("from . import __version__, routh\nrouth.__name__, routh.solve_chi", []),
+])
+def test_checker_sees_each_form_of_read(source, reads):
+    assert private_reads(source, "numerics") == reads

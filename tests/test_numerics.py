@@ -104,6 +104,34 @@ def test_newton_divergence_has_trace():
     assert len(err.value.trace) >= 2
 
 
+def nan_past_ten(c):
+    """Residual x^2 - c that turns NaN once x passes 10, and its Jacobian:
+    from the seed 0.1 the first step lands at about 20."""
+    def residual(x):
+        return np.where(x > 10.0, np.nan, x ** 2 - c)
+
+    def jacobian(x):
+        return 2.0 * x[..., None]
+
+    return residual, jacobian
+
+
+def test_newton_non_finite_residual_raises_with_trace():
+    residual, jacobian = nan_past_ten(np.array([4.0]))
+    with pytest.raises(NewtonConvergenceError, match=r"^non-finite residual$") as err:
+        numerics.newton_solve(residual, np.array([0.1]), jacobian)
+    assert err.value.row is None
+    (x0, r0), (x1, r1) = err.value.trace
+    assert x0[0] == 0.1 and r0 == pytest.approx(3.99)
+    assert x1[0] == pytest.approx(20.05) and np.isnan(r1)
+    # stacked seeds: rows 1 and 3 step past 10, row 1 is named
+    residual, jacobian = nan_past_ten(np.full((4, 1), 4.0))
+    with pytest.raises(NewtonConvergenceError, match=r"^row 1: non-finite residual$") as err:
+        numerics.newton_solve(residual, np.array([[3.0], [0.1], [2.5], [0.1]]), jacobian)
+    assert err.value.row == 1
+    assert len(err.value.trace) == 2 and np.isnan(err.value.trace[-1][1])
+
+
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
     res = numerics.newton_solve(f, np.array([1.0]), tol=1e-14)

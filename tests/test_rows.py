@@ -1,8 +1,8 @@
 """Row paths against their per-point references: the whole-trajectory
 monitors, the batched reconstruction, the chunked CSV writer, the row
-Newton, the row stencil of the derivative supply and the row callables of
-the V-reduced system; Lagrangians whose callables take one point keep the
-per-point path."""
+Newton, the row momentum inversion, the rows of every derivative supply
+and the row callables of the V-reduced system; Lagrangians whose callables
+take one point give the per-point results bit for bit."""
 import math
 
 import numpy as np
@@ -49,7 +49,7 @@ def per_point_report(sys, traj, s0):
 def test_row_monitors_match_per_point(case, rotor_traj, beanie_params):
     sys, traj = rotor_traj if case == "rotor" else beanie_reduced(beanie_params)
     lag = sys.lagrangian
-    assert routh._row_path(lag)
+    assert lag.reduced_metric is not None and numerics.rows_ok(lag.ell)
     sd = lag.sdim
     y0 = traj.states[0]
     s0 = routh.ReducedState(y0[:sd], y0[sd:2 * sd], CoVector(y0[2 * sd:]))
@@ -57,7 +57,8 @@ def test_row_monitors_match_per_point(case, rotor_traj, beanie_params):
     assert set(traj.report.entries) == set(expected)
     for name, value in expected.items():
         assert abs(traj.report.entries[name] - value) <= ROW_TOL
-    energies = routh._energies(lag, traj.times, traj.states)
+    xs = traj.states[:, :sd], traj.states[:, sd:2 * sd], traj.states[:, 2 * sd:]
+    energies = routh._energy(lag, *xs, routh._chi(lag, *xs, times=traj.times))
     for e, y in zip(energies, traj.states):
         point = routh.reduced_energy(lag, y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:]))
         assert abs(e - point) <= ROW_TOL
@@ -68,7 +69,8 @@ def test_batched_reconstruct_matches_solve_chi(rotor_traj):
     lag = sys.lagrangian
     ys, ts = traj.states, traj.times
     mids = 0.5 * (ys[:-1] + ys[1:])
-    chis = routh._chi_rows(lag, 0.5 * (ts[:-1] + ts[1:]), mids)
+    chis = routh._chi(lag, mids[:, :1], mids[:, 1:2], mids[:, 2:],
+                      times=0.5 * (ts[:-1] + ts[1:]))
     g = g_ref = lie.identity(lag.group)
     gs = routh.reconstruct(sys, traj, g)
     assert len(gs) == len(ts)
@@ -145,7 +147,7 @@ def quartic_lagrangian(c4=0.3, cx=0.2):
 
 def test_single_point_lagrangian_keeps_per_point_path():
     lag = quartic_lagrangian()
-    assert not routh._row_path(lag)
+    assert lag.reduced_metric is None and not numerics.rows_ok(lag.ell, lag.dell_dxi)
     with pytest.raises((TypeError, ValueError)):  # one point only
         lag.ell(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 2)))
     nu0 = CoVector([0.5, -0.3])
@@ -154,6 +156,53 @@ def test_single_point_lagrangian_keeps_per_point_path():
     traj = routh.integrate_reduced(sys, s0, 1.0, RK4)
     assert traj.report.entries == per_point_report(sys, traj, s0)
     assert traj.report.entries["energy_drift"] <= 1e-8
+
+
+def quartic_rows(count=101, seed=12):
+    """Stacked (x, xdot, nu) rows in the range of the benchmark's quartic
+    requests."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-0.5, 0.5, (count, 1)), rng.uniform(-0.5, 0.5, (count, 1)),
+            rng.uniform(-0.8, 0.8, (count, 2)))
+
+
+def test_row_newton_inversion_is_solve_chi_per_row():
+    lag = quartic_lagrangian()
+    x, xd, nu = quartic_rows()
+    chis = routh._chi(lag, x, xd, nu)
+    points = [routh.solve_chi(lag, x[i], xd[i], CoVector(nu[i])).coords for i in range(len(x))]
+    assert np.array_equal(chis, points)
+    routhians = routh.routhians(lag, x, xd, nu)
+    assert np.array_equal(routhians, [routh.routhian(lag, x[i], xd[i], CoVector(nu[i]))
+                                      for i in range(len(x))])
+
+
+def test_row_routhian_of_constant_metric_matches_per_point(beanie_params):
+    lag = models.beanie_gv_lagrangian(beanie_params).inner
+    rng = np.random.default_rng(13)
+    x, xd = rng.uniform(-1, 1, (100, 1)), rng.uniform(-1, 1, (100, 1))
+    nu = rng.uniform(-1.5, 1.5, (100, 3))
+    rows = routh.routhians(lag, x, xd, nu)
+    for i in range(len(x)):
+        assert abs(rows[i] - routh.routhian(lag, x[i], xd[i], CoVector(nu[i]))) <= ROW_TOL
+
+
+def test_row_newton_inversion_failure_names_t():
+    # group metric x^2, singular at x = 0: the midpoint of the last
+    # interval (t = 0.25) sits there
+    lag = routh.InvariantLagrangian(
+        sdim=1, group=lie.so3(),
+        ell=lambda x, xd, xi: 0.5 * xd[0] ** 2 + 0.5 * x[0] ** 2 * float(xi @ xi),
+        dell_dxi=lambda x, xd, xi: x[0] ** 2 * xi,
+        d2_dxi_dxi=lambda x, xd, xi: x[0] ** 2 * np.eye(3))
+    sys = routh.ReducedRouthSystem(lag, mu=CoVector([0.3, 0.1, 0.2]))
+    ts = np.array([0.0, 0.1, 0.2, 0.3])
+    ys = np.array([[0.5, 1.0, 0.3, 0.1, 0.2], [0.5, 1.0, 0.3, 0.1, 0.2],
+                   [0.0, 1.0, 0.3, 0.1, 0.2], [0.0, 1.0, 0.3, 0.1, 0.2]])
+    traj = maglag.Trajectory(ts, ys, routh.reduced_state_columns(1, 3))
+    with pytest.raises(RegularityError, match=r"group regularity\): row 2: singular "
+                                              r"Jacobian.* at t = 0.25$"):
+        routh.reconstruct(sys, traj, lie.identity(lag.group))
 
 
 def varying_metric_declared_constant():
@@ -174,7 +223,7 @@ def varying_metric_declared_constant():
 
 def test_false_constant_metric_raises_from_rows():
     lag = varying_metric_declared_constant()
-    assert routh._row_path(lag)
+    assert numerics.rows_ok(lag.ell, lag.dell_dxi)
     nu0 = CoVector([0.3, 0.1, 0.2])
     sys = routh.ReducedRouthSystem(lag, mu=nu0)
     with pytest.raises(RegularityError, match="not constant as declared at t = "):
@@ -282,8 +331,7 @@ def test_rule2_row_stencil_points_and_values(block):
     lag = lambda q, v, p: 0.0  # noqa: E731  (never called by rule 2)
     rows = MagneticSystem(n=2, k=1, lagrangian=lag, dL_dv=dl_dv)
     one = MagneticSystem(n=2, k=1, lagrangian=lag, dL_dv=lambda *args: dl_dv(*args))
-    assert numerics.rows_ok(getattr(rows, block))
-    assert not numerics.rows_ok(getattr(one, block))
+    assert numerics.rows_ok(getattr(rows, block), getattr(one, block))
     rng = np.random.default_rng(8)
     q, v, p = rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 1))
     stacked = getattr(rows, block)(q, v, p)

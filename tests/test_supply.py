@@ -115,6 +115,46 @@ def test_values_only_mixed_block_wide_coords(case, monkeypatch):
     check_level(case, "values_mixed", 2.0, monkeypatch)
 
 
+INVARIANT_SUPPLIES = ("grad_x", "shape_momentum", "group_momentum", "jac_xdot_x",
+                      "jac_xdot_xdot", "jac_xi_x", "jac_xi_xdot", "jac_xi_xi")
+MAGNETIC_SUPPLIES = ("grad_q", "grad_v", "grad_p", "hess_vv", "hess_vq", "hess_vp")
+
+
+def one_point_systems(rule):
+    """The quadratic Lagrangian as an InvariantLagrangian and as a
+    MagneticSystem (q = x, v = xdot, p = xi) whose callables take one point:
+    rule 1 gives every derivative, rule 2 only the first derivatives, rule 3
+    only values."""
+    quad = quadratic()
+    first = {"dell_dx": quad.dell_dx, "dell_dxdot": quad.dell_dxdot, "dell_dxi": quad.dell_dxi}
+    second = {name: getattr(quad, name) for name in (
+        "d2_dxdot_dx", "d2_dxdot_dxdot", "d2_dxi_dx", "d2_dxi_dxdot", "d2_dxi_dxi")}
+    given = {1: {**first, **second}, 2: first, 3: {}}[rule]
+    given = {name: one_point(fn) for name, fn in given.items()}
+    ell = one_point(quad.ell)
+    names = {"dell_dx": "dL_dq", "dell_dxdot": "dL_dv", "dell_dxi": "dL_dp",
+             "d2_dxdot_dx": "d2L_dv_dq", "d2_dxdot_dxdot": "d2L_dv_dv"}
+    magnetic = {names[k]: f for k, f in given.items() if k in names}
+    if "d2_dxi_dxdot" in given:
+        block = given["d2_dxi_dxdot"]
+        magnetic["d2L_dv_dp"] = lambda q, v, p: block(q, v, p).T
+    return (routh.InvariantLagrangian(1, lie.so3(), ell, **given),
+            MagneticSystem(n=1, k=3, lagrangian=ell, **magnetic))
+
+
+@pytest.mark.parametrize("rule", [1, 2, 3])
+def test_one_point_supplies_give_rows_bit_for_bit(rule):
+    lag, sys = one_point_systems(rule)
+    rng = np.random.default_rng(7)
+    x, xd, xi = rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (6, 1)), rng.uniform(-1, 1, (6, 3))
+    for system, supplies in ((lag, INVARIANT_SUPPLIES), (sys, MAGNETIC_SUPPLIES)):
+        for name in supplies:
+            fn = getattr(system, name)
+            assert numerics.rows_ok(fn)
+            points = [fn(x[i], xd[i], xi[i]) for i in range(len(x))]
+            assert np.array_equal(fn(x, xd, xi), points), name
+
+
 def capture_field(monkeypatch):
     """Record the right-hand side that the integrators hand to the stepper."""
     seen = []
