@@ -107,15 +107,15 @@ def _tmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
-              z1: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
+              z1: np.ndarray) -> np.ndarray:
     """The compatible map: all coordinates pass through except the qbar
     velocity, which is solved from the fibre momentum condition.
 
     Stacked states z1 (N, dim) are solved by one row Newton over l2's
     `grad_v` and `hess_vv` at rows; the PSI_TOL check holds per row.
-    Raises RegularityError when the Newton iteration for the qbar velocity
-    fails (the Lagrangian is not f-regular near the seed), naming the first
-    failing row.
+    The Newton iteration for the qbar velocity starts at zero; it raises
+    RegularityError when it fails (the Lagrangian is not f-regular there),
+    naming the first failing row.
     """
     z1 = np.asarray(z1, dtype=float)
     q, qdot, qbar, pbar, p = pair.split1(z1)
@@ -133,9 +133,8 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         v2 = np.concatenate([qdot, w], axis=-1)
         return l2.hess_vv(q2, v2, pbar)[..., n1:, n1:]
 
-    seed = np.zeros(target.shape) if seed is None else np.asarray(seed, dtype=float)
     try:
-        res = numerics.newton_solve(residual, seed, jacobian=jacobian,
+        res = numerics.newton_solve(residual, np.zeros(target.shape), jacobian=jacobian,
                                     tol=PSI_TOL, max_iter=50)
     except numerics.NewtonConvergenceError as exc:
         raise RegularityError(f"f-regularity failure in psi: {exc}") from exc
@@ -143,7 +142,7 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
 
 def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
-               z2: np.ndarray, seed: np.ndarray | None = None) -> np.ndarray:
+               z2: np.ndarray) -> np.ndarray:
     """Inverse of psi: recover the F-fibre coordinate p from the fibre
     momentum of a point on the smaller bundle (beta must be fibre-regular).
     Stacked states z2 (N, dim) are inverted as solve_psi solves them; the
@@ -165,9 +164,8 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     def jacobian(p):
         return numerics.stencil_jacobian(mismatch, (q, qbar, pbar, p, target), 3)
 
-    seed = np.zeros(target.shape) if seed is None else np.asarray(seed, dtype=float)
     try:
-        res = numerics.newton_solve(residual, seed, jacobian=jacobian,
+        res = numerics.newton_solve(residual, np.zeros(target.shape), jacobian=jacobian,
                                     tol=PSI_TOL, max_iter=50)
     except numerics.NewtonConvergenceError as exc:
         raise RegularityError(f"beta fibre inversion failed: {exc}") from exc
@@ -215,8 +213,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     def dbeta_at(p1):
         # (vf, n1+k1) per point: the stencil of all points in one call
-        d = numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), np.atleast_2d(p1))
-        return d if p1.ndim == 2 else d[0]
+        return numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), p1)
 
     @numerics.takes_rows
     def lagrangian(q, v, pfib):
@@ -236,16 +233,9 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     def gamma_term(q2, qdot, b, slot: int):
         # beta . (d Gamma / d zeta) qdot for zeta ranging over q (slot 0)
-        # or qbar (slot 1); a non-finite stencil value gives a non-finite
-        # difference, which names its row and coordinate
+        # or qbar (slot 1)
         args = (q2[..., :n1], q2[..., n1:], b, qdot)
-        d = numerics.stencil_jacobian(pairing, args, slot)[..., 0, :]
-        bad = np.argwhere(~np.isfinite(d))
-        if bad.size:
-            where = f"row {bad[0][0]}: " if d.ndim == 2 else ""
-            raise ValueError(f"{where}non-finite evaluation while differencing "
-                             f"coordinate {bad[0][-1]}")
-        return d
+        return numerics.stencil_jacobian(pairing, args, slot)[..., 0, :]
 
     @numerics.takes_rows
     def dl_dq(q, v, pfib):
@@ -295,16 +285,15 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
                              samples: np.ndarray,
                              rng: np.random.Generator,
                              tangent_pairs: int = 10,
-                             fd_step: float = 1e-6,
                              beta: BetaMap | None = None,
                              pair: TransformationPair | None = None) -> dict:
     """Numerically compare the two symplectic structures through psi.
 
     At each sample state of sys1 the local 2-form matrices are assembled
     from the derivative supplies; tangents are pushed through psi by
-    forward differences with the given step.  Also records the energy
-    pull-back residual and, when (beta, pair) are supplied, the fibre
-    momentum-condition residual.
+    forward differences at step numerics.H_GRADIENT.  Also records the
+    energy pull-back residual and, when (beta, pair) are supplied, the
+    fibre momentum-condition residual.
 
     The tangents are drawn sample by sample, u then w for each pair.  The
     form matrices, energies and momentum residuals of all samples are then
@@ -320,11 +309,12 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     count, dim1 = samples.shape[0], 2 * sys1.n + sys1.k
     tangents = rng.normal(size=(count, tangent_pairs, 2, dim1))
     tangents /= np.sqrt(numerics.rowdot(tangents, tangents))[..., None]
-    shifted = samples[:, None, None, :] + fd_step * tangents
+    step = numerics.H_GRADIENT
+    shifted = samples[:, None, None, :] + step * tangents
     z_all = np.asarray(numerics.each_row(
         psi, np.concatenate([samples, shifted.reshape(-1, dim1)])), dtype=float)
     z2 = z_all[:count]
-    push = (z_all[count:].reshape(shifted.shape[:3] + (-1,)) - z2[:, None, None, :]) / fd_step
+    push = (z_all[count:].reshape(shifted.shape[:3] + (-1,)) - z2[:, None, None, :]) / step
 
     def form_values(sys, z, t):
         n = sys.n

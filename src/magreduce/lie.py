@@ -42,63 +42,50 @@ def _same_kind(vec, other):
 
 
 @dataclass(frozen=True)
-class AlgebraVector:
-    """Element of a Lie algebra as coordinates in a fixed basis."""
+class _Coordinates:
+    """Coordinates of an element of a Lie algebra or of its dual.  The two
+    subclasses are distinct types, and arithmetic combines only equal types
+    (`_same_kind`)."""
     coords: np.ndarray
+    _noun = "vector"  # what messages call the element
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _freeze(self.coords))
         if self.coords.ndim != 1:
-            raise ValueError("algebra vector must be one-dimensional")
+            raise ValueError(f"{self._noun} must be one-dimensional")
 
     def __len__(self) -> int:
         return self.coords.size
 
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.coords + _same_kind(self, other).coords)
+    def __add__(self, other):
+        return type(self)(self.coords + _same_kind(self, other).coords)
 
-    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return AlgebraVector(self.coords - _same_kind(self, other).coords)
+    def __sub__(self, other):
+        return type(self)(self.coords - _same_kind(self, other).coords)
 
-    def __mul__(self, s: float) -> "AlgebraVector":
-        return AlgebraVector(self.coords * s)
+    def __mul__(self, s: float):
+        return type(self)(self.coords * s)
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "AlgebraVector":
-        return AlgebraVector(-self.coords)
+    def __neg__(self):
+        return type(self)(-self.coords)
 
 
 @dataclass(frozen=True)
-class CoVector:
+class AlgebraVector(_Coordinates):
+    """Element of a Lie algebra as coordinates in a fixed basis."""
+    _noun = "algebra vector"
+
+
+@dataclass(frozen=True)
+class CoVector(_Coordinates):
     """Element of the dual of a Lie algebra, in the dual basis.
 
     Deliberately not interchangeable with AlgebraVector: operations check
     the semantic type, not just the length.
     """
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(self.coords))
-        if self.coords.ndim != 1:
-            raise ValueError("covector must be one-dimensional")
-
-    def __len__(self) -> int:
-        return self.coords.size
-
-    def __add__(self, other: "CoVector") -> "CoVector":
-        return CoVector(self.coords + _same_kind(self, other).coords)
-
-    def __sub__(self, other: "CoVector") -> "CoVector":
-        return CoVector(self.coords - _same_kind(self, other).coords)
-
-    def __mul__(self, s: float) -> "CoVector":
-        return CoVector(self.coords * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CoVector":
-        return CoVector(-self.coords)
+    _noun = "covector"
 
 
 def pair(nu: CoVector, xi: AlgebraVector) -> float:
@@ -174,32 +161,26 @@ class LieGroupSpec:
         return _freeze([self.rep_inf(e) for e in np.eye(self.base.dim)])
 
 
-def _check_algebra(spec: LieGroupSpec, v: AlgebraVector, what: str = "algebra vector"):
-    if not isinstance(v, AlgebraVector):
-        raise TypeError(f"expected AlgebraVector for {what}, got {type(v).__name__}")
+def _check(spec: LieGroupSpec, v: _Coordinates, kind: type[_Coordinates]):
+    """`v` is a `kind` (AlgebraVector or CoVector) of the spec's dimension."""
+    if not isinstance(v, kind):
+        raise TypeError(f"expected {kind.__name__} for {kind._noun}, got {type(v).__name__}")
     if len(v) != spec.dim:
-        raise ValueError(f"{what} has length {len(v)}, spec {spec.name} has dim {spec.dim}")
-
-
-def _check_dual(spec: LieGroupSpec, v: CoVector, what: str = "covector"):
-    if not isinstance(v, CoVector):
-        raise TypeError(f"expected CoVector for {what}, got {type(v).__name__}")
-    if len(v) != spec.dim:
-        raise ValueError(f"{what} has length {len(v)}, spec {spec.name} has dim {spec.dim}")
+        raise ValueError(f"{kind._noun} has length {len(v)}, spec {spec.name} has dim {spec.dim}")
 
 
 def bracket(spec: LieGroupSpec, xi: AlgebraVector, eta: AlgebraVector) -> AlgebraVector:
     """Lie bracket [xi, eta]."""
-    _check_algebra(spec, xi)
-    _check_algebra(spec, eta)
+    _check(spec, xi, AlgebraVector)
+    _check(spec, eta, AlgebraVector)
     return AlgebraVector(spec.bracket_fn(xi.coords, eta.coords))
 
 
 def inf_coadjoint(spec: LieGroupSpec, xi: AlgebraVector, nu: CoVector) -> CoVector:
     """Infinitesimal coadjoint action ad*_xi nu, defined by
     <ad*_xi nu, eta> = <nu, [xi, eta]> for all eta."""
-    _check_algebra(spec, xi)
-    _check_dual(spec, nu)
+    _check(spec, xi, AlgebraVector)
+    _check(spec, nu, CoVector)
     # (ad*_xi nu)_c = sum_{a,b} nu_a xi_b structure[a, b, c]
     return CoVector(np.einsum("a,b,abc->c", nu.coords, xi.coords, spec.structure))
 
@@ -224,7 +205,7 @@ def inverse(spec: LieGroupSpec, g: GroupElement) -> GroupElement:
 
 def exponential(spec: LieGroupSpec, xi: AlgebraVector, t: float = 1.0) -> GroupElement:
     """Group exponential exp(t*xi)."""
-    _check_algebra(spec, xi)
+    _check(spec, xi, AlgebraVector)
     z = t * xi.coords
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite exponential argument")
@@ -233,14 +214,14 @@ def exponential(spec: LieGroupSpec, xi: AlgebraVector, t: float = 1.0) -> GroupE
 
 def adjoint(spec: LieGroupSpec, g: GroupElement, xi: AlgebraVector) -> AlgebraVector:
     """Adjoint action Ad_g xi."""
-    _check_algebra(spec, xi)
+    _check(spec, xi, AlgebraVector)
     spec.check_fn(g.payload)
     return AlgebraVector(spec.adjoint_fn(g.payload) @ xi.coords)
 
 
 def coadjoint(spec: LieGroupSpec, g: GroupElement, nu: CoVector) -> CoVector:
     """Coadjoint action Ad*_g nu = Ad_g^T nu (a right action)."""
-    _check_dual(spec, nu)
+    _check(spec, nu, CoVector)
     spec.check_fn(g.payload)
     return CoVector(spec.adjoint_fn(g.payload).T @ nu.coords)
 
@@ -428,9 +409,9 @@ def make_semidirect(base: LieGroupSpec,
     representation; the exponential integrates the translation part with a
     matrix phi_1 function unless a closed form is supplied.
 
-    The representation is validated: rho(e) must be the identity and
-    rho'(xi) must match the finite-difference derivative of t -> rho(exp(t xi))
-    at 0 within 1e-6.
+    The representation is validated: rho(e) must be the identity and, along
+    each basis direction xi, rho'(xi) must match the central difference
+    (numerics.fd_jacobian) of t -> rho(exp(t xi)) at 0 within 1e-6.
     """
     d0 = base.dim
     dim = d0 + vdim
@@ -439,11 +420,10 @@ def make_semidirect(base: LieGroupSpec,
     r_e = rep(base.identity_payload)
     if np.max(np.abs(r_e - np.eye(vdim))) > 1e-12:
         raise ValueError("rep(identity) must be the identity matrix")
-    h = 1e-6
-    eye0 = np.eye(d0)
-    for i in range(d0):
-        num = (rep(base.exp_fn(h * eye0[i])) - rep(base.exp_fn(-h * eye0[i]))) / (2 * h)
-        if np.max(np.abs(num - rep_inf(eye0[i]))) > 1e-6:
+    # column i: d/dt rho(exp(t e_i)) at t = 0, flattened
+    drho = numerics.fd_jacobian(lambda xi: np.ravel(rep(base.exp_fn(xi))), np.zeros(d0))
+    for i, e in enumerate(np.eye(d0)):
+        if np.max(np.abs(drho[:, i].reshape(vdim, vdim) - rep_inf(e))) > 1e-6:
             raise ValueError(
                 f"rep_inf is inconsistent with rep along basis direction {i}")
 

@@ -3,6 +3,13 @@
 Finite differences and the derivative supply rule built on them
 (`supply`), a dense Newton solver, fixed-step RK4 and the embedded
 Fehlberg 4(5) pair, and the Lie-group reconstruction step.
+
+Every first derivative is the central difference (f(x + h e_i) -
+f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
+(`fd_gradient`, `fd_jacobian`) or by the stacked stencil
+(`fd_jacobian_rows`: one call of a row-capable f for the stencil of one
+point or of rows), under one non-finite rule (`_finite`).  The integrators
+raise a right-hand side's ValueError again with the start t of its step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
 and `supply` returns a callable that closes over nothing but its inputs.
@@ -61,52 +68,66 @@ def _steps(x: np.ndarray, h0: float) -> np.ndarray:
     return h0 * np.maximum(1.0, np.abs(x))
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step h0*max(1,|x_i|)."""
+def _central(fp, fm, h):
+    """The central difference of the values at x + h e_i and x - h e_i."""
+    return (fp - fm) / (2.0 * h)
+
+
+def _finite(d: np.ndarray, rows: bool) -> np.ndarray:
+    """`d`, indexed [row, ]coordinate, ...: the one non-finite rule of both
+    evaluators.  A non-finite difference (a non-finite stencil value)
+    raises ValueError naming the first such row and its coordinate."""
+    if np.count_nonzero(np.isfinite(d)) < d.size:
+        where = np.argwhere(~np.isfinite(d))[0]
+        row = f"row {where[0]}: " if rows else ""
+        raise ValueError(f"{row}non-finite evaluation while differencing "
+                         f"coordinate {where[int(rows)]}")
+    return d
+
+
+def _per_point(f: Callable[[np.ndarray], object], x, h0: float) -> np.ndarray:
+    """The per-point loop: d[i] = df/dx_i from two one-point calls of `f`
+    per coordinate."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, h0)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        fp = f(x + e)
-        fm = f(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation while differencing coordinate {i}")
-        out[i] = (fp - fm) / (2.0 * h[i])
-    return out
+    e = np.diag(h)
+    return _finite(np.array([_central(f(x + e[i]), f(x - e[i]), h[i])
+                             for i in range(x.size)], dtype=float), False)
+
+
+def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                h0: float = H_GRADIENT) -> np.ndarray:
+    """Central-difference gradient of a scalar function, shape (n,)."""
+    return _per_point(f, x, h0)
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 h0: float = H_GRADIENT) -> np.ndarray:
     """Central-difference Jacobian of a vector-valued map, shape (m, n)."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, h0)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append((np.asarray(f(x + e), dtype=float)
-                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h[i]))
-    return np.column_stack(cols) if cols else np.zeros((0, 0))
+    return _per_point(f, x, h0).T
 
 
 def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                      h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobians at many points, in one call of `f`.
+    """The stacked stencil: central-difference Jacobians in one call of `f`.
 
-    `f` maps stacked rows (M, n) to stacked values (M, m).  For points x of
-    shape (N, n) the whole stencil, 2n shifted copies of each row with the
-    steps of fd_jacobian, is passed to `f` at once; returns shape (N, m, n)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows, n = x.shape
-    h = _steps(x, h0)
+    `f` maps stacked rows (M, n) to stacked values (M, m) or (M,).  For one
+    point x (n,) or stacked points x (N, n), the whole stencil (2n shifted
+    copies of each point, with the steps and values of fd_jacobian) is
+    passed to `f` at once, point by point; returns (m, n) or (N, m, n).  A
+    non-finite value raises ValueError naming the row (for stacked points)
+    and the coordinate."""
+    x = np.asarray(x, dtype=float)
+    lead, n = x.ndim - 1, x.shape[-1]  # lead: 1 for stacked points, 0 for one
+    pts = x.reshape(-1, n)
+    h = _steps(pts, h0)
     shift = h[:, :, None] * np.eye(n)
-    pts = np.concatenate([x[:, None, :] + shift, x[:, None, :] - shift], axis=1)
+    pts = np.concatenate([pts[:, None, :] + shift, pts[:, None, :] - shift], axis=1)
     vals = np.asarray(f(pts.reshape(-1, n)), dtype=float)
-    vals = vals.reshape((rows, 2, n) + vals.shape[1:])
-    return np.swapaxes((vals[:, 0] - vals[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+    vals = vals.reshape((len(h), 2, n) + vals.shape[1:])
+    d = _central(vals[:, 0], vals[:, 1], h.reshape(h.shape + (1,) * (vals.ndim - 3)))
+    d = _finite(d.reshape(x.shape[:-1] + d.shape[1:]), lead == 1)
+    return d.swapaxes(lead, -1)
 
 
 def fd_mixed(f: Callable[[np.ndarray, np.ndarray], float], x: np.ndarray,
@@ -223,20 +244,18 @@ def stencil_jacobian(fn: Callable, args: tuple, slot: int,
     """Central-difference Jacobian of `fn(*args)` in argument `slot`, at one
     point or at stacked rows of every argument, by one fd_jacobian_rows
     call: `fn` must take rows, and every other argument is repeated over
-    the 2n stencil points of its row.  The points and steps are those of
-    fd_jacobian; returns (m, n), or (N, m, n) for rows."""
+    the 2n stencil points of its row.  Returns (m, n), or (N, m, n) for
+    rows."""
     x = np.asarray(args[slot], dtype=float)
-    one = x.ndim == 1
-    reps = 2 * x.shape[-1]
-    fixed = [np.repeat(a[None] if one else a, reps, axis=0)
+    count, lead = math.prod(x.shape[:-1]), x.ndim - 1
+    fixed = [a.reshape((count,) + a.shape[lead:]).repeat(2 * x.shape[-1], axis=0)
              for a in map(np.asarray, args)]
 
     def of_stencil(pts):
         fixed[slot] = pts
         return fn(*fixed)
 
-    d = fd_jacobian_rows(of_stencil, x, h0)
-    return d[0] if one else d
+    return fd_jacobian_rows(of_stencil, x, h0)
 
 
 def takes_rows(fn: Callable) -> Callable:
@@ -286,10 +305,8 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     1-form must take rows; the stencil of all points is then one
     fd_jacobian_rows call, and the result is (N, dim, dim).
     """
-    if np.ndim(z) == 2:
-        d = fd_jacobian_rows(one_form, z, h0)
-    else:
-        d = fd_jacobian(one_form, z, h0)  # d[b, a] = d theta_b / d z_a
+    # d[..., b, a] = d theta_b / d z_a
+    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, z, h0)
     return np.swapaxes(d, -1, -2) - d
 
 
@@ -386,6 +403,9 @@ class StepperChoice:
     def __post_init__(self):
         if self.kind not in ("rk4", "rkf45"):
             raise ValueError(f"unknown stepper kind {self.kind!r}")
+        for name in ("h", "atol", "rtol", "h_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.h <= 0 or self.h_min <= 0:
             raise ValueError("step sizes must be positive")
         if self.atol < 1e-14 or self.rtol < 1e-14:
@@ -406,21 +426,26 @@ def rk4_step(f: Field, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                   h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end.
+    """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end,
+    and a horizon t_end > t0 takes at least one step.
 
-    A non-finite state raises NonFiniteStateError naming the first such
-    sample; the check runs once, after the loop."""
+    A ValueError of `f` is raised again with the start t of the failing
+    step.  A non-finite state raises NonFiniteStateError naming the first
+    such sample; the check runs once, after the loop."""
     y = np.array(y0, dtype=float)
-    n_steps = max(0, int(np.ceil((t_end - t0) / h - 1e-12)))
+    n_steps = max(int(t_end > t0), int(np.ceil((t_end - t0) / h - 1e-12)))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape)
     times[0], states[0] = t0, y
     t = t0
-    for k in range(n_steps):
-        step = min(h, t_end - t)
-        y = rk4_step(f, t, y, step)
-        t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
-        times[k + 1], states[k + 1] = t, y
+    try:
+        for k in range(n_steps):
+            step = min(h, t_end - t)
+            y = rk4_step(f, t, y, step)
+            t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
+            times[k + 1], states[k + 1] = t, y
+    except ValueError as exc:
+        raise ValueError(f"{exc} at t = {t:.6g}") from exc
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -450,33 +475,37 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     """Embedded RKF45 with step rejection; returns accepted sample times.
 
     An attempted step whose error norm is not finite raises
-    NonFiniteStateError instead of shrinking the step."""
+    NonFiniteStateError instead of shrinking the step.  A ValueError of
+    `f` is raised again with the start t of the failing step."""
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)
     times = [t0]
     states = [y.copy()]
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        if h < h_min:
-            raise StepSizeError(f"step size underflow at t = {t:.6g} (h = {h:.3e})")
-        h = min(h, t_end - t)
-        k = np.empty((6, y.size))
-        k[0] = f(t, y)
-        for s in range(1, 6):
-            k[s] = f(t + _RKF_C[s] * h, y + h * (_RKF_A[s] @ k[:s]))
-        y4 = y + h * (_RKF_B4 @ k)
-        y5 = y + h * (_RKF_B5 @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
-        if not math.isfinite(err):
-            _raise_non_finite(t + h, np.where(np.isfinite(y4), y5, y4))
-        if err <= 1.0:
-            t = t + h
-            y = y4
-            times.append(t)
-            states.append(y.copy())
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
+    try:
+        while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+            if h < h_min:
+                raise StepSizeError(f"step size underflow at t = {t:.6g} (h = {h:.3e})")
+            h = min(h, t_end - t)
+            k = np.empty((6, y.size))
+            k[0] = f(t, y)
+            for s in range(1, 6):
+                k[s] = f(t + _RKF_C[s] * h, y + h * (_RKF_A[s] @ k[:s]))
+            y4 = y + h * (_RKF_B4 @ k)
+            y5 = y + h * (_RKF_B5 @ k)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
+            err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            if not math.isfinite(err):
+                _raise_non_finite(t + h, np.where(np.isfinite(y4), y5, y4))
+            if err <= 1.0:
+                t = t + h
+                y = y4
+                times.append(t)
+                states.append(y.copy())
+            factor = 0.9 * err ** -0.2 if err > 0 else 5.0
+            h = h * min(5.0, max(0.2, factor))
+    except ValueError as exc:
+        raise ValueError(f"{exc} at t = {t:.6g}") from exc
     return np.array(times), np.array(states)
 
 

@@ -397,14 +397,13 @@ def orbit_kks(gv: LieGroupSpec, nu: CoVector, b: CoVector,
 
 
 def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
-                                 samples: np.ndarray,
-                                 fd_step: float = numerics.H_SECOND) -> float:
+                                 samples: np.ndarray) -> float:
     """Check that the orbit 2-form is the exterior derivative of the orbit
     1-form on the cylinder chart (nu, alpha), b = |a| e^{i alpha}.
 
     Returns the maximum residual between the finite-difference d(theta)
     and the generator-matched orbit pairing over the samples.  The central
-    stencil of every sample (step fd_step * max(1, |z_a|)) is evaluated in
+    stencil of every sample (step H_SECOND * max(1, |z_a|)) is evaluated in
     one batched call of the orbit-form kernel, and the pairing in another."""
     if sd.d0 != 1 or sd.vdim != 2:
         raise ValueError("the cylinder chart requires a 1-dimensional base "
@@ -431,7 +430,7 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.size == 0:
         raise ValueError("samples is empty: the lemma check needs at least one sample")
-    d = numerics.fd_jacobian_rows(theta_rows, z, fd_step)  # d[n, b, a] = dtheta_b/dz_a
+    d = numerics.fd_jacobian_rows(theta_rows, z, numerics.H_SECOND)  # d[n, b, a] = dtheta_b/dz_a
     kks = _orbit_kks_rows(gv, *chart(z))
     return float(np.max(np.abs((d[:, 1, 0] - d[:, 0, 1]) - kks), initial=0.0))
 

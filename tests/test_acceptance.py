@@ -288,7 +288,7 @@ def test_criterion_6_orbit_form_is_exact(beanie, rng):
     samples = np.column_stack([rng.uniform(-2, 2, 100),
                                rng.uniform(-np.pi, np.pi, 100)])
     res = semidirect.verify_lemma_B_equals_dtheta(beanie, CoVector([1.0, 0.0]),
-                                                  samples, fd_step=1e-4)
+                                                  samples)
     ok = res <= 1e-6
     _emit(6, ok, f"orbit 2-form vs d(theta): residual {res:.2e} (<=1e-6)")
 

@@ -1,6 +1,6 @@
 """Module boundaries: no module of the package reads a private name (one
 with a leading underscore, dunder names aside) of another package module,
-by attribute or by import."""
+by attribute or by import; and a rule written once stays in one module."""
 import ast
 from pathlib import Path
 
@@ -80,3 +80,9 @@ def test_no_module_reads_another_modules_private_names(module):
 ])
 def test_checker_sees_each_form_of_read(source, reads):
     assert private_reads(source, "numerics") == reads
+
+
+def test_one_module_holds_the_differencing_non_finite_rule():
+    text = "non-finite evaluation while differencing"
+    holders = [m for m in sorted(MODULES) if text in (PACKAGE / f"{m}.py").read_text()]
+    assert holders == ["numerics"]

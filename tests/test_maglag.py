@@ -273,7 +273,7 @@ def test_check_closedness_exact_form():
                          bform=bform)
     samples = [MagLagState([0.3, -0.4], [0, 0], [0.8]),
                MagLagState([1.1, 0.6], [0, 0], [-0.5])]
-    assert maglag.check_closedness(sys, samples, fd_step=1e-4) < 1e-6
+    assert maglag.check_closedness(sys, samples) < 1e-6
 
 
 def test_check_closedness_flags_non_closed():
@@ -286,7 +286,7 @@ def test_check_closedness_flags_non_closed():
                          lagrangian=lambda q, v, p: 0.5 * float(v @ v) + p[0],
                          bform=bform)
     samples = [MagLagState([0.5, 1.2], [0, 0], [0.1])]
-    assert maglag.check_closedness(sys, samples, fd_step=1e-4) > 1e-2
+    assert maglag.check_closedness(sys, samples) > 1e-2
 
 
 def test_check_closedness_rejects_non_finite_derivative():
@@ -300,11 +300,11 @@ def test_check_closedness_rejects_non_finite_derivative():
                          bform=bform)
     samples = [MagLagState([0.5, 1.0], [0, 0], [0.1]),
                MagLagState([0.5, 1.2], [0, 0], [0.1])]
-    assert np.isfinite(maglag.check_closedness(sys, samples[:1], fd_step=1e-4))
+    assert np.isfinite(maglag.check_closedness(sys, samples[:1]))
     with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match=r"^sample 1: non-finite evaluation while "
+            ValueError, match=r"^row 1: non-finite evaluation while "
                               r"differencing coordinate 1$"):
-        maglag.check_closedness(sys, samples, fd_step=1e-4)
+        maglag.check_closedness(sys, samples)
 
 
 def test_trajectory_csv_format(tmp_path, rk4_fine):

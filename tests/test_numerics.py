@@ -61,6 +61,144 @@ def test_fd_gradient_nonfinite_raises():
         numerics.fd_gradient(f, np.array([0.5]))
 
 
+# -- reference copies of the earlier differencing loops ------------------------
+
+
+def ref_steps(x, h0):
+    return h0 * np.maximum(1.0, np.abs(x))
+
+
+def ref_fd_gradient(f, x, h0=numerics.H_GRADIENT):
+    x = np.asarray(x, dtype=float)
+    h = ref_steps(x, h0)
+    out = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        out[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
+    return out
+
+
+def ref_fd_jacobian(f, x, h0=numerics.H_GRADIENT):
+    x = np.asarray(x, dtype=float)
+    h = ref_steps(x, h0)
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        cols.append((np.asarray(f(x + e), dtype=float)
+                     - np.asarray(f(x - e), dtype=float)) / (2.0 * h[i]))
+    return np.column_stack(cols)
+
+
+def ref_fd_jacobian_rows(f, x, h0=numerics.H_GRADIENT):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    rows, n = x.shape
+    h = ref_steps(x, h0)
+    shift = h[:, :, None] * np.eye(n)
+    pts = np.concatenate([x[:, None, :] + shift, x[:, None, :] - shift], axis=1)
+    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float)
+    vals = vals.reshape((rows, 2, n) + vals.shape[1:])
+    return np.swapaxes((vals[:, 0] - vals[:, 1]) / (2.0 * h[:, :, None]), 1, 2)
+
+
+def ref_stencil_jacobian(fn, args, slot, h0=numerics.H_GRADIENT):
+    x = np.asarray(args[slot], dtype=float)
+    one = x.ndim == 1
+    reps = 2 * x.shape[-1]
+    fixed = [np.repeat(a[None] if one else a, reps, axis=0) for a in map(np.asarray, args)]
+
+    def of_stencil(pts):
+        fixed[slot] = pts
+        return fn(*fixed)
+
+    d = ref_fd_jacobian_rows(of_stencil, x, h0)
+    return d[0] if one else d
+
+
+def ref_fd_exterior_derivative(one_form, z, h0=numerics.H_SECOND):
+    if np.ndim(z) == 2:
+        d = ref_fd_jacobian_rows(one_form, z, h0)
+    else:
+        d = ref_fd_jacobian(one_form, z, h0)
+    return np.swapaxes(d, -1, -2) - d
+
+
+def sign_aware(z):
+    """Rows (M, 3) -> rows (M, 3), sensitive to the sign of a zero."""
+    return np.column_stack([np.arctan2(z[:, 0], -1.0) * z[:, 1], np.exp(0.3 * z[:, 2]),
+                            np.copysign(1.0, z[:, 1]) + z[:, 0] * z[:, 2] ** 2])
+
+
+def fd_points(rng, count):
+    """Points with |x| > 1 and +-0.0 coordinates."""
+    x = rng.uniform(-4.0, 4.0, (count, 3))
+    x[0] = [0.0, -0.0, 2.5]
+    x[1] = [-0.0, 3.7, 0.0]
+    return x
+
+
+def test_differencing_matches_the_reference_loops_bit_for_bit():
+    rng = np.random.default_rng(31)
+    x = fd_points(rng, 6)
+    one = lambda z: sign_aware(z[None])[0]  # noqa: E731
+    scalar = lambda z: float(sign_aware(z[None])[0] @ [1.0, -2.0, 0.5])  # noqa: E731
+    pairing = lambda u, w: sign_aware(u * w[:, :1])  # noqa: E731  (rows of both)
+    w = rng.uniform(-3.0, 3.0, (6, 2))
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
+        for i, row in enumerate(x):
+            assert same(numerics.fd_gradient(scalar, row, h0), ref_fd_gradient(scalar, row, h0))
+            assert same(numerics.fd_jacobian(one, row, h0), ref_fd_jacobian(one, row, h0))
+            assert same(numerics.fd_jacobian_rows(sign_aware, row, h0),
+                        ref_fd_jacobian_rows(sign_aware, row, h0)[0])
+            assert same(numerics.stencil_jacobian(pairing, (row, w[i]), 0, h0),
+                        ref_stencil_jacobian(pairing, (row, w[i]), 0, h0))
+            assert same(numerics.fd_exterior_derivative(one, row, h0),
+                        ref_fd_exterior_derivative(one, row, h0))
+        assert same(numerics.fd_jacobian_rows(sign_aware, x, h0),
+                    ref_fd_jacobian_rows(sign_aware, x, h0))
+        assert same(numerics.stencil_jacobian(pairing, (x, w), 0, h0),
+                    ref_stencil_jacobian(pairing, (x, w), 0, h0))
+        assert same(numerics.fd_exterior_derivative(sign_aware, x, h0),
+                    ref_fd_exterior_derivative(sign_aware, x, h0))
+
+
+def pocket(z):
+    """Rows (M, 3) -> rows (M, 2): NaN past z_1 = 1 in the first output."""
+    z = np.atleast_2d(z)
+    return np.column_stack([np.where(z[:, 1] > 1.0, np.nan, z[:, 0] * z[:, 2]),
+                            z[:, 1] ** 2])
+
+
+DIFFERENCING = {
+    "fd_gradient": lambda x: numerics.fd_gradient(lambda z: float(pocket(z)[0, 0]), x),
+    "fd_jacobian": lambda x: numerics.fd_jacobian(lambda z: pocket(z)[0], x),
+    "fd_jacobian_rows": lambda x: numerics.fd_jacobian_rows(pocket, x),
+    "stencil_jacobian": lambda x: numerics.stencil_jacobian(
+        numerics.takes_rows(lambda z, s: pocket(z) * s), (x, np.ones(x.shape[:-1] + (1,))), 0),
+    "fd_exterior_derivative": lambda x: numerics.fd_exterior_derivative(
+        lambda z: np.concatenate([pocket(z), np.atleast_2d(z)[:, :1]], -1).reshape(z.shape), x),
+}
+
+
+@pytest.mark.parametrize("routine", list(DIFFERENCING))
+def test_differencing_rejects_a_non_finite_value(routine):
+    # finite at x_1 = 1 - 1e-9, NaN at the stencil point x_1 + h
+    run = DIFFERENCING[routine]
+    x = np.array([[0.3, 0.2, -1.5], [2.0, 1.0 - 1e-9, 0.4], [-0.7, 1.0 - 1e-9, 3.0]])
+    assert np.isfinite(run(x[0])).all()
+    with pytest.raises(ValueError, match=r"^non-finite evaluation while differencing "
+                                         r"coordinate 1$"):
+        run(x[1])
+    if routine in ("fd_gradient", "fd_jacobian"):
+        return  # one-point routines
+    assert np.isfinite(run(x[:1])).all()
+    with pytest.raises(ValueError, match=r"^row 1: non-finite evaluation while "
+                                         r"differencing coordinate 1$"):
+        run(x)
+
+
 def test_newton_linear_single_iteration():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, -2.0])
@@ -240,6 +378,55 @@ def test_stepper_choice_validation():
         StepperChoice(h=-1.0)
     with pytest.raises(ValueError):
         StepperChoice(atol=1e-16)
+
+
+@pytest.mark.parametrize("name", ["h", "atol", "rtol", "h_min"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_stepper_choice_rejects_non_finite_fields(name, value):
+    for kind in ("rk4", "rkf45"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            StepperChoice(kind=kind, **{name: value})
+
+
+def test_rk4_step_longer_than_the_horizon_takes_one_step():
+    f = lambda t, y: -y
+    times, states = numerics.rk4_integrate(f, np.array([1.0]), 0.0, 1.0, 1e13)
+    assert np.array_equal(times, [0.0, 1.0])
+    assert np.array_equal(states[1], numerics.rk4_step(f, 0.0, np.array([1.0]), 1.0))
+    # an empty or reversed horizon still takes none
+    assert len(numerics.rk4_integrate(f, np.array([1.0]), 1.0, 1.0, 1e13)[0]) == 1
+
+
+def nan_pocket_field(t, y):
+    """y' = 1, with a right-hand side that differences a function whose
+    stencil meets NaN once y passes 0.5."""
+    g = numerics.fd_gradient(lambda z: np.nan if z[0] > 0.5 else z[0] ** 2, y)
+    return np.ones(1) + 0.0 * g
+
+
+@pytest.mark.parametrize("integrate, first_bad_step", [
+    # rk4 steps from 0.49 to 0.5, where a stencil point passes 0.5
+    (lambda f, y0: numerics.rk4_integrate(f, y0, 0.0, 1.0, 0.01), (0.49, 0.49)),
+    # rkf45 grows its step fivefold per step on this exact field
+    (lambda f, y0: numerics.rkf45_integrate(f, y0, 0.0, 1.0, 0.01, 1e-9, 1e-9), (0.0, 0.5)),
+], ids=["rk4", "rkf45"])
+def test_a_right_hand_side_value_error_names_t(integrate, first_bad_step):
+    with pytest.raises(ValueError, match=r"^non-finite evaluation while differencing "
+                                         r"coordinate 0 at t = 0\.\d+$") as err:
+        integrate(nan_pocket_field, np.zeros(1))
+    t = float(str(err.value).rsplit("= ", 1)[1])
+    assert first_bad_step[0] <= t <= first_bad_step[1] and t < 0.5
+
+
+@pytest.mark.parametrize("stepper", [StepperChoice(kind="rk4", h=1e-2),
+                                     StepperChoice(kind="rkf45", h=1e-2, atol=1e-9, rtol=1e-9)],
+                         ids=["rk4", "rkf45"])
+def test_gimbal_guard_names_t(rotor_params, stepper):
+    # beta falls from 0.3 past the guard at cos(beta) = 0.99 (beta ~ 0.14)
+    chart_state = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match=r"gimbal lock .* at t = 0\.\d+$") as err:
+        models.rotor_full_trajectory(rotor_params, chart_state, 1.0, stepper)
+    assert 0.0 < float(str(err.value).rsplit("= ", 1)[1]) < 0.16
 
 
 def test_rk4_observed_order_rotor(rotor_params):

@@ -237,7 +237,7 @@ def test_lemma_orbit_form_matches_dtheta(sd, rng):
     samples = np.column_stack([rng.uniform(-2, 2, 100),
                                rng.uniform(-np.pi, np.pi, 100)])
     res = semidirect.verify_lemma_B_equals_dtheta(sd, CoVector([1.0, 0.0]),
-                                                  samples, fd_step=1e-4)
+                                                  samples)
     assert res <= 1e-6
 
 
