@@ -9,7 +9,8 @@ the body momentum m, which evolves on a momentum sphere:
 The script reduces, integrates, checks the conserved quantities, then
 reconstructs the full rotation and verifies that the spatial momentum of
 the reconstructed motion stays put.  An independent Euler-angle chart
-integration (finite differences only) cross-checks the projection.
+integration (the closed-form Euler-Lagrange system of the chart
+Lagrangian) cross-checks the projection.
 
 Run:  python3 demos/02_rotor_reduction.py
 """
@@ -45,7 +46,8 @@ for i in range(0, len(gs), 500):
 print(f"  momentum of the reconstructed motion: drift {drift:.2e}")
 
 # independent cross-check: integrate the unreduced system in Euler angles
-# (all derivatives by finite differences) and project down
+# (the closed-form Euler-Lagrange system of the chart Lagrangian) and
+# project down
 s0 = models.rotor_chart_state_from_momentum(params, m0, xdot=0.2)
 oracle = models.rotor_full_trajectory(params, s0, 5.0, stepper)
 dev = 0.0

@@ -3,9 +3,10 @@ principal axis, and a pair of coupled planar bodies free to translate and
 rotate (two independent oracles for the reduction machinery).
 
 The rotor model reduces over the rotation group; its unreduced check runs
-in a Z-X-Z Euler-angle chart with derivatives taken by finite differences,
-deliberately independent of the reduced code path.  The planar model
-reduces over the full planar Euclidean group or over translations only.
+in a Z-X-Z Euler-angle chart, by the closed-form Euler-Lagrange system of
+the chart Lagrangian, deliberately independent of the reduced code path.
+The planar model reduces over the full planar Euclidean group or over
+translations only.
 """
 from __future__ import annotations
 
@@ -125,21 +126,17 @@ def euler_zxz_body_velocity(angles: np.ndarray, rates: np.ndarray) -> np.ndarray
 
 def rotor_chart_lagrangian(params: RotorParams) -> Callable:
     """Unreduced Lagrangian in chart coordinates (x, alpha, beta, gamma),
-    vectorized over rows of (m, 4) coordinate/rate arrays for cheap
-    finite-difference stencils; scalar 4-vectors also work."""
+    L = 1/2 w.Lambda w + 1/2 J3 xdot^2 + J3 xdot w3 with w the body angular
+    velocity of the chart; vectorized over rows of (m, 4) coordinate/rate
+    arrays, scalar 4-vectors also work."""
     l1, l2, l3 = params.lam
     j3 = params.inertia_rotor[2]
 
     def lag(q, qd):
         q = np.atleast_2d(q)
         qd = np.atleast_2d(qd)
-        b, g = q[:, 2], q[:, 3]
-        xd, ad, bd, gd = qd[:, 0], qd[:, 1], qd[:, 2], qd[:, 3]
-        sb, cb = np.sin(b), np.cos(b)
-        sg, cg = np.sin(g), np.cos(g)
-        w1 = ad * sb * sg + bd * cg
-        w2 = ad * sb * cg - bd * sg
-        w3 = ad * cb + gd
+        xd = qd[:, 0]
+        w1, w2, w3 = _columns(euler_zxz_body_velocity(q[:, 1:], qd[:, 1:]))
         vals = 0.5 * (l1 * w1 * w1 + l2 * w2 * w2 + l3 * w3 * w3
                       + j3 * xd * xd) + j3 * xd * w3
         return vals if vals.size > 1 else float(vals[0])
@@ -147,62 +144,47 @@ def rotor_chart_lagrangian(params: RotorParams) -> Callable:
     return lag
 
 
-# FD steps for the chart field.
-_H_RATE_GRAD = 1e-6
-_H_ANGLE_GRAD = 1e-5
+def _chart_constants(params: RotorParams) -> tuple:
+    """(lambda1, lambda2, lambda3, I3, J3) as Python floats."""
+    l1, l2, l3 = params.lam.tolist()
+    return l1, l2, l3, float(params.inertia_body[2]), float(params.inertia_rotor[2])
 
 
-_IDX4 = np.arange(4)
+def _chart_flow(k: tuple, sb, cb, sg, cg, pi) -> tuple:
+    """The closed-form Euler-Lagrange system of `rotor_chart_lagrangian` at
+    chart momenta pi = (pi_x, pi_alpha, pi_beta, pi_gamma): returns the
+    rates (xdot, alphadot, betadot, gammadot), pidot_beta and pidot_gamma
+    (pi_x and pi_alpha are conserved: x and alpha are cyclic).  Plain
+    arithmetic, so the sines and cosines of beta and gamma and the momenta
+    may be floats (one point) or numpy columns (stacked rows); k is
+    `_chart_constants`.  With m = Lambda w + J3 xdot e3 the body momentum,
+    pi_gamma = m3 and u = m1 sin(gamma) + m2 cos(gamma)."""
+    l1, l2, l3, i3, j3 = k
+    px, pa, pb, pg = pi
+    xd = (l3 * px - j3 * pg) / (j3 * i3)
+    w3 = (pg - px) / i3
+    u = (pa - cb * pg) / sb
+    m1 = sg * u + cg * pb
+    m2 = cg * u - sg * pb
+    w1, w2 = m1 / l1, m2 / l2
+    ad = (w1 * sg + w2 * cg) / sb
+    bd = w1 * cg - w2 * sg
+    gd = w3 - ad * cb
+    return (xd, ad, bd, gd), ad * (cb * u - sb * pg), m1 * w2 - m2 * w1
 
 
-def _central_points(center: np.ndarray, h: np.ndarray) -> np.ndarray:
-    pts = np.repeat(center[None, :], 8, axis=0)
-    pts[2 * _IDX4, _IDX4] += h
-    pts[2 * _IDX4 + 1, _IDX4] -= h
-    return pts
-
-
-def _grad_rates(lag, q, qd) -> np.ndarray:
-    h = _H_RATE_GRAD * np.maximum(1.0, np.abs(qd))
-    vals = lag(np.repeat(q[None, :], 8, axis=0), _central_points(qd, h))
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
-
-
-def _grad_q(lag, q, qd) -> np.ndarray:
-    h = _H_ANGLE_GRAD * np.maximum(1.0, np.abs(q))
-    vals = lag(_central_points(q, h), np.repeat(qd[None, :], 8, axis=0))
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
-
-
-def _mass_stencil() -> np.ndarray:
-    # central stencils around the rate points (0, e0, .., e3)
-    rate_pts = np.vstack([np.zeros(4), np.eye(4)])
-    rows = [
-        _central_points(base, np.full(4, _H_RATE_GRAD)) for base in rate_pts
-    ]
-    return np.vstack(rows)
-
-
-_MASS_STENCIL = _mass_stencil()
-
-
-def _rates(lag, q, pi) -> np.ndarray:
-    """Chart rates from conjugate momenta, at one point q, pi of shape (4,)
-    or at stacked rows (N, 4), by one call of the vectorised Lagrangian and
-    one solve (stacked for rows).  The mass matrix comes from rate-gradient
-    columns at unit rates, exact for a Lagrangian quadratic in the rates
-    (up to the stencil error).  The Lagrangian gets q repeated per stencil
-    row: with equal shapes its array arithmetic is faster than with q
-    broadcast."""
-    if q.ndim == 1:
-        vals = lag(np.repeat(q[None], 40, axis=0), _MASS_STENCIL)
-        grads = (vals[0::2] - vals[1::2]).reshape(5, 4) / (2.0 * _H_RATE_GRAD)
-        return np.linalg.solve(grads[1:].T - grads[0, :, None], pi - grads[0])
-    rows = len(q)
-    vals = lag(np.repeat(q, 40, axis=0), np.tile(_MASS_STENCIL, (rows, 1)))
-    grads = (vals[0::2] - vals[1::2]).reshape(rows, 5, 4) / (2.0 * _H_RATE_GRAD)
-    mm = np.swapaxes(grads[:, 1:], 1, 2) - grads[:, 0, :, None]
-    return np.linalg.solve(mm, (pi - grads[:, 0])[:, :, None])[:, :, 0]
+def _chart_momenta(params: RotorParams, state: np.ndarray) -> np.ndarray:
+    """Chart momenta pi = dL/dqdot of a chart state (q, qdot):
+    pi_x = J3 (xdot + w3), pi_alpha = m.dw/dalphadot, pi_beta = m.dw/dbetadot,
+    pi_gamma = m3; one state (8,) or stacked rows (N, 8)."""
+    state = np.asarray(state, dtype=float)
+    j3 = params.inertia_rotor[2]
+    _, b, g = _columns(state[..., 1:4])
+    sb, cb, sg, cg = np.sin(b), np.cos(b), np.sin(g), np.cos(g)
+    m1, m2, m3 = _columns(rotor_body_momentum(params, state))
+    w3 = (m3 - j3 * state[..., 4]) / params.lam[2]
+    return np.stack([j3 * (state[..., 4] + w3), sb * (sg * m1 + cg * m2) + cb * m3,
+                     cg * m1 - sg * m2, m3], -1)
 
 
 def rotor_chart_field(params: RotorParams) -> Callable:
@@ -210,21 +192,21 @@ def rotor_chart_field(params: RotorParams) -> Callable:
     chart, with y = (q, pi): chart coordinates q = (x, alpha, beta, gamma)
     and their conjugate momenta pi = dL/dqdot.
 
-    The momentum equation needs only first derivatives of the Lagrangian,
-    which keeps the finite-difference noise per call near 1e-10; the rates
-    come from pi by a linear solve (the Lagrangian is quadratic in rates).
-    Raises ValueError near gimbal lock (|cos beta| >= GIMBAL_GUARD).
+    The closed-form Euler-Lagrange system of `rotor_chart_lagrangian`
+    (`_chart_flow`), evaluated in Python floats.  Raises ValueError near
+    gimbal lock (|cos beta| >= GIMBAL_GUARD).
     """
-    lag = rotor_chart_lagrangian(params)
+    k = _chart_constants(params)
 
     def field(t, y):
-        q, pi = y[:4], y[4:]
-        if abs(math.cos(q[2])) >= GIMBAL_GUARD:
+        _, _, b, g, *pi = y.tolist()
+        cb = math.cos(b)
+        if abs(cb) >= GIMBAL_GUARD:
             raise ValueError(
                 "Euler chart near gimbal lock (|cos beta| >= 0.99); restart the "
                 "trajectory in a rotated chart")
-        qd = _rates(lag, q, pi)
-        return np.concatenate([qd, _grad_q(lag, q, qd)])
+        rates, pdb, pdg = _chart_flow(k, math.sin(b), cb, math.sin(g), math.cos(g), pi)
+        return np.array([*rates, 0.0, 0.0, pdb, pdg])
 
     return field
 
@@ -235,11 +217,13 @@ def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
     `rotor_chart_field` from the momenta of the chart state (q, qdot), and
     recovers the rates of all output samples in one stacked call."""
     state0 = np.asarray(state0, dtype=float)
-    lag = rotor_chart_lagrangian(params)
-    y0 = np.concatenate([state0[:4], _grad_rates(lag, state0[:4], state0[4:])])
+    y0 = np.concatenate([state0[:4], _chart_momenta(params, state0)])
     times, ys = numerics.integrate_ode(rotor_chart_field(params), y0, 0.0, t_end,
                                        stepper)
-    states = np.hstack([ys[:, :4], _rates(lag, ys[:, :4], ys[:, 4:])])
+    b, g = ys[:, 2], ys[:, 3]
+    rates, _, _ = _chart_flow(_chart_constants(params), np.sin(b), np.cos(b),
+                              np.sin(g), np.cos(g), _columns(ys[:, 4:]))
+    states = np.hstack([ys[:, :4], np.stack(rates, -1)])
     cols = ("x", "alpha", "beta", "gamma", "xdot", "alphadot", "betadot", "gammadot")
     return Trajectory(times, states, cols)
 

@@ -8,7 +8,8 @@ Every first derivative is the central difference (f(x + h e_i) -
 f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
 (`fd_gradient`, `fd_jacobian`) or by the stacked stencil
 (`fd_jacobian_rows`: one call of a row-capable f for the stencil of one
-point or of rows), under one non-finite rule (`_finite`).  The integrators
+point or of rows), under one non-finite rule (`_finite`), which the
+second differences `fd_hessian` and `fd_mixed` share.  The integrators
 raise a right-hand side's ValueError again with the start t of its step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
@@ -133,7 +134,8 @@ def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 def fd_mixed(f: Callable[[np.ndarray, np.ndarray], float], x: np.ndarray,
              y: np.ndarray, h0: float = H_SECOND) -> np.ndarray:
     """Mixed block d2f/dx dy by the four-point cross stencil of fd_hessian's
-    off-diagonal, shape (len(x), len(y)), steps h0*max(1,|.|) in both."""
+    off-diagonal, shape (len(x), len(y)), steps h0*max(1,|.|) in both.  A
+    non-finite entry raises ValueError naming its x coordinate."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     hx, hy = _steps(x, h0), _steps(y, h0)
@@ -146,12 +148,13 @@ def fd_mixed(f: Callable[[np.ndarray, np.ndarray], float], x: np.ndarray,
             ej[j] = hy[j]
             out[i, j] = (f(x + ei, y + ej) - f(x + ei, y - ej)
                          - f(x - ei, y + ej) + f(x - ei, y - ej)) / (4.0 * hx[i] * hy[j])
-    return out
+    return _finite(out, False)
 
 
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
                h0: float = H_SECOND) -> np.ndarray:
-    """Nested central-difference Hessian (symmetric by construction)."""
+    """Nested central-difference Hessian (symmetric by construction).  A
+    non-finite entry raises ValueError naming its coordinate."""
     x = np.asarray(x, dtype=float)
     n = x.size
     h = _steps(x, h0)
@@ -168,7 +171,7 @@ def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
                    - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h[i] * h[j])
             hess[i, j] = val
             hess[j, i] = val
-    return hess
+    return _finite(hess, False)
 
 
 def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object]:

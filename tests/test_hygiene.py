@@ -2,6 +2,7 @@
 with a leading underscore, dunder names aside) of another package module,
 by attribute or by import; and a rule written once stays in one module."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,32 @@ def test_one_module_holds_the_differencing_non_finite_rule():
     text = "non-finite evaluation while differencing"
     holders = [m for m in sorted(MODULES) if text in (PACKAGE / f"{m}.py").read_text()]
     assert holders == ["numerics"]
+
+
+STEP_NAME = re.compile(r"_?H_[A-Z_]+")
+
+
+def step_names(source: str) -> list[str]:
+    """Module-level names in `source` bound like a finite-difference step."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        names += [t.id for target in targets for t in ast.walk(target)
+                  if isinstance(t, ast.Name) and STEP_NAME.fullmatch(t.id)]
+    return names
+
+
+def test_one_module_holds_the_differencing_steps():
+    holders = [m for m in sorted(MODULES) if step_names((PACKAGE / f"{m}.py").read_text())]
+    assert holders == ["numerics"]
+
+
+@pytest.mark.parametrize("source, names", [
+    ("_H_RATE = 1e-6\nH_SECOND: float = 1e-4", ["_H_RATE", "H_SECOND"]),
+    ("_H_A, (H_B, x) = 1, (2, 3)\nh_c = 1\nHX = 2", ["_H_A", "H_B"]),
+    ("def f():\n    H_LOCAL = 1e-3", []),
+])
+def test_step_checker_sees_module_level_bindings(source, names):
+    assert step_names(source) == names

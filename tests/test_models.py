@@ -88,8 +88,7 @@ def test_euler_chart_kinematics(rotor_params, rng):
 
 def chart_point(params, state):
     """The (q, pi) point of `rotor_chart_field` at a chart state (q, qdot)."""
-    lag = models.rotor_chart_lagrangian(params)
-    return np.concatenate([state[:4], models._grad_rates(lag, state[:4], state[4:])])
+    return np.concatenate([state[:4], models._chart_momenta(params, state)])
 
 
 def test_rotor_oracle_rest_state_fixed(rotor_params):
@@ -105,6 +104,37 @@ def test_rotor_oracle_gimbal_guard(rotor_params):
         field(0.0, chart_point(rotor_params, state))
 
 
+def five_point_gradients(lag, q, qd, h=1e-3):
+    """dL/dq and dL/dqdot at stacked rows by the five-point central
+    stencil (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h, step h."""
+    weights = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
+    grads = np.zeros((2,) + q.shape)
+    for which in (0, 1):
+        for i in range(4):
+            for shift, weight in weights.items():
+                pts = [q.copy(), qd.copy()]
+                pts[which][:, i] += shift * h
+                grads[which][:, i] += weight * lag(*pts)
+    return grads / (12.0 * h)
+
+
+def test_rotor_chart_field_matches_five_point_reference(rotor_params):
+    # the closed-form chart field against finite differences of the chart
+    # Lagrangian: momenta, rates recovered from the momenta, and pidot
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-2.0, 2.0, (2000, 4))
+    q[:, 2] = rng.uniform(0.2, 2.9, 2000)
+    qd = rng.uniform(-2.0, 2.0, (2000, 4))
+    dl_dq, dl_dqd = five_point_gradients(models.rotor_chart_lagrangian(rotor_params), q, qd)
+    pi = models._chart_momenta(rotor_params, np.hstack([q, qd]))
+    assert np.max(np.abs(pi - dl_dqd)) <= 1e-9
+    field = models.rotor_chart_field(rotor_params)
+    dy = np.array([field(0.0, y) for y in np.hstack([q, pi])])
+    assert np.max(np.abs(dy[:, :4] - qd)) <= 1e-9
+    assert np.max(np.abs(dy[:, 4:] - dl_dq)) <= 1e-9
+    assert np.all(dy[:, 4:6] == 0.0)
+
+
 def test_rotor_oracle_matches_reduced_field(rotor_params):
     # x is cyclic, so pi_x is conserved exactly; with pi_gamma = m3 the
     # gamma equation then gives xddot = -pidot_gamma / I3, which must match
@@ -113,7 +143,7 @@ def test_rotor_oracle_matches_reduced_field(rotor_params):
     for m0 in ([0.8, 0.2, 0.3], [-0.5, 1.1, 0.6], [0.3, -0.9, -0.4]):
         s0 = models.rotor_chart_state_from_momentum(rotor_params, np.array(m0), xdot=0.2)
         dy = field(0.0, chart_point(rotor_params, s0))
-        assert dy[4] == 0.0
+        assert dy[4] == 0.0 and dy[5] == 0.0
         _, xdd_exp = models.rotor_reduced_field_closed_form(
             rotor_params, [s0[0]], [s0[4]], models.rotor_body_momentum(rotor_params, s0))
         assert abs(-dy[7] / rotor_params.inertia_body[2] - xdd_exp) <= 1e-8
@@ -301,23 +331,33 @@ def test_beanie_full_momentum_map_drift(beanie_params):
 
 
 def test_rotor_full_rates_recovered_in_one_stacked_call(rotor_params, monkeypatch):
-    # the output rates of all samples come from one stacked solve; they
-    # equal the per-row recovery bit for bit and reproduce the momenta
-    seen = []
-    integrate_ode = numerics.integrate_ode
+    # the output rates of all samples come from one stacked call of the
+    # closed form; they equal the per-row recovery bit for bit and
+    # reproduce the momenta
+    seen, stacked = [], []
+    integrate_ode, chart_flow = numerics.integrate_ode, models._chart_flow
 
     def spy(*args, **kwargs):
         seen.append(integrate_ode(*args, **kwargs))
         return seen[-1]
 
+    def flow_spy(k, sb, *args):
+        if np.ndim(sb):
+            stacked.append(len(sb))
+        return chart_flow(k, sb, *args)
+
     monkeypatch.setattr(numerics, "integrate_ode", spy)
+    monkeypatch.setattr(models, "_chart_flow", flow_spy)
     s0 = models.rotor_chart_state_from_momentum(rotor_params, np.array([8.0, 2.0, 3.0]))
     traj = models.rotor_full_trajectory(rotor_params, s0, 0.05,
                                         StepperChoice(kind="rk4", h=1e-2))
     (_, ys), = seen
-    lag = models.rotor_chart_lagrangian(rotor_params)
+    assert stacked == [len(ys)]
     assert np.array_equal(traj.states[:, :4], ys[:, :4])
+    k = models._chart_constants(rotor_params)
     for y, state in zip(ys, traj.states):
-        row = models._rates(lag, y[None, :4], y[None, 4:])[0]
-        assert np.array_equal(state[4:], row)
-        assert np.max(np.abs(models._grad_rates(lag, y[:4], row) - y[4:])) <= 1e-8
+        b, g = y[None, 2], y[None, 3]
+        rates, _, _ = chart_flow(k, np.sin(b), np.cos(b), np.sin(g), np.cos(g),
+                                 y[None, 4:].T)
+        assert np.array_equal(state[4:], np.concatenate(rates))
+        assert np.max(np.abs(models._chart_momenta(rotor_params, state) - y[4:])) <= 1e-12

@@ -199,6 +199,19 @@ def test_differencing_rejects_a_non_finite_value(routine):
         run(x)
 
 
+def test_second_differences_reject_a_non_finite_value():
+    # f is finite at x = 0.5 and NaN at the stencil point 0.5 + h
+    def f(x):
+        return np.nan if x[0] > 0.5 else x[0] ** 2
+
+    match = r"^non-finite evaluation while differencing coordinate 0$"
+    with pytest.raises(ValueError, match=match):
+        numerics.fd_hessian(f, [0.5])
+    with pytest.raises(ValueError, match=match):
+        numerics.fd_mixed(lambda x, y: f(x) * y[0], [0.5], [1.0])
+    assert np.isfinite(numerics.fd_hessian(f, [0.3])).all()
+
+
 def test_newton_linear_single_iteration():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
     b = np.array([1.0, -2.0])

@@ -114,21 +114,19 @@ def test_model_row_functions_match_per_state(rotor_params, beanie_params):
 
 
 def test_oracle_states_equal_stacked_rates_field(rotor_params):
-    # the oracle's right-hand side written with the stacked (1, 4, 4) path
-    lag = models.rotor_chart_lagrangian(rotor_params)
+    # the oracle integrates the one-point chart field from the closed-form
+    # momenta, and its stacked rate recovery matches that field's rates
     s0 = models.rotor_chart_state_from_momentum(rotor_params, np.array([0.8, 0.2, 0.3]),
                                                 xdot=0.2)
+    field = models.rotor_chart_field(rotor_params)
     for stepper in (StepperChoice(kind="rk4", h=1e-2), StepperChoice(kind="rkf45", h=1e-2)):
         traj = models.rotor_full_trajectory(rotor_params, s0, 1.0, stepper)
-
-        def field(t, y):
-            qd = models._rates(lag, y[None, :4], y[None, 4:])[0]
-            return np.concatenate([qd, models._grad_q(lag, y[:4], qd)])
-
-        y0 = np.concatenate([s0[:4], models._grad_rates(lag, s0[:4], s0[4:])])
+        y0 = np.concatenate([s0[:4], models._chart_momenta(rotor_params, s0)])
         times, ys = numerics.integrate_ode(field, y0, 0.0, 1.0, stepper)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states[:, :4], ys[:, :4])
+        rates = np.array([field(t, y)[:4] for t, y in zip(times, ys)])
+        assert np.max(np.abs(traj.states[:, 4:] - rates)) <= ROW_TOL
 
 
 def quartic_lagrangian(c4=0.3, cx=0.2):
