@@ -189,11 +189,14 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     for any base or fibre coordinate zeta; only beta and the connection
     coefficients are differenced numerically, and the second derivatives
-    difference these gradients.  The exterior derivative of the coordinate
-    1-form beta_a (dqbar^a + Gamma^a_i dq^i) is taken by central differences
-    at step H_SECOND.  `lagrangian`, `dL_dq`, `dL_dv`, `dL_dp` and `bform`
-    are marked and take one point or stacked rows; at stacked rows the
-    stencil of the exterior derivative is one fd_jacobian_rows call.
+    difference these gradients.  dL1/dq and dL1/dp come together from one
+    callable (`dL_dqp`): one psi solve, one stencil of beta and one
+    two-slot stencil of the connection term serve both.  The exterior
+    derivative of the coordinate 1-form beta_a (dqbar^a + Gamma^a_i dq^i)
+    is taken by central differences at step H_SECOND.  `lagrangian`,
+    `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
+    or stacked rows; the stencil of the exterior derivative is one
+    fd_jacobian_rows call, at one point as at stacked rows.
     """
     gamma = gamma or zero_connection(pair)
     n1, vf, k2 = pair.n1, pair.vf, pair.k2
@@ -231,32 +234,26 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         gam = numerics.each_row(gamma, q, qbar)
         return numerics.rowdot(b, numerics.matvec(gam, qdot))[..., None]
 
-    def gamma_term(q2, qdot, b, slot: int):
-        # beta . (d Gamma / d zeta) qdot for zeta ranging over q (slot 0)
-        # or qbar (slot 1)
+    def gamma_terms(q2, qdot, b):
+        # beta . (d Gamma / d zeta) qdot for zeta ranging over q and over
+        # qbar, from one stencil
         args = (q2[..., :n1], q2[..., n1:], b, qdot)
-        return numerics.stencil_jacobian(pairing, args, slot)[..., 0, :]
+        return [d[..., 0, :] for d in numerics.stencil_jacobian(pairing, args, (0, 1))]
 
     @numerics.takes_rows
-    def dl_dq(q, v, pfib):
+    def dl_dqp(q, v, pfib):
         q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
         dbeta = dbeta_at(p1)
-        direct = l2.grad_q(q2, v2, pbar)[..., :n1]
-        return (direct - _tmatvec(dbeta[..., :n1], vert)
-                - gamma_term(q2, v2[..., :n1], b, 0))
-
-    @numerics.takes_rows
-    def dl_dp(q, v, pfib):
-        q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
-        dbeta = dbeta_at(p1)
-        out = np.empty(vert.shape[:-1] + (pair.k1,))
-        out[..., :vf] = (l2.grad_q(q2, v2, pbar)[..., n1:]
-                         - _tmatvec(dbeta[..., n1:n1 + vf], vert)
-                         - gamma_term(q2, v2[..., :n1], b, 1))
-        out[..., vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
-                                - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
-        out[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
-        return out
+        direct = l2.grad_q(q2, v2, pbar)
+        by_q, by_qbar = gamma_terms(q2, v2[..., :n1], b)
+        dl_dq = direct[..., :n1] - _tmatvec(dbeta[..., :n1], vert) - by_q
+        dl_dp = np.empty(vert.shape[:-1] + (pair.k1,))
+        dl_dp[..., :vf] = (direct[..., n1:] - _tmatvec(dbeta[..., n1:n1 + vf], vert)
+                           - by_qbar)
+        dl_dp[..., vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
+                                  - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
+        dl_dp[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
+        return dl_dq, dl_dp
 
     @numerics.takes_rows
     def one_form(z: np.ndarray) -> np.ndarray:
@@ -276,8 +273,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         return full[..., :n1, :n1], full[..., :n1, n1:], full[..., n1:, n1:]
 
     return MagneticSystem(n=n1, k=pair.k1, lagrangian=lagrangian, bform=bform,
-                          dL_dq=dl_dq, dL_dv=dl_dv, dL_dp=dl_dp,
-                          name=l2.name + "_pullback")
+                          dL_dv=dl_dv, dL_dqp=dl_dqp, name=l2.name + "_pullback")
 
 
 def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,

@@ -11,7 +11,10 @@ with a first-order equation in p:
 
 Derivatives of L come from `numerics.supply`: analytic callables when
 supplied, central finite differences otherwise; each takes one point or
-stacked rows.
+stacked rows.  A right-hand side point takes what it uses from one
+`MagneticSystem.jet` call: the velocity blocks that are differenced from
+dL/dv share one stencil call, and a builder whose dL/dq and dL/dp share
+their work hands both over in one callable (`dL_dqp`).
 """
 from __future__ import annotations
 
@@ -26,6 +29,10 @@ from . import numerics
 from .numerics import StepperChoice
 
 DET_FLOOR = 1e-12
+# the fibre rate of a k = 0 system, shared by every right-hand side: it is
+# empty, and read-only so that no caller can take it for its own buffer
+_NO_FIBRE = np.zeros(0)
+_NO_FIBRE.flags.writeable = False
 
 
 class RegularityError(RuntimeError):
@@ -64,9 +71,6 @@ class MagLagState:
 class InvariantReport:
     """Per-invariant maximum drift / residual records."""
     entries: dict[str, float]
-
-    def worst(self) -> float:
-        return max(self.entries.values()) if self.entries else 0.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,11 @@ class MagneticSystem:
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
     form.  Analytic derivative callables are optional; missing ones are
-    supplied by the fallback rule of `numerics.supply`.  A `lagrangian` or
-    `bform` not marked with `numerics.takes_rows` is called once per row.
+    supplied by the fallback rule of `numerics.supply`.  `dL_dqp(q, v, p)`
+    may stand for dL_dq and dL_dp together, returning (dL/dq, dL/dp) from
+    one call, for a builder whose two gradients share their work.  A
+    `lagrangian` or `bform` not marked with `numerics.takes_rows` is called
+    once per row.
     """
     n: int
     k: int
@@ -124,6 +131,7 @@ class MagneticSystem:
     dL_dq: Callable | None = None
     dL_dv: Callable | None = None
     dL_dp: Callable | None = None
+    dL_dqp: Callable | None = None
     d2L_dv_dv: Callable | None = None
     d2L_dv_dq: Callable | None = None
     d2L_dv_dp: Callable | None = None
@@ -135,6 +143,10 @@ class MagneticSystem:
     constant_hessian: bool = False
     name: str = ""
 
+    def __post_init__(self):
+        if self.dL_dqp is not None and not (self.dL_dq is self.dL_dp is None):
+            raise ValueError("dL_dqp stands for dL_dq and dL_dp: give one or the others")
+
     # -- derivative supply (fallback rule: numerics.supply), resolved on
     # first use and kept with the system; each is called as
     # sys.<name>(q, v, p).  With k = 0 the fibre slots are empty.
@@ -142,9 +154,18 @@ class MagneticSystem:
     def value(self, q, v, p) -> float:
         return float(self.lagrangian(q, v, p))
 
+    def _first(self, part: int) -> Callable | None:
+        """The analytic dL/dq (part 0) or dL/dp (part 1): its own callable,
+        or its part of `dL_dqp`, marked as `dL_dqp` is."""
+        joint = self.dL_dqp
+        if joint is None:
+            return (self.dL_dq, self.dL_dp)[part]
+        split = lambda q, v, p: joint(q, v, p)[part]  # noqa: E731
+        return numerics.takes_rows(split) if numerics.rows_ok(joint) else split
+
     @cached_property
     def grad_q(self) -> Callable:
-        return numerics.supply(self.value, 0, first=self.dL_dq)
+        return numerics.supply(self.value, 0, first=self._first(0))
 
     @cached_property
     def grad_v(self) -> Callable:
@@ -154,7 +175,7 @@ class MagneticSystem:
     def grad_p(self) -> Callable:
         if self.k == 0:
             return numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
-        return numerics.supply(self.value, 2, first=self.dL_dp)
+        return numerics.supply(self.value, 2, first=self._first(1))
 
     @cached_property
     def hess_vv(self) -> Callable:
@@ -172,6 +193,47 @@ class MagneticSystem:
             return numerics.takes_rows(
                 lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
         return numerics.supply(self.value, 1, 2, self.dL_dv, self.d2L_dv_dp)
+
+    def _velocity_blocks(self, slots: tuple[int, ...]) -> Callable:
+        """The blocks d2L / dv d(slot), slot 1 = v, 0 = q, 2 = p, in the
+        order of `slots`, from one `numerics.supply_blocks` callable."""
+        seconds = {1: self.d2L_dv_dv, 0: self.d2L_dv_dq,
+                   2: self.d2L_dv_dp if self.k else self.hess_vp}
+        return numerics.supply_blocks(self.value, 1, slots, self.dL_dv,
+                                      [seconds[s] for s in slots])
+
+    @cached_property
+    def velocity_blocks(self) -> Callable:
+        """(q, v, p) -> the blocks of (hess_vv, hess_vq, hess_vp), bit for
+        bit, from one callable: the blocks that rule 2 differences from a
+        row-marked dL_dv share one dL_dv call over the joint (v, q, p)
+        stencil.  At one point or at stacked rows."""
+        return self._velocity_blocks((1, 0, 2))
+
+    @cached_property
+    def jet(self) -> Callable:
+        """(q, v, p) -> (dL/dq, dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp) at one
+        point: what one right-hand side point of the mixed equations uses,
+        each with the bits of its supply.  The velocity blocks come from one
+        `supply_blocks` callable, and dL/dq and dL/dp from one `dL_dqp` call
+        when it is given.  A block the equations do not use is None and is
+        not evaluated: d2L/dv2 when it is declared constant, dL/dp and
+        d2L/dv dp when k = 0."""
+        hessian, fibre = not self.constant_hessian, self.k > 0
+        blocks = self._velocity_blocks((1,) * hessian + (0,) + (2,) * fibre)
+        joint, grad_q, grad_p = self.dL_dqp, self.grad_q, self.grad_p
+        at_vq = int(hessian)  # d2L/dv dq follows d2L/dv2 when that is there
+
+        def jet(q, v, p):
+            out = blocks(q, v, p)
+            if joint is None:
+                dl_dq, dl_dp = grad_q(q, v, p), grad_p(q, v, p) if fibre else None
+            else:
+                dl_dq, dl_dp = (np.asarray(g, dtype=float) for g in joint(q, v, p))
+            return (dl_dq, dl_dp, out[0] if hessian else None, out[at_vq],
+                    out[-1] if fibre else None)
+
+        return jet
 
     def bblocks(self, q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(B_QQ, B_QP, B_PP) at one point, or at stacked rows of q and p
@@ -245,29 +307,30 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
                hess_inv: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations and fibre rates (qddot, pdot) of the mixed equations
-    for given blocks.  `bpp_inv` and `hess_inv` are the inverses of a
-    constant B_PP and a constant d2L/dv2 that the caller checked once;
-    without them each is checked and solved here.  With k = 0 the fibre
-    terms are skipped.  `t` goes into regularity errors."""
+    for given blocks, from one `sys.jet` call.  `bpp_inv` and `hess_inv`
+    are the inverses of a constant B_PP and of the d2L/dv2 of a
+    `constant_hessian` system, which the caller checked once; without them
+    each is checked and solved here.  With k = 0 the fibre terms are
+    skipped.  `t` goes into regularity errors."""
+    dl_dq, dl_dp, hess, hvq, hvp = sys.jet(q, v, p)
     fibre = sys.k > 0
     if fibre:
-        rhs_p = bqp.T @ v - sys.grad_p(q, v, p)
+        rhs_p = bqp.T @ v - dl_dp
         if bpp_inv is None:
             require_regular(bpp, "singular fibre block: |det B_PP|", t)
             pdot = np.linalg.solve(bpp, rhs_p)
         else:
             pdot = bpp_inv @ rhs_p
     else:
-        pdot = np.zeros(0)
+        pdot = _NO_FIBRE
     if hess_inv is None:
-        hess = sys.hess_vv(q, v, p)
         require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
-    rhs = sys.grad_q(q, v, p) + bqq @ v
+    rhs = dl_dq + bqq @ v
     if fibre:
         rhs = rhs + bqp @ pdot
-    rhs = rhs - sys.hess_vq(q, v, p) @ v
+    rhs = rhs - hvq @ v
     if fibre:
-        rhs = rhs - sys.hess_vp(q, v, p) @ pdot
+        rhs = rhs - hvp @ pdot
     if hess_inv is None:
         return np.linalg.solve(hess, rhs), pdot
     return hess_inv @ rhs, pdot
@@ -385,7 +448,8 @@ def symplectic_form_matrix(sys: MagneticSystem, q, v, p) -> np.ndarray:
     """Local matrix of the system 2-form on (q, v, p) tangents.
 
     Assembled from d(dL/dv_i) ^ dq^i plus the magnetic blocks; evaluating
-    it on a pair of tangent vectors is u^T M w.  Stacked rows of (q, v, p)
+    it on a pair of tangent vectors is u^T M w.  The three velocity blocks
+    come from one `sys.velocity_blocks` call.  Stacked rows of (q, v, p)
     give one matrix per row.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -393,9 +457,8 @@ def symplectic_form_matrix(sys: MagneticSystem, q, v, p) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(v.shape[:-1] + (sys.k,))
     n, k = sys.n, sys.k
     bqq, bqp, bpp = sys.bblocks(q, p)
-    w = sys.hess_vq(q, v, p)      # w[i, j] = d2L / dv_i dq_j
-    hvv = sys.hess_vv(q, v, p)
-    g = sys.hess_vp(q, v, p)      # g[i, a] = d2L / dv_i dp_a
+    # w[i, j] = d2L / dv_i dq_j and g[i, a] = d2L / dv_i dp_a
+    hvv, w, g = sys.velocity_blocks(q, v, p)
     t = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
     dim = 2 * n + k
     m = np.zeros(v.shape[:-1] + (dim, dim))

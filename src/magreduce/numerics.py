@@ -8,19 +8,23 @@ Every first derivative is the central difference (f(x + h e_i) -
 f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
 (`fd_gradient`, `fd_jacobian`) or by the stacked stencil
 (`fd_jacobian_rows`: one call of a row-capable f for the stencil of one
-point or of rows), under one non-finite rule (`_finite`), which the
+point or of rows; `stencil_jacobian` runs it over the joint stencil of
+one or several argument slots, so several Jacobians of one callable cost
+one call), under one non-finite rule (`_finite`), which the
 second differences `fd_hessian` and `fd_mixed` share.  The integrators
 raise a right-hand side's ValueError again with the start t of its step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
-and `supply` returns a callable that closes over nothing but its inputs.
+and `supply` and `supply_blocks` return callables that close over nothing
+but their inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
-leading row per input row.  Every callable that `supply` returns takes
-rows, so code downstream of a supply never asks; only user callables
-(Lagrangian values, potentials, beta, the connection, psi, `bform`,
-Casimirs, `exp_fn` / `rep`) are marked or called per row (`each_row`).
+leading row per input row.  Every callable that `supply` and
+`supply_blocks` return takes rows, so code downstream of a supply never
+asks; only user callables (Lagrangian values, potentials, beta, the
+connection, psi, `bform`, Casimirs, `exp_fn` / `rep`) are marked or
+called per row (`each_row`).
 `newton_solve` takes stacked seeds too, for a residual and Jacobian that
 send rows to rows.
 """
@@ -197,7 +201,9 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
        when `first` takes rows, its whole stencil is one fd_jacobian_rows
-       call, on the points and steps of fd_jacobian;
+       call, on the points and steps of fd_jacobian (`stencil_jacobian`),
+       and `supply_blocks` differences several such blocks in one call
+       over their joint stencil;
     3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
        fd_hessian of `value` (H_SECOND) for a diagonal block, and the
        four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
@@ -242,23 +248,66 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     return rows
 
 
-def stencil_jacobian(fn: Callable, args: tuple, slot: int,
-                     h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobian of `fn(*args)` in argument `slot`, at one
-    point or at stacked rows of every argument, by one fd_jacobian_rows
-    call: `fn` must take rows, and every other argument is repeated over
-    the 2n stencil points of its row.  Returns (m, n), or (N, m, n) for
-    rows."""
-    x = np.asarray(args[slot], dtype=float)
-    count, lead = math.prod(x.shape[:-1]), x.ndim - 1
-    fixed = [a.reshape((count,) + a.shape[lead:]).repeat(2 * x.shape[-1], axis=0)
-             for a in map(np.asarray, args)]
+def supply_blocks(value: Callable[..., float], outer: int, inners: Sequence[int],
+                  first: Callable | None, seconds: Sequence[Callable | None]
+                  ) -> Callable[..., list]:
+    """The blocks `supply(value, outer, inner, first, second)` for each pair
+    of `inners` and `seconds`, from one callable of the argument slots that
+    returns a list of them in order, at one point or at stacked rows.
+
+    The blocks that rule 2 differences from a row-marked `first` share one
+    stencil_jacobian call over the joint stencil of their slots, which has
+    their points, steps and values; every other block is its own supply.
+    So each block has the bits of its one-block supply.
+    """
+    rule2 = rows_ok(first)
+    own = [None if rule2 and s is None else supply(value, outer, i, first, s)
+           for i, s in zip(inners, seconds)]
+    shared = [i for i, b in zip(inners, own) if b is None]
+
+    @takes_rows
+    def blocks(*args):
+        jacobians = stencil_jacobian(first, args, shared) if shared else None
+        out = []
+        for b in own:  # a plain loop: this sits on every right-hand side
+            out.append(jacobians.pop(0) if b is None else b(*args))
+        return out
+
+    return blocks
+
+
+def stencil_jacobian(fn: Callable, args: tuple, slots: int | Sequence[int],
+                     h0: float = H_GRADIENT):
+    """Central-difference Jacobians of `fn(*args)` in the argument slots
+    `slots`, at one point or at stacked rows of every argument, by one
+    fd_jacobian_rows call over the joint stencil: `fn` must take rows.
+
+    The arguments of the slots are joined, slot after slot, into one point
+    of size n, and every argument is repeated over the 2n stencil points of
+    its row.  A stencil point moves the coordinates of one slot as
+    fd_jacobian_rows moves them and keeps every other argument exactly at
+    its centre, so each slot gets the points, steps and values of its own
+    one-slot call.  An int `slots` returns its Jacobian, (m, n) or
+    (N, m, n) for rows; a sequence returns a list of them, one per slot.
+    A non-finite value names the coordinate of the joint point."""
+    one = isinstance(slots, (int, np.integer))
+    slots = [slots] if one else list(slots)
+    args = [np.asarray(a, dtype=float if i in slots else None) for i, a in enumerate(args)]
+    x = np.concatenate([args[s] for s in slots], axis=-1)
+    count, lead, n = math.prod(x.shape[:-1]), x.ndim - 1, x.shape[-1]
+    fixed = [a.reshape((count,) + a.shape[lead:]).repeat(2 * n, axis=0) for a in args]
+    edges = np.cumsum([0] + [args[s].shape[-1] for s in slots])
+    spans = list(zip(slots, edges[:-1], edges[1:]))
 
     def of_stencil(pts):
-        fixed[slot] = pts
+        # pts indexed [point, sign, moved coordinate, coordinate]
+        pts = pts.reshape(count, 2, n, n)
+        for s, lo, hi in spans:
+            fixed[s].reshape(count, 2, n, hi - lo)[:, :, lo:hi] = pts[:, :, lo:hi, lo:hi]
         return fn(*fixed)
 
-    return fd_jacobian_rows(of_stencil, x, h0)
+    d = fd_jacobian_rows(of_stencil, x, h0)
+    return d if one else [d[..., lo:hi] for _, lo, hi in spans]
 
 
 def takes_rows(fn: Callable) -> Callable:
@@ -304,12 +353,14 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     """Exterior derivative of a coordinate 1-form by central differences.
 
     Returns the antisymmetric matrix D - D^T with D[a, b] = d(theta_b)/dz_a,
-    i.e. (dtheta)_{ab} evaluated at z.  At stacked points z (N, dim) the
-    1-form must take rows; the stencil of all points is then one
-    fd_jacobian_rows call, and the result is (N, dim, dim).
+    i.e. (dtheta)_{ab} evaluated at z.  A 1-form marked with `takes_rows`
+    is differenced by one fd_jacobian_rows call, at one point z (dim,) as
+    at stacked points z (N, dim), where the 1-form must take rows and the
+    result is (N, dim, dim); an unmarked one at one point by fd_jacobian.
     """
     # d[..., b, a] = d theta_b / d z_a
-    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, z, h0)
+    stacked = np.ndim(z) == 2 or rows_ok(one_form)
+    d = (fd_jacobian_rows if stacked else fd_jacobian)(one_form, z, h0)
     return np.swapaxes(d, -1, -2) - d
 
 

@@ -1,5 +1,8 @@
 """Compatible transformations: the velocity solve, pullback Lagrangian and
 2-form, and the symplectic relation between the paired systems."""
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -300,7 +303,7 @@ def test_row_pullback_callables_match_per_point(beanie_pair, rng):
     sys1 = eq.p1_system
     z = beanie_rows(rng, 20)
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
-    for fn in (sys1.lagrangian, sys1.dL_dq, sys1.dL_dv, sys1.dL_dp):
+    for fn in (sys1.lagrangian, sys1.grad_q, sys1.dL_dv, sys1.grad_p):
         assert numerics.rows_ok(fn)
         stacked = fn(q, v, p)
         for i in range(len(z)):
@@ -336,7 +339,7 @@ def test_gradients_with_a_connection_match_differenced_l1(beanie_pair, rng, mark
     eq = beanie_pair
     conn = gamma if marked else (lambda q, qbar: gamma(q, qbar))
     sys1 = compat.build_system(eq.r2_system, eq.pair, eq.beta, conn)
-    l1, grads = sys1.lagrangian, (sys1.dL_dq, sys1.dL_dv, sys1.dL_dp)
+    l1, grads = sys1.lagrangian, (sys1.grad_q, sys1.dL_dv, sys1.grad_p)
     z = beanie_rows(rng, 8)
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
     for slot, grad in enumerate(grads):
@@ -359,7 +362,7 @@ def test_connection_non_finite_off_the_base_point_is_named(beanie_pair, rng):
         return np.where(q[..., :1] > 0.5, np.nan, 0.2 * qbar[..., :1])[..., None]
 
     eq = beanie_pair
-    dl_dq = compat.build_system(eq.r2_system, eq.pair, eq.beta, gamma).dL_dq
+    dl_dq = compat.build_system(eq.r2_system, eq.pair, eq.beta, gamma).grad_q
     z = beanie_rows(rng, 4)
     z[:, 0] = [0.1, 0.5 - 1e-7, -0.3, 0.5 - 1e-7]
     q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
@@ -370,6 +373,58 @@ def test_connection_non_finite_off_the_base_point_is_named(beanie_pair, rng):
     with pytest.raises(ValueError, match=r"^row 1: non-finite evaluation while "
                                          r"differencing coordinate 0"):
         dl_dq(q, v, p)
+
+
+# -- calls per right-hand side --------------------------------------------------
+
+
+def counted(fn, counts, name):
+    """`fn`, marked as it is, counting its calls under `name`."""
+    def count(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return numerics.takes_rows(count) if numerics.rows_ok(fn) else count
+
+
+def rhs_calls(sys, monkeypatch, fields, rhs):
+    """Calls per name of the system's `fields` and of compat.solve_psi made
+    by `rhs(sys)` on a copy of the system with counting callables."""
+    counts = collections.Counter()
+    sys = dataclasses.replace(sys, **{f: counted(getattr(sys, f), counts, f) for f in fields})
+    monkeypatch.setattr(compat, "solve_psi", counted(compat.solve_psi, counts, "solve_psi"))
+    rhs(sys)
+    return counts
+
+
+def test_pullback_right_hand_side_solves_psi_twice(beanie_pair, monkeypatch):
+    # one psi solve serves dL/dq and dL/dp, one the joint dL/dv stencil of
+    # the three velocity blocks; the exterior derivative of bform is one
+    # 1-form call
+    exterior = numerics.fd_exterior_derivative
+    counts = collections.Counter()
+    monkeypatch.setattr(numerics, "fd_exterior_derivative",
+                        lambda f, *args: exterior(counted(f, counts, "one_form"), *args))
+    state = MagLagState([0.3], [0.2], [0.1, 0.4])
+    counts.update(rhs_calls(beanie_pair.p1_system, monkeypatch, ["dL_dv", "dL_dqp"],
+                            lambda sys: maglag.vector_field(sys, state)))
+    assert counts == {"solve_psi": 2, "dL_dv": 1, "dL_dqp": 1, "one_form": 1}
+
+
+def test_constant_hessian_k0_step_calls_only_what_it_uses(beanie_pair, monkeypatch):
+    # an rk4 step of the V-reduced system (k = 0, constant Hessian) makes
+    # four right-hand sides, each one dL/dq and one d2L/dv dq call; the
+    # Hessian is checked and inverted once, before the steps
+    fields = ["lagrangian", "dL_dq", "dL_dv", "d2L_dv_dv", "d2L_dv_dq"]
+    state = MagLagState([0.4, 0.1], [0.3, -0.2], np.zeros(0))
+
+    def steps(n):
+        return lambda sys: maglag.integrate(sys, state, n * 0.01, StepperChoice(h=0.01))
+
+    one, three = (rhs_calls(beanie_pair.r2_system, monkeypatch, fields, steps(n))
+                  for n in (1, 3))
+    assert three - one == {"dL_dq": 8, "d2L_dv_dq": 8}
+    assert one["d2L_dv_dv"] == three["d2L_dv_dv"] > 0
 
 
 # -- a magnetic l2 --------------------------------------------------------------

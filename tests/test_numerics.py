@@ -145,7 +145,9 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
     scalar = lambda z: float(sign_aware(z[None])[0] @ [1.0, -2.0, 0.5])  # noqa: E731
     pairing = lambda u, w: sign_aware(u * w[:, :1])  # noqa: E731  (rows of both)
     w = rng.uniform(-3.0, 3.0, (6, 2))
+    w[2, 0] = -0.0  # the slots held at the centre keep the sign of a zero
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    marked = numerics.takes_rows(sign_aware)
     for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
         for i, row in enumerate(x):
             assert same(numerics.fd_gradient(scalar, row, h0), ref_fd_gradient(scalar, row, h0))
@@ -154,12 +156,22 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
                         ref_fd_jacobian_rows(sign_aware, row, h0)[0])
             assert same(numerics.stencil_jacobian(pairing, (row, w[i]), 0, h0),
                         ref_stencil_jacobian(pairing, (row, w[i]), 0, h0))
+            for slots in ((0, 1), (1, 0), (1,)):
+                joint = numerics.stencil_jacobian(pairing, (row, w[i]), slots, h0)
+                assert len(joint) == len(slots)
+                for slot, jac in zip(slots, joint):
+                    assert same(jac, ref_stencil_jacobian(pairing, (row, w[i]), slot, h0))
             assert same(numerics.fd_exterior_derivative(one, row, h0),
+                        ref_fd_exterior_derivative(one, row, h0))
+            # a marked 1-form: one stacked stencil at one point too
+            assert same(numerics.fd_exterior_derivative(marked, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
         assert same(numerics.fd_jacobian_rows(sign_aware, x, h0),
                     ref_fd_jacobian_rows(sign_aware, x, h0))
         assert same(numerics.stencil_jacobian(pairing, (x, w), 0, h0),
                     ref_stencil_jacobian(pairing, (x, w), 0, h0))
+        for slot, jac in zip((1, 0), numerics.stencil_jacobian(pairing, (x, w), (1, 0), h0)):
+            assert same(jac, ref_stencil_jacobian(pairing, (x, w), slot, h0))
         assert same(numerics.fd_exterior_derivative(sign_aware, x, h0),
                     ref_fd_exterior_derivative(sign_aware, x, h0))
 

@@ -333,6 +333,7 @@ def test_rule2_row_stencil_points_and_values(block):
     rng = np.random.default_rng(8)
     q, v, p = rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, (6, 1))
     stacked = getattr(rows, block)(q, v, p)
+    as_bytes = lambda pts: sorted(map(np.ndarray.tobytes, pts))  # noqa: E731
     for i in range(6):
         seen.clear()
         point = getattr(rows, block)(q[i], v[i], p[i])
@@ -343,6 +344,19 @@ def test_rule2_row_stencil_points_and_values(block):
         assert sorted(map(tuple, row_points)) == sorted(map(tuple, np.concatenate(seen)))
         assert np.max(np.abs(point - reference)) <= ROW_TOL
         assert np.max(np.abs(stacked[i] - reference)) <= ROW_TOL
+        # the three blocks in one dL/dv call: the union of the single-block
+        # stencils, bit for bit, and the block of each single supply
+        singles = []
+        for name in ("hess_vv", "hess_vq", "hess_vp"):
+            seen.clear()
+            getattr(rows, name)(q[i], v[i], p[i])
+            singles += list(np.concatenate(seen))
+        seen.clear()
+        joint = rows.velocity_blocks(q[i], v[i], p[i])
+        assert len(seen) == 1
+        assert as_bytes(seen[0]) == as_bytes(singles)
+        index = ("hess_vv", "hess_vq", "hess_vp").index(block)
+        assert joint[index].tobytes() == point.tobytes()
 
 
 # -- the V-reduced system ------------------------------------------------------

@@ -291,3 +291,103 @@ def test_values_only_twin_reduced_field(w, a, b, state):
     approx = routh.reduced_vector_field(routh.ReducedRouthSystem(twin, nu), s)
     assert np.max(np.abs(exact[1] - approx[1])) <= 1e-6
     assert np.max(np.abs(exact[2].coords - approx[2].coords)) <= 1e-6
+
+
+# -- one jet per right-hand side point -----------------------------------------
+
+JET_A = np.array([[2.0, 0.3], [0.3, 1.5]])
+
+
+def jet_lagrangian(q, v, p):
+    """L = v^T A v / 2 + q0 v0 p0 + sin(q0) v1 on n = 2, k = 1."""
+    return 0.5 * float(v @ JET_A @ v) + q[0] * v[0] * p[0] + np.sin(q[0]) * v[1]
+
+
+@numerics.takes_rows
+def jet_dl_dv(q, v, p):
+    extra = np.stack([q[..., 0] * p[..., 0], np.sin(q[..., 0])], axis=-1)
+    return numerics.matvec(JET_A, v) + extra
+
+
+@numerics.takes_rows
+def jet_hvv(q, v, p):
+    return np.broadcast_to(JET_A, np.shape(v) + (2,)).copy()
+
+
+def jet_hvp(q, v, p):  # one point only
+    return np.array([[q[0]], [0.0]])
+
+
+JET_CASES = {
+    # every block by rule 2 from one row-marked dL/dv
+    "rule2_rows": dict(dL_dv=jet_dl_dv),
+    # d2L/dv2 analytic, the other two by rule 2 from one dL/dv call
+    "vv_analytic": dict(dL_dv=jet_dl_dv, d2L_dv_dv=jet_hvv),
+    # d2L/dv dp analytic at one point, the other two by rule 2
+    "vp_analytic": dict(dL_dv=jet_dl_dv, d2L_dv_dp=jet_hvp),
+    # rule 2 per point from a one-point dL/dv
+    "rule2_one_point": dict(dL_dv=one_point(jet_dl_dv)),
+    # values only: rule 3 for every block
+    "values_only": {},
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", list(JET_CASES))
+def test_joint_velocity_blocks_are_the_single_supplies_bit_for_bit(case):
+    sys = MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, **JET_CASES[case])
+    assert numerics.rows_ok(sys.velocity_blocks)
+    rng = np.random.default_rng(14)
+    q, v, p = rng.uniform(-2, 2, (5, 2)), rng.uniform(-2, 2, (5, 2)), rng.uniform(-2, 2, (5, 1))
+    singles = (sys.hess_vv, sys.hess_vq, sys.hess_vp)
+    for args in [(q, v, p)] + [(q[i], v[i], p[i]) for i in range(len(q))]:
+        joint = sys.velocity_blocks(*args)
+        assert len(joint) == 3
+        for block, single in zip(joint, singles):
+            assert same_bits(block, single(*args))
+    for i in range(len(q)):
+        point = (q[i], v[i], p[i])
+        dl_dq, dl_dp, hess, hvq, hvp = sys.jet(*point)
+        expected = (sys.grad_q, sys.grad_p) + singles
+        for got, supply in zip((dl_dq, dl_dp, hess, hvq, hvp), expected):
+            assert same_bits(got, supply(*point))
+
+
+@pytest.mark.parametrize("case", ["rule2_rows", "values_only"])
+def test_jet_leaves_out_the_blocks_a_system_does_not_use(case):
+    point = (np.array([0.4, -0.2]), np.array([0.3, 1.1]), np.array([0.7]))
+    steady = MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, constant_hessian=True,
+                            **JET_CASES[case])
+    dl_dq, dl_dp, hess, hvq, hvp = steady.jet(*point)
+    assert hess is None
+    assert same_bits(hvq, steady.hess_vq(*point)) and same_bits(hvp, steady.hess_vp(*point))
+    flat = MagneticSystem(n=2, k=0, lagrangian=lambda q, v, p: jet_lagrangian(q, v, [0.5]))
+    dl_dq, dl_dp, hess, hvq, hvp = flat.jet(point[0], point[1], np.zeros(0))
+    assert dl_dp is None and hvp is None
+    assert same_bits(hess, flat.hess_vv(point[0], point[1], np.zeros(0)))
+
+
+def test_joint_first_derivatives_split_into_grad_q_and_grad_p():
+    # not the derivatives of jet_lagrangian: only the split is checked
+    @numerics.takes_rows
+    def dl_dqp(q, v, p):
+        dl_dq = np.stack([v[..., 0] * p[..., 0] + np.cos(q[..., 0]), 0.0 * q[..., 1]], -1)
+        return dl_dq, q[..., :1] * v[..., :1]
+
+    for joint in (dl_dqp, one_point(dl_dqp)):
+        sys = MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dv=jet_dl_dv,
+                             dL_dqp=joint)
+        rng = np.random.default_rng(5)
+        q, v, p = rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 1))
+        grad_q, grad_p = sys.grad_q(q, v, p), sys.grad_p(q, v, p)
+        for i in range(len(q)):
+            dq, dp = dl_dqp(q[i], v[i], p[i])
+            assert same_bits(grad_q[i], dq) and same_bits(grad_p[i], dp)
+            jet = sys.jet(q[i], v[i], p[i])
+            assert same_bits(jet[0], dq) and same_bits(jet[1], dp)
+    with pytest.raises(ValueError, match="dL_dqp"):
+        MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq=jet_dl_dv, dL_dqp=dl_dqp)
