@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__, maglag, models, routh, semidirect
 from .lie import CoVector
-from .maglag import MagLagState, RegularityError
+from .maglag import MagLagState
 from .numerics import (NewtonConvergenceError, NonFiniteStateError,
-                       StepSizeError, StepperChoice)
+                       RegularityError, StepSizeError, StepperChoice)
 
 
 class ConfigError(ValueError):

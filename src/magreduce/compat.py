@@ -35,9 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import maglag, numerics
-from .maglag import MagneticSystem, RegularityError
-
-PSI_TOL = 1e-10
+from .maglag import MagneticSystem
 
 
 @dataclass(frozen=True)
@@ -111,11 +109,11 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     """The compatible map: all coordinates pass through except the qbar
     velocity, which is solved from the fibre momentum condition.
 
-    Stacked states z1 (N, dim) are solved by one row Newton over l2's
-    `grad_v` and `hess_vv` at rows; the PSI_TOL check holds per row.
-    The Newton iteration for the qbar velocity starts at zero; it raises
-    RegularityError when it fails (the Lagrangian is not f-regular there),
-    naming the first failing row.
+    Stacked states z1 (N, dim) are solved by one row Newton
+    (`numerics.invert`) over l2's `grad_v` and `hess_vv` at rows, and its
+    tolerance holds per row.  The Newton iteration for the qbar velocity
+    starts at zero; it raises RegularityError when it fails (the Lagrangian
+    is not f-regular there), naming the first failing row.
     """
     z1 = np.asarray(z1, dtype=float)
     q, qdot, qbar, pbar, p = pair.split1(z1)
@@ -133,12 +131,9 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         v2 = np.concatenate([qdot, w], axis=-1)
         return l2.hess_vv(q2, v2, pbar)[..., n1:, n1:]
 
-    try:
-        res = numerics.newton_solve(residual, np.zeros(target.shape), jacobian=jacobian,
-                                    tol=PSI_TOL, max_iter=50)
-    except numerics.NewtonConvergenceError as exc:
-        raise RegularityError(f"f-regularity failure in psi: {exc}") from exc
-    return pair.join2(q, qbar, qdot, res.x, pbar)
+    w = numerics.invert(residual, np.zeros(target.shape), jacobian,
+                        "f-regularity failure in psi")
+    return pair.join2(q, qbar, qdot, w, pbar)
 
 
 def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
@@ -164,12 +159,9 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     def jacobian(p):
         return numerics.stencil_jacobian(mismatch, (q, qbar, pbar, p, target), 3)
 
-    try:
-        res = numerics.newton_solve(residual, np.zeros(target.shape), jacobian=jacobian,
-                                    tol=PSI_TOL, max_iter=50)
-    except numerics.NewtonConvergenceError as exc:
-        raise RegularityError(f"beta fibre inversion failed: {exc}") from exc
-    return np.concatenate([q, qdot, qbar, pbar, res.x], axis=-1)
+    p = numerics.invert(residual, np.zeros(target.shape), jacobian,
+                        "beta fibre inversion failed")
+    return np.concatenate([q, qdot, qbar, pbar, p], axis=-1)
 
 
 def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics
-from .numerics import StepperChoice
+from .numerics import RegularityError, StepperChoice
 
 DET_FLOOR = 1e-12
 # the fibre rate of a k = 0 system, shared by every right-hand side: it is
@@ -35,20 +35,13 @@ _NO_FIBRE = np.zeros(0)
 _NO_FIBRE.flags.writeable = False
 
 
-class RegularityError(RuntimeError):
-    """A regularity determinant fell below the floor."""
-
-
-def require_regular(matrix: np.ndarray, what: str, t: float | None = None) -> None:
-    """Raise RegularityError unless DET_FLOOR < |det matrix| < inf.
-
-    `what` names the determinant in the message; `t`, when given, is the
-    time at which a trajectory met it."""
+def require_regular(matrix: np.ndarray, what: str) -> None:
+    """Raise RegularityError unless DET_FLOOR < |det matrix| < inf; `what`
+    names the determinant in the message (an integrator adds the time)."""
     det = abs(np.linalg.det(matrix))
     if not DET_FLOOR < det < np.inf:
-        at = "" if t is None else f" at t = {t:.6g}"
         bound = f"<= {DET_FLOOR}" if det <= DET_FLOOR else "is not finite"
-        raise RegularityError(f"{what} = {det:.3e} {bound}{at}")
+        raise RegularityError(f"{what} = {det:.3e} {bound}")
 
 
 @dataclass(frozen=True)
@@ -302,29 +295,28 @@ def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
             f"match system (n={sys.n}, k={sys.k})")
 
 
-def _mixed_rhs(sys: MagneticSystem, q, v, p, t: float | None,
-               bqq, bqp, bpp, bpp_inv: np.ndarray | None = None,
-               hess_inv: np.ndarray | None = None
+def _mixed_rhs(sys: MagneticSystem, q, v, p, bqq, bqp, bpp,
+               bpp_inv: np.ndarray | None = None, hess_inv: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations and fibre rates (qddot, pdot) of the mixed equations
     for given blocks, from one `sys.jet` call.  `bpp_inv` and `hess_inv`
     are the inverses of a constant B_PP and of the d2L/dv2 of a
     `constant_hessian` system, which the caller checked once; without them
     each is checked and solved here.  With k = 0 the fibre terms are
-    skipped.  `t` goes into regularity errors."""
+    skipped."""
     dl_dq, dl_dp, hess, hvq, hvp = sys.jet(q, v, p)
     fibre = sys.k > 0
     if fibre:
         rhs_p = bqp.T @ v - dl_dp
         if bpp_inv is None:
-            require_regular(bpp, "singular fibre block: |det B_PP|", t)
+            require_regular(bpp, "singular fibre block: |det B_PP|")
             pdot = np.linalg.solve(bpp, rhs_p)
         else:
             pdot = bpp_inv @ rhs_p
     else:
         pdot = _NO_FIBRE
     if hess_inv is None:
-        require_regular(hess, "singular velocity Hessian: |det d2L/dv2|", t)
+        require_regular(hess, "singular velocity Hessian: |det d2L/dv2|")
     rhs = dl_dq + bqq @ v
     if fibre:
         rhs = rhs + bqp @ pdot
@@ -350,7 +342,7 @@ def vector_field(sys: MagneticSystem, s: MagLagState
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand side (qdot, qddot, pdot) of the mixed equations of motion."""
     _check_state(sys, s)
-    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, None, *sys.bblocks(s.q, s.p),
+    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, *sys.bblocks(s.q, s.p),
                          hess_inv=_hessian_inverse(sys, s))
     return s.v, a, pdot
 
@@ -392,7 +384,7 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
     def field(t: float, y: np.ndarray) -> np.ndarray:
         q, v, p = y[:n], y[n:2 * n], y[2 * n:]
         blocks = blocks0 if constant else sys.bform(q, p)
-        a, pdot = _mixed_rhs(sys, q, v, p, t, *blocks, bpp_inv, hess_inv)
+        a, pdot = _mixed_rhs(sys, q, v, p, *blocks, bpp_inv, hess_inv)
         return np.concatenate([v, a, pdot])
 
     return field
@@ -403,11 +395,10 @@ def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
     """Integrate the mixed equations over [0, t_end]; the report records
     the energy drift.
 
-    A regularity failure mid-trajectory aborts with the offending time in
-    the error message.
+    A regularity failure, the initial state's included, aborts with the
+    start time of the failing step in the error message.
     """
     _check_state(sys, s0)
-    vector_field(sys, s0)  # fail fast on an irregular initial state
     field = _field_factory(sys, s0)
     times, states = numerics.integrate_ode(field, pack(s0), 0.0, t_end, stepper)
     e0 = energy(sys, s0)

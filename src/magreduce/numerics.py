@@ -11,8 +11,9 @@ f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
 point or of rows; `stencil_jacobian` runs it over the joint stencil of
 one or several argument slots, so several Jacobians of one callable cost
 one call), under one non-finite rule (`_finite`), which the
-second differences `fd_hessian` and `fd_mixed` share.  The integrators
-raise a right-hand side's ValueError again with the start t of its step.
+second differences `fd_hessian` and `fd_mixed` share.  `invert` is the one
+Newton inversion of a fibre derivative.  The integrators raise a right-hand
+side's ValueError or RegularityError again with the start t of its step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
 and `supply` and `supply_blocks` return callables that close over nothing
@@ -42,6 +43,13 @@ import numpy as np
 # rounding noise below truncation error.
 H_GRADIENT = 1e-6
 H_SECOND = 1e-4
+# Newton's residual-norm tolerance and step cap
+INVERSION_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
+
+class RegularityError(RuntimeError):
+    """A regularity determinant fell below the floor, or an inversion failed."""
 
 
 class NewtonConvergenceError(RuntimeError):
@@ -61,6 +69,11 @@ class StepSizeError(RuntimeError):
 
 class NonFiniteStateError(RuntimeError):
     """An integrator produced an inf or nan state component."""
+
+
+def at_time(t: float | None) -> str:
+    """The suffix that names the time of a failure, or "" without one."""
+    return "" if t is None else f" at t = {t:.6g}"
 
 
 def _raise_non_finite(t: float, y: np.ndarray) -> None:
@@ -380,10 +393,10 @@ def _newton_failure(trace: list, rows: bool, message: str, bad=None, cause=None)
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
                  seed: Sequence[float] | np.ndarray,
-                 jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-                 tol: float = 1e-10,
-                 max_iter: int = 50) -> NewtonResult:
-    """Dense Newton iteration with partial-pivoting solves.
+                 jacobian: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> NewtonResult:
+    """Dense Newton iteration with partial-pivoting solves, to a residual
+    norm of at most INVERSION_TOL within NEWTON_MAX_ITER steps.
 
     `jacobian` may be None, in which case it is approximated by central
     differences of the residual.  Divergence raises NewtonConvergenceError
@@ -391,11 +404,11 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
 
     A stacked seed (N, m) solves N independent systems at once: `residual`
     and `jacobian` then take rows (N, m) and return rows (N, m) and
-    (N, m, m), and `jacobian` must be given.  Each step is one stacked solve over the rows whose residual
-    norm is still above `tol`; converged rows stay as they are, so each row
-    follows its one-row iteration.  `iterations` counts the steps of the
-    slowest row, `residual_norm` and the trace hold the largest row norm,
-    and an error names the first failing row.
+    (N, m, m), and `jacobian` must be given.  Each step is one stacked solve
+    over the rows whose residual norm is still above the tolerance; converged
+    rows stay as they are, so each row follows its one-row iteration.
+    `iterations` counts the steps of the slowest row, `residual_norm` and the
+    trace hold the largest row norm, and an error names the first failing row.
     """
     x = np.array(seed, dtype=float)
     rows = x.ndim == 2
@@ -404,23 +417,23 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
     jac = jacobian or (lambda z: fd_jacobian(residual, z))
     trace: list[tuple[np.ndarray, float]] = []
     fail = functools.partial(_newton_failure, trace, rows)
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         r = np.asarray(residual(x), dtype=float)
         if rows:
             norms = np.linalg.norm(r, axis=-1)
             rnorm = float(np.max(norms))
-            open_ = ~(norms <= tol)
+            open_ = ~(norms <= INVERSION_TOL)
             done = not open_.any()
         else:
             rnorm = float(np.linalg.norm(r))
-            done = rnorm <= tol
+            done = rnorm <= INVERSION_TOL
         trace.append((x.copy(), rnorm))
-        if it < max_iter and not math.isfinite(rnorm):
+        if it < NEWTON_MAX_ITER and not math.isfinite(rnorm):
             fail("non-finite residual", rows and ~np.isfinite(norms))
         if done:
             return NewtonResult(x=x, iterations=it, residual_norm=rnorm, trace=trace)
-        if it == max_iter:
-            fail(f"no convergence after {max_iter} iterations (|r| = {rnorm:.3e})",
+        if it == NEWTON_MAX_ITER:
+            fail(f"no convergence after {NEWTON_MAX_ITER} iterations (|r| = {rnorm:.3e})",
                  rows and open_)
         j = np.asarray(jac(x), dtype=float)
         if not rows:
@@ -439,6 +452,19 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
                 except np.linalg.LinAlgError:
                     singular[i] = True
             fail(f"singular Jacobian: {exc}", singular, exc)
+
+
+def invert(residual: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,
+           jacobian: Callable[[np.ndarray], np.ndarray], what: str,
+           times: np.ndarray | None = None) -> np.ndarray:
+    """The one inversion of a fibre derivative: `newton_solve` from `seed`,
+    at one point or stacked rows.  Failure raises RegularityError("<what>:
+    <reason>"), naming the time of the first failing row from `times`."""
+    try:
+        return newton_solve(residual, seed, jacobian).x
+    except NewtonConvergenceError as exc:
+        when = None if times is None or exc.row is None else times[exc.row]
+        raise RegularityError(f"{what}: {exc}{at_time(when)}") from exc
 
 
 @dataclass(frozen=True)
@@ -469,6 +495,12 @@ class StepperChoice:
 Field = Callable[[float, np.ndarray], np.ndarray]
 
 
+def _at_step(exc: Exception, t: float) -> Exception:
+    """`exc` of a right-hand side again, naming the start t of its step."""
+    kind = RegularityError if isinstance(exc, RegularityError) else ValueError
+    return kind(f"{exc}{at_time(t)}")
+
+
 def rk4_step(f: Field, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step."""
     k1 = f(t, y)
@@ -483,9 +515,9 @@ def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end,
     and a horizon t_end > t0 takes at least one step.
 
-    A ValueError of `f` is raised again with the start t of the failing
-    step.  A non-finite state raises NonFiniteStateError naming the first
-    such sample; the check runs once, after the loop."""
+    A ValueError or RegularityError of `f` is raised again with the start t
+    of the failing step.  A non-finite state raises NonFiniteStateError
+    naming the first such sample; the check runs once, after the loop."""
     y = np.array(y0, dtype=float)
     n_steps = max(int(t_end > t0), int(np.ceil((t_end - t0) / h - 1e-12)))
     times = np.empty(n_steps + 1)
@@ -498,8 +530,8 @@ def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
             y = rk4_step(f, t, y, step)
             t = t0 + (k + 1) * h if k + 1 < n_steps else t_end
             times[k + 1], states[k + 1] = t, y
-    except ValueError as exc:
-        raise ValueError(f"{exc} at t = {t:.6g}") from exc
+    except (ValueError, RegularityError) as exc:
+        raise _at_step(exc, t) from exc
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -529,8 +561,9 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     """Embedded RKF45 with step rejection; returns accepted sample times.
 
     An attempted step whose error norm is not finite raises
-    NonFiniteStateError instead of shrinking the step.  A ValueError of
-    `f` is raised again with the start t of the failing step."""
+    NonFiniteStateError instead of shrinking the step.  A ValueError or
+    RegularityError of `f` is raised again with the start t of the failing
+    step."""
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)
@@ -558,8 +591,8 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                 states.append(y.copy())
             factor = 0.9 * err ** -0.2 if err > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
-    except ValueError as exc:
-        raise ValueError(f"{exc} at t = {t:.6g}") from exc
+    except (ValueError, RegularityError) as exc:
+        raise _at_step(exc, t) from exc
     return np.array(times), np.array(states)
 
 

@@ -28,10 +28,8 @@ import numpy as np
 
 from . import lie, maglag, numerics
 from .lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
-from .maglag import InvariantReport, Trajectory, RegularityError
-from .numerics import StepperChoice
-
-CHI_TOL = 1e-10
+from .maglag import InvariantReport, Trajectory
+from .numerics import RegularityError, StepperChoice
 
 
 @dataclass(frozen=True)
@@ -135,24 +133,24 @@ class InvariantLagrangian:
         return numerics.supply(self.value, 2, 2, self.dell_dxi, self.d2_dxi_dxi)
 
 
-def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray,
-                     t: float | None = None) -> ReducedMetric:
+def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
+                     ) -> ReducedMetric:
     """Reduced-equation blocks at (x, xdot, chi) by the implicit function
     theorem: with K = d(dell/dxi)/dxi,
 
         dchi/dxdot = -K^{-1} d(dell/dxi)/dxdot,   dchi/dnu = K^{-1},
 
     the Routhian blocks are combinations of the supply of ell.  A singular
-    K or Routhian Hessian raises RegularityError naming `t` when given."""
+    K or Routhian Hessian raises RegularityError."""
     k = lag.jac_xi_xi(x, xdot, chi)
-    maglag.require_regular(k, "singular group metric: |det d2ell/dxi2|", t)
+    maglag.require_regular(k, "singular group metric: |det d2ell/dxi2|")
     k_inv = np.linalg.inv(k)
     xi_xdot = lag.jac_xi_xdot(x, xdot, chi)
     dchi_dxdot = -k_inv @ xi_xdot
     dchi_dx = -k_inv @ lag.jac_xi_x(x, xdot, chi)
     f1_xi = xi_xdot.T
     hess = lag.jac_xdot_xdot(x, xdot, chi) + f1_xi @ dchi_dxdot
-    maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|", t)
+    maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
     return ReducedMetric(cm_inv=k_inv, hess_inv=np.linalg.inv(hess),
                          mixed_x=lag.jac_xdot_x(x, xdot, chi) + f1_xi @ dchi_dx,
                          mixed_nu=f1_xi @ k_inv)
@@ -291,35 +289,26 @@ def _chi(lag: InvariantLagrangian, x, xdot, nu: np.ndarray,
          seed: np.ndarray | None = None, times: np.ndarray | None = None
          ) -> np.ndarray:
     """chi with dell/dxi(x, xdot, chi) = nu at one point or at stacked rows:
-    the constant-metric linear solve with its CHI_TOL residual check, or
-    Newton from `seed` (default zero).  A failure over rows names the time
-    of the first failing row, from `times`, when given."""
+    the constant-metric linear solve, whose residual must be within
+    numerics.INVERSION_TOL, or `numerics.invert` from `seed` (default
+    zero).  A failure over rows names the time of the first failing row,
+    from `times`, when given."""
     metric = lag.reduced_metric
     if metric is not None:
         offset = lag.group_momentum(x, xdot, np.zeros_like(nu))
         chi = (nu - offset) @ metric.cm_inv.T
-        bad = np.max(np.abs(lag.group_momentum(x, xdot, chi) - nu), axis=-1) > CHI_TOL
+        bad = (np.max(np.abs(lag.group_momentum(x, xdot, chi) - nu), axis=-1)
+               > numerics.INVERSION_TOL)
         if np.any(bad):
+            when = None if times is None else times[np.argmax(bad)]
             raise RegularityError(
                 "momentum inversion residual exceeds tolerance; the group "
-                f"metric is not constant as declared{_at(times, np.argmax(bad))}")
+                f"metric is not constant as declared{numerics.at_time(when)}")
         return chi
     seed = np.zeros_like(nu) if seed is None else np.asarray(seed, dtype=float)
-    try:
-        res = numerics.newton_solve(
-            lambda z: lag.group_momentum(x, xdot, z) - nu,
-            seed,
-            jacobian=lambda z: lag.jac_xi_xi(x, xdot, z),
-            tol=CHI_TOL, max_iter=50)
-    except numerics.NewtonConvergenceError as exc:
-        raise RegularityError(
-            f"group-velocity inversion failed (group regularity): {exc}"
-            f"{_at(times, exc.row)}") from exc
-    return res.x
-
-
-def _at(times: np.ndarray | None, row) -> str:
-    return "" if times is None or row is None else f" at t = {times[row]:.6g}"
+    return numerics.invert(lambda z: lag.group_momentum(x, xdot, z) - nu, seed,
+                           lambda z: lag.jac_xi_xi(x, xdot, z),
+                           "group-velocity inversion failed (group regularity)", times)
 
 
 def routhian(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
@@ -453,11 +442,8 @@ def _field_factory(sys: ReducedRouthSystem):
             chi = metric.cm_inv @ (nu - momentum(x, xdot, zero_xi))
             blocks = metric
         else:
-            try:
-                chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
-            except RegularityError as exc:
-                raise RegularityError(f"{exc} at t = {t:.6g}") from exc
-            blocks = _assemble_metric(lag, x, xdot, chi, t)
+            chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
+            blocks = _assemble_metric(lag, x, xdot, chi)
         xddot, nudot = _reduced_rhs(grad_x, sign, structure, blocks, x, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 

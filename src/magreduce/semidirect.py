@@ -29,10 +29,9 @@ import numpy as np
 
 from . import compat, lie, maglag, numerics, routh
 from .lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
-from .maglag import MagneticSystem, RegularityError, Trajectory
-from .numerics import StepperChoice
+from .maglag import MagneticSystem, Trajectory
+from .numerics import RegularityError, StepperChoice
 
-TAU_TOL = 1e-10
 GENERATOR_TOL = 1e-9
 
 
@@ -110,12 +109,8 @@ def solve_tau(sd: SemiDirectLagrangian, x, xdot, xi, b: CoVector) -> np.ndarray:
         z = np.concatenate([xi, u])
         return sd.inner.jac_xi_xi(x, xdot, z)[d0:, d0:]
 
-    try:
-        res = numerics.newton_solve(residual, np.zeros(sd.vdim),
-                                    jacobian=jacobian, tol=TAU_TOL, max_iter=50)
-    except numerics.NewtonConvergenceError as exc:
-        raise RegularityError(f"V-regularity failure in tau: {exc}") from exc
-    return res.x
+    return numerics.invert(residual, np.zeros(sd.vdim), jacobian,
+                           "V-regularity failure in tau")
 
 
 def solve_chi12(sd: SemiDirectLagrangian, x, xdot, nu: CoVector, b: CoVector

@@ -221,6 +221,37 @@ def test_f_regularity_error():
         compat.solve_psi(l2, pair, beta, np.array([0.0, 0.0, 0.0, 0.0]))
 
 
+def vanishing_mass_l2():
+    """L2 = 1/2 v0^2 + 1/2 m(q) v1^2 with m(q) = max(1 - q0, 0): f-regular
+    only while q0 < 1."""
+    def m(q):
+        return max(1.0 - q[0], 0.0)
+
+    def dm(q):
+        return -1.0 if q[0] < 1.0 else 0.0
+
+    return MagneticSystem(
+        n=2, k=0, lagrangian=lambda q, v, p: 0.5 * v[0] ** 2 + 0.5 * m(q) * v[1] ** 2,
+        dL_dq=lambda q, v, p: np.array([0.5 * dm(q) * v[1] ** 2, 0.0]),
+        dL_dv=lambda q, v, p: np.array([v[0], m(q) * v[1]]),
+        d2L_dv_dv=lambda q, v, p: np.diag([1.0, m(q)]),
+        d2L_dv_dq=lambda q, v, p: np.array([[0.0, 0.0], [dm(q) * v[1], 0.0]]))
+
+
+@pytest.mark.parametrize("kind, t", [("rk4", "0.49"), ("rkf45", "0.31")])
+def test_psi_failure_mid_trajectory_names_t(kind, t):
+    # q moves as 0.5 + t, so psi loses f-regularity in the step that
+    # reaches q = 1; the error names the start of that step
+    sys1 = compat.build_system(vanishing_mass_l2(), compat.TransformationPair(n1=1, vf=1),
+                               lambda p1: p1[2:3])
+    with pytest.raises(RegularityError) as err:
+        maglag.integrate(sys1, MagLagState([0.5], [1.0], [0.0, 0.0]), 2.0,
+                         StepperChoice(kind=kind, h=1e-2))
+    assert str(err.value).startswith("f-regularity failure in psi: ")
+    assert "singular Jacobian" in str(err.value)
+    assert str(err.value).endswith(f" at t = {t}")
+
+
 def test_dimension_balance():
     pair = compat.TransformationPair(n1=2, vf=3, k2=1)
     assert pair.k1 == 3 + 1 + 3

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import magreduce
+from magreduce import cli, maglag, numerics
 
 PACKAGE = Path(magreduce.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
@@ -116,3 +117,23 @@ def test_one_module_holds_the_differencing_steps():
 ])
 def test_step_checker_sees_module_level_bindings(source, names):
     assert step_names(source) == names
+
+
+def defines_class(source: str, name: str) -> bool:
+    return any(isinstance(node, ast.ClassDef) and node.name == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def calls(source: str, name: str) -> bool:
+    """True when `source` calls `name`, bare or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_one_module_holds_the_regularity_error_and_newton():
+    sources = {m: (PACKAGE / f"{m}.py").read_text() for m in sorted(MODULES)}
+    assert [m for m, s in sources.items() if defines_class(s, "RegularityError")] == ["numerics"]
+    assert [m for m, s in sources.items() if calls(s, "newton_solve")] == ["numerics"]
+    assert maglag.RegularityError is cli.RegularityError is numerics.RegularityError

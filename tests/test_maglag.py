@@ -222,10 +222,20 @@ def test_vector_field_singular_hessian_named():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("t", [None, 1.5])
 def test_require_regular_rejects_non_finite_determinant(bad, t):
+    # t: None checks the matrix directly, else a right-hand side checks it
+    # in an RK4 run that starts at t
     matrix = np.array([[1.0, 0.0], [0.0, bad]])
+
+    def field(t, y):
+        maglag.require_regular(matrix, "|det M|")
+        return y
+
     with np.errstate(invalid="ignore"), pytest.raises(
             RegularityError, match=r"^\|det M\| = (nan|inf) is not finite") as err:
-        maglag.require_regular(matrix, "|det M|", t)
+        if t is None:
+            maglag.require_regular(matrix, "|det M|")
+        else:
+            numerics.rk4_integrate(field, np.zeros(1), t, t + 1.0, 0.5)
     assert ("at t = 1.5" in str(err.value)) == (t is not None)
 
 

@@ -263,7 +263,7 @@ def test_newton_cubic_tracks_seed_basin():
 def test_newton_divergence_has_trace():
     f = lambda x: np.array([np.exp(x[0]) + 1.0])  # no real root
     with pytest.raises(NewtonConvergenceError) as err:
-        numerics.newton_solve(f, np.array([0.0]), max_iter=8)
+        numerics.newton_solve(f, np.array([0.0]))
     assert len(err.value.trace) >= 2
 
 
@@ -297,10 +297,11 @@ def test_newton_non_finite_residual_raises_with_trace():
 
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
-    res = numerics.newton_solve(f, np.array([1.0]), tol=1e-14)
+    res = numerics.newton_solve(f, np.array([1.0]))
     resids = [r for _, r in res.trace if r > 1e-14]
     # residual ratios r_{k+1} / r_k^2 stay bounded for a quadratic method
     ratios = [resids[i + 1] / resids[i] ** 2 for i in range(len(resids) - 1)]
+    assert len(ratios) >= 3
     assert all(r < 10.0 for r in ratios)
 
 

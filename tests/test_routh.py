@@ -364,4 +364,5 @@ def test_regularity_error_mid_trajectory_names_t(group_metric_drops, nu, what):
         routh.integrate_reduced(sys, routh.ReducedState([0.0], [1.0], nu), 1.0,
                                 StepperChoice(kind="rk4", h=0.1))
     assert what in str(err.value)
-    assert "at t = 0.5" in str(err.value)
+    # the start of the step whose last stage meets x = 0.5
+    assert str(err.value).endswith("at t = 0.4")
