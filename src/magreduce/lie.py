@@ -18,7 +18,6 @@ from functools import cached_property, lru_cache
 from typing import Any, Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 
@@ -456,6 +455,7 @@ def make_semidirect(base: LieGroupSpec,
         return out
 
     def generic_exp(z):
+        import scipy.linalg  # here, so that importing the package does not load scipy
         xi, u = z[:d0], z[d0:]
         g = base.exp_fn(xi)
         aug = np.zeros((vdim + 1, vdim + 1))

@@ -10,10 +10,12 @@ f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
 (`fd_jacobian_rows`: one call of a row-capable f for the stencil of one
 point or of rows; `stencil_jacobian` runs it over the joint stencil of
 one or several argument slots, so several Jacobians of one callable cost
-one call), under one non-finite rule (`_finite`), which the
-second differences `fd_hessian` and `fd_mixed` share.  `invert` is the one
-Newton inversion of a fibre derivative.  The integrators raise a right-hand
-side's ValueError or RegularityError again with the start t of its step.
+one call), under one non-finite rule (`_finite`), which the one second
+difference `fd_second` (any block of a values-only function) shares.
+`fd_exterior_derivative` differences a 1-form.  `invert` is the one Newton
+inversion of a fibre derivative, and `newton_solve` always takes its
+Jacobian from the caller.  The integrators raise a right-hand side's
+ValueError or RegularityError again with the start t of its step.
 Nothing here keeps state between calls: the integrators allocate their
 output arrays per call (RK4 all at once, since its step count is known),
 and `supply` and `supply_blocks` return callables that close over nothing
@@ -148,47 +150,46 @@ def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return d.swapaxes(lead, -1)
 
 
-def fd_mixed(f: Callable[[np.ndarray, np.ndarray], float], x: np.ndarray,
-             y: np.ndarray, h0: float = H_SECOND) -> np.ndarray:
-    """Mixed block d2f/dx dy by the four-point cross stencil of fd_hessian's
-    off-diagonal, shape (len(x), len(y)), steps h0*max(1,|.|) in both.  A
-    non-finite entry raises ValueError naming its x coordinate."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hx, hy = _steps(x, h0), _steps(y, h0)
+def fd_second(f: Callable[..., float], args: Sequence, outer: int, inner: int,
+              h0: float = H_SECOND) -> np.ndarray:
+    """Second-difference block d2f/d(args[outer]) d(args[inner]) of a scalar
+    function of several array slots at one point, shape (len(args[outer]),
+    len(args[inner])), steps h0*max(1, |.|) in both slots, by the
+    four-point cross stencil (f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j.
+    A diagonal block (outer == inner) moves its one slot twice, takes the
+    three-point stencil around one f0 on its diagonal and copies its upper
+    triangle to the lower.  A non-finite entry raises ValueError naming its
+    outer coordinate."""
+    diagonal = outer == inner
+    point = list(args)
+
+    def at(u, w):  # on the diagonal, w overwrites u in the one slot
+        point[outer], point[inner] = u, w
+        return f(*point)
+
+    def grid(slot):
+        z = np.asarray(args[slot], dtype=float)
+        return z, _steps(z, h0)
+
+    x, hx = grid(outer)
+    y, hy = (x, hx) if diagonal else grid(inner)
     out = np.empty((x.size, y.size))
+    f0 = at(x, x) if diagonal else None
     for i in range(x.size):
-        ei = np.zeros_like(x)
+        ei = np.zeros(x.size)
         ei[i] = hx[i]
-        for j in range(y.size):
-            ej = np.zeros_like(y)
+        xp, xm = x + ei, x - ei
+        if diagonal:
+            out[i, i] = (at(x, xp) - 2.0 * f0 + at(x, xm)) / hx[i] ** 2
+        wp, wm = (xp, xm) if diagonal else (y, y)
+        for j in range(i + 1 if diagonal else 0, y.size):
+            ej = np.zeros(y.size)
             ej[j] = hy[j]
-            out[i, j] = (f(x + ei, y + ej) - f(x + ei, y - ej)
-                         - f(x - ei, y + ej) + f(x - ei, y - ej)) / (4.0 * hx[i] * hy[j])
+            out[i, j] = (at(xp, wp + ej) - at(xp, wp - ej)
+                         - at(xm, wm + ej) + at(xm, wm - ej)) / (4.0 * hx[i] * hy[j])
+            if diagonal:
+                out[j, i] = out[i, j]
     return _finite(out, False)
-
-
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
-               h0: float = H_SECOND) -> np.ndarray:
-    """Nested central-difference Hessian (symmetric by construction).  A
-    non-finite entry raises ValueError naming its coordinate."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = _steps(x, h0)
-    hess = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            val = (f(x + ei + ej) - f(x + ei - ej)
-                   - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
-    return _finite(hess, False)
 
 
 def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object]:
@@ -218,9 +219,8 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
        and `supply_blocks` differences several such blocks in one call
        over their joint stencil;
     3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
-       fd_hessian of `value` (H_SECOND) for a diagonal block, and the
-       four-point cross stencil fd_mixed of `value` (H_SECOND) for a mixed
-       block.
+       and fd_second of `value` (H_SECOND) for any block, diagonal
+       (d2L/dv2) or mixed (d2L/dv dq).
 
     The result takes rows and is marked so.  Resting on a marked callable
     it passes rows to it; resting on a one-point callable or stencil it
@@ -240,17 +240,8 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
         point = lambda *args: fd_gradient(_vary(value, args, outer), args[outer])  # noqa: E731
     elif first is not None:
         point = lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])  # noqa: E731
-    elif inner == outer:
-        point = lambda *args: fd_hessian(_vary(value, args, inner), args[inner])  # noqa: E731
     else:
-        def point(*args):
-            fixed = list(args)
-
-            def of_pair(u, w):
-                fixed[outer], fixed[inner] = u, w
-                return value(*fixed)
-
-            return fd_mixed(of_pair, args[outer], args[inner])
+        point = lambda *args: fd_second(value, args, outer, inner)  # noqa: E731
 
     @takes_rows
     def rows(*args):
@@ -393,28 +384,23 @@ def _newton_failure(trace: list, rows: bool, message: str, bad=None, cause=None)
 
 def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
                  seed: Sequence[float] | np.ndarray,
-                 jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-                 ) -> NewtonResult:
+                 jacobian: Callable[[np.ndarray], np.ndarray]) -> NewtonResult:
     """Dense Newton iteration with partial-pivoting solves, to a residual
     norm of at most INVERSION_TOL within NEWTON_MAX_ITER steps.
 
-    `jacobian` may be None, in which case it is approximated by central
-    differences of the residual.  Divergence raises NewtonConvergenceError
-    carrying the (iterate, residual norm) trace.
+    The caller supplies `jacobian`.  Divergence raises
+    NewtonConvergenceError carrying the (iterate, residual norm) trace.
 
     A stacked seed (N, m) solves N independent systems at once: `residual`
     and `jacobian` then take rows (N, m) and return rows (N, m) and
-    (N, m, m), and `jacobian` must be given.  Each step is one stacked solve
-    over the rows whose residual norm is still above the tolerance; converged
-    rows stay as they are, so each row follows its one-row iteration.
+    (N, m, m).  Each step is one stacked solve over the rows whose residual
+    norm is still above the tolerance; converged rows stay as they are, so
+    each row follows its one-row iteration.
     `iterations` counts the steps of the slowest row, `residual_norm` and the
     trace hold the largest row norm, and an error names the first failing row.
     """
     x = np.array(seed, dtype=float)
     rows = x.ndim == 2
-    if rows and jacobian is None:
-        raise ValueError("a stacked seed needs the row jacobian")
-    jac = jacobian or (lambda z: fd_jacobian(residual, z))
     trace: list[tuple[np.ndarray, float]] = []
     fail = functools.partial(_newton_failure, trace, rows)
     for it in range(NEWTON_MAX_ITER + 1):
@@ -435,7 +421,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
         if it == NEWTON_MAX_ITER:
             fail(f"no convergence after {NEWTON_MAX_ITER} iterations (|r| = {rnorm:.3e})",
                  rows and open_)
-        j = np.asarray(jac(x), dtype=float)
+        j = np.asarray(jacobian(x), dtype=float)
         if not rows:
             try:
                 x = x + np.linalg.solve(j, -r)

@@ -455,18 +455,16 @@ def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
     """Integrate the reduced flow over [0, t_end] with energy and Casimir
     monitors.
 
-    The energy is checked at every (len // 400)-th sample and the last one,
-    the Casimirs at every sample."""
+    The energy is checked at the `maglag.monitored` samples, from the
+    first, the Casimirs at every sample."""
     lag = sys.lagrangian
     sd = lag.sdim
     times, states = numerics.integrate_ode(_field_factory(sys), pack_reduced(s0),
                                            0.0, t_end, stepper)
-    e0 = reduced_energy(lag, s0.x, s0.xdot, s0.nu)
-    pick = np.append(np.arange(0, len(states), max(1, len(states) // 400)),
-                     len(states) - 1)
+    pick = maglag.monitored(len(states))
     x, xdot, nu = _split(lag, states[pick])
     energies = _energy(lag, x, xdot, nu, _chi(lag, x, xdot, nu, times=times[pick]))
-    entries = {"energy_drift": float(np.max(np.abs(energies - e0)))}
+    entries = {"energy_drift": float(np.max(np.abs(energies - energies[0])))}
     for cname, cfun in lag.group.casimirs:
         drift = numerics.each_row(cfun, states[:, 2 * sd:]) - cfun(s0.nu.coords)
         entries[f"casimir_{cname}_drift"] = float(np.max(np.abs(drift)))

@@ -71,17 +71,6 @@ class SemiDirectLagrangian:
         return self.inner.group_momentum(np.atleast_1d(x), np.atleast_1d(xdot), z)[self.d0:]
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A point (nu, b) of the coadjoint orbit in the dual of the combined
-    algebra; nu over g, b over V*."""
-    nu: CoVector
-    b: CoVector
-
-    def combined(self) -> CoVector:
-        return CoVector(np.concatenate([self.nu.coords, self.b.coords]))
-
-
 def mechanical_semidirect_lagrangian(sdim: int, gv: LieGroupSpec,
                                      a_block, b_block, c_block,
                                      potential=None, dpotential=None
@@ -397,9 +386,10 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     1-form on the cylinder chart (nu, alpha), b = |a| e^{i alpha}.
 
     Returns the maximum residual between the finite-difference d(theta)
-    and the generator-matched orbit pairing over the samples.  The central
-    stencil of every sample (step H_SECOND * max(1, |z_a|)) is evaluated in
-    one batched call of the orbit-form kernel, and the pairing in another."""
+    and the generator-matched orbit pairing over the samples.  d(theta) is
+    `numerics.fd_exterior_derivative` over all samples (step H_SECOND *
+    max(1, |z_a|)), one batched call of the orbit-form kernel, and the
+    pairing is another."""
     if sd.d0 != 1 or sd.vdim != 2:
         raise ValueError("the cylinder chart requires a 1-dimensional base "
                          "acting on a 2-dimensional V")
@@ -425,9 +415,9 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.size == 0:
         raise ValueError("samples is empty: the lemma check needs at least one sample")
-    d = numerics.fd_jacobian_rows(theta_rows, z, numerics.H_SECOND)  # d[n, b, a] = dtheta_b/dz_a
+    dtheta = numerics.fd_exterior_derivative(theta_rows, z)[:, 0, 1]
     kks = _orbit_kks_rows(gv, *chart(z))
-    return float(np.max(np.abs((d[:, 1, 0] - d[:, 0, 1]) - kks), initial=0.0))
+    return float(np.max(np.abs(dtheta - kks), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

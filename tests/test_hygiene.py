@@ -1,8 +1,12 @@
 """Module boundaries: no module of the package reads a private name (one
 with a leading underscore, dunder names aside) of another package module,
-by attribute or by import; and a rule written once stays in one module."""
+by attribute or by import; a rule written once stays in one module; and
+importing the CLI pulls in no optional heavy dependency."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,14 @@ def test_one_module_holds_the_regularity_error_and_newton():
     assert [m for m, s in sources.items() if defines_class(s, "RegularityError")] == ["numerics"]
     assert [m for m, s in sources.items() if calls(s, "newton_solve")] == ["numerics"]
     assert maglag.RegularityError is cli.RegularityError is numerics.RegularityError
+
+
+def test_importing_the_cli_imports_no_scipy():
+    # only the generic semi-direct exponential needs scipy, and it imports it
+    # when called; a fresh interpreter shows what the import alone loads
+    probe = ("import sys, magreduce.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -144,7 +144,7 @@ def test_vector_field_degenerate_matches_fd_el_oracle():
     s = MagLagState([0.4, -0.2], [0.3, 0.8], [])
 
     lag = lambda q, v: sys.value(q, v, np.zeros(0))
-    hess = numerics.fd_hessian(lambda v: lag(s.q, v), s.v, h0=1e-3)
+    hess = numerics.fd_second(lag, (s.q, s.v), 1, 1, h0=1e-3)
     grad_q = numerics.fd_gradient(lambda q: lag(q, s.v), s.q)
 
     def mixed_entry(i, j, hv=1e-3, hq=1e-4):

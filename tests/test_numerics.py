@@ -52,7 +52,7 @@ def test_fd_mixed_cross_stencil():
     f = lambda x, y: float(np.sin(x[0]) * y @ y + x[1] * y[0])
     x, y = np.array([0.4, -1.5]), np.array([2.5, 0.3, -0.7])
     exact = np.vstack([2.0 * np.cos(x[0]) * y, [1.0, 0.0, 0.0]])
-    assert np.max(np.abs(numerics.fd_mixed(f, x, y) - exact)) < 1e-7
+    assert np.max(np.abs(numerics.fd_second(f, (x, y), 0, 1) - exact)) < 1e-7
 
 
 def test_fd_gradient_nonfinite_raises():
@@ -124,6 +124,60 @@ def ref_fd_exterior_derivative(one_form, z, h0=numerics.H_SECOND):
     return np.swapaxes(d, -1, -2) - d
 
 
+def ref_fd_hessian(f, x, h0=numerics.H_SECOND):
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = ref_steps(x, h0)
+    hess = np.empty((n, n))
+    f0 = f(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h[i]
+        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h[j]
+            val = (f(x + ei + ej) - f(x + ei - ej)
+                   - f(x - ei + ej) + f(x - ei - ej)) / (4.0 * h[i] * h[j])
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess
+
+
+def ref_fd_mixed(f, x, y, h0=numerics.H_SECOND):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hx, hy = ref_steps(x, h0), ref_steps(y, h0)
+    out = np.empty((x.size, y.size))
+    for i in range(x.size):
+        ei = np.zeros_like(x)
+        ei[i] = hx[i]
+        for j in range(y.size):
+            ej = np.zeros_like(y)
+            ej[j] = hy[j]
+            out[i, j] = (f(x + ei, y + ej) - f(x + ei, y - ej)
+                         - f(x - ei, y + ej) + f(x - ei, y - ej)) / (4.0 * hx[i] * hy[j])
+    return out
+
+
+def ref_fd_second(f, args, outer, inner, h0=numerics.H_SECOND):
+    """The earlier values-only blocks: fd_hessian of one slot, fd_mixed of
+    two, the other slots held."""
+    fixed = list(args)
+
+    def of_slot(z):
+        fixed[inner] = z
+        return f(*fixed)
+
+    def of_pair(u, w):
+        fixed[outer], fixed[inner] = u, w
+        return f(*fixed)
+
+    if outer == inner:
+        return ref_fd_hessian(of_slot, args[inner], h0)
+    return ref_fd_mixed(of_pair, args[outer], args[inner], h0)
+
+
 def sign_aware(z):
     """Rows (M, 3) -> rows (M, 3), sensitive to the sign of a zero."""
     return np.column_stack([np.arctan2(z[:, 0], -1.0) * z[:, 1], np.exp(0.3 * z[:, 2]),
@@ -176,6 +230,39 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
                     ref_fd_exterior_derivative(sign_aware, x, h0))
 
 
+def test_fd_second_matches_the_reference_blocks_bit_for_bit():
+    # three slots of 1-3 coordinates with |x| > 1 and +-0.0 entries: every
+    # (outer, inner) block has the bits, the points and the call order of
+    # the earlier fd_hessian / fd_mixed
+    rng = np.random.default_rng(47)
+    log = []
+
+    def f(a, b, c):
+        log.append(b"|".join(np.asarray(z, dtype=float).tobytes() for z in (a, b, c)))
+        return float(np.sin(a.sum() * b[0]) + np.arctan2(a[-1], -1.0) * (c @ c)
+                     + np.copysign(1.0, b[-1]) * a[0] * c[0] ** 2
+                     + np.exp(0.3 * b).sum() * c[-1])
+
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    for _ in range(40):
+        args = []
+        for size in rng.integers(1, 4, 3):
+            z = rng.uniform(-4.0, 4.0, size)
+            signed = rng.random(size) < 0.3
+            z[signed] = rng.choice([0.0, -0.0], signed.sum())
+            args.append(z)
+        for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
+            for outer in range(3):
+                for inner in range(3):
+                    log.clear()
+                    block = numerics.fd_second(f, tuple(args), outer, inner, h0)
+                    points = list(log)
+                    log.clear()
+                    ref = ref_fd_second(f, tuple(args), outer, inner, h0)
+                    assert same(block, ref)
+                    assert points == log
+
+
 def pocket(z):
     """Rows (M, 3) -> rows (M, 2): NaN past z_1 = 1 in the first output."""
     z = np.atleast_2d(z)
@@ -218,10 +305,10 @@ def test_second_differences_reject_a_non_finite_value():
 
     match = r"^non-finite evaluation while differencing coordinate 0$"
     with pytest.raises(ValueError, match=match):
-        numerics.fd_hessian(f, [0.5])
+        numerics.fd_second(f, ([0.5],), 0, 0)
     with pytest.raises(ValueError, match=match):
-        numerics.fd_mixed(lambda x, y: f(x) * y[0], [0.5], [1.0])
-    assert np.isfinite(numerics.fd_hessian(f, [0.3])).all()
+        numerics.fd_second(lambda x, y: f(x) * y[0], ([0.5], [1.0]), 0, 1)
+    assert np.isfinite(numerics.fd_second(f, ([0.3],), 0, 0)).all()
 
 
 def test_newton_linear_single_iteration():
@@ -254,7 +341,7 @@ def test_newton_cubic_tracks_seed_basin():
     # roots of x^3 - x at -1, 0, 1
     f = lambda x: np.array([x[0] ** 3 - x[0]])
     for seed, root in ((0.9, 1.0), (-0.9, -1.0), (0.05, 0.0)):
-        res = numerics.newton_solve(f, np.array([seed]))
+        res = numerics.newton_solve(f, np.array([seed]), lambda x: numerics.fd_jacobian(f, x))
         assert abs(res.x[0] - root) < 1e-10
         # the branch is recorded: the trace starts at the seed
         assert res.trace[0][0][0] == seed
@@ -263,7 +350,7 @@ def test_newton_cubic_tracks_seed_basin():
 def test_newton_divergence_has_trace():
     f = lambda x: np.array([np.exp(x[0]) + 1.0])  # no real root
     with pytest.raises(NewtonConvergenceError) as err:
-        numerics.newton_solve(f, np.array([0.0]))
+        numerics.newton_solve(f, np.array([0.0]), lambda x: numerics.fd_jacobian(f, x))
     assert len(err.value.trace) >= 2
 
 
@@ -297,7 +384,7 @@ def test_newton_non_finite_residual_raises_with_trace():
 
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
-    res = numerics.newton_solve(f, np.array([1.0]))
+    res = numerics.newton_solve(f, np.array([1.0]), lambda x: numerics.fd_jacobian(f, x))
     resids = [r for _, r in res.trace if r > 1e-14]
     # residual ratios r_{k+1} / r_k^2 stay bounded for a quadratic method
     ratios = [resids[i + 1] / resids[i] ** 2 for i in range(len(resids) - 1)]

@@ -104,10 +104,10 @@ def test_routhian_full_zero_state(sd):
 
 
 def test_orbit_point_combines_slots(sd):
-    pt = semidirect.OrbitPoint(nu=CoVector([0.7]), b=CoVector([0.3, -0.2]))
-    combined = pt.combined()
+    nu, b = CoVector([0.7]), CoVector([0.3, -0.2])
+    combined = CoVector(np.concatenate([nu.coords, b.coords]))
     r1 = routh.routhian(sd.inner, [0.1], [0.2], combined)
-    r2 = semidirect.routhian_full(sd, [0.1], [0.2], pt.nu, pt.b)
+    r2 = semidirect.routhian_full(sd, [0.1], [0.2], nu, b)
     assert abs(r1 - r2) < 1e-14
 
 

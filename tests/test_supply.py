@@ -64,15 +64,15 @@ RULE = {
     "analytic": None,
     "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
     "fd_first_rows": ("fd_jacobian_rows", numerics.H_GRADIENT),
-    "values_diagonal": ("fd_hessian", numerics.H_SECOND),
-    "values_mixed": ("fd_mixed", numerics.H_SECOND),
+    "values_diagonal": ("fd_second", numerics.H_SECOND),
+    "values_mixed": ("fd_second", numerics.H_SECOND),
 }
 
 
 def spy_stencils(monkeypatch):
     """Record (routine, base step) of every second-derivative stencil."""
     calls = []
-    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_hessian", "fd_mixed"):
+    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_second"):
         fn = getattr(numerics, name)
         sig = inspect.signature(fn)
 
