@@ -188,7 +188,8 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     is taken by central differences at step H_SECOND.  `lagrangian`,
     `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
     or stacked rows; the stencil of the exterior derivative is one
-    fd_jacobian_rows call, at one point as at stacked rows.
+    fd_jacobian_rows call, at one point (passed as one stacked row) as at
+    stacked rows.
     """
     gamma = gamma or zero_connection(pair)
     n1, vf, k2 = pair.n1, pair.vf, pair.k2
@@ -258,7 +259,10 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     @numerics.takes_rows
     def bform(q, pfib):
         z = np.concatenate([np.atleast_1d(q), np.atleast_1d(pfib)], axis=-1)
-        full = numerics.fd_exterior_derivative(one_form, z, numerics.H_SECOND)
+        # one point goes in as one stacked row, so the stencil is one 1-form
+        # call whether or not the 1-form is still marked (a call counter)
+        full = numerics.fd_exterior_derivative(one_form, z.reshape(-1, dim1),
+                                               numerics.H_SECOND).reshape(z.shape + (dim1,))
         if l2.bform is not None:
             full[..., :dim2, :dim2] += l2.full_bmatrix(z[..., :pair.n2],
                                                        z[..., pair.n2:dim2])

@@ -10,15 +10,17 @@ with a first-order equation in p:
     B_PP pdot = B_QP^T v - dL/dp
 
 Derivatives of L come from `numerics.supply`: analytic callables when
-supplied, central finite differences otherwise; each takes one point or
-stacked rows.  A right-hand side point takes what it uses from one
+supplied, finite differences otherwise; each takes one point or stacked
+rows.  A right-hand side point takes what it uses from one
 `MagneticSystem.jet` call: the velocity blocks that are differenced from
-dL/dv share one stencil call, and a builder whose dL/dq and dL/dp share
-their work hands both over in one callable (`dL_dqp`).
+dL/dv share one stencil call, everything differenced from the values of a
+row-capable Lagrangian shares one, and a builder whose derivatives share
+their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -111,10 +113,14 @@ class MagneticSystem:
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
     form.  Analytic derivative callables are optional; missing ones are
-    supplied by the fallback rule of `numerics.supply`.  `dL_dqp(q, v, p)`
-    may stand for dL_dq and dL_dp together, returning (dL/dq, dL/dp) from
-    one call, for a builder whose two gradients share their work.  A
-    `lagrangian` or `bform` not marked with `numerics.takes_rows` is called
+    supplied by the fallback rule of `numerics.supply`.  Two joint callables
+    may stand for two derivatives that share their work, each returning the
+    pair from one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), and
+    `dL_dq_vq(q, v, p)` for (dL/dq, d2L/dv dq).  A `lagrangian` marked with
+    `numerics.takes_rows` keeps its mark on `value`, so every values-only
+    derivative is one stacked stencil call, and a right-hand side point
+    takes all of its values-only derivatives from one (`jet`).  An unmarked
+    `lagrangian` is called at one point at a time, and an unmarked `bform`
     once per row.
     """
     n: int
@@ -128,6 +134,7 @@ class MagneticSystem:
     d2L_dv_dv: Callable | None = None
     d2L_dv_dq: Callable | None = None
     d2L_dv_dp: Callable | None = None
+    dL_dq_vq: Callable | None = None
     # Set when bform does not depend on the state; lets the integrator hoist
     # the blocks and their factorization out of the stepping loop.
     constant_bform: bool = False
@@ -139,45 +146,60 @@ class MagneticSystem:
     def __post_init__(self):
         if self.dL_dqp is not None and not (self.dL_dq is self.dL_dp is None):
             raise ValueError("dL_dqp stands for dL_dq and dL_dp: give one or the others")
+        if self.dL_dq_vq is not None and not (
+                self.dL_dq is self.dL_dqp is self.d2L_dv_dq is None):
+            raise ValueError("dL_dq_vq stands for dL_dq and d2L_dv_dq: give one or the "
+                             "others")
 
     # -- derivative supply (fallback rule: numerics.supply), resolved on
     # first use and kept with the system; each is called as
-    # sys.<name>(q, v, p).  With k = 0 the fibre slots are empty.
+    # sys.<name>(q, v, p), slot 0 = q, 1 = v, 2 = p.  With k = 0 the fibre
+    # slots are empty.
 
-    def value(self, q, v, p) -> float:
-        return float(self.lagrangian(q, v, p))
+    @cached_property
+    def value(self) -> Callable[..., float]:
+        """L as a float at one point, and at stacked rows too (marked so)
+        when `lagrangian` takes rows."""
+        return numerics.scalar_value(self.lagrangian)
 
-    def _first(self, part: int) -> Callable | None:
-        """The analytic dL/dq (part 0) or dL/dp (part 1): its own callable,
-        or its part of `dL_dqp`, marked as `dL_dqp` is."""
-        joint = self.dL_dqp
-        if joint is None:
-            return (self.dL_dq, self.dL_dp)[part]
-        split = lambda q, v, p: joint(q, v, p)[part]  # noqa: E731
-        return numerics.takes_rows(split) if numerics.rows_ok(joint) else split
+    def _spec(self, outer: int, inner: int | None = None) -> tuple:
+        """(outer, inner, first, second) of `numerics.supply` for dL/dq
+        (outer 0), dL/dv (1), dL/dp (2) or, with `inner`, the Jacobian of
+        dL/dv in slot `inner`; a derivative given by a joint callable is its
+        part of that callable, marked as the joint one is."""
+        if inner is None:
+            if outer == 1:
+                return 1, None, self.dL_dv, None
+            joint = self.dL_dqp if outer == 2 else (self.dL_dqp or self.dL_dq_vq)
+            first = (self.dL_dq, None, self.dL_dp)[outer]
+            return outer, None, first if joint is None else _part(joint, outer // 2), None
+        second = {1: self.d2L_dv_dv, 0: self.d2L_dv_dq, 2: self.d2L_dv_dp}[inner]
+        if inner == 0 and self.dL_dq_vq is not None:
+            second = _part(self.dL_dq_vq, 1)
+        return 1, inner, self.dL_dv, second
 
     @cached_property
     def grad_q(self) -> Callable:
-        return numerics.supply(self.value, 0, first=self._first(0))
+        return numerics.supply(self.value, *self._spec(0))
 
     @cached_property
     def grad_v(self) -> Callable:
-        return numerics.supply(self.value, 1, first=self.dL_dv)
+        return numerics.supply(self.value, *self._spec(1))
 
     @cached_property
     def grad_p(self) -> Callable:
         if self.k == 0:
             return numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
-        return numerics.supply(self.value, 2, first=self._first(1))
+        return numerics.supply(self.value, *self._spec(2))
 
     @cached_property
     def hess_vv(self) -> Callable:
-        return numerics.supply(self.value, 1, 1, self.dL_dv, self.d2L_dv_dv)
+        return numerics.supply(self.value, *self._spec(1, 1))
 
     @cached_property
     def hess_vq(self) -> Callable:
         """Matrix with entries d2L / dv_i dq_j."""
-        return numerics.supply(self.value, 1, 0, self.dL_dv, self.d2L_dv_dq)
+        return numerics.supply(self.value, *self._spec(1, 0))
 
     @cached_property
     def hess_vp(self) -> Callable:
@@ -185,46 +207,51 @@ class MagneticSystem:
         if self.k == 0:
             return numerics.takes_rows(
                 lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
-        return numerics.supply(self.value, 1, 2, self.dL_dv, self.d2L_dv_dp)
-
-    def _velocity_blocks(self, slots: tuple[int, ...]) -> Callable:
-        """The blocks d2L / dv d(slot), slot 1 = v, 0 = q, 2 = p, in the
-        order of `slots`, from one `numerics.supply_blocks` callable."""
-        seconds = {1: self.d2L_dv_dv, 0: self.d2L_dv_dq,
-                   2: self.d2L_dv_dp if self.k else self.hess_vp}
-        return numerics.supply_blocks(self.value, 1, slots, self.dL_dv,
-                                      [seconds[s] for s in slots])
+        return numerics.supply(self.value, *self._spec(1, 2))
 
     @cached_property
     def velocity_blocks(self) -> Callable:
         """(q, v, p) -> the blocks of (hess_vv, hess_vq, hess_vp), bit for
-        bit, from one callable: the blocks that rule 2 differences from a
-        row-marked dL_dv share one dL_dv call over the joint (v, q, p)
-        stencil.  At one point or at stacked rows."""
-        return self._velocity_blocks((1, 0, 2))
+        bit, from one `numerics.supply_blocks` callable: the blocks that
+        rule 2 differences from a row-marked dL_dv share one dL_dv call over
+        the joint (v, q, p) stencil, and those that rule 3 differences from
+        a row-marked Lagrangian one stacked stencil call.  At one point or
+        at stacked rows."""
+        fibre = [self._spec(1, 2)] if self.k else [(1, 2, self.dL_dv, self.hess_vp)]
+        return numerics.supply_blocks(self.value, [self._spec(1, 1), self._spec(1, 0)] + fibre)
 
     @cached_property
     def jet(self) -> Callable:
         """(q, v, p) -> (dL/dq, dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp) at one
         point: what one right-hand side point of the mixed equations uses,
-        each with the bits of its supply.  The velocity blocks come from one
-        `supply_blocks` callable, and dL/dq and dL/dp from one `dL_dqp` call
-        when it is given.  A block the equations do not use is None and is
-        not evaluated: d2L/dv2 when it is declared constant, dL/dp and
-        d2L/dv dp when k = 0."""
-        hessian, fibre = not self.constant_hessian, self.k > 0
-        blocks = self._velocity_blocks((1,) * hessian + (0,) + (2,) * fibre)
-        joint, grad_q, grad_p = self.dL_dqp, self.grad_q, self.grad_p
-        at_vq = int(hessian)  # d2L/dv dq follows d2L/dv2 when that is there
+        each with the bits of its supply.  A joint callable (`dL_dqp` or
+        `dL_dq_vq`) gives its pair from one call, and the rest come from one
+        `supply_blocks` callable: one dL_dv stencil for the velocity blocks
+        that rule 2 differences, one stacked stencil for everything that
+        rule 3 differences from a row-marked Lagrangian.  A result the
+        equations do not use is None and is not evaluated: d2L/dv2 when it
+        is declared constant, dL/dp and d2L/dv dp when k = 0."""
+        wanted = {"hess": (1, 1), "vq": (1, 0), "vp": (1, 2), "dq": (0,), "dp": (2,)}
+        if self.constant_hessian:
+            del wanted["hess"]
+        if self.k == 0:
+            del wanted["vp"], wanted["dp"]
+        joint, pair = ((self.dL_dqp, ("dq", "dp")) if self.dL_dqp is not None
+                       else (self.dL_dq_vq, ("dq", "vq")))
+        if joint is not None:
+            for name in pair:
+                wanted.pop(name, None)
+        blocks = numerics.supply_blocks(self.value, [self._spec(*at) for at in wanted.values()])
+        names = list(wanted) + (list(pair) if joint is not None else []) + [None]
+        pick = operator.itemgetter(*(names.index(name) if name in names else -1
+                                     for name in ("dq", "dp", "hess", "vq", "vp")))
 
         def jet(q, v, p):
             out = blocks(q, v, p)
-            if joint is None:
-                dl_dq, dl_dp = grad_q(q, v, p), grad_p(q, v, p) if fibre else None
-            else:
-                dl_dq, dl_dp = (np.asarray(g, dtype=float) for g in joint(q, v, p))
-            return (dl_dq, dl_dp, out[0] if hessian else None, out[at_vq],
-                    out[-1] if fibre else None)
+            if joint is not None:
+                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
+            out.append(None)
+            return pick(out)
 
         return jet
 
@@ -255,6 +282,12 @@ class MagneticSystem:
         top = np.concatenate([bqq, bqp], axis=-1)
         bottom = np.concatenate([-np.swapaxes(bqp, -1, -2), bpp], axis=-1)
         return np.concatenate([top, bottom], axis=-2)
+
+
+def _part(joint: Callable, index: int) -> Callable:
+    """Part `index` of a joint derivative callable, marked as `joint` is."""
+    split = lambda q, v, p: joint(q, v, p)[index]  # noqa: E731
+    return numerics.takes_rows(split) if numerics.rows_ok(joint) else split
 
 
 def legendre(sys: MagneticSystem, s: MagLagState) -> np.ndarray:

@@ -12,14 +12,21 @@ point or of rows; `stencil_jacobian` runs it over the joint stencil of
 one or several argument slots, so several Jacobians of one callable cost
 one call), under one non-finite rule (`_finite`), which the one second
 difference `fd_second` (any block of a values-only function) shares.
-`fd_exterior_derivative` differences a 1-form.  `invert` is the one Newton
-inversion of a fibre derivative, and `newton_solve` always takes its
-Jacobian from the caller.  The integrators raise a right-hand side's
-ValueError or RegularityError again with the start t of its step.
-Nothing here keeps state between calls: the integrators allocate their
-output arrays per call (RK4 all at once, since its step count is known),
-and `supply` and `supply_blocks` return callables that close over nothing
-but their inputs.
+Rule 3 over rows: `fd_blocks` gives every gradient and block of a set
+(`ValueStencil`) of a row-capable values-only function from one call on
+their joint stencil, with the points, steps and arithmetic (`_central`,
+`_second`, `_cross`) of the one-point loops, so the same bits.  The
+integer layout of that stencil depends only on the slot sizes and the
+set; the ValueStencil of each resolved supply callable builds it on first
+use and keeps it.  `fd_exterior_derivative` differences a 1-form.
+`invert` is the one Newton inversion of a fibre derivative, and
+`newton_solve` always takes its Jacobian from the caller.  The integrators
+raise a right-hand side's ValueError or RegularityError again with the
+start t of its step.  Apart from those stencil layouts nothing here keeps
+state between calls: the integrators allocate their output arrays per call
+(RK4 all at once, since its step count is known), and `supply` and
+`supply_blocks` return callables that close over their inputs and their
+stencils.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
@@ -27,7 +34,10 @@ leading row per input row.  Every callable that `supply` and
 `supply_blocks` return takes rows, so code downstream of a supply never
 asks; only user callables (Lagrangian values, potentials, beta, the
 connection, psi, `bform`, Casimirs, `exp_fn` / `rep`) are marked or
-called per row (`each_row`).
+called per row (`each_row`).  Which path a supply takes is decided once,
+from these marks, when it is resolved; the differencing routines never
+read a mark, so a wrapper that drops one (a call counter) leaves the path
+and the bits as they are.
 `newton_solve` takes stacked seeds too, for a residual and Jacobian that
 send rows to rows.
 """
@@ -91,6 +101,23 @@ def _steps(x: np.ndarray, h0: float) -> np.ndarray:
 def _central(fp, fm, h):
     """The central difference of the values at x + h e_i and x - h e_i."""
     return (fp - fm) / (2.0 * h)
+
+
+def _second(fp, f0, fm, h):
+    """The three-point second difference of the values at x + h e_i, x and
+    x - h e_i.  h ** 2 is taken entry by entry as Python takes it of one
+    float (the C library's pow), so an array of steps gives the bits of the
+    one-point loop; numpy's array square can round differently."""
+    if np.ndim(h):
+        h = np.array([v ** 2 for v in h.ravel().tolist()]).reshape(h.shape)
+    else:
+        h = h ** 2
+    return (fp - 2.0 * f0 + fm) / h
+
+
+def _cross(fpp, fpm, fmp, fmm, hi, hj):
+    """The four-point cross difference of the values at x +- hi e_i +- hj e_j."""
+    return (fpp - fpm - fmp + fmm) / (4.0 * hi * hj)
 
 
 def _finite(d: np.ndarray, rows: bool) -> np.ndarray:
@@ -180,16 +207,165 @@ def fd_second(f: Callable[..., float], args: Sequence, outer: int, inner: int,
         ei[i] = hx[i]
         xp, xm = x + ei, x - ei
         if diagonal:
-            out[i, i] = (at(x, xp) - 2.0 * f0 + at(x, xm)) / hx[i] ** 2
+            out[i, i] = _second(at(x, xp), f0, at(x, xm), hx[i])
         wp, wm = (xp, xm) if diagonal else (y, y)
         for j in range(i + 1 if diagonal else 0, y.size):
             ej = np.zeros(y.size)
             ej[j] = hy[j]
-            out[i, j] = (at(xp, wp + ej) - at(xp, wp - ej)
-                         - at(xm, wm + ej) + at(xm, wm - ej)) / (4.0 * hx[i] * hy[j])
+            out[i, j] = _cross(at(xp, wp + ej), at(xp, wp - ej), at(xm, wm + ej),
+                               at(xm, wm - ej), hx[i], hy[j])
             if diagonal:
                 out[j, i] = out[i, j]
     return _finite(out, False)
+
+
+class ValueStencil:
+    """The stacked values-only stencil of a block set: every gradient
+    (outer, None) and every block (outer, inner) of `pairs`, the points of
+    fd_gradient and fd_second, as one array of points for `fd_blocks`.
+
+    A stencil point is (x + a*h) + b*h over the joint coordinates x of all
+    argument slots, with h the steps of its rule and a, b signed multiples
+    of unit shifts.  A coordinate that a point does not move gets a signed
+    zero: +0.0 or -0.0 inside a moved slot, as the one-point loops add and
+    subtract their shift vectors, and -0.0 (which leaves every float, -0.0
+    included, as it is) in a held slot.  This integer layout depends only on
+    the slot sizes and the pairs; it is built on first use for each tuple of
+    slot sizes and kept here, one stencil per resolved supply callable."""
+
+    def __init__(self, pairs: Sequence[tuple[int, int | None]]):
+        self.pairs = tuple(pairs)
+        self._layouts: dict[tuple[int, ...], _Layout] = {}
+
+    def layout(self, sizes: tuple[int, ...]) -> _Layout:
+        if sizes not in self._layouts:
+            self._layouts[sizes] = _Layout(sizes, self.pairs)
+        return self._layouts[sizes]
+
+
+class _Layout:
+    """Points and entries of one ValueStencil for one tuple of slot sizes.
+
+    `a`, `b`: the shift multiples (P, n) of the P points (`b` None when no
+    point has a second shift); `gradient`: True where a point takes the
+    gradient step, and `steps`: whether any point takes the second-
+    difference step and the gradient step.  `rules` lists, for the entries
+    of each kind present, the rule, whether it takes the gradient step, and
+    index rows: the points of each entry (plus and minus of a gradient
+    entry, plus, centre and minus of a diagonal second difference, ++, +-,
+    -+ and -- of a cross difference) and its coordinates in the joint
+    point.  `takes[k]` gives pair k's result, entry by entry, as indices
+    into the entries of all kinds in that order."""
+
+    KINDS = ("gradient", "diagonal", "cross")
+
+    def __init__(self, sizes: tuple[int, ...], pairs: tuple):
+        edges = np.cumsum((0,) + sizes).tolist()
+        self.n, self.spans = edges[-1], list(zip(edges[:-1], edges[1:]))
+        index: dict[bytes, int] = {}
+        shifts: list[tuple[np.ndarray, np.ndarray, bool]] = []
+        entries: dict[str, list] = {kind: [] for kind in self.KINDS}
+
+        def shift(move):
+            w = np.full(self.n, -0.0)
+            if move is not None:
+                slot, coord, mult = move
+                lo, hi = self.spans[slot]
+                w[lo:hi] = math.copysign(0.0, mult)
+                w[lo + coord] = mult
+            return w
+
+        def point(gradient, a=None, b=None):
+            wa, wb = shift(a), shift(b)
+            key = bytes([gradient]) + wa.tobytes() + wb.tobytes()
+            if key not in index:
+                index[key] = len(shifts)
+                shifts.append((wa, wb, gradient))
+            return index[key]
+
+        def entry(kind, *row):
+            entries[kind].append(row)
+            return kind, len(entries[kind]) - 1
+
+        tagged = []  # per pair: the shape of its result and its entries in order
+        for outer, inner in pairs:
+            lo, size = self.spans[outer][0], sizes[outer]
+            if inner is None:
+                tagged.append(((size,), [entry("gradient", point(True, (outer, i, 1.0)),
+                                               point(True, (outer, i, -1.0)), lo + i)
+                                         for i in range(size)]))
+                continue
+            ilo, isize = self.spans[inner][0], sizes[inner]
+            cell = [[None] * isize for _ in range(size)]
+            for i in range(size):
+                if outer == inner:
+                    cell[i][i] = entry("diagonal", point(False, (outer, i, 1.0)), point(False),
+                                       point(False, (outer, i, -1.0)), lo + i)
+                for j in range(i + 1 if outer == inner else 0, isize):
+                    corners = [point(False, (outer, i, si), (inner, j, sj))
+                               for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+                    cell[i][j] = entry("cross", *corners, lo + i, ilo + j)
+                    if outer == inner:
+                        cell[j][i] = cell[i][j]
+            tagged.append(((size, isize), [tag for row in cell for tag in row]))
+        self.a = np.array([wa for wa, _, _ in shifts]).reshape(-1, self.n)
+        self.b = np.array([wb for _, wb, _ in shifts]).reshape(-1, self.n)
+        if np.all(self.b == 0.0):
+            self.b = None  # every b is -0.0: adding it changes no bit
+        self.gradient = np.array([g for _, _, g in shifts], dtype=bool)
+        any_gradient = bool(self.gradient.any())
+        self.steps = (not (any_gradient and self.gradient.all()), any_gradient)
+        self.rules = []
+        for kind, rule, coords in zip(self.KINDS, (_central, _second, _cross), (1, 1, 2)):
+            if entries[kind]:
+                rows = np.array(entries[kind], dtype=int).T
+                self.rules.append((rule, kind == "gradient", rows[:-coords], rows[-coords:]))
+        offset = dict(zip(self.KINDS, np.cumsum([0] + [len(entries[k]) for k in self.KINDS])))
+        self.takes = [np.array([offset[kind] + k for kind, k in tags], dtype=int).reshape(shape)
+                      for shape, tags in tagged]
+
+
+def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, stencil: ValueStencil,
+              h0: float = H_SECOND, h0_gradient: float = H_GRADIENT) -> list[np.ndarray]:
+    """Rule 3 over rows: every gradient and block of `stencil.pairs` of a
+    scalar function of several array slots, from one call of `f` on the
+    whole stencil, at one point or at stacked rows of every argument (the
+    same leading shape in every slot).  `f` must take rows; this routine
+    does not ask.
+
+    Each result has the points, steps and arithmetic of its one-point loop,
+    so the same bits when `f` gives each row the value of its one-point
+    call: a gradient (outer, None), shape (len(args[outer]),), those of
+    fd_gradient at `h0_gradient`, and a block (outer, inner), shape
+    (len(args[outer]), len(args[inner])), those of fd_second at `h0`.  Rows
+    add a leading axis.  A non-finite entry raises ValueError naming, for
+    the first such result in order, the row (for stacked rows) and the
+    outer coordinate."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    lead = args[0].shape[:-1]
+    count = math.prod(lead)
+    lay = stencil.layout(tuple(a.shape[-1] for a in args))
+    x = np.concatenate([a.reshape(count, a.shape[-1]) for a in args], axis=1)
+    second = _steps(x, h0) if lay.steps[0] else None
+    gradient = _steps(x, h0_gradient) if lay.steps[1] else None
+    if second is None or gradient is None:
+        h = (gradient if second is None else second)[:, None, :]
+    else:
+        h = np.where(lay.gradient[:, None], gradient[:, None, :], second[:, None, :])
+    pts = x[:, None, :] + lay.a * h
+    if lay.b is not None:
+        pts += lay.b * h
+    size = count * len(lay.a)
+    vals = np.asarray(f(*[pts[:, :, lo:hi].reshape(size, hi - lo) for lo, hi in lay.spans]),
+                      dtype=float).reshape(count, len(lay.a)).T
+    parts = [rule(*vals[points], *(gradient if on_gradient else second).T[coords])
+             for rule, on_gradient, points, coords in lay.rules]
+    entries = (parts[0] if len(parts) == 1 else np.concatenate(parts + [vals[:0]])).T
+    out = [entries[:, take].reshape(lead + take.shape) for take in lay.takes]
+    if not np.isfinite(entries).all():
+        for d in out:
+            _finite(d, bool(lead))
+    return out
 
 
 def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object]:
@@ -215,24 +391,31 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
        when `first` takes rows, its whole stencil is one fd_jacobian_rows
-       call, on the points and steps of fd_jacobian (`stencil_jacobian`),
-       and `supply_blocks` differences several such blocks in one call
-       over their joint stencil;
+       call, on the points and steps of fd_jacobian (`stencil_jacobian`);
     3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
        and fd_second of `value` (H_SECOND) for any block, diagonal
-       (d2L/dv2) or mixed (d2L/dv dq).
+       (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows, its whole
+       stencil is one fd_blocks call, on the points and steps of those
+       loops (rule 3 over rows).
 
-    The result takes rows and is marked so.  Resting on a marked callable
-    it passes rows to it; resting on a one-point callable or stencil it
-    passes one point straight through and evaluates stacked rows one row
-    at a time (the same calls, so the same bits).  The differencing
+    The rows of rules 2 and 3 are chosen here, once, from the marks of
+    `first` and `value`; the differencing routines never ask, so a wrapper
+    that drops a mark (a call counter) does not change the path.  The
+    result takes rows and is marked so.  Resting on a marked callable or
+    stencil it passes rows to it; resting on a one-point callable or
+    stencil it passes one point straight through and evaluates stacked rows
+    one row at a time (the same calls, so the same bits).  The differencing
     routines are looked up at call time, so a wrapper installed on them
     later still sees every stencil.
     """
     analytic = first if inner is None else second
     if rows_ok(analytic):
         return takes_rows(lambda *args: np.asarray(analytic(*args), dtype=float))
-    if analytic is None and inner is not None and rows_ok(first):
+    stacked = _stacked_by(value, outer, inner, first, second)
+    if stacked is value:
+        stencil = ValueStencil([(outer, inner)])
+        return takes_rows(lambda *args: fd_blocks(value, args, stencil)[0])
+    if stacked is not None:
         return takes_rows(lambda *args: stencil_jacobian(first, args, inner))
     if analytic is not None:
         point = analytic
@@ -252,29 +435,53 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     return rows
 
 
-def supply_blocks(value: Callable[..., float], outer: int, inners: Sequence[int],
-                  first: Callable | None, seconds: Sequence[Callable | None]
-                  ) -> Callable[..., list]:
-    """The blocks `supply(value, outer, inner, first, second)` for each pair
-    of `inners` and `seconds`, from one callable of the argument slots that
-    returns a list of them in order, at one point or at stacked rows.
+def _stacked_by(value: Callable, outer: int, inner: int | None, first: Callable | None,
+                second: Callable | None) -> Callable | None:
+    """The callable whose one stacked stencil gives this supply, or None:
+    `value` for rule 3 over rows, `first` for rule 2 from a marked `first`."""
+    analytic = first if inner is None else second
+    if analytic is not None:
+        return None
+    if first is None:
+        return value if rows_ok(value) else None
+    return first if inner is not None and rows_ok(first) else None
 
-    The blocks that rule 2 differences from a row-marked `first` share one
-    stencil_jacobian call over the joint stencil of their slots, which has
-    their points, steps and values; every other block is its own supply.
-    So each block has the bits of its one-block supply.
+
+def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
+                  ) -> Callable[..., list]:
+    """The results `supply(value, outer, inner, first, second)` for each
+    spec (outer, inner, first, second), from one callable of the argument
+    slots that returns a list of them in order, at one point or at stacked
+    rows.
+
+    The blocks that rule 2 differences from one row-marked `first` share
+    one stencil_jacobian call over the joint stencil of their slots, and
+    the gradients and blocks that rule 3 differences from a row-marked
+    `value` share one fd_blocks call over the joint stencil of the set;
+    every other result is its own supply.  So each result has the bits of
+    its one-result supply.
     """
-    rule2 = rows_ok(first)
-    own = [None if rule2 and s is None else supply(value, outer, i, first, s)
-           for i, s in zip(inners, seconds)]
-    shared = [i for i, b in zip(inners, own) if b is None]
+    by = [_stacked_by(value, *spec) for spec in specs]
+    plan: list[tuple[list[int], Callable[[tuple], list]]] = []
+    for key in dict.fromkeys(k for k in by if k is not None):
+        where = [at for at, k in enumerate(by) if k is key]
+        if key is value:
+            stencil = ValueStencil([specs[at][:2] for at in where])
+            plan.append((where, lambda args, s=stencil: fd_blocks(value, args, s)))
+        else:
+            slots = [specs[at][1] for at in where]
+            plan.append((where, lambda args, f=key, s=slots: stencil_jacobian(f, args, s)))
+    for at, key in enumerate(by):
+        if key is None:
+            one = supply(value, *specs[at])
+            plan.append(([at], lambda args, one=one: [one(*args)]))
 
     @takes_rows
     def blocks(*args):
-        jacobians = stencil_jacobian(first, args, shared) if shared else None
-        out = []
-        for b in own:  # a plain loop: this sits on every right-hand side
-            out.append(jacobians.pop(0) if b is None else b(*args))
+        out = [None] * len(specs)
+        for where, evaluate in plan:  # plain loops: this sits on every right-hand side
+            for at, result in zip(where, evaluate(args)):
+                out[at] = result
         return out
 
     return blocks
@@ -321,6 +528,21 @@ def takes_rows(fn: Callable) -> Callable:
     return fn
 
 
+def scalar_value(fn: Callable[..., float]) -> Callable[..., float]:
+    """A scalar function of array slots as a float at one point.  When `fn`
+    takes rows, so does the result, and it is marked: stacked rows give one
+    value per row, as an array."""
+    if not rows_ok(fn):
+        return lambda *args: float(fn(*args))
+
+    @takes_rows
+    def value(*args):
+        out = fn(*args)
+        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+    return value
+
+
 def rows_ok(*fns: Callable | None) -> bool:
     """True when every callable is given and marked with `takes_rows`."""
     return all(getattr(fn, "takes_rows", False) for fn in fns)
@@ -357,14 +579,15 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     """Exterior derivative of a coordinate 1-form by central differences.
 
     Returns the antisymmetric matrix D - D^T with D[a, b] = d(theta_b)/dz_a,
-    i.e. (dtheta)_{ab} evaluated at z.  A 1-form marked with `takes_rows`
-    is differenced by one fd_jacobian_rows call, at one point z (dim,) as
-    at stacked points z (N, dim), where the 1-form must take rows and the
-    result is (N, dim, dim); an unmarked one at one point by fd_jacobian.
+    i.e. (dtheta)_{ab} evaluated at z.  The shape of z chooses the path,
+    never a mark of the 1-form: stacked points z (N, dim) are differenced
+    by one fd_jacobian_rows call (the 1-form must take rows; the result is
+    (N, dim, dim)), one point z (dim,) by fd_jacobian, one 1-form call per
+    stencil point, with the same bits.  A caller whose 1-form takes rows
+    passes one point as one stacked row.
     """
     # d[..., b, a] = d theta_b / d z_a
-    stacked = np.ndim(z) == 2 or rows_ok(one_form)
-    d = (fd_jacobian_rows if stacked else fd_jacobian)(one_form, z, h0)
+    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, z, h0)
     return np.swapaxes(d, -1, -2) - d
 
 

@@ -63,7 +63,11 @@ class InvariantLagrangian:
     in `reduced_metric`, which makes the reduced flow a handful of small
     matrix products.
 
-    An `ell` not marked with `numerics.takes_rows` is called once per row.
+    An `ell` marked with `numerics.takes_rows` keeps its mark on `value`:
+    then every values-only derivative is one stacked stencil call (rule 3
+    over rows), and `metric_blocks` gives the five blocks of the reduced
+    equations from one.  An unmarked `ell` is called at one point at a
+    time, stencil point by stencil point and row by row.
     """
     sdim: int
     group: LieGroupSpec
@@ -93,44 +97,70 @@ class InvariantLagrangian:
 
     # -- derivative supply (fallback rule: numerics.supply), resolved on
     # first use and kept with the Lagrangian; each is called as
-    # lag.<name>(x, xdot, xi)
+    # lag.<name>(x, xdot, xi), slot 0 = x, 1 = xdot, 2 = xi
 
-    def value(self, x, xdot, xi) -> float:
-        return float(self.ell(x, xdot, xi))
+    @cached_property
+    def value(self) -> Callable[..., float]:
+        """ell as a float at one point, and at stacked rows too (marked so)
+        when `ell` takes rows."""
+        return numerics.scalar_value(self.ell)
+
+    def _spec(self, outer: int, inner: int | None = None) -> tuple:
+        """(outer, inner, first, second) of `numerics.supply` for d ell /
+        d(slot outer) or, with `inner`, its Jacobian in slot `inner`."""
+        first = (self.dell_dx, self.dell_dxdot, self.dell_dxi)[outer]
+        second = {(1, 0): self.d2_dxdot_dx, (1, 1): self.d2_dxdot_dxdot,
+                  (2, 0): self.d2_dxi_dx, (2, 1): self.d2_dxi_dxdot,
+                  (2, 2): self.d2_dxi_dxi}.get((outer, inner))
+        return outer, inner, first, second
+
+    def _supply(self, outer: int, inner: int | None = None) -> Callable:
+        return numerics.supply(self.value, *self._spec(outer, inner))
 
     @cached_property
     def grad_x(self) -> Callable:
-        return numerics.supply(self.value, 0, first=self.dell_dx)
+        return self._supply(0)
 
     @cached_property
     def shape_momentum(self) -> Callable:
         """dell/dxdot, the shape-velocity fibre derivative."""
-        return numerics.supply(self.value, 1, first=self.dell_dxdot)
+        return self._supply(1)
 
     @cached_property
     def group_momentum(self) -> Callable:
         """dell/dxi, the group-velocity fibre derivative."""
-        return numerics.supply(self.value, 2, first=self.dell_dxi)
+        return self._supply(2)
 
     @cached_property
     def jac_xdot_x(self) -> Callable:
-        return numerics.supply(self.value, 1, 0, self.dell_dxdot, self.d2_dxdot_dx)
+        return self._supply(1, 0)
 
     @cached_property
     def jac_xdot_xdot(self) -> Callable:
-        return numerics.supply(self.value, 1, 1, self.dell_dxdot, self.d2_dxdot_dxdot)
+        return self._supply(1, 1)
 
     @cached_property
     def jac_xi_x(self) -> Callable:
-        return numerics.supply(self.value, 2, 0, self.dell_dxi, self.d2_dxi_dx)
+        return self._supply(2, 0)
 
     @cached_property
     def jac_xi_xdot(self) -> Callable:
-        return numerics.supply(self.value, 2, 1, self.dell_dxi, self.d2_dxi_dxdot)
+        return self._supply(2, 1)
 
     @cached_property
     def jac_xi_xi(self) -> Callable:
-        return numerics.supply(self.value, 2, 2, self.dell_dxi, self.d2_dxi_dxi)
+        return self._supply(2, 2)
+
+    @cached_property
+    def metric_blocks(self) -> Callable:
+        """(x, xdot, xi) -> [jac_xi_xi, jac_xi_xdot, jac_xi_x, jac_xdot_xdot,
+        jac_xdot_x] at one point or at stacked rows, each with the bits of
+        its own supply, from one `numerics.supply_blocks` callable: the
+        blocks differenced from one row-marked first derivative share its
+        stencil, and a row-marked `ell` with no derivatives gives all five
+        from one stacked stencil call."""
+        return numerics.supply_blocks(self.value, [self._spec(*pair) for pair in (
+            (2, 2), (2, 1), (2, 0), (1, 1), (1, 0))])
 
 
 def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
@@ -140,20 +170,19 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
 
         dchi/dxdot = -K^{-1} d(dell/dxi)/dxdot,   dchi/dnu = K^{-1},
 
-    the Routhian blocks are combinations of the supply of ell.  A singular
-    K or Routhian Hessian raises RegularityError."""
-    k = lag.jac_xi_xi(x, xdot, chi)
+    the Routhian blocks are combinations of the supply of ell, all five
+    from one `metric_blocks` call.  A singular K or Routhian Hessian raises
+    RegularityError."""
+    k, xi_xdot, xi_x, xdot_xdot, xdot_x = lag.metric_blocks(x, xdot, chi)
     maglag.require_regular(k, "singular group metric: |det d2ell/dxi2|")
     k_inv = np.linalg.inv(k)
-    xi_xdot = lag.jac_xi_xdot(x, xdot, chi)
     dchi_dxdot = -k_inv @ xi_xdot
-    dchi_dx = -k_inv @ lag.jac_xi_x(x, xdot, chi)
+    dchi_dx = -k_inv @ xi_x
     f1_xi = xi_xdot.T
-    hess = lag.jac_xdot_xdot(x, xdot, chi) + f1_xi @ dchi_dxdot
+    hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
     return ReducedMetric(cm_inv=k_inv, hess_inv=np.linalg.inv(hess),
-                         mixed_x=lag.jac_xdot_x(x, xdot, chi) + f1_xi @ dchi_dx,
-                         mixed_nu=f1_xi @ k_inv)
+                         mixed_x=xdot_x + f1_xi @ dchi_dx, mixed_nu=f1_xi @ k_inv)
 
 
 def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
@@ -174,7 +203,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     c = np.asarray(c_block, dtype=float).reshape(group.dim, group.dim)
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
-    v = potential or (lambda x: 0.0)
+    v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
     dv = dpotential or ((lambda x: numerics.fd_gradient(v, np.atleast_1d(x)))
                         if potential else (lambda x: np.zeros(sdim)))
     rowdot = numerics.rowdot

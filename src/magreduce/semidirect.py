@@ -228,7 +228,8 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     Requires a one-dimensional abelian base and a constant kinetic metric;
     all derivatives are closed-form (Schur-complement algebra), take one
     point or stacked rows, and the velocity Hessian (the Schur complement)
-    is declared constant."""
+    is declared constant.  dL/dq and d2L/dv dq come from one callable
+    (`dL_dq_vq`), so a right-hand side point builds b(theta) once."""
     if sd.d0 != 1 or not sd.gv.base.abelian:
         raise ValueError("the V-reduction chart is implemented for "
                          "one-dimensional abelian base groups")
@@ -256,27 +257,22 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
         return matvec(schur, v2) + matvec(coupling, q.b_of_theta(q2[..., s]))
 
     @numerics.takes_rows
-    def dl_dq(q2, v2, p):
+    def dl_dq_vq(q2, v2, p):
+        # dL/dq and d2L/dv dq share b(theta) and db/dtheta
         b = q.b_of_theta(q2[..., s])
         bp = q.db_dtheta(b)
-        out = np.empty(np.shape(v2))
+        dl_dq = np.empty(np.shape(v2))
         x = q2[..., :s]
-        out[..., :s] = grad_x(x, np.zeros_like(x), np.zeros(x.shape[:-1] + (gdim,)))
-        out[..., s] = rowdot(v2, matvec(coupling, bp)) - rowdot(matvec(m_uu_inv_t, b), bp)
-        return out
-
-    @numerics.takes_rows
-    def d2l_dv_dq(q2, v2, p):
-        out = np.zeros(np.shape(v2) + (n,))
-        out[..., :, s] = matvec(coupling, q.db_dtheta(q.b_of_theta(q2[..., s])))
-        return out
+        dl_dq[..., :s] = grad_x(x, np.zeros_like(x), np.zeros(x.shape[:-1] + (gdim,)))
+        dl_dq[..., s] = rowdot(v2, matvec(coupling, bp)) - rowdot(matvec(m_uu_inv_t, b), bp)
+        d2l_dv_dq = np.zeros(np.shape(v2) + (n,))
+        d2l_dv_dq[..., :, s] = matvec(coupling, bp)
+        return dl_dq, d2l_dv_dq
 
     return MagneticSystem(
-        n=n, k=0, lagrangian=lagrangian,
-        dL_dq=dl_dq, dL_dv=dl_dv,
+        n=n, k=0, lagrangian=lagrangian, dL_dv=dl_dv, dL_dq_vq=dl_dq_vq,
         d2L_dv_dv=numerics.takes_rows(
             lambda q2, v2, p: schur if v2.ndim == 1 else np.broadcast_to(schur, v2.shape + (n,))),
-        d2L_dv_dq=d2l_dv_dq,
         constant_hessian=True,
         name="abelian_reduced")
 

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from magreduce import compat, maglag, models, numerics, semidirect
+from magreduce import compat, lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
 from magreduce.numerics import StepperChoice
@@ -442,11 +442,53 @@ def test_pullback_right_hand_side_solves_psi_twice(beanie_pair, monkeypatch):
     assert counts == {"solve_psi": 2, "dL_dv": 1, "dL_dqp": 1, "one_form": 1}
 
 
+def count_differenced_calls(monkeypatch, counts, keep_marks):
+    """Wrap every numerics.fd_* routine as a call-counting tracer does: its
+    first argument becomes a counting wrapper, which drops the takes_rows
+    mark unless `keep_marks`."""
+    for name in [n for n in dir(numerics) if n.startswith("fd_")]:
+        def wrapped(f, *args, _fn=getattr(numerics, name), _name=name, **kwargs):
+            def counting(*a, **k):
+                counts[_name] += 1
+                return f(*a, **k)
+
+            keep = keep_marks and numerics.rows_ok(f)
+            return _fn(numerics.takes_rows(counting) if keep else counting, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, name, wrapped)
+
+
+def test_counting_wrappers_keep_the_unwrapped_path(beanie_pair):
+    # a counter that drops the mark of the 1-form (bform's exterior
+    # derivative) or of a row-marked ell (rule 3 over rows) changes neither
+    # the stencil calls nor a bit
+    sys1 = beanie_pair.p1_system
+    rotor = models.rotor_lagrangian(models.RotorParams())
+    rng = np.random.default_rng(3)
+    q, p = rng.uniform(-1, 1, (4, sys1.n)), rng.uniform(-1, 1, (4, sys1.k))
+    x, xdot, xi = rng.uniform(-1, 1, (4, 1)), rng.uniform(-1, 1, (4, 1)), rng.uniform(-1, 1, (4, 3))
+    seen = []
+    for keep_marks in (True, False):
+        counts = collections.Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            count_differenced_calls(mp, counts, keep_marks)
+            twin = routh.InvariantLagrangian(1, lie.so3(), rotor.ell)
+            out = [sys1.bform(q[0], p[0]), sys1.bform(q, p),
+                   twin.metric_blocks(x[0], xdot[0], xi[0]), twin.metric_blocks(x, xdot, xi),
+                   twin.group_momentum(x, xdot, xi), twin.grad_x(x[0], xdot[0], xi[0])]
+        flat = [a for part in out for a in (part if isinstance(part, (list, tuple)) else [part])]
+        seen.append((counts, [np.asarray(a).tobytes() for a in flat]))
+    assert seen[0][0] == seen[1][0]
+    assert seen[0][0]["fd_exterior_derivative"] == 2  # one 1-form call per bform call
+    assert seen[0][0]["fd_blocks"] == 4
+    assert seen[0][1] == seen[1][1]
+
+
 def test_constant_hessian_k0_step_calls_only_what_it_uses(beanie_pair, monkeypatch):
     # an rk4 step of the V-reduced system (k = 0, constant Hessian) makes
-    # four right-hand sides, each one dL/dq and one d2L/dv dq call; the
+    # four right-hand sides, each one joint dL/dq and d2L/dv dq call; the
     # Hessian is checked and inverted once, before the steps
-    fields = ["lagrangian", "dL_dq", "dL_dv", "d2L_dv_dv", "d2L_dv_dq"]
+    fields = ["lagrangian", "dL_dq_vq", "dL_dv", "d2L_dv_dv"]
     state = MagLagState([0.4, 0.1], [0.3, -0.2], np.zeros(0))
 
     def steps(n):
@@ -454,7 +496,7 @@ def test_constant_hessian_k0_step_calls_only_what_it_uses(beanie_pair, monkeypat
 
     one, three = (rhs_calls(beanie_pair.r2_system, monkeypatch, fields, steps(n))
                   for n in (1, 3))
-    assert three - one == {"dL_dq": 8, "d2L_dv_dq": 8}
+    assert three - one == {"dL_dq_vq": 8}
     assert one["d2L_dv_dv"] == three["d2L_dv_dv"] > 0
 
 

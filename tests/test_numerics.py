@@ -201,7 +201,8 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
     w = rng.uniform(-3.0, 3.0, (6, 2))
     w[2, 0] = -0.0  # the slots held at the centre keep the sign of a zero
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
-    marked = numerics.takes_rows(sign_aware)
+    # marked: one point or stacked rows, as every marked callable takes
+    marked = numerics.takes_rows(lambda z: sign_aware(np.atleast_2d(z)).reshape(np.shape(z)))
     for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
         for i, row in enumerate(x):
             assert same(numerics.fd_gradient(scalar, row, h0), ref_fd_gradient(scalar, row, h0))
@@ -217,7 +218,7 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
                     assert same(jac, ref_stencil_jacobian(pairing, (row, w[i]), slot, h0))
             assert same(numerics.fd_exterior_derivative(one, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
-            # a marked 1-form: one stacked stencil at one point too
+            # a marked 1-form at one point: the shape chooses, not the mark
             assert same(numerics.fd_exterior_derivative(marked, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
         assert same(numerics.fd_jacobian_rows(sign_aware, x, h0),
@@ -233,7 +234,9 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
 def test_fd_second_matches_the_reference_blocks_bit_for_bit():
     # three slots of 1-3 coordinates with |x| > 1 and +-0.0 entries: every
     # (outer, inner) block has the bits, the points and the call order of
-    # the earlier fd_hessian / fd_mixed
+    # the earlier fd_hessian / fd_mixed; the stacked stencil of a
+    # row-marked f (one block, or all blocks and gradients at once) has the
+    # same bits on the same points, the held slots' signed zeros included
     rng = np.random.default_rng(47)
     log = []
 
@@ -243,24 +246,51 @@ def test_fd_second_matches_the_reference_blocks_bit_for_bit():
                      + np.copysign(1.0, b[-1]) * a[0] * c[0] ** 2
                      + np.exp(0.3 * b).sum() * c[-1])
 
+    # the same f over rows, one row at a time: rule 3 over rows (fd_blocks)
+    rows = numerics.takes_rows(lambda a, b, c: np.array([f(*row) for row in zip(a, b, c)]))
+    pairs = [(outer, inner) for outer in range(3) for inner in (0, 1, 2, None)]
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
     for _ in range(40):
-        args = []
+        args, other = [], []
         for size in rng.integers(1, 4, 3):
             z = rng.uniform(-4.0, 4.0, size)
             signed = rng.random(size) < 0.3
             z[signed] = rng.choice([0.0, -0.0], signed.sum())
             args.append(z)
+            other.append(rng.uniform(-4.0, 4.0, size))
         for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
-            for outer in range(3):
-                for inner in range(3):
-                    log.clear()
-                    block = numerics.fd_second(f, tuple(args), outer, inner, h0)
-                    points = list(log)
-                    log.clear()
-                    ref = ref_fd_second(f, tuple(args), outer, inner, h0)
-                    assert same(block, ref)
-                    assert points == log
+            refs, ref_points = [], []
+            for outer, inner in pairs:
+                log.clear()
+                if inner is None:
+                    refs.append(ref_fd_gradient(lambda z: f(*args[:outer], z, *args[outer + 1:]),
+                                                args[outer], h0))
+                    ref_points.append(list(log))
+                    continue
+                block = numerics.fd_second(f, tuple(args), outer, inner, h0)
+                points = list(log)
+                log.clear()
+                refs.append(ref_fd_second(f, tuple(args), outer, inner, h0))
+                assert same(block, refs[-1])
+                assert points == log
+                ref_points.append(points)
+                # the one-pair stencil: the same bits on the same points
+                log.clear()
+                stencil = numerics.ValueStencil([(outer, inner)])
+                assert same(numerics.fd_blocks(rows, args, stencil, h0)[0], refs[-1])
+                assert sorted(log) == sorted(points)
+            # the joint stencil of all twelve: each result as on its own, on
+            # the union of their points
+            log.clear()
+            joint = numerics.fd_blocks(rows, args, numerics.ValueStencil(pairs), h0, h0)
+            assert all(same(got, ref) for got, ref in zip(joint, refs))
+            assert set(log) == set().union(*ref_points)
+            # stacked rows: each row's results
+            stacked = numerics.fd_blocks(rows, [np.stack(z) for z in zip(args, other)],
+                                         numerics.ValueStencil(pairs), h0, h0)
+            second = numerics.fd_blocks(rows, other, numerics.ValueStencil(pairs), h0, h0)
+            for got, first_row, second_row in zip(stacked, joint, second):
+                assert same(got, np.stack([first_row, second_row]))
 
 
 def pocket(z):

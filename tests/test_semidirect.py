@@ -312,6 +312,30 @@ def test_abelian_reduced_energy_conserved(sd):
     assert traj.report.entries["energy_drift"] <= 1e-8
 
 
+def test_v_reduced_right_hand_side_builds_b_once(sd, monkeypatch):
+    # dL/dq and d2L/dv dq come from one joint callable that shares b(theta)
+    r2 = semidirect.abelian_reduced_system(sd, CoVector([1.0, 0.5]))
+    calls = []
+    b_of_theta = semidirect._QuadraticSplit.b_of_theta
+
+    def spy(self, theta):
+        calls.append(np.shape(theta))
+        return b_of_theta(self, theta)
+
+    monkeypatch.setattr(semidirect._QuadraticSplit, "b_of_theta", spy)
+    seen = []
+    integrate_ode = numerics.integrate_ode
+    monkeypatch.setattr(numerics, "integrate_ode",
+                        lambda f, *args: integrate_ode(seen.append(f) or f, *args))
+    maglag.integrate(r2, maglag.MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0)), 0.02,
+                     StepperChoice(h=0.01))
+    field, = seen
+    for y in ([0.4, 0.2, 0.3, 0.1], [-1.1, 2.5, 0.7, -0.4]):
+        calls.clear()
+        field(0.0, np.array(y))
+        assert calls == [()]
+
+
 def test_stage_equivalence_rejects_zero_momentum(sd):
     with pytest.raises(ValueError, match="onto"):
         semidirect.build_stage_equivalence(sd, CoVector([1.0]),

@@ -31,6 +31,11 @@ def one_point(fn):
     return lambda *args: fn(*args)
 
 
+def ell_of(level, quad):
+    """The quadratic ell as it is (marked) or, at a one-point level, unmarked."""
+    return one_point(quad.ell) if level.startswith("one_point") else quad.ell
+
+
 def invariant_case(level):
     """(lagrangian, block method name, analytic block) per fallback level."""
     quad = quadratic()
@@ -40,8 +45,8 @@ def invariant_case(level):
            "fd_first": routh.InvariantLagrangian(
                1, lie.so3(), quad.ell, **{k: one_point(f) for k, f in first.items()}),
            "fd_first_rows": routh.InvariantLagrangian(1, lie.so3(), quad.ell, **first),
-           }.get(level, routh.InvariantLagrangian(1, lie.so3(), quad.ell))
-    if level in ("analytic", "values_mixed"):
+           }.get(level, routh.InvariantLagrangian(1, lie.so3(), ell_of(level, quad)))
+    if level in ("analytic", "values_mixed", "one_point_values_mixed"):
         return lag, "jac_xi_xdot", B.T
     return lag, "jac_xi_xi", C
 
@@ -52,27 +57,30 @@ def magnetic_case(level):
     extra = {"analytic": dict(d2L_dv_dp=lambda q, v, p: quad.d2_dxi_dxdot(q, v, p).T),
              "fd_first": dict(dL_dv=one_point(quad.dell_dxdot)),
              "fd_first_rows": dict(dL_dv=quad.dell_dxdot)}.get(level, {})
-    sys = MagneticSystem(n=1, k=3, lagrangian=quad.ell, **extra)
-    if level in ("analytic", "values_mixed"):
+    sys = MagneticSystem(n=1, k=3, lagrangian=ell_of(level, quad), **extra)
+    if level in ("analytic", "values_mixed", "one_point_values_mixed"):
         return sys, "hess_vp", B
     return sys, "hess_vv", A
 
 
 # level -> (differencing routine, base step) of the outermost stencil; a
-# first derivative that takes rows has its whole stencil in one call
+# first derivative or a values-only ell that takes rows has its whole
+# stencil in one call
 RULE = {
     "analytic": None,
     "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
     "fd_first_rows": ("fd_jacobian_rows", numerics.H_GRADIENT),
-    "values_diagonal": ("fd_second", numerics.H_SECOND),
-    "values_mixed": ("fd_second", numerics.H_SECOND),
+    "values_diagonal": ("fd_blocks", numerics.H_SECOND),
+    "values_mixed": ("fd_blocks", numerics.H_SECOND),
+    "one_point_values_diagonal": ("fd_second", numerics.H_SECOND),
+    "one_point_values_mixed": ("fd_second", numerics.H_SECOND),
 }
 
 
 def spy_stencils(monkeypatch):
     """Record (routine, base step) of every second-derivative stencil."""
     calls = []
-    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_second"):
+    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_second", "fd_blocks"):
         fn = getattr(numerics, name)
         sig = inspect.signature(fn)
 
@@ -113,6 +121,11 @@ def test_values_only_mixed_block_wide_coords(case, monkeypatch):
     # the nested rule that the cross stencil replaced was off by up to
     # 5.5e-6 at |coords| <= 2 (200 random points of the (xdot, xi) block)
     check_level(case, "values_mixed", 2.0, monkeypatch)
+
+
+@pytest.mark.parametrize("case", [invariant_case, magnetic_case])
+def test_one_point_values_mixed_block_wide_coords(case, monkeypatch):
+    check_level(case, "one_point_values_mixed", 2.0, monkeypatch)
 
 
 INVARIANT_SUPPLIES = ("grad_x", "shape_momentum", "group_momentum", "jac_xdot_x",
@@ -391,3 +404,65 @@ def test_joint_first_derivatives_split_into_grad_q_and_grad_p():
             assert same_bits(jet[0], dq) and same_bits(jet[1], dp)
     with pytest.raises(ValueError, match="dL_dqp"):
         MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq=jet_dl_dv, dL_dqp=dl_dqp)
+
+
+# -- rule 3 over rows: calls of a values-only ell per right-hand side ------------
+
+# the one-point loop's calls per gradient coordinate (fd_gradient)
+GRADIENT_POINTS = 2
+
+
+def newton_calls(monkeypatch):
+    """Record the residual and Jacobian calls of each Newton solve."""
+    solves = []
+    solve = numerics.newton_solve
+
+    def spy(residual, seed, jacobian):
+        counts = {"residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def call(z):
+                counts[name] += 1
+                return fn(z)
+            return call
+
+        solves.append(counts)
+        return solve(counted("residual", residual), seed, counted("jacobian", jacobian))
+
+    monkeypatch.setattr(numerics, "newton_solve", spy)
+    return solves
+
+
+@pytest.mark.parametrize("marked", [True, False])
+def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
+    # a row-marked ell: one call per Newton residual (dell/dxi), one per
+    # Newton Jacobian (K), one for the five metric blocks and one for
+    # dell/dx; an unmarked ell: the one-point loops' counts, a gradient
+    # coordinate GRADIENT_POINTS calls, K 19, the five blocks 19 + 12 + 12
+    # + 3 + 4 = 50
+    rotor = models.rotor_lagrangian(models.RotorParams())
+    calls = []
+
+    def ell(x, xdot, xi):
+        calls.append(np.shape(x))
+        return rotor.ell(x, xdot, xi)
+
+    twin = routh.InvariantLagrangian(1, lie.so3(), numerics.takes_rows(ell) if marked else ell)
+    residual, jacobian, metric, grad_x = ((1, 1, 1, 1) if marked else
+                                          (3 * GRADIENT_POINTS, 19, 50, GRADIENT_POINTS))
+    solves = newton_calls(monkeypatch)
+    field = routh._field_factory(routh.ReducedRouthSystem(twin, CoVector([0.8, 0.2, 0.3])))
+    y = np.array([0.1, 0.2, 0.8, 0.2, 0.3])
+    for _ in range(3):  # the first solve from zero, then warm-started
+        calls.clear()
+        solves.clear()
+        field(0.0, y)
+        (solve,) = solves
+        assert solve["jacobian"] > 0
+        assert len(calls) == (residual * solve["residual"] + jacobian * solve["jacobian"]
+                              + metric + grad_x)
+        y = y + 0.01
+    chi = routh.solve_chi(twin, y[:1], y[1:2], CoVector(y[2:])).coords
+    calls.clear()
+    routh._assemble_metric(twin, y[:1], y[1:2], chi)
+    assert len(calls) == metric
