@@ -4,18 +4,20 @@ Finite differences and the derivative supply rule built on them
 (`supply`), a dense Newton solver, fixed-step RK4 and the embedded
 Fehlberg 4(5) pair, and the Lie-group reconstruction step.
 
-Every first derivative is the central difference (f(x + h e_i) -
-f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), by the per-point loop
-(`fd_gradient`, `fd_jacobian`) or by the stacked stencil
-(`fd_jacobian_rows`: one call of a row-capable f for the stencil of one
-point or of rows; `stencil_jacobian` runs it over the joint stencil of
-one or several argument slots, so several Jacobians of one callable cost
-one call), under one non-finite rule (`_finite`), which the one second
-difference `fd_second` (any block of a values-only function) shares.
+Every Jacobian is the central difference (f(x + h e_i) - f(x - h e_i)) /
+2h, h = h0*max(1, |x_i|), by the per-point loop (`fd_jacobian`) or by the
+stacked stencil (`fd_jacobian_rows`: one call of a row-capable f for the
+stencil of one point or of rows; `stencil_jacobian` runs it over the
+joint stencil of one or several argument slots, so several Jacobians of
+one callable cost one call).  The gradient of a values-only function is
+the fourth-order five-point difference (`fd_gradient`, step
+H_FIVE_POINT), and any block of one is the second difference
+`fd_second`.  All of them share one non-finite rule (`_finite`).
 Rule 3 over rows: `fd_blocks` gives every gradient and block of a set
 (`ValueStencil`) of a row-capable values-only function from one call on
-their joint stencil, with the points, steps and arithmetic (`_central`,
-`_second`, `_cross`) of the one-point loops, so the same bits.  The
+their joint stencil, with the points, steps and arithmetic
+(`_five_point`, `_second`, `_cross`) of the one-point loops, so the same
+bits.  The
 integer layout of that stencil depends only on the slot sizes and the
 set; the ValueStencil of each resolved supply callable builds it on first
 use and keeps it.  `fd_exterior_derivative` differences a 1-form.
@@ -50,11 +52,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Default finite-difference base steps.  Gradients use the smaller step;
-# second derivatives and exterior derivatives need the larger one to keep
-# rounding noise below truncation error.
+# Default finite-difference base steps.  Central first differences use the
+# smallest step; second derivatives and exterior derivatives need a larger
+# one to keep rounding noise below truncation error.  The five-point
+# gradient of a values-only function has truncation error O(h^4), so its
+# step can be larger still, which keeps its rounding noise (about
+# 1e-13 |f|) below the Newton tolerance of the inversions it feeds.
 H_GRADIENT = 1e-6
 H_SECOND = 1e-4
+H_FIVE_POINT = 1e-3
 # Newton's residual-norm tolerance and step cap
 INVERSION_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -103,6 +109,13 @@ def _central(fp, fm, h):
     return (fp - fm) / (2.0 * h)
 
 
+def _five_point(fp2, fp, fm, fm2, h):
+    """The fourth-order five-point first difference of the values at
+    x + 2h e_i, x + h e_i, x - h e_i and x - 2h e_i (Fornberg, Math. Comp.
+    51, 1988)."""
+    return (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h)
+
+
 def _second(fp, f0, fm, h):
     """The three-point second difference of the values at x + h e_i, x and
     x - h e_i.  h ** 2 is taken entry by entry as Python takes it of one
@@ -132,26 +145,27 @@ def _finite(d: np.ndarray, rows: bool) -> np.ndarray:
     return d
 
 
-def _per_point(f: Callable[[np.ndarray], object], x, h0: float) -> np.ndarray:
-    """The per-point loop: d[i] = df/dx_i from two one-point calls of `f`
-    per coordinate."""
+def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                h0: float = H_FIVE_POINT) -> np.ndarray:
+    """Five-point gradient of a scalar function, shape (n,): four one-point
+    calls of `f` per coordinate, at x +- h e_i and x +- 2h e_i."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, h0)
     e = np.diag(h)
-    return _finite(np.array([_central(f(x + e[i]), f(x - e[i]), h[i])
+    return _finite(np.array([_five_point(f(x + 2.0 * e[i]), f(x + e[i]), f(x - e[i]),
+                                         f(x - 2.0 * e[i]), h[i])
                              for i in range(x.size)], dtype=float), False)
-
-
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference gradient of a scalar function, shape (n,)."""
-    return _per_point(f, x, h0)
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued map, shape (m, n)."""
-    return _per_point(f, x, h0).T
+    """Central-difference Jacobian of a vector-valued map, shape (m, n),
+    from two one-point calls of `f` per coordinate."""
+    x = np.asarray(x, dtype=float)
+    h = _steps(x, h0)
+    e = np.diag(h)
+    return _finite(np.array([_central(f(x + e[i]), f(x - e[i]), h[i])
+                             for i in range(x.size)], dtype=float), False).T
 
 
 def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -251,10 +265,10 @@ class _Layout:
     gradient step, and `steps`: whether any point takes the second-
     difference step and the gradient step.  `rules` lists, for the entries
     of each kind present, the rule, whether it takes the gradient step, and
-    index rows: the points of each entry (plus and minus of a gradient
-    entry, plus, centre and minus of a diagonal second difference, ++, +-,
-    -+ and -- of a cross difference) and its coordinates in the joint
-    point.  `takes[k]` gives pair k's result, entry by entry, as indices
+    index rows: the points of each entry (+2h, +h, -h and -2h of a
+    gradient entry, plus, centre and minus of a diagonal second
+    difference, ++, +-, -+ and -- of a cross difference) and its
+    coordinates in the joint point.  `takes[k]` gives pair k's result, entry by entry, as indices
     into the entries of all kinds in that order."""
 
     KINDS = ("gradient", "diagonal", "cross")
@@ -291,8 +305,9 @@ class _Layout:
         for outer, inner in pairs:
             lo, size = self.spans[outer][0], sizes[outer]
             if inner is None:
-                tagged.append(((size,), [entry("gradient", point(True, (outer, i, 1.0)),
-                                               point(True, (outer, i, -1.0)), lo + i)
+                tagged.append(((size,), [entry("gradient", *(point(True, (outer, i, mult))
+                                                             for mult in (2.0, 1.0, -1.0, -2.0)),
+                                               lo + i)
                                          for i in range(size)]))
                 continue
             ilo, isize = self.spans[inner][0], sizes[inner]
@@ -316,7 +331,7 @@ class _Layout:
         any_gradient = bool(self.gradient.any())
         self.steps = (not (any_gradient and self.gradient.all()), any_gradient)
         self.rules = []
-        for kind, rule, coords in zip(self.KINDS, (_central, _second, _cross), (1, 1, 2)):
+        for kind, rule, coords in zip(self.KINDS, (_five_point, _second, _cross), (1, 1, 2)):
             if entries[kind]:
                 rows = np.array(entries[kind], dtype=int).T
                 self.rules.append((rule, kind == "gradient", rows[:-coords], rows[-coords:]))
@@ -326,7 +341,7 @@ class _Layout:
 
 
 def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, stencil: ValueStencil,
-              h0: float = H_SECOND, h0_gradient: float = H_GRADIENT) -> list[np.ndarray]:
+              h0: float = H_SECOND, h0_gradient: float = H_FIVE_POINT) -> list[np.ndarray]:
     """Rule 3 over rows: every gradient and block of `stencil.pairs` of a
     scalar function of several array slots, from one call of `f` on the
     whole stencil, at one point or at stacked rows of every argument (the
@@ -392,11 +407,11 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
        when `first` takes rows, its whole stencil is one fd_jacobian_rows
        call, on the points and steps of fd_jacobian (`stencil_jacobian`);
-    3. values only: fd_gradient of `value` (H_GRADIENT) for a gradient,
-       and fd_second of `value` (H_SECOND) for any block, diagonal
-       (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows, its whole
-       stencil is one fd_blocks call, on the points and steps of those
-       loops (rule 3 over rows).
+    3. values only: fd_gradient of `value` (five-point, H_FIVE_POINT) for
+       a gradient, and fd_second of `value` (H_SECOND) for any block,
+       diagonal (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows,
+       its whole stencil is one fd_blocks call, on the points and steps of
+       those loops (rule 3 over rows).
 
     The rows of rules 2 and 3 are chosen here, once, from the marks of
     `first` and `value`; the differencing routines never ask, so a wrapper

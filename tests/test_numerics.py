@@ -68,14 +68,15 @@ def ref_steps(x, h0):
     return h0 * np.maximum(1.0, np.abs(x))
 
 
-def ref_fd_gradient(f, x, h0=numerics.H_GRADIENT):
+def ref_five_point_gradient(f, x, h0=numerics.H_FIVE_POINT):
     x = np.asarray(x, dtype=float)
     h = ref_steps(x, h0)
     out = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h[i]
-        out[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
+        fp2, fp, fm, fm2 = f(x + 2.0 * e), f(x + e), f(x - e), f(x - 2.0 * e)
+        out[i] = (8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h[i])
     return out
 
 
@@ -205,7 +206,8 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
     marked = numerics.takes_rows(lambda z: sign_aware(np.atleast_2d(z)).reshape(np.shape(z)))
     for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
         for i, row in enumerate(x):
-            assert same(numerics.fd_gradient(scalar, row, h0), ref_fd_gradient(scalar, row, h0))
+            assert same(numerics.fd_gradient(scalar, row, h0),
+                        ref_five_point_gradient(scalar, row, h0))
             assert same(numerics.fd_jacobian(one, row, h0), ref_fd_jacobian(one, row, h0))
             assert same(numerics.fd_jacobian_rows(sign_aware, row, h0),
                         ref_fd_jacobian_rows(sign_aware, row, h0)[0])
@@ -263,8 +265,8 @@ def test_fd_second_matches_the_reference_blocks_bit_for_bit():
             for outer, inner in pairs:
                 log.clear()
                 if inner is None:
-                    refs.append(ref_fd_gradient(lambda z: f(*args[:outer], z, *args[outer + 1:]),
-                                                args[outer], h0))
+                    refs.append(ref_five_point_gradient(
+                        lambda z: f(*args[:outer], z, *args[outer + 1:]), args[outer], h0))
                     ref_points.append(list(log))
                     continue
                 block = numerics.fd_second(f, tuple(args), outer, inner, h0)

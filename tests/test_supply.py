@@ -6,7 +6,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magreduce import lie, maglag, models, numerics, routh, semidirect
@@ -290,6 +290,10 @@ unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @settings(max_examples=25, deadline=None)
+# c = I, a = 1, b = 0, nu = (1, 1, 1), x = 0: a central dell/dxi at 1e-6
+# carried rounding noise above the Newton tolerance here, and the twin's
+# momentum inversion stopped at |r| = 1.489e-10
+@example(w=[0.0] * 9, a=1.0, b=[0.0] * 3, state=[0.0, 0.692629941495484, 1.0, 1.0, 1.0])
 @given(w=st.lists(unit, min_size=9, max_size=9),
        a=st.floats(1.0, 2.0), b=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
        state=st.lists(unit, min_size=5, max_size=5))
@@ -409,7 +413,7 @@ def test_joint_first_derivatives_split_into_grad_q_and_grad_p():
 # -- rule 3 over rows: calls of a values-only ell per right-hand side ------------
 
 # the one-point loop's calls per gradient coordinate (fd_gradient)
-GRADIENT_POINTS = 2
+GRADIENT_POINTS = 4
 
 
 def newton_calls(monkeypatch):
