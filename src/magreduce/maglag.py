@@ -165,18 +165,14 @@ class MagneticSystem:
     def _spec(self, outer: int, inner: int | None = None) -> tuple:
         """(outer, inner, first, second) of `numerics.supply` for dL/dq
         (outer 0), dL/dv (1), dL/dp (2) or, with `inner`, the Jacobian of
-        dL/dv in slot `inner`; a derivative given by a joint callable is its
-        part of that callable, marked as the joint one is."""
-        if inner is None:
-            if outer == 1:
-                return 1, None, self.dL_dv, None
-            joint = self.dL_dqp if outer == 2 else (self.dL_dqp or self.dL_dq_vq)
-            first = (self.dL_dq, None, self.dL_dp)[outer]
-            return outer, None, first if joint is None else _part(joint, outer // 2), None
-        second = {1: self.d2L_dv_dv, 0: self.d2L_dv_dq, 2: self.d2L_dv_dp}[inner]
-        if inner == 0 and self.dL_dq_vq is not None:
-            second = _part(self.dL_dq_vq, 1)
-        return 1, inner, self.dL_dv, second
+        dL/dv in slot `inner`; a derivative that a joint callable gives is
+        its part of that callable, marked as the joint one is."""
+        given = {(0,): self.dL_dq, (1,): self.dL_dv, (2,): self.dL_dp,
+                 (1, 1): self.d2L_dv_dv, (1, 0): self.d2L_dv_dq, (1, 2): self.d2L_dv_dp}
+        for name, parts in _JOINTS.items():
+            if getattr(self, name) is not None:
+                given.update((at, _part(getattr(self, name), i)) for i, at in enumerate(parts))
+        return outer, inner, given[(outer,)], None if inner is None else given[(outer, inner)]
 
     @cached_property
     def grad_q(self) -> Callable:
@@ -231,20 +227,17 @@ class MagneticSystem:
         rule 3 differences from a row-marked Lagrangian.  A result the
         equations do not use is None and is not evaluated: d2L/dv2 when it
         is declared constant, dL/dp and d2L/dv dp when k = 0."""
-        wanted = {"hess": (1, 1), "vq": (1, 0), "vp": (1, 2), "dq": (0,), "dp": (2,)}
-        if self.constant_hessian:
-            del wanted["hess"]
-        if self.k == 0:
-            del wanted["vp"], wanted["dp"]
-        joint, pair = ((self.dL_dqp, ("dq", "dp")) if self.dL_dqp is not None
-                       else (self.dL_dq_vq, ("dq", "vq")))
-        if joint is not None:
-            for name in pair:
-                wanted.pop(name, None)
-        blocks = numerics.supply_blocks(self.value, [self._spec(*at) for at in wanted.values()])
-        names = list(wanted) + (list(pair) if joint is not None else []) + [None]
-        pick = operator.itemgetter(*(names.index(name) if name in names else -1
-                                     for name in ("dq", "dp", "hess", "vq", "vp")))
+        # the velocity blocks, then the gradients: (d2L/dv2, d2L/dv dq,
+        # d2L/dv dp, dL/dq, dL/dp) as (1, slot) and (slot,)
+        used = [at for at in ((1, 1), (1, 0), (1, 2), (0,), (2,))
+                if not (at == (1, 1) and self.constant_hessian or 2 in at and self.k == 0)]
+        name = next((name for name in _JOINTS if getattr(self, name) is not None), None)
+        joint, parts = (None, ()) if name is None else (getattr(self, name), _JOINTS[name])
+        rest = [at for at in used if at not in parts]
+        blocks = numerics.supply_blocks(self.value, [self._spec(*at) for at in rest])
+        found = rest + list(parts)
+        pick = operator.itemgetter(*(found.index(at) if at in used else -1
+                                     for at in ((0,), (2,), (1, 1), (1, 0), (1, 2))))
 
         def jet(q, v, p):
             out = blocks(q, v, p)
@@ -282,6 +275,11 @@ class MagneticSystem:
         top = np.concatenate([bqq, bqp], axis=-1)
         bottom = np.concatenate([-np.swapaxes(bqp, -1, -2), bpp], axis=-1)
         return np.concatenate([top, bottom], axis=-2)
+
+
+# the joint callables of a MagneticSystem and what each returns, in order:
+# (slot,) for dL/d(slot), (1, slot) for d2L/dv d(slot)
+_JOINTS = {"dL_dqp": ((0,), (2,)), "dL_dq_vq": ((0,), (1, 0))}
 
 
 def _part(joint: Callable, index: int) -> Callable:

@@ -17,10 +17,10 @@ Rule 3 over rows: `fd_blocks` gives every gradient and block of a set
 (`ValueStencil`) of a row-capable values-only function from one call on
 their joint stencil, with the points, steps and arithmetic
 (`_five_point`, `_second`, `_cross`) of the one-point loops, so the same
-bits.  The
-integer layout of that stencil depends only on the slot sizes and the
-set; the ValueStencil of each resolved supply callable builds it on first
-use and keeps it.  `fd_exterior_derivative` differences a 1-form.
+bits.  The integer layout of that stencil depends only on the slot sizes
+and the set; the ValueStencil of each resolved supply callable builds it
+on first use and keeps it.  `fd_exterior_derivative` differences a
+1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  The integrators
 raise a right-hand side's ValueError or RegularityError again with the
@@ -268,15 +268,15 @@ class _Layout:
     index rows: the points of each entry (+2h, +h, -h and -2h of a
     gradient entry, plus, centre and minus of a diagonal second
     difference, ++, +-, -+ and -- of a cross difference) and its
-    coordinates in the joint point.  `takes[k]` gives pair k's result, entry by entry, as indices
-    into the entries of all kinds in that order."""
+    coordinates in the joint point.  `takes[k]` gives pair k's result,
+    entry by entry, as indices into the entries of all kinds in that
+    order."""
 
     KINDS = ("gradient", "diagonal", "cross")
 
     def __init__(self, sizes: tuple[int, ...], pairs: tuple):
         edges = np.cumsum((0,) + sizes).tolist()
         self.n, self.spans = edges[-1], list(zip(edges[:-1], edges[1:]))
-        index: dict[bytes, int] = {}
         shifts: list[tuple[np.ndarray, np.ndarray, bool]] = []
         entries: dict[str, list] = {kind: [] for kind in self.KINDS}
 
@@ -290,12 +290,8 @@ class _Layout:
             return w
 
         def point(gradient, a=None, b=None):
-            wa, wb = shift(a), shift(b)
-            key = bytes([gradient]) + wa.tobytes() + wb.tobytes()
-            if key not in index:
-                index[key] = len(shifts)
-                shifts.append((wa, wb, gradient))
-            return index[key]
+            shifts.append((shift(a), shift(b), gradient))
+            return len(shifts) - 1
 
         def entry(kind, *row):
             entries[kind].append(row)
@@ -312,9 +308,10 @@ class _Layout:
                 continue
             ilo, isize = self.spans[inner][0], sizes[inner]
             cell = [[None] * isize for _ in range(size)]
+            centre = point(False) if outer == inner else None
             for i in range(size):
                 if outer == inner:
-                    cell[i][i] = entry("diagonal", point(False, (outer, i, 1.0)), point(False),
+                    cell[i][i] = entry("diagonal", point(False, (outer, i, 1.0)), centre,
                                        point(False, (outer, i, -1.0)), lo + i)
                 for j in range(i + 1 if outer == inner else 0, isize):
                     corners = [point(False, (outer, i, si), (inner, j, sj))

@@ -172,9 +172,17 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
 
     the Routhian blocks are combinations of the supply of ell, all five
     from one `metric_blocks` call.  A singular K or Routhian Hessian raises
-    RegularityError."""
-    k, xi_xdot, xi_x, xdot_xdot, xdot_x = lag.metric_blocks(x, xdot, chi)
-    maglag.require_regular(k, "singular group metric: |det d2ell/dxi2|")
+    RegularityError, K's also when a non-finite stencil value of another
+    block is raised first."""
+    singular_k = "singular group metric: |det d2ell/dxi2|"
+    try:
+        k, xi_xdot, xi_x, xdot_xdot, xdot_x = lag.metric_blocks(x, xdot, chi)
+    except ValueError:
+        # near a singular K, chi and so the other blocks' stencils blow up:
+        # name the singular K first, as when K is checked on its own
+        maglag.require_regular(lag.jac_xi_xi(x, xdot, chi), singular_k)
+        raise
+    maglag.require_regular(k, singular_k)
     k_inv = np.linalg.inv(k)
     dchi_dxdot = -k_inv @ xi_xdot
     dchi_dx = -k_inv @ xi_x

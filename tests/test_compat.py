@@ -466,7 +466,7 @@ def test_counting_wrappers_keep_the_unwrapped_path(beanie_pair):
     rotor = models.rotor_lagrangian(models.RotorParams())
     rng = np.random.default_rng(3)
     q, p = rng.uniform(-1, 1, (4, sys1.n)), rng.uniform(-1, 1, (4, sys1.k))
-    x, xdot, xi = rng.uniform(-1, 1, (4, 1)), rng.uniform(-1, 1, (4, 1)), rng.uniform(-1, 1, (4, 3))
+    x, xdot, xi = (rng.uniform(-1, 1, (4, size)) for size in (1, 1, 3))
     seen = []
     for keep_marks in (True, False):
         counts = collections.Counter()
