@@ -9,26 +9,26 @@ Every Jacobian is the central difference (f(x + h e_i) - f(x - h e_i)) /
 stacked stencil (`fd_jacobian_rows`: one call of a row-capable f for the
 stencil of one point or of rows; `stencil_jacobian` runs it over the
 joint stencil of one or several argument slots, so several Jacobians of
-one callable cost one call).  The gradient of a values-only function is
-the fourth-order five-point difference (`fd_gradient`, step
-H_FIVE_POINT), and any block of one is the second difference
-`fd_second`.  All of them share one non-finite rule (`_finite`).
-Rule 3 over rows: `fd_blocks` gives every gradient and block of a set
-(`ValueStencil`) of a row-capable values-only function from one call on
-their joint stencil, with the points, steps and arithmetic
-(`_five_point`, `_second`, `_cross`) of the one-point loops, so the same
-bits.  The integer layout of that stencil depends only on the slot sizes
-and the set; the ValueStencil of each resolved supply callable builds it
-on first use and keeps it.  `fd_exterior_derivative` differences a
-1-form.
+one callable cost one call).  Rule 3, the derivatives of a values-only
+function, is one routine, `fd_blocks`: every gradient (the fourth-order
+five-point difference, step H_FIVE_POINT) and every second-difference
+block of a set, from one stencil over their joint points, which a
+row-capable function takes in one call (rule 3 over rows) and any other
+function one point at a time; `fd_gradient` and `fd_second` are its
+one-point calls for one gradient or one block.  Both ways have the same
+points, steps and arithmetic (`_five_point`, `_second`, `_cross`), so the
+same bits.  The integer layout of a stencil depends only on the slot
+sizes and the set; it is built once and kept (`_layout`).  All
+differences share one non-finite rule (`_finite`).
+`fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  The integrators
 raise a right-hand side's ValueError or RegularityError again with the
-start t of its step.  Apart from those stencil layouts nothing here keeps
+start t of its step.  Apart from the stencil layouts nothing here keeps
 state between calls: the integrators allocate their output arrays per call
 (RK4 all at once, since its step count is known), and `supply` and
-`supply_blocks` return callables that close over their inputs and their
-stencils.
+`supply_blocks` return callables that close over nothing but their
+inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
@@ -121,7 +121,7 @@ def _second(fp, f0, fm, h):
     x - h e_i.  h ** 2 is taken entry by entry as Python takes it of one
     float (the C library's pow), so an array of steps gives the bits of the
     one-point loop; numpy's array square can round differently."""
-    if np.ndim(h):
+    if isinstance(h, np.ndarray):
         h = np.array([v ** 2 for v in h.ravel().tolist()]).reshape(h.shape)
     else:
         h = h ** 2
@@ -147,14 +147,10 @@ def _finite(d: np.ndarray, rows: bool) -> np.ndarray:
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
                 h0: float = H_FIVE_POINT) -> np.ndarray:
-    """Five-point gradient of a scalar function, shape (n,): four one-point
-    calls of `f` per coordinate, at x +- h e_i and x +- 2h e_i."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, h0)
-    e = np.diag(h)
-    return _finite(np.array([_five_point(f(x + 2.0 * e[i]), f(x + e[i]), f(x - e[i]),
-                                         f(x - 2.0 * e[i]), h[i])
-                             for i in range(x.size)], dtype=float), False)
+    """Five-point gradient of a scalar function, shape (n,): one-point calls
+    of `f` at x + 2h e_i, x + h e_i, x - h e_i and x - 2h e_i, coordinate
+    by coordinate (`fd_blocks` of the one slot x)."""
+    return fd_blocks(f, (x,), ((0, None),), h0_gradient=h0, rows=False)[0]
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -199,66 +195,24 @@ def fd_second(f: Callable[..., float], args: Sequence, outer: int, inner: int,
     four-point cross stencil (f(++) - f(+-) - f(-+) + f(--)) / 4 h_i h_j.
     A diagonal block (outer == inner) moves its one slot twice, takes the
     three-point stencil around one f0 on its diagonal and copies its upper
-    triangle to the lower.  A non-finite entry raises ValueError naming its
-    outer coordinate."""
-    diagonal = outer == inner
-    point = list(args)
-
-    def at(u, w):  # on the diagonal, w overwrites u in the one slot
-        point[outer], point[inner] = u, w
-        return f(*point)
-
-    def grid(slot):
-        z = np.asarray(args[slot], dtype=float)
-        return z, _steps(z, h0)
-
-    x, hx = grid(outer)
-    y, hy = (x, hx) if diagonal else grid(inner)
-    out = np.empty((x.size, y.size))
-    f0 = at(x, x) if diagonal else None
-    for i in range(x.size):
-        ei = np.zeros(x.size)
-        ei[i] = hx[i]
-        xp, xm = x + ei, x - ei
-        if diagonal:
-            out[i, i] = _second(at(x, xp), f0, at(x, xm), hx[i])
-        wp, wm = (xp, xm) if diagonal else (y, y)
-        for j in range(i + 1 if diagonal else 0, y.size):
-            ej = np.zeros(y.size)
-            ej[j] = hy[j]
-            out[i, j] = _cross(at(xp, wp + ej), at(xp, wp - ej), at(xm, wm + ej),
-                               at(xm, wm - ej), hx[i], hy[j])
-            if diagonal:
-                out[j, i] = out[i, j]
-    return _finite(out, False)
+    triangle to the lower.  `f` is called at one point at a time: f0, then
+    for each outer coordinate i its two diagonal points and the four
+    corners of each entry (i, j), j > i on the diagonal (`fd_blocks`).  A
+    non-finite entry raises ValueError naming its outer coordinate."""
+    return fd_blocks(f, args, ((outer, inner),), h0, rows=False)[0]
 
 
-class ValueStencil:
-    """The stacked values-only stencil of a block set: every gradient
-    (outer, None) and every block (outer, inner) of `pairs`, the points of
-    fd_gradient and fd_second, as one array of points for `fd_blocks`.
+class _Layout:
+    """The stencil of a set of gradients (outer, None) and blocks (outer,
+    inner) of a function of argument slots of the given sizes: the points
+    of the one-point loops, in their order, for `fd_blocks`.
 
     A stencil point is (x + a*h) + b*h over the joint coordinates x of all
     argument slots, with h the steps of its rule and a, b signed multiples
     of unit shifts.  A coordinate that a point does not move gets a signed
     zero: +0.0 or -0.0 inside a moved slot, as the one-point loops add and
     subtract their shift vectors, and -0.0 (which leaves every float, -0.0
-    included, as it is) in a held slot.  This integer layout depends only on
-    the slot sizes and the pairs; it is built on first use for each tuple of
-    slot sizes and kept here, one stencil per resolved supply callable."""
-
-    def __init__(self, pairs: Sequence[tuple[int, int | None]]):
-        self.pairs = tuple(pairs)
-        self._layouts: dict[tuple[int, ...], _Layout] = {}
-
-    def layout(self, sizes: tuple[int, ...]) -> _Layout:
-        if sizes not in self._layouts:
-            self._layouts[sizes] = _Layout(sizes, self.pairs)
-        return self._layouts[sizes]
-
-
-class _Layout:
-    """Points and entries of one ValueStencil for one tuple of slot sizes.
+    included, as it is) in a held slot.
 
     `a`, `b`: the shift multiples (P, n) of the P points (`b` None when no
     point has a second shift); `gradient`: True where a point takes the
@@ -332,32 +286,50 @@ class _Layout:
             if entries[kind]:
                 rows = np.array(entries[kind], dtype=int).T
                 self.rules.append((rule, kind == "gradient", rows[:-coords], rows[-coords:]))
+        # the same entries one by one, (rule, gradient step, points, coordinates)
+        self.each = [(rule, on_gradient, row[:len(points)], row[len(points):])
+                     for rule, on_gradient, points, coords in self.rules
+                     for row in np.vstack([points, coords]).T.tolist()]
         offset = dict(zip(self.KINDS, np.cumsum([0] + [len(entries[k]) for k in self.KINDS])))
         self.takes = [np.array([offset[kind] + k for kind, k in tags], dtype=int).reshape(shape)
                       for shape, tags in tagged]
 
 
-def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, stencil: ValueStencil,
-              h0: float = H_SECOND, h0_gradient: float = H_FIVE_POINT) -> list[np.ndarray]:
-    """Rule 3 over rows: every gradient and block of `stencil.pairs` of a
-    scalar function of several array slots, from one call of `f` on the
-    whole stencil, at one point or at stacked rows of every argument (the
-    same leading shape in every slot).  `f` must take rows; this routine
-    does not ask.
+@functools.lru_cache(maxsize=256)
+def _layout(sizes: tuple[int, ...], pairs: tuple) -> _Layout:
+    """The one kept state of this module: each stencil layout, built once
+    per (slot sizes, pairs) and read-only after that."""
+    return _Layout(sizes, pairs)
 
-    Each result has the points, steps and arithmetic of its one-point loop,
-    so the same bits when `f` gives each row the value of its one-point
-    call: a gradient (outer, None), shape (len(args[outer]),), those of
-    fd_gradient at `h0_gradient`, and a block (outer, inner), shape
-    (len(args[outer]), len(args[inner])), those of fd_second at `h0`.  Rows
-    add a leading axis.  A non-finite entry raises ValueError naming, for
-    the first such result in order, the row (for stacked rows) and the
+
+def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
+              h0: float = H_SECOND, h0_gradient: float = H_FIVE_POINT,
+              rows: bool = True) -> list[np.ndarray]:
+    """Rule 3: every gradient (outer, None) and block (outer, inner) of the
+    tuple `pairs` of a scalar function of several array slots, at one point
+    or at stacked rows of every argument (the same leading shape in every
+    slot), from one stencil over their joint points.
+
+    With `rows`, `f` takes the whole stencil in one call (rule 3 over
+    rows); without, it is called at one point at a time, stencil point by
+    stencil point and row by row (the one-point loop).  The caller decides
+    which; this routine never reads a mark of `f`.  Either way each result
+    has the points, steps and arithmetic of the one-point loop, so the same
+    bits when `f` gives each row the value of its one-point call: a
+    gradient, shape (len(args[outer]),), the five-point difference at
+    `h0_gradient`, and a block, shape (len(args[outer]),
+    len(args[inner])), the second differences at `h0` (see fd_second).
+    Rows add a leading axis.  A non-finite entry raises ValueError naming,
+    for the first such result in order, the row (for stacked rows) and the
     outer coordinate."""
     args = [np.asarray(a, dtype=float) for a in args]
     lead = args[0].shape[:-1]
     count = math.prod(lead)
-    lay = stencil.layout(tuple(a.shape[-1] for a in args))
-    x = np.concatenate([a.reshape(count, a.shape[-1]) for a in args], axis=1)
+    lay = _layout(tuple([a.shape[-1] for a in args]), pairs)
+    if lead:
+        x = np.concatenate([a.reshape(count, a.shape[-1]) for a in args], axis=1)
+    else:
+        x = np.concatenate(args)[None]
     second = _steps(x, h0) if lay.steps[0] else None
     gradient = _steps(x, h0_gradient) if lay.steps[1] else None
     if second is None or gradient is None:
@@ -367,12 +339,21 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, stencil: ValueStenci
     pts = x[:, None, :] + lay.a * h
     if lay.b is not None:
         pts += lay.b * h
-    size = count * len(lay.a)
-    vals = np.asarray(f(*[pts[:, :, lo:hi].reshape(size, hi - lo) for lo, hi in lay.spans]),
-                      dtype=float).reshape(count, len(lay.a)).T
-    parts = [rule(*vals[points], *(gradient if on_gradient else second).T[coords])
-             for rule, on_gradient, points, coords in lay.rules]
-    entries = (parts[0] if len(parts) == 1 else np.concatenate(parts + [vals[:0]])).T
+    pts = pts.reshape(count * len(lay.a), lay.n)
+    slots = [pts[:, lo:hi] for lo, hi in lay.spans]
+    if rows:  # array arithmetic over all entries and rows
+        vals = np.asarray(f(*slots), dtype=float).reshape(count, len(lay.a)).T
+        parts = [rule(*vals[points], *(gradient if on_gradient else second).T[coords])
+                 for rule, on_gradient, points, coords in lay.rules]
+        entries = (parts[0] if len(parts) == 1 else np.concatenate(parts + [vals[:0]])).T
+    else:  # float arithmetic entry by entry, cheaper on a few points
+        vals = [f(*point) for point in zip(*slots)]
+        steps = [[] if h is None else h.tolist() for h in (second, gradient)]
+        entries = np.array([
+            [rule(*[vals[r * len(lay.a) + k] for k in points],
+                  *[steps[on_gradient][r][c] for c in coords])
+             for rule, on_gradient, points, coords in lay.each]
+            for r in range(count)], dtype=float).reshape(count, len(lay.each))
     out = [entries[:, take].reshape(lead + take.shape) for take in lay.takes]
     if not np.isfinite(entries).all():
         for d in out:
@@ -404,39 +385,35 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
        when `first` takes rows, its whole stencil is one fd_jacobian_rows
        call, on the points and steps of fd_jacobian (`stencil_jacobian`);
-    3. values only: fd_gradient of `value` (five-point, H_FIVE_POINT) for
-       a gradient, and fd_second of `value` (H_SECOND) for any block,
-       diagonal (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows,
-       its whole stencil is one fd_blocks call, on the points and steps of
-       those loops (rule 3 over rows).
+    3. values only: fd_blocks of `value`, the five-point gradient
+       (H_FIVE_POINT) or the second-difference block (H_SECOND), diagonal
+       (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows, its whole
+       stencil is one call (rule 3 over rows), otherwise one call per
+       stencil point.
 
-    The rows of rules 2 and 3 are chosen here, once, from the marks of
-    `first` and `value`; the differencing routines never ask, so a wrapper
-    that drops a mark (a call counter) does not change the path.  The
-    result takes rows and is marked so.  Resting on a marked callable or
-    stencil it passes rows to it; resting on a one-point callable or
-    stencil it passes one point straight through and evaluates stacked rows
-    one row at a time (the same calls, so the same bits).  The differencing
+    Whether rules 2 and 3 pass rows is decided here, once, from the marks
+    of `first` and `value`; the differencing routines never ask, so a
+    wrapper that drops a mark (a call counter) changes neither the path nor
+    a bit.  The result takes rows and is marked so.  Resting on a marked
+    callable or stencil it passes rows to it; resting on a one-point
+    callable it passes one point straight through and evaluates stacked
+    rows one row at a time (the same calls, so the same bits).  The differencing
     routines are looked up at call time, so a wrapper installed on them
     later still sees every stencil.
     """
     analytic = first if inner is None else second
     if rows_ok(analytic):
         return takes_rows(lambda *args: np.asarray(analytic(*args), dtype=float))
-    stacked = _stacked_by(value, outer, inner, first, second)
-    if stacked is value:
-        stencil = ValueStencil([(outer, inner)])
-        return takes_rows(lambda *args: fd_blocks(value, args, stencil)[0])
-    if stacked is not None:
+    stencil = _stencil_of(value, outer, inner, first, second)
+    if stencil is value:
+        pairs, rows = ((outer, inner),), rows_ok(value)
+        return takes_rows(lambda *args: fd_blocks(value, args, pairs, rows=rows)[0])
+    if stencil is not None:
         return takes_rows(lambda *args: stencil_jacobian(first, args, inner))
     if analytic is not None:
         point = analytic
-    elif inner is None:
-        point = lambda *args: fd_gradient(_vary(value, args, outer), args[outer])  # noqa: E731
-    elif first is not None:
-        point = lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])  # noqa: E731
     else:
-        point = lambda *args: fd_second(value, args, outer, inner)  # noqa: E731
+        point = lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])  # noqa: E731
 
     @takes_rows
     def rows(*args):
@@ -447,16 +424,17 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     return rows
 
 
-def _stacked_by(value: Callable, outer: int, inner: int | None, first: Callable | None,
+def _stencil_of(value: Callable, outer: int, inner: int | None, first: Callable | None,
                 second: Callable | None) -> Callable | None:
-    """The callable whose one stacked stencil gives this supply, or None:
-    `value` for rule 3 over rows, `first` for rule 2 from a marked `first`."""
+    """The callable whose stencil gives this supply, shared by the supplies
+    of one supply_blocks call: `value` for rule 3, a marked `first` for
+    rule 2 over rows; None for rule 1 and for rule 2 point by point."""
     analytic = first if inner is None else second
     if analytic is not None:
         return None
     if first is None:
-        return value if rows_ok(value) else None
-    return first if inner is not None and rows_ok(first) else None
+        return value
+    return first if rows_ok(first) else None
 
 
 def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
@@ -468,32 +446,31 @@ def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
 
     The blocks that rule 2 differences from one row-marked `first` share
     one stencil_jacobian call over the joint stencil of their slots, and
-    the gradients and blocks that rule 3 differences from a row-marked
-    `value` share one fd_blocks call over the joint stencil of the set;
-    every other result is its own supply.  So each result has the bits of
-    its one-result supply.
+    the gradients and blocks that rule 3 differences from `value` share
+    one fd_blocks stencil (one call of a row-marked `value`, the same
+    one-point calls as apart otherwise); every other result is its own
+    supply.  So each result has the bits of its one-result supply.
     """
-    by = [_stacked_by(value, *spec) for spec in specs]
-    plan: list[tuple[list[int], Callable[[tuple], list]]] = []
+    by = [_stencil_of(value, *spec) for spec in specs]
+    shared: list[tuple[list[int], Callable[[tuple], list]]] = []
     for key in dict.fromkeys(k for k in by if k is not None):
         where = [at for at, k in enumerate(by) if k is key]
         if key is value:
-            stencil = ValueStencil([specs[at][:2] for at in where])
-            plan.append((where, lambda args, s=stencil: fd_blocks(value, args, s)))
+            pairs, rows = tuple(specs[at][:2] for at in where), rows_ok(value)
+            shared.append((where, lambda args, p=pairs, r=rows: fd_blocks(value, args, p, rows=r)))
         else:
             slots = [specs[at][1] for at in where]
-            plan.append((where, lambda args, f=key, s=slots: stencil_jacobian(f, args, s)))
-    for at, key in enumerate(by):
-        if key is None:
-            one = supply(value, *specs[at])
-            plan.append(([at], lambda args, one=one: [one(*args)]))
+            shared.append((where, lambda args, f=key, s=slots: stencil_jacobian(f, args, s)))
+    own = [(at, supply(value, *specs[at])) for at, key in enumerate(by) if key is None]
 
     @takes_rows
     def blocks(*args):
         out = [None] * len(specs)
-        for where, evaluate in plan:  # plain loops: this sits on every right-hand side
+        for where, evaluate in shared:  # plain loops: this sits on every right-hand side
             for at, result in zip(where, evaluate(args)):
                 out[at] = result
+        for at, one in own:
+            out[at] = one(*args)
         return out
 
     return blocks

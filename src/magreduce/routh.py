@@ -89,7 +89,7 @@ class InvariantLagrangian:
     def __post_init__(self):
         if self.constant_group_metric:
             zero = np.zeros(self.sdim), np.zeros(self.sdim), np.zeros(self.gdim)
-            object.__setattr__(self, "reduced_metric", _assemble_metric(self, *zero))
+            object.__setattr__(self, "reduced_metric", _assemble_metric(self, *zero)[0])
 
     @property
     def gdim(self) -> int:
@@ -154,29 +154,31 @@ class InvariantLagrangian:
     @cached_property
     def metric_blocks(self) -> Callable:
         """(x, xdot, xi) -> [jac_xi_xi, jac_xi_xdot, jac_xi_x, jac_xdot_xdot,
-        jac_xdot_x] at one point or at stacked rows, each with the bits of
-        its own supply, from one `numerics.supply_blocks` callable: the
-        blocks differenced from one row-marked first derivative share its
-        stencil, and a row-marked `ell` with no derivatives gives all five
-        from one stacked stencil call."""
+        jac_xdot_x, grad_x]: what a point of the reduced equations uses
+        besides the momentum inversion, at one point or at stacked rows,
+        each with the bits of its own supply, from one
+        `numerics.supply_blocks` callable.  The blocks differenced from one
+        row-marked first derivative share its stencil, and those differenced
+        from the values share one: a row-marked `ell` with no derivatives
+        gives all six from one stacked stencil call."""
         return numerics.supply_blocks(self.value, [self._spec(*pair) for pair in (
-            (2, 2), (2, 1), (2, 0), (1, 1), (1, 0))])
+            (2, 2), (2, 1), (2, 0), (1, 1), (1, 0), (0, None))])
 
 
 def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
-                     ) -> ReducedMetric:
+                     ) -> tuple[ReducedMetric, np.ndarray]:
     """Reduced-equation blocks at (x, xdot, chi) by the implicit function
-    theorem: with K = d(dell/dxi)/dxi,
+    theorem, and dell/dx there: with K = d(dell/dxi)/dxi,
 
         dchi/dxdot = -K^{-1} d(dell/dxi)/dxdot,   dchi/dnu = K^{-1},
 
-    the Routhian blocks are combinations of the supply of ell, all five
-    from one `metric_blocks` call.  A singular K or Routhian Hessian raises
-    RegularityError, K's also when a non-finite stencil value of another
-    block is raised first."""
+    the Routhian blocks are combinations of the supply of ell, all of them
+    and dell/dx from one `metric_blocks` call.  A singular K or Routhian
+    Hessian raises RegularityError, K's also when a non-finite stencil value
+    of another block is raised first."""
     singular_k = "singular group metric: |det d2ell/dxi2|"
     try:
-        k, xi_xdot, xi_x, xdot_xdot, xdot_x = lag.metric_blocks(x, xdot, chi)
+        k, xi_xdot, xi_x, xdot_xdot, xdot_x, dl_dx = lag.metric_blocks(x, xdot, chi)
     except ValueError:
         # near a singular K, chi and so the other blocks' stencils blow up:
         # name the singular K first, as when K is checked on its own
@@ -190,7 +192,7 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
     hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
     return ReducedMetric(cm_inv=k_inv, hess_inv=np.linalg.inv(hess),
-                         mixed_x=xdot_x + f1_xi @ dchi_dx, mixed_nu=f1_xi @ k_inv)
+                         mixed_x=xdot_x + f1_xi @ dchi_dx, mixed_nu=f1_xi @ k_inv), dl_dx
 
 
 def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
@@ -416,9 +418,12 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState
     """
     lag = sys.lagrangian
     chi = solve_chi(lag, s.x, s.xdot, s.nu).coords
-    metric = lag.reduced_metric or _assemble_metric(lag, s.x, s.xdot, chi)
-    xddot, nudot = _reduced_rhs(lag.grad_x, sys.sign, _structure(lag.group), metric,
-                                s.x, s.xdot, s.nu.coords, chi)
+    if lag.reduced_metric is None:
+        metric, dl_dx = _assemble_metric(lag, s.x, s.xdot, chi)
+    else:
+        metric, dl_dx = lag.reduced_metric, lag.grad_x(s.x, s.xdot, chi)
+    xddot, nudot = _reduced_rhs(dl_dx, sys.sign, _structure(lag.group), metric,
+                                s.xdot, s.nu.coords, chi)
     return s.xdot.copy(), xddot, CoVector(nudot)
 
 
@@ -428,15 +433,15 @@ def _structure(group: LieGroupSpec) -> np.ndarray:
     return group.structure.reshape(group.dim, group.dim * group.dim)
 
 
-def _reduced_rhs(grad_x: Callable, sign: float, structure: np.ndarray,
-                 metric: ReducedMetric, x, xdot, nu: np.ndarray, chi: np.ndarray
+def _reduced_rhs(dl_dx: np.ndarray, sign: float, structure: np.ndarray,
+                 metric: ReducedMetric, xdot, nu: np.ndarray, chi: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(xddot, nudot) at chi solving the momentum constraint, from dell/dx
-    (`grad_x`), the momentum sign, the reshaped structure constants
-    (`_structure`) and the reduced-equation blocks at this point."""
+    """(xddot, nudot) at chi solving the momentum constraint, from dell/dx,
+    the momentum sign, the reshaped structure constants (`_structure`) and
+    the reduced-equation blocks at this point."""
     g = nu.size
     nudot = sign * (chi @ (nu @ structure).reshape(g, g))
-    rhs = grad_x(x, xdot, chi) - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
+    rhs = dl_dx - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
     return metric.hess_inv @ rhs, nudot
 
 
@@ -477,11 +482,11 @@ def _field_factory(sys: ReducedRouthSystem):
         x, xdot, nu = y[:sd], y[sd:2 * sd], y[2 * sd:]
         if metric is not None:
             chi = metric.cm_inv @ (nu - momentum(x, xdot, zero_xi))
-            blocks = metric
+            blocks, dl_dx = metric, grad_x(x, xdot, chi)
         else:
             chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
-            blocks = _assemble_metric(lag, x, xdot, chi)
-        xddot, nudot = _reduced_rhs(grad_x, sign, structure, blocks, x, xdot, nu, chi)
+            blocks, dl_dx = _assemble_metric(lag, x, xdot, chi)
+        xddot, nudot = _reduced_rhs(dl_dx, sign, structure, blocks, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
     return field

@@ -250,7 +250,7 @@ def test_fd_second_matches_the_reference_blocks_bit_for_bit():
 
     # the same f over rows, one row at a time: rule 3 over rows (fd_blocks)
     rows = numerics.takes_rows(lambda a, b, c: np.array([f(*row) for row in zip(a, b, c)]))
-    pairs = [(outer, inner) for outer in range(3) for inner in (0, 1, 2, None)]
+    pairs = tuple((outer, inner) for outer in range(3) for inner in (0, 1, 2, None))
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
     for _ in range(40):
         args, other = [], []
@@ -278,19 +278,18 @@ def test_fd_second_matches_the_reference_blocks_bit_for_bit():
                 ref_points.append(points)
                 # the one-pair stencil: the same bits on the same points
                 log.clear()
-                stencil = numerics.ValueStencil([(outer, inner)])
-                assert same(numerics.fd_blocks(rows, args, stencil, h0)[0], refs[-1])
+                assert same(numerics.fd_blocks(rows, args, ((outer, inner),), h0)[0], refs[-1])
                 assert sorted(log) == sorted(points)
             # the joint stencil of all twelve: each result as on its own, on
             # the union of their points
             log.clear()
-            joint = numerics.fd_blocks(rows, args, numerics.ValueStencil(pairs), h0, h0)
+            joint = numerics.fd_blocks(rows, args, pairs, h0, h0)
             assert all(same(got, ref) for got, ref in zip(joint, refs))
             assert set(log) == set().union(*ref_points)
             # stacked rows: each row's results
             stacked = numerics.fd_blocks(rows, [np.stack(z) for z in zip(args, other)],
-                                         numerics.ValueStencil(pairs), h0, h0)
-            second = numerics.fd_blocks(rows, other, numerics.ValueStencil(pairs), h0, h0)
+                                         pairs, h0, h0)
+            second = numerics.fd_blocks(rows, other, pairs, h0, h0)
             for got, first_row, second_row in zip(stacked, joint, second):
                 assert same(got, np.stack([first_row, second_row]))
 

@@ -63,31 +63,33 @@ def magnetic_case(level):
     return sys, "hess_vv", A
 
 
-# level -> (differencing routine, base step) of the outermost stencil; a
-# first derivative or a values-only ell that takes rows has its whole
-# stencil in one call
+# level -> (differencing routine, base step[, rows]) of the outermost
+# stencil; a first derivative that takes rows has its whole stencil in one
+# call, and so has a values-only ell that takes rows (fd_blocks with rows)
 RULE = {
     "analytic": None,
     "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
     "fd_first_rows": ("fd_jacobian_rows", numerics.H_GRADIENT),
-    "values_diagonal": ("fd_blocks", numerics.H_SECOND),
-    "values_mixed": ("fd_blocks", numerics.H_SECOND),
-    "one_point_values_diagonal": ("fd_second", numerics.H_SECOND),
-    "one_point_values_mixed": ("fd_second", numerics.H_SECOND),
+    "values_diagonal": ("fd_blocks", numerics.H_SECOND, True),
+    "values_mixed": ("fd_blocks", numerics.H_SECOND, True),
+    "one_point_values_diagonal": ("fd_blocks", numerics.H_SECOND, False),
+    "one_point_values_mixed": ("fd_blocks", numerics.H_SECOND, False),
 }
 
 
 def spy_stencils(monkeypatch):
-    """Record (routine, base step) of every second-derivative stencil."""
+    """Record (routine, base step[, rows]) of every second-derivative
+    stencil."""
     calls = []
-    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_second", "fd_blocks"):
+    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_blocks"):
         fn = getattr(numerics, name)
         sig = inspect.signature(fn)
 
         def spy(*args, _fn=fn, _name=name, _sig=sig, **kwargs):
             bound = _sig.bind(*args, **kwargs)
             bound.apply_defaults()
-            calls.append((_name, bound.arguments["h0"]))
+            rows = bound.arguments.get("rows")
+            calls.append((_name, bound.arguments["h0"]) + (() if rows is None else (rows,)))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(numerics, name, spy)
@@ -440,10 +442,9 @@ def newton_calls(monkeypatch):
 @pytest.mark.parametrize("marked", [True, False])
 def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
     # a row-marked ell: one call per Newton residual (dell/dxi), one per
-    # Newton Jacobian (K), one for the five metric blocks and one for
-    # dell/dx; an unmarked ell: the one-point loops' counts, a gradient
-    # coordinate GRADIENT_POINTS calls, K 19, the five blocks 19 + 12 + 12
-    # + 3 + 4 = 50
+    # Newton Jacobian (K) and one for the five metric blocks with dell/dx;
+    # an unmarked ell: the one-point loops' counts, a gradient coordinate
+    # GRADIENT_POINTS calls, K 19, the five blocks 19 + 12 + 12 + 3 + 4 = 50
     rotor = models.rotor_lagrangian(models.RotorParams())
     calls = []
 
@@ -452,8 +453,8 @@ def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
         return rotor.ell(x, xdot, xi)
 
     twin = routh.InvariantLagrangian(1, lie.so3(), numerics.takes_rows(ell) if marked else ell)
-    residual, jacobian, metric, grad_x = ((1, 1, 1, 1) if marked else
-                                          (3 * GRADIENT_POINTS, 19, 50, GRADIENT_POINTS))
+    residual, jacobian, metric = ((1, 1, 1) if marked else
+                                  (3 * GRADIENT_POINTS, 19, 50 + GRADIENT_POINTS))
     solves = newton_calls(monkeypatch)
     field = routh._field_factory(routh.ReducedRouthSystem(twin, CoVector([0.8, 0.2, 0.3])))
     y = np.array([0.1, 0.2, 0.8, 0.2, 0.3])
@@ -464,7 +465,7 @@ def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
         (solve,) = solves
         assert solve["jacobian"] > 0
         assert len(calls) == (residual * solve["residual"] + jacobian * solve["jacobian"]
-                              + metric + grad_x)
+                              + metric)
         y = y + 0.01
     chi = routh.solve_chi(twin, y[:1], y[1:2], CoVector(y[2:])).coords
     calls.clear()
