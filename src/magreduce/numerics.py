@@ -298,7 +298,7 @@ class _Layout:
 @functools.lru_cache(maxsize=256)
 def _layout(sizes: tuple[int, ...], pairs: tuple) -> _Layout:
     """The one kept state of this module: each stencil layout, built once
-    per (slot sizes, pairs) and read-only after that."""
+    per (slot sizes, pairs) and never changed after that."""
     return _Layout(sizes, pairs)
 
 
@@ -348,10 +348,10 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
         entries = (parts[0] if len(parts) == 1 else np.concatenate(parts + [vals[:0]])).T
     else:  # float arithmetic entry by entry, cheaper on a few points
         vals = [f(*point) for point in zip(*slots)]
-        steps = [[] if h is None else h.tolist() for h in (second, gradient)]
+        by_rule = [[] if h is None else h.tolist() for h in (second, gradient)]
         entries = np.array([
             [rule(*[vals[r * len(lay.a) + k] for k in points],
-                  *[steps[on_gradient][r][c] for c in coords])
+                  *[by_rule[on_gradient][r][c] for c in coords])
              for rule, on_gradient, points, coords in lay.each]
             for r in range(count)], dtype=float).reshape(count, len(lay.each))
     out = [entries[:, take].reshape(lead + take.shape) for take in lay.takes]
