@@ -66,8 +66,8 @@ class InvariantLagrangian:
     An `ell` marked with `numerics.takes_rows` keeps its mark on `value`:
     then every values-only derivative is one stacked stencil call (rule 3
     over rows), and `metric_blocks` gives the five blocks of the reduced
-    equations from one.  An unmarked `ell` is called at one point at a
-    time, stencil point by stencil point and row by row.
+    equations and dell/dx from one.  An unmarked `ell` is called at one
+    point at a time, stencil point by stencil point and row by row.
     """
     sdim: int
     group: LieGroupSpec
