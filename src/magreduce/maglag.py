@@ -20,7 +20,6 @@ their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -117,11 +116,11 @@ class MagneticSystem:
     may stand for two derivatives that share their work, each returning the
     pair from one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), and
     `dL_dq_vq(q, v, p)` for (dL/dq, d2L/dv dq).  A `lagrangian` marked with
-    `numerics.takes_rows` keeps its mark on `value`, so every values-only
-    derivative is one stacked stencil call, and a right-hand side point
-    takes all of its values-only derivatives from one (`jet`).  An unmarked
-    `lagrangian` is called at one point at a time, and an unmarked `bform`
-    once per row.
+    `numerics.takes_rows` (and `value` with it) takes rows, so every
+    values-only derivative is one stacked stencil call, and a right-hand
+    side point takes all of its values-only derivatives from one (`jet`).
+    An unmarked `lagrangian` is called at one point at a time, and an
+    unmarked `bform` once per row.
     """
     n: int
     k: int
@@ -159,7 +158,8 @@ class MagneticSystem:
     @cached_property
     def value(self) -> Callable[..., float]:
         """L as a float at one point, and at stacked rows too (marked so)
-        when `lagrangian` takes rows."""
+        when `lagrangian` takes rows.  The supplies difference `lagrangian`
+        itself, since `numerics.fd_blocks` takes its values as floats."""
         return numerics.scalar_value(self.lagrangian)
 
     def _spec(self, outer: int, inner: int | None = None) -> tuple:
@@ -176,26 +176,26 @@ class MagneticSystem:
 
     @cached_property
     def grad_q(self) -> Callable:
-        return numerics.supply(self.value, *self._spec(0))
+        return numerics.supply(self.lagrangian, *self._spec(0))
 
     @cached_property
     def grad_v(self) -> Callable:
-        return numerics.supply(self.value, *self._spec(1))
+        return numerics.supply(self.lagrangian, *self._spec(1))
 
     @cached_property
     def grad_p(self) -> Callable:
         if self.k == 0:
             return numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
-        return numerics.supply(self.value, *self._spec(2))
+        return numerics.supply(self.lagrangian, *self._spec(2))
 
     @cached_property
     def hess_vv(self) -> Callable:
-        return numerics.supply(self.value, *self._spec(1, 1))
+        return numerics.supply(self.lagrangian, *self._spec(1, 1))
 
     @cached_property
     def hess_vq(self) -> Callable:
         """Matrix with entries d2L / dv_i dq_j."""
-        return numerics.supply(self.value, *self._spec(1, 0))
+        return numerics.supply(self.lagrangian, *self._spec(1, 0))
 
     @cached_property
     def hess_vp(self) -> Callable:
@@ -203,7 +203,7 @@ class MagneticSystem:
         if self.k == 0:
             return numerics.takes_rows(
                 lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
-        return numerics.supply(self.value, *self._spec(1, 2))
+        return numerics.supply(self.lagrangian, *self._spec(1, 2))
 
     @cached_property
     def velocity_blocks(self) -> Callable:
@@ -214,7 +214,7 @@ class MagneticSystem:
         a row-marked Lagrangian one stacked stencil call.  At one point or
         at stacked rows."""
         fibre = [self._spec(1, 2)] if self.k else [(1, 2, self.dL_dv, self.hess_vp)]
-        return numerics.supply_blocks(self.value, [self._spec(1, 1), self._spec(1, 0)] + fibre)
+        return numerics.supply_blocks(self.lagrangian, [self._spec(1, 1), self._spec(1, 0)] + fibre)
 
     @cached_property
     def jet(self) -> Callable:
@@ -227,24 +227,20 @@ class MagneticSystem:
         rule 3 differences from a row-marked Lagrangian.  A result the
         equations do not use is None and is not evaluated: d2L/dv2 when it
         is declared constant, dL/dp and d2L/dv dp when k = 0."""
-        # the velocity blocks, then the gradients: (d2L/dv2, d2L/dv dq,
-        # d2L/dv dp, dL/dq, dL/dp) as (1, slot) and (slot,)
-        used = [at for at in ((1, 1), (1, 0), (1, 2), (0,), (2,))
-                if not (at == (1, 1) and self.constant_hessian or 2 in at and self.k == 0)]
+        # (slot,) for dL/d(slot), (1, slot) for d2L/dv d(slot)
+        used = [at for at in _JET if not (at == (1, 1) and self.constant_hessian
+                                          or 2 in at and self.k == 0)]
         name = next((name for name in _JOINTS if getattr(self, name) is not None), None)
         joint, parts = (None, ()) if name is None else (getattr(self, name), _JOINTS[name])
         rest = [at for at in used if at not in parts]
-        blocks = numerics.supply_blocks(self.value, [self._spec(*at) for at in rest])
-        found = rest + list(parts)
-        pick = operator.itemgetter(*(found.index(at) if at in used else -1
-                                     for at in ((0,), (2,), (1, 1), (1, 0), (1, 2))))
+        blocks = numerics.supply_blocks(self.lagrangian, [self._spec(*at) for at in rest])
+        keep = [at if at in used else None for at in _JET]
 
         def jet(q, v, p):
-            out = blocks(q, v, p)
+            out = dict(zip(rest, blocks(q, v, p)))
             if joint is not None:
-                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
-            out.append(None)
-            return pick(out)
+                out.update(zip(parts, (np.asarray(g, dtype=float) for g in joint(q, v, p))))
+            return tuple(out.get(at) for at in keep)
 
         return jet
 
@@ -277,8 +273,10 @@ class MagneticSystem:
         return np.concatenate([top, bottom], axis=-2)
 
 
-# the joint callables of a MagneticSystem and what each returns, in order:
-# (slot,) for dL/d(slot), (1, slot) for d2L/dv d(slot)
+# what MagneticSystem.jet returns, in order, and what each joint callable
+# of a MagneticSystem returns: (slot,) for dL/d(slot), (1, slot) for
+# d2L/dv d(slot)
+_JET = ((0,), (2,), (1, 1), (1, 0), (1, 2))
 _JOINTS = {"dL_dqp": ((0,), (2,)), "dL_dq_vq": ((0,), (1, 0))}
 
 

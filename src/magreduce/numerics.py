@@ -16,10 +16,11 @@ block of a set, from one stencil over their joint points, which a
 row-capable function takes in one call (rule 3 over rows) and any other
 function one point at a time; `fd_gradient` and `fd_second` are its
 one-point calls for one gradient or one block.  Both ways have the same
-points, steps and arithmetic (`_five_point`, `_second`, `_cross`), so the
-same bits.  The integer layout of a stencil depends only on the slot
-sizes and the set; it is built once and kept (`_layout`).  All
-differences share one non-finite rule (`_finite`).
+points, steps and arithmetic (`_five_point`, `_second`, `_cross`, on
+floats at one point and on arrays over rows), so the same bits.  The
+layout of a stencil depends only on the slot sizes, the set and the base
+steps; it is built once and kept (`_layout`).  All differences share one
+non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  The integrators
@@ -155,8 +156,9 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued map, shape (m, n),
-    from two one-point calls of `f` per coordinate."""
+    """Central-difference Jacobian of a vector-valued map, shape (m, n), or
+    gradient of a scalar function, shape (n,), from two one-point calls of
+    `f` per coordinate."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, h0)
     e = np.diag(h)
@@ -204,102 +206,87 @@ def fd_second(f: Callable[..., float], args: Sequence, outer: int, inner: int,
 
 class _Layout:
     """The stencil of a set of gradients (outer, None) and blocks (outer,
-    inner) of a function of argument slots of the given sizes: the points
-    of the one-point loops, in their order, for `fd_blocks`.
+    inner) of a function of argument slots of the given sizes, at base
+    steps `h0` (blocks) and `h0_gradient` (gradients): the points of the
+    one-point loops, in their order, for `fd_blocks`.
 
-    A stencil point is (x + a*h) + b*h over the joint coordinates x of all
-    argument slots, with h the steps of its rule and a, b signed multiples
-    of unit shifts.  A coordinate that a point does not move gets a signed
-    zero: +0.0 or -0.0 inside a moved slot, as the one-point loops add and
-    subtract their shift vectors, and -0.0 (which leaves every float, -0.0
-    included, as it is) in a held slot.
+    A stencil point is x + shift*h over the joint coordinates x of all
+    argument slots, with h = base * max(1, |x|) the steps of its rule.  The
+    one-point loops add one shift vector, or for a cross point two, one
+    after the other; `shift` (P, n) is their sum, which gives the same
+    bits: a moved coordinate is nonzero, and a coordinate that no vector
+    moves gets the signed zero that the loops add to it, +0.0 or -0.0
+    inside a moved slot and -0.0 (which leaves every float, -0.0 included,
+    as it is) in a held slot.  `base` (P, 1) is the base step of each
+    point.
 
-    `a`, `b`: the shift multiples (P, n) of the P points (`b` None when no
-    point has a second shift); `gradient`: True where a point takes the
-    gradient step, and `steps`: whether any point takes the second-
-    difference step and the gradient step.  `rules` lists, for the entries
-    of each kind present, the rule, whether it takes the gradient step, and
-    index rows: the points of each entry (+2h, +h, -h and -2h of a
-    gradient entry, plus, centre and minus of a diagonal second
-    difference, ++, +-, -+ and -- of a cross difference) and its
-    coordinates in the joint point.  `takes[k]` gives pair k's result,
-    entry by entry, as indices into the entries of all kinds in that
-    order."""
+    `entries` lists each difference as (rule, points, steps), grouped by
+    rule (gradients, diagonals, crosses): its points (+2h, +h, -h and -2h
+    of a gradient entry, plus, centre and minus of a diagonal second
+    difference, ++, +-, -+ and -- of a cross difference) and its steps as
+    flat indices into the (P, n) steps.  `rules` holds the entries of each
+    rule as index arrays, and `takes[k]` gives pair k's result, entry by
+    entry, as indices into `entries`."""
 
-    KINDS = ("gradient", "diagonal", "cross")
-
-    def __init__(self, sizes: tuple[int, ...], pairs: tuple):
+    def __init__(self, sizes: tuple[int, ...], pairs: tuple, h0: float, h0_gradient: float):
         edges = np.cumsum((0,) + sizes).tolist()
         self.n, self.spans = edges[-1], list(zip(edges[:-1], edges[1:]))
-        shifts: list[tuple[np.ndarray, np.ndarray, bool]] = []
-        entries: dict[str, list] = {kind: [] for kind in self.KINDS}
+        shifts, bases, entries, takes = [], [], [], []
 
-        def shift(move):
+        def point(base, *moves):  # each move (slot, coordinate, multiple)
             w = np.full(self.n, -0.0)
-            if move is not None:
-                slot, coord, mult = move
+            for slot, coord, mult in moves:
+                move = np.full(self.n, -0.0)
                 lo, hi = self.spans[slot]
-                w[lo:hi] = math.copysign(0.0, mult)
-                w[lo + coord] = mult
-            return w
-
-        def point(gradient, a=None, b=None):
-            shifts.append((shift(a), shift(b), gradient))
+                move[lo:hi] = math.copysign(0.0, mult)
+                move[lo + coord] = mult
+                w += move
+            shifts.append(w)
+            bases.append(base)
             return len(shifts) - 1
 
-        def entry(kind, *row):
-            entries[kind].append(row)
-            return kind, len(entries[kind]) - 1
+        def entry(rule, points, *coords):  # its steps are read at its first point
+            entries.append((rule, points, [points[0] * self.n + c for c in coords]))
+            return len(entries) - 1
 
-        tagged = []  # per pair: the shape of its result and its entries in order
         for outer, inner in pairs:
             lo, size = self.spans[outer][0], sizes[outer]
             if inner is None:
-                tagged.append(((size,), [entry("gradient", *(point(True, (outer, i, mult))
-                                                             for mult in (2.0, 1.0, -1.0, -2.0)),
-                                               lo + i)
-                                         for i in range(size)]))
+                takes.append(np.array([entry(0, [point(h0_gradient, (outer, i, m))
+                                                 for m in (2.0, 1.0, -1.0, -2.0)], lo + i)
+                                       for i in range(size)], dtype=int))
                 continue
             ilo, isize = self.spans[inner][0], sizes[inner]
-            cell = [[None] * isize for _ in range(size)]
-            centre = point(False) if outer == inner else None
+            cell = np.empty((size, isize), dtype=int)
+            centre = point(h0) if outer == inner else None
             for i in range(size):
                 if outer == inner:
-                    cell[i][i] = entry("diagonal", point(False, (outer, i, 1.0)), centre,
-                                       point(False, (outer, i, -1.0)), lo + i)
+                    cell[i, i] = entry(1, [point(h0, (outer, i, 1.0)), centre,
+                                           point(h0, (outer, i, -1.0))], lo + i)
                 for j in range(i + 1 if outer == inner else 0, isize):
-                    corners = [point(False, (outer, i, si), (inner, j, sj))
-                               for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-                    cell[i][j] = entry("cross", *corners, lo + i, ilo + j)
+                    cell[i, j] = entry(2, [point(h0, (outer, i, si), (inner, j, sj))
+                                           for si, sj in ((1.0, 1.0), (1.0, -1.0),
+                                                          (-1.0, 1.0), (-1.0, -1.0))],
+                                       lo + i, ilo + j)
                     if outer == inner:
-                        cell[j][i] = cell[i][j]
-            tagged.append(((size, isize), [tag for row in cell for tag in row]))
-        self.a = np.array([wa for wa, _, _ in shifts]).reshape(-1, self.n)
-        self.b = np.array([wb for _, wb, _ in shifts]).reshape(-1, self.n)
-        if np.all(self.b == 0.0):
-            self.b = None  # every b is -0.0: adding it changes no bit
-        self.gradient = np.array([g for _, _, g in shifts], dtype=bool)
-        any_gradient = bool(self.gradient.any())
-        self.steps = (not (any_gradient and self.gradient.all()), any_gradient)
-        self.rules = []
-        for kind, rule, coords in zip(self.KINDS, (_five_point, _second, _cross), (1, 1, 2)):
-            if entries[kind]:
-                rows = np.array(entries[kind], dtype=int).T
-                self.rules.append((rule, kind == "gradient", rows[:-coords], rows[-coords:]))
-        # the same entries one by one, (rule, gradient step, points, coordinates)
-        self.each = [(rule, on_gradient, row[:len(points)], row[len(points):])
-                     for rule, on_gradient, points, coords in self.rules
-                     for row in np.vstack([points, coords]).T.tolist()]
-        offset = dict(zip(self.KINDS, np.cumsum([0] + [len(entries[k]) for k in self.KINDS])))
-        self.takes = [np.array([offset[kind] + k for kind, k in tags], dtype=int).reshape(shape)
-                      for shape, tags in tagged]
+                        cell[j, i] = cell[i, j]
+            takes.append(cell)
+        self.shift = np.array(shifts).reshape(-1, self.n)
+        self.base = np.array(bases).reshape(-1, 1)
+        order = sorted(range(len(entries)), key=lambda e: entries[e][0])
+        rules = (_five_point, _second, _cross)
+        self.entries = [(rules[entries[e][0]],) + entries[e][1:] for e in order]
+        self.rules = [(rules[r], *(np.array(part, dtype=int).T for part in zip(*group)))
+                      for r in range(3)
+                      if (group := [entries[e][1:] for e in order if entries[e][0] == r])]
+        self.takes = [np.argsort(order)[take] for take in takes]
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(sizes: tuple[int, ...], pairs: tuple) -> _Layout:
+def _layout(sizes: tuple[int, ...], pairs: tuple, h0: float, h0_gradient: float) -> _Layout:
     """The one kept state of this module: each stencil layout, built once
-    per (slot sizes, pairs) and never changed after that."""
-    return _Layout(sizes, pairs)
+    per (slot sizes, pairs, base steps) and never changed after that."""
+    return _Layout(sizes, pairs, h0, h0_gradient)
 
 
 def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
@@ -325,35 +312,25 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
     args = [np.asarray(a, dtype=float) for a in args]
     lead = args[0].shape[:-1]
     count = math.prod(lead)
-    lay = _layout(tuple([a.shape[-1] for a in args]), pairs)
-    if lead:
-        x = np.concatenate([a.reshape(count, a.shape[-1]) for a in args], axis=1)
-    else:
-        x = np.concatenate(args)[None]
-    second = _steps(x, h0) if lay.steps[0] else None
-    gradient = _steps(x, h0_gradient) if lay.steps[1] else None
-    if second is None or gradient is None:
-        h = (gradient if second is None else second)[:, None, :]
-    else:
-        h = np.where(lay.gradient[:, None], gradient[:, None, :], second[:, None, :])
-    pts = x[:, None, :] + lay.a * h
-    if lay.b is not None:
-        pts += lay.b * h
-    pts = pts.reshape(count * len(lay.a), lay.n)
+    lay = _layout(tuple([a.shape[-1] for a in args]), pairs, h0, h0_gradient)
+    x = np.concatenate(args, axis=-1).reshape(count, 1, lay.n)
+    h = lay.base * np.maximum(1.0, np.abs(x))  # the steps (count, P, n)
+    pts = (x + lay.shift * h).reshape(-1, lay.n)
     slots = [pts[:, lo:hi] for lo, hi in lay.spans]
-    if rows:  # array arithmetic over all entries and rows
-        vals = np.asarray(f(*slots), dtype=float).reshape(count, len(lay.a)).T
-        parts = [rule(*vals[points], *(gradient if on_gradient else second).T[coords])
-                 for rule, on_gradient, points, coords in lay.rules]
-        entries = (parts[0] if len(parts) == 1 else np.concatenate(parts + [vals[:0]])).T
-    else:  # float arithmetic entry by entry, cheaper on a few points
-        vals = [f(*point) for point in zip(*slots)]
-        by_rule = [[] if h is None else h.tolist() for h in (second, gradient)]
-        entries = np.array([
-            [rule(*[vals[r * len(lay.a) + k] for k in points],
-                  *[by_rule[on_gradient][r][c] for c in coords])
-             for rule, on_gradient, points, coords in lay.each]
-            for r in range(count)], dtype=float).reshape(count, len(lay.each))
+    vals = np.asarray(f(*slots) if rows else [f(*point) for point in zip(*slots)],
+                      dtype=float).reshape(count, -1)
+    if count == 1:
+        # Python floats, entry by entry: at one point this whole call is
+        # 15-25% cheaper than with the array arithmetic below (in-process,
+        # on the benchmark's quartic set 56 against 76 us, magnetic 59
+        # against 77, rotor twin metric set 57 against 64)
+        v, s = vals[0].tolist(), h.ravel().tolist()
+        entries = np.array([[rule(*[v[k] for k in points], *[s[k] for k in steps])
+                             for rule, points, steps in lay.entries]])
+    else:
+        v, s = vals.T, h.reshape(count, -1).T
+        entries = np.concatenate([rule(*v[points], *s[steps])
+                                  for rule, points, steps in lay.rules] + [v[:0]]).T
     out = [entries[:, take].reshape(lead + take.shape) for take in lay.takes]
     if not np.isfinite(entries).all():
         for d in out:

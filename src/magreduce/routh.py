@@ -63,8 +63,8 @@ class InvariantLagrangian:
     in `reduced_metric`, which makes the reduced flow a handful of small
     matrix products.
 
-    An `ell` marked with `numerics.takes_rows` keeps its mark on `value`:
-    then every values-only derivative is one stacked stencil call (rule 3
+    An `ell` marked with `numerics.takes_rows` (and `value` with it) takes
+    rows: then every values-only derivative is one stacked stencil call (rule 3
     over rows), and `metric_blocks` gives the five blocks of the reduced
     equations and dell/dx from one.  An unmarked `ell` is called at one
     point at a time, stencil point by stencil point and row by row.
@@ -102,7 +102,8 @@ class InvariantLagrangian:
     @cached_property
     def value(self) -> Callable[..., float]:
         """ell as a float at one point, and at stacked rows too (marked so)
-        when `ell` takes rows."""
+        when `ell` takes rows.  The supplies difference `ell` itself, since
+        `numerics.fd_blocks` takes its values as floats."""
         return numerics.scalar_value(self.ell)
 
     def _spec(self, outer: int, inner: int | None = None) -> tuple:
@@ -115,7 +116,7 @@ class InvariantLagrangian:
         return outer, inner, first, second
 
     def _supply(self, outer: int, inner: int | None = None) -> Callable:
-        return numerics.supply(self.value, *self._spec(outer, inner))
+        return numerics.supply(self.ell, *self._spec(outer, inner))
 
     @cached_property
     def grad_x(self) -> Callable:
@@ -161,7 +162,7 @@ class InvariantLagrangian:
         row-marked first derivative share its stencil, and those differenced
         from the values share one: a row-marked `ell` with no derivatives
         gives all six from one stacked stencil call."""
-        return numerics.supply_blocks(self.value, [self._spec(*pair) for pair in (
+        return numerics.supply_blocks(self.ell, [self._spec(*pair) for pair in (
             (2, 2), (2, 1), (2, 0), (1, 1), (1, 0), (0, None))])
 
 
@@ -214,7 +215,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
-    dv = dpotential or ((lambda x: numerics.fd_gradient(v, np.atleast_1d(x)))
+    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, np.atleast_1d(x)))
                         if potential else (lambda x: np.zeros(sdim)))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T

@@ -471,3 +471,27 @@ def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
     calls.clear()
     routh._assemble_metric(twin, y[:1], y[1:2], chi)
     assert len(calls) == metric
+
+
+def test_potential_gradient_fallbacks_match_the_analytic_gradient():
+    # a potential given without its gradient is differenced by the central
+    # rule at H_GRADIENT (fd_jacobian), not by rule 3's five-point gradient,
+    # whose steps would reach 6e-3 at |x| = 3: the shape gradient of
+    # quadratic_invariant_lagrangian and BeanieParams' dpotential match the
+    # analytic gradient over |x| <= 3
+    def pot(x):
+        return 0.8 * (1.0 - np.cos(x[0])) + 0.05 * x[0] ** 4 + np.sin(x[0] * x[-1])
+
+    def dpot(x):
+        g = np.array([0.8 * np.sin(x[0]) + 0.2 * x[0] ** 3, 0.0])[:x.size]
+        g[0] += x[-1] * np.cos(x[0] * x[-1])
+        g[-1] += x[0] * np.cos(x[0] * x[-1])
+        return g
+
+    lag = routh.quadratic_invariant_lagrangian(2, lie.so3(), np.eye(2), np.zeros((2, 3)), C,
+                                               potential=pot)
+    beanie = models.BeanieParams(potential=pot)
+    rng = np.random.default_rng(11)
+    for x in rng.uniform(-3.0, 3.0, (200, 2)):
+        assert np.max(np.abs(lag.grad_x(x, np.zeros(2), np.zeros(3)) + dpot(x))) <= 5e-9
+        assert np.max(np.abs(beanie.dpotential(x[:1]) - dpot(x[:1]))) <= 5e-9
