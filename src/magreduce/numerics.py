@@ -161,7 +161,8 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     `f` per coordinate."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, h0)
-    e = np.diag(h)
+    e = np.zeros((x.size, x.size))
+    e.flat[::x.size + 1] = h  # np.diag(h) without the cost of its wrapper
     return _finite(np.array([_central(f(x + e[i]), f(x - e[i]), h[i])
                              for i in range(x.size)], dtype=float), False).T
 
@@ -279,7 +280,9 @@ class _Layout:
         self.rules = [(rules[r], *(np.array(part, dtype=int).T for part in zip(*group)))
                       for r in range(3)
                       if (group := [entries[e][1:] for e in order if entries[e][0] == r])]
-        self.takes = [np.argsort(order)[take] for take in takes]
+        position = np.empty(len(order), dtype=int)  # of each entry in `entries`
+        position[order] = np.arange(len(order))
+        self.takes = [position[take] for take in takes]
 
 
 @functools.lru_cache(maxsize=256)
