@@ -116,11 +116,10 @@ class MagneticSystem:
     may stand for two derivatives that share their work, each returning the
     pair from one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), and
     `dL_dq_vq(q, v, p)` for (dL/dq, d2L/dv dq).  A `lagrangian` marked with
-    `numerics.takes_rows` (and `value` with it) takes rows, so every
-    values-only derivative is one stacked stencil call, and a right-hand
-    side point takes all of its values-only derivatives from one (`jet`).
-    An unmarked `lagrangian` is called at one point at a time, and an
-    unmarked `bform` once per row.
+    `numerics.takes_rows` takes rows, so every values-only derivative is
+    one stacked stencil call, and a right-hand side point takes all of its
+    values-only derivatives from one (`jet`).  An unmarked `lagrangian` is
+    called at one point at a time, and an unmarked `bform` once per row.
     """
     n: int
     k: int
@@ -155,12 +154,10 @@ class MagneticSystem:
     # sys.<name>(q, v, p), slot 0 = q, 1 = v, 2 = p.  With k = 0 the fibre
     # slots are empty.
 
-    @cached_property
-    def value(self) -> Callable[..., float]:
-        """L as a float at one point, and at stacked rows too (marked so)
-        when `lagrangian` takes rows.  The supplies difference `lagrangian`
+    def value(self, q, v, p) -> float:
+        """L as a float at one point.  The supplies difference `lagrangian`
         itself, since `numerics.fd_blocks` takes its values as floats."""
-        return numerics.scalar_value(self.lagrangian)
+        return float(self.lagrangian(q, v, p))
 
     def _spec(self, outer: int, inner: int | None = None) -> tuple:
         """(outer, inner, first, second) of `numerics.supply` for dL/dq

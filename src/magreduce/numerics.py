@@ -497,21 +497,6 @@ def takes_rows(fn: Callable) -> Callable:
     return fn
 
 
-def scalar_value(fn: Callable[..., float]) -> Callable[..., float]:
-    """A scalar function of array slots as a float at one point.  When `fn`
-    takes rows, so does the result, and it is marked: stacked rows give one
-    value per row, as an array."""
-    if not rows_ok(fn):
-        return lambda *args: float(fn(*args))
-
-    @takes_rows
-    def value(*args):
-        out = fn(*args)
-        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
-    return value
-
-
 def rows_ok(*fns: Callable | None) -> bool:
     """True when every callable is given and marked with `takes_rows`."""
     return all(getattr(fn, "takes_rows", False) for fn in fns)

@@ -63,10 +63,10 @@ class InvariantLagrangian:
     in `reduced_metric`, which makes the reduced flow a handful of small
     matrix products.
 
-    An `ell` marked with `numerics.takes_rows` (and `value` with it) takes
-    rows: then every values-only derivative is one stacked stencil call (rule 3
-    over rows), and `metric_blocks` gives the five blocks of the reduced
-    equations and dell/dx from one.  An unmarked `ell` is called at one
+    An `ell` marked with `numerics.takes_rows` takes rows: then every
+    values-only derivative is one stacked stencil call (rule 3 over rows),
+    and `metric_blocks` gives the five blocks of the reduced equations and
+    dell/dx from one.  An unmarked `ell` is called at one
     point at a time, stencil point by stencil point and row by row.
     """
     sdim: int
@@ -99,12 +99,10 @@ class InvariantLagrangian:
     # first use and kept with the Lagrangian; each is called as
     # lag.<name>(x, xdot, xi), slot 0 = x, 1 = xdot, 2 = xi
 
-    @cached_property
-    def value(self) -> Callable[..., float]:
-        """ell as a float at one point, and at stacked rows too (marked so)
-        when `ell` takes rows.  The supplies difference `ell` itself, since
-        `numerics.fd_blocks` takes its values as floats."""
-        return numerics.scalar_value(self.ell)
+    def value(self, x, xdot, xi) -> float:
+        """ell as a float at one point.  The supplies difference `ell`
+        itself, since `numerics.fd_blocks` takes its values as floats."""
+        return float(self.ell(x, xdot, xi))
 
     def _spec(self, outer: int, inner: int | None = None) -> tuple:
         """(outer, inner, first, second) of `numerics.supply` for d ell /
