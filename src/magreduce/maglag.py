@@ -20,6 +20,7 @@ their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
@@ -231,13 +232,17 @@ class MagneticSystem:
         joint, parts = (None, ()) if name is None else (getattr(self, name), _JOINTS[name])
         rest = [at for at in used if at not in parts]
         blocks = numerics.supply_blocks(self.lagrangian, [self._spec(*at) for at in rest])
-        keep = [at if at in used else None for at in _JET]
+        # each result's place in blocks' results, then the joint pair's,
+        # and -1 (the None appended last) for a result not evaluated
+        found = rest + list(parts)
+        pick = operator.itemgetter(*(found.index(at) if at in used else -1 for at in _JET))
 
         def jet(q, v, p):
-            out = dict(zip(rest, blocks(q, v, p)))
+            out = blocks(q, v, p)
             if joint is not None:
-                out.update(zip(parts, (np.asarray(g, dtype=float) for g in joint(q, v, p))))
-            return tuple(out.get(at) for at in keep)
+                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
+            out.append(None)
+            return pick(out)
 
         return jet
 

@@ -322,11 +322,12 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
     slots = [pts[:, lo:hi] for lo, hi in lay.spans]
     vals = np.asarray(f(*slots) if rows else [f(*point) for point in zip(*slots)],
                       dtype=float).reshape(count, -1)
+    # at one point on Python floats, entry by entry, and over rows on arrays,
+    # rule by rule: per call, in-process, floats against arrays took 56
+    # against 76 us at one point of fd_supply's quartic set, 59 against 77
+    # of its magnetic set, 57 against 64 of the rotor twin's metric set,
+    # and 1353 against 288 us at 50 rows of that twin set
     if count == 1:
-        # Python floats, entry by entry: at one point this whole call is
-        # 15-25% cheaper than with the array arithmetic below (in-process,
-        # on the benchmark's quartic set 56 against 76 us, magnetic 59
-        # against 77, rotor twin metric set 57 against 64)
         v, s = vals[0].tolist(), h.ravel().tolist()
         entries = np.array([[rule(*[v[k] for k in points], *[s[k] for k in steps])
                              for rule, points, steps in lay.entries]])
