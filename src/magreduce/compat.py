@@ -141,7 +141,8 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     """Inverse of psi: recover the F-fibre coordinate p from the fibre
     momentum of a point on the smaller bundle (beta must be fibre-regular).
     Stacked states z2 (N, dim) are inverted as solve_psi solves them; the
-    Jacobian in p is one stencil_jacobian call."""
+    Jacobian in p is one fd_jacobian_rows call over the stencil of the
+    slot p."""
     z2 = np.asarray(z2, dtype=float)
     q2, v2, pbar = pair.split2(z2)
     n1 = pair.n1
@@ -157,7 +158,7 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         return mismatch(q, qbar, pbar, p, target)
 
     def jacobian(p):
-        return numerics.stencil_jacobian(mismatch, (q, qbar, pbar, p, target), 3)
+        return numerics.fd_jacobian_rows(mismatch, (q, qbar, pbar, p, target), 3)
 
     p = numerics.invert(residual, np.zeros(target.shape), jacobian,
                         "beta fibre inversion failed")
@@ -183,7 +184,8 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     coefficients are differenced numerically, and the second derivatives
     difference these gradients.  dL1/dq and dL1/dp come together from one
     callable (`dL_dqp`): one psi solve, one stencil of beta and one
-    two-slot stencil of the connection term serve both.  The exterior
+    two-slot stencil of the connection term (the slots q and qbar of one
+    `numerics.fd_jacobian_rows` call) serve both.  The exterior
     derivative of the coordinate 1-form beta_a (dqbar^a + Gamma^a_i dq^i)
     is taken by central differences at step H_SECOND.  `lagrangian`,
     `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
@@ -209,7 +211,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     def dbeta_at(p1):
         # (vf, n1+k1) per point: the stencil of all points in one call
-        return numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), p1)
+        return numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), (p1,))
 
     @numerics.takes_rows
     def lagrangian(q, v, pfib):
@@ -231,7 +233,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         # beta . (d Gamma / d zeta) qdot for zeta ranging over q and over
         # qbar, from one stencil
         args = (q2[..., :n1], q2[..., n1:], b, qdot)
-        return [d[..., 0, :] for d in numerics.stencil_jacobian(pairing, args, (0, 1))]
+        return [d[..., 0, :] for d in numerics.fd_jacobian_rows(pairing, args, (0, 1))]
 
     @numerics.takes_rows
     def dl_dqp(q, v, pfib):

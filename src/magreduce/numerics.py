@@ -4,12 +4,12 @@ Finite differences and the derivative supply rule built on them
 (`supply`), a dense Newton solver, fixed-step RK4 and the embedded
 Fehlberg 4(5) pair, and the Lie-group reconstruction step.
 
-Every Jacobian is the central difference (f(x + h e_i) - f(x - h e_i)) /
-2h, h = h0*max(1, |x_i|), by the per-point loop (`fd_jacobian`) or by the
-stacked stencil (`fd_jacobian_rows`: one call of a row-capable f for the
-stencil of one point or of rows; `stencil_jacobian` runs it over the
-joint stencil of one or several argument slots, so several Jacobians of
-one callable cost one call).  Rule 3, the derivatives of a values-only
+Every Jacobian (rule 2 of `supply`) is the central difference
+(f(x + h e_i) - f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), in an argument
+slot of f, by the per-point loop (`fd_jacobian`) or by the stacked
+stencil (`fd_jacobian_rows`: one call of a row-capable f over the joint
+stencil of one or several slots, at one point or at rows), with the same
+bits.  Rule 3, the derivatives of a values-only
 function, is one routine, `fd_blocks`: every gradient (the fourth-order
 five-point difference, step H_FIVE_POINT) and every second-difference
 block of a set, from one stencil over their joint points, which a
@@ -18,9 +18,9 @@ function one point at a time; `fd_gradient` and `fd_second` are its
 one-point calls for one gradient or one block.  Both ways have the same
 points, steps and arithmetic (`_five_point`, `_second`, `_cross`, on
 floats at one point and on arrays over rows), so the same bits.  The
-layout of a stencil depends only on the slot sizes, the set and the base
-steps; it is built once and kept (`_layout`).  All differences share one
-non-finite rule (`_finite`).
+layout of a stencil depends only on the slot sizes (and the set and the
+base steps); it is built once and kept (`_signs`, `_layout`).  All
+differences share one non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  The integrators
@@ -47,6 +47,7 @@ send rows to rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -154,40 +155,73 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return fd_blocks(f, (x,), ((0, None),), h0_gradient=h0, rows=False)[0]
 
 
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+def fd_jacobian(f: Callable[..., np.ndarray], args: Sequence, slot: int = 0,
                 h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued map, shape (m, n), or
-    gradient of a scalar function, shape (n,), from two one-point calls of
-    `f` per coordinate."""
-    x = np.asarray(x, dtype=float)
+    """Central-difference Jacobian in `args[slot]` of a vector-valued
+    `f(*args)`, shape (m, n), or gradient of a scalar one, shape (n,), from
+    two one-point calls of `f` per coordinate, at x + h e_i and x - h e_i."""
+    args = list(args)
+    x = np.asarray(args[slot], dtype=float)
     h = _steps(x, h0)
     e = np.zeros((x.size, x.size))
     e.flat[::x.size + 1] = h  # np.diag(h) without the cost of its wrapper
-    return _finite(np.array([_central(f(x + e[i]), f(x - e[i]), h[i])
+
+    def at(z):
+        args[slot] = z
+        return f(*args)
+
+    return _finite(np.array([_central(at(x + e[i]), at(x - e[i]), h[i])
                              for i in range(x.size)], dtype=float), False).T
 
 
-def fd_jacobian_rows(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                     h0: float = H_GRADIENT) -> np.ndarray:
-    """The stacked stencil: central-difference Jacobians in one call of `f`.
+@functools.lru_cache(maxsize=256)
+def _signs(sizes: tuple[int, ...]) -> tuple[np.ndarray, list]:
+    """The central stencil of slots of these sizes, kept: signs (2, n, n)
+    [sign, moved coordinate, coordinate] and each slot's span.  Point
+    x + h_i signs[sign, i] moves coordinate i by +-h_i, the rest of its slot
+    by +0.0 or -0.0 (x + 0.0, x - 0.0) as fd_jacobian does, and every other
+    slot by -0.0, which leaves any float as it is."""
+    edges = list(itertools.accumulate(sizes, initial=0))
+    n, spans = edges[-1], list(zip(edges[:-1], edges[1:]))
+    signs = np.full((2, n, n), -0.0)
+    for lo, hi in spans:
+        signs[0, lo:hi, lo:hi] = 0.0
+    signs.reshape(2, -1)[:, ::n + 1] = ((1.0,), (-1.0,))
+    return signs, spans
 
-    `f` maps stacked rows (M, n) to stacked values (M, m) or (M,).  For one
-    point x (n,) or stacked points x (N, n), the whole stencil (2n shifted
-    copies of each point, with the steps and values of fd_jacobian) is
-    passed to `f` at once, point by point; returns (m, n) or (N, m, n).  A
-    non-finite value raises ValueError naming the row (for stacked points)
-    and the coordinate."""
-    x = np.asarray(x, dtype=float)
-    lead, n = x.ndim - 1, x.shape[-1]  # lead: 1 for stacked points, 0 for one
-    pts = x.reshape(-1, n)
-    h = _steps(pts, h0)
-    shift = h[:, :, None] * np.eye(n)
-    pts = np.concatenate([pts[:, None, :] + shift, pts[:, None, :] - shift], axis=1)
-    vals = np.asarray(f(pts.reshape(-1, n)), dtype=float)
+
+def fd_jacobian_rows(f: Callable[..., np.ndarray], args: Sequence,
+                     slots: int | Sequence[int] = 0, h0: float = H_GRADIENT):
+    """The stacked stencil: central-difference Jacobians of `f(*args)` in the
+    argument slots `slots`, at one point or at stacked rows of every
+    argument, from one call of `f`, which must take rows.
+
+    The slots are joined into one point of size n.  Its 2n stencil points
+    (plus, then minus) move one slot as fd_jacobian does and hold every
+    other argument exactly at the centre, so each slot gets the bits of its
+    own call; every argument goes to `f` as one row per stencil point.  An
+    int `slots` returns its Jacobian, (m, n) or (N, m, n) for rows (no m for
+    a scalar f); a sequence returns one per slot.  A non-finite value names
+    the row (for rows) and the coordinate of the joint point."""
+    one = isinstance(slots, (int, np.integer))
+    slots = [slots] if one else list(slots)
+    args = [np.asarray(a, dtype=float if i in slots else None) for i, a in enumerate(args)]
+    x = np.concatenate([args[s] for s in slots], axis=-1)
+    lead, n = x.ndim - 1, x.shape[-1]  # lead: 1 for stacked rows, 0 for one point
+    signs, spans = _signs(tuple([args[s].shape[-1] for s in slots]))
+    h = _steps(x.reshape(-1, n), h0)
+    # the stencil points, one per [row, sign, moved coordinate]
+    pts = (x.reshape(-1, 1, 1, n) + h[:, None, :, None] * signs).reshape(-1, n)
+    span = dict(zip(slots, spans))
+    stencil = [np.ascontiguousarray(pts[:, span[i][0]:span[i][1]]) if i in span
+               else a.reshape((len(h),) + a.shape[lead:]).repeat(2 * n, axis=0)
+               for i, a in enumerate(args)]
+    vals = np.asarray(f(*stencil), dtype=float)
     vals = vals.reshape((len(h), 2, n) + vals.shape[1:])
     d = _central(vals[:, 0], vals[:, 1], h.reshape(h.shape + (1,) * (vals.ndim - 3)))
     d = _finite(d.reshape(x.shape[:-1] + d.shape[1:]), lead == 1)
-    return d.swapaxes(lead, -1)
+    d = d.swapaxes(lead, -1)
+    return d if one else [d[..., lo:hi] for lo, hi in spans]
 
 
 def fd_second(f: Callable[..., float], args: Sequence, outer: int, inner: int,
@@ -287,8 +321,9 @@ class _Layout:
 
 @functools.lru_cache(maxsize=256)
 def _layout(sizes: tuple[int, ...], pairs: tuple, h0: float, h0_gradient: float) -> _Layout:
-    """The one kept state of this module: each stencil layout, built once
-    per (slot sizes, pairs, base steps) and never changed after that."""
+    """Each rule-3 stencil layout, built once per (slot sizes, pairs, base
+    steps) and never changed after that; with `_signs`, the only
+    state this module keeps."""
     return _Layout(sizes, pairs, h0, h0_gradient)
 
 
@@ -342,17 +377,6 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
     return out
 
 
-def _vary(fn: Callable, args: tuple, slot: int) -> Callable[[np.ndarray], object]:
-    """`fn` as a function of argument `slot` alone, the others fixed."""
-    fixed = list(args)
-
-    def of_slot(z):
-        fixed[slot] = z
-        return fn(*fixed)
-
-    return of_slot
-
-
 def supply(value: Callable[..., float], outer: int, inner: int | None = None,
            first: Callable | None = None, second: Callable | None = None
            ) -> Callable[..., np.ndarray]:
@@ -363,9 +387,9 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
     (len(args[outer]), len(args[inner])).  One fallback rule:
 
     1. the analytic callable: `first` for a gradient, `second` for a block;
-    2. a block with an analytic `first`: fd_jacobian of `first` (H_GRADIENT);
-       when `first` takes rows, its whole stencil is one fd_jacobian_rows
-       call, on the points and steps of fd_jacobian (`stencil_jacobian`);
+    2. a block with an analytic `first`: fd_jacobian of `first` in slot
+       `inner` (H_GRADIENT); when `first` takes rows, its whole stencil is
+       one fd_jacobian_rows call, on the points and steps of fd_jacobian;
     3. values only: fd_blocks of `value`, the five-point gradient
        (H_FIVE_POINT) or the second-difference block (H_SECOND), diagonal
        (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows, its whole
@@ -390,11 +414,9 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
         pairs, rows = ((outer, inner),), rows_ok(value)
         return takes_rows(lambda *args: fd_blocks(value, args, pairs, rows=rows)[0])
     if stencil is not None:
-        return takes_rows(lambda *args: stencil_jacobian(first, args, inner))
-    if analytic is not None:
-        point = analytic
-    else:
-        point = lambda *args: fd_jacobian(_vary(first, args, inner), args[inner])  # noqa: E731
+        return takes_rows(lambda *args: fd_jacobian_rows(first, args, inner))
+    point = analytic if analytic is not None else (
+        lambda *args: fd_jacobian(first, args, inner))
 
     @takes_rows
     def rows(*args):
@@ -426,7 +448,7 @@ def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
     rows.
 
     The blocks that rule 2 differences from one row-marked `first` share
-    one stencil_jacobian call over the joint stencil of their slots, and
+    one fd_jacobian_rows call over the joint stencil of their slots, and
     the gradients and blocks that rule 3 differences from `value` share
     one fd_blocks stencil (one call of a row-marked `value`, the same
     one-point calls as apart otherwise); every other result is its own
@@ -441,7 +463,7 @@ def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
             shared.append((where, lambda args, p=pairs, r=rows: fd_blocks(value, args, p, rows=r)))
         else:
             slots = [specs[at][1] for at in where]
-            shared.append((where, lambda args, f=key, s=slots: stencil_jacobian(f, args, s)))
+            shared.append((where, lambda args, f=key, s=slots: fd_jacobian_rows(f, args, s)))
     own = [(at, supply(value, *specs[at])) for at, key in enumerate(by) if key is None]
 
     @takes_rows
@@ -455,40 +477,6 @@ def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
         return out
 
     return blocks
-
-
-def stencil_jacobian(fn: Callable, args: tuple, slots: int | Sequence[int],
-                     h0: float = H_GRADIENT):
-    """Central-difference Jacobians of `fn(*args)` in the argument slots
-    `slots`, at one point or at stacked rows of every argument, by one
-    fd_jacobian_rows call over the joint stencil: `fn` must take rows.
-
-    The arguments of the slots are joined, slot after slot, into one point
-    of size n, and every argument is repeated over the 2n stencil points of
-    its row.  A stencil point moves the coordinates of one slot as
-    fd_jacobian_rows moves them and keeps every other argument exactly at
-    its centre, so each slot gets the points, steps and values of its own
-    one-slot call.  An int `slots` returns its Jacobian, (m, n) or
-    (N, m, n) for rows; a sequence returns a list of them, one per slot.
-    A non-finite value names the coordinate of the joint point."""
-    one = isinstance(slots, (int, np.integer))
-    slots = [slots] if one else list(slots)
-    args = [np.asarray(a, dtype=float if i in slots else None) for i, a in enumerate(args)]
-    x = np.concatenate([args[s] for s in slots], axis=-1)
-    count, lead, n = math.prod(x.shape[:-1]), x.ndim - 1, x.shape[-1]
-    fixed = [a.reshape((count,) + a.shape[lead:]).repeat(2 * n, axis=0) for a in args]
-    edges = np.cumsum([0] + [args[s].shape[-1] for s in slots])
-    spans = list(zip(slots, edges[:-1], edges[1:]))
-
-    def of_stencil(pts):
-        # pts indexed [point, sign, moved coordinate, coordinate]
-        pts = pts.reshape(count, 2, n, n)
-        for s, lo, hi in spans:
-            fixed[s].reshape(count, 2, n, hi - lo)[:, :, lo:hi] = pts[:, :, lo:hi, lo:hi]
-        return fn(*fixed)
-
-    d = fd_jacobian_rows(of_stencil, x, h0)
-    return d if one else [d[..., lo:hi] for _, lo, hi in spans]
 
 
 def takes_rows(fn: Callable) -> Callable:
@@ -542,7 +530,7 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     passes one point as one stacked row.
     """
     # d[..., b, a] = d theta_b / d z_a
-    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, z, h0)
+    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, (z,), 0, h0)
     return np.swapaxes(d, -1, -2) - d
 
 

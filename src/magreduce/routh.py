@@ -213,7 +213,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
-    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, np.atleast_1d(x)))
+    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),)))
                         if potential else (lambda x: np.zeros(sdim)))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T

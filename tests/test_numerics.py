@@ -42,10 +42,10 @@ def test_fd_jacobian_rows_is_fd_jacobian_per_row(rng):
                                 np.exp(0.3 * z[:, 0])])
 
     x = rng.uniform(-3.0, 3.0, (7, 2))
-    jac = numerics.fd_jacobian_rows(f, x, 1e-4)
+    jac = numerics.fd_jacobian_rows(f, (x,), h0=1e-4)
     assert calls == [7 * 4]   # the whole central stencil in one call
     for row, j in zip(x, jac):
-        assert np.array_equal(j, numerics.fd_jacobian(lambda z: f(z[None])[0], row, 1e-4))
+        assert np.array_equal(j, numerics.fd_jacobian(lambda z: f(z[None])[0], (row,), h0=1e-4))
 
 
 def test_fd_mixed_cross_stencil():
@@ -199,36 +199,51 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
     one = lambda z: sign_aware(z[None])[0]  # noqa: E731
     scalar = lambda z: float(sign_aware(z[None])[0] @ [1.0, -2.0, 0.5])  # noqa: E731
     pairing = lambda u, w: sign_aware(u * w[:, :1])  # noqa: E731  (rows of both)
+    # with an empty argument between, as compat.invert_psi holds pbar when k2 = 0
+    padded = lambda u, e, w: pairing(np.concatenate([u, e], axis=-1), w)  # noqa: E731
     w = rng.uniform(-3.0, 3.0, (6, 2))
     w[2, 0] = -0.0  # the slots held at the centre keep the sign of a zero
     same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
     # marked: one point or stacked rows, as every marked callable takes
     marked = numerics.takes_rows(lambda z: sign_aware(np.atleast_2d(z)).reshape(np.shape(z)))
+
+    def of_slot(fn, args, slot):  # the one-point fn of args[slot] alone
+        return lambda z: fn(*[a[None] for a in args[:slot]], z[None],
+                            *[a[None] for a in args[slot + 1:]])[0]
+
     for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
         for i, row in enumerate(x):
             assert same(numerics.fd_gradient(scalar, row, h0),
                         ref_five_point_gradient(scalar, row, h0))
-            assert same(numerics.fd_jacobian(one, row, h0), ref_fd_jacobian(one, row, h0))
-            assert same(numerics.fd_jacobian_rows(sign_aware, row, h0),
+            assert same(numerics.fd_jacobian(one, (row,), h0=h0), ref_fd_jacobian(one, row, h0))
+            assert same(numerics.fd_jacobian_rows(sign_aware, (row,), h0=h0),
                         ref_fd_jacobian_rows(sign_aware, row, h0)[0])
-            assert same(numerics.stencil_jacobian(pairing, (row, w[i]), 0, h0),
-                        ref_stencil_jacobian(pairing, (row, w[i]), 0, h0))
-            for slots in ((0, 1), (1, 0), (1,)):
-                joint = numerics.stencil_jacobian(pairing, (row, w[i]), slots, h0)
-                assert len(joint) == len(slots)
-                for slot, jac in zip(slots, joint):
-                    assert same(jac, ref_stencil_jacobian(pairing, (row, w[i]), slot, h0))
+            for fn, args in ((pairing, (row, w[i])), (padded, (row, np.empty(0), w[i]))):
+                held = len(args) - 1  # the slot of w
+                for slot in (0, held):
+                    assert same(numerics.fd_jacobian(
+                        lambda *a: fn(*[z[None] for z in a])[0], args, slot, h0),
+                        ref_fd_jacobian(of_slot(fn, args, slot), args[slot], h0))
+                assert same(numerics.fd_jacobian_rows(fn, args, 0, h0),
+                            ref_stencil_jacobian(fn, args, 0, h0))
+                for slots in ((0, held), (held, 0), (held,)):
+                    joint = numerics.fd_jacobian_rows(fn, args, slots, h0)
+                    assert len(joint) == len(slots)
+                    for slot, jac in zip(slots, joint):
+                        assert same(jac, ref_stencil_jacobian(fn, args, slot, h0))
             assert same(numerics.fd_exterior_derivative(one, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
             # a marked 1-form at one point: the shape chooses, not the mark
             assert same(numerics.fd_exterior_derivative(marked, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
-        assert same(numerics.fd_jacobian_rows(sign_aware, x, h0),
+        assert same(numerics.fd_jacobian_rows(sign_aware, (x,), h0=h0),
                     ref_fd_jacobian_rows(sign_aware, x, h0))
-        assert same(numerics.stencil_jacobian(pairing, (x, w), 0, h0),
-                    ref_stencil_jacobian(pairing, (x, w), 0, h0))
-        for slot, jac in zip((1, 0), numerics.stencil_jacobian(pairing, (x, w), (1, 0), h0)):
-            assert same(jac, ref_stencil_jacobian(pairing, (x, w), slot, h0))
+        for fn, args in ((pairing, (x, w)), (padded, (x, np.empty((6, 0)), w))):
+            assert same(numerics.fd_jacobian_rows(fn, args, 0, h0),
+                        ref_stencil_jacobian(fn, args, 0, h0))
+            held = len(args) - 1
+            for slot, jac in zip((held, 0), numerics.fd_jacobian_rows(fn, args, (held, 0), h0)):
+                assert same(jac, ref_stencil_jacobian(fn, args, slot, h0))
         assert same(numerics.fd_exterior_derivative(sign_aware, x, h0),
                     ref_fd_exterior_derivative(sign_aware, x, h0))
 
@@ -303,10 +318,13 @@ def pocket(z):
 
 DIFFERENCING = {
     "fd_gradient": lambda x: numerics.fd_gradient(lambda z: float(pocket(z)[0, 0]), x),
-    "fd_jacobian": lambda x: numerics.fd_jacobian(lambda z: pocket(z)[0], x),
-    "fd_jacobian_rows": lambda x: numerics.fd_jacobian_rows(pocket, x),
-    "stencil_jacobian": lambda x: numerics.stencil_jacobian(
-        numerics.takes_rows(lambda z, s: pocket(z) * s), (x, np.ones(x.shape[:-1] + (1,))), 0),
+    "fd_jacobian": lambda x: numerics.fd_jacobian(lambda z: pocket(z)[0], (x,)),
+    "fd_jacobian_rows": lambda x: numerics.fd_jacobian_rows(pocket, (x,)),
+    # the joint stencil of two slots around a held one: coordinate 1 of
+    # the joint point is x_1
+    "fd_jacobian_rows_slots": lambda x: np.concatenate(numerics.fd_jacobian_rows(
+        lambda u, s, v: pocket(np.concatenate([u, v], -1)) * s,
+        (x[..., :1], np.ones(x.shape[:-1] + (1,)), x[..., 1:]), (0, 2)), -1),
     "fd_exterior_derivative": lambda x: numerics.fd_exterior_derivative(
         lambda z: np.concatenate([pocket(z), np.atleast_2d(z)[:, :1]], -1).reshape(z.shape), x),
 }
@@ -372,7 +390,7 @@ def test_newton_cubic_tracks_seed_basin():
     # roots of x^3 - x at -1, 0, 1
     f = lambda x: np.array([x[0] ** 3 - x[0]])
     for seed, root in ((0.9, 1.0), (-0.9, -1.0), (0.05, 0.0)):
-        res = numerics.newton_solve(f, np.array([seed]), lambda x: numerics.fd_jacobian(f, x))
+        res = numerics.newton_solve(f, np.array([seed]), lambda x: numerics.fd_jacobian(f, (x,)))
         assert abs(res.x[0] - root) < 1e-10
         # the branch is recorded: the trace starts at the seed
         assert res.trace[0][0][0] == seed
@@ -381,7 +399,7 @@ def test_newton_cubic_tracks_seed_basin():
 def test_newton_divergence_has_trace():
     f = lambda x: np.array([np.exp(x[0]) + 1.0])  # no real root
     with pytest.raises(NewtonConvergenceError) as err:
-        numerics.newton_solve(f, np.array([0.0]), lambda x: numerics.fd_jacobian(f, x))
+        numerics.newton_solve(f, np.array([0.0]), lambda x: numerics.fd_jacobian(f, (x,)))
     assert len(err.value.trace) >= 2
 
 
@@ -415,7 +433,7 @@ def test_newton_non_finite_residual_raises_with_trace():
 
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
-    res = numerics.newton_solve(f, np.array([1.0]), lambda x: numerics.fd_jacobian(f, x))
+    res = numerics.newton_solve(f, np.array([1.0]), lambda x: numerics.fd_jacobian(f, (x,)))
     resids = [r for _, r in res.trace if r > 1e-14]
     # residual ratios r_{k+1} / r_k^2 stay bounded for a quadratic method
     ratios = [resids[i + 1] / resids[i] ** 2 for i in range(len(resids) - 1)]
