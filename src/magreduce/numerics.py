@@ -714,8 +714,9 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
 
     An attempted step whose error norm is not finite raises
     NonFiniteStateError instead of shrinking the step.  A ValueError or
-    RegularityError of `f` is raised again with the start t of the failing
-    step."""
+    RegularityError of `f` at a trial stage (k[1] ... k[5]) shrinks the
+    step by 0.2, down to h_min; below that, or at an accepted state (k[0]),
+    it is raised again with the start t of the step."""
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)
@@ -728,8 +729,14 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
             h = min(h, t_end - t)
             k = np.empty((6, y.size))
             k[0] = f(t, y)
-            for s in range(1, 6):
-                k[s] = f(t + _RKF_C[s] * h, y + h * (_RKF_A[s] @ k[:s]))
+            try:
+                for s in range(1, 6):
+                    k[s] = f(t + _RKF_C[s] * h, y + h * (_RKF_A[s] @ k[:s]))
+            except (ValueError, RegularityError):
+                if 0.2 * h < h_min:
+                    raise
+                h = 0.2 * h  # a trial stage left the field's domain: reject
+                continue
             y4 = y + h * (_RKF_B4 @ k)
             y5 = y + h * (_RKF_B5 @ k)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))

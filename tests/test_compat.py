@@ -238,10 +238,12 @@ def vanishing_mass_l2():
         d2L_dv_dq=lambda q, v, p: np.array([[0.0, 0.0], [dm(q) * v[1], 0.0]]))
 
 
-@pytest.mark.parametrize("kind, t", [("rk4", "0.49"), ("rkf45", "0.31")])
+@pytest.mark.parametrize("kind, t", [("rk4", "0.49"), ("rkf45", "0.5")])
 def test_psi_failure_mid_trajectory_names_t(kind, t):
     # q moves as 0.5 + t, so psi loses f-regularity in the step that
-    # reaches q = 1; the error names the start of that step
+    # reaches q = 1; the error names the start of that step (rkf45 shrinks
+    # each step whose trial stage meets the singular point, so its last
+    # step starts there)
     sys1 = compat.build_system(vanishing_mass_l2(), compat.TransformationPair(n1=1, vf=1),
                                lambda p1: p1[2:3])
     with pytest.raises(RegularityError) as err:

@@ -591,6 +591,32 @@ def test_gimbal_guard_names_t(rotor_params, stepper):
     assert 0.0 < float(str(err.value).rsplit("= ", 1)[1]) < 0.16
 
 
+def test_rkf45_rejects_a_trial_stage_that_raises(rotor_params):
+    # a trial stage that probes past the gimbal guard shrinks the step
+    # instead of ending the run, so rkf45 gets at least as far as rk4
+    chart_state = np.array([0.0, 0.0, 0.3, 0.0, 0.0, 0.0, -1.0, 0.0])
+    reached = []
+    for stepper in (StepperChoice(kind="rk4", h=1e-2),
+                    StepperChoice(kind="rkf45", h=1e-2, atol=1e-9, rtol=1e-9)):
+        with pytest.raises(ValueError, match=r"gimbal lock .* at t = 0\.\d+$") as err:
+            models.rotor_full_trajectory(rotor_params, chart_state, 1.0, stepper)
+        reached.append(float(str(err.value).rsplit("= ", 1)[1]))
+    assert reached[1] >= reached[0]
+
+
+def test_rkf45_raises_a_failing_stage_at_h_min():
+    # y' = 1 on y <= 0.5: the accepted states close in on the edge, and the
+    # stage's own error names the start of the last step once the step
+    # would fall below h_min
+    def f(t, y):
+        if y[0] > 0.5:
+            raise ValueError("outside the domain")
+        return np.ones(1)
+
+    with pytest.raises(ValueError, match=r"^outside the domain at t = 0\.5$"):
+        numerics.rkf45_integrate(f, np.zeros(1), 0.0, 1.0, 0.01, 1e-9, 1e-9, 1e-6)
+
+
 def test_rk4_observed_order_rotor(rotor_params):
     # Richardson slope over h in {4e-3, 2e-3, 1e-3} on the reduced rotor;
     # the momenta are large enough that truncation dominates rounding
