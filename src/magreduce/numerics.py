@@ -175,18 +175,19 @@ def fd_jacobian(f: Callable[..., np.ndarray], args: Sequence, slot: int = 0,
 
 
 @functools.lru_cache(maxsize=256)
-def _signs(sizes: tuple[int, ...]) -> tuple[np.ndarray, list]:
-    """The central stencil of slots of these sizes, kept: signs (2, n, n)
-    [sign, moved coordinate, coordinate] and each slot's span.  Point
-    x + h_i signs[sign, i] moves coordinate i by +-h_i, the rest of its slot
-    by +0.0 or -0.0 (x + 0.0, x - 0.0) as fd_jacobian does, and every other
-    slot by -0.0, which leaves any float as it is."""
+def _signs(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """The central stencil of slots of these sizes, kept read-only: signs
+    (2, n, n) [sign, moved coordinate, coordinate] and each slot's span.
+    Point x + h_i signs[sign, i] moves coordinate i by +-h_i, the rest of
+    its slot by +0.0 or -0.0 (x + 0.0, x - 0.0) as fd_jacobian does, and
+    every other slot by -0.0, which leaves any float as it is."""
     edges = list(itertools.accumulate(sizes, initial=0))
-    n, spans = edges[-1], list(zip(edges[:-1], edges[1:]))
+    n, spans = edges[-1], tuple(zip(edges[:-1], edges[1:]))
     signs = np.full((2, n, n), -0.0)
     for lo, hi in spans:
         signs[0, lo:hi, lo:hi] = 0.0
     signs.reshape(2, -1)[:, ::n + 1] = ((1.0,), (-1.0,))
+    signs.flags.writeable = False
     return signs, spans
 
 
@@ -212,8 +213,8 @@ def fd_jacobian_rows(f: Callable[..., np.ndarray], args: Sequence,
     h = _steps(x.reshape(-1, n), h0)
     # the stencil points, one per [row, sign, moved coordinate]
     pts = (x.reshape(-1, 1, 1, n) + h[:, None, :, None] * signs).reshape(-1, n)
-    span = dict(zip(slots, spans))
-    stencil = [np.ascontiguousarray(pts[:, span[i][0]:span[i][1]]) if i in span
+    span = {s: slice(*sp) for s, sp in zip(slots, spans)}
+    stencil = [np.ascontiguousarray(pts[:, span[i]]) if i in span
                else a.reshape((len(h),) + a.shape[lead:]).repeat(2 * n, axis=0)
                for i, a in enumerate(args)]
     vals = np.asarray(f(*stencil), dtype=float)
