@@ -15,7 +15,8 @@ output is the qbar velocity, fixed by the condition
 Pulling the system back through psi produces a new magnetic Lagrangian
 system on P1 whose 2-form picks up the exterior derivative of
 <beta, connection>; `verify_symplectomorphism` checks numerically that psi
-intertwines the two symplectic structures.
+intertwines the two symplectic structures, pushing tangents through psi's
+central-difference Jacobian, found once per sample state.
 
 Flat state layouts used throughout:
     z1 = [q, qdot, qbar, pbar, p]      (a maglag state of the P1 system,
@@ -284,51 +285,64 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     """Numerically compare the two symplectic structures through psi.
 
     At each sample state of sys1 the local 2-form matrices are assembled
-    from the derivative supplies; tangents are pushed through psi by
-    forward differences at step numerics.H_GRADIENT.  Also records the
-    energy pull-back residual and, when (beta, pair) are supplied, the
-    fibre momentum-condition residual.
+    from the derivative supplies.  Tangents are pushed through psi's
+    tangent map: its central-difference Jacobian at step
+    numerics.H_GRADIENT, found once per sample and applied to every
+    tangent of that sample.  Also records the energy pull-back residual
+    and, when beta and pair are both supplied, the fibre momentum-condition
+    residual; without them the report has no `max_residual_momentum`.
 
-    The tangents are drawn sample by sample, u then w for each pair.  The
-    form matrices, energies and momentum residuals of all samples are then
-    evaluated over rows, and all base and shifted points go through one
-    `numerics.each_row(psi, ...)` call.
+    The samples are rows of width 2 n + k of sys1.  A wrong width, a
+    non-finite sample or only one of beta and pair raises ValueError
+    before psi is called.  The tangents are drawn sample by sample, u then
+    w for each pair.  psi runs on the samples and on the stencil of all
+    samples (`numerics.fd_jacobian_rows`), through `numerics.each_row`:
+    two calls when psi is marked with `numerics.takes_rows`, and
+    1 + 2 (2 n + k) calls per sample otherwise, whatever tangent_pairs is.
+    The form matrices, energies and momentum residuals of all samples are
+    evaluated over rows.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("samples is empty: the symplectomorphism check needs "
                          "at least one sample")
+    dim1 = 2 * sys1.n + sys1.k
+    if samples.ndim != 2 or samples.shape[1] != dim1:
+        raise ValueError(f"samples must be rows of width 2*n + k = {dim1} of sys1, "
+                         f"got shape {samples.shape}")
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample row {int(np.argmin(finite))} is not finite")
     if tangent_pairs < 1:
         raise ValueError(f"tangent_pairs must be positive, got {tangent_pairs}")
-    count, dim1 = samples.shape[0], 2 * sys1.n + sys1.k
+    if (beta is None) != (pair is None):
+        raise ValueError("the momentum residual needs both beta and pair")
+    count = samples.shape[0]
     tangents = rng.normal(size=(count, tangent_pairs, 2, dim1))
     tangents /= np.sqrt(numerics.rowdot(tangents, tangents))[..., None]
-    step = numerics.H_GRADIENT
-    shifted = samples[:, None, None, :] + step * tangents
-    z_all = np.asarray(numerics.each_row(
-        psi, np.concatenate([samples, shifted.reshape(-1, dim1)])), dtype=float)
-    z2 = z_all[:count]
-    push = (z_all[count:].reshape(shifted.shape[:3] + (-1,)) - z2[:, None, None, :]) / step
+
+    def psi_rows(z):
+        return np.asarray(numerics.each_row(psi, z), dtype=float)
+
+    z2 = psi_rows(samples)
+    dpsi = numerics.fd_jacobian_rows(psi_rows, (samples,))
+    push = numerics.matvec(dpsi[:, None, None], tangents)
 
     def form_values(sys, z, t):
         n = sys.n
         m = maglag.symplectic_form_matrix(sys, z[:, :n], z[:, n:2 * n], z[:, 2 * n:])
         return (t[:, :, 0, None, :] @ m[:, None] @ t[:, :, 1, :, None])[..., 0, 0]
 
-    max_form = float(np.max(np.abs(form_values(sys1, samples, tangents)
-                                   - form_values(sys2, z2, push))))
-    max_energy = float(np.max(np.abs(maglag.energies(sys1, samples)
-                                     - maglag.energies(sys2, z2))))
-    max_momentum = 0.0
-    if beta is not None and pair is not None:
+    report = {
+        "samples": count,
+        "max_residual_form": float(np.max(np.abs(form_values(sys1, samples, tangents)
+                                                 - form_values(sys2, z2, push)))),
+        "max_residual_energy": float(np.max(np.abs(maglag.energies(sys1, samples)
+                                                   - maglag.energies(sys2, z2)))),
+    }
+    if beta is not None:
         q2, v2, pbar = pair.split2(z2)
         resid = (sys2.grad_v(q2, v2, pbar)[:, pair.n1:]
                  - _betas(beta, pair.p1_coords(samples)))
-        max_momentum = float(np.max(np.linalg.norm(resid, axis=-1)))
-
-    return {
-        "samples": count,
-        "max_residual_form": max_form,
-        "max_residual_energy": max_energy,
-        "max_residual_momentum": max_momentum,
-    }
+        report["max_residual_momentum"] = float(np.max(np.linalg.norm(resid, axis=-1)))
+    return report

@@ -717,19 +717,23 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     NonFiniteStateError instead of shrinking the step.  A ValueError or
     RegularityError of `f` at a trial stage (k[1] ... k[5]) shrinks the
     step by 0.2, down to h_min; below that, or at an accepted state (k[0]),
-    it is raised again with the start t of the step."""
+    it is raised again with the start t of the step.  k[0] is evaluated
+    once per accepted state and kept across rejected attempts from it."""
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)
     times = [t0]
     states = [y.copy()]
+    k = np.empty((6, y.size))
+    fresh = True  # k[0] is still to be evaluated at (t, y)
     try:
         while t < t_end - 1e-14 * max(1.0, abs(t_end)):
             if h < h_min:
                 raise StepSizeError(f"step size underflow at t = {t:.6g} (h = {h:.3e})")
             h = min(h, t_end - t)
-            k = np.empty((6, y.size))
-            k[0] = f(t, y)
+            if fresh:
+                k[0] = f(t, y)
+                fresh = False
             try:
                 for s in range(1, 6):
                     k[s] = f(t + _RKF_C[s] * h, y + h * (_RKF_A[s] @ k[:s]))
@@ -749,6 +753,7 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                 y = y4
                 times.append(t)
                 states.append(y.copy())
+                fresh = True
             factor = 0.9 * err ** -0.2 if err > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
     except (ValueError, RegularityError) as exc:

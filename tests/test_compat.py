@@ -150,6 +150,80 @@ def test_symplectomorphism_identity_pair(rng):
     assert rep["max_residual_energy"] <= 1e-12
 
 
+def test_symplectomorphism_exact_on_a_shear(rng):
+    # (q, v) -> (q + 10 sin v, v) preserves dq ^ dv and v^2 / 2 exactly.  A
+    # forward-difference push of the tangents, O(h), reads about 1e-5 here;
+    # the central Jacobian is O(h^2)
+    sys = MagneticSystem(n=1, k=0,
+                         lagrangian=lambda q, v, p: 0.5 * float(v @ v),
+                         dL_dv=lambda q, v, p: np.array(v))
+    shear = lambda z: np.array([z[0] + 10.0 * np.sin(z[1]), z[1]])
+    samples = rng.uniform(-2.0, 2.0, (20, 2))
+    rep = compat.verify_symplectomorphism(sys, sys, shear, samples, rng)
+    assert rep["max_residual_form"] <= 1e-8
+    assert rep["max_residual_energy"] == 0.0
+
+
+@pytest.mark.parametrize("tangent_pairs", [1, 10])
+def test_symplectomorphism_psi_calls_per_sample(beanie_pair, tangent_pairs):
+    # one Jacobian per sample: 1 + 2 dim psi calls, whatever tangent_pairs;
+    # a marked psi takes the samples and their stencil in two calls
+    eq = beanie_pair
+    samples = beanie_rows(np.random.default_rng(3), 5)
+    one_point, marked = [], []
+
+    def spy(z):
+        one_point.append(z.shape)
+        return eq.psi(z)
+
+    @numerics.takes_rows
+    def marked_spy(z):
+        marked.append(z.shape)
+        return eq.psi(z)
+
+    for psi in (spy, marked_spy):
+        compat.verify_symplectomorphism(eq.p1_system, eq.r2_system, psi, samples,
+                                        np.random.default_rng(8), tangent_pairs)
+    assert one_point == [(4,)] * 5 * (1 + 2 * 4)
+    assert marked == [(5, 4), (5 * 2 * 4, 4)]
+
+
+def test_symplectomorphism_rejects_bad_samples_before_psi(beanie_pair, rng):
+    eq = beanie_pair
+    calls = []
+
+    def psi(z):
+        calls.append(z)
+        return eq.psi(z)
+
+    def verify(samples, **kw):
+        return compat.verify_symplectomorphism(eq.p1_system, eq.r2_system, psi,
+                                               samples, rng, **kw)
+
+    with pytest.raises(ValueError, match=r"width 2\*n \+ k = 4 of sys1, got shape \(3, 5\)"):
+        verify(np.zeros((3, 5)))
+    bad = beanie_rows(rng, 4)
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^sample row 2 is not finite$"):
+        verify(bad)
+    for kw in ({"beta": eq.beta}, {"pair": eq.pair}):
+        with pytest.raises(ValueError, match="both beta and pair"):
+            verify(beanie_rows(rng, 2), **kw)
+    assert calls == []
+
+
+def test_symplectomorphism_reports_momentum_only_when_checked(beanie_pair, rng):
+    eq = beanie_pair
+    samples = beanie_rows(rng, 3)
+    plain = compat.verify_symplectomorphism(eq.p1_system, eq.r2_system, eq.psi,
+                                            samples, rng, tangent_pairs=2)
+    assert "max_residual_momentum" not in plain
+    checked = compat.verify_symplectomorphism(eq.p1_system, eq.r2_system, eq.psi,
+                                              samples, rng, tangent_pairs=2,
+                                              beta=eq.beta, pair=eq.pair)
+    assert checked["max_residual_momentum"] <= 1e-10
+
+
 def test_symplectomorphism_beanie_pair(beanie_pair, rng):
     sys1 = compat.build_system(beanie_pair.r2_system, beanie_pair.pair,
                                beanie_pair.beta)

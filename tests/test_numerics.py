@@ -604,6 +604,34 @@ def test_rkf45_rejects_a_trial_stage_that_raises(rotor_params):
     assert reached[1] >= reached[0]
 
 
+def test_rkf45_evaluates_the_field_once_per_point():
+    # a pendulum whose field leaves its domain past y = 1: the first steps
+    # are rejected for their error, the last ones for a raising trial
+    # stage.  Rejected attempts reuse the k[0] of their accepted state, so
+    # no (t, y) is evaluated twice, and the accepted steps and the failure
+    # are those of the loop that evaluated k[0] again after every rejection
+    calls = []
+
+    def f(t, y):
+        calls.append((t, y.tobytes()))
+        if y[0] > 1.0:
+            raise ValueError("outside the domain")
+        return np.array([y[1], -np.sin(y[0])])
+
+    y0 = np.array([0.0, 1.5])
+    times, states = numerics.rkf45_integrate(f, y0, 0.0, 0.7, 0.3, 1e-9, 1e-9, 1e-3)
+    assert len(calls) == len(set(calls)) == 82
+    assert len(times) == 13 and times[-1] == 0.7
+    assert np.allclose(times[:3], [0.0, 0.0529511483008216, 0.10579213997681258],
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(states[-1], [0.9704014583521571, 1.1747070642676318],
+                       rtol=1e-13, atol=0.0)
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^outside the domain at t = 0\.724284$"):
+        numerics.rkf45_integrate(f, y0, 0.0, 3.0, 0.3, 1e-9, 1e-9, 1e-3)
+    assert len(calls) == len(set(calls)) == 114
+
+
 def test_rkf45_raises_a_failing_stage_at_h_min():
     # y' = 1 on y <= 0.5: the accepted states close in on the edge, and the
     # stage's own error names the start of the last step once the step
