@@ -115,8 +115,8 @@ class LieGroupSpec:
     covectors (N, dim).  Semi-direct products additionally carry the base
     spec and the representation rho / its differential rho'.  A marked
     `exp_fn` also takes stacked algebra elements, and a marked `rep` the
-    stacked payloads such an `exp_fn` returns (the circle's exponential
-    and the plane rotation of `se2` are marked).
+    stacked payloads such an `exp_fn` returns (the exponentials of the
+    circle and of SO(3), and the plane rotation of `se2`, are marked).
     """
     name: str
     dim: int
@@ -268,23 +268,29 @@ def sample_element(spec: LieGroupSpec, rng: np.random.Generator) -> GroupElement
 
 
 def hat(omega: np.ndarray) -> np.ndarray:
-    """3-vector to skew matrix, hat(w) v = w x v."""
-    w1, w2, w3 = omega
-    return np.array([[0.0, -w3, w2], [w3, 0.0, -w1], [-w2, w1, 0.0]])
+    """3-vector to skew matrix, hat(w) v = w x v; one matrix per row of
+    stacked vectors (N, 3)."""
+    w1, w2, w3 = np.moveaxis(np.asarray(omega, dtype=float), -1, 0)
+    z = np.zeros_like(w1)
+    return np.stack([z, -w3, w2, w3, z, -w1, -w2, w1, z], -1).reshape(z.shape + (3, 3))
 
 
 def unhat(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+@numerics.takes_rows
 def rodrigues(omega: np.ndarray) -> np.ndarray:
-    """SO(3) exponential."""
-    theta = float(np.linalg.norm(omega))
+    """SO(3) exponential of one vector (3,), or per row of stacked vectors
+    (N, 3) with the bits of one-point calls (`numerics.rowdot` rounds as
+    the one-vector norm); below an angle of 1e-12, I + K + K^2 / 2."""
+    omega = np.asarray(omega, dtype=float)
+    theta = np.sqrt(numerics.rowdot(omega, omega))[..., None, None]
     k = hat(omega)
-    if theta < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta ** 2
+    small = theta < 1e-12
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / safe ** 2)
     return np.eye(3) + a * k + b * (k @ k)
 
 

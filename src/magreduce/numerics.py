@@ -770,11 +770,23 @@ def integrate_ode(f: Field, y0: np.ndarray, t0: float, t_end: float,
                            stepper.atol, stepper.rtol, stepper.h_min)
 
 
-def lie_step(spec, g, xi_mid, h: float):
-    """Lie-group Euler-midpoint update g <- g * exp(h * xi_mid).
+def lie_step(spec, g, steps: np.ndarray, times: np.ndarray | None = None) -> list:
+    """Lie-group Euler-midpoint updates g_{n+1} = g_n * exp(steps[n]) over
+    stacked algebra elements `steps` (N, dim) from g_0 = g: [g_0, ..., g_N].
 
-    Preserves group invariants (e.g. orthogonality of rotation payloads)
-    through the group's own exponential and composition.
+    A row-marked `exp_fn` gives every exponential in one call, an unmarked
+    one is called per row; only the compositions, through the group's own
+    law (which keeps e.g. rotation payloads orthogonal), run in sequence.
+    A non-finite step raises ValueError naming its time from `times`.
     """
     from . import lie  # local import; lie depends on this module
-    return lie.compose(spec, g, lie.exponential(spec, xi_mid, h))
+    finite = np.isfinite(steps).all(axis=-1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"non-finite exponential argument in row {first}"
+                         f"{at_time(None if times is None else times[first])}")
+    exp = spec.exp_fn
+    out = [g]
+    for payload in exp(steps) if rows_ok(exp) else [exp(z) for z in steps]:
+        out.append(lie.compose(spec, out[-1], lie.GroupElement(payload)))
+    return out

@@ -36,10 +36,8 @@ from .numerics import RegularityError, StepperChoice
 class ReducedMetric:
     """Implicit-function-theorem blocks of the reduced equations at a point.
 
-    With K = d2ell/dxi2 at the constraint: cm_inv = K^{-1}, hess_inv the
-    inverse Routhian Hessian d2R/dxdot2, mixed_x = d2R/dxdot dx and
-    mixed_nu = d2R/dxdot dnu."""
-    cm_inv: np.ndarray
+    hess_inv is the inverse Routhian Hessian d2R/dxdot2, mixed_x =
+    d2R/dxdot dx and mixed_nu = d2R/dxdot dnu."""
     hess_inv: np.ndarray
     mixed_x: np.ndarray
     mixed_nu: np.ndarray
@@ -60,8 +58,11 @@ class InvariantLagrangian:
     set mechanical=True and supply `potential`.  If every second-derivative
     block of ell is state-independent, set constant_group_metric=True: the
     reduced-equation blocks are then assembled once at the origin and kept
-    in `reduced_metric`, which makes the reduced flow a handful of small
-    matrix products.
+    in `reduced_metric`, and the momentum inversion, which a constant metric
+    makes affine, is compiled into `chi_map` = (P, c) with
+    chi = P @ (x, xdot, nu) + c (`_affine_chi`).  A right-hand side of the
+    reduced flow is then one dell/dx call and a handful of small matrix
+    products.
 
     An `ell` marked with `numerics.takes_rows` takes rows: then every
     values-only derivative is one stacked stencil call (rule 3 over rows),
@@ -85,11 +86,14 @@ class InvariantLagrangian:
     constant_group_metric: bool = False
     reduced_metric: ReducedMetric | None = field(
         default=None, init=False, repr=False, compare=False)
+    chi_map: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.constant_group_metric:
             zero = np.zeros(self.sdim), np.zeros(self.sdim), np.zeros(self.gdim)
             object.__setattr__(self, "reduced_metric", _assemble_metric(self, *zero)[0])
+            object.__setattr__(self, "chi_map", _affine_chi(self))
 
     @property
     def gdim(self) -> int:
@@ -190,8 +194,24 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
     f1_xi = xi_xdot.T
     hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
-    return ReducedMetric(cm_inv=k_inv, hess_inv=np.linalg.inv(hess),
-                         mixed_x=xdot_x + f1_xi @ dchi_dx, mixed_nu=f1_xi @ k_inv), dl_dx
+    return ReducedMetric(hess_inv=np.linalg.inv(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
+                         mixed_nu=f1_xi @ k_inv), dl_dx
+
+
+def _affine_chi(lag: InvariantLagrangian) -> tuple[np.ndarray, np.ndarray]:
+    """(P, c) with chi = P @ (x, xdot, nu) + c solving dell/dxi(x, xdot,
+    chi) = nu, for a constant group metric.  The momentum is then affine,
+    dell/dxi = m0 + M (x, xdot, xi), and m0 and the columns of M are read
+    off `group_momentum` itself, at the origin and at the unit steps (one
+    call over these rows), so the map reproduces the momentum supply to
+    rounding whichever rule gives it."""
+    n, sd = 2 * lag.sdim + lag.gdim, 2 * lag.sdim
+    at = lag.group_momentum(*_split(lag, np.vstack([np.zeros(n), np.eye(n)])))
+    m0, m = at[0], (at[1:] - at[0]).T
+    k_inv = np.linalg.inv(m[:, sd:])
+    p = -k_inv @ m
+    p[:, sd:] = k_inv
+    return p, -k_inv @ m0
 
 
 def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
@@ -280,9 +300,13 @@ class ReducedRouthSystem:
         if not np.all(np.isfinite(self.mu.coords)):
             raise ValueError("momentum level must be finite")
 
-    @property
-    def sign(self) -> float:
-        return 1.0 if self.side == "left" else -1.0
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """Structure constants times the momentum sign, as (g, g*g), built
+        once: nudot = +/- ad*_chi nu is chi @ (nu @ this).reshape(g, g)."""
+        group = self.lagrangian.group
+        sign = 1.0 if self.side == "left" else -1.0
+        return sign * group.structure.reshape(group.dim, group.dim * group.dim)
 
 
 @dataclass(frozen=True)
@@ -311,9 +335,9 @@ def solve_chi(lag: InvariantLagrangian, x, xdot, nu: CoVector,
     """Invert the group-velocity fibre derivative: find xi with
     dell/dxi(x, xdot, xi) = nu.
 
-    Mechanical systems with a constant metric reduce to one linear solve;
-    otherwise Newton iterates from `seed` (default zero) and reports a
-    regularity failure if it does not converge.  With several Newton basins
+    A constant metric takes the compiled affine map (`_affine_chi`) and
+    checks its residual; otherwise Newton iterates from `seed` (default
+    zero) and reports a regularity failure if it does not converge.  With several Newton basins
     the returned branch is the one reachable from the seed.
     """
     if not isinstance(nu, CoVector) or len(nu) != lag.gdim:
@@ -327,21 +351,23 @@ def _chi(lag: InvariantLagrangian, x, xdot, nu: np.ndarray,
          seed: np.ndarray | None = None, times: np.ndarray | None = None
          ) -> np.ndarray:
     """chi with dell/dxi(x, xdot, chi) = nu at one point or at stacked rows:
-    the constant-metric linear solve, whose residual must be within
-    numerics.INVERSION_TOL, or `numerics.invert` from `seed` (default
+    the compiled affine map of a constant metric (`InvariantLagrangian.
+    chi_map`), whose residual must be within numerics.INVERSION_TOL (a
+    non-finite one fails too), or `numerics.invert` from `seed` (default
     zero).  A failure over rows names the time of the first failing row,
     from `times`, when given."""
-    metric = lag.reduced_metric
-    if metric is not None:
-        offset = lag.group_momentum(x, xdot, np.zeros_like(nu))
-        chi = (nu - offset) @ metric.cm_inv.T
-        bad = (np.max(np.abs(lag.group_momentum(x, xdot, chi) - nu), axis=-1)
-               > numerics.INVERSION_TOL)
+    if lag.chi_map is not None:
+        p, c = lag.chi_map
+        chi = numerics.matvec(p, np.concatenate([x, xdot, nu], axis=-1)) + c
+        worst = np.max(np.abs(lag.group_momentum(x, xdot, chi) - nu), axis=-1)
+        bad = ~(worst <= numerics.INVERSION_TOL)
         if np.any(bad):
-            when = None if times is None else times[np.argmax(bad)]
+            first = int(np.argmax(bad))
+            when = None if times is None else times[first]
             raise RegularityError(
-                "momentum inversion residual exceeds tolerance; the group "
-                f"metric is not constant as declared{numerics.at_time(when)}")
+                f"momentum inversion residual {np.ravel(worst)[first]:.3e} exceeds "
+                "tolerance: the state is not finite, or the group metric is not "
+                f"constant as declared{numerics.at_time(when)}")
         return chi
     seed = np.zeros_like(nu) if seed is None else np.asarray(seed, dtype=float)
     return numerics.invert(lambda z: lag.group_momentum(x, xdot, z) - nu, seed,
@@ -421,25 +447,17 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState
         metric, dl_dx = _assemble_metric(lag, s.x, s.xdot, chi)
     else:
         metric, dl_dx = lag.reduced_metric, lag.grad_x(s.x, s.xdot, chi)
-    xddot, nudot = _reduced_rhs(dl_dx, sys.sign, _structure(lag.group), metric,
-                                s.xdot, s.nu.coords, chi)
+    xddot, nudot = _reduced_rhs(dl_dx, sys.structure, metric, s.xdot, s.nu.coords, chi)
     return s.xdot.copy(), xddot, CoVector(nudot)
 
 
-def _structure(group: LieGroupSpec) -> np.ndarray:
-    """Structure constants as (g, g*g): (ad*_chi nu)_c = nu_a chi_b
-    structure[a, b, c] is chi @ (nu @ this).reshape(g, g)."""
-    return group.structure.reshape(group.dim, group.dim * group.dim)
-
-
-def _reduced_rhs(dl_dx: np.ndarray, sign: float, structure: np.ndarray,
-                 metric: ReducedMetric, xdot, nu: np.ndarray, chi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_rhs(dl_dx: np.ndarray, structure: np.ndarray, metric: ReducedMetric,
+                 xdot, nu: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xddot, nudot) at chi solving the momentum constraint, from dell/dx,
-    the momentum sign, the reshaped structure constants (`_structure`) and
-    the reduced-equation blocks at this point."""
+    the signed structure constants (`ReducedRouthSystem.structure`) and the
+    reduced-equation blocks at this point."""
     g = nu.size
-    nudot = sign * (chi @ (nu @ structure).reshape(g, g))
+    nudot = chi @ (nu @ structure).reshape(g, g)
     rhs = dl_dx - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
     return metric.hess_inv @ rhs, nudot
 
@@ -462,30 +480,28 @@ def unpack_reduced(lag: InvariantLagrangian, y: np.ndarray) -> ReducedState:
 def _field_factory(sys: ReducedRouthSystem):
     """ODE right-hand side over flat (x, xdot, nu) states.
 
-    The supply callables, the momentum sign and the reshaped structure
-    constants are looked up once, here.  With a constant metric chi is the
-    unchecked linear solve (the public solve_chi also checks its
-    residual); otherwise Newton is warm-started from the previous chi,
-    local to this factory's closure, and the blocks are assembled per
-    point."""
+    The supply callables and the signed structure constants are looked up
+    once, here.  With a constant metric chi is the compiled affine map of
+    the flat state, unchecked (the public solve_chi also checks its
+    residual), so dell/dx is the only supply call of a point; otherwise
+    Newton is warm-started from the previous chi, local to this factory's
+    closure, and the blocks are assembled per point."""
     lag = sys.lagrangian
     sd = lag.sdim
-    metric = lag.reduced_metric
-    momentum, grad_x = lag.group_momentum, lag.grad_x
-    sign, structure = sys.sign, _structure(lag.group)
-    zero_xi = np.zeros(lag.gdim)
+    metric, grad_x, structure = lag.reduced_metric, lag.grad_x, sys.structure
+    p, c = lag.chi_map or (None, None)
     chi = None
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal chi
         x, xdot, nu = y[:sd], y[sd:2 * sd], y[2 * sd:]
         if metric is not None:
-            chi = metric.cm_inv @ (nu - momentum(x, xdot, zero_xi))
+            chi = p @ y + c
             blocks, dl_dx = metric, grad_x(x, xdot, chi)
         else:
             chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
             blocks, dl_dx = _assemble_metric(lag, x, xdot, chi)
-        xddot, nudot = _reduced_rhs(dl_dx, sign, structure, blocks, xdot, nu, chi)
+        xddot, nudot = _reduced_rhs(dl_dx, structure, blocks, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
     return field
@@ -526,16 +542,14 @@ def reconstruct(sys: ReducedRouthSystem, traj: Trajectory, g0: GroupElement
 
     Integrates gdot = g.chi with the midpoint update
     g_{n+1} = g_n exp(h chi_mid), evaluating chi at the averaged state of
-    each sampling interval (one momentum inversion over all intervals);
-    requires a densely sampled trajectory.
+    each sampling interval: one momentum inversion over all intervals, and
+    one `numerics.lie_step` call, which takes every exponential from one
+    call of a row-marked `exp_fn` and composes in order.  A failure names
+    the mid time of the first failing interval.  Requires a densely
+    sampled trajectory.
     """
     lag = sys.lagrangian
     ys, ts = traj.states, traj.times
-    chis = _chi(lag, *_split(lag, 0.5 * (ys[:-1] + ys[1:])),
-                times=0.5 * (ts[:-1] + ts[1:]))
-    out = [g0]
-    g = g0
-    for h, chi in zip(np.diff(ts), chis):
-        g = numerics.lie_step(lag.group, g, AlgebraVector(chi), h)
-        out.append(g)
-    return out
+    mid = 0.5 * (ts[:-1] + ts[1:])
+    chis = _chi(lag, *_split(lag, 0.5 * (ys[:-1] + ys[1:])), times=mid)
+    return numerics.lie_step(lag.group, g0, np.diff(ts)[:, None] * chis, mid)

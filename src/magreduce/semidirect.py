@@ -258,15 +258,16 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
 
     @numerics.takes_rows
     def dl_dq_vq(q2, v2, p):
-        # dL/dq and d2L/dv dq share b(theta) and db/dtheta
+        # dL/dq and d2L/dv dq share b(theta), db/dtheta and its coupling
         b = q.b_of_theta(q2[..., s])
         bp = q.db_dtheta(b)
         dl_dq = np.empty(np.shape(v2))
         x = q2[..., :s]
         dl_dq[..., :s] = grad_x(x, np.zeros_like(x), np.zeros(x.shape[:-1] + (gdim,)))
-        dl_dq[..., s] = rowdot(v2, matvec(coupling, bp)) - rowdot(matvec(m_uu_inv_t, b), bp)
+        coupled = matvec(coupling, bp)
+        dl_dq[..., s] = rowdot(v2, coupled) - rowdot(matvec(m_uu_inv_t, b), bp)
         d2l_dv_dq = np.zeros(np.shape(v2) + (n,))
-        d2l_dv_dq[..., :, s] = matvec(coupling, bp)
+        d2l_dv_dq[..., :, s] = coupled
         return dl_dq, d2l_dv_dq
 
     return MagneticSystem(

@@ -375,3 +375,25 @@ def test_dimension_mismatch_errors():
 def test_circle_angle_normalized():
     g = lie.compose(lie.circle(), lie.circle_element(5.0), lie.circle_element(2.0))
     assert 0.0 <= g.payload < 2.0 * np.pi
+
+
+def test_rodrigues_rows_are_one_point_calls_bit_for_bit(rng):
+    w = rng.normal(size=(300, 3)) * rng.choice([1e-15, 1e-13, 1e-6, 1.0, 10.0], size=(300, 1))
+    w[0] = 0.0
+    w[1] = [-0.0, 5e-13, 0.0]
+    assert np.sum(np.linalg.norm(w, axis=1) < 1e-12) >= 20
+    rows = lie.rodrigues(w)
+    assert rows.shape == (300, 3, 3)
+    for r, v in zip(rows, w):
+        one = lie.rodrigues(v)
+        assert np.array_equal(r, one)
+        # the one-point closed form: theta = |v|, series below 1e-12
+        theta = float(np.linalg.norm(v))
+        k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+        if theta < 1e-12:
+            expected = np.eye(3) + k + 0.5 * (k @ k)
+        else:
+            expected = (np.eye(3) + np.sin(theta) / theta * k
+                        + (1.0 - np.cos(theta)) / theta ** 2 * (k @ k))
+        assert np.array_equal(one, expected)
+    assert np.array_equal(rows[0], np.eye(3))

@@ -665,14 +665,14 @@ def test_lie_step_identity_and_one_parameter():
     from magreduce import lie
     spec = lie.so3()
     g = lie.sample_element(spec, np.random.default_rng(3))
-    g2 = numerics.lie_step(spec, g, lie.AlgebraVector(np.zeros(3)), 0.1)
-    assert np.array_equal(g2.payload, g.payload)
+    g0, g2 = numerics.lie_step(spec, g, np.zeros((1, 3)))
+    assert g0 is g and np.array_equal(g2.payload, g.payload)
 
     xi = lie.AlgebraVector([0.3, -0.2, 0.5])
     h = 1e-2
-    g = lie.identity(spec)
-    for _ in range(100):
-        g = numerics.lie_step(spec, g, xi, h)
+    gs = numerics.lie_step(spec, lie.identity(spec), np.tile(h * xi.coords, (100, 1)))
+    assert len(gs) == 101
+    g = gs[-1]
     expected = lie.exponential(spec, xi, 100 * h)
     assert np.max(np.abs(g.payload - expected.payload)) < 1e-10
 
@@ -682,8 +682,6 @@ def test_lie_step_orthogonality_drift():
     spec = lie.so3()
     rng = np.random.default_rng(11)
     g = lie.identity(spec)
-    xi = lie.AlgebraVector(rng.normal(size=3))
-    for _ in range(10_000):
-        g = numerics.lie_step(spec, g, xi, 1e-3)
-    r = g.payload
+    xi = rng.normal(size=3)
+    r = numerics.lie_step(spec, g, np.tile(1e-3 * xi, (10_000, 1)))[-1].payload
     assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-8

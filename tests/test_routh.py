@@ -366,3 +366,113 @@ def test_regularity_error_mid_trajectory_names_t(group_metric_drops, nu, what):
     assert what in str(err.value)
     # the start of the step whose last stage meets x = 0.5
     assert str(err.value).endswith("at t = 0.4")
+
+
+# -- the compiled momentum inversion of a constant metric --------------------
+
+A_BLK = np.array([[1.5, 0.2], [0.2, 0.9]])
+B_BLK = np.array([[0.3, -0.1, 0.2], [0.0, 0.4, -0.2]])
+C_BLK = np.array([[2.0, 0.1, 0.0], [0.1, 1.5, 0.2], [0.0, 0.2, 1.2]])
+LINEAR = np.array([0.3, -0.5, 0.2])
+D_BLK = np.array([[0.4, 0.0, -0.3], [0.1, 0.2, 0.0]])
+
+
+@numerics.takes_rows
+def affine_ell(x, xd, xi):
+    """1/2 xd.A xd + xd.B xi + 1/2 xi.C xi + <c, xi> + x.D xi + cos x0 cos x1
+    on SO(3) with two shape coordinates: a constant metric whose momentum
+    B^T xd + C xi + c + D^T x has an offset and a constant d2ell/dxi dx."""
+    rowdot = numerics.rowdot
+    return (rowdot(0.5 * xd @ A_BLK, xd) + rowdot(xd @ B_BLK, xi)
+            + rowdot(0.5 * xi @ C_BLK, xi) + xi @ LINEAR + rowdot(x @ D_BLK, xi)
+            + np.cos(x[..., 0]) * np.cos(x[..., 1]))
+
+
+def affine_lagrangian(constant: bool = True, supply: str = "analytic"):
+    """`affine_ell` with analytic derivatives, with its first derivatives
+    only (blocks by rule 2), or values only (rule 3)."""
+    rows = numerics.takes_rows
+    first = dict(
+        dell_dx=rows(lambda x, xd, xi: xi @ D_BLK.T - np.stack(
+            [np.sin(x[..., 0]) * np.cos(x[..., 1]), np.cos(x[..., 0]) * np.sin(x[..., 1])], -1)),
+        dell_dxdot=rows(lambda x, xd, xi: xd @ A_BLK + xi @ B_BLK.T),
+        dell_dxi=rows(lambda x, xd, xi: xd @ B_BLK + xi @ C_BLK + LINEAR + x @ D_BLK))
+    second = dict(
+        d2_dxdot_dx=lambda x, xd, xi: np.zeros((2, 2)),
+        d2_dxdot_dxdot=lambda x, xd, xi: A_BLK,
+        d2_dxi_dx=lambda x, xd, xi: D_BLK.T,
+        d2_dxi_dxdot=lambda x, xd, xi: B_BLK.T,
+        d2_dxi_dxi=lambda x, xd, xi: C_BLK)
+    given = {"analytic": {**first, **second}, "first": first, "values": {}}[supply]
+    return routh.InvariantLagrangian(2, lie.so3(), affine_ell, constant_group_metric=constant,
+                                     **given)
+
+
+def random_states(rng, n, sdim=2, gdim=3):
+    return rng.uniform(-1.0, 1.0, size=(n, 2 * sdim + gdim))
+
+
+@pytest.mark.parametrize("supply", ["analytic", "first", "values"])
+def test_compiled_inversion_reproduces_the_momentum(supply, rng):
+    # read off group_momentum itself, the map inverts it to rounding under
+    # every supply rule, offset and x-coupling included
+    lag = affine_lagrangian(supply=supply)
+    p, c = lag.chi_map
+    for y in random_states(rng, 20):
+        x, xd, nu = y[:2], y[2:4], y[4:]
+        assert np.max(np.abs(lag.group_momentum(x, xd, p @ y + c) - nu)) <= 1e-12
+        assert np.max(np.abs(routh.solve_chi(lag, x, xd, CoVector(nu)).coords
+                             - (p @ y + c))) == 0.0
+
+
+def test_compiled_field_matches_the_assembled_field(rng):
+    nu0 = CoVector([0.4, -0.3, 0.6])
+    fields = [routh._field_factory(routh.ReducedRouthSystem(affine_lagrangian(constant), nu0))
+              for constant in (True, False)]
+    for y in random_states(rng, 20):
+        compiled, assembled = (f(0.0, y) for f in fields)
+        assert np.max(np.abs(compiled - assembled)) <= 1e-12
+
+
+def test_values_only_twin_declared_constant_passes_the_residual_check():
+    # the five-point momentum of the twin is affine to rounding, so the
+    # monitors' checked inversion holds along the whole trajectory
+    nu0 = CoVector([0.4, -0.3, 0.6])
+    s0 = routh.ReducedState([0.2, -0.1], [0.3, 0.5], nu0)
+    runs = [routh.integrate_reduced(routh.ReducedRouthSystem(affine_lagrangian(supply=s), nu0),
+                                    s0, 0.5, StepperChoice(kind="rk4", h=1e-2))
+            for s in ("analytic", "values")]
+    assert np.max(np.abs(runs[0].states - runs[1].states)) <= 1e-6
+    assert runs[1].report.entries["energy_drift"] <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["rotor", "affine"])
+def test_compiled_field_calls_only_grad_x(case):
+    lag = (models.rotor_lagrangian(models.RotorParams()) if case == "rotor"
+           else affine_lagrangian())
+    calls = {"group_momentum": 0, "grad_x": 0}
+    for name in calls:
+        def spy(*args, _fn=getattr(lag, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        lag.__dict__[name] = spy  # where cached_property keeps the resolved supply
+    field = routh._field_factory(routh.ReducedRouthSystem(lag, CoVector([0.4, -0.3, 0.6])))
+    field(0.0, np.linspace(0.1, 0.5, 2 * lag.sdim + 3))
+    assert calls == {"group_momentum": 0, "grad_x": 1}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_constant_metric_inversion_rejects_a_non_finite_state():
+    lag = models.rotor_lagrangian(models.RotorParams())
+    nu = CoVector([0.1, 0.2, 0.3])
+    with pytest.raises(RegularityError, match="momentum inversion residual nan"):
+        routh.solve_chi(lag, [0.0], [np.inf], nu)
+    with pytest.raises(RegularityError, match="momentum inversion"):
+        routh.reduced_vector_field(routh.ReducedRouthSystem(lag, mu=nu),
+                                   routh.ReducedState([0.0], [np.inf], nu))
+    with pytest.raises(RegularityError, match="momentum inversion"):
+        routh.routhian(lag, [0.0], [np.inf], nu)
+    xd = np.array([[0.0], [np.nan], [0.0]])
+    with pytest.raises(RegularityError, match=r"momentum inversion.* at t = 0\.1$"):
+        routh._chi(lag, np.zeros((3, 1)), xd, np.tile(nu.coords, (3, 1)),
+                   times=np.array([0.0, 0.1, 0.2]))

@@ -77,8 +77,68 @@ def test_batched_reconstruct_matches_solve_chi(rotor_traj):
     for i, y in enumerate(mids):
         chi = routh.solve_chi(lag, y[:1], y[1:2], CoVector(y[2:]))
         assert np.max(np.abs(chis[i] - chi.coords)) <= ROW_TOL
-        g_ref = numerics.lie_step(lag.group, g_ref, chi, ts[i + 1] - ts[i])
+        g_ref = lie.compose(lag.group, g_ref, lie.exponential(lag.group, chi, ts[i + 1] - ts[i]))
         assert np.max(np.abs(gs[i + 1].payload - g_ref.payload)) <= 1e-12
+
+
+def one_point_chain(spec, g, chis, ts):
+    """g_{n+1} = g_n exp(h chi_n), one exponential call per interval."""
+    out = [g]
+    for chi, h in zip(chis, np.diff(ts)):
+        out.append(lie.compose(spec, out[-1], lie.exponential(spec, lie.AlgebraVector(chi), h)))
+    return out
+
+
+@pytest.mark.parametrize("moving", [True, False])
+def test_reconstruct_is_the_one_point_chain_bit_for_bit(moving, rotor_params):
+    # one row exponential call gives the bits of one call per interval,
+    # here along a rotor trajectory and along one at rest (chi = 0)
+    nu0 = CoVector([0.8, 0.2, 0.3] if moving else [0.0, 0.0, 0.0])
+    sys = models.rotor_reduced_system(rotor_params, nu0)
+    traj = routh.integrate_reduced(
+        sys, routh.ReducedState([0.1], [0.4 if moving else 0.0], nu0), 1.0, RK4)
+    lag, ys, ts = sys.lagrangian, traj.states, traj.times
+    mids = 0.5 * (ys[:-1] + ys[1:])
+    chis = routh._chi(lag, mids[:, :1], mids[:, 1:2], mids[:, 2:])
+    g0 = lie.sample_element(lag.group, np.random.default_rng(2))
+    gs = routh.reconstruct(sys, traj, g0)
+    ref = one_point_chain(lag.group, g0, chis, ts)
+    assert len(gs) == len(ref) == len(ts)
+    for g, r in zip(gs, ref):
+        assert np.array_equal(g.payload, r.payload) and g.updates == r.updates
+    if not moving:  # chi = 0: g stays, up to the periodic re-orthonormalization
+        assert all(np.max(np.abs(g.payload - g0.payload)) <= 1e-14 for g in gs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_reconstruct_names_the_first_non_finite_interval(rotor_params):
+    # finite chi, but h chi overflows on the second interval (mid t = 5e307)
+    nu = [10.0, 10.0, 10.0]
+    sys = models.rotor_reduced_system(rotor_params, CoVector(nu))
+    traj = maglag.Trajectory(np.array([0.0, 0.1, 1e308]), np.array([[0.0, 0.0] + nu] * 3),
+                             routh.reduced_state_columns(1, 3))
+    with pytest.raises(ValueError, match=r"non-finite exponential argument in row 1 "
+                                         r"at t = 5e\+307$"):
+        routh.reconstruct(sys, traj, lie.identity(lie.so3()))
+
+
+@pytest.mark.parametrize("spec", [lie.circle(), lie.translations(2), lie.se2()],
+                         ids=["marked", "unmarked", "unmarked_pairs"])
+def test_lie_step_row_exponentials_match_one_point_calls(spec):
+    # a row-marked exp_fn (the circle) is called once, the others per row;
+    # either way the chain is the one-point chain bit for bit
+    steps = np.random.default_rng(4).normal(size=(30, spec.dim))
+    g0 = lie.sample_element(spec, np.random.default_rng(5))
+    ts = np.arange(31) * 1.0
+    ref = one_point_chain(spec, g0, steps, ts)
+    for g, r in zip(numerics.lie_step(spec, g0, steps), ref):
+        for a, b in zip(np.atleast_1d(g.payload) if spec.dim == 1 else g.payload,
+                        np.atleast_1d(r.payload) if spec.dim == 1 else r.payload):
+            assert np.array_equal(a, b)
+    bad = steps.copy()
+    bad[7, -1] = np.nan
+    with pytest.raises(ValueError, match=r"row 7 at t = 7\.5$"):
+        numerics.lie_step(spec, g0, bad, ts[:-1] + 0.5)
 
 
 def test_maglag_row_energy_matches_per_point(beanie_params):
