@@ -46,11 +46,23 @@ def test_compare_reports_differences():
     lines, ok = tool.compare(base, moved)
     assert not ok and "x[*]: max |diff| = 1.000e-13" in lines[0]
     assert ":file:trajectory.csv: max |diff| = 1.000e-06" in lines[0]
-    assert tool.compare(base, moved, tol=1e-5)[1]
+
+    # an inf (or NaN) both trees have at the same place is no difference
+    inf_a, inf_b = dict(base), dict(base)
+    inf_a["0000 k.n"] = np.asarray([np.inf, np.nan, 1.0])
+    inf_b["0000 k.n"] = np.asarray([np.inf, np.nan, 1.0 + 2e-16])
+    lines, ok = tool.compare(inf_a, inf_b)
+    assert not ok and lines == ["0000 k: n: max |diff| = 2.220e-16"]
+
+    wider = dict(base)
+    wider["0000 k:file:trajectory.csv"] = np.frombuffer(b"t,x,y\n0,1,0\n0.5,2,0\n",
+                                                        dtype=np.uint8)
+    lines, ok = tool.compare(base, wider)
+    assert not ok and "CSV shape (2, 2) vs (2, 3) (rows, columns)" in lines[0]
 
     shifted = dict(base)
     shifted["0000 k:file:trajectory.csv"] = np.frombuffer(b"t,x\n0,1\n0.4,2\n", dtype=np.uint8)
     shifted["0000 k:problems"] = np.asarray("energy_drift = 1 exceeds 1e-08")
-    lines, ok = tool.compare(base, shifted, tol=1.0)
+    lines, ok = tool.compare(base, shifted)
     assert not ok and "time grid differs from row 1" in lines[0]
     assert "check failed in B: energy_drift" in lines[0]

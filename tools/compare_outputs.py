@@ -1,7 +1,7 @@
 """Compare what two source trees output on the first requests of a benchmark
 workload.
 
-    python3 tools/compare_outputs.py SRC_A SRC_B --workload W --seed S --requests N [--tol T]
+    python3 tools/compare_outputs.py SRC_A SRC_B --workload W --seed S --requests N
 
 SRC_A and SRC_B are checkouts of this repository.  For each tree a child
 process (this script with --dump) imports that tree's `src/magreduce` and
@@ -15,10 +15,10 @@ trajectory CSV and report JSON) and the problems its check found.
 
 The comparison prints one line per request: "identical" when every output
 is byte-equal, otherwise each differing output with its max |difference|
-(numbers of one shape, a CSV file with the same rows) or what else differs
-(shape, row count, text).  Exit status: 0 when every output is byte-equal
-or its max |difference| is at most --tol (default 0) and every check
-passed in both trees, 1 otherwise, 2 when a tree cannot be run.
+(numbers of one shape, a CSV file of the same shape) or what else differs
+(shape, CSV rows or columns, text).  Exit status: 0 when every output is
+byte-equal and every check passed in both trees, 1 otherwise, 2 when a
+tree cannot be run.
 """
 from __future__ import annotations
 
@@ -111,33 +111,35 @@ def _csv(raw: np.ndarray) -> np.ndarray:
                       ndmin=2)
 
 
-def difference(key: str, a: np.ndarray, b: np.ndarray) -> tuple[float, str] | None:
-    """None when `a` and `b` are byte-equal; else (max |difference| or inf
-    when there is none to take, a description)."""
+def difference(key: str, a: np.ndarray, b: np.ndarray) -> str | None:
+    """None when `a` and `b` are byte-equal; else what differs: the max
+    |difference| over the places where the values differ, or why there is
+    none to take."""
     if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
         return None
     if FILE in key and key.endswith(".csv"):
         a, b = _csv(a), _csv(b)
         if a.shape != b.shape:
-            return np.inf, f"{a.shape[0]} vs {b.shape[0]} rows"
+            return f"CSV shape {a.shape} vs {b.shape} (rows, columns)"
         shifted = np.flatnonzero(a[:, 0] != b[:, 0])
         if shifted.size:  # values at different times: no difference to take
-            return np.inf, f"time grid differs from row {shifted[0]}"
+            return f"time grid differs from row {shifted[0]}"
     elif FILE in key or a.dtype.kind not in "biufc" or b.dtype.kind not in "biufc":
-        return np.inf, "differs"
+        return "differs"
     if a.shape != b.shape:
-        return np.inf, f"shape {a.shape} vs {b.shape}"
+        return f"shape {a.shape} vs {b.shape}"
     a, b = a.astype(complex), b.astype(complex)
     if not np.array_equal(np.isnan(a), np.isnan(b)):
-        return np.inf, "NaN in different places"
-    diff = np.abs(a - b)[~np.isnan(a)]
-    worst = float(diff.max(initial=0.0))
-    return worst, f"max |diff| = {worst:.3e}"
+        return "NaN in different places"
+    # a shared inf is no difference (inf - inf is NaN), nor is a shared NaN
+    keep = (a != b) & ~np.isnan(a)
+    worst = float(np.abs(a[keep] - b[keep]).max(initial=0.0))
+    return f"max |diff| = {worst:.3e}"
 
 
-def compare(a: dict, b: dict, tol: float = 0.0) -> tuple[list[str], bool]:
-    """Report lines, one per request, and whether every output agrees
-    within `tol` and every check passed in both trees."""
+def compare(a: dict, b: dict) -> tuple[list[str], bool]:
+    """Report lines, one per request, and whether every output is
+    byte-equal and every check passed in both trees."""
     lines, ok = [], True
     requests = sorted({re.match(r"\d+ \w+", k).group() for k in {*a, *b}})
     for req in requests:
@@ -148,19 +150,17 @@ def compare(a: dict, b: dict, tol: float = 0.0) -> tuple[list[str], bool]:
                 continue
             name = key[len(req):].lstrip(".")
             if key not in a or key not in b:
-                found.append((np.inf, f"{name}: only in {'B' if key not in a else 'A'}"))
+                found.append(f"{name}: only in {'B' if key not in a else 'A'}")
                 continue
             d = difference(key, a[key], b[key])
             if d is not None:
-                found.append((d[0], f"{name}: {d[1]}"))
+                found.append(f"{name}: {d}")
         for tree, outputs in (("A", a), ("B", b)):
             problems = str(outputs.get(req + PROBLEMS, "missing"))
             if problems:
-                ok = False
-                found.append((np.inf, f"check failed in {tree}: {problems}"))
-        ok = ok and all(worst <= tol for worst, _ in found)
-        lines.append(f"{req}: " + ("identical" if not found else
-                                   "; ".join(text for _, text in found)))
+                found.append(f"check failed in {tree}: {problems}")
+        ok = ok and not found
+        lines.append(f"{req}: " + ("; ".join(found) or "identical"))
     return lines, ok
 
 
@@ -168,9 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, type=Path, metavar="SRC")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--requests", type=int, default=26)
-    parser.add_argument("--tol", type=float, default=0.0)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--requests", type=int, required=True)
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump is not None:
@@ -195,11 +194,11 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             with np.load(path) as data:
                 outputs.append({k: data[k] for k in data.files})
-    lines, ok = compare(*outputs, tol=args.tol)
+    lines, ok = compare(*outputs)
     print(f"{args.workload}, seed {args.seed}, {args.requests} requests: "
           f"A = {args.trees[0]}, B = {args.trees[1]}")
     print("\n".join(lines))
-    print("agree" + (f" within {args.tol:g}" if args.tol else "") if ok else "DIFFER")
+    print("agree" if ok else "DIFFER")
     return 0 if ok else 1
 
 
