@@ -15,7 +15,9 @@ rows.  A right-hand side point takes what it uses from one
 `MagneticSystem.jet` call: the velocity blocks that are differenced from
 dL/dv share one stencil call, everything differenced from the values of a
 row-capable Lagrangian shares one, and a builder whose derivatives share
-their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).
+their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).  Terms
+that are identically absent are not evaluated: at k = 0 the fibre
+equation, without a form the B term, with a constant Hessian the solve.
 """
 from __future__ import annotations
 
@@ -224,7 +226,8 @@ class MagneticSystem:
         that rule 2 differences, one stacked stencil for everything that
         rule 3 differences from a row-marked Lagrangian.  A result the
         equations do not use is None and is not evaluated: d2L/dv2 when it
-        is declared constant, dL/dp and d2L/dv dp when k = 0."""
+        is declared constant, dL/dp and d2L/dv dp when k = 0; when the
+        joint callable gives all the rest, it is the only call."""
         # (slot,) for dL/d(slot), (1, slot) for d2L/dv d(slot)
         used = [at for at in _JET if not (at == (1, 1) and self.constant_hessian
                                           or 2 in at and self.k == 0)]
@@ -238,7 +241,7 @@ class MagneticSystem:
         pick = operator.itemgetter(*(found.index(at) if at in used else -1 for at in _JET))
 
         def jet(q, v, p):
-            out = blocks(q, v, p)
+            out = blocks(q, v, p) if rest else []
             if joint is not None:
                 out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
             out.append(None)
@@ -326,37 +329,41 @@ def _check_state(sys: MagneticSystem, s: MagLagState) -> None:
             f"match system (n={sys.n}, k={sys.k})")
 
 
-def _mixed_rhs(sys: MagneticSystem, q, v, p, bqq, bqp, bpp,
+def _mixed_rhs(sys: MagneticSystem, q, v, p, blocks: tuple | None,
                bpp_inv: np.ndarray | None = None, hess_inv: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Accelerations and fibre rates (qddot, pdot) of the mixed equations
-    for given blocks, from one `sys.jet` call.  `bpp_inv` and `hess_inv`
-    are the inverses of a constant B_PP and of the d2L/dv2 of a
-    `constant_hessian` system, which the caller checked once; without them
-    each is checked and solved here.  With k = 0 the fibre terms are
-    skipped."""
+    for given blocks (B_QQ, B_QP, B_PP), from one `sys.jet` call; `blocks`
+    is None for a k = 0 system without a form (`_blocks`), whose equations
+    have no B term.  `bpp_inv` and `hess_inv` are the inverses of a
+    constant B_PP and of the d2L/dv2 of a `constant_hessian` system, which
+    the caller checked once; without them each is checked and solved here.
+    With k = 0 the fibre equation is skipped, so a k = 0 system without a
+    form and with `hess_inv` costs the jet, hvq @ v and one product."""
     dl_dq, dl_dp, hess, hvq, hvp = sys.jet(q, v, p)
-    fibre = sys.k > 0
-    if fibre:
+    rhs = dl_dq if blocks is None else dl_dq + blocks[0] @ v
+    if sys.k:
+        _, bqp, bpp = blocks
         rhs_p = bqp.T @ v - dl_dp
         if bpp_inv is None:
             require_regular(bpp, "singular fibre block: |det B_PP|")
             pdot = np.linalg.solve(bpp, rhs_p)
         else:
             pdot = bpp_inv @ rhs_p
+        rhs = rhs + bqp @ pdot - hvq @ v - hvp @ pdot
     else:
         pdot = _NO_FIBRE
+        rhs = rhs - hvq @ v
     if hess_inv is None:
         require_regular(hess, "singular velocity Hessian: |det d2L/dv2|")
-    rhs = dl_dq + bqq @ v
-    if fibre:
-        rhs = rhs + bqp @ pdot
-    rhs = rhs - hvq @ v
-    if fibre:
-        rhs = rhs - hvp @ pdot
-    if hess_inv is None:
         return np.linalg.solve(hess, rhs), pdot
     return hess_inv @ rhs, pdot
+
+
+def _blocks(sys: MagneticSystem, q, p) -> tuple | None:
+    """The blocks that `_mixed_rhs` takes at (q, p): None for a k = 0
+    system without a form, `bblocks` otherwise."""
+    return None if sys.k == 0 and sys.bform is None else sys.bblocks(q, p)
 
 
 def _hessian_inverse(sys: MagneticSystem, s: MagLagState) -> np.ndarray | None:
@@ -373,7 +380,7 @@ def vector_field(sys: MagneticSystem, s: MagLagState
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand side (qdot, qddot, pdot) of the mixed equations of motion."""
     _check_state(sys, s)
-    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, *sys.bblocks(s.q, s.p),
+    a, pdot = _mixed_rhs(sys, s.q, s.v, s.p, _blocks(sys, s.q, s.p),
                          hess_inv=_hessian_inverse(sys, s))
     return s.v, a, pdot
 
@@ -404,7 +411,7 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
     once, on the initial state.
     """
     n = sys.n
-    blocks0 = sys.bblocks(s0.q, s0.p)
+    blocks0 = _blocks(sys, s0.q, s0.p)
     constant = sys.bform is None or sys.constant_bform
     bpp_inv = None
     if constant and sys.k > 0:
@@ -414,8 +421,8 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         q, v, p = y[:n], y[n:2 * n], y[2 * n:]
-        blocks = blocks0 if constant else sys.bform(q, p)
-        a, pdot = _mixed_rhs(sys, q, v, p, *blocks, bpp_inv, hess_inv)
+        a, pdot = _mixed_rhs(sys, q, v, p, blocks0 if constant else sys.bform(q, p),
+                             bpp_inv, hess_inv)
         return np.concatenate([v, a, pdot])
 
     return field

@@ -13,7 +13,9 @@ transformation and verifies the relation numerically.
 
 The full-group reduction reuses the product-space machinery with the
 combined algebra, so a SemiDirectLagrangian is a thin wrapper around an
-InvariantLagrangian over the semi-direct spec.
+InvariantLagrangian over the semi-direct spec.  The V-reduced system of a
+constant metric is closed-form Schur-complement algebra, its one-point
+callables those products alone (`maglag`'s k = 0 path does the rest).
 
 The orbit 1-form and 2-form are evaluated by one kernel batched over orbit
 points (rows) and tangents: `theta_form`, `orbit_tangent_generator` and
@@ -183,6 +185,12 @@ class _QuadraticSplit:
     Schur complement that the V-reduction induces on (xdot | xi)."""
 
     def __init__(self, sd: SemiDirectLagrangian, a: CoVector):
+        if sd.d0 != 1 or not sd.gv.base.abelian:
+            raise ValueError("the V-reduction chart is implemented for "
+                             "one-dimensional abelian base groups")
+        if not isinstance(a, CoVector) or len(a) != sd.vdim:
+            raise ValueError(f"a must be a CoVector of length {sd.vdim}")
+        self.sd = sd
         lag = sd.inner
         if not (lag.constant_group_metric and lag.mechanical):
             raise ValueError(
@@ -230,19 +238,22 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     point or stacked rows, and the velocity Hessian (the Schur complement)
     is declared constant.  dL/dq and d2L/dv dq come from one callable
     (`dL_dq_vq`), so a right-hand side point builds b(theta) once."""
-    if sd.d0 != 1 or not sd.gv.base.abelian:
-        raise ValueError("the V-reduction chart is implemented for "
-                         "one-dimensional abelian base groups")
-    if not isinstance(a, CoVector) or len(a) != sd.vdim:
-        raise ValueError(f"a must be a CoVector of length {sd.vdim}")
-    q = _QuadraticSplit(sd, a)
+    return _v_reduced(_QuadraticSplit(sd, a))
+
+
+def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
+    """`abelian_reduced_system` over its split.  At one point dL/dv and
+    dL_dq_vq skip the row helpers, with the bits of their row code."""
+    sd = q.sd
     s = sd.sdim
     n = s + 1
     pot = sd.inner.potential or (lambda x: 0.0)
     grad_x, gdim = sd.inner.grad_x, sd.gv.dim
     rowdot, matvec = numerics.rowdot, numerics.matvec
     schur, schur_t, m_uu_inv_t = q.schur, q.schur.T, q.m_uu_inv.T
-    coupling = q.m_yu @ q.m_uu_inv
+    coupling, generator_t = q.m_yu @ q.m_uu_inv, q._generator.T
+    # dell/dx of a mechanical ell does not read the velocities
+    zero_rates = np.zeros(s), np.zeros(gdim)
 
     # every callable takes one point or stacked rows; the potential is
     # called once per row unless it takes rows
@@ -254,11 +265,23 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
 
     @numerics.takes_rows
     def dl_dv(q2, v2, p):
+        if v2.ndim == 1:
+            return schur @ v2 + coupling @ q.b_of_theta(q2[s])
         return matvec(schur, v2) + matvec(coupling, q.b_of_theta(q2[..., s]))
 
     @numerics.takes_rows
     def dl_dq_vq(q2, v2, p):
         # dL/dq and d2L/dv dq share b(theta), db/dtheta and its coupling
+        if v2.ndim == 1:
+            b = q.b_of_theta(q2[s])
+            bp = generator_t @ b
+            coupled = coupling @ bp
+            dl_dq = np.empty(n)
+            dl_dq[:s] = grad_x(q2[:s], *zero_rates)
+            dl_dq[s] = v2 @ coupled - (m_uu_inv_t @ b) @ bp
+            d2l_dv_dq = np.zeros((n, n))
+            d2l_dv_dq[:, s] = coupled
+            return dl_dq, d2l_dv_dq
         b = q.b_of_theta(q2[..., s])
         bp = q.db_dtheta(b)
         dl_dq = np.empty(np.shape(v2))
@@ -440,6 +463,18 @@ def group_angle_from_b(gv: LieGroupSpec, a: CoVector, b: np.ndarray):
     return float(theta) if b.ndim == 1 else theta
 
 
+def _draw(rng: np.random.Generator, n_points: int, sizes) -> list[np.ndarray]:
+    """Columns of n_points random points, coordinate (lo, hi, size) in
+    turn, point after point, by `rng.uniform(lo, hi, size)` (a size of None
+    gives an (n_points,) column): one block of the same draws in the same
+    order, since uniform is lo + (hi - lo) * rng.random()."""
+    widths = [1 if size is None else size for _, _, size in sizes]
+    lo, hi = (np.repeat([c[i] for c in sizes], widths) for i in (0, 1))
+    block = lo + (hi - lo) * rng.random((n_points, sum(widths)))
+    cols = np.split(block, np.cumsum(widths)[:-1], axis=1)
+    return [c[:, 0] if size is None else c for c, (_, _, size) in zip(cols, sizes)]
+
+
 @dataclass(frozen=True)
 class StageEquivalence:
     """The compatible transformation relating the two reduced systems,
@@ -476,30 +511,25 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         raise ValueError("momentum level has wrong dimensions")
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     _check_vstar_onto(sd.gv, a)
     stepper = stepper or StepperChoice(kind="rk4", h=1e-3)
     rng = np.random.default_rng(seed)
     s, d0 = sd.sdim, sd.d0
 
-    r2sys = abelian_reduced_system(sd, a)
+    q = _QuadraticSplit(sd, a)
+    r2sys = _v_reduced(q)
     pair = compat.TransformationPair(n1=s, vf=d0, k2=0)
     # p1 = (x, theta, nu); beta and psi take one point or stacked rows
     beta = numerics.takes_rows(lambda p1: np.array(p1[..., s + d0:]))
     psi = numerics.takes_rows(lambda z1: compat.solve_psi(r2sys, pair, beta, z1))
     p1sys = compat.build_system(r2sys, pair, beta)
-    q = _QuadraticSplit(sd, a)
-
-    def draw(*sizes):
-        """Columns of n_points random points; the coordinates (lo, hi,
-        size) of one point are drawn in turn, point after point."""
-        pts = [[rng.uniform(lo, hi, size=size) for lo, hi, size in sizes]
-               for _ in range(n_points)]
-        return [np.array(col) for col in zip(*pts)]
 
     # Routhian identity at random points of T_{P1}Q1: the built Lagrangian
     # and the full-group Routhian, each at all points in one call.
-    x, xd, theta, nu = draw((-1.0, 1.0, s), (-1.0, 1.0, s), (-np.pi, np.pi, None),
-                            (-1.5, 1.5, d0))
+    x, xd, theta, nu = _draw(rng, n_points, ((-1.0, 1.0, s), (-1.0, 1.0, s),
+                                             (-np.pi, np.pi, None), (-1.5, 1.5, d0)))
     r_full = routh.routhians(sd.inner, x, xd, np.hstack([nu, q.b_of_theta(theta)]))
     built = p1sys.lagrangian(x, xd, np.column_stack([theta, nu]))
     routhian_resid = float(np.max(np.abs(built - r_full)))
@@ -507,7 +537,8 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     # 2-form identity on chart tangents of the fibre (theta, nu): B1
     # at all points in one call, then the orbit pairing of all points per
     # base direction.
-    x, theta, nus = draw((-1.0, 1.0, s), (-np.pi, np.pi, None), (-1.5, 1.5, d0))
+    x, theta, nus = _draw(rng, n_points, ((-1.0, 1.0, s), (-np.pi, np.pi, None),
+                                          (-1.5, 1.5, d0)))
     bqq, bqp, bpp = p1sys.bform(x, np.column_stack([theta, nus]))
     form_resid = max(float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
     bs = q.b_of_theta(theta)

@@ -3,7 +3,7 @@ motion, integration monitors, and the closedness diagnostic."""
 import numpy as np
 import pytest
 
-from magreduce import maglag, models, numerics, routh
+from magreduce import maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
 from magreduce.numerics import StepperChoice
@@ -338,3 +338,45 @@ def test_state_dimension_mismatch():
 def test_check_closedness_rejects_empty_samples():
     with pytest.raises(ValueError, match="sample_states"):
         maglag.check_closedness(charged_particle(), [])
+
+
+# -- the k = 0 right-hand side -------------------------------------------------
+
+
+def k0_systems():
+    params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
+    return [semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
+                                              CoVector([-0.55, 0.3])),
+            models.beanie_r2_system(params, -0.55 + 0.3j)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["v_reduced", "beanie_r2"])
+def test_k0_field_is_vector_field_bit_for_bit(index):
+    sys = k0_systems()[index]
+    ys = np.random.default_rng(8).uniform(-2.5, 2.5, (200, 4))
+    field = maglag._field_factory(sys, maglag.unpack(sys, ys[0]))
+    for y in ys:
+        v, a, pdot = maglag.vector_field(sys, maglag.unpack(sys, y))
+        assert pdot.size == 0
+        assert np.array_equal(field(0.0, y), np.concatenate([v, a]))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["v_reduced", "beanie_r2"])
+def test_k0_form_free_field_makes_one_jet_call_and_no_solve(index, monkeypatch):
+    # no fibre equation, no B term and, with a constant Hessian, no solve:
+    # the integrator's field and vector_field alike
+    sys = k0_systems()[index]
+    y = np.array([0.4, -1.2, 0.3, 0.7])
+    field = maglag._field_factory(sys, maglag.unpack(sys, y))
+    calls = []
+    jet = sys.jet
+    sys.__dict__["jet"] = lambda *args: calls.append("jet") or jet(*args)
+    monkeypatch.setattr(MagneticSystem, "bblocks", lambda *args: calls.append("bblocks"))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append("solve"))
+    for y in (y, np.array([-2.0, 0.5, 1.1, -0.3])):
+        calls.clear()
+        assert np.all(np.isfinite(field(0.0, y)))
+        assert calls == ["jet"]
+        calls.clear()
+        maglag.vector_field(sys, maglag.unpack(sys, y))  # the same path
+        assert calls == ["jet"]

@@ -454,6 +454,21 @@ def test_abelian_reduced_row_callables_match_per_point():
         assert np.array_equal(forms[i], maglag.symplectic_form_matrix(sys, q[i], v[i], p0))
 
 
+def test_abelian_reduced_one_point_callables_are_their_rows():
+    # the lean one-point code of dL/dv and dL_dq_vq gives the bits of a row
+    params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
+    sys = semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
+                                            CoVector([-0.55, 0.3]))
+    rng = np.random.default_rng(6)
+    q, v = rng.uniform(-3, 3, (40, 2)), rng.uniform(-2, 2, (40, 2))
+    p, p0 = np.zeros((40, 0)), np.zeros(0)
+    dl_dv, (dl_dq, d2l_dv_dq) = sys.dL_dv(q, v, p), sys.dL_dq_vq(q, v, p)
+    for i in range(40):
+        assert np.array_equal(sys.dL_dv(q[i], v[i], p0), dl_dv[i])
+        point = sys.dL_dq_vq(q[i], v[i], p0)
+        assert np.array_equal(point[0], dl_dq[i]) and np.array_equal(point[1], d2l_dv_dq[i])
+
+
 def test_singular_constant_hessian_raises_before_the_first_step(monkeypatch):
     sys = MagneticSystem(
         n=2, k=0, lagrangian=lambda q, v, p: 0.5 * (v[0] + v[1]) ** 2 - 0.5 * float(q @ q),

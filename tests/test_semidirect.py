@@ -516,6 +516,43 @@ def test_lemma_rejects_empty_samples(sd):
                                                 np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+def test_stage_equivalence_rejects_an_empty_or_endless_horizon(sd, t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        semidirect.build_stage_equivalence(sd, CoVector([1.0]), CoVector([1.0, 0.0]),
+                                           n_points=2, t_end=t_end)
+
+
+def test_stage_equivalence_builds_one_quadratic_split(sd, monkeypatch):
+    built = []
+
+    class Counted(semidirect._QuadraticSplit):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semidirect, "_QuadraticSplit", Counted)
+    semidirect.build_stage_equivalence(sd, CoVector([1.0]), CoVector([1.0, 0.0]),
+                                       n_points=2, t_end=0.01)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("s, d0", [(1, 1), (3, 2)])
+def test_draw_block_is_the_per_point_uniform_order(s, d0):
+    sizes = [((-1.0, 1.0, s), (-1.0, 1.0, s), (-np.pi, np.pi, None), (-1.5, 1.5, d0)),
+             ((-1.0, 1.0, s), (-np.pi, np.pi, None), (-1.5, 1.5, d0))]
+    for seed in (0, 3, 5, 7, 11):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for draw in sizes:  # one draw after the other, as the stream runs on
+            points = [[ref.uniform(lo, hi, size=size) for lo, hi, size in draw]
+                      for _ in range(17)]
+            expected = [np.array(column) for column in zip(*points)]
+            got = semidirect._draw(rng, 17, draw)
+            assert len(got) == len(expected)
+            for column, want in zip(got, expected):
+                assert column.shape == want.shape and np.array_equal(column, want)
+
+
 def test_stage_equivalence_rejects_zero_points(sd):
     with pytest.raises(ValueError, match="n_points"):
         semidirect.build_stage_equivalence(sd, CoVector([1.0]),

@@ -66,3 +66,27 @@ def test_compare_reports_differences():
     lines, ok = tool.compare(base, shifted)
     assert not ok and "time grid differs from row 1" in lines[0]
     assert "check failed in B: energy_drift" in lines[0]
+
+
+def test_all_workloads_in_one_call():
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "all",
+                          "--seed", "5", "--requests", "1"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    heads = [line.split(",")[0] for line in lines if ", seed 5, 1 requests" in line]
+    assert heads == ["analytic_flows", "stage_verify", "fd_supply"]
+    assert lines.count("agree") == 3 and len(lines) == 9
+
+
+def test_all_workloads_differ_when_one_does(monkeypatch, capsys):
+    tool = load_tool()
+    same = {"0000 k.x": np.zeros(2), "0000 k:problems": np.asarray("")}
+    moved = dict(same, **{"0000 k.x": np.ones(2)})
+    monkeypatch.setattr(tool, "outputs", lambda trees, workload, *args: (
+        [same, moved] if workload == "stage_verify" else [same, dict(same)]))
+    assert tool.main(["A", "B", "--workload", "all", "--seed", "5", "--requests", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line in ("agree", "DIFFER")] == ["agree", "DIFFER", "agree"]
+    assert tool.main(["A", "B", "--workload", "fd_supply", "--seed", "5",
+                      "--requests", "1"]) == 0

@@ -3,6 +3,8 @@ workload.
 
     python3 tools/compare_outputs.py SRC_A SRC_B --workload W --seed S --requests N
 
+W is one workload of BENCHMARK.json, or `all` for each of them in turn.
+
 SRC_A and SRC_B are checkouts of this repository.  For each tree a child
 process (this script with --dump) imports that tree's `src/magreduce` and
 its `bench/workloads.py`, which it only reads, builds the workload's set-up
@@ -16,7 +18,8 @@ trajectory CSV and report JSON) and the problems its check found.
 The comparison prints one line per request: "identical" when every output
 is byte-equal, otherwise each differing output with its max |difference|
 (numbers of one shape, a CSV file of the same shape) or what else differs
-(shape, CSV rows or columns, text).  Exit status: 0 when every output is
+(shape, CSV rows or columns, text), then "agree" or "DIFFER" for the
+workload.  Exit status: 0 when every output of every workload is
 byte-equal and every check passed in both trees, 1 otherwise, 2 when a
 tree cannot be run.
 """
@@ -37,6 +40,7 @@ import numpy as np
 
 FILE = ":file:"  # marks the key of a file a request wrote
 PROBLEMS = ":problems"
+WORKLOADS = ("analytic_flows", "stage_verify", "fd_supply")  # as in BENCHMARK.json
 
 
 def leaves(obj) -> dict[str, np.ndarray]:
@@ -164,10 +168,36 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     return lines, ok
 
 
+def outputs(trees: list[Path], workload: str, seed: int, requests: int
+            ) -> list[dict] | None:
+    """The saved outputs of each tree on one workload, each from its own
+    child process, or None (after saying why) when a tree cannot be run."""
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, tree in enumerate(trees):
+            tree = tree.resolve()
+            if not (tree / "src" / "magreduce").is_dir() or not (tree / "bench").is_dir():
+                print(f"{tree}: not a checkout with src/magreduce and bench/", file=sys.stderr)
+                return None
+            path = Path(tmp) / f"{i}.npz"
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            run = subprocess.run(
+                [sys.executable, __file__, str(tree), str(tree), "--workload", workload,
+                 "--seed", str(seed), "--requests", str(requests), "--dump", str(path)],
+                env=env, capture_output=True, text=True)
+            if run.returncode != 0:
+                print(f"{tree}: the requests did not run:\n{run.stderr[-2000:]}", file=sys.stderr)
+                return None
+            with np.load(path) as data:
+                found.append({k: data[k] for k in data.files})
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, type=Path, metavar="SRC")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--requests", type=int, required=True)
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
@@ -175,31 +205,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump is not None:
         dump(args.trees[0].resolve(), args.workload, args.seed, args.requests, args.dump)
         return 0
-    outputs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, tree in enumerate(args.trees):
-            tree = tree.resolve()
-            if not (tree / "src" / "magreduce").is_dir() or not (tree / "bench").is_dir():
-                print(f"{tree}: not a checkout with src/magreduce and bench/", file=sys.stderr)
-                return 2
-            path = Path(tmp) / f"{i}.npz"
-            env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-                       OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-            run = subprocess.run(
-                [sys.executable, __file__, str(tree), str(tree), "--workload", args.workload,
-                 "--seed", str(args.seed), "--requests", str(args.requests), "--dump", str(path)],
-                env=env, capture_output=True, text=True)
-            if run.returncode != 0:
-                print(f"{tree}: the requests did not run:\n{run.stderr[-2000:]}", file=sys.stderr)
-                return 2
-            with np.load(path) as data:
-                outputs.append({k: data[k] for k in data.files})
-    lines, ok = compare(*outputs)
-    print(f"{args.workload}, seed {args.seed}, {args.requests} requests: "
-          f"A = {args.trees[0]}, B = {args.trees[1]}")
-    print("\n".join(lines))
-    print("agree" if ok else "DIFFER")
-    return 0 if ok else 1
+    agree = True
+    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
+        found = outputs(args.trees, workload, args.seed, args.requests)
+        if found is None:
+            return 2
+        lines, ok = compare(*found)
+        print(f"{workload}, seed {args.seed}, {args.requests} requests: "
+              f"A = {args.trees[0]}, B = {args.trees[1]}")
+        print("\n".join(lines))
+        print("agree" if ok else "DIFFER")
+        agree = agree and ok
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
