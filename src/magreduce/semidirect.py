@@ -242,8 +242,8 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
 
 
 def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
-    """`abelian_reduced_system` over its split.  At one point dL/dv and
-    dL_dq_vq skip the row helpers, with the bits of their row code."""
+    """`abelian_reduced_system` over its split.  At one point dL_dq_vq
+    skips the row helpers, with the bits of its row code."""
     sd = q.sd
     s = sd.sdim
     n = s + 1
@@ -265,8 +265,6 @@ def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
 
     @numerics.takes_rows
     def dl_dv(q2, v2, p):
-        if v2.ndim == 1:
-            return schur @ v2 + coupling @ q.b_of_theta(q2[s])
         return matvec(schur, v2) + matvec(coupling, q.b_of_theta(q2[..., s]))
 
     @numerics.takes_rows

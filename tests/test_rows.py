@@ -455,7 +455,7 @@ def test_abelian_reduced_row_callables_match_per_point():
 
 
 def test_abelian_reduced_one_point_callables_are_their_rows():
-    # the lean one-point code of dL/dv and dL_dq_vq gives the bits of a row
+    # one-point dL/dv and the lean one-point code of dL_dq_vq give the bits of a row
     params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
     sys = semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
                                             CoVector([-0.55, 0.3]))

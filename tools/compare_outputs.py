@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -40,7 +41,8 @@ import numpy as np
 
 FILE = ":file:"  # marks the key of a file a request wrote
 PROBLEMS = ":problems"
-WORKLOADS = ("analytic_flows", "stage_verify", "fd_supply")  # as in BENCHMARK.json
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+WORKLOADS = tuple(w["name"] for w in json.loads(BENCHMARK.read_text())["workloads"])
 
 
 def leaves(obj) -> dict[str, np.ndarray]:
