@@ -90,11 +90,6 @@ BetaMap = Callable[[np.ndarray], np.ndarray]
 ConnectionOnF = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def zero_connection(pair: TransformationPair) -> ConnectionOnF:
-    return numerics.takes_rows(
-        lambda q, qbar: np.zeros(np.shape(q)[:-1] + (pair.vf, pair.n1)))
-
-
 def _betas(beta: BetaMap, p1: np.ndarray) -> np.ndarray:
     """beta at one base point or at stacked rows (`numerics.each_row`)."""
     return np.asarray(numerics.each_row(beta, p1), dtype=float)
@@ -192,9 +187,11 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
     or stacked rows; the stencil of the exterior derivative is one
     fd_jacobian_rows call, at one point (passed as one stacked row) as at
-    stacked rows.
+    stacked rows.  Without `gamma` the connection is zero, and, as in
+    `maglag`, its identically absent terms are not evaluated: no Gamma
+    products in L1, dL1/dqdot, dL1/dzeta and the 1-form, and no connection
+    stencil.
     """
-    gamma = gamma or zero_connection(pair)
     n1, vf, k2 = pair.n1, pair.vf, pair.k2
     dim1 = n1 + pair.k1
     dim2 = pair.n2 + k2
@@ -206,6 +203,8 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         q2, v2, pbar = pair.split2(z2)
         p1 = pair.p1_coords(z1)
         b = _betas(beta, p1)
+        if gamma is None:
+            return q2, v2, pbar, p1, b, None, v2[..., n1:]
         gam = numerics.each_row(gamma, q2[..., :n1], q2[..., n1:])
         vert = v2[..., n1:] + numerics.matvec(gam, v2[..., :n1])
         return q2, v2, pbar, p1, b, gam, vert
@@ -223,7 +222,8 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     @numerics.takes_rows
     def dl_dv(q, v, pfib):
         q2, v2, pbar, _, b, gam, _ = pieces(q, v, pfib)
-        return l2.grad_v(q2, v2, pbar)[..., :n1] - _tmatvec(gam, b)
+        out = l2.grad_v(q2, v2, pbar)[..., :n1]
+        return out if gamma is None else out - _tmatvec(gam, b)
 
     @numerics.takes_rows
     def pairing(q, qbar, b, qdot):
@@ -241,11 +241,13 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
         dbeta = dbeta_at(p1)
         direct = l2.grad_q(q2, v2, pbar)
-        by_q, by_qbar = gamma_terms(q2, v2[..., :n1], b)
-        dl_dq = direct[..., :n1] - _tmatvec(dbeta[..., :n1], vert) - by_q
+        dl_dq = direct[..., :n1] - _tmatvec(dbeta[..., :n1], vert)
         dl_dp = np.empty(vert.shape[:-1] + (pair.k1,))
-        dl_dp[..., :vf] = (direct[..., n1:] - _tmatvec(dbeta[..., n1:n1 + vf], vert)
-                           - by_qbar)
+        dl_dp[..., :vf] = direct[..., n1:] - _tmatvec(dbeta[..., n1:n1 + vf], vert)
+        if gamma is not None:
+            by_q, by_qbar = gamma_terms(q2, v2[..., :n1], b)
+            dl_dq -= by_q
+            dl_dp[..., :vf] -= by_qbar
         dl_dp[..., vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
                                   - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
         dl_dp[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
@@ -255,7 +257,9 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     def one_form(z: np.ndarray) -> np.ndarray:
         b = _betas(beta, z)
         theta = np.zeros(z.shape[:-1] + (dim1,))
-        theta[..., :n1] = _tmatvec(numerics.each_row(gamma, z[..., :n1], z[..., n1:n1 + vf]), b)
+        if gamma is not None:
+            theta[..., :n1] = _tmatvec(numerics.each_row(gamma, z[..., :n1],
+                                                         z[..., n1:n1 + vf]), b)
         theta[..., n1:n1 + vf] = b
         return theta
 

@@ -41,8 +41,14 @@ _NO_FIBRE.flags.writeable = False
 
 def require_regular(matrix: np.ndarray, what: str) -> None:
     """Raise RegularityError unless DET_FLOOR < |det matrix| < inf; `what`
-    names the determinant in the message (an integrator adds the time)."""
-    det = abs(np.linalg.det(matrix))
+    names the determinant in the message (an integrator adds the time).
+    Only that decision and the message read |det|, so a 1x1 or 2x2 block
+    takes its closed form on floats and LAPACK takes larger ones."""
+    if len(matrix) in (1, 2):
+        m = np.asarray(matrix, dtype=float).tolist()
+        det = abs(m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    else:
+        det = abs(np.linalg.det(matrix))
     if not DET_FLOOR < det < np.inf:
         bound = f"<= {DET_FLOOR}" if det <= DET_FLOOR else "is not finite"
         raise RegularityError(f"{what} = {det:.3e} {bound}")

@@ -19,8 +19,11 @@ one-point calls for one gradient or one block.  Both ways have the same
 points, steps and arithmetic (`_five_point`, `_second`, `_cross`, on
 floats at one point and on arrays over rows), so the same bits.  The
 layout of a stencil depends only on the slot sizes (and the set and the
-base steps); it is built once and kept (`_signs`, `_layout`).  All
-differences share one non-finite rule (`_finite`).
+base steps); it is built once and kept (`_signs`, `_layout`), with its
+one-point evaluation compiled (an itemgetter of the values and steps of
+each difference, one gather index of the results), so that a one-point
+stencil costs its calls of f and a fixed handful of numpy operations.
+All differences share one non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  The integrators
@@ -49,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -256,13 +260,16 @@ class _Layout:
     as it is) in a held slot.  `base` (P, 1) is the base step of each
     point.
 
-    `entries` lists each difference as (rule, points, steps), grouped by
-    rule (gradients, diagonals, crosses): its points (+2h, +h, -h and -2h
-    of a gradient entry, plus, centre and minus of a diagonal second
+    Each difference is an entry (rule, points, steps), grouped by rule
+    (gradients, diagonals, crosses): its points (+2h, +h, -h and -2h of a
+    gradient entry, plus, centre and minus of a diagonal second
     difference, ++, +-, -+ and -- of a cross difference) and its steps as
     flat indices into the (P, n) steps.  `rules` holds the entries of each
-    rule as index arrays, and `takes[k]` gives pair k's result, entry by
-    entry, as indices into `entries`."""
+    rule as index arrays, for stacked rows.  At one point, `plan` holds
+    each entry's rule and one itemgetter of its values and steps out of the
+    P values joined with the P*n steps: the one-point evaluation, compiled.
+    `gather` picks the entries of every result, in order, in one index, and
+    `cuts` (start, stop, shape) cuts each result from what it picks."""
 
     def __init__(self, sizes: tuple[int, ...], pairs: tuple, h0: float, h0_gradient: float):
         edges = np.cumsum((0,) + sizes).tolist()
@@ -311,13 +318,17 @@ class _Layout:
         self.base = np.array(bases).reshape(-1, 1)
         order = sorted(range(len(entries)), key=lambda e: entries[e][0])
         rules = (_five_point, _second, _cross)
-        self.entries = [(rules[entries[e][0]],) + entries[e][1:] for e in order]
+        self.plan = [(rules[entries[e][0]], operator.itemgetter(
+            *entries[e][1], *[len(shifts) + k for k in entries[e][2]])) for e in order]
         self.rules = [(rules[r], *(np.array(part, dtype=int).T for part in zip(*group)))
                       for r in range(3)
                       if (group := [entries[e][1:] for e in order if entries[e][0] == r])]
-        position = np.empty(len(order), dtype=int)  # of each entry in `entries`
+        position = np.empty(len(order), dtype=int)  # of each entry in the plan
         position[order] = np.arange(len(order))
-        self.takes = [position[take] for take in takes]
+        self.gather = position[np.concatenate([np.zeros(0, dtype=int)]
+                                              + [take.ravel() for take in takes])]
+        stops = itertools.accumulate(take.size for take in takes)
+        self.cuts = [(stop - take.size, stop, take.shape) for stop, take in zip(stops, takes)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,20 +369,18 @@ def fd_blocks(f: Callable[..., np.ndarray], args: Sequence, pairs: tuple,
     slots = [pts[:, lo:hi] for lo, hi in lay.spans]
     vals = np.asarray(f(*slots) if rows else [f(*point) for point in zip(*slots)],
                       dtype=float).reshape(count, -1)
-    # at one point on Python floats, entry by entry, and over rows on arrays,
-    # rule by rule: per call, in-process, floats against arrays took 56
-    # against 76 us at one point of fd_supply's quartic set, 59 against 77
-    # of its magnetic set, 57 against 64 of the rotor twin's metric set,
-    # and 1353 against 288 us at 50 rows of that twin set
+    # at one point on Python floats by the compiled plan, since numpy's cost
+    # per call exceeds the arithmetic of a few dozen entries; over rows on
+    # arrays, rule by rule, since the Python loop grows with the rows
     if count == 1:
-        v, s = vals[0].tolist(), h.ravel().tolist()
-        entries = np.array([[rule(*[v[k] for k in points], *[s[k] for k in steps])
-                             for rule, points, steps in lay.entries]])
+        joined = np.concatenate([vals.ravel(), h.ravel()]).tolist()
+        entries = np.array([[rule(*get(joined)) for rule, get in lay.plan]])
     else:
         v, s = vals.T, h.reshape(count, -1).T
         entries = np.concatenate([rule(*v[points], *s[steps])
                                   for rule, points, steps in lay.rules] + [v[:0]]).T
-    out = [entries[:, take].reshape(lead + take.shape) for take in lay.takes]
+    picked = entries[:, lay.gather]
+    out = [picked[:, start:stop].reshape(lead + shape) for start, stop, shape in lay.cuts]
     if not np.isfinite(entries).all():
         for d in out:
             _finite(d, bool(lead))

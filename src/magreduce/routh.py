@@ -266,22 +266,26 @@ def validate_mechanical(lag: InvariantLagrangian,
 
     Positive definiteness is probed through the eigenvalues of the full
     velocity Hessian, and the quadratic property along rays through zero.
+    A non-finite sample is refused before anything is evaluated, and each
+    check fails unless it holds, so a NaN value fails it too.
     """
     if not lag.mechanical:
         raise ValueError("validate_mechanical expects a mechanical Lagrangian")
     v = lag.potential or (lambda x: 0.0)
-    for x, xdot, xi in samples:
+    for index, (x, xdot, xi) in enumerate(samples):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if not all(np.isfinite(a).all() for a in (x, xdot, xi)):
+            raise ValueError(f"sample {index} is not finite")
         xi_xdot = lag.jac_xi_xdot(x, xdot, xi)
         hess = np.block([[lag.jac_xdot_xdot(x, xdot, xi), xi_xdot.T],
                          [xi_xdot, lag.jac_xi_xi(x, xdot, xi)]])
-        if np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) <= 0:
+        if not np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) > 0:
             raise ValueError("kinetic metric is not positive definite at a sample")
         kin = lag.value(x, xdot, xi) + float(v(x))
         kin_half = lag.value(x, 0.5 * xdot, 0.5 * xi) + float(v(x))
-        if abs(kin_half - 0.25 * kin) > 1e-9 * (1.0 + abs(kin)):
+        if not abs(kin_half - 0.25 * kin) <= 1e-9 * (1.0 + abs(kin)):
             raise ValueError("Lagrangian plus potential is not quadratic in "
                              "the velocities")
 
@@ -484,8 +488,9 @@ def _field_factory(sys: ReducedRouthSystem):
     once, here.  With a constant metric chi is the compiled affine map of
     the flat state, unchecked (the public solve_chi also checks its
     residual), so dell/dx is the only supply call of a point; otherwise
-    Newton is warm-started from the previous chi, local to this factory's
-    closure, and the blocks are assembled per point."""
+    Newton (`_chi`, without solve_chi's argument checks) is warm-started
+    from the previous chi, local to this factory's closure, and the blocks
+    are assembled per point."""
     lag = sys.lagrangian
     sd = lag.sdim
     metric, grad_x, structure = lag.reduced_metric, lag.grad_x, sys.structure
@@ -499,7 +504,7 @@ def _field_factory(sys: ReducedRouthSystem):
             chi = p @ y + c
             blocks, dl_dx = metric, grad_x(x, xdot, chi)
         else:
-            chi = solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
+            chi = _chi(lag, x, xdot, nu, seed=chi)
             blocks, dl_dx = _assemble_metric(lag, x, xdot, chi)
         xddot, nudot = _reduced_rhs(dl_dx, structure, blocks, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])

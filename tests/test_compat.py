@@ -642,3 +642,29 @@ def test_pullback_of_a_magnetic_l2(rng):
     forms = maglag.symplectic_form_matrix(l2, q2, v2, pbar)
     for i in range(len(z2)):
         assert np.array_equal(forms[i], maglag.symplectic_form_matrix(l2, q2[i], v2[i], pbar[i]))
+
+
+@pytest.mark.parametrize("case", ["beanie", "magnetic"])
+def test_no_connection_skips_its_terms_with_the_same_values(case, beanie_pair, rng):
+    # without gamma the connection terms are not evaluated; an unmarked zero
+    # connection, evaluated, gives equal values at one point and over rows
+    if case == "beanie":
+        l2, pair, beta = beanie_pair.r2_system, beanie_pair.pair, beanie_pair.beta
+        z = beanie_rows(rng, 200)
+    else:
+        l2, pair, beta = magnetic_l2(), compat.TransformationPair(n1=1, vf=1, k2=1), magnetic_beta
+        z = np.column_stack([rng.uniform(-1, 1, (200, 3)), rng.uniform(-0.5, 0.5, (200, 2))])
+    zero = lambda q, qbar: np.zeros((pair.vf, pair.n1))  # noqa: E731  (unmarked)
+    bare, full = compat.build_system(l2, pair, beta), compat.build_system(l2, pair, beta, zero)
+    n = pair.n1
+
+    def values(sys, q, v, p):
+        return [sys.lagrangian(q, v, p), sys.dL_dv(q, v, p), *sys.dL_dqp(q, v, p),
+                *sys.bform(q, p)]
+
+    q, v, p = z[:, :n], z[:, n:2 * n], z[:, 2 * n:]
+    for got, want in zip(values(bare, q, v, p), values(full, q, v, p)):
+        assert np.shape(got)[0] == len(z) and np.array_equal(got, want)
+    for i in range(len(z)):
+        for got, want in zip(values(bare, q[i], v[i], p[i]), values(full, q[i], v[i], p[i])):
+            assert np.array_equal(got, want)

@@ -208,8 +208,7 @@ def test_integrate_regularity_abort_reports_time():
     s0 = MagLagState([0.0], [1.0], [0.0, 0.0])
     with pytest.raises(RegularityError) as err:
         maglag.integrate(sys, s0, 2.0, StepperChoice(kind="rk4", h=1e-2))
-    assert "at t =" in str(err.value)
-    assert "det B_PP" in str(err.value)
+    assert str(err.value) == "singular fibre block: |det B_PP| = 4.437e-31 <= 1e-12 at t = 0.99"
 
 
 def test_vector_field_singular_hessian_named():
@@ -380,3 +379,41 @@ def test_k0_form_free_field_makes_one_jet_call_and_no_solve(index, monkeypatch):
         calls.clear()
         maglag.vector_field(sys, maglag.unpack(sys, y))  # the same path
         assert calls == ["jet"]
+
+
+def regular(matrix) -> bool:
+    """Whether require_regular passes `matrix`."""
+    try:
+        maglag.require_regular(matrix, "|det M|")
+    except RegularityError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_require_regular_decides_as_lapack_det(n):
+    # |det| of a 1x1 or 2x2 block is its closed form, LAPACK's above that;
+    # the pass or raise decision is that of abs(np.linalg.det) on blocks
+    # whose |det| spans the floor, and on blocks scaled to |det| =
+    # 1e-12 (1 +- 1e-3) just either side of it
+    rng = np.random.default_rng(70 + n)
+    blocks = rng.normal(size=(10_000, n, n)) * 10.0 ** rng.uniform(-18.0 / n, 1.0, (10_000, 1, 1))
+    decided = [regular(m) for m in blocks]
+    assert decided == [maglag.DET_FLOOR < abs(np.linalg.det(m)) < np.inf for m in blocks]
+    assert 1_000 < sum(decided) < 9_000
+    sides = rng.choice([1.0 - 1e-3, 1.0 + 1e-3], 2_000)
+    unit = rng.normal(size=(2_000, n, n))
+    scale = (1e-12 * sides / np.abs(np.linalg.det(unit))) ** (1.0 / n)
+    for m, side in zip(unit * scale[:, None, None], sides):
+        assert regular(m) == (maglag.DET_FLOOR < abs(np.linalg.det(m)) < np.inf) == (side > 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_regular_small_blocks_reject_non_finite_entries(n, bad):
+    for at in {(n - 1, n - 1), (0, n - 1)}:
+        matrix = np.eye(n)
+        matrix[at] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                RegularityError, match=r"^\|det M\| = (nan|inf) is not finite$"):
+            maglag.require_regular(matrix, "|det M|")

@@ -1,4 +1,6 @@
 """Finite differences, Newton, and the integrator pair."""
+import math
+
 import numpy as np
 import pytest
 
@@ -685,3 +687,71 @@ def test_lie_step_orthogonality_drift():
     xi = rng.normal(size=3)
     r = numerics.lie_step(spec, g, np.tile(1e-3 * xi, (10_000, 1)))[-1].payload
     assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-8
+
+
+def magnetic_value(q, v, p):
+    """The values-only magnetic Lagrangian of the fd_supply workload."""
+    return 0.5 * v[0] ** 2 - 0.5 * q[0] ** 2 - 0.25 * (p[0] ** 2 + p[1] ** 2)
+
+
+def quartic_ell(x, xd, xi):
+    """The quartic group-velocity Lagrangian of the fd_supply workload."""
+    return (0.5 * float(xd @ xd) + 0.5 * float(xi @ xi)
+            + 0.05 * float(xi @ xi) ** 2 + 0.1 * x[0] * xi[0])
+
+
+def wavy(a, b, c):
+    """A scalar of three slots that reads every coordinate, and the sign of
+    a zero."""
+    return (math.sin((a[0] + a[-1]) * b[0]) + math.atan2(a[-1], -1.0) * (c[0] ** 2 + c[1])
+            + math.copysign(1.0, b[-1]) * a[0] * c[0] ** 2 + math.exp(0.3 * b[0]) * c[-1])
+
+
+ONE_POINT_SETS = {
+    # fd_supply's magnetic jet: dL/dq, dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp
+    "magnetic": (magnetic_value, (1, 1, 2), ((0, None), (2, None), (1, 1), (1, 0), (1, 2))),
+    # the rule-3 part of fd_supply's quartic metric blocks
+    "quartic": (quartic_ell, (1, 1, 2), ((1, 1), (1, 0), (0, None))),
+    "gradients": (wavy, (2, 1, 3), ((0, None), (1, None), (2, None))),
+    "diagonals": (wavy, (2, 1, 3), ((0, 0), (1, 1), (2, 2))),
+    "crosses": (wavy, (2, 1, 3), ((0, 1), (1, 0), (2, 0), (1, 2))),
+    "mixed": (wavy, (2, 1, 3), ((2, 2), (0, None), (1, 2), (2, None), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_POINT_SETS))
+def test_one_point_plan_is_the_array_path_bit_for_bit(name):
+    # the compiled one-point evaluation of fd_blocks gives the bits of the
+    # array path: row 0 of the same call on two stacked copies of the point
+    f, sizes, pairs = ONE_POINT_SETS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(1_000):
+        args = []
+        for size in sizes:
+            z = rng.uniform(-4.0, 4.0, size)
+            signed = rng.random(size) < 0.2
+            z[signed] = rng.choice([0.0, -0.0], signed.sum())
+            args.append(z)
+        one = numerics.fd_blocks(f, args, pairs, rows=False)
+        two = numerics.fd_blocks(f, [np.stack([z, z]) for z in args], pairs, rows=False)
+        assert len(one) == len(two) == len(pairs)
+        for got, rows in zip(one, two):
+            assert got.shape == rows.shape[1:] and got.tobytes() == rows[0].tobytes()
+
+
+def test_one_point_plan_rejects_a_non_finite_value():
+    # NaN at the stencil points that move p_1 up: the first result in order
+    # that sees one is dL/dp, at its coordinate 1
+    def f(q, v, p):
+        return np.nan if p[1] > 1.0 else magnetic_value(q, v, p)
+
+    _, _, pairs = ONE_POINT_SETS["magnetic"]
+    args = [np.array([0.3]), np.array([0.2]), np.array([0.1, 1.0 - 1e-9])]
+    with pytest.raises(ValueError, match=r"^non-finite evaluation while differencing "
+                                         r"coordinate 1$"):
+        numerics.fd_blocks(f, args, pairs, rows=False)
+    with pytest.raises(ValueError, match=r"^row 0: non-finite evaluation while "
+                                         r"differencing coordinate 1$"):
+        numerics.fd_blocks(f, [np.stack([z, z]) for z in args], pairs, rows=False)
+    args[2][1] = 0.5
+    assert all(np.isfinite(d).all() for d in numerics.fd_blocks(f, args, pairs, rows=False))

@@ -476,3 +476,53 @@ def test_constant_metric_inversion_rejects_a_non_finite_state():
     with pytest.raises(RegularityError, match=r"momentum inversion.* at t = 0\.1$"):
         routh._chi(lag, np.zeros((3, 1)), xd, np.tile(nu.coords, (3, 1)),
                    times=np.array([0.0, 0.1, 0.2]))
+
+
+def test_validate_mechanical_fails_on_a_nan_value():
+    # a NaN potential makes the quadratic residual NaN, which must not pass
+    lag = routh.quadratic_invariant_lagrangian(
+        1, lie.translations(2), [[1.0]], [[0.0, 0.0]], np.eye(2),
+        potential=lambda x: float("nan"), dpotential=lambda x: np.zeros(1))
+    with pytest.raises(ValueError, match="not quadratic"):
+        routh.validate_mechanical(lag, [(np.zeros(1), np.ones(1), np.ones(2))])
+
+
+def test_validate_mechanical_refuses_a_non_finite_sample():
+    lag = routh.quadratic_invariant_lagrangian(
+        1, lie.translations(2), [[1.0]], [[0.0, 0.0]], np.eye(2))
+    good = (np.zeros(1), np.ones(1), np.ones(2))
+    routh.validate_mechanical(lag, [good])
+    with pytest.raises(ValueError, match=r"^sample 1 is not finite$"):
+        routh.validate_mechanical(lag, [good, (np.zeros(1), [np.inf], np.ones(2))])
+
+
+@pytest.mark.parametrize("kind", ["rk4", "rkf45"])
+@pytest.mark.parametrize("case", ["quartic", "so3_twin"])
+def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
+    # the reduced field of a non-constant metric inverts the momentum with
+    # the private _chi; a field on the public solve_chi, warm-started the
+    # same way, integrates to the same bits
+    if case == "quartic":
+        lag, nu0 = generic_lagrangian(), CoVector([0.5, -0.3])
+    else:
+        lag = routh.InvariantLagrangian(1, lie.so3(), models.rotor_lagrangian(rotor_params).ell)
+        nu0 = CoVector([0.4, -0.6, 0.5])
+    assert lag.reduced_metric is None
+    sys = routh.ReducedRouthSystem(lag, mu=nu0)
+    s0 = routh.ReducedState([0.2], [0.4], nu0)
+    stepper = StepperChoice(kind=kind, h=1e-2, atol=1e-12, rtol=1e-12)
+    traj = routh.integrate_reduced(sys, s0, 0.3, stepper)
+    chi = None
+
+    def field(t, y):
+        nonlocal chi
+        x, xdot, nu = y[:1], y[1:2], y[2:]
+        chi = routh.solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
+        blocks, dl_dx = routh._assemble_metric(lag, x, xdot, chi)
+        xddot, nudot = routh._reduced_rhs(dl_dx, sys.structure, blocks, xdot, nu, chi)
+        return np.concatenate([xdot, xddot, nudot])
+
+    times, states = numerics.integrate_ode(field, routh.pack_reduced(s0), 0.0, 0.3, stepper)
+    assert len(times) > 5
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()

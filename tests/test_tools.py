@@ -90,3 +90,24 @@ def test_all_workloads_differ_when_one_does(monkeypatch, capsys):
     assert [line for line in out if line in ("agree", "DIFFER")] == ["agree", "DIFFER", "agree"]
     assert tool.main(["A", "B", "--workload", "fd_supply", "--seed", "5",
                       "--requests", "1"]) == 0
+
+
+def test_several_seeds_one_summary_each(monkeypatch, capsys):
+    tool = load_tool()
+    same = {"0000 k.x": np.zeros(2), "0000 k:problems": np.asarray("")}
+    moved = dict(same, **{"0000 k.x": np.ones(2)})
+    seen = []
+
+    def outputs(trees, workload, seed, requests):
+        seen.append((workload, seed))
+        return [same, moved] if (workload, seed) == ("fd_supply", 7) else [same, dict(same)]
+
+    monkeypatch.setattr(tool, "outputs", outputs)
+    assert tool.main(["A", "B", "--workload", "all", "--seed", "5", "7", "--requests", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert seen == [(w, s) for w in tool.WORKLOADS for s in (5, 7)]
+    heads = [line.split(":")[0] for line in out if "requests: A = A, B = B" in line]
+    assert heads == [f"{w}, seed {s}, 1 requests" for w in tool.WORKLOADS for s in (5, 7)]
+    assert [line for line in out if line in ("agree", "DIFFER")] == ["agree"] * 5 + ["DIFFER"]
+    assert tool.main(["A", "B", "--workload", "stage_verify", "--seed", "5", "7",
+                      "--requests", "1"]) == 0

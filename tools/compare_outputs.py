@@ -1,9 +1,10 @@
 """Compare what two source trees output on the first requests of a benchmark
 workload.
 
-    python3 tools/compare_outputs.py SRC_A SRC_B --workload W --seed S --requests N
+    python3 tools/compare_outputs.py SRC_A SRC_B --workload W --seed S [S ...] --requests N
 
-W is one workload of BENCHMARK.json, or `all` for each of them in turn.
+W is one workload of BENCHMARK.json, or `all` for each of them in turn, and
+each workload is compared at each seed S in turn.
 
 SRC_A and SRC_B are checkouts of this repository.  For each tree a child
 process (this script with --dump) imports that tree's `src/magreduce` and
@@ -19,9 +20,9 @@ The comparison prints one line per request: "identical" when every output
 is byte-equal, otherwise each differing output with its max |difference|
 (numbers of one shape, a CSV file of the same shape) or what else differs
 (shape, CSV rows or columns, text), then "agree" or "DIFFER" for the
-workload.  Exit status: 0 when every output of every workload is
-byte-equal and every check passed in both trees, 1 otherwise, 2 when a
-tree cannot be run.
+workload at that seed.  Exit status: 0 when every output of every
+workload at every seed is byte-equal and every check passed in both
+trees, 1 otherwise, 2 when a tree cannot be run.
 """
 from __future__ import annotations
 
@@ -200,20 +201,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs=2, type=Path, metavar="SRC")
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     parser.add_argument("--requests", type=int, required=True)
     parser.add_argument("--dump", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump is not None:
-        dump(args.trees[0].resolve(), args.workload, args.seed, args.requests, args.dump)
+        dump(args.trees[0].resolve(), args.workload, args.seed[0], args.requests, args.dump)
         return 0
     agree = True
-    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
-        found = outputs(args.trees, workload, args.seed, args.requests)
+    for workload, seed in itertools.product(
+            WORKLOADS if args.workload == "all" else (args.workload,), args.seed):
+        found = outputs(args.trees, workload, seed, args.requests)
         if found is None:
             return 2
         lines, ok = compare(*found)
-        print(f"{workload}, seed {args.seed}, {args.requests} requests: "
+        print(f"{workload}, seed {seed}, {args.requests} requests: "
               f"A = {args.trees[0]}, B = {args.trees[1]}")
         print("\n".join(lines))
         print("agree" if ok else "DIFFER")
