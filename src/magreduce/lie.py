@@ -13,6 +13,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any, Callable
@@ -317,16 +318,20 @@ def _check_rotation(r) -> None:
 
 
 def _wrap_angle(theta: float) -> float:
-    return float(np.mod(theta, 2.0 * np.pi))
+    """theta mod 2pi in [0, 2pi): Python's float % (the bits of np.mod),
+    where a tiny negative angle, which rounds up to 2pi, maps to 0."""
+    theta = float(theta) % math.tau
+    return 0.0 if theta == math.tau else theta
 
 
 @numerics.takes_rows
 def _circle_exp(z: np.ndarray):
     """The angle exp(z) of one circle algebra element z (1,), or the angles
-    of stacked elements (N, 1)."""
+    of stacked elements (N, 1), each as `_wrap_angle` gives it."""
     if getattr(z, "ndim", 1) == 2:
-        return np.mod(z[:, 0], 2.0 * np.pi)
-    return _wrap_angle(float(z[0]))
+        theta = np.mod(z[:, 0], math.tau)
+        return np.where(theta == math.tau, 0.0, theta)
+    return _wrap_angle(z[0])
 
 
 @lru_cache(maxsize=None)
@@ -511,10 +516,13 @@ def c2r(z: complex) -> np.ndarray:
 
 @numerics.takes_rows
 def _rotmat(theta) -> np.ndarray:
-    """Rotation matrix of one angle, or one per angle of an array (N, 2, 2)."""
-    c, s = np.cos(theta), np.sin(theta)
+    """Rotation matrix of one angle, or one per angle of an array (N, 2, 2).
+    One angle takes `math`'s cos and sin, which give numpy's bits; an
+    infinite one gives NaN entries, as numpy does."""
     if getattr(theta, "ndim", 0) == 0:
+        c, s = (math.nan, math.nan) if math.isinf(theta) else (math.cos(theta), math.sin(theta))
         return np.array([[c, -s], [s, c]])
+    c, s = np.cos(theta), np.sin(theta)
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 

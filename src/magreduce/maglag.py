@@ -353,7 +353,7 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, blocks: tuple | None,
         rhs_p = bqp.T @ v - dl_dp
         if bpp_inv is None:
             require_regular(bpp, "singular fibre block: |det B_PP|")
-            pdot = np.linalg.solve(bpp, rhs_p)
+            pdot = numerics.solve(bpp, rhs_p)
         else:
             pdot = bpp_inv @ rhs_p
         rhs = rhs + bqp @ pdot - hvq @ v - hvp @ pdot
@@ -362,7 +362,7 @@ def _mixed_rhs(sys: MagneticSystem, q, v, p, blocks: tuple | None,
         rhs = rhs - hvq @ v
     if hess_inv is None:
         require_regular(hess, "singular velocity Hessian: |det d2L/dv2|")
-        return np.linalg.solve(hess, rhs), pdot
+        return numerics.solve(hess, rhs), pdot
     return hess_inv @ rhs, pdot
 
 
@@ -379,7 +379,7 @@ def _hessian_inverse(sys: MagneticSystem, s: MagLagState) -> np.ndarray | None:
         return None
     hess = sys.hess_vv(s.q, s.v, s.p)
     require_regular(hess, "singular velocity Hessian: |det d2L/dv2|")
-    return np.linalg.inv(hess)
+    return numerics.inverse(hess)
 
 
 def vector_field(sys: MagneticSystem, s: MagLagState
@@ -422,7 +422,7 @@ def _field_factory(sys: MagneticSystem, s0: MagLagState):
     bpp_inv = None
     if constant and sys.k > 0:
         require_regular(blocks0[2], "singular fibre block: |det B_PP|")
-        bpp_inv = np.linalg.inv(blocks0[2])
+        bpp_inv = numerics.inverse(blocks0[2])
     hess_inv = _hessian_inverse(sys, s0)
 
     def field(t: float, y: np.ndarray) -> np.ndarray:

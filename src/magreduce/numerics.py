@@ -26,13 +26,14 @@ stencil costs its calls of f and a fixed handful of numpy operations.
 All differences share one non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
-`newton_solve` always takes its Jacobian from the caller.  The integrators
-raise a right-hand side's ValueError or RegularityError again with the
-start t of its step.  Apart from the stencil layouts nothing here keeps
-state between calls: the integrators allocate their output arrays per call
-(RK4 all at once, since its step count is known), and `supply` and
-`supply_blocks` return callables that close over nothing but their
-inputs.
+`newton_solve` always takes its Jacobian from the caller.  `solve` and
+`inverse` are the one small-solve rule: a 1x1 system by one division, a
+larger one by LAPACK.  The integrators raise a right-hand side's
+ValueError or RegularityError again with the start t of its step.  Apart
+from the stencil layouts nothing here keeps state between calls: the
+integrators allocate their output arrays per call (RK4 all at once, since
+its step count is known), and `supply` and `supply_blocks` return
+callables that close over nothing but their inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
@@ -527,6 +528,24 @@ def rowdot(u: np.ndarray, w: np.ndarray):
     return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b for one square matrix a and b of matching length.  A 1x1
+    system is one division, which gives LAPACK's bits, and an exactly zero
+    pivot raises LinAlgError as LAPACK does; larger systems go to LAPACK
+    (a 2x2 closed form would match its bits only with a fused multiply-add,
+    which Python floats lack)."""
+    if a.shape == (1, 1):
+        if a[0, 0] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / a[0, 0]
+    return np.linalg.solve(a, b)
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """a^-1 by the rule of `solve`."""
+    return solve(a, np.eye(1)) if a.shape == (1, 1) else np.linalg.inv(a)
+
+
 def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
                            z: np.ndarray, h0: float = H_SECOND) -> np.ndarray:
     """Exterior derivative of a coordinate 1-form by central differences.
@@ -587,7 +606,8 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
             open_ = ~(norms <= INVERSION_TOL)
             done = not open_.any()
         else:
-            rnorm = float(np.linalg.norm(r))
+            # |r| is the 2-norm of a 1-vector
+            rnorm = abs(r.item()) if r.size == 1 else float(np.linalg.norm(r))
             done = rnorm <= INVERSION_TOL
         trace.append((x.copy(), rnorm))
         if it < NEWTON_MAX_ITER and not math.isfinite(rnorm):
@@ -600,7 +620,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
         j = np.asarray(jacobian(x), dtype=float)
         if not rows:
             try:
-                x = x + np.linalg.solve(j, -r)
+                x = x + solve(j, -r)
             except np.linalg.LinAlgError as exc:
                 fail(f"singular Jacobian: {exc}", cause=exc)
             continue

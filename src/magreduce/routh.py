@@ -188,13 +188,13 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
         maglag.require_regular(lag.jac_xi_xi(x, xdot, chi), singular_k)
         raise
     maglag.require_regular(k, singular_k)
-    k_inv = np.linalg.inv(k)
+    k_inv = numerics.inverse(k)
     dchi_dxdot = -k_inv @ xi_xdot
     dchi_dx = -k_inv @ xi_x
     f1_xi = xi_xdot.T
     hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
-    return ReducedMetric(hess_inv=np.linalg.inv(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
+    return ReducedMetric(hess_inv=numerics.inverse(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
                          mixed_nu=f1_xi @ k_inv), dl_dx
 
 
@@ -208,7 +208,7 @@ def _affine_chi(lag: InvariantLagrangian) -> tuple[np.ndarray, np.ndarray]:
     n, sd = 2 * lag.sdim + lag.gdim, 2 * lag.sdim
     at = lag.group_momentum(*_split(lag, np.vstack([np.zeros(n), np.eye(n)])))
     m0, m = at[0], (at[1:] - at[0]).T
-    k_inv = np.linalg.inv(m[:, sd:])
+    k_inv = numerics.inverse(m[:, sd:])
     p = -k_inv @ m
     p[:, sd:] = k_inv
     return p, -k_inv @ m0

@@ -204,7 +204,7 @@ class _QuadraticSplit:
                               [bm[:, :d0].T, cm[:d0, :d0]]])
         self.m_yu = np.vstack([bm[:, d0:], cm[:d0, d0:]])
         self.m_uu = cm[d0:, d0:]
-        self.m_uu_inv = np.linalg.inv(self.m_uu)
+        self.m_uu_inv = numerics.inverse(self.m_uu)
         self.schur = self.m_yy - self.m_yu @ self.m_uu_inv @ self.m_yu.T
         self._a_coords = np.array(a.coords)
         self._exp, self._rep = sd.gv.base.exp_fn, sd.gv.rep

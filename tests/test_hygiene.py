@@ -1,7 +1,8 @@
 """Module boundaries: no module of the package reads a private name (one
 with a leading underscore, dunder names aside) of another package module,
-by attribute or by import; a rule written once stays in one module; and
-importing the CLI pulls in no optional heavy dependency."""
+by attribute or by import; a rule written once (the small solves among
+them) stays in one module; and importing the CLI pulls in no optional
+heavy dependency."""
 import ast
 import os
 import re
@@ -129,11 +130,24 @@ def defines_class(source: str, name: str) -> bool:
 
 
 def calls(source: str, name: str) -> bool:
-    """True when `source` calls `name`, bare or as an attribute."""
+    """True when `source` calls `name`, bare or as an attribute; a dotted
+    `name` ("linalg.solve") matches the end of the called attribute chain."""
     return any(isinstance(node, ast.Call)
-               and (getattr(node.func, "id", None) == name
-                    or getattr(node.func, "attr", None) == name)
+               and f".{ast.unparse(node.func)}".endswith(f".{name}")
                for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("source, name, found", [
+    ("newton_solve(f, x, j)", "newton_solve", True),
+    ("numerics.newton_solve(f, x, j)", "newton_solve", True),
+    ("my_newton_solve(f)", "newton_solve", False),
+    ("np.linalg.solve(a, b)", "linalg.solve", True),
+    ("numpy.linalg.inv(a)", "linalg.inv", True),
+    ("numerics.solve(a, b)", "linalg.solve", False),
+    ("np.linalg.solve", "linalg.solve", False),
+])
+def test_call_checker_sees_bare_and_dotted_calls(source, name, found):
+    assert calls(source, name) is found
 
 
 def test_one_module_holds_the_regularity_error_and_newton():
@@ -141,6 +155,13 @@ def test_one_module_holds_the_regularity_error_and_newton():
     assert [m for m, s in sources.items() if defines_class(s, "RegularityError")] == ["numerics"]
     assert [m for m, s in sources.items() if calls(s, "newton_solve")] == ["numerics"]
     assert maglag.RegularityError is cli.RegularityError is numerics.RegularityError
+
+
+@pytest.mark.parametrize("name", ["linalg.solve", "linalg.inv"])
+def test_one_module_holds_the_small_solves(name):
+    # numerics.solve / inverse: a 1x1 system by division, larger by LAPACK
+    holders = [m for m in sorted(MODULES) if calls((PACKAGE / f"{m}.py").read_text(), name)]
+    assert holders == ["numerics"]
 
 
 def test_importing_the_cli_imports_no_scipy():

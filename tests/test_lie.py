@@ -377,6 +377,49 @@ def test_circle_angle_normalized():
     assert 0.0 <= g.payload < 2.0 * np.pi
 
 
+def numpy_rotation(theta):
+    """Rotation matrix of an angle, or one per angle of an array, from
+    np.cos and np.sin: the reference for the circle chart on floats."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def test_circle_chart_on_floats_is_numpys():
+    theta = np.random.default_rng(7).uniform(-50.0, 50.0, 100_000)
+    wrapped = np.mod(theta, 2.0 * np.pi)
+    assert np.array_equal([lie._wrap_angle(t) for t in theta], wrapped)
+    assert np.array_equal(lie._circle_exp(theta[:, None]), wrapped)
+    for angles in (theta, wrapped):
+        rotations = numpy_rotation(angles)
+        assert np.array_equal([lie._rotmat(t) for t in angles], rotations)
+        assert np.array_equal(lie._rotmat(angles), rotations)
+
+
+@pytest.mark.parametrize("theta", [-1e-300, -5e-324, -0.0, np.nextafter(-2.0 * np.pi, -np.inf),
+                                   np.nextafter(-2.0 * np.pi, 0.0)])
+def test_circle_angles_stay_below_two_pi(theta):
+    # a tiny negative angle mod 2pi rounds up to 2pi itself: it maps to 0
+    one = lie._wrap_angle(theta)
+    assert 0.0 <= one < 2.0 * np.pi
+    if abs(theta) < 1.0:
+        assert np.array(one).tobytes() == np.array(0.0).tobytes()
+    assert lie._circle_exp(np.array([[theta]]))[0].tobytes() == np.array(one).tobytes()
+    assert lie.circle_element(theta).payload == one
+    assert lie.exponential(lie.circle(), AlgebraVector([theta])).payload == one
+    assert lie.se2_element(theta, [1.0, 0.0]).payload[0] == one
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_circle_chart_of_a_non_finite_angle_is_numpys(theta):
+    # math.cos(inf) raises where np.cos gives NaN: the chart keeps the NaN
+    with np.errstate(invalid="ignore"):
+        rotation = numpy_rotation(theta)
+        assert np.isnan(lie._circle_exp(np.array([[theta]]))[0])
+        assert np.array_equal(lie._rotmat(np.array([theta]))[0], rotation, equal_nan=True)
+    assert np.isnan(lie._wrap_angle(theta))
+    assert np.array_equal(lie._rotmat(theta), rotation, equal_nan=True)
+
+
 def test_rodrigues_rows_are_one_point_calls_bit_for_bit(rng):
     w = rng.normal(size=(300, 3)) * rng.choice([1e-15, 1e-13, 1e-6, 1.0, 10.0], size=(300, 1))
     w[0] = 0.0

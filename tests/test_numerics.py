@@ -433,6 +433,65 @@ def test_newton_non_finite_residual_raises_with_trace():
     assert len(err.value.trace) == 2 and np.isnan(err.value.trace[-1][1])
 
 
+def spread_draws(rng, n):
+    """n signed floats with exponents from subnormal to about 1e300."""
+    return (np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 997, n))
+            * rng.choice([-1.0, 1.0], n))
+
+
+def test_one_by_one_solve_and_inverse_are_lapacks_bits():
+    rng = np.random.default_rng(11)
+    n = 100_000
+    a, b = spread_draws(rng, n), spread_draws(rng, n)
+    a[:2000] = np.ldexp(rng.uniform(1.0, 2.0, 2000), -1040)  # subnormal pivots
+    b[2000:3000], b[3000:4000] = 0.0, -0.0
+    assert np.sum(np.abs(a) < np.finfo(float).tiny) >= 2000
+    assert np.min(np.abs(a)) < 1e-300 and np.max(np.abs(a)) > 1e299
+    with np.errstate(over="ignore", under="ignore"):
+        lapack_solve = np.linalg.solve(a[:, None, None], b[:, None, None])[:, :, 0]
+        lapack_inverse = np.linalg.inv(a[:, None, None])
+        solve = [numerics.solve(np.array([[ai]]), np.array([bi])) for ai, bi in zip(a, b)]
+        inverse = [numerics.inverse(np.array([[ai]])) for ai in a]
+    assert np.array(solve).tobytes() == lapack_solve.tobytes()
+    assert np.array(inverse).tobytes() == lapack_inverse.tobytes()
+
+
+@pytest.mark.parametrize("pivot", [0.0, -0.0])
+def test_one_by_one_zero_pivot_raises_as_lapack(pivot):
+    a = np.array([[pivot]])
+    for call in (lambda: numerics.solve(a, np.ones(1)), lambda: numerics.inverse(a),
+                 lambda: np.linalg.solve(a, np.ones(1)), lambda: np.linalg.inv(a)):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^Singular matrix$"):
+            call()
+
+
+def test_newton_zero_one_by_one_jacobian_is_singular():
+    with pytest.raises(NewtonConvergenceError, match=r"^singular Jacobian: Singular matrix$") as err:
+        numerics.newton_solve(lambda x: x ** 2 + 1.0, np.array([0.5]), lambda x: np.zeros((1, 1)))
+    assert len(err.value.trace) == 1 and isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_one_by_one_newton_is_the_lapack_iteration():
+    # the iteration newton_solve ran with LAPACK steps and the vector norm
+    def lapack_newton(residual, seed, jacobian):
+        x, trace = np.array(seed), []
+        while True:
+            r = residual(x)
+            trace.append((x.copy(), float(np.linalg.norm(r))))
+            if trace[-1][1] <= numerics.INVERSION_TOL:
+                return x, trace
+            x = x + np.linalg.solve(jacobian(x), -r)
+
+    rng = np.random.default_rng(4)
+    for c, seed in zip(rng.uniform(0.1, 30.0, 300), rng.uniform(0.2, 8.0, 300)):
+        residual = lambda x, c=c: np.array([x[0] ** 3 + np.sin(x[0]) - c])
+        jacobian = lambda x: np.array([[3.0 * x[0] ** 2 + np.cos(x[0])]])
+        res = numerics.newton_solve(residual, np.array([seed]), jacobian)
+        x, trace = lapack_newton(residual, [seed], jacobian)
+        assert res.x.tobytes() == x.tobytes() and res.iterations == len(trace) - 1
+        assert [(xi.tobytes(), ri) for xi, ri in res.trace] == [(xi.tobytes(), ri) for xi, ri in trace]
+
+
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
     res = numerics.newton_solve(f, np.array([1.0]), lambda x: numerics.fd_jacobian(f, (x,)))

@@ -435,6 +435,23 @@ def test_b_of_theta_takes_many_angles():
             assert np.max(np.abs(bp - split.db_dtheta(split.b_of_theta(theta)))) <= ROW_TOL
 
 
+@pytest.mark.parametrize("theta", [None, np.inf, -np.inf, np.nan])
+def test_b_of_theta_is_the_numpy_chart(theta):
+    # b = R(theta mod 2pi)^T a with R from np.mod, np.cos and np.sin: one
+    # angle on floats and the rows on arrays give its bits, NaN when the
+    # angle is not finite
+    sd = models.beanie_gv_lagrangian(models.BeanieParams())
+    a = np.array([-0.55, 0.3])
+    split = semidirect._QuadraticSplit(sd, CoVector(a))
+    thetas = (np.random.default_rng(5).uniform(-50.0, 50.0, 100_000) if theta is None
+              else np.array([theta]))
+    with np.errstate(invalid="ignore"):
+        c, s = np.cos(np.mod(thetas, 2.0 * np.pi)), np.sin(np.mod(thetas, 2.0 * np.pi))
+        expected = [np.array([[ci, -si], [si, ci]]).T @ a for ci, si in zip(c, s)]
+        assert np.array_equal(split.b_of_theta(thetas), expected, equal_nan=True)
+    assert np.array_equal([split.b_of_theta(t) for t in thetas], expected, equal_nan=True)
+
+
 def test_abelian_reduced_row_callables_match_per_point():
     params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
     sys = semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
