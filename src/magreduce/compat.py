@@ -137,8 +137,7 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     """Inverse of psi: recover the F-fibre coordinate p from the fibre
     momentum of a point on the smaller bundle (beta must be fibre-regular).
     Stacked states z2 (N, dim) are inverted as solve_psi solves them; the
-    Jacobian in p is one fd_jacobian_rows call over the stencil of the
-    slot p."""
+    Jacobian in p is one fd_jacobian call over the stencil of the slot p."""
     z2 = np.asarray(z2, dtype=float)
     q2, v2, pbar = pair.split2(z2)
     n1 = pair.n1
@@ -154,7 +153,7 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         return mismatch(q, qbar, pbar, p, target)
 
     def jacobian(p):
-        return numerics.fd_jacobian_rows(mismatch, (q, qbar, pbar, p, target), 3)
+        return numerics.fd_jacobian(mismatch, (q, qbar, pbar, p, target), 3, rows=True)
 
     p = numerics.invert(residual, np.zeros(target.shape), jacobian,
                         "beta fibre inversion failed")
@@ -181,12 +180,12 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     difference these gradients.  dL1/dq and dL1/dp come together from one
     callable (`dL_dqp`): one psi solve, one stencil of beta and one
     two-slot stencil of the connection term (the slots q and qbar of one
-    `numerics.fd_jacobian_rows` call) serve both.  The exterior
+    `numerics.fd_jacobian` call) serve both.  The exterior
     derivative of the coordinate 1-form beta_a (dqbar^a + Gamma^a_i dq^i)
     is taken by central differences at step H_SECOND.  `lagrangian`,
     `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
     or stacked rows; the stencil of the exterior derivative is one
-    fd_jacobian_rows call, at one point (passed as one stacked row) as at
+    fd_jacobian call, at one point (passed as one stacked row) as at
     stacked rows.  Without `gamma` the connection is zero, and, as in
     `maglag`, its identically absent terms are not evaluated: no Gamma
     products in L1, dL1/dqdot, dL1/dzeta and the 1-form, and no connection
@@ -211,7 +210,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
 
     def dbeta_at(p1):
         # (vf, n1+k1) per point: the stencil of all points in one call
-        return numerics.fd_jacobian_rows(lambda pts: _betas(beta, pts), (p1,))
+        return numerics.fd_jacobian(lambda pts: _betas(beta, pts), (p1,), rows=True)
 
     @numerics.takes_rows
     def lagrangian(q, v, pfib):
@@ -234,7 +233,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         # beta . (d Gamma / d zeta) qdot for zeta ranging over q and over
         # qbar, from one stencil
         args = (q2[..., :n1], q2[..., n1:], b, qdot)
-        return [d[..., 0, :] for d in numerics.fd_jacobian_rows(pairing, args, (0, 1))]
+        return [d[..., 0, :] for d in numerics.fd_jacobian(pairing, args, (0, 1), rows=True)]
 
     @numerics.takes_rows
     def dl_dqp(q, v, pfib):
@@ -300,7 +299,7 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     non-finite sample or only one of beta and pair raises ValueError
     before psi is called.  The tangents are drawn sample by sample, u then
     w for each pair.  psi runs on the samples and on the stencil of all
-    samples (`numerics.fd_jacobian_rows`), through `numerics.each_row`:
+    samples (`numerics.fd_jacobian`), through `numerics.each_row`:
     two calls when psi is marked with `numerics.takes_rows`, and
     1 + 2 (2 n + k) calls per sample otherwise, whatever tangent_pairs is.
     The form matrices, energies and momentum residuals of all samples are
@@ -329,7 +328,7 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
         return np.asarray(numerics.each_row(psi, z), dtype=float)
 
     z2 = psi_rows(samples)
-    dpsi = numerics.fd_jacobian_rows(psi_rows, (samples,))
+    dpsi = numerics.fd_jacobian(psi_rows, (samples,), rows=True)
     push = numerics.matvec(dpsi[:, None, None], tangents)
 
     def form_values(sys, z, t):

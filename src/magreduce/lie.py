@@ -431,7 +431,8 @@ def make_semidirect(base: LieGroupSpec,
     if np.max(np.abs(r_e - np.eye(vdim))) > 1e-12:
         raise ValueError("rep(identity) must be the identity matrix")
     # column i: d/dt rho(exp(t e_i)) at t = 0, flattened
-    drho = numerics.fd_jacobian(lambda xi: np.ravel(rep(base.exp_fn(xi))), (np.zeros(d0),))
+    drho = numerics.fd_jacobian(lambda xi: np.ravel(rep(base.exp_fn(xi))), (np.zeros(d0),),
+                                rows=False)
     for i, e in enumerate(np.eye(d0)):
         if np.max(np.abs(drho[:, i].reshape(vdim, vdim) - rep_inf(e))) > 1e-6:
             raise ValueError(

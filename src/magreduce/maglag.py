@@ -475,7 +475,8 @@ def check_closedness(sys: MagneticSystem, sample_states: Sequence[MagLagState]) 
     def b_flat(rows: np.ndarray) -> np.ndarray:
         return sys.full_bmatrix(rows[:, :sys.n], rows[:, sys.n:]).reshape(len(rows), -1)
 
-    db = numerics.fd_jacobian_rows(b_flat, (z,), 0, numerics.H_SECOND).reshape(-1, dim, dim, dim)
+    db = numerics.fd_jacobian(b_flat, (z,), 0, numerics.H_SECOND, rows=True)
+    db = db.reshape(-1, dim, dim, dim)
     # the cyclic sum d_a B_bc + d_b B_ca + d_c B_ab over a < b < c, where
     # d_a B_bc is db[:, b, c, a]
     a, b, c = np.array([*itertools.combinations(range(dim), 3)], dtype=int).reshape(-1, 3).T

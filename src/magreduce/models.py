@@ -312,7 +312,8 @@ class BeanieParams:
         elif self.dpotential is None:
             object.__setattr__(
                 self, "dpotential",
-                lambda phi: numerics.fd_jacobian(self.potential, (np.atleast_1d(phi),)))
+                lambda phi: numerics.fd_jacobian(self.potential, (np.atleast_1d(phi),),
+                                                 rows=False))
 
 
 def beanie_gv_lagrangian(params: BeanieParams) -> semidirect.SemiDirectLagrangian:

@@ -4,25 +4,22 @@ Finite differences and the derivative supply rule built on them
 (`supply`), a dense Newton solver, fixed-step RK4 and the embedded
 Fehlberg 4(5) pair, and the Lie-group reconstruction step.
 
-Every Jacobian (rule 2 of `supply`) is the central difference
-(f(x + h e_i) - f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), in an argument
-slot of f, by the per-point loop (`fd_jacobian`) or by the stacked
-stencil (`fd_jacobian_rows`: one call of a row-capable f over the joint
-stencil of one or several slots, at one point or at rows), with the same
-bits.  Rule 3, the derivatives of a values-only
-function, is one routine, `fd_blocks`: every gradient (the fourth-order
-five-point difference, step H_FIVE_POINT) and every second-difference
-block of a set, from one stencil over their joint points, which a
-row-capable function takes in one call (rule 3 over rows) and any other
-function one point at a time; `fd_gradient` and `fd_second` are its
-one-point calls for one gradient or one block.  Both ways have the same
-points, steps and arithmetic (`_five_point`, `_second`, `_cross`, on
-floats at one point and on arrays over rows), so the same bits.  The
-layout of a stencil depends only on the slot sizes (and the set and the
-base steps); it is built once and kept (`_signs`, `_layout`), with its
-one-point evaluation compiled (an itemgetter of the values and steps of
-each difference, one gather index of the results), so that a one-point
-stencil costs its calls of f and a fixed handful of numpy operations.
+Each differencing rule of `supply` is one routine over one stencil of
+joint points, at one point or at rows: rule 2, the Jacobian of a first
+derivative, is `fd_jacobian`, the central difference (f(x + h e_i) -
+f(x - h e_i)) / 2h, h = h0*max(1, |x_i|), in one or several argument
+slots; rule 3, the derivatives of a values-only function, is `fd_blocks`,
+every gradient (the fourth-order five-point difference, step
+H_FIVE_POINT) and second-difference block of a set, with `fd_gradient`
+and `fd_second` its one-point calls.  Given `rows` by its caller, each
+passes a row-capable function the whole stencil in one call, and calls
+any other one point at a time, with the same points, steps and
+arithmetic (`_central`; `_five_point`, `_second`, `_cross`), so the same
+bits.  A stencil's layout depends only on the slot sizes (and the set and
+the base steps) and is built once and kept (`_signs`, `_layout`); rule
+3's one-point evaluation is compiled (an itemgetter of the values and
+steps of each difference, one gather index of the results), so that it
+costs its calls of f and a fixed handful of numpy operations.
 All differences share one non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
@@ -107,10 +104,6 @@ def _raise_non_finite(t: float, y: np.ndarray) -> None:
         f"non-finite state at t = {t:.6g}: component {j} is {y[j]}")
 
 
-def _steps(x: np.ndarray, h0: float) -> np.ndarray:
-    return h0 * np.maximum(1.0, np.abs(x))
-
-
 def _central(fp, fm, h):
     """The central difference of the values at x + h e_i and x - h e_i."""
     return (fp - fm) / (2.0 * h)
@@ -160,32 +153,14 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return fd_blocks(f, (x,), ((0, None),), h0_gradient=h0, rows=False)[0]
 
 
-def fd_jacobian(f: Callable[..., np.ndarray], args: Sequence, slot: int = 0,
-                h0: float = H_GRADIENT) -> np.ndarray:
-    """Central-difference Jacobian in `args[slot]` of a vector-valued
-    `f(*args)`, shape (m, n), or gradient of a scalar one, shape (n,), from
-    two one-point calls of `f` per coordinate, at x + h e_i and x - h e_i."""
-    args = list(args)
-    x = np.asarray(args[slot], dtype=float)
-    h = _steps(x, h0)
-    e = np.zeros((x.size, x.size))
-    e.flat[::x.size + 1] = h  # np.diag(h) without the cost of its wrapper
-
-    def at(z):
-        args[slot] = z
-        return f(*args)
-
-    return _finite(np.array([_central(at(x + e[i]), at(x - e[i]), h[i])
-                             for i in range(x.size)], dtype=float), False).T
-
-
 @functools.lru_cache(maxsize=256)
 def _signs(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
     """The central stencil of slots of these sizes, kept read-only: signs
     (2, n, n) [sign, moved coordinate, coordinate] and each slot's span.
     Point x + h_i signs[sign, i] moves coordinate i by +-h_i, the rest of
-    its slot by +0.0 or -0.0 (x + 0.0, x - 0.0) as fd_jacobian does, and
-    every other slot by -0.0, which leaves any float as it is."""
+    its slot by +0.0 or -0.0 (x + 0.0, x - 0.0, as adding or subtracting
+    h_i e_i would), and every other slot by -0.0, which leaves any float as
+    it is."""
     edges = list(itertools.accumulate(sizes, initial=0))
     n, spans = edges[-1], tuple(zip(edges[:-1], edges[1:]))
     signs = np.full((2, n, n), -0.0)
@@ -196,37 +171,47 @@ def _signs(sizes: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
     return signs, spans
 
 
-def fd_jacobian_rows(f: Callable[..., np.ndarray], args: Sequence,
-                     slots: int | Sequence[int] = 0, h0: float = H_GRADIENT):
-    """The stacked stencil: central-difference Jacobians of `f(*args)` in the
-    argument slots `slots`, at one point or at stacked rows of every
-    argument, from one call of `f`, which must take rows.
+def fd_jacobian(f: Callable[..., np.ndarray], args: Sequence,
+                slots: int | Sequence[int] = 0, h0: float = H_GRADIENT, *,
+                rows: bool) -> np.ndarray | list[np.ndarray]:
+    """Rule 2: central-difference Jacobians of `f(*args)` in the argument
+    slots `slots`, at one point or at stacked rows of every argument, from
+    one stencil over their joint points.
 
     The slots are joined into one point of size n.  Its 2n stencil points
-    (plus, then minus) move one slot as fd_jacobian does and hold every
-    other argument exactly at the centre, so each slot gets the bits of its
-    own call; every argument goes to `f` as one row per stencil point.  An
-    int `slots` returns its Jacobian, (m, n) or (N, m, n) for rows (no m for
-    a scalar f); a sequence returns one per slot.  A non-finite value names
-    the row (for rows) and the coordinate of the joint point."""
+    (plus, then minus) move one coordinate x_i by +-h_i, h_i =
+    h0*max(1, |x_i|), and hold every other coordinate and argument exactly
+    at the centre, so each slot gets the bits of its own stencil.  With
+    `rows`, `f` takes the whole stencil in one call, every argument as one
+    row per stencil point; without, it is called once per stencil point.
+    The caller decides which; this routine never reads a mark of `f`.  An
+    int `slots` returns its Jacobian, (m, n) or (N, m, n) for rows (no m
+    for a scalar f); a sequence returns one per slot.  A non-finite value
+    names the row (for rows) and the coordinate of the joint point."""
     one = isinstance(slots, (int, np.integer))
     slots = [slots] if one else list(slots)
-    args = [np.asarray(a, dtype=float if i in slots else None) for i, a in enumerate(args)]
-    x = np.concatenate([args[s] for s in slots], axis=-1)
+    parts = [np.asarray(args[s], dtype=float) for s in slots]
+    signs, spans = _signs(tuple([part.shape[-1] for part in parts]))
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     lead, n = x.ndim - 1, x.shape[-1]  # lead: 1 for stacked rows, 0 for one point
-    signs, spans = _signs(tuple([args[s].shape[-1] for s in slots]))
-    h = _steps(x.reshape(-1, n), h0)
+    h = h0 * np.maximum(1.0, np.abs(x))
     # the stencil points, one per [row, sign, moved coordinate]
-    pts = (x.reshape(-1, 1, 1, n) + h[:, None, :, None] * signs).reshape(-1, n)
-    span = {s: slice(*sp) for s, sp in zip(slots, spans)}
-    stencil = [np.ascontiguousarray(pts[:, span[i]]) if i in span
-               else a.reshape((len(h),) + a.shape[lead:]).repeat(2 * n, axis=0)
+    pts = ((x[:, None, None] + h[:, None, :, None] * signs) if lead
+           else x + h[:, None] * signs).reshape(-1, n)
+    # called per point at one point, f takes the held arguments as they are
+    # and views of the points; otherwise every argument as one row per point
+    count = x.size // n
+    stencil = [None if i in slots else (a,) * (2 * n) if not (rows or lead)
+               else np.asarray(a).reshape((count,) + np.shape(a)[lead:]).repeat(2 * n, 0)
                for i, a in enumerate(args)]
-    vals = np.asarray(f(*stencil), dtype=float)
-    vals = vals.reshape((len(h), 2, n) + vals.shape[1:])
-    d = _central(vals[:, 0], vals[:, 1], h.reshape(h.shape + (1,) * (vals.ndim - 3)))
-    d = _finite(d.reshape(x.shape[:-1] + d.shape[1:]), lead == 1)
-    d = d.swapaxes(lead, -1)
+    for s, (lo, hi) in zip(slots, spans):
+        stencil[s] = np.ascontiguousarray(pts[:, lo:hi]) if rows else pts[:, lo:hi]
+    vals = np.asarray(f(*stencil) if rows else [f(*point) for point in zip(*stencil)],
+                      dtype=float)
+    shape = vals.shape[1:]
+    vals = vals.reshape(-1, n, math.prod(shape))  # [row and sign, moved coordinate]
+    d = _central(vals[0::2], vals[1::2], h.reshape(-1, n, 1))
+    d = _finite(d.reshape(x.shape + shape), lead == 1).swapaxes(lead, -1)
     return d if one else [d[..., lo:hi] for lo, hi in spans]
 
 
@@ -399,41 +384,36 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
 
     1. the analytic callable: `first` for a gradient, `second` for a block;
     2. a block with an analytic `first`: fd_jacobian of `first` in slot
-       `inner` (H_GRADIENT); when `first` takes rows, its whole stencil is
-       one fd_jacobian_rows call, on the points and steps of fd_jacobian;
+       `inner` (H_GRADIENT);
     3. values only: fd_blocks of `value`, the five-point gradient
        (H_FIVE_POINT) or the second-difference block (H_SECOND), diagonal
-       (d2L/dv2) or mixed (d2L/dv dq); when `value` takes rows, its whole
-       stencil is one call (rule 3 over rows), otherwise one call per
-       stencil point.
+       (d2L/dv2) or mixed (d2L/dv dq).
 
-    Whether rules 2 and 3 pass rows is decided here, once, from the marks
-    of `first` and `value`; the differencing routines never ask, so a
-    wrapper that drops a mark (a call counter) changes neither the path nor
-    a bit.  The result takes rows and is marked so.  Resting on a marked
-    callable or stencil it passes rows to it; resting on a one-point
-    callable it passes one point straight through and evaluates stacked
-    rows one row at a time (the same calls, so the same bits).  The differencing
+    Rules 2 and 3 take one stencil, built by one helper (`_stencil`): one
+    call of the differenced callable when it takes rows, one call per
+    stencil point otherwise.  Which is decided here, once, from the mark of
+    `first` or `value`; the differencing routines never ask, so a wrapper
+    that drops a mark (a call counter) changes neither the path nor a bit.
+    The result takes rows and is marked so.  Resting on a marked analytic
+    callable it passes rows to it; resting on a one-point analytic callable
+    it passes one point straight through and evaluates stacked rows one row
+    at a time (the same calls, so the same bits).  The differencing
     routines are looked up at call time, so a wrapper installed on them
     later still sees every stencil.
     """
+    key = _stencil_of(value, outer, inner, first, second)
+    if key is not None:
+        evaluate = _stencil(value, key, [(outer, inner)])
+        return takes_rows(lambda *args: evaluate(args)[0])
     analytic = first if inner is None else second
     if rows_ok(analytic):
         return takes_rows(lambda *args: np.asarray(analytic(*args), dtype=float))
-    stencil = _stencil_of(value, outer, inner, first, second)
-    if stencil is value:
-        pairs, rows = ((outer, inner),), rows_ok(value)
-        return takes_rows(lambda *args: fd_blocks(value, args, pairs, rows=rows)[0])
-    if stencil is not None:
-        return takes_rows(lambda *args: fd_jacobian_rows(first, args, inner))
-    point = analytic if analytic is not None else (
-        lambda *args: fd_jacobian(first, args, inner))
 
     @takes_rows
     def rows(*args):
         if getattr(args[outer], "ndim", 1) < 2:
-            return np.asarray(point(*args), dtype=float)
-        return np.array([point(*row) for row in zip(*args)], dtype=float)
+            return np.asarray(analytic(*args), dtype=float)
+        return np.array([analytic(*row) for row in zip(*args)], dtype=float)
 
     return rows
 
@@ -441,14 +421,24 @@ def supply(value: Callable[..., float], outer: int, inner: int | None = None,
 def _stencil_of(value: Callable, outer: int, inner: int | None, first: Callable | None,
                 second: Callable | None) -> Callable | None:
     """The callable whose stencil gives this supply, shared by the supplies
-    of one supply_blocks call: `value` for rule 3, a marked `first` for
-    rule 2 over rows; None for rule 1 and for rule 2 point by point."""
-    analytic = first if inner is None else second
-    if analytic is not None:
+    of one supply_blocks call: `value` for rule 3, `first` for rule 2; None
+    for rule 1."""
+    if (first if inner is None else second) is not None:
         return None
-    if first is None:
-        return value
-    return first if rows_ok(first) else None
+    return value if first is None else first
+
+
+def _stencil(value: Callable, key: Callable, pairs: list[tuple]) -> Callable[[tuple], list]:
+    """The one stencil of the results (outer, inner) differenced from `key`:
+    `value` by rule 3 (fd_blocks) or a first derivative by rule 2
+    (fd_jacobian in the inner slots), as a callable of the argument tuple
+    that returns the list of results, passing rows when `key` takes them."""
+    rows = rows_ok(key)
+    if key is value:
+        pairs = tuple(pairs)
+        return lambda args: fd_blocks(value, args, pairs, rows=rows)
+    slots = [inner for _, inner in pairs]
+    return lambda args: fd_jacobian(key, args, slots, rows=rows)
 
 
 def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
@@ -458,23 +448,17 @@ def supply_blocks(value: Callable[..., float], specs: Sequence[tuple]
     slots that returns a list of them in order, at one point or at stacked
     rows.
 
-    The blocks that rule 2 differences from one row-marked `first` share
-    one fd_jacobian_rows call over the joint stencil of their slots, and
-    the gradients and blocks that rule 3 differences from `value` share
-    one fd_blocks stencil (one call of a row-marked `value`, the same
-    one-point calls as apart otherwise); every other result is its own
+    The blocks that rule 2 differences from one `first` share one
+    fd_jacobian stencil over the joint points of their slots, and the
+    gradients and blocks that rule 3 differences from `value` share one
+    fd_blocks stencil; either is one call of a row-marked callable and one
+    call per stencil point of any other.  Every other result is its own
     supply.  So each result has the bits of its one-result supply.
     """
     by = [_stencil_of(value, *spec) for spec in specs]
-    shared: list[tuple[list[int], Callable[[tuple], list]]] = []
-    for key in dict.fromkeys(k for k in by if k is not None):
-        where = [at for at, k in enumerate(by) if k is key]
-        if key is value:
-            pairs, rows = tuple(specs[at][:2] for at in where), rows_ok(value)
-            shared.append((where, lambda args, p=pairs, r=rows: fd_blocks(value, args, p, rows=r)))
-        else:
-            slots = [specs[at][1] for at in where]
-            shared.append((where, lambda args, f=key, s=slots: fd_jacobian_rows(f, args, s)))
+    shared = [([at for at, k in enumerate(by) if k is key],
+               _stencil(value, key, [spec[:2] for spec, k in zip(specs, by) if k is key]))
+              for key in dict.fromkeys(k for k in by if k is not None)]
     own = [(at, supply(value, *specs[at])) for at, key in enumerate(by) if key is None]
 
     @takes_rows
@@ -551,15 +535,15 @@ def fd_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray],
     """Exterior derivative of a coordinate 1-form by central differences.
 
     Returns the antisymmetric matrix D - D^T with D[a, b] = d(theta_b)/dz_a,
-    i.e. (dtheta)_{ab} evaluated at z.  The shape of z chooses the path,
-    never a mark of the 1-form: stacked points z (N, dim) are differenced
-    by one fd_jacobian_rows call (the 1-form must take rows; the result is
-    (N, dim, dim)), one point z (dim,) by fd_jacobian, one 1-form call per
+    i.e. (dtheta)_{ab} evaluated at z, by fd_jacobian.  The shape of z
+    chooses the path, never a mark of the 1-form: stacked points z (N, dim)
+    are one call of the whole stencil (the 1-form must take rows; the
+    result is (N, dim, dim)), one point z (dim,) one 1-form call per
     stencil point, with the same bits.  A caller whose 1-form takes rows
     passes one point as one stacked row.
     """
     # d[..., b, a] = d theta_b / d z_a
-    d = (fd_jacobian_rows if np.ndim(z) == 2 else fd_jacobian)(one_form, (z,), 0, h0)
+    d = fd_jacobian(one_form, (z,), 0, h0, rows=np.ndim(z) == 2)
     return np.swapaxes(d, -1, -2) - d
 
 
@@ -683,6 +667,15 @@ def _at_step(exc: Exception, t: float) -> Exception:
     return kind(f"{exc}{at_time(t)}")
 
 
+def _horizon(t0: float, t_end: float) -> None:
+    """The one horizon check of the integrators: a non-finite t0 or t_end
+    raises ValueError naming it.  An empty horizon (t_end == t0) is valid
+    and gives the one start sample."""
+    for name, t in (("t0", t0), ("t_end", t_end)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
+
+
 def rk4_step(f: Field, t: float, y: np.ndarray, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step."""
     k1 = f(t, y)
@@ -697,9 +690,11 @@ def rk4_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
     """Fixed-step RK4 over [t0, t_end]; the last step is clamped to t_end,
     and a horizon t_end > t0 takes at least one step.
 
-    A ValueError or RegularityError of `f` is raised again with the start t
-    of the failing step.  A non-finite state raises NonFiniteStateError
-    naming the first such sample; the check runs once, after the loop."""
+    A non-finite t0 or t_end raises ValueError.  A ValueError or
+    RegularityError of `f` is raised again with the start t of the failing
+    step.  A non-finite state raises NonFiniteStateError naming the first
+    such sample; the check runs once, after the loop."""
+    _horizon(t0, t_end)
     y = np.array(y0, dtype=float)
     n_steps = max(int(t_end > t0), int(np.ceil((t_end - t0) / h - 1e-12)))
     times = np.empty(n_steps + 1)
@@ -742,12 +737,14 @@ def rkf45_integrate(f: Field, y0: np.ndarray, t0: float, t_end: float,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Embedded RKF45 with step rejection; returns accepted sample times.
 
-    An attempted step whose error norm is not finite raises
-    NonFiniteStateError instead of shrinking the step.  A ValueError or
-    RegularityError of `f` at a trial stage (k[1] ... k[5]) shrinks the
-    step by 0.2, down to h_min; below that, or at an accepted state (k[0]),
-    it is raised again with the start t of the step.  k[0] is evaluated
-    once per accepted state and kept across rejected attempts from it."""
+    A non-finite t0 or t_end raises ValueError.  An attempted step whose
+    error norm is not finite raises NonFiniteStateError instead of
+    shrinking the step.  A ValueError or RegularityError of `f` at a trial
+    stage (k[1] ... k[5]) shrinks the step by 0.2, down to h_min; below
+    that, or at an accepted state (k[0]), it is raised again with the
+    start t of the step.  k[0] is evaluated once per accepted state and
+    kept across rejected attempts from it."""
+    _horizon(t0, t_end)
     y = np.array(y0, dtype=float)
     t = t0
     h = min(h_init, t_end - t0)

@@ -230,10 +230,13 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     a = np.asarray(a_block, dtype=float).reshape(sdim, sdim)
     b = np.asarray(b_block, dtype=float).reshape(sdim, group.dim)
     c = np.asarray(c_block, dtype=float).reshape(group.dim, group.dim)
+    for name, block in (("A", a), ("B", b), ("C", c)):
+        if not np.isfinite(block).all():
+            raise ValueError(f"metric block {name} is not finite")
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
-    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),)))
+    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),), rows=False))
                         if potential else (lambda x: np.zeros(sdim)))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T

@@ -407,7 +407,9 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     and the generator-matched orbit pairing over the samples.  d(theta) is
     `numerics.fd_exterior_derivative` over all samples (step H_SECOND *
     max(1, |z_a|)), one batched call of the orbit-form kernel, and the
-    pairing is another."""
+    pairing is another.  Samples that are not rows of width 2 (nu,
+    alpha), or a non-finite row, raise ValueError before anything is
+    evaluated."""
     if sd.d0 != 1 or sd.vdim != 2:
         raise ValueError("the cylinder chart requires a 1-dimensional base "
                          "acting on a 2-dimensional V")
@@ -433,6 +435,11 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
     z = np.atleast_2d(np.asarray(samples, dtype=float))
     if z.size == 0:
         raise ValueError("samples is empty: the lemma check needs at least one sample")
+    if z.ndim != 2 or z.shape[1] != 2:
+        raise ValueError(f"samples must be rows of width 2 (nu, alpha), got shape {z.shape}")
+    finite = np.isfinite(z).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample row {int(np.argmin(finite))} is not finite")
     dtheta = numerics.fd_exterior_derivative(theta_rows, z)[:, 0, 1]
     kks = _orbit_kks_rows(gv, *chart(z))
     return float(np.max(np.abs(dtheta - kks), initial=0.0))

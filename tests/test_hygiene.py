@@ -1,8 +1,8 @@
 """Module boundaries: no module of the package reads a private name (one
 with a leading underscore, dunder names aside) of another package module,
-by attribute or by import; a rule written once (the small solves among
-them) stays in one module; and importing the CLI pulls in no optional
-heavy dependency."""
+by attribute or by import; a rule written once (the small solves and the
+central difference among them) stays in one module; and importing the CLI
+pulls in no optional heavy dependency."""
 import ast
 import os
 import re
@@ -155,6 +155,43 @@ def test_one_module_holds_the_regularity_error_and_newton():
     assert [m for m, s in sources.items() if defines_class(s, "RegularityError")] == ["numerics"]
     assert [m for m, s in sources.items() if calls(s, "newton_solve")] == ["numerics"]
     assert maglag.RegularityError is cli.RegularityError is numerics.RegularityError
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The innermost function around each call of `name` in `source`
+    ("<module>" outside every function), bare or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and f".{ast.unparse(node.func)}".endswith(f".{name}"):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(a):\n    return _central(a)", ["f"]),
+    ("def f():\n    def g():\n        numerics._central(1)\n    _central(2)", ["g", "f"]),
+    ("x = _central(1)\ny = my_central(2)\nz = _central", ["<module>"]),
+])
+def test_caller_checker_names_the_innermost_function(source, found):
+    assert callers(source, "_central") == found
+
+
+def test_one_routine_holds_the_central_difference():
+    # rule 2 of numerics.supply is written once: only fd_jacobian takes the
+    # central difference, and no module but numerics defines an fd_* routine
+    sources = {m: (PACKAGE / f"{m}.py").read_text() for m in sorted(MODULES)}
+    assert {m: sorted(set(callers(s, "_central"))) for m, s in sources.items()
+            if callers(s, "_central")} == {"numerics": ["fd_jacobian"]}
+    assert sorted({m for m, s in sources.items() for node in ast.walk(ast.parse(s))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name.startswith("fd_")}) == ["numerics"]
 
 
 @pytest.mark.parametrize("name", ["linalg.solve", "linalg.inv"])

@@ -417,3 +417,12 @@ def test_require_regular_small_blocks_reject_non_finite_entries(n, bad):
         with np.errstate(invalid="ignore"), pytest.raises(
                 RegularityError, match=r"^\|det M\| = (nan|inf) is not finite$"):
             maglag.require_regular(matrix, "|det M|")
+
+
+@pytest.mark.parametrize("kind", ["rk4", "rkf45"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_integrate_refuses_a_non_finite_horizon(kind, bad):
+    # no start sample with a zero energy drift comes back as if integrated
+    with pytest.raises(ValueError, match=r"^t_end must be finite"):
+        maglag.integrate(free_particle(), MagLagState(np.zeros(2), np.ones(2), np.zeros(0)),
+                         bad, StepperChoice(kind=kind, h=0.1))

@@ -44,10 +44,15 @@ def test_fd_jacobian_rows_is_fd_jacobian_per_row(rng):
                                 np.exp(0.3 * z[:, 0])])
 
     x = rng.uniform(-3.0, 3.0, (7, 2))
-    jac = numerics.fd_jacobian_rows(f, (x,), h0=1e-4)
+    jac = numerics.fd_jacobian(f, (x,), h0=1e-4, rows=True)
     assert calls == [7 * 4]   # the whole central stencil in one call
+    calls.clear()
+    per_point = numerics.fd_jacobian(lambda z: f(z[None])[0], (x,), h0=1e-4, rows=False)
+    assert calls == [1] * (7 * 4)   # the same stencil, one call per point
+    assert np.array_equal(per_point, jac)
     for row, j in zip(x, jac):
-        assert np.array_equal(j, numerics.fd_jacobian(lambda z: f(z[None])[0], (row,), h0=1e-4))
+        assert np.array_equal(j, numerics.fd_jacobian(lambda z: f(z[None])[0], (row,),
+                                                      h0=1e-4, rows=False))
 
 
 def test_fd_mixed_cross_stencil():
@@ -213,39 +218,55 @@ def test_differencing_matches_the_reference_loops_bit_for_bit():
         return lambda z: fn(*[a[None] for a in args[:slot]], z[None],
                             *[a[None] for a in args[slot + 1:]])[0]
 
+    def point(fn):  # the one-point fn of a row-capable fn
+        return lambda *a: fn(*[np.asarray(z)[None] for z in a])[0]
+
+    # fd_jacobian with rows (one call of the stencil) and without (one call
+    # per stencil point), for one slot and several, at one point and at
+    # stacked rows, each against its reference loop
     for h0 in (numerics.H_GRADIENT, numerics.H_SECOND):
         for i, row in enumerate(x):
             assert same(numerics.fd_gradient(scalar, row, h0),
                         ref_five_point_gradient(scalar, row, h0))
-            assert same(numerics.fd_jacobian(one, (row,), h0=h0), ref_fd_jacobian(one, row, h0))
-            assert same(numerics.fd_jacobian_rows(sign_aware, (row,), h0=h0),
+            assert same(numerics.fd_jacobian(one, (row,), h0=h0, rows=False),
+                        ref_fd_jacobian(one, row, h0))
+            assert same(numerics.fd_jacobian(sign_aware, (row,), h0=h0, rows=True),
                         ref_fd_jacobian_rows(sign_aware, row, h0)[0])
             for fn, args in ((pairing, (row, w[i])), (padded, (row, np.empty(0), w[i]))):
                 held = len(args) - 1  # the slot of w
                 for slot in (0, held):
-                    assert same(numerics.fd_jacobian(
-                        lambda *a: fn(*[z[None] for z in a])[0], args, slot, h0),
-                        ref_fd_jacobian(of_slot(fn, args, slot), args[slot], h0))
-                assert same(numerics.fd_jacobian_rows(fn, args, 0, h0),
+                    assert same(numerics.fd_jacobian(point(fn), args, slot, h0, rows=False),
+                                ref_fd_jacobian(of_slot(fn, args, slot), args[slot], h0))
+                assert same(numerics.fd_jacobian(fn, args, 0, h0, rows=True),
                             ref_stencil_jacobian(fn, args, 0, h0))
                 for slots in ((0, held), (held, 0), (held,)):
-                    joint = numerics.fd_jacobian_rows(fn, args, slots, h0)
-                    assert len(joint) == len(slots)
-                    for slot, jac in zip(slots, joint):
+                    joint = numerics.fd_jacobian(fn, args, slots, h0, rows=True)
+                    per_point = numerics.fd_jacobian(point(fn), args, slots, h0, rows=False)
+                    assert len(joint) == len(per_point) == len(slots)
+                    for slot, jac, alone in zip(slots, joint, per_point):
                         assert same(jac, ref_stencil_jacobian(fn, args, slot, h0))
+                        assert same(alone, ref_fd_jacobian(of_slot(fn, args, slot),
+                                                           args[slot], h0))
             assert same(numerics.fd_exterior_derivative(one, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
             # a marked 1-form at one point: the shape chooses, not the mark
             assert same(numerics.fd_exterior_derivative(marked, row, h0),
                         ref_fd_exterior_derivative(one, row, h0))
-        assert same(numerics.fd_jacobian_rows(sign_aware, (x,), h0=h0),
+        assert same(numerics.fd_jacobian(sign_aware, (x,), h0=h0, rows=True),
                     ref_fd_jacobian_rows(sign_aware, x, h0))
+        assert same(numerics.fd_jacobian(one, (x,), h0=h0, rows=False),
+                    np.stack([ref_fd_jacobian(one, row, h0) for row in x]))
         for fn, args in ((pairing, (x, w)), (padded, (x, np.empty((6, 0)), w))):
-            assert same(numerics.fd_jacobian_rows(fn, args, 0, h0),
+            assert same(numerics.fd_jacobian(fn, args, 0, h0, rows=True),
                         ref_stencil_jacobian(fn, args, 0, h0))
             held = len(args) - 1
-            for slot, jac in zip((held, 0), numerics.fd_jacobian_rows(fn, args, (held, 0), h0)):
+            joint = numerics.fd_jacobian(fn, args, (held, 0), h0, rows=True)
+            per_point = numerics.fd_jacobian(point(fn), args, (held, 0), h0, rows=False)
+            for slot, jac, alone in zip((held, 0), joint, per_point):
                 assert same(jac, ref_stencil_jacobian(fn, args, slot, h0))
+                assert same(alone, np.stack([
+                    ref_fd_jacobian(of_slot(fn, at, slot), at[slot], h0)
+                    for at in zip(*args)]))
         assert same(numerics.fd_exterior_derivative(sign_aware, x, h0),
                     ref_fd_exterior_derivative(sign_aware, x, h0))
 
@@ -320,13 +341,13 @@ def pocket(z):
 
 DIFFERENCING = {
     "fd_gradient": lambda x: numerics.fd_gradient(lambda z: float(pocket(z)[0, 0]), x),
-    "fd_jacobian": lambda x: numerics.fd_jacobian(lambda z: pocket(z)[0], (x,)),
-    "fd_jacobian_rows": lambda x: numerics.fd_jacobian_rows(pocket, (x,)),
+    "fd_jacobian": lambda x: numerics.fd_jacobian(lambda z: pocket(z)[0], (x,), rows=False),
+    "fd_jacobian_rows": lambda x: numerics.fd_jacobian(pocket, (x,), rows=True),
     # the joint stencil of two slots around a held one: coordinate 1 of
     # the joint point is x_1
-    "fd_jacobian_rows_slots": lambda x: np.concatenate(numerics.fd_jacobian_rows(
+    "fd_jacobian_rows_slots": lambda x: np.concatenate(numerics.fd_jacobian(
         lambda u, s, v: pocket(np.concatenate([u, v], -1)) * s,
-        (x[..., :1], np.ones(x.shape[:-1] + (1,)), x[..., 1:]), (0, 2)), -1),
+        (x[..., :1], np.ones(x.shape[:-1] + (1,)), x[..., 1:]), (0, 2), rows=True), -1),
     "fd_exterior_derivative": lambda x: numerics.fd_exterior_derivative(
         lambda z: np.concatenate([pocket(z), np.atleast_2d(z)[:, :1]], -1).reshape(z.shape), x),
 }
@@ -341,8 +362,8 @@ def test_differencing_rejects_a_non_finite_value(routine):
     with pytest.raises(ValueError, match=r"^non-finite evaluation while differencing "
                                          r"coordinate 1$"):
         run(x[1])
-    if routine in ("fd_gradient", "fd_jacobian"):
-        return  # one-point routines
+    if routine == "fd_gradient":
+        return  # a one-point routine
     assert np.isfinite(run(x[:1])).all()
     with pytest.raises(ValueError, match=r"^row 1: non-finite evaluation while "
                                          r"differencing coordinate 1$"):
@@ -392,7 +413,8 @@ def test_newton_cubic_tracks_seed_basin():
     # roots of x^3 - x at -1, 0, 1
     f = lambda x: np.array([x[0] ** 3 - x[0]])
     for seed, root in ((0.9, 1.0), (-0.9, -1.0), (0.05, 0.0)):
-        res = numerics.newton_solve(f, np.array([seed]), lambda x: numerics.fd_jacobian(f, (x,)))
+        res = numerics.newton_solve(f, np.array([seed]),
+                                    lambda x: numerics.fd_jacobian(f, (x,), rows=False))
         assert abs(res.x[0] - root) < 1e-10
         # the branch is recorded: the trace starts at the seed
         assert res.trace[0][0][0] == seed
@@ -401,7 +423,8 @@ def test_newton_cubic_tracks_seed_basin():
 def test_newton_divergence_has_trace():
     f = lambda x: np.array([np.exp(x[0]) + 1.0])  # no real root
     with pytest.raises(NewtonConvergenceError) as err:
-        numerics.newton_solve(f, np.array([0.0]), lambda x: numerics.fd_jacobian(f, (x,)))
+        numerics.newton_solve(f, np.array([0.0]),
+                              lambda x: numerics.fd_jacobian(f, (x,), rows=False))
     assert len(err.value.trace) >= 2
 
 
@@ -494,7 +517,8 @@ def test_one_by_one_newton_is_the_lapack_iteration():
 
 def test_newton_quadratic_convergence_trace():
     f = lambda x: np.array([np.cos(x[0]) - x[0]])
-    res = numerics.newton_solve(f, np.array([1.0]), lambda x: numerics.fd_jacobian(f, (x,)))
+    res = numerics.newton_solve(f, np.array([1.0]),
+                                lambda x: numerics.fd_jacobian(f, (x,), rows=False))
     resids = [r for _, r in res.trace if r > 1e-14]
     # residual ratios r_{k+1} / r_k^2 stay bounded for a quadratic method
     ratios = [resids[i + 1] / resids[i] ** 2 for i in range(len(resids) - 1)]
@@ -618,6 +642,20 @@ def test_rk4_step_longer_than_the_horizon_takes_one_step():
     assert np.array_equal(states[1], numerics.rk4_step(f, 0.0, np.array([1.0]), 1.0))
     # an empty or reversed horizon still takes none
     assert len(numerics.rk4_integrate(f, np.array([1.0]), 1.0, 1.0, 1e13)[0]) == 1
+
+
+@pytest.mark.parametrize("kind", ["rk4", "rkf45"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_integrators_refuse_a_non_finite_horizon(kind, bad):
+    f = lambda t, y: -y  # noqa: E731
+    stepper = StepperChoice(kind=kind, h=0.1)
+    with pytest.raises(ValueError, match=rf"^t_end must be finite, got {bad}$"):
+        numerics.integrate_ode(f, np.array([1.0]), 0.0, bad, stepper)
+    with pytest.raises(ValueError, match=rf"^t0 must be finite, got {bad}$"):
+        numerics.integrate_ode(f, np.array([1.0]), bad, 1.0, stepper)
+    # an empty horizon still gives its one start sample
+    times, states = numerics.integrate_ode(f, np.array([1.0]), 1.0, 1.0, stepper)
+    assert np.array_equal(times, [1.0]) and np.array_equal(states, [[1.0]])
 
 
 def nan_pocket_field(t, y):

@@ -526,3 +526,14 @@ def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
     assert len(times) > 5
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("block", ["A", "B", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quadratic_lagrangian_names_a_non_finite_metric_block(block, bad):
+    blocks = {"A": np.eye(1), "B": np.zeros((1, 2)), "C": np.eye(2)}
+    blocks[block] = blocks[block].copy()
+    blocks[block].flat[0] = bad
+    with pytest.raises(ValueError, match=rf"^metric block {block} is not finite$"):
+        routh.quadratic_invariant_lagrangian(1, lie.translations(2), blocks["A"],
+                                             blocks["B"], blocks["C"])

@@ -516,6 +516,23 @@ def test_lemma_rejects_empty_samples(sd):
                                                 np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("samples, match", [
+    (np.zeros((3, 3)), r"^samples must be rows of width 2 \(nu, alpha\), got shape \(3, 3\)$"),
+    (np.zeros((3, 1)), r"^samples must be rows of width 2 \(nu, alpha\), got shape \(3, 1\)$"),
+    (np.zeros((2, 3, 2)), r"^samples must be rows of width 2 \(nu, alpha\), "
+                          r"got shape \(2, 3, 2\)$"),
+    ([[0.1, 0.2], [0.3, np.nan]], r"^sample row 1 is not finite$"),
+    ([[0.1, 0.2], [0.3, 0.4], [np.inf, 0.0]], r"^sample row 2 is not finite$"),
+])
+def test_lemma_rejects_malformed_samples_before_evaluating(sd, samples, match, monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated a malformed sample")
+
+    monkeypatch.setattr(numerics, "fd_exterior_derivative", no_evaluation)
+    with pytest.raises(ValueError, match=match):
+        semidirect.verify_lemma_B_equals_dtheta(sd, CoVector([1.0, 0.0]), samples)
+
+
 @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
 def test_stage_equivalence_rejects_an_empty_or_endless_horizon(sd, t_end):
     with pytest.raises(ValueError, match="t_end"):

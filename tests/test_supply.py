@@ -63,13 +63,14 @@ def magnetic_case(level):
     return sys, "hess_vv", A
 
 
-# level -> (differencing routine, base step[, rows]) of the outermost
+# level -> (differencing routine, base step, rows) of the outermost
 # stencil; a first derivative that takes rows has its whole stencil in one
-# call, and so has a values-only ell that takes rows (fd_blocks with rows)
+# call (fd_jacobian with rows), and so has a values-only ell that takes
+# rows (fd_blocks with rows)
 RULE = {
     "analytic": None,
-    "fd_first": ("fd_jacobian", numerics.H_GRADIENT),
-    "fd_first_rows": ("fd_jacobian_rows", numerics.H_GRADIENT),
+    "fd_first": ("fd_jacobian", numerics.H_GRADIENT, False),
+    "fd_first_rows": ("fd_jacobian", numerics.H_GRADIENT, True),
     "values_diagonal": ("fd_blocks", numerics.H_SECOND, True),
     "values_mixed": ("fd_blocks", numerics.H_SECOND, True),
     "one_point_values_diagonal": ("fd_blocks", numerics.H_SECOND, False),
@@ -78,18 +79,17 @@ RULE = {
 
 
 def spy_stencils(monkeypatch):
-    """Record (routine, base step[, rows]) of every second-derivative
+    """Record (routine, base step, rows) of every second-derivative
     stencil."""
     calls = []
-    for name in ("fd_jacobian", "fd_jacobian_rows", "fd_blocks"):
+    for name in ("fd_jacobian", "fd_blocks"):
         fn = getattr(numerics, name)
         sig = inspect.signature(fn)
 
         def spy(*args, _fn=fn, _name=name, _sig=sig, **kwargs):
             bound = _sig.bind(*args, **kwargs)
             bound.apply_defaults()
-            rows = bound.arguments.get("rows")
-            calls.append((_name, bound.arguments["h0"]) + (() if rows is None else (rows,)))
+            calls.append((_name, bound.arguments["h0"], bound.arguments["rows"]))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(numerics, name, spy)
@@ -128,6 +128,53 @@ def test_values_only_mixed_block_wide_coords(case, monkeypatch):
 @pytest.mark.parametrize("case", [invariant_case, magnetic_case])
 def test_one_point_values_mixed_block_wide_coords(case, monkeypatch):
     check_level(case, "one_point_values_mixed", 2.0, monkeypatch)
+
+
+def test_unmarked_first_derivative_blocks_share_one_stencil(monkeypatch):
+    # the quartic Lagrangian with only an unmarked dell/dxi: metric_blocks
+    # takes its three dell/dxi blocks from one joint stencil, one dell/dxi
+    # call per stencil point (as many as three one-block supplies make),
+    # and each block has the bits of its one-block supply
+    calls = []
+
+    def ell(x, xd, xi):
+        return (0.5 * float(xd @ xd) + 0.5 * float(xi @ xi)
+                + 0.05 * float(xi @ xi) ** 2 + 0.1 * x[0] * xi[0])
+
+    def dell_dxi(x, xd, xi):
+        calls.append(1)
+        return xi + 0.2 * float(xi @ xi) * xi + np.array([0.1 * x[0], 0.0])
+
+    lag = routh.InvariantLagrangian(sdim=1, group=lie.translations(2), ell=ell,
+                                    dell_dxi=dell_dxi)
+    stencils = []
+    jacobian = numerics.fd_jacobian
+
+    def spy(f, args, slots=0, h0=numerics.H_GRADIENT, *, rows):
+        stencils.append((f, slots, rows))
+        return jacobian(f, args, slots, h0, rows=rows)
+
+    monkeypatch.setattr(numerics, "fd_jacobian", spy)
+    alone = (lag.jac_xi_xi, lag.jac_xi_xdot, lag.jac_xi_x)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        point = rng.uniform(-1.5, 1.5, 1), rng.uniform(-1.5, 1.5, 1), rng.uniform(-1.5, 1.5, 2)
+        stencils.clear()
+        calls.clear()
+        blocks = lag.metric_blocks(*point)[:3]
+        assert stencils == [(dell_dxi, [2, 1, 0], False)]
+        assert len(calls) == 2 * (2 + 1 + 1)
+        calls.clear()
+        for got, supply in zip(blocks, alone):
+            assert np.array_equal(got, supply(*point))
+        assert len(calls) == 2 * (2 + 1 + 1)
+    # at stacked rows: each row's blocks, from one stencil
+    rows = tuple(rng.uniform(-1.5, 1.5, (5, size)) for size in (1, 1, 2))
+    stencils.clear()
+    blocks = lag.metric_blocks(*rows)[:3]
+    assert len(stencils) == 1
+    for got, supply in zip(blocks, alone):
+        assert np.array_equal(got, np.stack([supply(*row) for row in zip(*rows)]))
 
 
 INVARIANT_SUPPLIES = ("grad_x", "shape_momentum", "group_momentum", "jac_xdot_x",
