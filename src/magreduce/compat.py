@@ -168,32 +168,43 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         L1 = L2 o psi - beta_a (psi^a + Gamma^a_i qdot^i),
         B1 = F*B2 + d<beta, connection>.
 
-    The first derivatives of L1 avoid differencing through the velocity
-    solve: on the momentum condition the qbar-velocity terms cancel, so
+    No derivative of L1 is differenced through the velocity solve.  On the
+    momentum condition the qbar-velocity terms of the first derivatives
+    cancel, so
 
         dL1/dqdot = dL2/dqdot o psi - Gamma^T beta,
         dL1/dzeta = dL2/dzeta|direct - (dbeta/dzeta)^T (w + Gamma qdot)
                     - beta . (dGamma/dzeta) qdot
 
-    for any base or fibre coordinate zeta; only beta and the connection
-    coefficients are differenced numerically, and the second derivatives
-    difference these gradients.  dL1/dq and dL1/dp come together from one
-    callable (`dL_dqp`): one psi solve, one stencil of beta and one
-    two-slot stencil of the connection term (the slots q and qbar of one
-    `numerics.fd_jacobian` call) serve both.  The exterior
-    derivative of the coordinate 1-form beta_a (dqbar^a + Gamma^a_i dq^i)
-    is taken by central differences at step H_SECOND.  `lagrangian`,
-    `dL_dv`, `dL_dqp`, the 1-form and `bform` are marked and take one point
-    or stacked rows; the stencil of the exterior derivative is one
+    for zeta over (q, qbar, pbar, p).  The second derivatives follow from
+    the implicit function theorem, as the Routhian blocks of
+    `routh._assemble_metric` do: with A = d2L2/dv2 and C = d2L2/dv dzeta
+    (zero in p) at psi(z), split into qdot and qbar-velocity (w) rows, and
+    G = A_qw A_ww^-1,
+
+        d2L1/dqdot2      = A_qq - G A_wq,
+        d2L1/dqdot dzeta = C_qzeta + G (dbeta/dzeta - C_wzeta)
+                           - d(Gamma^T beta)/dzeta.
+
+    One callable gives the whole jet (`dL_jet`: dL1/dq, dL1/dp and the
+    three velocity blocks): one psi solve, one `l2.jet` (with
+    `l2.hess_vv` when l2 declares its Hessian constant), one stencil of
+    beta, one solve by A_ww, and with a connection one stencil of the
+    psi-free map (q, qbar, b) -> Gamma^T b at fixed b.  A singular A_ww
+    raises RegularityError naming f-regularity.  The exterior derivative
+    of the coordinate 1-form beta_a (dqbar^a + Gamma^a_i dq^i) is taken by
+    central differences at step H_SECOND.  `lagrangian`, `dL_dv`,
+    `dL_jet`, the 1-form and `bform` are marked and take one point or
+    stacked rows; the stencil of the exterior derivative is one
     fd_jacobian call, at one point (passed as one stacked row) as at
     stacked rows.  Without `gamma` the connection is zero, and, as in
     `maglag`, its identically absent terms are not evaluated: no Gamma
-    products in L1, dL1/dqdot, dL1/dzeta and the 1-form, and no connection
+    products in L1, dL1/dqdot, the jet and the 1-form, and no connection
     stencil.
     """
-    n1, vf, k2 = pair.n1, pair.vf, pair.k2
+    n1, n2, vf, k2 = pair.n1, pair.n2, pair.vf, pair.k2
     dim1 = n1 + pair.k1
-    dim2 = pair.n2 + k2
+    dim2 = n2 + k2
 
     def pieces(q, v, pfib):
         z1 = np.concatenate([np.atleast_1d(q), np.atleast_1d(v), np.atleast_1d(pfib)],
@@ -225,32 +236,38 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         return out if gamma is None else out - _tmatvec(gam, b)
 
     @numerics.takes_rows
-    def pairing(q, qbar, b, qdot):
-        gam = numerics.each_row(gamma, q, qbar)
-        return numerics.rowdot(b, numerics.matvec(gam, qdot))[..., None]
-
-    def gamma_terms(q2, qdot, b):
-        # beta . (d Gamma / d zeta) qdot for zeta ranging over q and over
-        # qbar, from one stencil
-        args = (q2[..., :n1], q2[..., n1:], b, qdot)
-        return [d[..., 0, :] for d in numerics.fd_jacobian(pairing, args, (0, 1), rows=True)]
+    def image(q2, b):
+        return _tmatvec(numerics.each_row(gamma, q2[..., :n1], q2[..., n1:]), b)
 
     @numerics.takes_rows
-    def dl_dqp(q, v, pfib):
-        q2, v2, pbar, p1, b, _, vert = pieces(q, v, pfib)
+    def dl_jet(q, v, pfib):
+        q2, v2, pbar, p1, b, gam, vert = pieces(q, v, pfib)
         dbeta = dbeta_at(p1)
-        direct = l2.grad_q(q2, v2, pbar)
-        dl_dq = direct[..., :n1] - _tmatvec(dbeta[..., :n1], vert)
-        dl_dp = np.empty(vert.shape[:-1] + (pair.k1,))
-        dl_dp[..., :vf] = direct[..., n1:] - _tmatvec(dbeta[..., n1:n1 + vf], vert)
+        dl_dq2, dl_dpbar, a, c_q2, c_pbar = l2.jet(q2, v2, pbar)
+        if a is None:
+            a = l2.hess_vv(q2, v2, pbar)
+        # the direct derivatives of L2 in zeta = (q, qbar, pbar, p), zero in p
+        lead = vert.shape[:-1]
+        grad, c = np.zeros(lead + (dim1,)), np.zeros(lead + (n2, dim1))
+        grad[..., :n2], c[..., :n2] = dl_dq2, c_q2
+        if k2:
+            grad[..., n2:dim2], c[..., n2:dim2] = dl_dpbar, c_pbar
+        grad -= _tmatvec(dbeta, vert)
+        a_qq, a_qw, a_wq, a_ww = (a[..., :n1, :n1], a[..., :n1, n1:], a[..., n1:, :n1],
+                                  a[..., n1:, n1:])
+        maglag.require_regular(a_ww, "f-regularity failure in psi: |det d2L2/dqbardot2|")
+        # dw/d(qdot, zeta) from the momentum condition, by one solve
+        dw = numerics.solve(a_ww, np.concatenate([-a_wq, dbeta - c[..., n1:, :]], axis=-1))
+        blocks = np.concatenate([a_qq, c[..., :n1, :]], axis=-1) + a_qw @ dw
         if gamma is not None:
-            by_q, by_qbar = gamma_terms(q2, v2[..., :n1], b)
-            dl_dq -= by_q
-            dl_dp[..., :vf] -= by_qbar
-        dl_dp[..., vf:vf + k2] = (l2.grad_p(q2, v2, pbar)
-                                  - _tmatvec(dbeta[..., n1 + vf:n1 + vf + k2], vert))
-        dl_dp[..., vf + k2:] = -_tmatvec(dbeta[..., n1 + vf + k2:], vert)
-        return dl_dq, dl_dp
+            # d(Gamma^T beta)/dzeta: Gamma differenced in (q, qbar) at fixed
+            # beta, plus Gamma^T dbeta/dzeta
+            by_q2 = numerics.fd_jacobian(image, (q2, b), rows=True)
+            grad[..., :n2] -= _tmatvec(by_q2, v2[..., :n1])
+            blocks[..., n1:] -= np.swapaxes(gam, -1, -2) @ dbeta
+            blocks[..., n1:n1 + n2] -= by_q2
+        return (grad[..., :n1], grad[..., n1:], blocks[..., :n1], blocks[..., n1:2 * n1],
+                blocks[..., 2 * n1:])
 
     @numerics.takes_rows
     def one_form(z: np.ndarray) -> np.ndarray:
@@ -270,12 +287,11 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         full = numerics.fd_exterior_derivative(one_form, z.reshape(-1, dim1),
                                                numerics.H_SECOND).reshape(z.shape + (dim1,))
         if l2.bform is not None:
-            full[..., :dim2, :dim2] += l2.full_bmatrix(z[..., :pair.n2],
-                                                       z[..., pair.n2:dim2])
+            full[..., :dim2, :dim2] += l2.full_bmatrix(z[..., :n2], z[..., n2:dim2])
         return full[..., :n1, :n1], full[..., :n1, n1:], full[..., n1:, n1:]
 
     return MagneticSystem(n=n1, k=pair.k1, lagrangian=lagrangian, bform=bform,
-                          dL_dv=dl_dv, dL_dqp=dl_dqp, name=l2.name + "_pullback")
+                          dL_dv=dl_dv, dL_jet=dl_jet, name=l2.name + "_pullback")
 
 
 def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,

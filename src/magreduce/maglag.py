@@ -15,7 +15,8 @@ rows.  A right-hand side point takes what it uses from one
 `MagneticSystem.jet` call: the velocity blocks that are differenced from
 dL/dv share one stencil call, everything differenced from the values of a
 row-capable Lagrangian shares one, and a builder whose derivatives share
-their work hands two over in one callable (`dL_dqp`, `dL_dq_vq`).  Terms
+their work hands them over in one callable (`dL_dqp`, `dL_dq_vq`,
+`dL_jet`), called once for all of its parts that a point uses.  Terms
 that are identically absent are not evaluated: at k = 0 the fibre
 equation, without a form the B term, with a constant Hessian the solve.
 """
@@ -43,15 +44,24 @@ def require_regular(matrix: np.ndarray, what: str) -> None:
     """Raise RegularityError unless DET_FLOOR < |det matrix| < inf; `what`
     names the determinant in the message (an integrator adds the time).
     Only that decision and the message read |det|, so a 1x1 or 2x2 block
-    takes its closed form on floats and LAPACK takes larger ones."""
-    if len(matrix) in (1, 2):
+    takes its closed form on floats and LAPACK takes larger ones.  Stacked
+    matrices (N, m, m) are checked row by row by LAPACK, and the message
+    names the first failing row."""
+    where = ""
+    if np.ndim(matrix) == 3:
+        dets = np.abs(np.linalg.det(matrix))
+        bad = np.flatnonzero(~((DET_FLOOR < dets) & (dets < np.inf)))
+        if not bad.size:
+            return
+        where, det = f"row {bad[0]}: ", dets[bad[0]]
+    elif len(matrix) in (1, 2):
         m = np.asarray(matrix, dtype=float).tolist()
         det = abs(m[0][0] if len(m) == 1 else m[0][0] * m[1][1] - m[0][1] * m[1][0])
     else:
         det = abs(np.linalg.det(matrix))
     if not DET_FLOOR < det < np.inf:
         bound = f"<= {DET_FLOOR}" if det <= DET_FLOOR else "is not finite"
-        raise RegularityError(f"{what} = {det:.3e} {bound}")
+        raise RegularityError(f"{where}{what} = {det:.3e} {bound}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,12 @@ class MagneticSystem:
 
     `bform(q, p)` returns blocks (B_QQ, B_QP, B_PP); None means the zero
     form.  Analytic derivative callables are optional; missing ones are
-    supplied by the fallback rule of `numerics.supply`.  Two joint callables
-    may stand for two derivatives that share their work, each returning the
-    pair from one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), and
-    `dL_dq_vq(q, v, p)` for (dL/dq, d2L/dv dq).  A `lagrangian` marked with
+    supplied by the fallback rule of `numerics.supply`.  A joint callable
+    may stand for derivatives that share their work, returning them from
+    one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), `dL_dq_vq(q, v, p)` for
+    (dL/dq, d2L/dv dq), and `dL_jet(q, v, p)` for the whole jet (dL/dq,
+    dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp).  At most one joint callable is
+    given, and none of its parts besides it.  A `lagrangian` marked with
     `numerics.takes_rows` takes rows, so every values-only derivative is
     one stacked stencil call, and a right-hand side point takes all of its
     values-only derivatives from one (`jet`).  An unmarked `lagrangian` is
@@ -142,6 +154,7 @@ class MagneticSystem:
     d2L_dv_dq: Callable | None = None
     d2L_dv_dp: Callable | None = None
     dL_dq_vq: Callable | None = None
+    dL_jet: Callable | None = None
     # Set when bform does not depend on the state; lets the integrator hoist
     # the blocks and their factorization out of the stepping loop.
     constant_bform: bool = False
@@ -151,12 +164,14 @@ class MagneticSystem:
     name: str = ""
 
     def __post_init__(self):
-        if self.dL_dqp is not None and not (self.dL_dq is self.dL_dp is None):
-            raise ValueError("dL_dqp stands for dL_dq and dL_dp: give one or the others")
-        if self.dL_dq_vq is not None and not (
-                self.dL_dq is self.dL_dqp is self.d2L_dv_dq is None):
-            raise ValueError("dL_dq_vq stands for dL_dq and d2L_dv_dq: give one or the "
-                             "others")
+        given = [name for name in _JOINTS if getattr(self, name) is not None]
+        if len(given) > 1:
+            raise ValueError(f"{' and '.join(given)} share dL_dq: give one of them")
+        for name in given:
+            parts = [_PARTS[at] for at in _JOINTS[name]]
+            if any(getattr(self, part) is not None for part in parts):
+                raise ValueError(f"{name} stands for {', '.join(parts[:-1])} and "
+                                 f"{parts[-1]}: give one or the others")
 
     # -- derivative supply (fallback rule: numerics.supply), resolved on
     # first use and kept with the system; each is called as
@@ -172,12 +187,17 @@ class MagneticSystem:
         """(outer, inner, first, second) of `numerics.supply` for dL/dq
         (outer 0), dL/dv (1), dL/dp (2) or, with `inner`, the Jacobian of
         dL/dv in slot `inner`; a derivative that a joint callable gives is
-        its part of that callable, marked as the joint one is."""
-        given = {(0,): self.dL_dq, (1,): self.dL_dv, (2,): self.dL_dp,
-                 (1, 1): self.d2L_dv_dv, (1, 0): self.d2L_dv_dq, (1, 2): self.d2L_dv_dp}
+        its part of that callable, marked as the joint one is, and at k = 0
+        a derivative in the empty fibre slot is empty."""
+        given = {at: getattr(self, name) for at, name in _PARTS.items()}
+        given[(1,)] = self.dL_dv
         for name, parts in _JOINTS.items():
             if getattr(self, name) is not None:
                 given.update((at, _part(getattr(self, name), i)) for i, at in enumerate(parts))
+        if self.k == 0:
+            given[(2,)] = numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
+            given[(1, 2)] = numerics.takes_rows(
+                lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
         return outer, inner, given[(outer,)], None if inner is None else given[(outer, inner)]
 
     @cached_property
@@ -190,8 +210,6 @@ class MagneticSystem:
 
     @cached_property
     def grad_p(self) -> Callable:
-        if self.k == 0:
-            return numerics.takes_rows(lambda q, v, p: np.zeros(np.shape(v)[:-1] + (0,)))
         return numerics.supply(self.lagrangian, *self._spec(2))
 
     @cached_property
@@ -206,54 +224,59 @@ class MagneticSystem:
     @cached_property
     def hess_vp(self) -> Callable:
         """Matrix with entries d2L / dv_i dp_a."""
-        if self.k == 0:
-            return numerics.takes_rows(
-                lambda q, v, p: np.zeros(np.shape(v)[:-1] + (self.n, 0)))
         return numerics.supply(self.lagrangian, *self._spec(1, 2))
+
+    def _results(self, order: tuple, used: list) -> Callable:
+        """(q, v, p) -> the results `order` ((slot,) for dL/d(slot), (1,
+        slot) for d2L/dv d(slot)), each with the bits of its supply, None
+        for one not `used` (not evaluated).  A joint callable that gives a
+        used result is called once for all of its parts (at stacked rows
+        once per row unless it takes rows); the rest come from one
+        `numerics.supply_blocks` callable, whose stencils they share."""
+        name = next((name for name in _JOINTS if getattr(self, name) is not None), None)
+        parts = () if name is None or not set(_JOINTS[name]) & set(used) else _JOINTS[name]
+        joint = getattr(self, name) if parts else None
+        at_rows = numerics.rows_ok(joint)
+        rest = [at for at in used if at not in parts]
+        blocks = numerics.supply_blocks(self.lagrangian, [self._spec(*at) for at in rest])
+        # each result's place in blocks' results, then the joint's parts,
+        # and -1 (the None appended last) for a result not evaluated
+        found = rest + list(parts)
+        pick = operator.itemgetter(*(found.index(at) if at in used else -1 for at in order))
+
+        @numerics.takes_rows
+        def results(q, v, p):
+            out = blocks(q, v, p) if rest else []
+            if joint is not None and (at_rows or np.ndim(v) < 2):
+                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
+            elif joint is not None:
+                out += [np.array(g, dtype=float) for g in zip(*map(joint, q, v, p))]
+            out.append(None)
+            return pick(out)
+
+        return results
 
     @cached_property
     def velocity_blocks(self) -> Callable:
         """(q, v, p) -> the blocks of (hess_vv, hess_vq, hess_vp), bit for
-        bit, from one `numerics.supply_blocks` callable: the blocks that
-        rule 2 differences from a row-marked dL_dv share one dL_dv call over
-        the joint (v, q, p) stencil, and those that rule 3 differences from
-        a row-marked Lagrangian one stacked stencil call.  At one point or
-        at stacked rows."""
-        fibre = [self._spec(1, 2)] if self.k else [(1, 2, self.dL_dv, self.hess_vp)]
-        return numerics.supply_blocks(self.lagrangian, [self._spec(1, 1), self._spec(1, 0)] + fibre)
+        bit, at one point or at stacked rows (`_results`): a joint callable
+        that gives them is called once, the blocks that rule 2 differences
+        from a row-marked dL_dv share one dL_dv call over the joint (v, q, p)
+        stencil, and those that rule 3 differences from a row-marked
+        Lagrangian one stacked stencil call."""
+        return self._results(_JET[2:], _JET[2:])
 
     @cached_property
     def jet(self) -> Callable:
-        """(q, v, p) -> (dL/dq, dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp) at one
-        point: what one right-hand side point of the mixed equations uses,
-        each with the bits of its supply.  A joint callable (`dL_dqp` or
-        `dL_dq_vq`) gives its pair from one call, and the rest come from one
-        `supply_blocks` callable: one dL_dv stencil for the velocity blocks
-        that rule 2 differences, one stacked stencil for everything that
-        rule 3 differences from a row-marked Lagrangian.  A result the
-        equations do not use is None and is not evaluated: d2L/dv2 when it
-        is declared constant, dL/dp and d2L/dv dp when k = 0; when the
-        joint callable gives all the rest, it is the only call."""
-        # (slot,) for dL/d(slot), (1, slot) for d2L/dv d(slot)
-        used = [at for at in _JET if not (at == (1, 1) and self.constant_hessian
-                                          or 2 in at and self.k == 0)]
-        name = next((name for name in _JOINTS if getattr(self, name) is not None), None)
-        joint, parts = (None, ()) if name is None else (getattr(self, name), _JOINTS[name])
-        rest = [at for at in used if at not in parts]
-        blocks = numerics.supply_blocks(self.lagrangian, [self._spec(*at) for at in rest])
-        # each result's place in blocks' results, then the joint pair's,
-        # and -1 (the None appended last) for a result not evaluated
-        found = rest + list(parts)
-        pick = operator.itemgetter(*(found.index(at) if at in used else -1 for at in _JET))
-
-        def jet(q, v, p):
-            out = blocks(q, v, p) if rest else []
-            if joint is not None:
-                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
-            out.append(None)
-            return pick(out)
-
-        return jet
+        """(q, v, p) -> (dL/dq, dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp): what
+        one right-hand side point of the mixed equations uses, each with
+        the bits of its supply (`_results`), at one point or at stacked
+        rows.  A result the equations do not use is None and is not
+        evaluated: d2L/dv2 when it is declared constant, dL/dp and d2L/dv
+        dp when k = 0; when the joint callable gives all the rest, it is
+        the only call."""
+        return self._results(_JET, [at for at in _JET if not (
+            at == (1, 1) and self.constant_hessian or 2 in at and self.k == 0)])
 
     def bblocks(self, q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(B_QQ, B_QP, B_PP) at one point, or at stacked rows of q and p
@@ -286,9 +309,11 @@ class MagneticSystem:
 
 # what MagneticSystem.jet returns, in order, and what each joint callable
 # of a MagneticSystem returns: (slot,) for dL/d(slot), (1, slot) for
-# d2L/dv d(slot)
+# d2L/dv d(slot); and the field that gives each part on its own
 _JET = ((0,), (2,), (1, 1), (1, 0), (1, 2))
-_JOINTS = {"dL_dqp": ((0,), (2,)), "dL_dq_vq": ((0,), (1, 0))}
+_JOINTS = {"dL_dqp": ((0,), (2,)), "dL_dq_vq": ((0,), (1, 0)), "dL_jet": _JET}
+_PARTS = {(0,): "dL_dq", (2,): "dL_dp", (1, 1): "d2L_dv_dv", (1, 0): "d2L_dv_dq",
+          (1, 2): "d2L_dv_dp"}
 
 
 def _part(joint: Callable, index: int) -> Callable:
@@ -446,8 +471,10 @@ def integrate(sys: MagneticSystem, s0: MagLagState, t_end: float,
     the energy drift from the initial state over the `monitored` samples.
 
     A regularity failure, the initial state's included, aborts with the
-    start time of the failing step in the error message.
+    start time of the failing step in the error message.  A t_end that is
+    not positive and finite raises ValueError.
     """
+    numerics.require_horizon(t_end)
     _check_state(sys, s0)
     field = _field_factory(sys, s0)
     times, states = numerics.integrate_ode(field, pack(s0), 0.0, t_end, stepper)

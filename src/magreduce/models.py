@@ -215,7 +215,9 @@ def rotor_full_trajectory(params: RotorParams, state0: np.ndarray, t_end: float,
                           stepper: StepperChoice) -> Trajectory:
     """Unreduced rotor trajectory in the Euler chart: integrates
     `rotor_chart_field` from the momenta of the chart state (q, qdot), and
-    recovers the rates of all output samples in one stacked call."""
+    recovers the rates of all output samples in one stacked call.  A t_end
+    that is not positive and finite raises ValueError."""
+    numerics.require_horizon(t_end)
     state0 = np.asarray(state0, dtype=float)
     y0 = np.concatenate([state0[:4], _chart_momenta(params, state0)])
     times, ys = numerics.integrate_ode(rotor_chart_field(params), y0, 0.0, t_end,
@@ -340,7 +342,10 @@ def beanie_full_field(params: BeanieParams, state: np.ndarray) -> np.ndarray:
 
 def beanie_full_trajectory(params: BeanieParams, state0: np.ndarray,
                            t_end: float, stepper: StepperChoice) -> Trajectory:
-    """Integrate the full 8-dimensional system (phi, theta, x, y, rates)."""
+    """Integrate the full 8-dimensional system (phi, theta, x, y, rates)
+    over [0, t_end]; a t_end that is not positive and finite raises
+    ValueError."""
+    numerics.require_horizon(t_end)
     state0 = np.asarray(state0, dtype=float)
 
     def field(t, y):

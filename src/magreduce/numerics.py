@@ -513,10 +513,11 @@ def rowdot(u: np.ndarray, w: np.ndarray):
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for one square matrix a and b of matching length.  A 1x1
-    system is one division, which gives LAPACK's bits, and an exactly zero
-    pivot raises LinAlgError as LAPACK does; larger systems go to LAPACK
-    (a 2x2 closed form would match its bits only with a fused multiply-add,
+    """a^-1 b for one square matrix a and b of matching length, or for
+    stacked matrices a (N, m, m) and b (N, m, r).  A 1x1 system is one
+    division, which gives LAPACK's bits, and an exactly zero pivot raises
+    LinAlgError as LAPACK does; larger and stacked systems go to LAPACK (a
+    2x2 closed form would match its bits only with a fused multiply-add,
     which Python floats lack)."""
     if a.shape == (1, 1):
         if a[0, 0] == 0.0:
@@ -674,6 +675,15 @@ def _horizon(t0: float, t_end: float) -> None:
     for name, t in (("t0", t0), ("t_end", t_end)):
         if not math.isfinite(t):
             raise ValueError(f"{name} must be finite, got {t}")
+
+
+def require_horizon(t_end: float) -> None:
+    """The one horizon check of the library's trajectory entry points, which
+    all start at t = 0: t_end must be positive and finite (ValueError
+    otherwise).  The integrators keep an empty horizon as the one start
+    sample (`_horizon`)."""
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
 
 def rk4_step(f: Field, t: float, y: np.ndarray, h: float) -> np.ndarray:

@@ -521,7 +521,9 @@ def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
     monitors.
 
     The energy is checked at the `maglag.monitored` samples, from the
-    first, the Casimirs at every sample."""
+    first, the Casimirs at every sample.  A t_end that is not positive and
+    finite raises ValueError."""
+    numerics.require_horizon(t_end)
     lag = sys.lagrangian
     sd = lag.sdim
     times, states = numerics.integrate_ode(_field_factory(sys), pack_reduced(s0),

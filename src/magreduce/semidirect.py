@@ -516,8 +516,7 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         raise ValueError("momentum level has wrong dimensions")
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")
-    if not 0.0 < t_end < np.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    numerics.require_horizon(t_end)
     _check_vstar_onto(sd.gv, a)
     stepper = stepper or StepperChoice(kind="rk4", h=1e-3)
     rng = np.random.default_rng(seed)

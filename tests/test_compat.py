@@ -2,6 +2,7 @@
 2-form, and the symplectic relation between the paired systems."""
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -315,16 +316,16 @@ def vanishing_mass_l2():
 @pytest.mark.parametrize("kind, t", [("rk4", "0.49"), ("rkf45", "0.5")])
 def test_psi_failure_mid_trajectory_names_t(kind, t):
     # q moves as 0.5 + t, so psi loses f-regularity in the step that
-    # reaches q = 1; the error names the start of that step (rkf45 shrinks
-    # each step whose trial stage meets the singular point, so its last
-    # step starts there)
+    # reaches q = 1, where d2L2/dqbardot2 = m(q) vanishes; the error names
+    # the start of that step (rkf45 shrinks each step whose trial stage
+    # meets the singular point, so its last step starts there)
     sys1 = compat.build_system(vanishing_mass_l2(), compat.TransformationPair(n1=1, vf=1),
                                lambda p1: p1[2:3])
     with pytest.raises(RegularityError) as err:
         maglag.integrate(sys1, MagLagState([0.5], [1.0], [0.0, 0.0]), 2.0,
                          StepperChoice(kind=kind, h=1e-2))
     assert str(err.value).startswith("f-regularity failure in psi: ")
-    assert "singular Jacobian" in str(err.value)
+    assert re.search(r"\|det d2L2/dqbardot2\| = \S+ <= 1e-12 at t", str(err.value))
     assert str(err.value).endswith(f" at t = {t}")
 
 
@@ -504,18 +505,32 @@ def rhs_calls(sys, monkeypatch, fields, rhs):
     return counts
 
 
-def test_pullback_right_hand_side_solves_psi_twice(beanie_pair, monkeypatch):
-    # one psi solve serves dL/dq and dL/dp, one the joint dL/dv stencil of
-    # the three velocity blocks; the exterior derivative of bform is one
-    # 1-form call
+def test_pullback_right_hand_side_solves_psi_once(beanie_pair, monkeypatch):
+    # one psi solve serves the whole jet (the gradients and the three
+    # velocity blocks, by the implicit function theorem) and nothing is
+    # differenced through psi, so dL/dv is not called; the exterior
+    # derivative of bform is one 1-form call
     exterior = numerics.fd_exterior_derivative
     counts = collections.Counter()
     monkeypatch.setattr(numerics, "fd_exterior_derivative",
                         lambda f, *args: exterior(counted(f, counts, "one_form"), *args))
     state = MagLagState([0.3], [0.2], [0.1, 0.4])
-    counts.update(rhs_calls(beanie_pair.p1_system, monkeypatch, ["dL_dv", "dL_dqp"],
+    counts.update(rhs_calls(beanie_pair.p1_system, monkeypatch, ["dL_dv", "dL_jet"],
                             lambda sys: maglag.vector_field(sys, state)))
-    assert counts == {"solve_psi": 2, "dL_dv": 1, "dL_dqp": 1, "one_form": 1}
+    assert counts == {"solve_psi": 1, "dL_jet": 1, "one_form": 1}
+
+
+def test_velocity_blocks_over_rows_make_one_jet_call_and_one_psi_solve(beanie_pair,
+                                                                        monkeypatch):
+    solved = []
+    solve = compat.solve_psi
+    monkeypatch.setattr(compat, "solve_psi",
+                        lambda l2, pair, beta, z1: solved.append(np.shape(z1)) or solve(
+                            l2, pair, beta, z1))
+    z = beanie_rows(np.random.default_rng(8), 22)
+    counts = rhs_calls(beanie_pair.p1_system, monkeypatch, ["dL_dv", "dL_jet"],
+                       lambda sys: sys.velocity_blocks(z[:, :1], z[:, 1:2], z[:, 2:]))
+    assert counts == {"dL_jet": 1, "solve_psi": 1} and solved == [(22, 4)]
 
 
 def count_differenced_calls(monkeypatch, counts, keep_marks):
@@ -659,7 +674,7 @@ def test_no_connection_skips_its_terms_with_the_same_values(case, beanie_pair, r
     n = pair.n1
 
     def values(sys, q, v, p):
-        return [sys.lagrangian(q, v, p), sys.dL_dv(q, v, p), *sys.dL_dqp(q, v, p),
+        return [sys.lagrangian(q, v, p), sys.dL_dv(q, v, p), *sys.dL_jet(q, v, p),
                 *sys.bform(q, p)]
 
     q, v, p = z[:, :n], z[:, n:2 * n], z[:, 2 * n:]
@@ -668,3 +683,61 @@ def test_no_connection_skips_its_terms_with_the_same_values(case, beanie_pair, r
     for i in range(len(z)):
         for got, want in zip(values(bare, q[i], v[i], p[i]), values(full, q[i], v[i], p[i])):
             assert np.array_equal(got, want)
+
+
+# -- the pulled-back velocity blocks by the implicit function theorem ------------
+
+
+@numerics.takes_rows
+def state_connection(q, qbar):
+    """Gamma(q, qbar) = 0.3 sin(q) + 0.2 qbar, one 1x1 block per point."""
+    return (0.3 * np.sin(q[..., :1]) + 0.2 * qbar[..., :1])[..., None]
+
+
+@pytest.mark.parametrize("connection", [None, state_connection])
+@pytest.mark.parametrize("case", ["beanie", "magnetic"])
+def test_velocity_blocks_match_the_differenced_dl_dv(case, connection, beanie_pair):
+    # the beanie pair has k2 = 0, the magnetic l2 k2 = 1 and a form; the
+    # reference differences dL1/dv through psi over the joint (v, q, p) stencil
+    rng = np.random.default_rng(21)
+    if case == "beanie":
+        l2, pair, beta = beanie_pair.r2_system, beanie_pair.pair, beanie_pair.beta
+        z = beanie_rows(rng, 200)
+    else:
+        l2, pair, beta = magnetic_l2(), compat.TransformationPair(n1=1, vf=1, k2=1), magnetic_beta
+        z = np.column_stack([rng.uniform(-1, 1, (200, 3)), rng.uniform(-0.5, 0.5, (200, 2))])
+    sys1 = compat.build_system(l2, pair, beta, connection)
+    q, v, p = z[:, :1], z[:, 1:2], z[:, 2:]
+    reference = numerics.fd_jacobian(sys1.dL_dv, (q, v, p), (1, 0, 2), rows=True)
+    stacked = sys1.velocity_blocks(q, v, p)
+    for got, want in zip(stacked, reference):
+        assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-7
+    for i in range(len(z)):
+        for got, want in zip(sys1.velocity_blocks(q[i], v[i], p[i]), reference):
+            assert np.max(np.abs(got - want[i])) <= 1e-7
+
+
+def cubic_l2():
+    """L2 = 1/2 v0^2 + v1^3 / 6 + q0 v1^2 / 2, so d2L2/dv1^2 = v1 + q0.
+    Where beta = 0 psi converges at once to v1 = 0, which is f-regular only
+    where q0 != 0."""
+    return MagneticSystem(
+        n=2, k=0,
+        lagrangian=lambda q, v, p: 0.5 * v[0] ** 2 + v[1] ** 3 / 6 + 0.5 * q[0] * v[1] ** 2,
+        dL_dv=lambda q, v, p: np.array([v[0], 0.5 * v[1] ** 2 + q[0] * v[1]]),
+        d2L_dv_dv=lambda q, v, p: np.diag([1.0, v[1] + q[0]]))
+
+
+def test_singular_qbar_velocity_hessian_names_f_regularity():
+    sys1 = compat.build_system(cubic_l2(), compat.TransformationPair(n1=1, vf=1),
+                               lambda p1: p1[2:3])
+    # beta = p = 0 in every row; q0 = 0 in the first and third
+    z = np.array([[0.0, 0.2, 0.3, 0.0], [1.0, 0.2, 0.5, 0.0], [0.0, 0.1, 0.7, 0.0]])
+    with pytest.raises(RegularityError, match=r"^f-regularity failure in psi: "
+                                              r"\|det d2L2/dqbardot2\| = 0\.000e\+00"):
+        sys1.jet(z[0, :1], z[0, 1:2], z[0, 2:])
+    assert np.isfinite(sys1.jet(z[1, :1], z[1, 1:2], z[1, 2:])[2]).all()
+    with pytest.raises(RegularityError, match=r"^row 0: f-regularity failure in psi"):
+        sys1.velocity_blocks(z[:, :1], z[:, 1:2], z[:, 2:])
+    with pytest.raises(RegularityError, match=r"^row 1: f-regularity failure in psi"):
+        sys1.velocity_blocks(z[1:, :1], z[1:, 1:2], z[1:, 2:])

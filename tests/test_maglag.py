@@ -420,9 +420,10 @@ def test_require_regular_small_blocks_reject_non_finite_entries(n, bad):
 
 
 @pytest.mark.parametrize("kind", ["rk4", "rkf45"])
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0.0, -1.0])
 def test_integrate_refuses_a_non_finite_horizon(kind, bad):
-    # no start sample with a zero energy drift comes back as if integrated
-    with pytest.raises(ValueError, match=r"^t_end must be finite"):
+    # no start sample with a zero energy drift comes back as if integrated,
+    # from an empty or reversed horizon either
+    with pytest.raises(ValueError, match=rf"^t_end must be positive and finite, got {bad}$"):
         maglag.integrate(free_particle(), MagLagState(np.zeros(2), np.ones(2), np.zeros(0)),
                          bad, StepperChoice(kind=kind, h=0.1))

@@ -361,3 +361,27 @@ def test_rotor_full_rates_recovered_in_one_stacked_call(rotor_params, monkeypatc
                                  y[None, 4:].T)
         assert np.array_equal(state[4:], np.concatenate(rates))
         assert np.max(np.abs(models._chart_momenta(rotor_params, state) - y[4:])) <= 1e-12
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", ["reduced_rk4", "reduced_rkf45", "beanie_full", "rotor_full"])
+def test_trajectory_entry_points_refuse_an_empty_or_reversed_horizon(entry, t_end,
+                                                                     rotor_params, beanie_params):
+    # the integrators would return the one start sample, which a report
+    # would read as a trajectory without drift
+    if entry.startswith("reduced"):
+        nu = CoVector([0.3, -0.2, 0.5])
+        run = lambda: routh.integrate_reduced(  # noqa: E731
+            routh.ReducedRouthSystem(models.rotor_lagrangian(rotor_params), nu),
+            routh.ReducedState([0.1], [0.2], nu), t_end,
+            StepperChoice(kind=entry.split("_")[1], h=0.01))
+    elif entry == "beanie_full":
+        run = lambda: models.beanie_full_trajectory(  # noqa: E731
+            beanie_params, np.array([0.1, 0.2, 0.0, 0.0, 0.3, 0.1, 0.2, 0.0]), t_end,
+            StepperChoice(h=0.01))
+    else:
+        run = lambda: models.rotor_full_trajectory(  # noqa: E731
+            rotor_params, np.array([0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.1]), t_end,
+            StepperChoice(h=0.01))
+    with pytest.raises(ValueError, match=rf"^t_end must be positive and finite, got {t_end}$"):
+        run()

@@ -459,6 +459,48 @@ def test_joint_first_derivatives_split_into_grad_q_and_grad_p():
         MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq=jet_dl_dv, dL_dqp=dl_dqp)
 
 
+@numerics.takes_rows
+def jet_joint(q, v, p):
+    """The whole jet of jet_lagrangian in the order of MagneticSystem.jet."""
+    dl_dq = np.stack([v[..., 0] * p[..., 0] + np.cos(q[..., 0]) * v[..., 1], 0.0 * q[..., 1]],
+                     -1)
+    hvq = np.zeros(np.shape(v) + (2,))
+    hvq[..., 0, 0], hvq[..., 1, 0] = p[..., 0], np.cos(q[..., 0])
+    return (dl_dq, q[..., :1] * v[..., :1], jet_hvv(q, v, p), hvq,
+            np.stack([q[..., :1], 0.0 * q[..., :1]], -2))
+
+
+def test_whole_jet_joint_is_called_once_for_every_part():
+    rng = np.random.default_rng(9)
+    q, v, p = rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 1))
+    for joint in (jet_joint, one_point(jet_joint)):
+        calls = []
+        counted = lambda *args, _j=joint: calls.append(np.ndim(args[1])) or _j(*args)  # noqa: E731
+        sys = MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dv=jet_dl_dv,
+                             dL_jet=numerics.takes_rows(counted) if joint is jet_joint else counted)
+        supplies = (sys.grad_q, sys.grad_p, sys.hess_vv, sys.hess_vq, sys.hess_vp)
+        stacked = sys.velocity_blocks(q, v, p)
+        # a marked joint takes the rows in one call, an unmarked one row by row
+        assert calls == ([2] if joint is jet_joint else [1] * len(q))
+        for i in range(len(q)):
+            calls.clear()
+            jet, blocks = sys.jet(q[i], v[i], p[i]), sys.velocity_blocks(q[i], v[i], p[i])
+            assert calls == [1, 1]
+            want = jet_joint(q[i], v[i], p[i])
+            for got, part, supply in zip(jet, want, supplies):
+                assert same_bits(got, part) and same_bits(supply(q[i], v[i], p[i]), part)
+            for got, row, part in zip(blocks, stacked, want[2:]):
+                assert same_bits(got, part) and same_bits(row[i], part)
+
+
+@pytest.mark.parametrize("also", ["dL_dq", "dL_dp", "d2L_dv_dv", "d2L_dv_dq", "d2L_dv_dp",
+                                  "dL_dqp", "dL_dq_vq"])
+def test_whole_jet_joint_refuses_its_parts_and_the_other_joints(also):
+    with pytest.raises(ValueError, match="dL_jet"):
+        MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_jet=jet_joint,
+                       **{also: jet_joint})
+
+
 # -- rule 3 over rows: calls of a values-only ell per right-hand side ------------
 
 # the one-point loop's calls per gradient coordinate (fd_gradient)

@@ -111,3 +111,19 @@ def test_several_seeds_one_summary_each(monkeypatch, capsys):
     assert [line for line in out if line in ("agree", "DIFFER")] == ["agree"] * 5 + ["DIFFER"]
     assert tool.main(["A", "B", "--workload", "stage_verify", "--seed", "5", "7",
                       "--requests", "1"]) == 0
+
+
+def test_largest_difference_of_each_output_over_all_requests(monkeypatch, capsys):
+    tool = load_tool()
+    ok = np.asarray("")
+    a = {"0000 k.x": np.zeros(2), "0000 k.name": np.asarray("rk4"), "0000 k:problems": ok,
+         "0001 j.y": np.zeros(3), "0001 j:problems": ok,
+         "0002 k.x": np.zeros(2), "0002 k.name": np.asarray("rk4"), "0002 k:problems": ok}
+    b = dict(a, **{"0000 k.x": np.array([1e-12, 0.0]), "0000 k.name": np.asarray("rkf45"),
+                   "0002 k.x": np.array([0.0, -3e-11])})
+    # j.y agrees and k.name differs in text, so neither has a largest value
+    assert tool.largest(a, b) == {"k.x": 3e-11}
+    monkeypatch.setattr(tool, "outputs", lambda *args: [a, b])
+    assert tool.main(["A", "B", "--workload", "fd_supply", "--seed", "5", "--requests", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["largest max |diff| of k.x over all requests: 3.000e-11", "DIFFER"]

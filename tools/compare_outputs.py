@@ -19,10 +19,12 @@ trajectory CSV and report JSON) and the problems its check found.
 The comparison prints one line per request: "identical" when every output
 is byte-equal, otherwise each differing output with its max |difference|
 (numbers of one shape, a CSV file of the same shape) or what else differs
-(shape, CSV rows or columns, text), then "agree" or "DIFFER" for the
-workload at that seed.  Exit status: 0 when every output of every
-workload at every seed is byte-equal and every check passed in both
-trees, 1 otherwise, 2 when a tree cannot be run.
+(shape, CSV rows or columns, text); then, for each output of a request
+kind that differs in value, the largest max |difference| over all
+requests; then "agree" or "DIFFER" for the workload at that seed.  Exit
+status: 0 when every output of every workload at every seed is
+byte-equal and every check passed in both trees, 1 otherwise, 2 when a
+tree cannot be run.
 """
 from __future__ import annotations
 
@@ -118,10 +120,10 @@ def _csv(raw: np.ndarray) -> np.ndarray:
                       ndmin=2)
 
 
-def difference(key: str, a: np.ndarray, b: np.ndarray) -> str | None:
+def difference(key: str, a: np.ndarray, b: np.ndarray) -> float | str | None:
     """None when `a` and `b` are byte-equal; else what differs: the max
-    |difference| over the places where the values differ, or why there is
-    none to take."""
+    |difference| over the places where the values differ, or (a string) why
+    there is none to take."""
     if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
         return None
     if FILE in key and key.endswith(".csv"):
@@ -140,8 +142,7 @@ def difference(key: str, a: np.ndarray, b: np.ndarray) -> str | None:
         return "NaN in different places"
     # a shared inf is no difference (inf - inf is NaN), nor is a shared NaN
     keep = (a != b) & ~np.isnan(a)
-    worst = float(np.abs(a[keep] - b[keep]).max(initial=0.0))
-    return f"max |diff| = {worst:.3e}"
+    return float(np.abs(a[keep] - b[keep]).max(initial=0.0))
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
@@ -161,7 +162,8 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
                 continue
             d = difference(key, a[key], b[key])
             if d is not None:
-                found.append(f"{name}: {d}")
+                found.append(f"{name}: " + (d if isinstance(d, str) else
+                                            f"max |diff| = {d:.3e}"))
         for tree, outputs in (("A", a), ("B", b)):
             problems = str(outputs.get(req + PROBLEMS, "missing"))
             if problems:
@@ -169,6 +171,18 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         ok = ok and not found
         lines.append(f"{req}: " + ("; ".join(found) or "identical"))
     return lines, ok
+
+
+def largest(a: dict, b: dict) -> dict[str, float]:
+    """The largest max |difference| of each output that differs in value,
+    over all requests, keyed by request kind and output name."""
+    worst: dict[str, float] = {}
+    for key in sorted(a.keys() & b.keys()):
+        d = None if key.endswith(PROBLEMS) else difference(key, a[key], b[key])
+        if isinstance(d, float):
+            name = key.split(" ", 1)[1]
+            worst[name] = max(worst.get(name, 0.0), d)
+    return worst
 
 
 def outputs(trees: list[Path], workload: str, seed: int, requests: int
@@ -218,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{workload}, seed {seed}, {args.requests} requests: "
               f"A = {args.trees[0]}, B = {args.trees[1]}")
         print("\n".join(lines))
+        for name, worst in largest(*found).items():
+            print(f"largest max |diff| of {name} over all requests: {worst:.3e}")
         print("agree" if ok else "DIFFER")
         agree = agree and ok
     return 0 if agree else 1
