@@ -24,13 +24,13 @@ All differences share one non-finite rule (`_finite`).
 `fd_exterior_derivative` differences a 1-form.
 `invert` is the one Newton inversion of a fibre derivative, and
 `newton_solve` always takes its Jacobian from the caller.  `solve` and
-`inverse` are the one small-solve rule: a 1x1 system by one division, a
-larger one by LAPACK.  The integrators raise a right-hand side's
-ValueError or RegularityError again with the start t of its step.  Apart
-from the stencil layouts nothing here keeps state between calls: the
-integrators allocate their output arrays per call (RK4 all at once, since
-its step count is known), and `supply` and `supply_blocks` return
-callables that close over nothing but their inputs.
+`inverse` are the one small-solve rule: a 1x1 system by one division, an
+antisymmetric 2x2 on floats, others by LAPACK.  The integrators raise a
+right-hand side's ValueError or RegularityError again with the start t of
+its step.  Apart from the stencil layouts nothing here keeps state between
+calls: the integrators allocate their output arrays per call (RK4 all at
+once, since its step count is known), and `supply` and `supply_blocks`
+return callables that close over nothing but their inputs.
 
 Callables marked with `takes_rows` also accept stacked rows: every array
 argument may carry a leading axis of N rows, and the result then has one
@@ -516,13 +516,26 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b for one square matrix a and b of matching length, or for
     stacked matrices a (N, m, m) and b (N, m, r).  A 1x1 system is one
     division, which gives LAPACK's bits, and an exactly zero pivot raises
-    LinAlgError as LAPACK does; larger and stacked systems go to LAPACK (a
-    2x2 closed form would match its bits only with a fused multiply-add,
-    which Python floats lack)."""
+    LinAlgError as LAPACK does.  An antisymmetric 2x2 with a zero diagonal
+    (the k = 2 fibre block of a 2-form) and a finite b (2,) is solved on
+    floats too: its row-swapped LU multiplies only by zeros, so it gives
+    LAPACK's bits with no fused multiply-add, and a10 = 0 raises.  Other
+    systems go to LAPACK, and so does a subnormal or infinite a10, which
+    LAPACK scales its own way."""
     if a.shape == (1, 1):
         if a[0, 0] == 0.0:
             raise np.linalg.LinAlgError("Singular matrix")
         return b / a[0, 0]
+    if a.shape == (2, 2) and b.shape == (2,):
+        (a00, a01), (a10, a11) = a.tolist()
+        b0, b1 = b.tolist()
+        if a00 == 0.0 == a11 and a01 == -a10 and math.isfinite(b0) and math.isfinite(b1):
+            if a10 == 0.0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            if 2.0 ** -1022 <= abs(a10) < math.inf:  # normal
+                lower = a00 / a10
+                x1 = (b0 - lower * b1) / (a01 - lower * a11)
+                return np.array([(b1 - a11 * x1) / a10, x1])
     return np.linalg.solve(a, b)
 
 

@@ -169,11 +169,12 @@ class InvariantLagrangian:
 
 
 def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
-                     ) -> tuple[ReducedMetric, np.ndarray]:
+                     ) -> tuple[ReducedMetric, np.ndarray, np.ndarray]:
     """Reduced-equation blocks at (x, xdot, chi) by the implicit function
-    theorem, and dell/dx there: with K = d(dell/dxi)/dxi,
+    theorem, dell/dx there and the tangent dchi/dy of the inversion in the
+    flat state y = (x, xdot, nu): with K = d(dell/dxi)/dxi,
 
-        dchi/dxdot = -K^{-1} d(dell/dxi)/dxdot,   dchi/dnu = K^{-1},
+        dchi/dy = K^{-1} [-d(dell/dxi)/dx, -d(dell/dxi)/dxdot, 1],
 
     the Routhian blocks are combinations of the supply of ell, all of them
     and dell/dx from one `metric_blocks` call.  A singular K or Routhian
@@ -194,8 +195,9 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
     f1_xi = xi_xdot.T
     hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
-    return ReducedMetric(hess_inv=numerics.inverse(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
-                         mixed_nu=f1_xi @ k_inv), dl_dx
+    return (ReducedMetric(hess_inv=numerics.inverse(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
+                          mixed_nu=f1_xi @ k_inv), dl_dx,
+            np.concatenate([dchi_dx, dchi_dxdot, k_inv], axis=1))
 
 
 def _affine_chi(lag: InvariantLagrangian) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +453,7 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState
     lag = sys.lagrangian
     chi = solve_chi(lag, s.x, s.xdot, s.nu).coords
     if lag.reduced_metric is None:
-        metric, dl_dx = _assemble_metric(lag, s.x, s.xdot, chi)
+        metric, dl_dx, _ = _assemble_metric(lag, s.x, s.xdot, chi)
     else:
         metric, dl_dx = lag.reduced_metric, lag.grad_x(s.x, s.xdot, chi)
     xddot, nudot = _reduced_rhs(dl_dx, sys.structure, metric, s.xdot, s.nu.coords, chi)
@@ -491,24 +493,32 @@ def _field_factory(sys: ReducedRouthSystem):
     once, here.  With a constant metric chi is the compiled affine map of
     the flat state, unchecked (the public solve_chi also checks its
     residual), so dell/dx is the only supply call of a point; otherwise
-    Newton (`_chi`, without solve_chi's argument checks) is warm-started
-    from the previous chi, local to this factory's closure, and the blocks
-    are assembled per point."""
+    the blocks are assembled per point, and Newton (`_chi`, without
+    solve_chi's argument checks) starts from the tangent prediction
+    chi_prev + dchi/dy (y - y_prev) of the previous point, which
+    `_assemble_metric` gives and this closure keeps: from zero at the first
+    point, and from chi_prev when the prediction is not finite."""
     lag = sys.lagrangian
     sd = lag.sdim
     metric, grad_x, structure = lag.reduced_metric, lag.grad_x, sys.structure
     p, c = lag.chi_map or (None, None)
-    chi = None
+    last = None  # (y, chi, dchi/dy) at the previous point
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal chi
+        nonlocal last
         x, xdot, nu = y[:sd], y[sd:2 * sd], y[2 * sd:]
         if metric is not None:
             chi = p @ y + c
             blocks, dl_dx = metric, grad_x(x, xdot, chi)
         else:
-            chi = _chi(lag, x, xdot, nu, seed=chi)
-            blocks, dl_dx = _assemble_metric(lag, x, xdot, chi)
+            seed = None
+            if last is not None:
+                y0, chi0, dchi_dy = last
+                seed = chi0 + dchi_dy @ (y - y0)
+                seed = seed if np.isfinite(seed).all() else chi0
+            chi = _chi(lag, x, xdot, nu, seed=seed)
+            blocks, dl_dx, dchi_dy = _assemble_metric(lag, x, xdot, chi)
+            last = y, chi, dchi_dy
         xddot, nudot = _reduced_rhs(dl_dx, structure, blocks, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 

@@ -1,4 +1,5 @@
 """Finite differences, Newton, and the integrator pair."""
+import itertools
 import math
 
 import numpy as np
@@ -484,6 +485,48 @@ def test_one_by_one_zero_pivot_raises_as_lapack(pivot):
     a = np.array([[pivot]])
     for call in (lambda: numerics.solve(a, np.ones(1)), lambda: numerics.inverse(a),
                  lambda: np.linalg.solve(a, np.ones(1)), lambda: np.linalg.inv(a)):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^Singular matrix$"):
+            call()
+
+
+def test_antisymmetric_two_by_two_solve_is_lapacks_bits(monkeypatch):
+    # the k = 2 fibre block of a 2-form, [[+-0, g], [-g, +-0]]: random
+    # blocks and right-hand sides over the whole exponent range, then every
+    # combination of signed zeros, huge, tiny, smallest-normal, subnormal,
+    # infinite and NaN entries, bit for bit against LAPACK (or the same
+    # LinAlgError)
+    rng = np.random.default_rng(13)
+    n = 50_000
+    g = np.concatenate([spread_draws(rng, n // 2), rng.normal(size=n // 2)])
+    b = np.concatenate([spread_draws(rng, n), rng.normal(size=n)]).reshape(2, n).T
+    diagonals = rng.choice([0.0, -0.0], (n, 2))
+    blocks = [([[d0, gi], [-gi, d1]], bi) for (d0, d1), gi, bi in zip(diagonals, g, b)]
+    tiny = np.finfo(float).tiny
+    values = [0.0, -0.0, 1.3, -1.3, 1e300, -1e300, 1e-300, -1e-300, tiny, -tiny,
+              5e-324, -5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+    for d0, d1, gi, b0, b1 in itertools.product((0.0, -0.0), (0.0, -0.0), values[2:],
+                                                values, values):
+        blocks.append(([[d0, gi], [-gi, d1]], [b0, b1]))
+    def outcome(solve, a, bi):
+        try:
+            return solve(a, bi).tobytes()
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    with np.errstate(all="ignore"):
+        for a, bi in blocks:
+            a, bi = np.array(a), np.array(bi)
+            assert outcome(numerics.solve, a, bi) == outcome(np.linalg.solve, a, bi)
+    # a normal finite block with a finite right-hand side never calls LAPACK
+    monkeypatch.setattr(np.linalg, "solve", None)
+    assert numerics.solve(np.array([[0.0, 2.0], [-2.0, -0.0]]), np.array([-0.0, 1.3])
+                          ).tobytes() == np.array([-0.65, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_antisymmetric_two_by_two_zero_block_raises_as_lapack(zero):
+    a = np.array([[0.0, zero], [-zero, -0.0]])
+    for call in (lambda: numerics.solve(a, np.ones(2)), lambda: np.linalg.solve(a, np.ones(2))):
         with pytest.raises(np.linalg.LinAlgError, match=r"^Singular matrix$"):
             call()
 

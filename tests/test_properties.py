@@ -3,6 +3,7 @@ tolerances: orbit-form identity 1e-6, solver round trips 1e-10, closedness
 of the pulled-back 2-form 1e-6; and of the regularity errors that the
 integrators' right-hand sides raise."""
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,11 +136,51 @@ def test_singular_fibre_block_names_t(c, off, p, t):
 @given(c=centre, off=near, nu=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
        t=time)
 def test_singular_group_metric_names_t(c, off, nu, t):
-    # group metric (x - c)^2 on so(3), not declared constant
-    lag = routh.InvariantLagrangian(
+    field = routh._field_factory(routh.ReducedRouthSystem(singular_metric_lagrangian(c),
+                                                          mu=CoVector(nu)))
+    raises_at(field, t, np.array([c + off, 0.1, *nu]), "group")
+
+
+def singular_metric_lagrangian(c):
+    """Group metric (x - c)^2 on so(3), not declared constant."""
+    return routh.InvariantLagrangian(
         sdim=1, group=lie.so3(),
         ell=lambda x, xd, xi: 0.5 * xd[0] ** 2 + 0.5 * (x[0] - c) ** 2 * float(xi @ xi),
         dell_dxi=lambda x, xd, xi: (x[0] - c) ** 2 * xi,
         d2_dxi_dxi=lambda x, xd, xi: (x[0] - c) ** 2 * np.eye(3))
-    field = routh._field_factory(routh.ReducedRouthSystem(lag, mu=CoVector(nu)))
-    raises_at(field, t, np.array([c + off, 0.1, *nu]), "group")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(c=centre, off=near, nu=st.lists(st.floats(0.1, 2.0), min_size=3, max_size=3),
+       t=time, bad=st.sampled_from([np.inf, np.nan]))
+def test_non_finite_tangent_seed_falls_back_and_still_names_t(c, off, nu, t, bad):
+    # after a regular point whose tangent dchi/dy is not finite, the next
+    # inversion starts from that point's chi, and the singular metric
+    # fails with the message and the t of a field that starts there
+    sys = routh.ReducedRouthSystem(singular_metric_lagrangian(c), mu=CoVector(nu))
+    singular = np.array([c + off, 0.1, *nu])
+    with pytest.raises(RegularityError) as fresh:
+        numerics.rk4_integrate(routh._field_factory(sys), singular, t, t + 0.1, 0.1)
+    assemble, newton = routh._assemble_metric, numerics.newton_solve
+    seeds, chis = [], []
+
+    def spoilt(*args):
+        metric, dl_dx, dchi_dy = assemble(*args)
+        return metric, dl_dx, np.full_like(dchi_dy, bad)
+
+    def spy(residual, seed, jacobian):
+        seeds.append(np.array(seed))
+        result = newton(residual, seed, jacobian)
+        chis.append(result.x)
+        return result
+
+    field = routh._field_factory(sys)
+    with mock.patch.object(routh, "_assemble_metric", spoilt), \
+            mock.patch.object(numerics, "newton_solve", spy):
+        field(t, np.array([c + 1.0, 0.1, *nu]))
+        with pytest.raises(RegularityError) as err:
+            numerics.rk4_integrate(field, singular, t, t + 0.1, 0.1)
+    assert str(err.value) == str(fresh.value)
+    assert re.search(rf"group.* at t = {re.escape(f'{t:.6g}')}\b", str(err.value))
+    assert seeds[1].tobytes() == chis[0].tobytes()

@@ -496,29 +496,38 @@ def test_validate_mechanical_refuses_a_non_finite_sample():
         routh.validate_mechanical(lag, [good, (np.zeros(1), [np.inf], np.ones(2))])
 
 
-@pytest.mark.parametrize("kind", ["rk4", "rkf45"])
-@pytest.mark.parametrize("case", ["quartic", "so3_twin"])
-def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
-    # the reduced field of a non-constant metric inverts the momentum with
-    # the private _chi; a field on the public solve_chi, warm-started the
-    # same way, integrates to the same bits
+def newton_case(case, rotor_params):
+    """(Lagrangian, momentum level, initial state) of a reduced flow whose
+    momentum inversion takes the Newton path."""
     if case == "quartic":
         lag, nu0 = generic_lagrangian(), CoVector([0.5, -0.3])
     else:
         lag = routh.InvariantLagrangian(1, lie.so3(), models.rotor_lagrangian(rotor_params).ell)
         nu0 = CoVector([0.4, -0.6, 0.5])
     assert lag.reduced_metric is None
+    return lag, nu0, routh.ReducedState([0.2], [0.4], nu0)
+
+
+@pytest.mark.parametrize("kind", ["rk4", "rkf45"])
+@pytest.mark.parametrize("case", ["quartic", "so3_twin"])
+def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
+    # the reduced field of a non-constant metric inverts the momentum with
+    # the private _chi; a field on the public solve_chi, seeded the same way
+    # by the tangent prediction of the previous point, integrates to the
+    # same bits
+    lag, nu0, s0 = newton_case(case, rotor_params)
     sys = routh.ReducedRouthSystem(lag, mu=nu0)
-    s0 = routh.ReducedState([0.2], [0.4], nu0)
     stepper = StepperChoice(kind=kind, h=1e-2, atol=1e-12, rtol=1e-12)
     traj = routh.integrate_reduced(sys, s0, 0.3, stepper)
-    chi = None
+    last = None
 
     def field(t, y):
-        nonlocal chi
+        nonlocal last
         x, xdot, nu = y[:1], y[1:2], y[2:]
-        chi = routh.solve_chi(lag, x, xdot, CoVector(nu), seed=chi).coords
-        blocks, dl_dx = routh._assemble_metric(lag, x, xdot, chi)
+        seed = None if last is None else last[1] + last[2] @ (y - last[0])
+        chi = routh.solve_chi(lag, x, xdot, CoVector(nu), seed=seed).coords
+        blocks, dl_dx, dchi_dy = routh._assemble_metric(lag, x, xdot, chi)
+        last = y, chi, dchi_dy
         xddot, nudot = routh._reduced_rhs(dl_dx, sys.structure, blocks, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
@@ -526,6 +535,53 @@ def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
     assert len(times) > 5
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("case, zero_share", [("quartic", 0.5), ("so3_twin", 0.9)])
+def test_reduced_field_seeds_newton_with_the_tangent_prediction(case, zero_share, rotor_params,
+                                                                monkeypatch):
+    # along rk4 and rkf45 runs, each momentum inversion of the reduced field
+    # starts from chi_prev + dchi/dy (y - y_prev) of the field's previous
+    # point (zero at the first), and still ends within INVERSION_TOL; the
+    # prediction alone meets the tolerance at most of the later points
+    lag, nu0, s0 = newton_case(case, rotor_params)
+    solves, tangents = [], []
+    newton, assemble = numerics.newton_solve, routh._assemble_metric
+
+    def newton_spy(residual, seed, jacobian):
+        solves.append((np.array(seed), newton(residual, seed, jacobian)))
+        return solves[-1][1]
+
+    def assemble_spy(*args):
+        out = assemble(*args)
+        tangents.append(out[2])
+        return out
+
+    monkeypatch.setattr(numerics, "newton_solve", newton_spy)
+    monkeypatch.setattr(routh, "_assemble_metric", assemble_spy)
+    later_iterations = []
+    for stepper in (StepperChoice(kind="rk4", h=1e-3),
+                    StepperChoice(kind="rkf45", h=1e-3, atol=1e-12, rtol=1e-12)):
+        solves.clear()
+        tangents.clear()
+        ys = []
+        reduced_field = routh._field_factory(routh.ReducedRouthSystem(lag, mu=nu0))
+
+        def field(t, y):
+            ys.append(y)
+            return reduced_field(t, y)
+
+        numerics.integrate_ode(field, routh.pack_reduced(s0), 0.0, 0.1, stepper)
+        assert len(solves) == len(tangents) == len(ys) > 20
+        assert solves[0][0].tobytes() == np.zeros(lag.gdim).tobytes()
+        for i, (y, (seed, result)) in enumerate(zip(ys, solves)):
+            if i:
+                want = solves[i - 1][1].x + tangents[i - 1] @ (y - ys[i - 1])
+                assert seed.tobytes() == want.tobytes()
+                later_iterations.append(result.iterations)
+            residual = lag.group_momentum(y[:1], y[1:2], result.x) - y[2:]
+            assert np.linalg.norm(residual) <= numerics.INVERSION_TOL
+    assert later_iterations.count(0) >= zero_share * len(later_iterations)
 
 
 @pytest.mark.parametrize("block", ["A", "B", "C"])

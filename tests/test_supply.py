@@ -547,15 +547,20 @@ def test_values_only_twin_calls_ell_once_per_stencil(marked, monkeypatch):
     solves = newton_calls(monkeypatch)
     field = routh._field_factory(routh.ReducedRouthSystem(twin, CoVector([0.8, 0.2, 0.3])))
     y = np.array([0.1, 0.2, 0.8, 0.2, 0.3])
-    for _ in range(3):  # the first solve from zero, then warm-started
+    jacobians = []
+    # the first solve from zero, two from the tangent prediction of a point
+    # 0.01 away, and the last after a step of 0.5, too long for the
+    # prediction alone to meet the tolerance
+    for step in (0.01, 0.01, 0.5, 0.0):
         calls.clear()
         solves.clear()
         field(0.0, y)
         (solve,) = solves
-        assert solve["jacobian"] > 0
+        jacobians.append(solve["jacobian"])
         assert len(calls) == (residual * solve["residual"] + jacobian * solve["jacobian"]
                               + metric)
-        y = y + 0.01
+        y = y + step
+    assert jacobians[0] > 0 and jacobians[-1] > 0
     chi = routh.solve_chi(twin, y[:1], y[1:2], CoVector(y[2:])).coords
     calls.clear()
     routh._assemble_metric(twin, y[:1], y[1:2], chi)
