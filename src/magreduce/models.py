@@ -69,23 +69,6 @@ def rotor_reduced_system(params: RotorParams, m0: CoVector) -> routh.ReducedRout
     return routh.ReducedRouthSystem(rotor_lagrangian(params), mu=m0, side="left")
 
 
-def rotor_reduced_field_closed_form(params: RotorParams, x, xdot, m: np.ndarray
-                                    ) -> tuple[np.ndarray, float]:
-    """Hand-expanded reduced equations (mdot, xddot), kept as an
-    independent cross-check of the generic assembly."""
-    lam = params.lam
-    j3 = params.inertia_rotor[2]
-    i3 = params.inertia_body[2]
-    xd = float(np.atleast_1d(xdot)[0])
-    m1, m2, m3 = m
-    mdot = np.array([
-        (1.0 / lam[2] - 1.0 / lam[1]) * m2 * m3 - (m2 * j3 / lam[2]) * xd,
-        (1.0 / lam[0] - 1.0 / lam[2]) * m1 * m3 + (m1 * j3 / lam[2]) * xd,
-        (1.0 / lam[1] - 1.0 / lam[0]) * m1 * m2,
-    ])
-    return mdot, float(-mdot[2] / i3)
-
-
 # -- unreduced rotor in a Z-X-Z Euler chart ---------------------------------
 
 

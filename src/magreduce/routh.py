@@ -34,13 +34,14 @@ from .numerics import RegularityError, StepperChoice
 
 @dataclass(frozen=True)
 class ReducedMetric:
-    """Implicit-function-theorem blocks of the reduced equations at a point.
+    """The gain of the reduced equations at a point, by the implicit
+    function theorem: with the Routhian Hessian H = d2R/dxdot2 and the
+    mixed blocks M_x = d2R/dxdot dx and M_nu = d2R/dxdot dnu,
 
-    hess_inv is the inverse Routhian Hessian d2R/dxdot2, mixed_x =
-    d2R/dxdot dx and mixed_nu = d2R/dxdot dnu."""
-    hess_inv: np.ndarray
-    mixed_x: np.ndarray
-    mixed_nu: np.ndarray
+        gain = H^{-1} [1 | -M_x | -M_nu],  xddot = gain @ (dell/dx, xdot, nudot),
+
+    shape (sdim, 2 sdim + gdim)."""
+    gain: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,13 @@ class InvariantLagrangian:
     For mechanical systems (kinetic quadratic form minus a shape potential),
     set mechanical=True and supply `potential`.  If every second-derivative
     block of ell is state-independent, set constant_group_metric=True: the
-    reduced-equation blocks are then assembled once at the origin and kept
-    in `reduced_metric`, and the momentum inversion, which a constant metric
-    makes affine, is compiled into `chi_map` = (P, c) with
+    gain of the reduced equations is then assembled once at the origin and
+    kept in `reduced_metric`, and the momentum inversion, which a constant
+    metric makes affine, is compiled into `chi_map` = (P, c) with
     chi = P @ (x, xdot, nu) + c (`_affine_chi`).  A right-hand side of the
-    reduced flow is then one dell/dx call and a handful of small matrix
-    products.
+    reduced flow is then one dell/dx call, the affine map, ad* and one
+    product with the gain.  `quadratic_invariant_lagrangian` without a
+    potential gives dell/dx as a row-marked exact zero.
 
     An `ell` marked with `numerics.takes_rows` takes rows: then every
     values-only derivative is one stacked stencil call (rule 3 over rows),
@@ -170,16 +172,16 @@ class InvariantLagrangian:
 
 def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
                      ) -> tuple[ReducedMetric, np.ndarray, np.ndarray]:
-    """Reduced-equation blocks at (x, xdot, chi) by the implicit function
-    theorem, dell/dx there and the tangent dchi/dy of the inversion in the
-    flat state y = (x, xdot, nu): with K = d(dell/dxi)/dxi,
+    """The gain of the reduced equations at (x, xdot, chi) by the implicit
+    function theorem, dell/dx there and the tangent dchi/dy of the inversion
+    in the flat state y = (x, xdot, nu): with K = d(dell/dxi)/dxi,
 
         dchi/dy = K^{-1} [-d(dell/dxi)/dx, -d(dell/dxi)/dxdot, 1],
 
-    the Routhian blocks are combinations of the supply of ell, all of them
-    and dell/dx from one `metric_blocks` call.  A singular K or Routhian
-    Hessian raises RegularityError, K's also when a non-finite stencil value
-    of another block is raised first."""
+    the Routhian blocks of the gain are combinations of the supply of ell,
+    all of them and dell/dx from one `metric_blocks` call.  A singular K or
+    Routhian Hessian raises RegularityError, K's also when a non-finite
+    stencil value of another block is raised first."""
     singular_k = "singular group metric: |det d2ell/dxi2|"
     try:
         k, xi_xdot, xi_x, xdot_xdot, xdot_x, dl_dx = lag.metric_blocks(x, xdot, chi)
@@ -195,8 +197,8 @@ def _assemble_metric(lag: InvariantLagrangian, x, xdot, chi: np.ndarray
     f1_xi = xi_xdot.T
     hess = xdot_xdot + f1_xi @ dchi_dxdot
     maglag.require_regular(hess, "singular Routhian Hessian: |det d2R/dxdot2|")
-    return (ReducedMetric(hess_inv=numerics.inverse(hess), mixed_x=xdot_x + f1_xi @ dchi_dx,
-                          mixed_nu=f1_xi @ k_inv), dl_dx,
+    mixed = [np.eye(len(hess)), -(xdot_x + f1_xi @ dchi_dx), -(f1_xi @ k_inv)]
+    return (ReducedMetric(numerics.solve(hess, np.concatenate(mixed, axis=1))), dl_dx,
             np.concatenate([dchi_dx, dchi_dxdot, k_inv], axis=1))
 
 
@@ -228,6 +230,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
 
     with all derivatives analytic.  A is (sdim, sdim), B is (sdim, gdim),
     C is (gdim, gdim) symmetric positive definite on the relevant block.
+    Without a potential (and its derivative), dell/dx is an exact zero.
     """
     a = np.asarray(a_block, dtype=float).reshape(sdim, sdim)
     b = np.asarray(b_block, dtype=float).reshape(sdim, group.dim)
@@ -238,8 +241,11 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
-    dv = dpotential or ((lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),), rows=False))
-                        if potential else (lambda x: np.zeros(sdim)))
+    dv = dpotential or (potential and (
+        lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),), rows=False)))
+    # without a potential dell/dx is an exact zero, at one point or at rows
+    dell_dx = ((lambda x, xd, xi: -np.atleast_1d(dv(np.atleast_1d(x)))) if dv
+               else numerics.takes_rows(lambda x, xd, xi: np.zeros(np.shape(x))))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T
 
@@ -251,8 +257,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
                 + rowdot(0.5 * xi @ c, xi) - numerics.each_row(v, np.atleast_1d(x)))
 
     return InvariantLagrangian(
-        sdim=sdim, group=group, ell=ell,
-        dell_dx=lambda x, xd, xi: -np.atleast_1d(dv(np.atleast_1d(x))),
+        sdim=sdim, group=group, ell=ell, dell_dx=dell_dx,
         dell_dxdot=numerics.takes_rows(lambda x, xd, xi: xd @ a_t + xi @ b_t),
         dell_dxi=numerics.takes_rows(lambda x, xd, xi: xd @ b + xi @ c_t),
         d2_dxdot_dx=lambda x, xd, xi: np.zeros((sdim, sdim)),
@@ -306,6 +311,9 @@ class ReducedRouthSystem:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        if len(self.mu) != self.lagrangian.gdim:
+            raise ValueError(f"momentum level mu has length {len(self.mu)}; "
+                             f"the group has dimension {self.lagrangian.gdim}")
         if not np.all(np.isfinite(self.mu.coords)):
             raise ValueError("momentum level must be finite")
 
@@ -327,6 +335,15 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         object.__setattr__(self, "xdot", np.atleast_1d(np.asarray(self.xdot, dtype=float)))
+
+
+def _check_state(lag: InvariantLagrangian, s: ReducedState) -> None:
+    """Refuse a state whose x, xdot or nu does not match sdim / gdim."""
+    for name, value, dim in (("x", s.x, lag.sdim), ("xdot", s.xdot, lag.sdim),
+                             ("nu", s.nu.coords, lag.gdim)):
+        if np.shape(value) != (dim,):
+            raise ValueError(f"state {name} has shape {np.shape(value)}; "
+                             f"the system needs ({dim},)")
 
 
 def momentum_map(lag: InvariantLagrangian, x, xdot, g: GroupElement,
@@ -446,29 +463,32 @@ def reduced_vector_field(sys: ReducedRouthSystem, s: ReducedState
                          ) -> tuple[np.ndarray, np.ndarray, CoVector]:
     """Right-hand side (xdot, xddot, nudot) of the reduced equations.
 
-    The shape equation is assembled through the implicit function theorem
-    (`_assemble_metric`), and the time-varying momentum enters through the
-    mixed d2R/dxdot dnu term.
+    The gain of the shape equation comes from the implicit function
+    theorem (`_assemble_metric`, kept once for a constant metric), and the
+    time-varying momentum enters through its d2R/dxdot dnu columns.  A
+    state whose parts do not match the system raises ValueError.
     """
     lag = sys.lagrangian
+    _check_state(lag, s)
     chi = solve_chi(lag, s.x, s.xdot, s.nu).coords
     if lag.reduced_metric is None:
         metric, dl_dx, _ = _assemble_metric(lag, s.x, s.xdot, chi)
     else:
         metric, dl_dx = lag.reduced_metric, lag.grad_x(s.x, s.xdot, chi)
-    xddot, nudot = _reduced_rhs(dl_dx, sys.structure, metric, s.xdot, s.nu.coords, chi)
+    xddot, nudot = _reduced_rhs(dl_dx, sys.structure, metric.gain, s.xdot, s.nu.coords, chi)
     return s.xdot.copy(), xddot, CoVector(nudot)
 
 
-def _reduced_rhs(dl_dx: np.ndarray, structure: np.ndarray, metric: ReducedMetric,
+def _reduced_rhs(dl_dx: np.ndarray, structure: np.ndarray, gain: np.ndarray,
                  xdot, nu: np.ndarray, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xddot, nudot) at chi solving the momentum constraint, from dell/dx,
     the signed structure constants (`ReducedRouthSystem.structure`) and the
-    reduced-equation blocks at this point."""
+    gain of the reduced equations at this point (`ReducedMetric`): nudot =
+    +/- ad*_chi nu and xddot = gain @ (dell/dx, xdot, nudot), the one place
+    the shape acceleration is formed."""
     g = nu.size
     nudot = chi @ (nu @ structure).reshape(g, g)
-    rhs = dl_dx - metric.mixed_x @ xdot - metric.mixed_nu @ nudot
-    return metric.hess_inv @ rhs, nudot
+    return gain @ np.concatenate([dl_dx, xdot, nudot]), nudot
 
 
 def reduced_state_columns(sdim: int, gdim: int) -> tuple[str, ...]:
@@ -489,37 +509,45 @@ def unpack_reduced(lag: InvariantLagrangian, y: np.ndarray) -> ReducedState:
 def _field_factory(sys: ReducedRouthSystem):
     """ODE right-hand side over flat (x, xdot, nu) states.
 
-    The supply callables and the signed structure constants are looked up
-    once, here.  With a constant metric chi is the compiled affine map of
-    the flat state, unchecked (the public solve_chi also checks its
-    residual), so dell/dx is the only supply call of a point; otherwise
-    the blocks are assembled per point, and Newton (`_chi`, without
-    solve_chi's argument checks) starts from the tangent prediction
-    chi_prev + dchi/dy (y - y_prev) of the previous point, which
-    `_assemble_metric` gives and this closure keeps: from zero at the first
-    point, and from chi_prev when the prediction is not finite."""
+    The supply callables, the signed structure constants and a constant
+    metric's gain are looked up once, here.  With a constant metric xdot
+    and nu are read straight from y and chi is the compiled affine map of
+    y, unchecked (the public solve_chi also checks its residual), so a
+    point is chi, nudot, one dell/dx call (the only supply call), one
+    product with the gain and the output's concatenate; otherwise the gain
+    is assembled per point, and Newton (`_chi`, without solve_chi's
+    argument checks) starts from the tangent prediction chi_prev + dchi/dy
+    (y - y_prev) of the previous point, which `_assemble_metric` gives and
+    this closure keeps: from zero at the first point, and from chi_prev
+    when the prediction is not finite."""
     lag = sys.lagrangian
     sd = lag.sdim
-    metric, grad_x, structure = lag.reduced_metric, lag.grad_x, sys.structure
-    p, c = lag.chi_map or (None, None)
+    grad_x, structure = lag.grad_x, sys.structure
+    if lag.reduced_metric is not None:
+        gain, (p, c) = lag.reduced_metric.gain, lag.chi_map
+
+        def field(t: float, y: np.ndarray) -> np.ndarray:
+            xdot = y[sd:2 * sd]
+            chi = p @ y + c
+            xddot, nudot = _reduced_rhs(grad_x(y[:sd], xdot, chi), structure, gain,
+                                        xdot, y[2 * sd:], chi)
+            return np.concatenate([xdot, xddot, nudot])
+
+        return field
     last = None  # (y, chi, dchi/dy) at the previous point
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         nonlocal last
         x, xdot, nu = y[:sd], y[sd:2 * sd], y[2 * sd:]
-        if metric is not None:
-            chi = p @ y + c
-            blocks, dl_dx = metric, grad_x(x, xdot, chi)
-        else:
-            seed = None
-            if last is not None:
-                y0, chi0, dchi_dy = last
-                seed = chi0 + dchi_dy @ (y - y0)
-                seed = seed if np.isfinite(seed).all() else chi0
-            chi = _chi(lag, x, xdot, nu, seed=seed)
-            blocks, dl_dx, dchi_dy = _assemble_metric(lag, x, xdot, chi)
-            last = y, chi, dchi_dy
-        xddot, nudot = _reduced_rhs(dl_dx, structure, blocks, xdot, nu, chi)
+        seed = None
+        if last is not None:
+            y0, chi0, dchi_dy = last
+            seed = chi0 + dchi_dy @ (y - y0)
+            seed = seed if np.isfinite(seed).all() else chi0
+        chi = _chi(lag, x, xdot, nu, seed=seed)
+        metric, dl_dx, dchi_dy = _assemble_metric(lag, x, xdot, chi)
+        last = y, chi, dchi_dy
+        xddot, nudot = _reduced_rhs(dl_dx, structure, metric.gain, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
     return field
@@ -532,12 +560,17 @@ def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
 
     The energy is checked at the `maglag.monitored` samples, from the
     first, the Casimirs at every sample.  A t_end that is not positive and
-    finite raises ValueError."""
+    finite, or an initial state that does not match the system or is not
+    finite, raises ValueError before the first step."""
     numerics.require_horizon(t_end)
     lag = sys.lagrangian
     sd = lag.sdim
-    times, states = numerics.integrate_ode(_field_factory(sys), pack_reduced(s0),
-                                           0.0, t_end, stepper)
+    _check_state(lag, s0)
+    y0 = pack_reduced(s0)
+    if not np.isfinite(y0).all():
+        j = int(np.argmin(np.isfinite(y0)))
+        raise ValueError(f"initial state {reduced_state_columns(sd, lag.gdim)[j]} is {y0[j]}")
+    times, states = numerics.integrate_ode(_field_factory(sys), y0, 0.0, t_end, stepper)
     pick = maglag.monitored(len(states))
     x, xdot, nu = _split(lag, states[pick])
     energies = _energy(lag, x, xdot, nu, _chi(lag, x, xdot, nu, times=times[pick]))

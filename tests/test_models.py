@@ -5,6 +5,7 @@ import pytest
 from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.numerics import StepperChoice
+from oracles import rotor_reduced_field_closed_form
 
 
 def random_rotor_params(rng):
@@ -55,7 +56,7 @@ def test_rotor_formula_reproduction_random_params(rng):
         sys = models.rotor_reduced_system(params, CoVector(m))
         _, xdd, nudot = routh.reduced_vector_field(
             sys, routh.ReducedState(np.zeros(1), xd, CoVector(m)))
-        mdot, xdd_exp = models.rotor_reduced_field_closed_form(
+        mdot, xdd_exp = rotor_reduced_field_closed_form(
             params, np.zeros(1), xd, m)
         assert np.max(np.abs(nudot.coords - mdot)) <= 1e-10
         assert abs(xdd[0] - xdd_exp) <= 1e-10
@@ -144,7 +145,7 @@ def test_rotor_oracle_matches_reduced_field(rotor_params):
         s0 = models.rotor_chart_state_from_momentum(rotor_params, np.array(m0), xdot=0.2)
         dy = field(0.0, chart_point(rotor_params, s0))
         assert dy[4] == 0.0 and dy[5] == 0.0
-        _, xdd_exp = models.rotor_reduced_field_closed_form(
+        _, xdd_exp = rotor_reduced_field_closed_form(
             rotor_params, [s0[0]], [s0[4]], models.rotor_body_momentum(rotor_params, s0))
         assert abs(-dy[7] / rotor_params.inertia_body[2] - xdd_exp) <= 1e-8
 

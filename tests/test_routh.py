@@ -1,12 +1,15 @@
 """Product-space reduction: momentum map, the inverse-momentum solver, the
 reduced Lagrangian and flow, orbit pairing, and reconstruction."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from magreduce import lie, maglag, models, numerics, routh
+from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.maglag import RegularityError
 from magreduce.numerics import StepperChoice
+from oracles import rotor_reduced_field_closed_form
 
 
 def abelian_lagrangian(sdim=1, gdim=2):
@@ -171,7 +174,7 @@ def test_reduced_field_rotor_displays(rotor_params, rng):
         m = rng.normal(size=3)
         st = routh.ReducedState(x, xd, CoVector(m))
         _, xdd, nudot = routh.reduced_vector_field(sys, st)
-        mdot, xdd_exp = models.rotor_reduced_field_closed_form(rotor_params, x, xd, m)
+        mdot, xdd_exp = rotor_reduced_field_closed_form(rotor_params, x, xd, m)
         assert np.max(np.abs(nudot.coords - mdot)) <= 1e-10
         assert abs(xdd[0] - xdd_exp) <= 1e-10
 
@@ -446,10 +449,10 @@ def test_values_only_twin_declared_constant_passes_the_residual_check():
     assert runs[1].report.entries["energy_drift"] <= 1e-8
 
 
-@pytest.mark.parametrize("case", ["rotor", "affine"])
+@pytest.mark.parametrize("case", ["rotor", "affine", "potential"])
 def test_compiled_field_calls_only_grad_x(case):
-    lag = (models.rotor_lagrangian(models.RotorParams()) if case == "rotor"
-           else affine_lagrangian())
+    lag = {"rotor": lambda: models.rotor_lagrangian(models.RotorParams()),
+           "affine": affine_lagrangian, "potential": lambda: so3_quadratic(True)}[case]()
     calls = {"group_momentum": 0, "grad_x": 0}
     for name in calls:
         def spy(*args, _fn=getattr(lag, name), _name=name):
@@ -526,9 +529,9 @@ def test_newton_field_keeps_the_bits_of_solve_chi(case, kind, rotor_params):
         x, xdot, nu = y[:1], y[1:2], y[2:]
         seed = None if last is None else last[1] + last[2] @ (y - last[0])
         chi = routh.solve_chi(lag, x, xdot, CoVector(nu), seed=seed).coords
-        blocks, dl_dx, dchi_dy = routh._assemble_metric(lag, x, xdot, chi)
+        metric, dl_dx, dchi_dy = routh._assemble_metric(lag, x, xdot, chi)
         last = y, chi, dchi_dy
-        xddot, nudot = routh._reduced_rhs(dl_dx, sys.structure, blocks, xdot, nu, chi)
+        xddot, nudot = routh._reduced_rhs(dl_dx, sys.structure, metric.gain, xdot, nu, chi)
         return np.concatenate([xdot, xddot, nudot])
 
     times, states = numerics.integrate_ode(field, routh.pack_reduced(s0), 0.0, 0.3, stepper)
@@ -593,3 +596,137 @@ def test_quadratic_lagrangian_names_a_non_finite_metric_block(block, bad):
     with pytest.raises(ValueError, match=rf"^metric block {block} is not finite$"):
         routh.quadratic_invariant_lagrangian(1, lie.translations(2), blocks["A"],
                                              blocks["B"], blocks["C"])
+
+
+def potential(x):
+    return np.cos(x[0]) * np.cos(x[1])
+
+
+def dpotential(x):
+    return np.array([-np.sin(x[0]) * np.cos(x[1]), -np.cos(x[0]) * np.sin(x[1])])
+
+
+def so3_quadratic(with_potential: bool) -> routh.InvariantLagrangian:
+    """A constant metric on SO(3) with two shape coordinates, with or
+    without the potential cos x0 cos x1."""
+    return routh.quadratic_invariant_lagrangian(
+        2, lie.so3(), A_BLK, B_BLK, C_BLK,
+        *((potential, dpotential) if with_potential else ()))
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+@pytest.mark.parametrize("constant", [True, False])
+def test_integrator_field_is_the_reduced_vector_field(constant, with_potential, rng):
+    # one formula, _reduced_rhs with the gain, behind both: bit for bit,
+    # for the gain kept once and the gain assembled per point
+    lag = so3_quadratic(with_potential)
+    if not constant:
+        lag = dataclasses.replace(lag, constant_group_metric=False)
+    assert (lag.reduced_metric is not None) == constant
+    sys = routh.ReducedRouthSystem(lag, CoVector([0.4, -0.3, 0.6]))
+    for y in random_states(rng, 20):
+        field = routh._field_factory(sys)  # fresh: Newton starts from zero
+        xdot, xddot, nudot = routh.reduced_vector_field(
+            sys, routh.ReducedState(y[:2], y[2:4], CoVector(y[4:])))
+        want = np.concatenate([xdot, xddot, nudot.coords])
+        assert field(0.0, y).tobytes() == want.tobytes()
+
+
+def test_potential_free_grad_x_is_an_exact_zero(rng):
+    lag = so3_quadratic(False)
+    assert numerics.rows_ok(lag.dell_dx)
+    y = random_states(rng, 5)
+    x, xd, xi = y[:, :2], y[:, 2:4], y[:, 4:]
+    one = lag.grad_x(x[0], xd[0], xi[0])
+    assert one.tobytes() == np.zeros(2).tobytes()
+    assert lag.grad_x(x, xd, xi).tobytes() == np.zeros((5, 2)).tobytes()
+
+
+def test_rotor_field_matches_the_hand_expanded_equations():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(1000):
+        params = models.RotorParams(inertia_body=rng.uniform(0.8, 3.0, size=3),
+                                    inertia_rotor=(0.0, 0.0, rng.uniform(0.3, 1.5)))
+        x, xd, m = rng.normal(size=1), rng.normal(size=1), rng.normal(size=3)
+        field = routh._field_factory(models.rotor_reduced_system(params, CoVector(m)))
+        mdot, xdd = rotor_reduced_field_closed_form(params, x, xd, m)
+        got = field(0.0, np.concatenate([x, xd, m]))
+        worst = max(worst, float(np.max(np.abs(got - [xd[0], xdd, *mdot]))))
+    assert worst <= 1e-12
+
+
+def with_one_point_dell_dx(lag, dv):
+    """`lag` with dell/dx = -dv(x) as one unmarked one-point callable, as
+    `quadratic_invariant_lagrangian` gave it before its exact zero."""
+    return dataclasses.replace(
+        lag, dell_dx=lambda x, xd, xi: -np.atleast_1d(dv(np.atleast_1d(x))))
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_quadratic_values_do_not_depend_on_the_form_of_dell_dx(with_potential, rng):
+    # validate_mechanical, routhian_mechanical and the V-reduced system
+    # give the values of a one-point dell/dx, with and without a potential
+    lag = so3_quadratic(with_potential)
+    twin = with_one_point_dell_dx(lag, dpotential if with_potential else lambda x: np.zeros(2))
+    samples = [(y[:2], y[2:4], y[4:]) for y in random_states(rng, 5)]
+    for each in (lag, twin):
+        routh.validate_mechanical(each, samples)
+    for x, xd, nu in samples:
+        values = [routh.routhian_mechanical(each, x, xd, CoVector(nu)) for each in (lag, twin)]
+        assert values[0] == values[1]
+
+    inner = routh.quadratic_invariant_lagrangian(
+        1, lie.se2(), [[0.7]], [[0.7, 0.0, 0.0]], np.diag([1.9, 2.0, 2.0]),
+        *((lambda x: np.cos(x[0]), lambda x: -np.sin(x)) if with_potential else ()))
+    inner_twin = with_one_point_dell_dx(
+        inner, (lambda x: -np.sin(x)) if with_potential else lambda x: np.zeros(1))
+    r2s = [semidirect.abelian_reduced_system(semidirect.SemiDirectLagrangian(each),
+                                             CoVector([1.0, 0.5]))
+           for each in (inner, inner_twin)]
+    q, v = rng.uniform(-1.0, 1.0, size=(2, 6, 2))
+    for qi, vi in zip(q, v):
+        s = maglag.MagLagState(qi, vi, np.zeros(0))
+        fields = [maglag.vector_field(r2, s) for r2 in r2s]
+        assert all(np.array_equal(a, b) for a, b in zip(*fields))
+    rows = [r2.dL_dq_vq(q, v, np.zeros((6, 0))) for r2 in r2s]
+    assert all(np.array_equal(a, b) for a, b in zip(*rows))
+
+
+def test_reduced_system_refuses_a_momentum_level_of_another_length():
+    lag = models.rotor_lagrangian(models.RotorParams())
+    with pytest.raises(ValueError, match=r"^momentum level mu has length 2; the group "
+                                         r"has dimension 3$"):
+        routh.ReducedRouthSystem(lag, CoVector([0.4, 0.3]))
+
+
+@pytest.mark.parametrize("part", ["x", "xdot", "nu"])
+def test_reduced_flow_refuses_a_state_of_other_dimensions(part):
+    sys = models.rotor_reduced_system(models.RotorParams(), CoVector([0.4, -0.3, 0.6]))
+    parts = {"x": [0.1], "xdot": [0.2], "nu": [0.4, -0.3, 0.6]}
+    parts[part] = parts[part] + [0.5]
+    s = routh.ReducedState(parts["x"], parts["xdot"], CoVector(parts["nu"]))
+    need = 3 if part == "nu" else 1
+    message = rf"^state {part} has shape \({need + 1},\); the system needs \({need},\)$"
+    with pytest.raises(ValueError, match=message):
+        routh.integrate_reduced(sys, s, 1.0, StepperChoice(kind="rk4", h=1e-2))
+    with pytest.raises(ValueError, match=message):
+        routh.reduced_vector_field(sys, s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1, 4])
+def test_integrate_reduced_refuses_a_non_finite_start(column, bad, monkeypatch):
+    # refused before the first step, naming the component
+    sys = models.rotor_reduced_system(models.RotorParams(), CoVector([0.4, -0.3, 0.6]))
+    y0 = np.array([0.1, 0.2, 0.4, -0.3, 0.6])
+    y0[column] = bad
+    s0 = routh.unpack_reduced(sys.lagrangian, y0)
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(numerics, "integrate_ode", no_step)
+    name = routh.reduced_state_columns(1, 3)[column]
+    with pytest.raises(ValueError, match=rf"^initial state {name} is {bad}$"):
+        routh.integrate_reduced(sys, s0, 1.0, StepperChoice(kind="rk4", h=1e-2))

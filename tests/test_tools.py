@@ -65,7 +65,27 @@ def test_compare_reports_differences():
     shifted["0000 k:problems"] = np.asarray("energy_drift = 1 exceeds 1e-08")
     lines, ok = tool.compare(base, shifted)
     assert not ok and "time grid differs from row 1" in lines[0]
-    assert "check failed in B: energy_drift" in lines[0]
+    assert "last row" not in lines[0] and "check failed in B: energy_drift" in lines[0]
+
+
+def test_csv_grids_that_end_at_one_t_compare_their_last_rows():
+    # two adaptive runs to the same t_end: the grids differ, the last rows
+    # are compared, with as many or with different numbers of rows
+    tool = load_tool()
+
+    def csv(text):
+        return {"0000 k:file:trajectory.csv": np.frombuffer(text, dtype=np.uint8),
+                "0000 k:problems": np.asarray("")}
+
+    base = csv(b"t,x,y\n0,1,0\n0.5,2,0\n1,3,-1\n")
+    lines, ok = tool.compare(base, csv(b"t,x,y\n0,1,0\n0.4,2,0\n1,3.25,-1.5\n"))
+    assert not ok and lines == ["0000 k: :file:trajectory.csv: time grid differs from row 1; "
+                                "last row (t = 1): max |diff| = 5.000e-01"]
+    lines, ok = tool.compare(base, csv(b"t,x,y\n0,1,0\n1,3,-1.125\n"))
+    assert not ok and lines == ["0000 k: :file:trajectory.csv: CSV shape (3, 3) vs (2, 3) "
+                                "(rows, columns); last row (t = 1): max |diff| = 1.250e-01"]
+    lines, ok = tool.compare(base, csv(b"t,x,y\n0,1,0\n0.5,2,0\n0.9,3,-1\n"))
+    assert not ok and lines == ["0000 k: :file:trajectory.csv: time grid differs from row 2"]
 
 
 def test_all_workloads_in_one_call():

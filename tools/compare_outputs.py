@@ -19,9 +19,11 @@ trajectory CSV and report JSON) and the problems its check found.
 The comparison prints one line per request: "identical" when every output
 is byte-equal, otherwise each differing output with its max |difference|
 (numbers of one shape, a CSV file of the same shape) or what else differs
-(shape, CSV rows or columns, text); then, for each output of a request
-kind that differs in value, the largest max |difference| over all
-requests; then "agree" or "DIFFER" for the workload at that seed.  Exit
+(shape, CSV rows or columns, time grid, text), with the max |difference|
+of the last rows of two CSV files whose time grids differ but end at the
+same t (two adaptive runs to one t_end); then, for each output of a
+request kind that differs in value, the largest max |difference| over
+all requests; then "agree" or "DIFFER" for the workload at that seed.  Exit
 status: 0 when every output of every workload at every seed is
 byte-equal and every check passed in both trees, 1 otherwise, 2 when a
 tree cannot be run.
@@ -123,24 +125,36 @@ def _csv(raw: np.ndarray) -> np.ndarray:
 def difference(key: str, a: np.ndarray, b: np.ndarray) -> float | str | None:
     """None when `a` and `b` are byte-equal; else what differs: the max
     |difference| over the places where the values differ, or (a string) why
-    there is none to take."""
+    there is none to take, for two CSV grids that end at one t with the max
+    |difference| of their last rows."""
     if a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes():
         return None
     if FILE in key and key.endswith(".csv"):
         a, b = _csv(a), _csv(b)
-        if a.shape != b.shape:
+        if a.shape[1] != b.shape[1]:
             return f"CSV shape {a.shape} vs {b.shape} (rows, columns)"
-        shifted = np.flatnonzero(a[:, 0] != b[:, 0])
-        if shifted.size:  # values at different times: no difference to take
-            return f"time grid differs from row {shifted[0]}"
+        n = min(len(a), len(b))
+        shifted = np.flatnonzero(a[:n, 0] != b[:n, 0])
+        if a.shape != b.shape or shifted.size:
+            # values at different times: only rows at one t can be compared
+            grid = (f"CSV shape {a.shape} vs {b.shape} (rows, columns)" if a.shape != b.shape
+                    else f"time grid differs from row {shifted[0]}")
+            if a[-1, 0] != b[-1, 0]:
+                return grid
+            return f"{grid}; last row (t = {a[-1, 0]:.6g}): max |diff| = {_max(a[-1], b[-1]):.3e}"
     elif FILE in key or a.dtype.kind not in "biufc" or b.dtype.kind not in "biufc":
         return "differs"
     if a.shape != b.shape:
         return f"shape {a.shape} vs {b.shape}"
-    a, b = a.astype(complex), b.astype(complex)
     if not np.array_equal(np.isnan(a), np.isnan(b)):
         return "NaN in different places"
-    # a shared inf is no difference (inf - inf is NaN), nor is a shared NaN
+    return _max(a, b)
+
+
+def _max(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over the places where the values differ: a shared inf
+    is no difference (inf - inf is NaN), nor is a shared NaN."""
+    a, b = a.astype(complex), b.astype(complex)
     keep = (a != b) & ~np.isnan(a)
     return float(np.abs(a[keep] - b[keep]).max(initial=0.0))
 
