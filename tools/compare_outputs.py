@@ -131,14 +131,14 @@ def difference(key: str, a: np.ndarray, b: np.ndarray) -> float | str | None:
         return None
     if FILE in key and key.endswith(".csv"):
         a, b = _csv(a), _csv(b)
+        shape = f"CSV shape {a.shape} vs {b.shape} (rows, columns)"
         if a.shape[1] != b.shape[1]:
-            return f"CSV shape {a.shape} vs {b.shape} (rows, columns)"
+            return shape
         n = min(len(a), len(b))
         shifted = np.flatnonzero(a[:n, 0] != b[:n, 0])
         if a.shape != b.shape or shifted.size:
             # values at different times: only rows at one t can be compared
-            grid = (f"CSV shape {a.shape} vs {b.shape} (rows, columns)" if a.shape != b.shape
-                    else f"time grid differs from row {shifted[0]}")
+            grid = shape if a.shape != b.shape else f"time grid differs from row {shifted[0]}"
             if a[-1, 0] != b[-1, 0]:
                 return grid
             return f"{grid}; last row (t = {a[-1, 0]:.6g}): max |diff| = {_max(a[-1], b[-1]):.3e}"
