@@ -31,6 +31,7 @@ called once for all rows when they are marked and once per row otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,19 +62,23 @@ class TransformationPair:
 
     # the layouts below act on one state or on stacked rows of states
 
-    def split1(self, z1: np.ndarray):
+    @cached_property
+    def p1_index(self) -> np.ndarray:
+        """Where the base-point coordinates (q, qbar, pbar, p) sit in z1."""
+        n1 = self.n1
+        return np.r_[:n1, 2 * n1:2 * n1 + self.k1]
+
+    @cached_property
+    def psi_index(self) -> np.ndarray:
+        """Where each entry of psi's output z2 = (q, qbar, qdot, qbardot,
+        pbar) sits in z1; qbardot, which psi solves for, reads qbar."""
         n1, vf, k2 = self.n1, self.vf, self.k2
-        q = z1[..., :n1]
-        qdot = z1[..., n1:2 * n1]
-        qbar = z1[..., 2 * n1:2 * n1 + vf]
-        pbar = z1[..., 2 * n1 + vf:2 * n1 + vf + k2]
-        p = z1[..., 2 * n1 + vf + k2:]
-        return q, qdot, qbar, pbar, p
+        qbar = np.r_[2 * n1:2 * n1 + vf]
+        return np.r_[:n1, qbar, n1:2 * n1, qbar, 2 * n1 + vf:2 * n1 + vf + k2]
 
     def p1_coords(self, z1: np.ndarray) -> np.ndarray:
         """Base-point coordinates (q, qbar, pbar, p) of a z1 state."""
-        q, _, qbar, pbar, p = self.split1(z1)
-        return np.concatenate([q, qbar, pbar, p], axis=-1)
+        return z1.take(self.p1_index, -1)
 
     def split2(self, z2: np.ndarray):
         n2 = self.n2
@@ -81,9 +86,6 @@ class TransformationPair:
         v2 = z2[..., n2:2 * n2]
         pbar = z2[..., 2 * n2:]
         return q2, v2, pbar
-
-    def join2(self, q, qbar, qdot, qbardot, pbar) -> np.ndarray:
-        return np.concatenate([q, qbar, qdot, qbardot, pbar], axis=-1)
 
 
 BetaMap = Callable[[np.ndarray], np.ndarray]
@@ -112,24 +114,27 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     is not f-regular there), naming the first failing row.
     """
     z1 = np.asarray(z1, dtype=float)
-    q, qdot, qbar, pbar, p = pair.split1(z1)
-    q2 = np.concatenate([q, qbar], axis=-1)
     target = _betas(beta, pair.p1_coords(z1))
     if target.shape != z1.shape[:-1] + (pair.vf,):
         raise ValueError(f"beta must return a {pair.vf}-vector")
     n1 = pair.n1
+    # psi's output, whose qbar velocity w each call below writes in place
+    z2 = z1.take(pair.psi_index, -1)
+    q2, v2, pbar = pair.split2(z2)
+    w_at = v2[..., n1:]
+    grad_v, hess_vv = l2.grad_v, l2.hess_vv
 
     def residual(w):
-        v2 = np.concatenate([qdot, w], axis=-1)
-        return l2.grad_v(q2, v2, pbar)[..., n1:] - target
+        w_at[...] = w
+        return grad_v(q2, v2, pbar)[..., n1:] - target
 
     def jacobian(w):
-        v2 = np.concatenate([qdot, w], axis=-1)
-        return l2.hess_vv(q2, v2, pbar)[..., n1:, n1:]
+        w_at[...] = w
+        return hess_vv(q2, v2, pbar)[..., n1:, n1:]
 
-    w = numerics.invert(residual, np.zeros(target.shape), jacobian,
-                        "f-regularity failure in psi")
-    return pair.join2(q, qbar, qdot, w, pbar)
+    w_at[...] = numerics.invert(residual, np.zeros(target.shape), jacobian,
+                                "f-regularity failure in psi")
+    return z2
 
 
 def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,

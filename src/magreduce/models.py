@@ -270,11 +270,19 @@ def rotor_spatial_momentum(params: RotorParams, state: np.ndarray) -> np.ndarray
 # coupled planar bodies
 
 
+def _angle(phi) -> float:
+    """The relative angle of a float, a 0-d array, a list or a (1,) array."""
+    try:
+        return float(phi[0])
+    except (IndexError, TypeError):  # a float or a 0-d array
+        return float(phi)
+
+
 def default_potential(c: float = 1.0):
     """The shape potential c (1 - cos phi) of the relative angle and its
     gradient."""
-    return (lambda phi: c * (1.0 - math.cos(float(np.atleast_1d(phi)[0]))),
-            lambda phi: np.array([c * math.sin(float(np.atleast_1d(phi)[0]))]))
+    return (lambda phi: c * (1.0 - math.cos(_angle(phi))),
+            lambda phi: np.array([c * math.sin(_angle(phi))]))
 
 
 @dataclass(frozen=True)
@@ -362,42 +370,6 @@ def beanie_energy(params: BeanieParams, state: np.ndarray) -> float:
     return (0.5 * params.m * (xd ** 2 + yd ** 2) + 0.5 * params.i1 * thetad ** 2
             + 0.5 * params.i2 * (thetad + phid) ** 2
             + numerics.each_row(params.potential, state[..., :1]))
-
-
-def beanie_chart_system(params: BeanieParams, mu: float, a: complex) -> MagneticSystem:
-    """Orbit-chart presentation of the full-group reduction: base phi,
-    fibre (alpha, nu) with b = |a| e^{i alpha}, constant symplectic fibre
-    block.  |a| enters only through an additive constant."""
-    if a == 0:
-        raise ValueError("dual action not onto: a must be nonzero")
-    i1, i2, m = params.i1, params.i2, params.m
-    itot = i1 + i2
-    red = i1 * i2 / itot
-    const = abs(a) ** 2 / (2.0 * m)
-    pot, dpot = params.potential, params.dpotential
-
-    def lagrangian(q, v, p):
-        nu = p[1]
-        return (0.5 * red * v[0] ** 2 + (i2 / itot) * nu * v[0]
-                - pot(q) - const - 0.5 * nu ** 2 / itot)
-
-    bqq = np.zeros((1, 1))
-    bqp = np.zeros((1, 2))
-    bpp = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    hvv = np.array([[red]])
-    hvq = np.zeros((1, 1))
-    hvp = np.array([[0.0, i2 / itot]])
-    return MagneticSystem(
-        n=1, k=2, lagrangian=lagrangian,
-        bform=lambda q, p: (bqq, bqp, bpp),
-        dL_dq=lambda q, v, p: -np.asarray(dpot(q), dtype=float),
-        dL_dv=lambda q, v, p: np.array([red * v[0] + (i2 / itot) * p[1]]),
-        dL_dp=lambda q, v, p: np.array([0.0, (i2 / itot) * v[0] - p[1] / itot]),
-        d2L_dv_dv=lambda q, v, p: hvv,
-        d2L_dv_dq=lambda q, v, p: hvq,
-        d2L_dv_dp=lambda q, v, p: hvp,
-        constant_bform=True,
-        name="planar_pair_orbit_chart")
 
 
 def beanie_r2_system(params: BeanieParams, a: complex) -> MagneticSystem:

@@ -595,7 +595,6 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
     x = np.array(seed, dtype=float)
     rows = x.ndim == 2
     trace: list[tuple[np.ndarray, float]] = []
-    fail = functools.partial(_newton_failure, trace, rows)
     for it in range(NEWTON_MAX_ITER + 1):
         r = np.asarray(residual(x), dtype=float)
         if rows:
@@ -609,18 +608,18 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
             done = rnorm <= INVERSION_TOL
         trace.append((x.copy(), rnorm))
         if it < NEWTON_MAX_ITER and not math.isfinite(rnorm):
-            fail("non-finite residual", rows and ~np.isfinite(norms))
+            _newton_failure(trace, rows, "non-finite residual", rows and ~np.isfinite(norms))
         if done:
             return NewtonResult(x=x, iterations=it, residual_norm=rnorm, trace=trace)
         if it == NEWTON_MAX_ITER:
-            fail(f"no convergence after {NEWTON_MAX_ITER} iterations (|r| = {rnorm:.3e})",
-                 rows and open_)
+            _newton_failure(trace, rows, f"no convergence after {NEWTON_MAX_ITER} "
+                            f"iterations (|r| = {rnorm:.3e})", rows and open_)
         j = np.asarray(jacobian(x), dtype=float)
         if not rows:
             try:
                 x = x + solve(j, -r)
             except np.linalg.LinAlgError as exc:
-                fail(f"singular Jacobian: {exc}", cause=exc)
+                _newton_failure(trace, rows, f"singular Jacobian: {exc}", cause=exc)
             continue
         try:
             x[open_] += np.linalg.solve(j[open_], -r[open_][..., None])[..., 0]
@@ -631,7 +630,7 @@ def newton_solve(residual: Callable[[np.ndarray], np.ndarray],
                     np.linalg.solve(j[i], r[i])
                 except np.linalg.LinAlgError:
                     singular[i] = True
-            fail(f"singular Jacobian: {exc}", singular, exc)
+            _newton_failure(trace, rows, f"singular Jacobian: {exc}", singular, exc)
 
 
 def invert(residual: Callable[[np.ndarray], np.ndarray], seed: np.ndarray,

@@ -230,8 +230,13 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
 
     with all derivatives analytic.  A is (sdim, sdim), B is (sdim, gdim),
     C is (gdim, gdim) symmetric positive definite on the relevant block.
-    Without a potential (and its derivative), dell/dx is an exact zero.
+    `dpotential(x)` gives dV/dx as a vector at a vector x; without it the
+    potential is differenced.  A `dpotential` without its `potential` is
+    refused, and without a potential dell/dx is an exact zero.
     """
+    if dpotential is not None and potential is None:
+        raise ValueError("dpotential is given without its potential: ell would carry "
+                         "no V while dell/dx = -dpotential")
     a = np.asarray(a_block, dtype=float).reshape(sdim, sdim)
     b = np.asarray(b_block, dtype=float).reshape(sdim, group.dim)
     c = np.asarray(c_block, dtype=float).reshape(group.dim, group.dim)
@@ -241,10 +246,10 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
     if not np.allclose(a, a.T) or not np.allclose(c, c.T):
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
-    dv = dpotential or (potential and (
-        lambda x: numerics.fd_jacobian(v, (np.atleast_1d(x),), rows=False)))
-    # without a potential dell/dx is an exact zero, at one point or at rows
-    dell_dx = ((lambda x, xd, xi: -np.atleast_1d(dv(np.atleast_1d(x)))) if dv
+    dv = dpotential or (potential and (lambda x: numerics.fd_jacobian(v, (x,), rows=False)))
+    # the one wrap of x in the potential's chain; without a potential dell/dx
+    # is an exact zero, at one point or at rows
+    dell_dx = ((lambda x, xd, xi: -dv(np.atleast_1d(x))) if dv
                else numerics.takes_rows(lambda x, xd, xi: np.zeros(np.shape(x))))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T

@@ -12,7 +12,7 @@ import pytest
 from magreduce import compat, lie, maglag, models, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.numerics import StepperChoice
-from oracles import rotor_reduced_field_closed_form
+from oracles import beanie_chart_system, rotor_reduced_field_closed_form
 
 RK4 = StepperChoice(kind="rk4", h=1e-3)
 M0 = np.array([0.8, 0.2, 0.3])
@@ -296,7 +296,7 @@ def test_criterion_6_orbit_form_is_exact(beanie, rng):
 
 def test_criterion_7_cross_solver_consistency(beanie_params, beanie,
                                               beanie_gv_t10):
-    sys = models.beanie_chart_system(beanie_params, 1.0, 1 + 0j)
+    sys = beanie_chart_system(beanie_params, 1.0, 1 + 0j)
     chart = maglag.integrate(sys, maglag.MagLagState([0.4], [0.3], [0.0, 1.0]),
                              10.0, RK4)
     dev = 0.0

@@ -375,6 +375,49 @@ def test_row_psi_and_inverse_match_one_row_calls(beanie_pair, rng):
     beta = lambda p1: np.array([p1[2]])  # noqa: E731
     rows = compat.solve_psi(quadratic_l2(), pair, beta, z1)
     assert np.array_equal(rows, [compat.solve_psi(quadratic_l2(), pair, beta, z) for z in z1])
+    # a pair with n1 = 2, vf = 2 and k2 = 1, whose qbar velocity takes Newton
+    # steps: every coordinate lands in its slot, and rows are one-point bits
+    pair = compat.TransformationPair(n1=2, vf=2, k2=1)
+    beta = numerics.takes_rows(lambda p1: p1[..., 5:] + 0.1 * p1[..., 4:5] * p1[..., :2])
+    z1 = rng.uniform(-1, 1, (20, 9))  # (q, qdot, qbar, pbar, p)
+    rows = compat.solve_psi(quartic_l2(), pair, beta, z1)
+    assert np.array_equal(rows[:, [0, 1, 2, 3, 4, 5, 8]], z1[:, [0, 1, 4, 5, 2, 3, 6]])
+    q2, v2, pbar = pair.split2(rows)
+    resid = quartic_l2().grad_v(q2, v2, pbar)[:, 2:] - beta(pair.p1_coords(z1))
+    assert np.max(np.abs(resid)) <= 1e-10
+    assert np.array_equal(pair.p1_coords(z1), z1[:, [0, 1, 4, 5, 6, 7, 8]])
+    for row, one in zip(rows, z1):
+        assert np.array_equal(row, compat.solve_psi(quartic_l2(), pair, beta, one))
+
+
+def quartic_l2():
+    """L2 = |v|^2 / 2 + 0.2 q2 . v + (1 + pbar^2) sum(v^4) / 40 on a base of
+    dimension 4 with a one-dimensional bundle fibre, at one point or rows."""
+    def grad_v(q, v, p):
+        return v + 0.2 * q + 0.1 * (1.0 + p[..., :1] ** 2) * v ** 3
+
+    def hess_vv(q, v, p):
+        diag = 1.0 + 0.3 * (1.0 + p[..., :1] ** 2) * v ** 2
+        return diag[..., None] * np.eye(4)
+
+    return MagneticSystem(
+        n=4, k=1,
+        lagrangian=numerics.takes_rows(lambda q, v, p: (
+            0.5 * numerics.rowdot(v, v) + 0.2 * numerics.rowdot(q, v)
+            + 0.025 * (1.0 + p[..., 0] ** 2) * np.sum(v ** 4, axis=-1))),
+        dL_dv=numerics.takes_rows(grad_v), d2L_dv_dv=numerics.takes_rows(hess_vv))
+
+
+def test_one_point_psi_is_two_gradients_one_hessian_one_beta(beanie_pair):
+    # the V-reduced system is linear in the velocities: one Newton step
+    counts = collections.Counter()
+    l2 = dataclasses.replace(beanie_pair.r2_system)
+    for name in ("grad_v", "hess_vv"):
+        object.__setattr__(l2, name, counted(getattr(l2, name), counts, name))
+    z1 = np.array([0.5, 0.7, 1.2, 0.9])
+    z2 = compat.solve_psi(l2, beanie_pair.pair, counted(beanie_pair.beta, counts, "beta"), z1)
+    assert counts == {"grad_v": 2, "hess_vv": 1, "beta": 1}
+    assert np.array_equal(z2, beanie_pair.psi(z1))
 
 
 def exp_l2():

@@ -5,7 +5,7 @@ import pytest
 from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.numerics import StepperChoice
-from oracles import rotor_reduced_field_closed_form
+from oracles import beanie_chart_system, rotor_reduced_field_closed_form
 
 
 def random_rotor_params(rng):
@@ -254,18 +254,18 @@ def test_beanie_momenta_conserved_along_full_flow(beanie_params):
 
 
 def test_beanie_chart_system_regular(beanie_params):
-    sys = models.beanie_chart_system(beanie_params, 1.0, 1 + 0j)
+    sys = beanie_chart_system(beanie_params, 1.0, 1 + 0j)
     _, _, bpp = sys.bblocks(np.zeros(1), np.zeros(2))
     assert abs(np.linalg.det(bpp) - 1.0) < 1e-15
     with pytest.raises(ValueError):
-        models.beanie_chart_system(beanie_params, 1.0, 0j)
+        beanie_chart_system(beanie_params, 1.0, 0j)
 
 
 def test_beanie_chart_matches_reduced_flow(beanie_params):
     # generic magnetic integration of the chart system against the
     # specialized reduced flow under (alpha, nu) -> (nu, |a| e^{i alpha})
     a = 1 + 0j
-    sys = models.beanie_chart_system(beanie_params, 1.0, a)
+    sys = beanie_chart_system(beanie_params, 1.0, a)
     sd = models.beanie_gv_lagrangian(beanie_params)
     stepper = StepperChoice(kind="rk4", h=1e-3)
     alpha0, nu0 = 0.0, 1.0

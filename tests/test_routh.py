@@ -598,6 +598,38 @@ def test_quadratic_lagrangian_names_a_non_finite_metric_block(block, bad):
                                              blocks["B"], blocks["C"])
 
 
+def test_dpotential_without_its_potential_is_refused():
+    # ell would carry no V while dell/dx = -dpotential
+    with pytest.raises(ValueError, match="dpotential .*potential"):
+        routh.quadratic_invariant_lagrangian(1, lie.translations(2), [[1.0]], [[0.0, 0.0]],
+                                             np.eye(2), dpotential=lambda x: x)
+
+
+def test_a_potential_alone_is_differenced():
+    # V = x^2 / 2: dell/dx = -x, as the five-point difference of ell reads
+    lag = routh.quadratic_invariant_lagrangian(1, lie.translations(2), [[1.0]], [[0.0, 0.0]],
+                                               np.eye(2), potential=lambda x: 0.5 * x[0] ** 2)
+    rates = np.zeros(1), np.zeros(2)
+    x = np.array([0.7])
+    fd = numerics.fd_gradient(lambda y: lag.value(y, *rates), x)
+    assert abs(lag.grad_x(x, *rates)[0] + 0.7) <= 1e-9
+    assert abs(lag.grad_x(x, *rates)[0] - fd[0]) <= 1e-9
+
+
+def test_potential_chain_takes_a_float_a_0d_array_a_list_or_a_vector():
+    # the one wrap of x keeps what the chain accepted: every form of the
+    # one shape coordinate gives the same bytes
+    v, dv = models.default_potential(1.3)
+    forms = (0.7, np.array(0.7), [0.7], np.array([0.7]))
+    lags = [routh.quadratic_invariant_lagrangian(1, lie.translations(2), [[1.0]],
+                                                 [[0.0, 0.0]], np.eye(2), *pot)
+            for pot in ((v, dv), (v,))]
+    for value in (v, dv, *(lambda x, lag=lag: lag.grad_x(x, np.zeros(1), np.zeros(2))
+                           for lag in lags)):
+        outs = {(np.shape(out), np.asarray(out).tobytes()) for out in map(value, forms)}
+        assert len(outs) == 1
+
+
 def potential(x):
     return np.cos(x[0]) * np.cos(x[1])
 

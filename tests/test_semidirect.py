@@ -9,6 +9,7 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.maglag import RegularityError
 from magreduce.numerics import StepperChoice
+from oracles import beanie_chart_system
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +261,7 @@ def test_kks_matches_chart_fibre_block(sd, beanie_params, rng):
     # the constant fibre block of the orbit-chart system equals the orbit
     # pairing on matched chart tangents
     a = 1 + 0j
-    sys = models.beanie_chart_system(beanie_params, 1.0, a)
+    sys = beanie_chart_system(beanie_params, 1.0, a)
     _, _, bpp = sys.bblocks(np.zeros(1), np.array([0.3, 0.8]))
     for _ in range(20):
         alpha = rng.uniform(0, 2 * np.pi)

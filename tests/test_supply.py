@@ -13,6 +13,7 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem
 from magreduce.numerics import StepperChoice
+from oracles import beanie_chart_system
 
 A = np.array([[1.7]])
 B = np.array([[0.3, -0.2, 0.5]])
@@ -265,7 +266,7 @@ def varying_form_system():
 
 
 @pytest.mark.parametrize("sys, s0", [
-    (models.beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
+    (beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
      MagLagState([0.4], [0.3], [0.2, 1.1])),
     (varying_form_system(), MagLagState([0.3], [0.5], [0.2, -0.1])),
 ])
@@ -308,7 +309,7 @@ def test_reduced_factory_field_is_public_field_bit_for_bit(name, monkeypatch):
     (semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(models.BeanieParams()),
                                        CoVector([1.0, 0.5])),
      MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0))),
-    (models.beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
+    (beanie_chart_system(models.BeanieParams(), 1.0, 1 + 0j),
      MagLagState([0.4], [0.3], [0.2, 1.1])),
     (varying_form_system(), MagLagState([0.3], [0.5], [0.2, -0.1])),
 ], ids=["k0", "k0_v_reduced", "beanie_chart", "varying_form"])

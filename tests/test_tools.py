@@ -147,3 +147,62 @@ def test_largest_difference_of_each_output_over_all_requests(monkeypatch, capsys
     assert tool.main(["A", "B", "--workload", "fd_supply", "--seed", "5", "--requests", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == ["largest max |diff| of k.x over all requests: 3.000e-11", "DIFFER"]
+
+
+AB_TOOL = ROOT / "tools" / "ab_bench.py"
+# a tree's bench/run.py: logs its tree and arguments, then prints a result
+# line whose throughput depends on the tree and on its run count
+AB_STUB = """
+import json, os, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parents[1]
+log = tree.parent / "log"
+with log.open("a") as f:
+    f.write(" ".join([tree.name, str(Path.cwd() == tree), *sys.argv[1:]]) + "\\n")
+if tree.name == "broken":
+    sys.exit("no result")
+runs = [line.split()[0] for line in log.read_text().splitlines()].count(tree.name)
+rps = {"parent": [30.0, 31.0, 29.0], "change": [32.0, 30.5, 33.0]}[tree.name][runs - 1]
+metrics = {name: {"value": 1.0, "unit": "-"} for name in NAMES}
+metrics["throughput_rps"]["value"] = rps
+print("human-readable lines first")
+print(json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_ab_bench_alternates_the_trees_and_summarises_each_metric(tmp_path, monkeypatch,
+                                                                  capsys):
+    spec = importlib.util.spec_from_file_location("ab_bench", AB_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for name in ("parent", "change", "broken"):
+        (tmp_path / name / "bench").mkdir(parents=True)
+        (tmp_path / name / "bench" / "run.py").write_text(
+            AB_STUB.replace("NAMES", repr(list(tool.METRICS))))
+    monkeypatch.chdir(tmp_path)  # trees given relative to the working directory
+    assert tool.main(["parent", "change", "--workload", "stage_verify", "--seed", "5",
+                      "--pairs", "3", "--seconds", "2"]) == 0
+    # each tree's own benchmark, run in that tree: the parent first in odd
+    # pairs, the change in even ones
+    args = "True --workload stage_verify --seed 5 --seconds 2"
+    assert (tmp_path / "log").read_text().splitlines() == [
+        f"{tree} {args}" for tree in ("parent", "change", "change", "parent", "parent",
+                                      "change")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[1:7]] == [
+        "pair 1 A", "pair 1 B", "pair 2 B", "pair 2 A", "pair 3 A", "pair 3 B"]
+    assert "throughput_rps 30.5 " in out[3] and out[3].endswith("failed 0/12")
+    # pairs (30, 32), (31, 30.5), (29, 33): medians 30 and 32, quartiles
+    # [29.5, 30.5] and [31.25, 32.5], the change better in 2 of 3
+    rps = next(line for line in out if line.startswith("throughput_rps "))
+    assert rps.split() == ["throughput_rps", "higher", "A", "30", "[29.5,", "30.5]", "B", "32",
+                           "[31.25,", "32.5]", "A", "IQR", "1", "B", "better", "2/3",
+                           "median", "+6.7%"]
+    p50 = next(line for line in out if line.startswith("request_s_p50 "))
+    assert "A IQR 0 " in p50 and "B better 0/3" in p50
+    assert len(out) == 7 + len(tool.METRICS)
+
+    # a run with no result stops the comparison
+    assert tool.main(["broken", "change", "--workload", "fd_supply", "--seed", "7",
+                      "--pairs", "1", "--seconds", "2"]) == 2
+    assert "no result" in capsys.readouterr().err
