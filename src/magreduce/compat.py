@@ -111,9 +111,13 @@ def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     (`numerics.invert`) over l2's `grad_v` and `hess_vv` at rows, and its
     tolerance holds per row.  The Newton iteration for the qbar velocity
     starts at zero; it raises RegularityError when it fails (the Lagrangian
-    is not f-regular there), naming the first failing row.
+    is not f-regular there), naming the first failing row.  A state whose
+    width is not 2 n1 + k1 raises ValueError.
     """
     z1 = np.asarray(z1, dtype=float)
+    if z1.shape[-1:] != (2 * pair.n1 + pair.k1,):
+        raise ValueError(f"z1 must have width 2 n1 + k1 = {2 * pair.n1 + pair.k1}, "
+                         f"got shape {z1.shape}")
     target = _betas(beta, pair.p1_coords(z1))
     if target.shape != z1.shape[:-1] + (pair.vf,):
         raise ValueError(f"beta must return a {pair.vf}-vector")

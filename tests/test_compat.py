@@ -39,6 +39,17 @@ def test_solve_psi_unit_mass_direct():
     assert abs(z2[3] - (-0.4)) < 1e-12
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_solve_psi_refuses_a_state_of_the_wrong_width(width):
+    # an extra coordinate would otherwise be dropped without a word
+    pair = compat.TransformationPair(n1=1, vf=1, k2=0)
+    with pytest.raises(ValueError, match=r"^z1 must have width 2 n1 \+ k1 = 4"):
+        compat.solve_psi(quadratic_l2(), pair, lambda p1: np.array([p1[2]]), np.ones(width))
+    with pytest.raises(ValueError, match="width"):
+        compat.solve_psi(quadratic_l2(), pair, lambda p1: np.array([p1[2]]),
+                         np.ones((3, width)))
+
+
 def test_solve_psi_beanie_display(beanie_params, beanie_pair):
     i1, i2 = beanie_params.i1, beanie_params.i2
     z1 = np.array([0.5, 0.7, 1.2, 0.9])  # (phi, phidot, theta, nu)
