@@ -176,15 +176,6 @@ def bracket(spec: LieGroupSpec, xi: AlgebraVector, eta: AlgebraVector) -> Algebr
     return AlgebraVector(spec.bracket_fn(xi.coords, eta.coords))
 
 
-def inf_coadjoint(spec: LieGroupSpec, xi: AlgebraVector, nu: CoVector) -> CoVector:
-    """Infinitesimal coadjoint action ad*_xi nu, defined by
-    <ad*_xi nu, eta> = <nu, [xi, eta]> for all eta."""
-    _check(spec, xi, AlgebraVector)
-    _check(spec, nu, CoVector)
-    # (ad*_xi nu)_c = sum_{a,b} nu_a xi_b structure[a, b, c]
-    return CoVector(np.einsum("a,b,abc->c", nu.coords, xi.coords, spec.structure))
-
-
 def identity(spec: LieGroupSpec) -> GroupElement:
     return GroupElement(spec.identity_payload)
 
@@ -226,21 +217,6 @@ def coadjoint(spec: LieGroupSpec, g: GroupElement, nu: CoVector) -> CoVector:
     return CoVector(spec.adjoint_fn(g.payload).T @ nu.coords)
 
 
-def vstar(spec: LieGroupSpec, v: np.ndarray, a: CoVector) -> CoVector:
-    """The map v* : V* -> g* of a semi-direct product, <v*(a), xi> = <a, xi v>."""
-    if not spec.is_semidirect:
-        raise ValueError(f"vstar requires a semi-direct product spec, got {spec.name}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (spec.vdim,):
-        raise ValueError(f"v must have length {spec.vdim}")
-    if not isinstance(a, CoVector) or len(a) != spec.vdim:
-        raise ValueError(f"a must be a CoVector of length {spec.vdim}")
-    d0 = spec.base.dim
-    eye = np.eye(d0)
-    out = np.array([a.coords @ (spec.rep_inf(eye[i]) @ v) for i in range(d0)])
-    return CoVector(out)
-
-
 def dual_action(spec: LieGroupSpec, g: GroupElement, a: CoVector) -> CoVector:
     """Dual action g*a of the base group on V*, <g*a, v> = <a, g v>."""
     if not spec.is_semidirect:
@@ -249,19 +225,6 @@ def dual_action(spec: LieGroupSpec, g: GroupElement, a: CoVector) -> CoVector:
         raise ValueError(f"a must be a CoVector of length {spec.vdim}")
     spec.base.check_fn(g.payload)
     return CoVector(spec.rep(g.payload).T @ a.coords)
-
-
-def inf_dual_action(spec: LieGroupSpec, xi: AlgebraVector, b: CoVector) -> CoVector:
-    """Infinitesimal dual action xi*b on V*, <xi*b, v> = <b, xi v>."""
-    if not spec.is_semidirect:
-        raise ValueError("inf_dual_action requires a semi-direct product spec")
-    if len(xi) != spec.base.dim:
-        raise ValueError("xi must belong to the base algebra")
-    return CoVector(spec.rep_inf(xi.coords).T @ b.coords)
-
-
-def sample_element(spec: LieGroupSpec, rng: np.random.Generator) -> GroupElement:
-    return GroupElement(spec.sample_fn(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +237,6 @@ def hat(omega: np.ndarray) -> np.ndarray:
     w1, w2, w3 = np.moveaxis(np.asarray(omega, dtype=float), -1, 0)
     z = np.zeros_like(w1)
     return np.stack([z, -w3, w2, w3, z, -w1, -w2, w1, z], -1).reshape(z.shape + (3, 3))
-
-
-def unhat(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 @numerics.takes_rows
@@ -509,12 +468,6 @@ def make_semidirect(base: LieGroupSpec,
     return spec
 
 
-# complex <-> R^2 identification
-
-def c2r(z: complex) -> np.ndarray:
-    return np.array([z.real, z.imag])
-
-
 @numerics.takes_rows
 def _rotmat(theta) -> np.ndarray:
     """Rotation matrix of one angle, or one per angle of an array (N, 2, 2).
@@ -551,25 +504,6 @@ def se2() -> LieGroupSpec:
         casimirs=(("translation_momentum_norm",
                    numerics.takes_rows(lambda nu: np.linalg.norm(nu[..., 1:3], axis=-1))),),
     )
-
-
-def circle_element(theta: float) -> GroupElement:
-    return GroupElement(_wrap_angle(theta))
-
-
-def so3_element(r: np.ndarray) -> GroupElement:
-    _check_rotation(r)
-    return GroupElement(np.array(r, dtype=float))
-
-
-def se2_element(theta: float, z: complex | np.ndarray) -> GroupElement:
-    v = c2r(z) if isinstance(z, complex) else np.array(z, dtype=float)
-    return GroupElement((_wrap_angle(theta), v))
-
-
-def registered_specs() -> list[LieGroupSpec]:
-    """The concrete instances the toolkit ships with."""
-    return [circle(), so3(), translations(3), se2()]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ rows.  A right-hand side point takes what it uses from one
 `MagneticSystem.jet` call: the velocity blocks that are differenced from
 dL/dv share one stencil call, everything differenced from the values of a
 row-capable Lagrangian shares one, and a builder whose derivatives share
-their work hands them over in one callable (`dL_dqp`, `dL_dq_vq`,
-`dL_jet`), called once for all of its parts that a point uses.  Terms
-that are identically absent are not evaluated: at k = 0 the fibre
-equation, without a form the B term, with a constant Hessian the solve.
+their work hands them over in one callable (`dL_dq_vq`, `dL_jet`),
+called once for all of its parts that a point uses.  Terms that are
+identically absent are not evaluated: at k = 0 the fibre equation,
+without a form the B term, with a constant Hessian the solve.
 """
 from __future__ import annotations
 
@@ -133,10 +133,10 @@ class MagneticSystem:
     form.  Analytic derivative callables are optional; missing ones are
     supplied by the fallback rule of `numerics.supply`.  A joint callable
     may stand for derivatives that share their work, returning them from
-    one call: `dL_dqp(q, v, p)` for (dL/dq, dL/dp), `dL_dq_vq(q, v, p)` for
-    (dL/dq, d2L/dv dq), and `dL_jet(q, v, p)` for the whole jet (dL/dq,
-    dL/dp, d2L/dv2, d2L/dv dq, d2L/dv dp).  At most one joint callable is
-    given, and none of its parts besides it.  A `lagrangian` marked with
+    one call: `dL_dq_vq(q, v, p)` for (dL/dq, d2L/dv dq), and
+    `dL_jet(q, v, p)` for the whole jet (dL/dq, dL/dp, d2L/dv2, d2L/dv dq,
+    d2L/dv dp).  At most one joint callable is given, and none of its
+    parts besides it.  A `lagrangian` marked with
     `numerics.takes_rows` takes rows, so every values-only derivative is
     one stacked stencil call, and a right-hand side point takes all of its
     values-only derivatives from one (`jet`).  An unmarked `lagrangian` is
@@ -149,7 +149,6 @@ class MagneticSystem:
     dL_dq: Callable | None = None
     dL_dv: Callable | None = None
     dL_dp: Callable | None = None
-    dL_dqp: Callable | None = None
     d2L_dv_dv: Callable | None = None
     d2L_dv_dq: Callable | None = None
     d2L_dv_dp: Callable | None = None
@@ -311,7 +310,7 @@ class MagneticSystem:
 # of a MagneticSystem returns: (slot,) for dL/d(slot), (1, slot) for
 # d2L/dv d(slot); and the field that gives each part on its own
 _JET = ((0,), (2,), (1, 1), (1, 0), (1, 2))
-_JOINTS = {"dL_dqp": ((0,), (2,)), "dL_dq_vq": ((0,), (1, 0)), "dL_jet": _JET}
+_JOINTS = {"dL_dq_vq": ((0,), (1, 0)), "dL_jet": _JET}
 _PARTS = {(0,): "dL_dq", (2,): "dL_dp", (1, 1): "d2L_dv_dv", (1, 0): "d2L_dv_dq",
           (1, 2): "d2L_dv_dp"}
 
@@ -320,12 +319,6 @@ def _part(joint: Callable, index: int) -> Callable:
     """Part `index` of a joint derivative callable, marked as `joint` is."""
     split = lambda q, v, p: joint(q, v, p)[index]  # noqa: E731
     return numerics.takes_rows(split) if numerics.rows_ok(joint) else split
-
-
-def legendre(sys: MagneticSystem, s: MagLagState) -> np.ndarray:
-    """Base-velocity fibre derivative alpha_i = dL/dv^i."""
-    _check_state(sys, s)
-    return _legendre(sys.grad_v, s.q, s.v, s.p)
 
 
 def energy(sys: MagneticSystem, s: MagLagState) -> float:
@@ -341,16 +334,13 @@ def energies(sys: MagneticSystem, ys: np.ndarray) -> np.ndarray:
                    ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:])
 
 
-def _legendre(grad_v: Callable, q, v, p) -> np.ndarray:
+def _energy(grad_v: Callable, value: Callable, q, v, p):
+    """E = <dL/dv, v> - L at one point or at stacked rows; a non-finite
+    dL/dv (the Legendre transform) raises."""
     alpha = grad_v(q, v, p)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("non-finite Legendre transform")
-    return alpha
-
-
-def _energy(grad_v: Callable, value: Callable, q, v, p):
-    """E = <dL/dv, v> - L at one point or at stacked rows."""
-    return numerics.rowdot(_legendre(grad_v, q, v, p), v) - value(q, v, p)
+    return numerics.rowdot(alpha, v) - value(q, v, p)
 
 
 def _check_state(sys: MagneticSystem, s: MagLagState) -> None:

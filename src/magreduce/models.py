@@ -4,7 +4,10 @@ rotate (two independent oracles for the reduction machinery).
 
 The rotor model reduces over the rotation group; its unreduced check runs
 in a Z-X-Z Euler-angle chart, by the closed-form Euler-Lagrange system of
-the chart Lagrangian, deliberately independent of the reduced code path.
+the chart Lagrangian L = 1/2 w.Lambda w + 1/2 J3 xdot^2 + J3 xdot w3 (w the
+body angular velocity of the chart), deliberately independent of the
+reduced code path.  The tests difference L itself (`rotor_chart_lagrangian`
+in tests/oracles.py) to check that system.
 The planar model reduces over the full planar Euclidean group or over
 translations only.
 """
@@ -16,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import lie, maglag, numerics, routh, semidirect
+from . import lie, numerics, routh, semidirect
 from .lie import CoVector
 from .maglag import MagneticSystem, Trajectory
 from .numerics import StepperChoice
@@ -38,6 +41,9 @@ class RotorParams:
         i, j = self.inertia_body, self.inertia_rotor
         if i.shape != (3,) or j.shape != (3,):
             raise ValueError("inertias must be 3-vectors")
+        for name, value in (("inertia_body", i), ("inertia_rotor", j)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
         if np.any(i <= 0) or np.any(j < 0) or j[2] <= 0:
             raise ValueError("body inertia must be positive, rotor inertia "
                              "nonnegative with a positive third component")
@@ -107,26 +113,6 @@ def euler_zxz_body_velocity(angles: np.ndarray, rates: np.ndarray) -> np.ndarray
                      ad * cb + gd], -1)
 
 
-def rotor_chart_lagrangian(params: RotorParams) -> Callable:
-    """Unreduced Lagrangian in chart coordinates (x, alpha, beta, gamma),
-    L = 1/2 w.Lambda w + 1/2 J3 xdot^2 + J3 xdot w3 with w the body angular
-    velocity of the chart; vectorized over rows of (m, 4) coordinate/rate
-    arrays, scalar 4-vectors also work."""
-    l1, l2, l3 = params.lam
-    j3 = params.inertia_rotor[2]
-
-    def lag(q, qd):
-        q = np.atleast_2d(q)
-        qd = np.atleast_2d(qd)
-        xd = qd[:, 0]
-        w1, w2, w3 = _columns(euler_zxz_body_velocity(q[:, 1:], qd[:, 1:]))
-        vals = 0.5 * (l1 * w1 * w1 + l2 * w2 * w2 + l3 * w3 * w3
-                      + j3 * xd * xd) + j3 * xd * w3
-        return vals if vals.size > 1 else float(vals[0])
-
-    return lag
-
-
 def _chart_constants(params: RotorParams) -> tuple:
     """(lambda1, lambda2, lambda3, I3, J3) as Python floats."""
     l1, l2, l3 = params.lam.tolist()
@@ -134,7 +120,7 @@ def _chart_constants(params: RotorParams) -> tuple:
 
 
 def _chart_flow(k: tuple, sb, cb, sg, cg, pi) -> tuple:
-    """The closed-form Euler-Lagrange system of `rotor_chart_lagrangian` at
+    """The closed-form Euler-Lagrange system of the chart Lagrangian at
     chart momenta pi = (pi_x, pi_alpha, pi_beta, pi_gamma): returns the
     rates (xdot, alphadot, betadot, gammadot), pidot_beta and pidot_gamma
     (pi_x and pi_alpha are conserved: x and alpha are cyclic).  Plain
@@ -175,7 +161,7 @@ def rotor_chart_field(params: RotorParams) -> Callable:
     chart, with y = (q, pi): chart coordinates q = (x, alpha, beta, gamma)
     and their conjugate momenta pi = dL/dqdot.
 
-    The closed-form Euler-Lagrange system of `rotor_chart_lagrangian`
+    The closed-form Euler-Lagrange system of the chart Lagrangian
     (`_chart_flow`), evaluated in Python floats.  Raises ValueError near
     gimbal lock (|cos beta| >= GIMBAL_GUARD).
     """
@@ -296,6 +282,9 @@ class BeanieParams:
     dpotential: Callable | None = None
 
     def __post_init__(self):
+        for name in ("m", "i1", "i2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.m <= 0 or self.i1 <= 0 or self.i2 <= 0:
             raise ValueError("mass and inertias must be positive")
         if self.potential is None:

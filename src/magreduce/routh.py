@@ -2,21 +2,24 @@
 
 For a Lagrangian on the product of a shape space S with a symmetry group G,
 invariance reduces the dynamics to (x, xdot, nu) where nu is the body
-momentum.  This module provides the momentum map, the inverse-momentum
-solver, the reduced Lagrangian (Routhian), the reduced flow
+momentum.  This module provides the inverse-momentum solver, the reduced
+Lagrangian (Routhian), the reduced flow
 
     nudot = +/- ad*_{chi} nu,
     d/dt(dR/dxdot) - dR/dx = 0,
 
-the orbit symplectic pairing, and reconstruction of the group motion.
+and reconstruction of the group motion.  The momentum map, the orbit
+symplectic pairing, the reduced energy and the Routhian by the
+kinetic-energy identity, which the tests check this module against, are
+reference implementations in tests/oracles.py.
 
 Derivatives of the reduced Lagrangian are assembled through the implicit
 function theorem from the derivative supply of the unreduced one, so systems
 with analytic derivatives reproduce closed-form reduced equations to
 rounding accuracy.
 One momentum inversion, for one point and for stacked rows alike, sits
-behind `solve_chi`, the Routhian (`routhians` over rows), the reduced
-energy, the monitors of `integrate_reduced` and `reconstruct`.
+behind `solve_chi`, the Routhian (`routhians` over rows), the energy
+monitor of `integrate_reduced` and `reconstruct`.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import lie, maglag, numerics
+from . import maglag, numerics
 from .lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
 from .maglag import InvariantReport, Trajectory
 from .numerics import RegularityError, StepperChoice
@@ -273,38 +276,6 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
         mechanical=True, potential=v, constant_group_metric=True)
 
 
-def validate_mechanical(lag: InvariantLagrangian,
-                        samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-                        ) -> None:
-    """Check that ell + V is a positive-definite quadratic form in the
-    velocities at the sampled (x, xdot, xi) points; raises otherwise.
-
-    Positive definiteness is probed through the eigenvalues of the full
-    velocity Hessian, and the quadratic property along rays through zero.
-    A non-finite sample is refused before anything is evaluated, and each
-    check fails unless it holds, so a NaN value fails it too.
-    """
-    if not lag.mechanical:
-        raise ValueError("validate_mechanical expects a mechanical Lagrangian")
-    v = lag.potential or (lambda x: 0.0)
-    for index, (x, xdot, xi) in enumerate(samples):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not all(np.isfinite(a).all() for a in (x, xdot, xi)):
-            raise ValueError(f"sample {index} is not finite")
-        xi_xdot = lag.jac_xi_xdot(x, xdot, xi)
-        hess = np.block([[lag.jac_xdot_xdot(x, xdot, xi), xi_xdot.T],
-                         [xi_xdot, lag.jac_xi_xi(x, xdot, xi)]])
-        if not np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) > 0:
-            raise ValueError("kinetic metric is not positive definite at a sample")
-        kin = lag.value(x, xdot, xi) + float(v(x))
-        kin_half = lag.value(x, 0.5 * xdot, 0.5 * xi) + float(v(x))
-        if not abs(kin_half - 0.25 * kin) <= 1e-9 * (1.0 + abs(kin)):
-            raise ValueError("Lagrangian plus potential is not quadratic in "
-                             "the velocities")
-
-
 @dataclass(frozen=True)
 class ReducedRouthSystem:
     """A reduced system at momentum level mu; `side` selects the sign of
@@ -349,16 +320,6 @@ def _check_state(lag: InvariantLagrangian, s: ReducedState) -> None:
         if np.shape(value) != (dim,):
             raise ValueError(f"state {name} has shape {np.shape(value)}; "
                              f"the system needs ({dim},)")
-
-
-def momentum_map(lag: InvariantLagrangian, x, xdot, g: GroupElement,
-                 xi: AlgebraVector) -> CoVector:
-    """Conserved momentum of the group action, Ad*_{g^-1} applied to the
-    group-velocity fibre derivative at (x, xdot, xi)."""
-    if len(xi) != lag.gdim:
-        raise ValueError("group velocity has wrong dimension")
-    f2 = CoVector(lag.group_momentum(x, xdot, xi.coords))
-    return lie.coadjoint(lag.group, lie.inverse(lag.group, g), f2)
 
 
 def solve_chi(lag: InvariantLagrangian, x, xdot, nu: CoVector,
@@ -428,29 +389,6 @@ def _routhian(lag: InvariantLagrangian, x, xdot, nu, chi):
     return numerics.each_row(lag.ell, x, xdot, chi) - numerics.rowdot(nu, chi)
 
 
-def routhian_mechanical(lag: InvariantLagrangian, x, xdot, nu: CoVector,
-                        potential: Callable | None = None) -> float:
-    """Routhian of a mechanical system via the kinetic-energy identity
-    2(R + V) = <dell/dxdot, xdot> - <dell/dxi, xi> on the constraint."""
-    if not lag.mechanical:
-        raise ValueError("routhian_mechanical requires a mechanical-type Lagrangian")
-    v = potential or lag.potential or (lambda _x: 0.0)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    chi = solve_chi(lag, x, xdot, nu).coords
-    f1 = lag.shape_momentum(x, xdot, chi)
-    half = 0.5 * (float(f1 @ xdot) - float(nu.coords @ chi))
-    return half - float(v(x))
-
-
-def reduced_energy(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
-    """Energy of the reduced system, <dR/dxdot, xdot> - R."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
-    chi = solve_chi(lag, x, xdot, nu).coords
-    return float(_energy(lag, x, xdot, nu.coords, chi))
-
-
 def _energy(lag: InvariantLagrangian, x, xdot, nu, chi):
     """<dR/dxdot, xdot> - R at chi on the momentum constraint, where
     dR/dxdot = dell/dxdot; one point or stacked rows."""
@@ -504,11 +442,6 @@ def reduced_state_columns(sdim: int, gdim: int) -> tuple[str, ...]:
 
 def pack_reduced(s: ReducedState) -> np.ndarray:
     return np.concatenate([s.x, s.xdot, s.nu.coords])
-
-
-def unpack_reduced(lag: InvariantLagrangian, y: np.ndarray) -> ReducedState:
-    x, xdot, nu = _split(lag, y)
-    return ReducedState(x, xdot, CoVector(nu))
 
 
 def _field_factory(sys: ReducedRouthSystem):
@@ -585,13 +518,6 @@ def integrate_reduced(sys: ReducedRouthSystem, s0: ReducedState, t_end: float,
         entries[f"casimir_{cname}_drift"] = float(np.max(np.abs(drift)))
     return Trajectory(times, states, reduced_state_columns(sd, lag.gdim),
                       InvariantReport(entries))
-
-
-def kks_form(group: LieGroupSpec, nu: CoVector, xi: AlgebraVector,
-             xi2: AlgebraVector) -> float:
-    """Orbit symplectic pairing <nu, [xi, xi2]> on coadjoint-orbit tangents
-    generated by xi and xi2."""
-    return lie.pair(nu, lie.bracket(group, xi, xi2))
 
 
 def reconstruct(sys: ReducedRouthSystem, traj: Trajectory, g0: GroupElement

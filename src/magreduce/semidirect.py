@@ -13,7 +13,9 @@ transformation and verifies the relation numerically.
 
 The full-group reduction reuses the product-space machinery with the
 combined algebra, so a SemiDirectLagrangian is a thin wrapper around an
-InvariantLagrangian over the semi-direct spec.  The V-reduced system of a
+InvariantLagrangian over the semi-direct spec.  Its Routhian, right-hand
+side and joint (chi, tau) inversion, restated one point at a time as
+reference implementations, are in tests/oracles.py.  The V-reduced system of a
 constant metric is closed-form Schur-complement algebra, its one-point
 callables those products alone (`maglag`'s k = 0 path does the rest).
 
@@ -32,7 +34,7 @@ import numpy as np
 from . import compat, lie, maglag, numerics, routh
 from .lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
 from .maglag import MagneticSystem, Trajectory
-from .numerics import RegularityError, StepperChoice
+from .numerics import StepperChoice
 
 GENERATOR_TOL = 1e-9
 
@@ -104,32 +106,6 @@ def solve_tau(sd: SemiDirectLagrangian, x, xdot, xi, b: CoVector) -> np.ndarray:
                            "V-regularity failure in tau")
 
 
-def solve_chi12(sd: SemiDirectLagrangian, x, xdot, nu: CoVector, b: CoVector
-                ) -> tuple[AlgebraVector, np.ndarray]:
-    """Joint inversion of both momentum slots; returns (xi over g, u in V).
-
-    Cross-checks the V-slot result against solve_tau at the returned xi
-    (the two must agree by regularity)."""
-    if len(nu) != sd.d0 or len(b) != sd.vdim:
-        raise ValueError("momentum slots have wrong dimensions")
-    combined = CoVector(np.concatenate([nu.coords, b.coords]))
-    zeta = routh.solve_chi(sd.inner, x, xdot, combined)
-    xi, u = zeta.coords[:sd.d0], zeta.coords[sd.d0:]
-    tau = solve_tau(sd, x, xdot, xi, b)
-    if np.max(np.abs(tau - u)) > 1e-9:
-        raise RegularityError("chi/tau consistency failure: the V-slot "
-                              "inversions disagree beyond 1e-9")
-    return AlgebraVector(xi), u
-
-
-def routhian_full(sd: SemiDirectLagrangian, x, xdot, nu: CoVector,
-                  b: CoVector) -> float:
-    """Reduced Lagrangian of the full-group reduction,
-    ell - <nu, chi1> - <b, chi2> on the momentum constraint."""
-    combined = CoVector(np.concatenate([nu.coords, b.coords]))
-    return routh.routhian(sd.inner, x, xdot, combined)
-
-
 def gv_reduced_system(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
                       side: str = "left") -> routh.ReducedRouthSystem:
     """The full-group reduced system at momentum level (mu, a)."""
@@ -137,17 +113,6 @@ def gv_reduced_system(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
         raise ValueError("momentum level has wrong dimensions")
     combined = CoVector(np.concatenate([mu.coords, a.coords]))
     return routh.ReducedRouthSystem(sd.inner, mu=combined, side=side)
-
-
-def reduced_field_full(sd: SemiDirectLagrangian, x, xdot, nu: CoVector,
-                       b: CoVector) -> tuple[np.ndarray, np.ndarray, CoVector, CoVector]:
-    """Right-hand side (xdot, xddot, nudot, bdot) of the full-group
-    reduced equations."""
-    sys = gv_reduced_system(sd, nu, b)
-    state = routh.ReducedState(x, xdot, CoVector(np.concatenate([nu.coords, b.coords])))
-    xdot_out, xddot, wdot = routh.reduced_vector_field(sys, state)
-    return (xdot_out, xddot, CoVector(wdot.coords[:sd.d0]),
-            CoVector(wdot.coords[sd.d0:]))
 
 
 def integrate_reduced_full(sd: SemiDirectLagrangian, x0, xdot0, nu0: CoVector,
@@ -416,9 +381,8 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
         raise ValueError("the cylinder chart requires a 1-dimensional base "
                          "acting on a 2-dimensional V")
     gv = sd.gv
+    _check_vstar_onto(gv, a)
     r = float(np.linalg.norm(a.coords))
-    if r == 0.0:
-        raise ValueError("a must be nonzero")
 
     def chart(z: np.ndarray):
         """nu, b and the chart tangents d/dnu, d/dalpha at rows z."""
@@ -452,6 +416,12 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
 
 
 def _check_vstar_onto(gv: LieGroupSpec, a: CoVector) -> None:
+    """Refuse a momentum level a of the wrong length or not finite, or at
+    which v -> v*(a) is not onto (for the plane representation: a = 0)."""
+    if len(a) != gv.vdim:
+        raise ValueError(f"momentum level a has length {len(a)}; V has dimension {gv.vdim}")
+    if not np.isfinite(a.coords).all():
+        raise ValueError(f"momentum level a must be finite, got {a.coords.tolist()}")
     mat = _dual_action_rows(gv, a.coords[None])[0]
     if np.linalg.matrix_rank(mat, tol=1e-12) < gv.base.dim:
         raise ValueError("dual action not onto: v -> v*(a) does not span the "
@@ -514,7 +484,7 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
                                    psi versus the flow of the V-reduced system
       casimir_drift, nu_drift    : conservation monitors along the orbit flow
     """
-    if len(mu) != sd.d0 or len(a) != sd.vdim:
+    if len(mu) != sd.d0:
         raise ValueError("momentum level has wrong dimensions")
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")

@@ -1,9 +1,19 @@
-"""Test oracles: hand-expanded equations kept outside the package as
-independent cross-checks of its generic assembly."""
+"""Test oracles: the independent reference implementations that tests
+compare the package against, kept outside it.  Hand-expanded equations
+check its generic assembly; a second route to each reduced quantity (the
+kinetic-energy identity for the Routhian, the joint chi/tau inversion, the
+infinitesimal coadjoint action by structure constants) checks its fast
+paths."""
+from typing import Callable
+
 import numpy as np
 
-from magreduce import models
+from magreduce import lie, models, routh
+from magreduce.lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
 from magreduce.maglag import MagneticSystem
+from magreduce.numerics import RegularityError
+from magreduce.routh import InvariantLagrangian
+from magreduce.semidirect import SemiDirectLagrangian, gv_reduced_system, solve_tau
 
 
 def rotor_reduced_field_closed_form(params: models.RotorParams, x, xdot, m: np.ndarray
@@ -57,3 +67,141 @@ def beanie_chart_system(params: models.BeanieParams, mu: float, a: complex) -> M
         d2L_dv_dp=lambda q, v, p: hvp,
         constant_bform=True,
         name="planar_pair_orbit_chart")
+
+
+def rotor_chart_lagrangian(params: models.RotorParams) -> Callable:
+    """Unreduced Lagrangian in chart coordinates (x, alpha, beta, gamma),
+    L = 1/2 w.Lambda w + 1/2 J3 xdot^2 + J3 xdot w3 with w the body angular
+    velocity of the chart; vectorized over rows of (m, 4) coordinate/rate
+    arrays, scalar 4-vectors also work."""
+    l1, l2, l3 = params.lam
+    j3 = params.inertia_rotor[2]
+
+    def lag(q, qd):
+        q = np.atleast_2d(q)
+        qd = np.atleast_2d(qd)
+        xd = qd[:, 0]
+        w1, w2, w3 = models._columns(models.euler_zxz_body_velocity(q[:, 1:], qd[:, 1:]))
+        vals = 0.5 * (l1 * w1 * w1 + l2 * w2 * w2 + l3 * w3 * w3
+                      + j3 * xd * xd) + j3 * xd * w3
+        return vals if vals.size > 1 else float(vals[0])
+
+    return lag
+
+
+def inf_coadjoint(spec: LieGroupSpec, xi: AlgebraVector, nu: CoVector) -> CoVector:
+    """Infinitesimal coadjoint action ad*_xi nu, defined by
+    <ad*_xi nu, eta> = <nu, [xi, eta]> for all eta."""
+    lie._check(spec, xi, AlgebraVector)
+    lie._check(spec, nu, CoVector)
+    # (ad*_xi nu)_c = sum_{a,b} nu_a xi_b structure[a, b, c]
+    return CoVector(np.einsum("a,b,abc->c", nu.coords, xi.coords, spec.structure))
+
+
+def validate_mechanical(lag: InvariantLagrangian,
+                        samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+                        ) -> None:
+    """Check that ell + V is a positive-definite quadratic form in the
+    velocities at the sampled (x, xdot, xi) points; raises otherwise.
+
+    Positive definiteness is probed through the eigenvalues of the full
+    velocity Hessian, and the quadratic property along rays through zero.
+    A non-finite sample is refused before anything is evaluated, and each
+    check fails unless it holds, so a NaN value fails it too.
+    """
+    if not lag.mechanical:
+        raise ValueError("validate_mechanical expects a mechanical Lagrangian")
+    v = lag.potential or (lambda x: 0.0)
+    for index, (x, xdot, xi) in enumerate(samples):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if not all(np.isfinite(a).all() for a in (x, xdot, xi)):
+            raise ValueError(f"sample {index} is not finite")
+        xi_xdot = lag.jac_xi_xdot(x, xdot, xi)
+        hess = np.block([[lag.jac_xdot_xdot(x, xdot, xi), xi_xdot.T],
+                         [xi_xdot, lag.jac_xi_xi(x, xdot, xi)]])
+        if not np.min(np.linalg.eigvalsh(0.5 * (hess + hess.T))) > 0:
+            raise ValueError("kinetic metric is not positive definite at a sample")
+        kin = lag.value(x, xdot, xi) + float(v(x))
+        kin_half = lag.value(x, 0.5 * xdot, 0.5 * xi) + float(v(x))
+        if not abs(kin_half - 0.25 * kin) <= 1e-9 * (1.0 + abs(kin)):
+            raise ValueError("Lagrangian plus potential is not quadratic in "
+                             "the velocities")
+
+
+def momentum_map(lag: InvariantLagrangian, x, xdot, g: GroupElement,
+                 xi: AlgebraVector) -> CoVector:
+    """Conserved momentum of the group action, Ad*_{g^-1} applied to the
+    group-velocity fibre derivative at (x, xdot, xi)."""
+    if len(xi) != lag.gdim:
+        raise ValueError("group velocity has wrong dimension")
+    f2 = CoVector(lag.group_momentum(x, xdot, xi.coords))
+    return lie.coadjoint(lag.group, lie.inverse(lag.group, g), f2)
+
+
+def routhian_mechanical(lag: InvariantLagrangian, x, xdot, nu: CoVector,
+                        potential: Callable | None = None) -> float:
+    """Routhian of a mechanical system via the kinetic-energy identity
+    2(R + V) = <dell/dxdot, xdot> - <dell/dxi, xi> on the constraint."""
+    if not lag.mechanical:
+        raise ValueError("routhian_mechanical requires a mechanical-type Lagrangian")
+    v = potential or lag.potential or (lambda _x: 0.0)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
+    chi = routh.solve_chi(lag, x, xdot, nu).coords
+    f1 = lag.shape_momentum(x, xdot, chi)
+    half = 0.5 * (float(f1 @ xdot) - float(nu.coords @ chi))
+    return half - float(v(x))
+
+
+def reduced_energy(lag: InvariantLagrangian, x, xdot, nu: CoVector) -> float:
+    """Energy of the reduced system, <dR/dxdot, xdot> - R."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
+    chi = routh.solve_chi(lag, x, xdot, nu).coords
+    return float(routh._energy(lag, x, xdot, nu.coords, chi))
+
+
+def kks_form(group: LieGroupSpec, nu: CoVector, xi: AlgebraVector,
+             xi2: AlgebraVector) -> float:
+    """Orbit symplectic pairing <nu, [xi, xi2]> on coadjoint-orbit tangents
+    generated by xi and xi2."""
+    return lie.pair(nu, lie.bracket(group, xi, xi2))
+
+
+def solve_chi12(sd: SemiDirectLagrangian, x, xdot, nu: CoVector, b: CoVector
+                ) -> tuple[AlgebraVector, np.ndarray]:
+    """Joint inversion of both momentum slots; returns (xi over g, u in V).
+
+    Cross-checks the V-slot result against solve_tau at the returned xi
+    (the two must agree by regularity)."""
+    if len(nu) != sd.d0 or len(b) != sd.vdim:
+        raise ValueError("momentum slots have wrong dimensions")
+    combined = CoVector(np.concatenate([nu.coords, b.coords]))
+    zeta = routh.solve_chi(sd.inner, x, xdot, combined)
+    xi, u = zeta.coords[:sd.d0], zeta.coords[sd.d0:]
+    tau = solve_tau(sd, x, xdot, xi, b)
+    if np.max(np.abs(tau - u)) > 1e-9:
+        raise RegularityError("chi/tau consistency failure: the V-slot "
+                              "inversions disagree beyond 1e-9")
+    return AlgebraVector(xi), u
+
+
+def routhian_full(sd: SemiDirectLagrangian, x, xdot, nu: CoVector,
+                  b: CoVector) -> float:
+    """Reduced Lagrangian of the full-group reduction,
+    ell - <nu, chi1> - <b, chi2> on the momentum constraint."""
+    combined = CoVector(np.concatenate([nu.coords, b.coords]))
+    return routh.routhian(sd.inner, x, xdot, combined)
+
+
+def reduced_field_full(sd: SemiDirectLagrangian, x, xdot, nu: CoVector,
+                       b: CoVector) -> tuple[np.ndarray, np.ndarray, CoVector, CoVector]:
+    """Right-hand side (xdot, xddot, nudot, bdot) of the full-group
+    reduced equations."""
+    sys = gv_reduced_system(sd, nu, b)
+    state = routh.ReducedState(x, xdot, CoVector(np.concatenate([nu.coords, b.coords])))
+    xdot_out, xddot, wdot = routh.reduced_vector_field(sys, state)
+    return (xdot_out, xddot, CoVector(wdot.coords[:sd.d0]),
+            CoVector(wdot.coords[sd.d0:]))

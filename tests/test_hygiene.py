@@ -33,37 +33,49 @@ def package_module(node: ast.ImportFrom) -> str | None:
     return None
 
 
-def private_reads(source: str, own: str) -> list[str]:
-    """`module.name` for each read of another package module's private name
-    in `source`, the text of module `own`."""
-    tree = ast.parse(source)
-    aliases: dict[str, str] = {}
-    found = []
+def imports(tree: ast.AST) -> tuple[dict[str, str], dict[str, str]]:
+    """What the imports in `tree` bind: local name -> package module, and
+    local name -> "module.name" of a package module's name."""
+    modules: dict[str, str] = {}
+    names: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (base := package_module(node)) is not None:
             for alias in node.names:
                 if base == "" and alias.name in MODULES:
-                    aliases[alias.asname or alias.name] = alias.name
-                elif base in MODULES and base != own and private(alias.name):
-                    found.append(f"{base}.{alias.name}")
+                    modules[alias.asname or alias.name] = alias.name
+                elif base in MODULES:
+                    names[alias.asname or alias.name] = f"{base}.{alias.name}"
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
                 if parts[0] == "magreduce" and len(parts) == 2 and alias.asname:
-                    aliases[alias.asname] = parts[1]
+                    modules[alias.asname] = parts[1]
+    return modules, names
+
+
+def attribute_module(node: ast.Attribute, modules: dict[str, str]) -> str | None:
+    """The package module whose attribute `node` reads, if any."""
+    value = node.value
+    if isinstance(value, ast.Name):
+        return modules.get(value.id)
+    if (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+            and value.value.id == "magreduce"):
+        return value.attr
+    return None
+
+
+def private_reads(source: str, own: str) -> list[str]:
+    """`module.name` for each read of another package module's private name
+    in `source`, the text of module `own`."""
+    tree = ast.parse(source)
+    modules, names = imports(tree)
+    found = [qual for qual in names.values()
+             if qual.split(".")[0] != own and private(qual.split(".")[1])]
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Attribute) or not private(node.attr):
-            continue
-        value = node.value
-        if isinstance(value, ast.Name):
-            module = aliases.get(value.id)
-        elif (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
-              and value.value.id == "magreduce"):
-            module = value.attr
-        else:
-            module = None
-        if module in MODULES and module != own:
-            found.append(f"{module}.{node.attr}")
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            module = attribute_module(node, modules)
+            if module in MODULES and module != own:
+                found.append(f"{module}.{node.attr}")
     return found
 
 
@@ -210,3 +222,107 @@ def test_importing_the_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+ROOT = PACKAGE.parent.parent
+README_NAME = re.compile(r"`(?:(?:magreduce\.)?(\w+)\.)?(\w+)`")
+
+
+def bound_names(node: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement binds (imports aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return []
+
+
+def package_reads(source: str, own: str | None) -> dict[str | None, set[str]]:
+    """`module.name` of each package name that `source` reads, keyed by the
+    top-level name whose statement reads it.  `own` is the package module
+    that `source` is (its bare top-level names are its own), or None for a
+    file outside the package, whose reads all fall under the key None, as
+    do those of a package statement that binds no name."""
+    tree = ast.parse(source)
+    modules, names = imports(tree)
+    top = {name for stmt in tree.body for name in bound_names(stmt)} if own else set()
+    found: dict[str | None, set[str]] = {}
+    for stmt in tree.body:
+        read = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                if (module := attribute_module(node, modules)) in MODULES:
+                    read.add(f"{module}.{node.attr}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in names:
+                    read.add(names[node.id])
+                elif node.id in top:
+                    read.add(f"{own}.{node.id}")
+        for key in (bound_names(stmt) if own else []) or [None]:
+            found.setdefault(key, set()).update(read)
+    return found
+
+
+def unused_public_names(package: dict[str, str], outside: list[str], readme: str) -> list[str]:
+    """Public top-level functions and classes of the `package` sources
+    (module -> text) that no file `outside` the package reaches, through
+    package names that are themselves reached, and that `readme` does not
+    name in backticks (`name` or `module.name`).  A package statement that
+    binds no name is reached."""
+    public = {f"{m}.{node.name}" for m, text in package.items() for node in ast.parse(text).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    named = set(README_NAME.findall(readme))  # (module or "", name)
+    reads = {m: package_reads(text, m) for m, text in package.items()}
+    todo = [qual for qual in public
+            if {tuple(qual.split(".")), ("", qual.split(".")[1])} & named]
+    todo += [qual for text in outside for qual in package_reads(text, None).get(None, ())]
+    todo += [qual for m in reads for qual in reads[m].get(None, ())]
+    reached = set()
+    while todo:
+        qual = todo.pop()
+        module, _, name = qual.partition(".")
+        reached.add(qual)
+        todo += [q for q in reads.get(module, {}).get(name, ()) if q not in reached]
+    return sorted(public - reached)
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    # tests call the package too, but a name only they use (or only other
+    # such names use) is test surface: it lives in tests/oracles.py
+    package = {m: (PACKAGE / f"{m}.py").read_text() for m in sorted(MODULES)}
+    outside = [path.read_text() for folder in ("bench", "tools", "demos")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unused_public_names(package, outside, (ROOT / "README.md").read_text()) == []
+
+
+@pytest.mark.parametrize("package, outside, readme, unused", [
+    # a name only a test-only name uses is test-only too
+    ({"routh": "def f(): pass\ndef oracle(): return f()"}, [], "", ["routh.f", "routh.oracle"]),
+    ({"routh": "def f(): pass\ndef g(): return f()"},
+     ["from magreduce import routh\nrouth.g()"], "", []),
+    ({"routh": "def f(): pass\ndef g(): return f()"},
+     ["import magreduce.routh as r\nr.g()"], "", []),
+    ({"routh": "def f(): pass\ndef g(): return f()"},
+     ["import magreduce.routh\nmagreduce.routh.f"], "", ["routh.g"]),
+    ({"routh": "def f(): pass\nclass G:\n    def m(self): return f()"},
+     ["from magreduce.routh import G\nG().m()"], "", []),
+    # through a private helper, a module-level table, another module
+    ({"routh": "def f(): pass\ndef _h(): return f()\ndef g(): return _h()"},
+     ["from magreduce import routh\nrouth.g()"], "", []),
+    ({"routh": "def f(): pass\nTABLE = {'f': f}\nclass _C:\n    t = TABLE"}, [], "", ["routh.f"]),
+    ({"routh": "def f(): pass\nTABLE = {'f': f}\nprint(TABLE)"}, [], "", []),
+    ({"routh": "def f(): pass", "numerics": "from .routh import f\ndef g(): return f()"},
+     ["from magreduce.numerics import g\ng()"], "", []),
+    ({"routh": "def f(): pass", "numerics": "from . import routh as r\ndef g(): r.f()"},
+     ["from magreduce.numerics import g"], "", ["numerics.g", "routh.f"]),
+    # named in the README, with or without its module, and what it uses
+    ({"routh": "def f(): pass\ndef g(): return f()"}, [], "see `routh.g`", []),
+    ({"routh": "def f(): pass\ndef g(): return f()"}, [], "see `g`", []),
+    ({"routh": "def f(): pass\ndef g(): return f()"}, [], "see `numerics.g` and g",
+     ["routh.f", "routh.g"]),
+])
+def test_unused_checker_follows_callers_from_outside_the_package(package, outside, readme,
+                                                                  unused):
+    assert unused_public_names(package, outside, readme) == unused

@@ -9,7 +9,7 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.maglag import RegularityError
 from magreduce.numerics import StepperChoice
-from oracles import beanie_chart_system
+from oracles import beanie_chart_system, reduced_field_full, routhian_full, solve_chi12
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,8 @@ def test_solve_chi12_beanie_display(sd, beanie_params, rng):
         phid = rng.normal(size=1)
         nu = rng.normal(size=1)
         b = rng.normal(size=2)
-        xi, u = semidirect.solve_chi12(sd, np.zeros(1), phid,
-                                       CoVector(nu), CoVector(b))
+        xi, u = solve_chi12(sd, np.zeros(1), phid,
+                            CoVector(nu), CoVector(b))
         assert abs(xi.coords[0] - (nu[0] - i2 * phid[0]) / (i1 + i2)) <= 1e-10
         assert np.max(np.abs(u - b / m)) <= 1e-10
 
@@ -69,7 +69,7 @@ def test_solve_chi12_block_diagonal(rng):
         1, lie.se2(), a_block=[[1.0]], b_block=np.zeros((1, 3)),
         c_block=np.diag([3.0, 2.0, 2.0]))
     nu, b = CoVector(rng.normal(size=1)), CoVector(rng.normal(size=2))
-    xi, u = semidirect.solve_chi12(sdq, [0.0], [0.1], nu, b)
+    xi, u = solve_chi12(sdq, [0.0], [0.1], nu, b)
     assert abs(xi.coords[0] - nu.coords[0] / 3.0) < 1e-12
     assert np.max(np.abs(u - b.coords / 2.0)) < 1e-12
 
@@ -78,7 +78,7 @@ def test_chi12_tau_consistency(sd, rng):
     for _ in range(100):
         x, xd = rng.normal(size=1), rng.normal(size=1)
         nu, b = CoVector(rng.normal(size=1)), CoVector(rng.normal(size=2))
-        xi, u = semidirect.solve_chi12(sd, x, xd, nu, b)
+        xi, u = solve_chi12(sd, x, xd, nu, b)
         tau = semidirect.solve_tau(sd, x, xd, xi.coords, b)
         assert np.max(np.abs(tau - u)) <= 1e-9
 
@@ -89,7 +89,7 @@ def test_routhian_full_display(sd, beanie_params, rng):
     for _ in range(100):
         phi, phid = rng.normal(size=1), rng.normal(size=1)
         nu, b = rng.normal(size=1), rng.normal(size=2)
-        r = semidirect.routhian_full(sd, phi, phid, CoVector(nu), CoVector(b))
+        r = routhian_full(sd, phi, phid, CoVector(nu), CoVector(b))
         expected = (0.5 * i1 * i2 / itot * phid[0] ** 2
                     + i2 / itot * nu[0] * phid[0]
                     - beanie_params.potential(phi)
@@ -99,8 +99,8 @@ def test_routhian_full_display(sd, beanie_params, rng):
 
 
 def test_routhian_full_zero_state(sd):
-    r = semidirect.routhian_full(sd, np.zeros(1), np.zeros(1),
-                                 CoVector([0.0]), CoVector([0.0, 0.0]))
+    r = routhian_full(sd, np.zeros(1), np.zeros(1),
+                      CoVector([0.0]), CoVector([0.0, 0.0]))
     assert abs(r) < 1e-15
 
 
@@ -108,7 +108,7 @@ def test_orbit_point_combines_slots(sd):
     nu, b = CoVector([0.7]), CoVector([0.3, -0.2])
     combined = CoVector(np.concatenate([nu.coords, b.coords]))
     r1 = routh.routhian(sd.inner, [0.1], [0.2], combined)
-    r2 = semidirect.routhian_full(sd, [0.1], [0.2], nu, b)
+    r2 = routhian_full(sd, [0.1], [0.2], nu, b)
     assert abs(r1 - r2) < 1e-14
 
 
@@ -117,8 +117,8 @@ def test_routhian_full_mechanical_identity(sd, rng):
     for _ in range(100):
         x, xd = rng.normal(size=1), rng.normal(size=1)
         nu, b = CoVector(rng.normal(size=1)), CoVector(rng.normal(size=2))
-        r = semidirect.routhian_full(sd, x, xd, nu, b)
-        xi, u = semidirect.solve_chi12(sd, x, xd, nu, b)
+        r = routhian_full(sd, x, xd, nu, b)
+        xi, u = solve_chi12(sd, x, xd, nu, b)
         f1 = sd.inner.shape_momentum(x, xd, np.concatenate([xi.coords, u]))
         v = sd.inner.potential(x)
         rhs = float(f1 @ xd) - float(nu.coords @ xi.coords) - float(b.coords @ u)
@@ -132,7 +132,7 @@ def test_reduced_field_full_displays(sd, beanie_params, rng):
     for _ in range(100):
         phi, phid = rng.normal(size=1), rng.normal(size=1)
         nu, b = rng.normal(size=1), rng.normal(size=2)
-        _, xdd, nudot, bdot = semidirect.reduced_field_full(
+        _, xdd, nudot, bdot = reduced_field_full(
             sd, phi, phid, CoVector(nu), CoVector(b))
         chi1 = (nu[0] - i2 * phid[0]) / itot
         # bdot = -i chi1 b in the plane identification
@@ -145,7 +145,7 @@ def test_reduced_field_full_displays(sd, beanie_params, rng):
 
 def test_reduced_field_b_zero(sd, rng):
     # with b = 0 only the base coadjoint term remains (zero for a circle)
-    _, _, nudot, bdot = semidirect.reduced_field_full(
+    _, _, nudot, bdot = reduced_field_full(
         sd, rng.normal(size=1), rng.normal(size=1),
         CoVector(rng.normal(size=1)), CoVector([0.0, 0.0]))
     assert np.max(np.abs(nudot.coords)) < 1e-14
@@ -180,18 +180,18 @@ def test_routhian_abelian_display_and_invariance(sd, beanie_params, rng):
     for _ in range(100):
         x, xd = rng.normal(size=1), rng.normal(size=1)
         xi = AlgebraVector(rng.normal(size=1))
-        g = lie.circle_element(rng.uniform(0, 2 * np.pi))
+        g = lie.exponential(lie.circle(), AlgebraVector([rng.uniform(0, 2 * np.pi)]))
         r = semidirect.routhian_abelian(sd, x, xd, g, xi, a)
         expected = (0.5 * i1 * xi.coords[0] ** 2
                     + 0.5 * i2 * (xi.coords[0] + xd[0]) ** 2
                     - beanie_params.potential(x) - 1.0 / (2 * m))
         assert abs(r - expected) <= 1e-12
-        g2 = lie.compose(lie.circle(), lie.circle_element(1.3), g)
+        g2 = lie.compose(lie.circle(), lie.exponential(lie.circle(), AlgebraVector([1.3])), g)
         assert abs(semidirect.routhian_abelian(sd, x, xd, g2, xi, a) - r) <= 1e-12
 
 
 def test_routhian_abelian_zero_momentum(sd, beanie_params):
-    g = lie.circle_element(0.4)
+    g = lie.exponential(lie.circle(), AlgebraVector([0.4]))
     xi = AlgebraVector([0.5])
     r = semidirect.routhian_abelian(sd, [0.2], [0.1], g, xi,
                                     CoVector([0.0, 0.0]))
@@ -347,7 +347,7 @@ def test_group_recovery_from_momentum(sd, rng):
     a = CoVector([0.8, -0.6])
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi)
-        g = lie.circle_element(theta)
+        g = lie.exponential(lie.circle(), AlgebraVector([theta]))
         b = lie.dual_action(sd.gv, g, a)
         rec = semidirect.group_angle_from_b(sd.gv, a, b.coords)
         assert isinstance(rec, float)
@@ -448,8 +448,8 @@ def reference_form_residual(sd, eq, a, n_points, seed):
         nu = rng.uniform(-1.5, 1.5, size=d0)
         bqq, bqp, bpp = eq.p1_system.bform(x, np.concatenate([[theta], nu]))
         worst = max(worst, float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
-        b = lie.dual_action(sd.gv, lie.circle_element(theta), a)
-        bp = lie.inf_dual_action(sd.gv, AlgebraVector([1.0]), b)
+        b = lie.dual_action(sd.gv, lie.exponential(lie.circle(), AlgebraVector([theta])), a)
+        bp = CoVector(sd.gv.rep_inf([1.0]).T @ b.coords)  # xi*b at xi = 1
         for j in range(d0):
             t_nu = (CoVector(np.eye(d0)[j]), CoVector(np.zeros(sd.vdim)))
             kks = semidirect.orbit_kks(sd.gv, CoVector(nu), b,
@@ -532,6 +532,24 @@ def test_lemma_rejects_malformed_samples_before_evaluating(sd, samples, match, m
     monkeypatch.setattr(numerics, "fd_exterior_derivative", no_evaluation)
     with pytest.raises(ValueError, match=match):
         semidirect.verify_lemma_B_equals_dtheta(sd, CoVector([1.0, 0.0]), samples)
+
+
+@pytest.mark.parametrize("a, match", [
+    ([np.nan, 1.0], r"^momentum level a must be finite, got \[nan, 1\.0\]$"),
+    ([0.5, -np.inf], r"^momentum level a must be finite, got \[0\.5, -inf\]$"),
+    ([0.0, 0.0], r"^dual action not onto"),
+    ([1.0], r"^momentum level a has length 1; V has dimension 2$"),
+], ids=["nan", "inf", "zero", "short"])
+@pytest.mark.parametrize("entry", ["lemma", "equivalence"])
+def test_both_stage_checks_refuse_a_bad_level_a(sd, entry, a, match):
+    # one check of a: numpy's SVD would fail on a NaN level, and the lemma,
+    # which reads only |a|, would pass a short one
+    with pytest.raises(ValueError, match=match):
+        if entry == "lemma":
+            semidirect.verify_lemma_B_equals_dtheta(sd, CoVector(a), np.zeros((3, 2)))
+        else:
+            semidirect.build_stage_equivalence(sd, CoVector([1.0]), CoVector(a),
+                                               n_points=2, t_end=1.0)
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])

@@ -244,8 +244,9 @@ def test_integrator_field_is_reduced_vector_field(constant, monkeypatch):
     traj = routh.integrate_reduced(sys, routh.ReducedState([0.1], [0.2], nu0),
                                    0.05, StepperChoice(kind="rk4", h=1e-2))
     field, = seen
+    sd = lag.sdim
     for t, y in zip(traj.times, traj.states):
-        s = routh.unpack_reduced(lag, y)
+        s = routh.ReducedState(y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:]))
         xdot, xddot, nudot = routh.reduced_vector_field(sys, s)
         expected = np.concatenate([xdot, xddot, nudot.coords])
         assert np.max(np.abs(field(t, y) - expected)) <= 1e-12
@@ -297,9 +298,10 @@ def test_reduced_factory_field_is_public_field_bit_for_bit(name, monkeypatch):
     seen = capture_field(monkeypatch)
     traj = routh.integrate_reduced(sys, s0, 0.2, StepperChoice(kind="rk4", h=1e-2))
     field, = seen
+    sd = sys.lagrangian.sdim
     for t, y in zip(traj.times, traj.states):
         xdot, xddot, nudot = routh.reduced_vector_field(
-            sys, routh.unpack_reduced(sys.lagrangian, y))
+            sys, routh.ReducedState(y[:sd], y[sd:2 * sd], CoVector(y[2 * sd:])))
         assert np.array_equal(field(t, y), np.concatenate([xdot, xddot, nudot.coords]))
 
 
@@ -438,26 +440,27 @@ def test_jet_leaves_out_the_blocks_a_system_does_not_use(case):
     assert same_bits(hess, flat.hess_vv(point[0], point[1], np.zeros(0)))
 
 
-def test_joint_first_derivatives_split_into_grad_q_and_grad_p():
-    # not the derivatives of jet_lagrangian: only the split is checked
+def test_joint_dl_dq_vq_splits_into_grad_q_and_hess_vq():
     @numerics.takes_rows
-    def dl_dqp(q, v, p):
-        dl_dq = np.stack([v[..., 0] * p[..., 0] + np.cos(q[..., 0]), 0.0 * q[..., 1]], -1)
-        return dl_dq, q[..., :1] * v[..., :1]
+    def dl_dq_vq(q, v, p):
+        dl_dq, _, _, hvq, _ = jet_joint(q, v, p)
+        return dl_dq, hvq
 
-    for joint in (dl_dqp, one_point(dl_dqp)):
+    for joint in (dl_dq_vq, one_point(dl_dq_vq)):
         sys = MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dv=jet_dl_dv,
-                             dL_dqp=joint)
+                             dL_dq_vq=joint)
         rng = np.random.default_rng(5)
         q, v, p = rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 2)), rng.uniform(-2, 2, (4, 1))
-        grad_q, grad_p = sys.grad_q(q, v, p), sys.grad_p(q, v, p)
+        grad_q, hess_vq = sys.grad_q(q, v, p), sys.hess_vq(q, v, p)
         for i in range(len(q)):
-            dq, dp = dl_dqp(q[i], v[i], p[i])
-            assert same_bits(grad_q[i], dq) and same_bits(grad_p[i], dp)
+            dq, hvq = dl_dq_vq(q[i], v[i], p[i])
+            assert same_bits(grad_q[i], dq) and same_bits(hess_vq[i], hvq)
             jet = sys.jet(q[i], v[i], p[i])
-            assert same_bits(jet[0], dq) and same_bits(jet[1], dp)
-    with pytest.raises(ValueError, match="dL_dqp"):
-        MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq=jet_dl_dv, dL_dqp=dl_dqp)
+            assert same_bits(jet[0], dq) and same_bits(jet[3], hvq)
+    with pytest.raises(ValueError, match="dL_dq_vq stands for dL_dq and d2L_dv_dq: give one"):
+        MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq=jet_dl_dv, dL_dq_vq=dl_dq_vq)
+    with pytest.raises(ValueError, match="dL_dq_vq and dL_jet share dL_dq: give one of them"):
+        MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_dq_vq=dl_dq_vq, dL_jet=jet_joint)
 
 
 @numerics.takes_rows
@@ -495,7 +498,7 @@ def test_whole_jet_joint_is_called_once_for_every_part():
 
 
 @pytest.mark.parametrize("also", ["dL_dq", "dL_dp", "d2L_dv_dv", "d2L_dv_dq", "d2L_dv_dp",
-                                  "dL_dqp", "dL_dq_vq"])
+                                  "dL_dq_vq"])
 def test_whole_jet_joint_refuses_its_parts_and_the_other_joints(also):
     with pytest.raises(ValueError, match="dL_jet"):
         MagneticSystem(n=2, k=1, lagrangian=jet_lagrangian, dL_jet=jet_joint,

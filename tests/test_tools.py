@@ -6,13 +6,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "compare_outputs.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+def load_tool(path: Path = TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -172,9 +173,7 @@ print(json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metr
 
 def test_ab_bench_alternates_the_trees_and_summarises_each_metric(tmp_path, monkeypatch,
                                                                   capsys):
-    spec = importlib.util.spec_from_file_location("ab_bench", AB_TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool(AB_TOOL)
     for name in ("parent", "change", "broken"):
         (tmp_path / name / "bench").mkdir(parents=True)
         (tmp_path / name / "bench" / "run.py").write_text(
@@ -206,3 +205,20 @@ def test_ab_bench_alternates_the_trees_and_summarises_each_metric(tmp_path, monk
     assert tool.main(["broken", "change", "--workload", "fd_supply", "--seed", "7",
                       "--pairs", "1", "--seconds", "2"]) == 2
     assert "no result" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--pairs", "0"), ("--pairs", "-3"),
+                                           ("--seconds", "0")])
+def test_ab_bench_refuses_fewer_than_one_pair_or_second(option, value, monkeypatch, capsys):
+    tool = load_tool(AB_TOOL)
+
+    def no_run(*args):
+        raise AssertionError("started a benchmark run")
+
+    monkeypatch.setattr(tool, "run", no_run)
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["A", "B", "--workload", "stage_verify", "--seed", "5", option, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least 1, got {value}" in captured.err

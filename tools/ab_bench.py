@@ -62,14 +62,22 @@ def summary(name: str, parent: list[float], change: list[float]) -> str:
             f"B better {wins}/{len(a)}  median {rel}")
 
 
+def positive(text: str) -> int:
+    """An integer of at least 1, as an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--pairs", type=positive, default=10)
+    parser.add_argument("--seconds", type=positive, default=25)
     args = parser.parse_args(argv)
     trees = {"A": args.parent, "B": args.change}
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s: "
