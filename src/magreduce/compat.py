@@ -16,7 +16,9 @@ Pulling the system back through psi produces a new magnetic Lagrangian
 system on P1 whose 2-form picks up the exterior derivative of
 <beta, connection>; `verify_symplectomorphism` checks numerically that psi
 intertwines the two symplectic structures, pushing tangents through psi's
-central-difference Jacobian, found once per sample state.
+tangent map once per sample state: with beta and pair the
+implicit-function-theorem one of `build_system` (and the report's
+`max_residual_passthrough`), otherwise its central-difference Jacobian.
 
 Flat state layouts used throughout:
     z1 = [q, qdot, qbar, pbar, p]      (a maglag state of the P1 system,
@@ -102,6 +104,22 @@ def _tmatvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return numerics.matvec(np.swapaxes(m, -1, -2), x)
 
 
+def _dbeta(beta: BetaMap, p1: np.ndarray) -> np.ndarray:
+    """dbeta/dp1, (vf, n1 + k1) per point, from one stencil of all points."""
+    return numerics.fd_jacobian(lambda pts: _betas(beta, pts), (p1,), rows=True)
+
+
+def _qbar_velocity_tangent(a: np.ndarray, c: np.ndarray, dbeta: np.ndarray,
+                           n1: int) -> np.ndarray:
+    """dw/d(qdot, zeta) of psi's qbar velocity w, at one point or at rows, by
+    the implicit function theorem on the momentum condition (`build_system`
+    gives A, C and zeta); a singular A_ww raises RegularityError."""
+    a_ww = a[..., n1:, n1:]
+    maglag.require_regular(a_ww, "f-regularity failure in psi: |det d2L2/dqbardot2|")
+    rhs = np.concatenate([-a[..., n1:, :n1], dbeta - c[..., n1:, :]], axis=-1)
+    return numerics.solve(a_ww, rhs)
+
+
 def solve_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
               z1: np.ndarray) -> np.ndarray:
     """The compatible map: all coordinates pass through except the qbar
@@ -145,9 +163,12 @@ def invert_psi(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
                z2: np.ndarray) -> np.ndarray:
     """Inverse of psi: recover the F-fibre coordinate p from the fibre
     momentum of a point on the smaller bundle (beta must be fibre-regular).
-    Stacked states z2 (N, dim) are inverted as solve_psi solves them; the
-    Jacobian in p is one fd_jacobian call over the stencil of the slot p."""
+    Stacked states z2 (N, dim) and a wrong width are met as solve_psi meets
+    them; the Jacobian in p is one fd_jacobian call over the slot p."""
     z2 = np.asarray(z2, dtype=float)
+    if z2.shape[-1:] != (2 * pair.n2 + pair.k2,):
+        raise ValueError(f"z2 must have width 2 n2 + k2 = {2 * pair.n2 + pair.k2}, "
+                         f"got shape {z2.shape}")
     q2, v2, pbar = pair.split2(z2)
     n1 = pair.n1
     q, qbar = q2[..., :n1], q2[..., n1:]
@@ -228,10 +249,6 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         vert = v2[..., n1:] + numerics.matvec(gam, v2[..., :n1])
         return q2, v2, pbar, p1, b, gam, vert
 
-    def dbeta_at(p1):
-        # (vf, n1+k1) per point: the stencil of all points in one call
-        return numerics.fd_jacobian(lambda pts: _betas(beta, pts), (p1,), rows=True)
-
     @numerics.takes_rows
     def lagrangian(q, v, pfib):
         q2, v2, pbar, _, b, _, vert = pieces(q, v, pfib)
@@ -251,7 +268,7 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
     @numerics.takes_rows
     def dl_jet(q, v, pfib):
         q2, v2, pbar, p1, b, gam, vert = pieces(q, v, pfib)
-        dbeta = dbeta_at(p1)
+        dbeta = _dbeta(beta, p1)
         dl_dq2, dl_dpbar, a, c_q2, c_pbar = l2.jet(q2, v2, pbar)
         if a is None:
             a = l2.hess_vv(q2, v2, pbar)
@@ -262,12 +279,8 @@ def build_system(l2: MagneticSystem, pair: TransformationPair, beta: BetaMap,
         if k2:
             grad[..., n2:dim2], c[..., n2:dim2] = dl_dpbar, c_pbar
         grad -= _tmatvec(dbeta, vert)
-        a_qq, a_qw, a_wq, a_ww = (a[..., :n1, :n1], a[..., :n1, n1:], a[..., n1:, :n1],
-                                  a[..., n1:, n1:])
-        maglag.require_regular(a_ww, "f-regularity failure in psi: |det d2L2/dqbardot2|")
-        # dw/d(qdot, zeta) from the momentum condition, by one solve
-        dw = numerics.solve(a_ww, np.concatenate([-a_wq, dbeta - c[..., n1:, :]], axis=-1))
-        blocks = np.concatenate([a_qq, c[..., :n1, :]], axis=-1) + a_qw @ dw
+        blocks = (np.concatenate([a[..., :n1, :n1], c[..., :n1, :]], axis=-1)
+                  + a[..., :n1, n1:] @ _qbar_velocity_tangent(a, c, dbeta, n1))
         if gamma is not None:
             # d(Gamma^T beta)/dzeta: Gamma differenced in (q, qbar) at fixed
             # beta, plus Gamma^T dbeta/dzeta
@@ -314,21 +327,24 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
 
     At each sample state of sys1 the local 2-form matrices are assembled
     from the derivative supplies.  Tangents are pushed through psi's
-    tangent map: its central-difference Jacobian at step
-    numerics.H_GRADIENT, found once per sample and applied to every
-    tangent of that sample.  Also records the energy pull-back residual
-    and, when beta and pair are both supplied, the fibre momentum-condition
-    residual; without them the report has no `max_residual_momentum`.
+    tangent map, found once per sample: with beta and pair, identity rows
+    for what psi passes through and `build_system`'s
+    implicit-function-theorem tangent of the qbar velocity (from
+    `sys2.velocity_blocks` at psi's output), otherwise psi's
+    central-difference Jacobian at step numerics.H_GRADIENT.  Also records
+    the energy pull-back residual and, with beta and pair only, holds psi
+    to the compatible map: `max_residual_momentum` (the fibre momentum
+    condition) and `max_residual_passthrough` (max |z2 - z1| over the
+    passed-through coordinates).
 
     The samples are rows of width 2 n + k of sys1.  A wrong width, a
     non-finite sample or only one of beta and pair raises ValueError
     before psi is called.  The tangents are drawn sample by sample, u then
-    w for each pair.  psi runs on the samples and on the stencil of all
-    samples (`numerics.fd_jacobian`), through `numerics.each_row`:
-    two calls when psi is marked with `numerics.takes_rows`, and
-    1 + 2 (2 n + k) calls per sample otherwise, whatever tangent_pairs is.
-    The form matrices, energies and momentum residuals of all samples are
-    evaluated over rows.
+    w for each pair.  psi runs through `numerics.each_row` on the samples,
+    and without beta on their stencil too (`numerics.fd_jacobian`): one
+    or two calls when psi is marked with `numerics.takes_rows`, one or
+    1 + 2 (2 n + k) per sample otherwise, whatever tangent_pairs is.  The
+    form matrices, energies and residuals are evaluated over rows.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
@@ -353,7 +369,24 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
         return np.asarray(numerics.each_row(psi, z), dtype=float)
 
     z2 = psi_rows(samples)
-    dpsi = numerics.fd_jacobian(psi_rows, (samples,), rows=True)
+    held = {}
+    if beta is None:
+        dpsi = numerics.fd_jacobian(psi_rows, (samples,), rows=True)
+    else:
+        n1, n2 = pair.n1, pair.n2
+        (q2, v2, pbar), p1 = pair.split2(z2), pair.p1_coords(samples)
+        a, c_q2, c_pbar = sys2.velocity_blocks(q2, v2, pbar)
+        c = np.concatenate([c_q2, c_pbar, np.zeros((count, n2, pair.vf))], axis=-1)
+        # every row of z2 but the qbar velocity's reads one coordinate of z1
+        through = np.r_[:n2 + n1, 2 * n2:dim1]
+        dpsi = np.zeros((count, dim1, dim1))
+        dpsi[:, through, pair.psi_index[through]] = 1.0
+        dpsi[:, n2 + n1:2 * n2, np.r_[n1:2 * n1, pair.p1_index]] = _qbar_velocity_tangent(
+            a, c, _dbeta(beta, p1), n1)
+        resid = sys2.grad_v(q2, v2, pbar)[:, n1:] - _betas(beta, p1)
+        held = {"max_residual_momentum": float(np.max(np.linalg.norm(resid, axis=-1))),
+                "max_residual_passthrough": float(np.max(np.abs(
+                    z2[:, through] - samples[:, pair.psi_index[through]])))}
     push = numerics.matvec(dpsi[:, None, None], tangents)
 
     def form_values(sys, z, t):
@@ -361,16 +394,11 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
         m = maglag.symplectic_form_matrix(sys, z[:, :n], z[:, n:2 * n], z[:, 2 * n:])
         return (t[:, :, 0, None, :] @ m[:, None] @ t[:, :, 1, :, None])[..., 0, 0]
 
-    report = {
+    return {
         "samples": count,
         "max_residual_form": float(np.max(np.abs(form_values(sys1, samples, tangents)
                                                  - form_values(sys2, z2, push)))),
         "max_residual_energy": float(np.max(np.abs(maglag.energies(sys1, samples)
                                                    - maglag.energies(sys2, z2)))),
+        **held,
     }
-    if beta is not None:
-        q2, v2, pbar = pair.split2(z2)
-        resid = (sys2.grad_v(q2, v2, pbar)[:, pair.n1:]
-                 - _betas(beta, pair.p1_coords(samples)))
-        report["max_residual_momentum"] = float(np.max(np.linalg.norm(resid, axis=-1)))
-    return report

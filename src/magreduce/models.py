@@ -266,7 +266,9 @@ def _angle(phi) -> float:
 
 def default_potential(c: float = 1.0):
     """The shape potential c (1 - cos phi) of the relative angle and its
-    gradient."""
+    gradient; a non-finite c raises ValueError."""
+    if not math.isfinite(c):
+        raise ValueError(f"potential strength c must be finite, got {c}")
     return (lambda phi: c * (1.0 - math.cos(_angle(phi))),
             lambda phi: np.array([c * math.sin(_angle(phi))]))
 

@@ -271,6 +271,15 @@ def test_symplectomorphism_negative_control(beanie_pair, rng):
     assert rep["max_residual_form"] > 1e-3
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_invert_psi_refuses_a_state_of_the_wrong_width(beanie_pair, width):
+    # not a numerics error from the fibre inversion of a misread state
+    eq = beanie_pair
+    for z2 in (np.ones(width), np.ones((3, width))):
+        with pytest.raises(ValueError, match=r"^z2 must have width 2 n2 \+ k2 = 4, got shape"):
+            compat.invert_psi(eq.r2_system, eq.pair, eq.beta, z2)
+
+
 def test_broken_step2_regularity_detected(beanie_pair):
     # a constant beta is not a fibre diffeomorphism: the inverse map fails
     beta_const = lambda p1: np.array([0.7])
@@ -795,3 +804,107 @@ def test_singular_qbar_velocity_hessian_names_f_regularity():
         sys1.velocity_blocks(z[:, :1], z[:, 1:2], z[:, 2:])
     with pytest.raises(RegularityError, match=r"^row 1: f-regularity failure in psi"):
         sys1.velocity_blocks(z[1:, :1], z[1:, 1:2], z[1:, 2:])
+
+
+# -- the tangent map of the compatible psi --------------------------------------
+
+
+def tangent_case(case, beanie_pair):
+    """(sys1, l2, pair, beta, marked psi, samples with p in [0.5, 1.5]): the
+    beanie pair (k2 = 0), or the magnetic l2 (k2 = 1) pulled back with a
+    connection."""
+    rng = np.random.default_rng(17)
+    if case == "beanie":
+        eq = beanie_pair
+        l2, pair, beta, sys1 = eq.r2_system, eq.pair, eq.beta, eq.p1_system
+        z = beanie_rows(rng, 12)
+    else:
+        l2, pair, beta = magnetic_l2(), compat.TransformationPair(n1=1, vf=1, k2=1), magnetic_beta
+        sys1 = compat.build_system(l2, pair, beta, state_connection)
+        z = rng.uniform(-1, 1, (12, 5))
+    z[:, -1] = rng.uniform(0.5, 1.5, len(z))
+    psi = numerics.takes_rows(lambda z1: compat.solve_psi(l2, pair, beta, z1))
+    return sys1, l2, pair, beta, psi, z
+
+
+def pushed_jacobians(monkeypatch, verify):
+    """The per-sample tangent maps that `verify()` pushes its tangents
+    through, and its report."""
+    seen = []
+    matvec = numerics.matvec
+
+    def spy(m, x):
+        if np.ndim(m) == 5:  # (samples, 1, 1, dim, dim)
+            seen.append(m[:, 0, 0])
+        return matvec(m, x)
+
+    monkeypatch.setattr(numerics, "matvec", spy)
+    report = verify()
+    assert len(seen) == 1
+    return seen[0], report
+
+
+@pytest.mark.parametrize("case", ["beanie", "magnetic"])
+def test_tangent_map_with_beta_is_psis_jacobian(case, beanie_pair, monkeypatch):
+    sys1, l2, pair, beta, psi, z = tangent_case(case, beanie_pair)
+    dpsi, rep = pushed_jacobians(monkeypatch, lambda: compat.verify_symplectomorphism(
+        sys1, l2, psi, z, np.random.default_rng(2), tangent_pairs=4, beta=beta, pair=pair))
+    assert np.max(np.abs(dpsi - numerics.fd_jacobian(psi, (z,), rows=True))) <= 1e-8
+    assert rep["max_residual_form"] <= 1e-9
+    assert rep["max_residual_energy"] <= 1e-9
+    assert rep["max_residual_momentum"] <= 1e-10
+    assert rep["max_residual_passthrough"] == 0.0
+
+
+@pytest.mark.parametrize("case", ["beanie", "magnetic"])
+def test_tangent_map_with_beta_calls_psi_only_at_the_samples(case, beanie_pair):
+    sys1, l2, pair, beta, psi, z = tangent_case(case, beanie_pair)
+    one_point, marked = [], []
+
+    def spy(z1):
+        one_point.append(z1.shape)
+        return psi(z1)
+
+    @numerics.takes_rows
+    def marked_spy(z1):
+        marked.append(z1.shape)
+        return psi(z1)
+
+    reports = [compat.verify_symplectomorphism(sys1, l2, fn, z, np.random.default_rng(8), 3,
+                                               beta=beta, pair=pair)
+               for fn in (spy, marked_spy)]
+    assert one_point == [z.shape[1:]] * len(z) and marked == [z.shape]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("case", ["beanie", "magnetic"])
+def test_tangent_map_with_beta_flags_a_psi_off_the_compatible_map(case, beanie_pair):
+    sys1, l2, pair, beta, psi, z = tangent_case(case, beanie_pair)
+    last = pair.n1 + pair.k1 - 1  # p in the base point (q, qbar, pbar, p)
+
+    def beta_bad(p1):
+        return beta(p1) + 0.3 * np.sin(p1[..., last:])
+
+    def psi_bad(z1):
+        return compat.solve_psi(l2, pair, beta_bad, z1)
+
+    def shifted(z1):
+        z2 = psi(z1)
+        z2[0] += 1e-3 * np.sin(z2[0])
+        return z2
+
+    def verify(fn, **kw):
+        return compat.verify_symplectomorphism(sys1, l2, fn, z, np.random.default_rng(4), 3,
+                                               **kw)
+
+    # psi_bad solves the momentum condition of another beta
+    assert verify(psi_bad, beta=beta, pair=pair)["max_residual_momentum"] > 0.1
+    # and with that beta its tangent map is exact, as the differenced one
+    # is, and the 2-forms disagree
+    assert verify(psi_bad, beta=beta_bad, pair=pair)["max_residual_form"] > 1e-3
+    assert verify(psi_bad)["max_residual_form"] > 1e-3
+    # q no longer passes through: the passthrough residual names it
+    rep = verify(shifted, beta=beta, pair=pair)
+    assert rep["max_residual_passthrough"] == pytest.approx(1e-3 * np.max(np.abs(np.sin(z[:, 0]))),
+                                                            rel=1e-6)
+    assert rep["max_residual_momentum"] <= 1e-3

@@ -206,6 +206,16 @@ def test_one_routine_holds_the_central_difference():
                    and node.name.startswith("fd_")}) == ["numerics"]
 
 
+def test_one_function_holds_the_tangent_of_psi():
+    # psi's qbar-velocity tangent, the one solve by A_ww in compat, is
+    # written once and serves both the pulled-back jet and the
+    # symplectomorphism check
+    source = (PACKAGE / "compat.py").read_text()
+    assert callers(source, "solve") == ["_qbar_velocity_tangent"]
+    assert sorted(callers(source, "_qbar_velocity_tangent")) == ["dl_jet",
+                                                                  "verify_symplectomorphism"]
+
+
 @pytest.mark.parametrize("name", ["linalg.solve", "linalg.inv"])
 def test_one_module_holds_the_small_solves(name):
     # numerics.solve / inverse: a 1x1 system by division, larger by LAPACK

@@ -45,6 +45,13 @@ def test_beanie_params_refuse_a_non_finite_value(field, bad):
         models.BeanieParams(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_default_potential_refuses_a_non_finite_strength(bad):
+    # it would otherwise read nan at every angle
+    with pytest.raises(ValueError, match=rf"^potential strength c must be finite, got {bad}$"):
+        models.default_potential(bad)
+
+
 def test_rotor_formula_reproduction_random_params(rng):
     # fibre derivative, inverse map, Routhian, and equations at random
     # parameter/state draws
