@@ -152,7 +152,7 @@ def _beanie_reduced(job: Job) -> dict:
 
 def _beanie_abelian(job: Job) -> dict:
     init = job.initial
-    sys_ = models.beanie_r2_system(job.params, complex(*job.level[1].coords))
+    sys_ = semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(job.params), job.level[1])
     traj = maglag.integrate(sys_, MagLagState(init[:2], init[2:4], np.zeros(0)),
                             job.t_end, job.stepper)
     traj.to_csv(job.csv)

@@ -330,12 +330,13 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
     tangent map, found once per sample: with beta and pair, identity rows
     for what psi passes through and `build_system`'s
     implicit-function-theorem tangent of the qbar velocity (from
-    `sys2.velocity_blocks` at psi's output), otherwise psi's
-    central-difference Jacobian at step numerics.H_GRADIENT.  Also records
-    the energy pull-back residual and, with beta and pair only, holds psi
-    to the compatible map: `max_residual_momentum` (the fibre momentum
-    condition) and `max_residual_passthrough` (max |z2 - z1| over the
-    passed-through coordinates).
+    `sys2.velocity_blocks` at psi's output, which sys2's form matrix
+    reuses), otherwise psi's central-difference Jacobian at step
+    numerics.H_GRADIENT.  Also records the energy pull-back residual and,
+    with beta and pair only, holds psi to the compatible map:
+    `max_residual_momentum` (the fibre momentum condition) and
+    `max_residual_passthrough` (max |z2 - z1| over the passed-through
+    coordinates).
 
     The samples are rows of width 2 n + k of sys1.  A wrong width, a
     non-finite sample or only one of beta and pair raises ValueError
@@ -369,13 +370,13 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
         return np.asarray(numerics.each_row(psi, z), dtype=float)
 
     z2 = psi_rows(samples)
-    held = {}
+    held, blocks = {}, None
     if beta is None:
         dpsi = numerics.fd_jacobian(psi_rows, (samples,), rows=True)
     else:
         n1, n2 = pair.n1, pair.n2
         (q2, v2, pbar), p1 = pair.split2(z2), pair.p1_coords(samples)
-        a, c_q2, c_pbar = sys2.velocity_blocks(q2, v2, pbar)
+        a, c_q2, c_pbar = blocks = sys2.velocity_blocks(q2, v2, pbar)
         c = np.concatenate([c_q2, c_pbar, np.zeros((count, n2, pair.vf))], axis=-1)
         # every row of z2 but the qbar velocity's reads one coordinate of z1
         through = np.r_[:n2 + n1, 2 * n2:dim1]
@@ -389,15 +390,16 @@ def verify_symplectomorphism(sys1: MagneticSystem, sys2: MagneticSystem,
                     z2[:, through] - samples[:, pair.psi_index[through]])))}
     push = numerics.matvec(dpsi[:, None, None], tangents)
 
-    def form_values(sys, z, t):
-        n = sys.n
-        m = maglag.symplectic_form_matrix(sys, z[:, :n], z[:, n:2 * n], z[:, 2 * n:])
+    def form_values(sys, z, t, blocks=None):
+        q, v, p = np.split(z, [sys.n, 2 * sys.n], axis=1)
+        m = (maglag.symplectic_form_matrix(sys, q, v, p) if blocks is None
+             else maglag.form_matrix_of_blocks(sys, q, p, blocks))
         return (t[:, :, 0, None, :] @ m[:, None] @ t[:, :, 1, :, None])[..., 0, 0]
 
     return {
         "samples": count,
         "max_residual_form": float(np.max(np.abs(form_values(sys1, samples, tangents)
-                                                 - form_values(sys2, z2, push)))),
+                                                 - form_values(sys2, z2, push, blocks)))),
         "max_residual_energy": float(np.max(np.abs(maglag.energies(sys1, samples)
                                                    - maglag.energies(sys2, z2)))),
         **held,

@@ -470,13 +470,11 @@ def make_semidirect(base: LieGroupSpec,
 
 @numerics.takes_rows
 def _rotmat(theta) -> np.ndarray:
-    """Rotation matrix of one angle, or one per angle of an array (N, 2, 2).
-    One angle takes `math`'s cos and sin, which give numpy's bits; an
-    infinite one gives NaN entries, as numpy does."""
+    """Rotation matrix of one angle, or one per angle of an array (N, 2, 2),
+    from `numerics.cos_sin`."""
+    c, s = numerics.cos_sin(theta)
     if getattr(theta, "ndim", 0) == 0:
-        c, s = (math.nan, math.nan) if math.isinf(theta) else (math.cos(theta), math.sin(theta))
         return np.array([[c, -s], [s, c]])
-    c, s = np.cos(theta), np.sin(theta)
     return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 

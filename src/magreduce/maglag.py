@@ -247,7 +247,8 @@ class MagneticSystem:
         def results(q, v, p):
             out = blocks(q, v, p) if rest else []
             if joint is not None and (at_rows or np.ndim(v) < 2):
-                out += [np.asarray(g, dtype=float) for g in joint(q, v, p)]
+                for g in joint(q, v, p):  # a plain loop: this sits on every right-hand side
+                    out.append(np.asarray(g, dtype=float))
             elif joint is not None:
                 out += [np.array(g, dtype=float) for g in zip(*map(joint, q, v, p))]
             out.append(None)
@@ -512,13 +513,19 @@ def symplectic_form_matrix(sys: MagneticSystem, q, v, p) -> np.ndarray:
     q = np.atleast_1d(np.asarray(q, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     p = np.asarray(p, dtype=float).reshape(v.shape[:-1] + (sys.k,))
+    return form_matrix_of_blocks(sys, q, p, sys.velocity_blocks(q, v, p))
+
+
+def form_matrix_of_blocks(sys: MagneticSystem, q, p, blocks: tuple) -> np.ndarray:
+    """`symplectic_form_matrix` at (q, p) from the `sys.velocity_blocks`
+    there, for a caller that holds them (`compat.verify_symplectomorphism`)."""
     n, k = sys.n, sys.k
     bqq, bqp, bpp = sys.bblocks(q, p)
     # w[i, j] = d2L / dv_i dq_j and g[i, a] = d2L / dv_i dp_a
-    hvv, w, g = sys.velocity_blocks(q, v, p)
+    hvv, w, g = blocks
     t = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
     dim = 2 * n + k
-    m = np.zeros(v.shape[:-1] + (dim, dim))
+    m = np.zeros(hvv.shape[:-2] + (dim, dim))
     m[..., :n, :n] = bqq + t(w) - w
     m[..., :n, n:2 * n] = -hvv
     m[..., n:2 * n, :n] = hvv

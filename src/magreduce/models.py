@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lie, numerics, routh, semidirect
 from .lie import CoVector
-from .maglag import MagneticSystem, Trajectory
+from .maglag import Trajectory
 from .numerics import StepperChoice
 
 GIMBAL_GUARD = 0.99
@@ -361,36 +361,3 @@ def beanie_energy(params: BeanieParams, state: np.ndarray) -> float:
     return (0.5 * params.m * (xd ** 2 + yd ** 2) + 0.5 * params.i1 * thetad ** 2
             + 0.5 * params.i2 * (thetad + phid) ** 2
             + numerics.each_row(params.potential, state[..., :1]))
-
-
-def beanie_r2_system(params: BeanieParams, a: complex) -> MagneticSystem:
-    """Translation-reduced system on (phi, theta): an ordinary Lagrangian
-    system (no fibre, no magnetic term), written from its closed form as an
-    independent cross-check of the generic builder."""
-    i1, i2, m = params.i1, params.i2, params.m
-    const = abs(a) ** 2 / (2.0 * m)
-    pot, dpot = params.potential, params.dpotential
-
-    # the Lagrangian and dL/dv take one point or stacked rows
-    @numerics.takes_rows
-    def lagrangian(q, v, p):
-        return (0.5 * i1 * v[..., 1] ** 2 + 0.5 * i2 * (v[..., 1] + v[..., 0]) ** 2
-                - numerics.each_row(pot, q[..., :1]) - const)
-
-    hvv = np.array([[i2, i2], [i2, i1 + i2]])
-    hvq = np.zeros((2, 2))
-
-    @numerics.takes_rows
-    def dl_dv(q, v, p):
-        return np.stack([i2 * (v[..., 1] + v[..., 0]),
-                         i1 * v[..., 1] + i2 * (v[..., 1] + v[..., 0])], -1)
-
-    return MagneticSystem(
-        n=2, k=0, lagrangian=lagrangian,
-        dL_dq=lambda q, v, p: np.array([-float(dpot(q[:1])[0]), 0.0]),
-        dL_dv=dl_dv,
-        d2L_dv_dv=lambda q, v, p: hvv,
-        d2L_dv_dq=lambda q, v, p: hvq,
-        constant_bform=True,
-        constant_hessian=True,
-        name="planar_pair_translation_reduced")

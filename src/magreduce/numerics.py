@@ -512,6 +512,14 @@ def rowdot(u: np.ndarray, w: np.ndarray):
     return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
+def cos_sin(theta):
+    """(cos, sin) of one angle as floats by `math`, which gives numpy's bits
+    (NaN for an infinite angle, as numpy), or of an array's angles by numpy."""
+    if getattr(theta, "ndim", 0) == 0:
+        return (math.nan, math.nan) if math.isinf(theta) else (math.cos(theta), math.sin(theta))
+    return np.cos(theta), np.sin(theta)
+
+
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b for one square matrix a and b of matching length, or for
     stacked matrices a (N, m, m) and b (N, m, r).  A 1x1 system is one

@@ -250,9 +250,9 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
         raise ValueError("metric blocks A and C must be symmetric")
     v = potential or numerics.takes_rows(lambda x: np.zeros(np.shape(x)[:-1]))
     dv = dpotential or (potential and (lambda x: numerics.fd_jacobian(v, (x,), rows=False)))
-    # the one wrap of x in the potential's chain; without a potential dell/dx
-    # is an exact zero, at one point or at rows
-    dell_dx = ((lambda x, xd, xi: -dv(np.atleast_1d(x))) if dv
+    # the one wrap of x in the potential's chain, of a scalar x only; without
+    # a potential dell/dx is an exact zero, at one point or at rows
+    dell_dx = ((lambda x, xd, xi: -dv(x if getattr(x, "ndim", 0) else np.atleast_1d(x))) if dv
                else numerics.takes_rows(lambda x, xd, xi: np.zeros(np.shape(x))))
     rowdot = numerics.rowdot
     a_t, b_t, c_t = a.T, b.T, c.T

@@ -16,8 +16,9 @@ combined algebra, so a SemiDirectLagrangian is a thin wrapper around an
 InvariantLagrangian over the semi-direct spec.  Its Routhian, right-hand
 side and joint (chi, tau) inversion, restated one point at a time as
 reference implementations, are in tests/oracles.py.  The V-reduced system of a
-constant metric is closed-form Schur-complement algebra, its one-point
-callables those products alone (`maglag`'s k = 0 path does the rest).
+constant metric (the CLI's `reduce-abelian`) is closed-form Schur-complement
+algebra with trigonometric coefficients in theta fixed at construction
+(`_QuadraticSplit`); `maglag`'s k = 0 path does the rest.
 
 The orbit 1-form and 2-form are evaluated by one kernel batched over orbit
 points (rows) and tangents: `theta_form`, `orbit_tangent_generator` and
@@ -146,8 +147,12 @@ def routhian_abelian(sd: SemiDirectLagrangian, x, xdot, g: GroupElement,
 
 
 class _QuadraticSplit:
-    """Blocks of a constant kinetic metric over (xdot | xi | u) and the
-    Schur complement that the V-reduction induces on (xdot | xi)."""
+    """Blocks of a constant kinetic metric over (xdot | xi | u), their Schur
+    complement on (xdot | xi), and coefficients of the terms in b(theta) =
+    rho(exp theta)^T a = cos(theta) a + sin(theta) G^T a (G @ G = -I): with C =
+    M_yu M_uu^-1 and S = M_uu^-1, C b = cos(theta) C a + sin(theta) C G^T a and
+    b^T S b / 2 = c0 + c1 cos(2 theta) + c2 sin(2 theta), c1 = a^T (S - G S G^T)
+    a / 4, c2 = a^T sym(S G^T) a / 2 (zero for an isotropic S, antisymmetric G)."""
 
     def __init__(self, sd: SemiDirectLagrangian, a: CoVector):
         if sd.d0 != 1 or not sd.gv.base.abelian:
@@ -161,20 +166,26 @@ class _QuadraticSplit:
             raise ValueError(
                 "closed-form stage reduction requires a mechanical Lagrangian "
                 "with constant_group_metric")
+        self._generator = g = sd.gv.rep_inf(np.ones(1))
+        if not np.allclose(g @ g, -np.eye(sd.vdim), rtol=0.0, atol=1e-12):
+            raise ValueError("the V-reduced closed form needs a base generator G with "
+                             f"G @ G = -I, got G = {g.tolist()}")
         d0 = sd.d0
         zero = np.zeros(sd.sdim), np.zeros(sd.sdim), np.zeros(sd.gv.dim)
         am, bm, cm = (lag.jac_xdot_xdot(*zero), lag.jac_xi_xdot(*zero).T,
                       lag.jac_xi_xi(*zero))
-        self.m_yy = np.block([[am, bm[:, :d0]],
-                              [bm[:, :d0].T, cm[:d0, :d0]]])
-        self.m_yu = np.vstack([bm[:, d0:], cm[:d0, d0:]])
-        self.m_uu = cm[d0:, d0:]
-        self.m_uu_inv = numerics.inverse(self.m_uu)
-        self.schur = self.m_yy - self.m_yu @ self.m_uu_inv @ self.m_yu.T
-        self._a_coords = np.array(a.coords)
+        m_yy = np.block([[am, bm[:, :d0]], [bm[:, :d0].T, cm[:d0, :d0]]])
+        m_yu = np.vstack([bm[:, d0:], cm[:d0, d0:]])
+        self.m_uu_inv = s = numerics.inverse(cm[d0:, d0:])
+        self.schur = m_yy - m_yu @ s @ m_yu.T
+        self.coupling = m_yu @ s
+        self._a_coords = a_coords = np.array(a.coords)
+        self.coupling_a = self.coupling @ a_coords, self.coupling @ (g.T @ a_coords)
+        sg = s @ g.T
+        self.quad = (float(0.25 * (a_coords @ (s - g @ sg) @ a_coords)),
+                     float(0.25 * (a_coords @ (sg + sg.T) @ a_coords)))
         self._exp, self._rep = sd.gv.base.exp_fn, sd.gv.rep
         self._rows = numerics.rows_ok(self._exp, self._rep)
-        self._generator = sd.gv.rep_inf(np.ones(1))
 
     def b_of_theta(self, theta) -> np.ndarray:
         """b = rho(exp(theta))^T a at one angle, or one row per angle of an
@@ -198,27 +209,35 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     """The V-reduced system as a magnetic Lagrangian system on S x G with
     zero magnetic form, in the exponential chart theta of the base group.
 
-    Requires a one-dimensional abelian base and a constant kinetic metric;
-    all derivatives are closed-form (Schur-complement algebra), take one
-    point or stacked rows, and the velocity Hessian (the Schur complement)
-    is declared constant.  dL/dq and d2L/dv dq come from one callable
-    (`dL_dq_vq`), so a right-hand side point builds b(theta) once."""
+    Requires a one-dimensional abelian base whose generator G has G @ G =
+    -I and a constant kinetic metric; all derivatives are closed-form,
+    take one point or stacked rows, and the velocity Hessian (the Schur
+    complement) is declared constant.  dL/dq and d2L/dv dq come from one
+    callable (`dL_dq_vq`)."""
     return _v_reduced(_QuadraticSplit(sd, a))
 
 
 def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
-    """`abelian_reduced_system` over its split.  At one point dL_dv and
-    dL_dq_vq skip the row helpers, with the bits of their row code."""
+    """`abelian_reduced_system` over its split.  dL_dv and dL_dq_vq read
+    theta through `numerics.cos_sin` once, a point with the bits of its row.
+    When no coefficient reads theta (C b = 0, c1 = c2 = 0: the planar pair)
+    they skip it, and d2L/dv dq is one shared read-only zero.  The
+    Lagrangian reads b from `b_of_theta`."""
     sd = q.sd
     s = sd.sdim
     n = s + 1
-    pot = sd.inner.potential or (lambda x: 0.0)
-    grad_x, gdim = sd.inner.grad_x, sd.gv.dim
-    rowdot, matvec = numerics.rowdot, numerics.matvec
-    schur, schur_t, m_uu_inv_t = q.schur, q.schur.T, q.m_uu_inv.T
-    coupling, generator_t = q.m_yu @ q.m_uu_inv, q._generator.T
+    lag = sd.inner
+    pot = lag.potential or (lambda x: 0.0)
+    dell_dx, grad_x, gdim = lag.dell_dx or lag.grad_x, lag.grad_x, sd.gv.dim
+    rowdot, matvec, outer = numerics.rowdot, numerics.matvec, np.multiply.outer
+    schur, schur_t, m_uu_inv_t, coupling = q.schur, q.schur.T, q.m_uu_inv.T, q.coupling
+    ca, cga = q.coupling_a
+    c1, c2 = q.quad
+    reads_theta = bool(np.any(ca) or np.any(cga) or c1 or c2)
     # dell/dx of a mechanical ell does not read the velocities
     zero_rates = np.zeros(s), np.zeros(gdim)
+    zero_vq = np.zeros((n, n))
+    zero_vq.flags.writeable = False
 
     # every callable takes one point or stacked rows; the potential is
     # called once per row unless it takes rows
@@ -230,32 +249,28 @@ def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
 
     @numerics.takes_rows
     def dl_dv(q2, v2, p):
-        if v2.ndim == 1:
-            return schur @ v2 + coupling @ q.b_of_theta(q2[s])
-        return matvec(schur, v2) + matvec(coupling, q.b_of_theta(q2[..., s]))
+        if not reads_theta:
+            return matvec(schur, v2)
+        c, sn = numerics.cos_sin(q2[..., s])
+        return matvec(schur, v2) + outer(c, ca) + outer(sn, cga)
 
     @numerics.takes_rows
     def dl_dq_vq(q2, v2, p):
-        # dL/dq and d2L/dv dq share b(theta), db/dtheta and its coupling
-        if v2.ndim == 1:
-            b = q.b_of_theta(q2[s])
-            bp = generator_t @ b
-            coupled = coupling @ bp
-            dl_dq = np.empty(n)
-            dl_dq[:s] = grad_x(q2[:s], *zero_rates)
-            dl_dq[s] = v2 @ coupled - (m_uu_inv_t @ b) @ bp
-            d2l_dv_dq = np.zeros((n, n))
-            d2l_dv_dq[:, s] = coupled
-            return dl_dq, d2l_dv_dq
-        b = q.b_of_theta(q2[..., s])
-        bp = q.db_dtheta(b)
-        dl_dq = np.empty(np.shape(v2))
-        x = q2[..., :s]
-        dl_dq[..., :s] = grad_x(x, np.zeros_like(x), np.zeros(x.shape[:-1] + (gdim,)))
-        coupled = matvec(coupling, bp)
-        dl_dq[..., s] = rowdot(v2, coupled) - rowdot(matvec(m_uu_inv_t, b), bp)
-        d2l_dv_dq = np.zeros(np.shape(v2) + (n,))
-        d2l_dv_dq[..., :, s] = coupled
+        one, dl_dq = v2.ndim == 1, np.zeros(v2.shape)
+        if one:
+            dl_dq[:s] = dell_dx(q2[:s], *zero_rates)
+        else:
+            x = q2[..., :s]
+            dl_dq[..., :s] = grad_x(x, np.zeros_like(x), np.zeros(x.shape[:-1] + (gdim,)))
+        if not reads_theta:
+            return dl_dq, zero_vq if one else np.broadcast_to(zero_vq, v2.shape + (n,))
+        c, sn = numerics.cos_sin(q2[..., s])
+        coupled_dtheta = outer(c, cga) - outer(sn, ca)
+        # v . C db/dtheta - d(b^T S b / 2)/dtheta
+        dl_dq[..., s] = (rowdot(v2, coupled_dtheta)
+                         + 2.0 * (c1 * (2.0 * c * sn) - c2 * (c * c - sn * sn)))
+        d2l_dv_dq = np.zeros(v2.shape + (n,))
+        d2l_dv_dq[..., :, s] = coupled_dtheta
         return dl_dq, d2l_dv_dq
 
     return MagneticSystem(

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from magreduce import lie, models, routh
+from magreduce import lie, models, numerics, routh
 from magreduce.lie import AlgebraVector, CoVector, GroupElement, LieGroupSpec
 from magreduce.maglag import MagneticSystem
 from magreduce.numerics import RegularityError
@@ -67,6 +67,72 @@ def beanie_chart_system(params: models.BeanieParams, mu: float, a: complex) -> M
         d2L_dv_dp=lambda q, v, p: hvp,
         constant_bform=True,
         name="planar_pair_orbit_chart")
+
+
+def beanie_r2_system(params: models.BeanieParams, a: complex) -> MagneticSystem:
+    """Translation-reduced planar pair on (phi, theta): an ordinary
+    Lagrangian system (no fibre, no magnetic term), written from its closed
+    form as an independent cross-check of
+    `semidirect.abelian_reduced_system`, which the CLI's `reduce-abelian`
+    mode runs."""
+    i1, i2, m = params.i1, params.i2, params.m
+    const = abs(a) ** 2 / (2.0 * m)
+    pot, dpot = params.potential, params.dpotential
+
+    # the Lagrangian and dL/dv take one point or stacked rows
+    @numerics.takes_rows
+    def lagrangian(q, v, p):
+        return (0.5 * i1 * v[..., 1] ** 2 + 0.5 * i2 * (v[..., 1] + v[..., 0]) ** 2
+                - numerics.each_row(pot, q[..., :1]) - const)
+
+    hvv = np.array([[i2, i2], [i2, i1 + i2]])
+    hvq = np.zeros((2, 2))
+
+    @numerics.takes_rows
+    def dl_dv(q, v, p):
+        return np.stack([i2 * (v[..., 1] + v[..., 0]),
+                         i1 * v[..., 1] + i2 * (v[..., 1] + v[..., 0])], -1)
+
+    return MagneticSystem(
+        n=2, k=0, lagrangian=lagrangian,
+        dL_dq=lambda q, v, p: np.array([-float(dpot(q[:1])[0]), 0.0]),
+        dL_dv=dl_dv,
+        d2L_dv_dv=lambda q, v, p: hvv,
+        d2L_dv_dq=lambda q, v, p: hvq,
+        constant_bform=True,
+        constant_hessian=True,
+        name="planar_pair_translation_reduced")
+
+
+def v_reduced_closed_form(sd: SemiDirectLagrangian, a: CoVector, q2, v2
+                          ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(L, dL/dv, dL/dq, d2L/dv dq) of the V-reduced system at one point
+    (x, theta), (xdot, thetadot), from the Schur complement of the metric
+    blocks that ell's Hessians give at the origin, with b = rho(exp
+    theta)^T a through the spec's `rep` and `exp_fn` and db/dtheta = G^T b:
+
+        L = y^T Schur y / 2 + y^T C b - b^T M_uu^-1 b / 2 - V(x),
+
+    y = (xdot, thetadot) and C = M_yu M_uu^-1."""
+    gv, lag, s = sd.gv, sd.inner, sd.sdim
+    n = s + 1
+    zero = np.zeros(s), np.zeros(s), np.zeros(gv.dim)
+    metric = np.block([[lag.jac_xdot_xdot(*zero), lag.jac_xi_xdot(*zero).T],
+                       [lag.jac_xi_xdot(*zero), lag.jac_xi_xi(*zero)]])
+    m_yy, m_yu, m_uu = metric[:n, :n], metric[:n, n:], metric[n:, n:]
+    m_uu_inv = np.linalg.inv(m_uu)
+    schur = m_yy - m_yu @ m_uu_inv @ m_yu.T
+    coupling = m_yu @ m_uu_inv
+    q2, v2 = np.asarray(q2, dtype=float), np.asarray(v2, dtype=float)
+    x = q2[:s]
+    b = gv.rep(gv.base.exp_fn(q2[s:])).T @ a.coords
+    db = gv.rep_inf(np.ones(1)).T @ b
+    lagrangian = (0.5 * v2 @ schur @ v2 + v2 @ coupling @ b - 0.5 * b @ m_uu_inv @ b
+                  - (lag.potential(x) if lag.potential else 0.0))
+    dl_dq = np.append(lag.dell_dx(x, *zero[1:]), v2 @ coupling @ db - b @ m_uu_inv @ db)
+    d2l_dv_dq = np.zeros((n, n))
+    d2l_dv_dq[:, s] = coupling @ db
+    return float(lagrangian), schur @ v2 + coupling @ b, dl_dq, d2l_dv_dq
 
 
 def rotor_chart_lagrangian(params: models.RotorParams) -> Callable:

@@ -2,8 +2,11 @@
 import json
 
 import numpy as np
+import pytest
 
-from magreduce import cli
+from magreduce import cli, maglag, models
+from magreduce.numerics import StepperChoice
+from oracles import beanie_r2_system
 
 
 def write_config(tmp_path, name, **cfg):
@@ -122,3 +125,18 @@ def test_non_finite_trajectory_exits_1(tmp_path, capsys):
         code = cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert code == 1
     assert "non-finite state at t =" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.5], [0.3, -1.2], [-0.8, 0.6]])
+def test_reduce_abelian_is_the_hand_written_system(tmp_path, a):
+    # the mode runs semidirect.abelian_reduced_system; the hand-written
+    # closed form of the same system gives the same rk4 trajectory
+    cfg = write_config(tmp_path, "abelian.json", model="beanie", mode="reduce-abelian",
+                       t_end=5.0, momentum={"a": a}, stepper={"kind": "rk4", "h": 1e-3})
+    assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    csv = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",", skiprows=1)
+    hand = maglag.integrate(beanie_r2_system(models.BeanieParams(), complex(*a)),
+                            maglag.MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0)), 5.0,
+                            StepperChoice(kind="rk4", h=1e-3))
+    assert np.array_equal(csv[:, 0], hand.times)
+    assert np.max(np.abs(csv[:, 1:] - hand.states)) <= 1e-13

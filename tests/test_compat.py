@@ -252,6 +252,32 @@ def test_symplectomorphism_beanie_pair(beanie_pair, rng):
     assert rep["max_residual_momentum"] <= 1e-10
 
 
+def test_symplectomorphism_evaluates_the_velocity_blocks_once(beanie_pair):
+    # the tangent map and sys2's form matrix share one velocity_blocks call
+    eq = beanie_pair
+    samples = beanie_rows(np.random.default_rng(4), 6)
+
+    def check(sys2):
+        return compat.verify_symplectomorphism(eq.p1_system, sys2, eq.psi, samples,
+                                               np.random.default_rng(9), tangent_pairs=3,
+                                               beta=eq.beta, pair=eq.pair)
+
+    plain = dataclasses.replace(eq.r2_system)
+    spied = dataclasses.replace(eq.r2_system)
+    calls = []
+    blocks = spied.velocity_blocks
+    spied.__dict__["velocity_blocks"] = lambda *args: calls.append(1) or blocks(*args)
+    report = check(spied)
+    assert calls == [1]
+    assert report == check(plain)
+    # the shared blocks give the bits of sys2's public form matrix
+    z2 = eq.psi(samples)
+    q2, v2, pbar = z2[:, :2], z2[:, 2:4], z2[:, 4:]
+    assert np.array_equal(maglag.symplectic_form_matrix(plain, q2, v2, pbar),
+                          maglag.form_matrix_of_blocks(plain, q2, pbar,
+                                                       plain.velocity_blocks(q2, v2, pbar)))
+
+
 def test_symplectomorphism_negative_control(beanie_pair, rng):
     # a perturbed beta yields a map that no longer intertwines the built
     # pair of symplectic structures; the verifier must flag it

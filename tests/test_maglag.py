@@ -7,7 +7,7 @@ from magreduce import maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
 from magreduce.numerics import StepperChoice
-from oracles import beanie_chart_system, reduced_energy
+from oracles import beanie_chart_system, beanie_r2_system, reduced_energy
 
 
 def free_particle(n=2):
@@ -347,7 +347,7 @@ def k0_systems():
     params = models.BeanieParams(m=0.74, i1=1.77, i2=0.91)
     return [semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(params),
                                               CoVector([-0.55, 0.3])),
-            models.beanie_r2_system(params, -0.55 + 0.3j)]
+            beanie_r2_system(params, -0.55 + 0.3j)]
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["v_reduced", "beanie_r2"])

@@ -12,7 +12,7 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem, RegularityError
 from magreduce.numerics import NewtonConvergenceError, StepperChoice
-from oracles import reduced_energy
+from oracles import beanie_r2_system, reduced_energy
 
 RK4 = StepperChoice(kind="rk4", h=1e-2)
 ROW_TOL = 1e-14
@@ -143,7 +143,7 @@ def test_lie_step_row_exponentials_match_one_point_calls(spec):
 
 
 def test_maglag_row_energy_matches_per_point(beanie_params):
-    sys = models.beanie_r2_system(beanie_params, 1.0 + 0.5j)
+    sys = beanie_r2_system(beanie_params, 1.0 + 0.5j)
     assert numerics.rows_ok(sys.lagrangian, sys.dL_dv)
     traj = maglag.integrate(sys, MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0)), 3.0, RK4)
     e0 = maglag.energy(sys, maglag.unpack(sys, traj.states[0]))

@@ -1,6 +1,8 @@
 """Reduction by stages: the two-slot momentum inversions, the full-group
 reduced flow, the orbit 1-form, and the equivalence of the two reductions."""
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
 from magreduce.maglag import RegularityError
 from magreduce.numerics import StepperChoice
-from oracles import beanie_chart_system, reduced_field_full, routhian_full, solve_chi12
+from oracles import (beanie_chart_system, reduced_field_full, routhian_full, solve_chi12,
+                     v_reduced_closed_form)
 
 
 @pytest.fixture(scope="module")
@@ -313,28 +316,35 @@ def test_abelian_reduced_energy_conserved(sd):
     assert traj.report.entries["energy_drift"] <= 1e-8
 
 
-def test_v_reduced_right_hand_side_builds_b_once(sd, monkeypatch):
-    # dL/dq and d2L/dv dq come from one joint callable that shares b(theta)
-    r2 = semidirect.abelian_reduced_system(sd, CoVector([1.0, 0.5]))
+def test_v_reduced_right_hand_side_builds_no_b(beanie_params, monkeypatch):
+    # b(theta) enters through coefficients fixed at construction: a point of
+    # the right-hand side calls neither b_of_theta nor the spec's exp_fn or rep
     calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    se2 = lie.se2()
+    base = dataclasses.replace(se2.base, exp_fn=spy("base exp_fn", se2.base.exp_fn))
+    gv = lie.make_semidirect(base, rep=spy("rep", se2.rep), rep_inf=se2.rep_inf, vdim=2,
+                             exp_fn=spy("exp_fn", se2.exp_fn))
+    params = beanie_params
+    sd = semidirect.mechanical_semidirect_lagrangian(
+        1, gv, [[params.i2]], [[params.i2, 0.0, 0.0]], np.diag([params.i1 + params.i2,
+                                                                 params.m, params.m]),
+        params.potential, params.dpotential)
+    r2 = semidirect.abelian_reduced_system(sd, CoVector([1.0, 0.5]))
     b_of_theta = semidirect._QuadraticSplit.b_of_theta
-
-    def spy(self, theta):
-        calls.append(np.shape(theta))
-        return b_of_theta(self, theta)
-
-    monkeypatch.setattr(semidirect._QuadraticSplit, "b_of_theta", spy)
-    seen = []
-    integrate_ode = numerics.integrate_ode
-    monkeypatch.setattr(numerics, "integrate_ode",
-                        lambda f, *args: integrate_ode(seen.append(f) or f, *args))
-    maglag.integrate(r2, maglag.MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0)), 0.02,
-                     StepperChoice(h=0.01))
-    field, = seen
+    monkeypatch.setattr(semidirect._QuadraticSplit, "b_of_theta",
+                        lambda self, theta: spy("b_of_theta", b_of_theta)(self, theta))
+    field = maglag._field_factory(r2, maglag.MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0)))
     for y in ([0.4, 0.2, 0.3, 0.1], [-1.1, 2.5, 0.7, -0.4]):
         calls.clear()
         field(0.0, np.array(y))
-        assert calls == [()]
+        assert calls == []
 
 
 def test_stage_equivalence_rejects_zero_momentum(sd):
@@ -367,6 +377,75 @@ def test_abelian_reduced_system_requires_structure():
     sd_bad = semidirect.SemiDirectLagrangian(inner)
     with pytest.raises(ValueError):
         semidirect.abelian_reduced_system(sd_bad, CoVector([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("base, rep, rep_inf", [
+    # the line acting on the plane by scaling, G = I (the circle cannot:
+    # exp(theta) I is not periodic)
+    (lie.translations(1), lambda t: math.exp(float(np.ravel(t)[0])) * np.eye(2),
+     lambda xi: float(xi[0]) * np.eye(2)),
+    # the circle acting by rotation through twice its angle, G @ G = -4 I
+    (lie.circle(), lambda t: lie.se2().rep(2.0 * float(np.ravel(t)[0])),
+     lambda xi: 2.0 * lie.se2().rep_inf(xi)),
+], ids=["line_by_scaling", "circle_twice"])
+def test_v_reduction_refuses_a_generator_whose_square_is_not_minus_one(base, rep, rep_inf):
+    gv = lie.make_semidirect(base, rep=rep, rep_inf=rep_inf, vdim=2)
+    sd_bad = semidirect.mechanical_semidirect_lagrangian(
+        1, gv, [[1.0]], [[1.0, 0.0, 0.0]], np.diag([3.0, 1.0, 1.0]))
+    g = re.escape(str(rep_inf(np.ones(1)).tolist()))
+    with pytest.raises(ValueError, match=rf"G @ G = -I, got G = {g}"):
+        semidirect.abelian_reduced_system(sd_bad, CoVector([1.0, 0.5]))
+
+
+def offset_mass_lagrangian(params, r=(0.3, 0.2)):
+    """The planar pair with the second body's mass offset by r from the
+    rotation axis: the V-reduced Lagrangian then depends on theta."""
+    i, m, (r1, r2) = params.i1 + params.i2, params.m, r
+    c_block = [[i + m * (r1 ** 2 + r2 ** 2), -m * r2, m * r1], [-m * r2, m, 0.0],
+               [m * r1, 0.0, m]]
+    return semidirect.mechanical_semidirect_lagrangian(
+        1, lie.se2(), [[params.i2]], [[params.i2, 0.0, 0.0]], c_block,
+        params.potential, params.dpotential)
+
+
+def anisotropic_lagrangian(params, m2=1.7):
+    return semidirect.mechanical_semidirect_lagrangian(
+        1, lie.se2(), [[params.i2]], [[params.i2, 0.0, 0.0]],
+        np.diag([params.i1 + params.i2, params.m, m2]), params.potential, params.dpotential)
+
+
+@pytest.mark.parametrize("build", [offset_mass_lagrangian, anisotropic_lagrangian],
+                         ids=["offset_mass", "anisotropic"])
+def test_v_reduced_terms_match_the_closed_form_oracle(build, beanie_params):
+    sd, a = build(beanie_params), CoVector([0.7, -1.1])
+    sys = semidirect.abelian_reduced_system(sd, a)
+    rng = np.random.default_rng(12)
+    q = np.column_stack([rng.uniform(-2.0, 2.0, 200), rng.uniform(-20.0, 20.0, 200)])
+    v = rng.uniform(-2.0, 2.0, (200, 2))
+    p, p0 = np.zeros((200, 0)), np.zeros(0)
+    rows = (sys.lagrangian(q, v, p), sys.dL_dv(q, v, p), *sys.dL_dq_vq(q, v, p))
+    moving = []
+    for i in range(200):
+        expected = v_reduced_closed_form(sd, a, q[i], v[i])
+        point = (sys.lagrangian(q[i], v[i], p0), sys.dL_dv(q[i], v[i], p0),
+                 *sys.dL_dq_vq(q[i], v[i], p0))
+        for got, row, want in zip(point, rows, expected):
+            assert np.array_equal(got, row[i])  # one formula: a point is its row
+            assert np.max(np.abs(row[i] - want)) <= 1e-12
+        moving.append(abs(expected[2][1]))
+    assert max(moving) > 0.1  # dL/dtheta does not vanish on these metrics
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.5], [0.3, -1.2], [-0.8, 0.6]])
+def test_v_reduced_beanie_theta_terms_are_exact_zeros(sd, a):
+    sys = semidirect.abelian_reduced_system(sd, CoVector(a))
+    rng = np.random.default_rng(13)
+    q, v = rng.uniform(-20.0, 20.0, (50, 2)), rng.uniform(-2.0, 2.0, (50, 2))
+    dl_dq, d2l_dv_dq = sys.dL_dq_vq(q, v, np.zeros((50, 0)))
+    assert np.all(dl_dq[:, 1] == 0.0) and np.all(d2l_dv_dq == 0.0)
+    for qi, vi in zip(q, v):
+        dl_dq, d2l_dv_dq = sys.dL_dq_vq(qi, vi, np.zeros(0))
+        assert dl_dq[1] == 0.0 and np.all(d2l_dv_dq[:, 1] == 0.0)
 
 
 def test_v_regularity_error():

@@ -13,7 +13,7 @@ from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import CoVector
 from magreduce.maglag import MagLagState, MagneticSystem
 from magreduce.numerics import StepperChoice
-from oracles import beanie_chart_system
+from oracles import beanie_chart_system, beanie_r2_system
 
 A = np.array([[1.7]])
 B = np.array([[0.3, -0.2, 0.5]])
@@ -306,7 +306,7 @@ def test_reduced_factory_field_is_public_field_bit_for_bit(name, monkeypatch):
 
 
 @pytest.mark.parametrize("sys, s0", [
-    (models.beanie_r2_system(models.BeanieParams(), 1.0 + 0.5j),
+    (beanie_r2_system(models.BeanieParams(), 1.0 + 0.5j),
      MagLagState([0.4, 0.0], [0.3, 0.1], np.zeros(0))),
     (semidirect.abelian_reduced_system(models.beanie_gv_lagrangian(models.BeanieParams()),
                                        CoVector([1.0, 0.5])),
