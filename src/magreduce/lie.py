@@ -111,14 +111,14 @@ class LieGroupSpec:
 
     `structure[a, b, c]` holds the a-th coordinate of [e_b, e_c]; it is
     tabulated from the bracket at construction so that coadjoint arithmetic
-    is a single contraction.  `casimirs` are named functions of one
-    covector; one marked with `numerics.takes_rows` also takes stacked
-    covectors (N, dim).  Semi-direct products additionally carry the base
-    spec and the representation rho / its differential rho'.  A marked
-    `exp_fn` also takes stacked algebra elements, and a marked `rep` the
-    stacked payloads such an `exp_fn` returns (the exponentials of the
-    circle and of SO(3), and the plane rotation of `se2`, are marked).
-    """
+    is a single contraction; it is zero exactly for an abelian algebra.
+    `casimirs` are named functions of one covector; one marked with
+    `numerics.takes_rows` also takes stacked covectors (N, dim).
+    Semi-direct products additionally carry the base spec and the
+    representation rho / its differential rho'.  A marked `exp_fn` also
+    takes stacked algebra elements, and a marked `rep` the stacked payloads
+    such an `exp_fn` returns (the exponentials of the circle and of SO(3),
+    and the plane rotation of `se2`, are marked)."""
     name: str
     dim: int
     bracket_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -132,7 +132,6 @@ class LieGroupSpec:
     project_fn: Callable[[Any], Any] | None = None
     structure: np.ndarray | None = None
     casimirs: tuple[tuple[str, Callable[[np.ndarray], float]], ...] = ()
-    abelian: bool = False
     # semi-direct product data
     base: "LieGroupSpec | None" = None
     vdim: int = 0
@@ -312,7 +311,6 @@ def circle() -> LieGroupSpec:
         identity_payload=0.0,
         check_fn=check,
         sample_fn=lambda rng: float(rng.uniform(0.0, 2.0 * np.pi)),
-        abelian=True,
     )
 
 
@@ -360,7 +358,6 @@ def translations(n: int) -> LieGroupSpec:
         identity_payload=np.zeros(n),
         check_fn=check,
         sample_fn=lambda rng: rng.normal(size=n),
-        abelian=True,
     )
 
 

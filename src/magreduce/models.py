@@ -303,13 +303,13 @@ class BeanieParams:
 def beanie_gv_lagrangian(params: BeanieParams) -> semidirect.SemiDirectLagrangian:
     """Reduced-form Lagrangian over the planar Euclidean group."""
     i1, i2, m = params.i1, params.i2, params.m
-    return semidirect.mechanical_semidirect_lagrangian(
-        sdim=1, gv=lie.se2(),
+    return semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
+        sdim=1, group=lie.se2(),
         a_block=[[i2]],
         b_block=[[i2, 0.0, 0.0]],
         c_block=np.diag([i1 + i2, m, m]),
         potential=params.potential,
-        dpotential=params.dpotential)
+        dpotential=params.dpotential))
 
 
 def beanie_full_field(params: BeanieParams, state: np.ndarray) -> np.ndarray:

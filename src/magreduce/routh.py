@@ -58,8 +58,8 @@ class InvariantLagrangian:
     is the (xdot, xi) block, which is not supplied separately.  Missing
     callables are supplied by the fallback rule of `numerics.supply`.
 
-    For mechanical systems (kinetic quadratic form minus a shape potential),
-    set mechanical=True and supply `potential`.  If every second-derivative
+    A mechanical system (kinetic quadratic form minus a shape potential)
+    declares itself by supplying `potential`.  If every second-derivative
     block of ell is state-independent, set constant_group_metric=True: the
     gain of the reduced equations is then assembled once at the origin and
     kept in `reduced_metric`, and the momentum inversion, which a constant
@@ -86,7 +86,6 @@ class InvariantLagrangian:
     d2_dxi_dx: Callable | None = None
     d2_dxi_dxdot: Callable | None = None
     d2_dxi_dxi: Callable | None = None
-    mechanical: bool = False
     potential: Callable[[np.ndarray], float] | None = None
     constant_group_metric: bool = False
     reduced_metric: ReducedMetric | None = field(
@@ -273,7 +272,7 @@ def quadratic_invariant_lagrangian(sdim: int, group: LieGroupSpec,
         d2_dxi_dx=lambda x, xd, xi: np.zeros((group.dim, sdim)),
         d2_dxi_dxdot=lambda x, xd, xi: b.T,
         d2_dxi_dxi=lambda x, xd, xi: c,
-        mechanical=True, potential=v, constant_group_metric=True)
+        potential=v, constant_group_metric=True)
 
 
 @dataclass(frozen=True)

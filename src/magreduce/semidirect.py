@@ -18,7 +18,8 @@ side and joint (chi, tau) inversion, restated one point at a time as
 reference implementations, are in tests/oracles.py.  The V-reduced system of a
 constant metric (the CLI's `reduce-abelian`) is closed-form Schur-complement
 algebra with trigonometric coefficients in theta fixed at construction
-(`_QuadraticSplit`); `maglag`'s k = 0 path does the rest.
+(`_QuadraticSplit`), for its value and derivatives alike; `maglag`'s k = 0
+path does the rest.
 
 The orbit 1-form and 2-form are evaluated by one kernel batched over orbit
 points (rows) and tangents: `theta_form`, `orbit_tangent_generator` and
@@ -76,16 +77,6 @@ class SemiDirectLagrangian:
         return self.inner.group_momentum(np.atleast_1d(x), np.atleast_1d(xdot), z)[self.d0:]
 
 
-def mechanical_semidirect_lagrangian(sdim: int, gv: LieGroupSpec,
-                                     a_block, b_block, c_block,
-                                     potential=None, dpotential=None
-                                     ) -> SemiDirectLagrangian:
-    """Constant-metric mechanical Lagrangian over a semi-direct spec."""
-    inner = routh.quadratic_invariant_lagrangian(
-        sdim, gv, a_block, b_block, c_block, potential, dpotential)
-    return SemiDirectLagrangian(inner)
-
-
 def solve_tau(sd: SemiDirectLagrangian, x, xdot, xi, b: CoVector) -> np.ndarray:
     """Invert the V-slot fibre derivative: find u with
     d ell/du (x, xdot, xi, u) = b.  V-regularity failure raises."""
@@ -107,13 +98,13 @@ def solve_tau(sd: SemiDirectLagrangian, x, xdot, xi, b: CoVector) -> np.ndarray:
                            "V-regularity failure in tau")
 
 
-def gv_reduced_system(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
-                      side: str = "left") -> routh.ReducedRouthSystem:
+def gv_reduced_system(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector
+                      ) -> routh.ReducedRouthSystem:
     """The full-group reduced system at momentum level (mu, a)."""
     if len(mu) != sd.d0 or len(a) != sd.vdim:
         raise ValueError("momentum level has wrong dimensions")
     combined = CoVector(np.concatenate([mu.coords, a.coords]))
-    return routh.ReducedRouthSystem(sd.inner, mu=combined, side=side)
+    return routh.ReducedRouthSystem(sd.inner, mu=combined)
 
 
 def integrate_reduced_full(sd: SemiDirectLagrangian, x0, xdot0, nu0: CoVector,
@@ -149,41 +140,41 @@ def routhian_abelian(sd: SemiDirectLagrangian, x, xdot, g: GroupElement,
 class _QuadraticSplit:
     """Blocks of a constant kinetic metric over (xdot | xi | u), their Schur
     complement on (xdot | xi), and coefficients of the terms in b(theta) =
-    rho(exp theta)^T a = cos(theta) a + sin(theta) G^T a (G @ G = -I): with C =
-    M_yu M_uu^-1 and S = M_uu^-1, C b = cos(theta) C a + sin(theta) C G^T a and
-    b^T S b / 2 = c0 + c1 cos(2 theta) + c2 sin(2 theta), c1 = a^T (S - G S G^T)
-    a / 4, c2 = a^T sym(S G^T) a / 2 (zero for an isotropic S, antisymmetric G)."""
+    rho(exp theta)^T a = cos(theta) a + sin(theta) G^T a (G @ G = -I): with S =
+    M_uu^-1 and C = M_yu S, C b = cos(theta) C a + sin(theta) C G^T a and
+    b^T S b / 2 = c0 + c1 cos(2 theta) + c2 sin(2 theta), c0 = a^T (S + G S G^T)
+    a / 4, c1 = a^T (S - G S G^T) a / 4, c2 = a^T sym(S G^T) a / 2 (c1 and c2
+    are zero for an isotropic S, antisymmetric G).  `b_of_theta` and
+    `db_dtheta` build b itself, for the checks of `build_stage_equivalence`."""
 
     def __init__(self, sd: SemiDirectLagrangian, a: CoVector):
-        if sd.d0 != 1 or not sd.gv.base.abelian:
+        if sd.d0 != 1:
             raise ValueError("the V-reduction chart is implemented for "
-                             "one-dimensional abelian base groups")
-        if not isinstance(a, CoVector) or len(a) != sd.vdim:
-            raise ValueError(f"a must be a CoVector of length {sd.vdim}")
+                             "one-dimensional base groups")
+        _check_level(sd.gv, a)
         self.sd = sd
         lag = sd.inner
-        if not (lag.constant_group_metric and lag.mechanical):
+        if not (lag.constant_group_metric and lag.potential is not None):
             raise ValueError(
                 "closed-form stage reduction requires a mechanical Lagrangian "
-                "with constant_group_metric")
+                "(one with a potential) with constant_group_metric")
         self._generator = g = sd.gv.rep_inf(np.ones(1))
         if not np.allclose(g @ g, -np.eye(sd.vdim), rtol=0.0, atol=1e-12):
             raise ValueError("the V-reduced closed form needs a base generator G with "
                              f"G @ G = -I, got G = {g.tolist()}")
         d0 = sd.d0
         zero = np.zeros(sd.sdim), np.zeros(sd.sdim), np.zeros(sd.gv.dim)
-        am, bm, cm = (lag.jac_xdot_xdot(*zero), lag.jac_xi_xdot(*zero).T,
-                      lag.jac_xi_xi(*zero))
-        m_yy = np.block([[am, bm[:, :d0]], [bm[:, :d0].T, cm[:d0, :d0]]])
-        m_yu = np.vstack([bm[:, d0:], cm[:d0, d0:]])
-        self.m_uu_inv = s = numerics.inverse(cm[d0:, d0:])
+        cm, bm_t, _, am, _, _ = lag.metric_blocks(*zero)
+        m_yy = np.block([[am, bm_t[:d0].T], [bm_t[:d0], cm[:d0, :d0]]])
+        m_yu = np.vstack([bm_t[d0:].T, cm[:d0, d0:]])
+        s = numerics.inverse(cm[d0:, d0:])
         self.schur = m_yy - m_yu @ s @ m_yu.T
-        self.coupling = m_yu @ s
+        coupling = m_yu @ s
         self._a_coords = a_coords = np.array(a.coords)
-        self.coupling_a = self.coupling @ a_coords, self.coupling @ (g.T @ a_coords)
-        sg = s @ g.T
-        self.quad = (float(0.25 * (a_coords @ (s - g @ sg) @ a_coords)),
-                     float(0.25 * (a_coords @ (sg + sg.T) @ a_coords)))
+        self.coupling_a = coupling @ a_coords, coupling @ (g.T @ a_coords)
+        sg, gsg = s @ g.T, g @ (s @ g.T)
+        self.quad = tuple(float(0.25 * (a_coords @ m @ a_coords))
+                          for m in (s + gsg, s - gsg, sg + sg.T))
         self._exp, self._rep = sd.gv.base.exp_fn, sd.gv.rep
         self._rows = numerics.rows_ok(self._exp, self._rep)
 
@@ -213,26 +204,29 @@ def abelian_reduced_system(sd: SemiDirectLagrangian, a: CoVector) -> MagneticSys
     -I and a constant kinetic metric; all derivatives are closed-form,
     take one point or stacked rows, and the velocity Hessian (the Schur
     complement) is declared constant.  dL/dq and d2L/dv dq come from one
-    callable (`dL_dq_vq`)."""
+    callable (`dL_dq_vq`).  A level a of the wrong length or not finite is
+    refused before anything is evaluated; a = 0 is legal here."""
     return _v_reduced(_QuadraticSplit(sd, a))
 
 
 def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
-    """`abelian_reduced_system` over its split.  dL_dv and dL_dq_vq read
-    theta through `numerics.cos_sin` once, a point with the bits of its row.
-    When no coefficient reads theta (C b = 0, c1 = c2 = 0: the planar pair)
-    they skip it, and d2L/dv dq is one shared read-only zero.  The
-    Lagrangian reads b from `b_of_theta`."""
+    """`abelian_reduced_system` over its split.  The Lagrangian
+
+        L = v^T Schur v / 2 - c0 - V(x) + v . C b - c1 cos(2 theta) - c2 sin(2 theta),
+
+    dL_dv and dL_dq_vq each read theta through `numerics.cos_sin` once, a
+    point with the bits of its row.  When no coefficient reads theta (C b =
+    0, c1 = c2 = 0: the planar pair) they skip it, and d2L/dv dq is one
+    shared read-only zero."""
     sd = q.sd
     s = sd.sdim
     n = s + 1
     lag = sd.inner
-    pot = lag.potential or (lambda x: 0.0)
     dell_dx, grad_x, gdim = lag.dell_dx or lag.grad_x, lag.grad_x, sd.gv.dim
     rowdot, matvec, outer = numerics.rowdot, numerics.matvec, np.multiply.outer
-    schur, schur_t, m_uu_inv_t, coupling = q.schur, q.schur.T, q.m_uu_inv.T, q.coupling
+    schur, schur_t = q.schur, q.schur.T
     ca, cga = q.coupling_a
-    c1, c2 = q.quad
+    c0, c1, c2 = q.quad
     reads_theta = bool(np.any(ca) or np.any(cga) or c1 or c2)
     # dell/dx of a mechanical ell does not read the velocities
     zero_rates = np.zeros(s), np.zeros(gdim)
@@ -243,9 +237,13 @@ def _v_reduced(q: _QuadraticSplit) -> MagneticSystem:
     # called once per row unless it takes rows
     @numerics.takes_rows
     def lagrangian(q2, v2, p):
-        b = q.b_of_theta(q2[..., s])
-        return (rowdot(matvec(schur_t, 0.5 * v2), v2) + rowdot(v2, matvec(coupling, b))
-                - rowdot(matvec(m_uu_inv_t, 0.5 * b), b) - numerics.each_row(pot, q2[..., :s]))
+        value = (rowdot(matvec(schur_t, 0.5 * v2), v2) - c0
+                 - numerics.each_row(lag.potential, q2[..., :s]))
+        if not reads_theta:
+            return value
+        c, sn = numerics.cos_sin(q2[..., s])
+        return (value + rowdot(v2, outer(c, ca) + outer(sn, cga))
+                - (c1 * (c * c - sn * sn) + c2 * (2.0 * c * sn)))
 
     @numerics.takes_rows
     def dl_dv(q2, v2, p):
@@ -430,13 +428,20 @@ def verify_lemma_B_equals_dtheta(sd: SemiDirectLagrangian, a: CoVector,
 # stage equivalence
 
 
-def _check_vstar_onto(gv: LieGroupSpec, a: CoVector) -> None:
-    """Refuse a momentum level a of the wrong length or not finite, or at
-    which v -> v*(a) is not onto (for the plane representation: a = 0)."""
+def _check_level(gv: LieGroupSpec, a: CoVector) -> None:
+    """Refuse a momentum level a that is not a finite CoVector of V*."""
+    if not isinstance(a, CoVector):
+        raise TypeError(f"momentum level a must be a CoVector, got {type(a).__name__}")
     if len(a) != gv.vdim:
         raise ValueError(f"momentum level a has length {len(a)}; V has dimension {gv.vdim}")
     if not np.isfinite(a.coords).all():
         raise ValueError(f"momentum level a must be finite, got {a.coords.tolist()}")
+
+
+def _check_vstar_onto(gv: LieGroupSpec, a: CoVector) -> None:
+    """Refuse a momentum level a that `_check_level` refuses, or at which
+    v -> v*(a) is not onto (for the plane representation: a = 0)."""
+    _check_level(gv, a)
     mat = _dual_action_rows(gv, a.coords[None])[0]
     if np.linalg.matrix_rank(mat, tol=1e-12) < gv.base.dim:
         raise ValueError("dual action not onto: v -> v*(a) does not span the "
@@ -534,12 +539,9 @@ def build_stage_equivalence(sd: SemiDirectLagrangian, mu: CoVector, a: CoVector,
     form_resid = max(float(np.max(np.abs(bqq))), float(np.max(np.abs(bqp))))
     bs = q.b_of_theta(theta)
     t_theta = (np.zeros_like(nus), q.db_dtheta(bs))
-    for j in range(d0):
-        t_nu = (np.zeros_like(nus), np.zeros_like(bs))
-        t_nu[0][:, j] = 1.0
-        kks = _orbit_kks_rows(sd.gv, nus, bs, t_theta, t_nu)
-        form_resid = max(form_resid,
-                         float(np.max(np.abs(bpp[:, 0, 1 + j] - kks), initial=0.0)))
+    t_nu = (np.ones_like(nus), np.zeros_like(bs))
+    kks = _orbit_kks_rows(sd.gv, nus, bs, t_theta, t_nu)
+    form_resid = max(form_resid, float(np.max(np.abs(bpp[:, 0, 1] - kks), initial=0.0)))
 
     # Trajectory mapping: orbit flow, pushed through psi, against the flow
     # of the V-reduced system from the psi-matched initial condition.

@@ -175,9 +175,9 @@ def validate_mechanical(lag: InvariantLagrangian,
     A non-finite sample is refused before anything is evaluated, and each
     check fails unless it holds, so a NaN value fails it too.
     """
-    if not lag.mechanical:
+    if lag.potential is None:
         raise ValueError("validate_mechanical expects a mechanical Lagrangian")
-    v = lag.potential or (lambda x: 0.0)
+    v = lag.potential
     for index, (x, xdot, xi) in enumerate(samples):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
@@ -210,9 +210,9 @@ def routhian_mechanical(lag: InvariantLagrangian, x, xdot, nu: CoVector,
                         potential: Callable | None = None) -> float:
     """Routhian of a mechanical system via the kinetic-energy identity
     2(R + V) = <dell/dxdot, xdot> - <dell/dxi, xi> on the constraint."""
-    if not lag.mechanical:
+    if lag.potential is None:
         raise ValueError("routhian_mechanical requires a mechanical-type Lagrangian")
-    v = potential or lag.potential or (lambda _x: 0.0)
+    v = potential or lag.potential
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xdot = np.atleast_1d(np.asarray(xdot, dtype=float))
     chi = routh.solve_chi(lag, x, xdot, nu).coords

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from magreduce import lie, maglag, models, numerics, routh, semidirect
 from magreduce.lie import AlgebraVector, CoVector
@@ -36,9 +37,9 @@ def test_solve_tau_beanie_display(sd, beanie_params, rng):
 
 
 def test_solve_tau_unit_metric(rng):
-    sdq = semidirect.mechanical_semidirect_lagrangian(
+    sdq = semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
         1, lie.se2(), a_block=[[1.0]], b_block=np.zeros((1, 3)),
-        c_block=np.eye(3))
+        c_block=np.eye(3)))
     b = rng.normal(size=2)
     u = semidirect.solve_tau(sdq, [0.0], [0.0], [0.3], CoVector(b))
     assert np.max(np.abs(u - b)) < 1e-12
@@ -68,9 +69,9 @@ def test_solve_chi12_beanie_display(sd, beanie_params, rng):
 
 def test_solve_chi12_block_diagonal(rng):
     # no coupling between slots: two independent linear solves
-    sdq = semidirect.mechanical_semidirect_lagrangian(
+    sdq = semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
         1, lie.se2(), a_block=[[1.0]], b_block=np.zeros((1, 3)),
-        c_block=np.diag([3.0, 2.0, 2.0]))
+        c_block=np.diag([3.0, 2.0, 2.0])))
     nu, b = CoVector(rng.normal(size=1)), CoVector(rng.normal(size=2))
     xi, u = solve_chi12(sdq, [0.0], [0.1], nu, b)
     assert abs(xi.coords[0] - nu.coords[0] / 3.0) < 1e-12
@@ -316,11 +317,10 @@ def test_abelian_reduced_energy_conserved(sd):
     assert traj.report.entries["energy_drift"] <= 1e-8
 
 
-def test_v_reduced_right_hand_side_builds_no_b(beanie_params, monkeypatch):
-    # b(theta) enters through coefficients fixed at construction: a point of
-    # the right-hand side calls neither b_of_theta nor the spec's exp_fn or rep
-    calls = []
-
+def spied_v_reduction(params, c_block, a, calls, monkeypatch):
+    """The planar pair's V-reduced system at level a with the group block
+    c_block, over an se(2) whose base exp_fn, exp_fn and rep append their
+    names to calls, as do `b_of_theta` and `numerics.cos_sin`."""
     def spy(name, fn):
         def counted(*args):
             calls.append(name)
@@ -331,20 +331,61 @@ def test_v_reduced_right_hand_side_builds_no_b(beanie_params, monkeypatch):
     base = dataclasses.replace(se2.base, exp_fn=spy("base exp_fn", se2.base.exp_fn))
     gv = lie.make_semidirect(base, rep=spy("rep", se2.rep), rep_inf=se2.rep_inf, vdim=2,
                              exp_fn=spy("exp_fn", se2.exp_fn))
-    params = beanie_params
-    sd = semidirect.mechanical_semidirect_lagrangian(
-        1, gv, [[params.i2]], [[params.i2, 0.0, 0.0]], np.diag([params.i1 + params.i2,
-                                                                 params.m, params.m]),
-        params.potential, params.dpotential)
-    r2 = semidirect.abelian_reduced_system(sd, CoVector([1.0, 0.5]))
+    r2 = semidirect.abelian_reduced_system(planar_pair_lagrangian(params, c_block, gv),
+                                           CoVector(a))
     b_of_theta = semidirect._QuadraticSplit.b_of_theta
     monkeypatch.setattr(semidirect._QuadraticSplit, "b_of_theta",
                         lambda self, theta: spy("b_of_theta", b_of_theta)(self, theta))
+    monkeypatch.setattr(numerics, "cos_sin", spy("cos_sin", numerics.cos_sin))
+    return r2
+
+
+def beanie_c_block(params):
+    return np.diag([params.i1 + params.i2, params.m, params.m])
+
+
+def test_v_reduced_right_hand_side_builds_no_b(beanie_params, monkeypatch):
+    # b(theta) enters through coefficients fixed at construction: a point of
+    # the right-hand side calls neither b_of_theta nor the spec's exp_fn or rep
+    calls = []
+    r2 = spied_v_reduction(beanie_params, beanie_c_block(beanie_params), [1.0, 0.5], calls,
+                           monkeypatch)
     field = maglag._field_factory(r2, maglag.MagLagState([0.4, 0.2], [0.3, 0.1], np.zeros(0)))
     for y in ([0.4, 0.2, 0.3, 0.1], [-1.1, 2.5, 0.7, -0.4]):
         calls.clear()
         field(0.0, np.array(y))
         assert calls == []
+
+
+# 50 rows (x, theta, xdot, thetadot), theta in [-20, 20]
+V_ROWS = np.random.default_rng(14).uniform(-2.0, 2.0, (50, 4)) * [1.0, 10.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.5], [0.3, -1.2], [-0.8, 0.6]])
+def test_v_reduced_beanie_value_builds_no_b_and_reads_no_theta(beanie_params, monkeypatch, a):
+    calls = []
+    r2 = spied_v_reduction(beanie_params, beanie_c_block(beanie_params), a, calls, monkeypatch)
+    q, v, p = V_ROWS[:, :2], V_ROWS[:, 2:], np.zeros((50, 0))
+    calls.clear()
+    values = r2.lagrangian(q, v, p)
+    r2.lagrangian(q[0], v[0], p[0])
+    maglag.energies(r2, V_ROWS)
+    assert calls == []
+    # so the value does not move with theta, not even in its last bit
+    shifted = q + [0.0, 1.3]
+    assert np.array_equal(r2.lagrangian(shifted, v, p), values)
+    assert [r2.lagrangian(qi, vi, p[0]) for qi, vi in zip(shifted, v)] == list(values)
+
+
+def test_v_reduced_value_reads_theta_once_per_call(beanie_params, monkeypatch):
+    calls = []
+    sys = spied_v_reduction(beanie_params, offset_mass_c_block(beanie_params), [0.7, -1.1],
+                            calls, monkeypatch)
+    q, v, p = V_ROWS[:, :2], V_ROWS[:, 2:], np.zeros((50, 0))
+    for args in ((q, v, p), (q[0], v[0], p[0])):
+        calls.clear()
+        sys.lagrangian(*args)
+        assert calls == ["cos_sin"]
 
 
 def test_stage_equivalence_rejects_zero_momentum(sd):
@@ -390,28 +431,36 @@ def test_abelian_reduced_system_requires_structure():
 ], ids=["line_by_scaling", "circle_twice"])
 def test_v_reduction_refuses_a_generator_whose_square_is_not_minus_one(base, rep, rep_inf):
     gv = lie.make_semidirect(base, rep=rep, rep_inf=rep_inf, vdim=2)
-    sd_bad = semidirect.mechanical_semidirect_lagrangian(
-        1, gv, [[1.0]], [[1.0, 0.0, 0.0]], np.diag([3.0, 1.0, 1.0]))
+    sd_bad = semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
+        1, gv, [[1.0]], [[1.0, 0.0, 0.0]], np.diag([3.0, 1.0, 1.0])))
     g = re.escape(str(rep_inf(np.ones(1)).tolist()))
     with pytest.raises(ValueError, match=rf"G @ G = -I, got G = {g}"):
         semidirect.abelian_reduced_system(sd_bad, CoVector([1.0, 0.5]))
 
 
-def offset_mass_lagrangian(params, r=(0.3, 0.2)):
-    """The planar pair with the second body's mass offset by r from the
-    rotation axis: the V-reduced Lagrangian then depends on theta."""
+def planar_pair_lagrangian(params, c_block, gv=None):
+    """The planar pair's Lagrangian with the group block c_block, over
+    se(2) or over gv."""
+    return semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
+        1, gv or lie.se2(), [[params.i2]], [[params.i2, 0.0, 0.0]], c_block,
+        params.potential, params.dpotential))
+
+
+def offset_mass_c_block(params, r=(0.3, 0.2)):
+    """The group block of the planar pair with the second body's mass offset
+    by r from the rotation axis: the V-reduced Lagrangian then depends on
+    theta."""
     i, m, (r1, r2) = params.i1 + params.i2, params.m, r
-    c_block = [[i + m * (r1 ** 2 + r2 ** 2), -m * r2, m * r1], [-m * r2, m, 0.0],
-               [m * r1, 0.0, m]]
-    return semidirect.mechanical_semidirect_lagrangian(
-        1, lie.se2(), [[params.i2]], [[params.i2, 0.0, 0.0]], c_block,
-        params.potential, params.dpotential)
+    return [[i + m * (r1 ** 2 + r2 ** 2), -m * r2, m * r1], [-m * r2, m, 0.0],
+            [m * r1, 0.0, m]]
+
+
+def offset_mass_lagrangian(params):
+    return planar_pair_lagrangian(params, offset_mass_c_block(params))
 
 
 def anisotropic_lagrangian(params, m2=1.7):
-    return semidirect.mechanical_semidirect_lagrangian(
-        1, lie.se2(), [[params.i2]], [[params.i2, 0.0, 0.0]],
-        np.diag([params.i1 + params.i2, params.m, m2]), params.potential, params.dpotential)
+    return planar_pair_lagrangian(params, np.diag([params.i1 + params.i2, params.m, m2]))
 
 
 @pytest.mark.parametrize("build", [offset_mass_lagrangian, anisotropic_lagrangian],
@@ -613,22 +662,44 @@ def test_lemma_rejects_malformed_samples_before_evaluating(sd, samples, match, m
         semidirect.verify_lemma_B_equals_dtheta(sd, CoVector([1.0, 0.0]), samples)
 
 
-@pytest.mark.parametrize("a, match", [
-    ([np.nan, 1.0], r"^momentum level a must be finite, got \[nan, 1\.0\]$"),
-    ([0.5, -np.inf], r"^momentum level a must be finite, got \[0\.5, -inf\]$"),
-    ([0.0, 0.0], r"^dual action not onto"),
-    ([1.0], r"^momentum level a has length 1; V has dimension 2$"),
-], ids=["nan", "inf", "zero", "short"])
-@pytest.mark.parametrize("entry", ["lemma", "equivalence"])
+BAD_LEVELS = [
+    ([np.nan, 1.0], r"^momentum level a must be finite, got \[nan, 1\.0\]$", "nan"),
+    ([0.5, -np.inf], r"^momentum level a must be finite, got \[0\.5, -inf\]$", "inf"),
+    ([0.0, 0.0], r"^dual action not onto", "zero"),
+    ([1.0], r"^momentum level a has length 1; V has dimension 2$", "short"),
+]
+
+
+# a = 0 is a legal level of the V-reduction alone
+@pytest.mark.parametrize("entry, a, match", [
+    pytest.param(entry, a, match, id=f"{entry}-{name}")
+    for entry in ("lemma", "equivalence", "abelian") for a, match, name in BAD_LEVELS
+    if (entry, name) != ("abelian", "zero")])
 def test_both_stage_checks_refuse_a_bad_level_a(sd, entry, a, match):
-    # one check of a: numpy's SVD would fail on a NaN level, and the lemma,
-    # which reads only |a|, would pass a short one
+    # one check of a: numpy's SVD would fail on a NaN level, the lemma,
+    # which reads only |a|, would pass a short one, and the V-reduction
+    # would build a system whose flow is NaN from its first step
     with pytest.raises(ValueError, match=match):
         if entry == "lemma":
             semidirect.verify_lemma_B_equals_dtheta(sd, CoVector(a), np.zeros((3, 2)))
-        else:
+        elif entry == "equivalence":
             semidirect.build_stage_equivalence(sd, CoVector([1.0]), CoVector(a),
                                                n_points=2, t_end=1.0)
+        else:
+            semidirect.abelian_reduced_system(sd, CoVector(a))
+
+
+def test_v_reduction_refuses_a_two_dimensional_base():
+    # R^2 acting on R^4 by two plane rotations: abelian, but not the circle
+    rot, rot_inf = lie.se2().rep, lie.se2().rep_inf
+    gv = lie.make_semidirect(
+        lie.translations(2), vdim=4,
+        rep=lambda t: scipy.linalg.block_diag(rot(float(t[0])), rot(float(t[1]))),
+        rep_inf=lambda xi: scipy.linalg.block_diag(rot_inf(xi[:1]), rot_inf(xi[1:])))
+    sd_2d = semidirect.SemiDirectLagrangian(routh.quadratic_invariant_lagrangian(
+        1, gv, [[1.0]], np.zeros((1, 6)), np.eye(6)))
+    with pytest.raises(ValueError, match="one-dimensional base groups"):
+        semidirect.abelian_reduced_system(sd_2d, CoVector([1.0, 0.0, 0.5, 0.0]))
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan, np.inf])

@@ -151,8 +151,9 @@ def test_largest_difference_of_each_output_over_all_requests(monkeypatch, capsys
 
 
 AB_TOOL = ROOT / "tools" / "ab_bench.py"
-# a tree's bench/run.py: logs its tree and arguments, then prints a result
-# line whose throughput depends on the tree and on its run count
+# a tree's bench/run.py: logs its tree and arguments, then prints per-kind
+# p50 lines and a result line whose throughput and p50s depend on the tree
+# and on its run count; the kind "rare" shows only in the parent's first run
 AB_STUB = """
 import json, os, sys
 from pathlib import Path
@@ -167,6 +168,12 @@ rps = {"parent": [30.0, 31.0, 29.0], "change": [32.0, 30.5, 33.0]}[tree.name][ru
 metrics = {name: {"value": 1.0, "unit": "-"} for name in NAMES}
 metrics["throughput_rps"]["value"] = rps
 print("human-readable lines first")
+light = {"parent": [0.010, 0.012, 0.011], "change": [0.009, 0.013, 0.010]}[tree.name][runs - 1]
+kinds = [("light", light), ("heavy", 2 * light)]
+if (tree.name, runs) == ("parent", 1):
+    kinds.append(("rare", 1.0))
+for kind, p50 in kinds:
+    print(f"    p50 {kind:<26} {p50:.4f} s")
 print(json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics}))
 """
 
@@ -199,7 +206,14 @@ def test_ab_bench_alternates_the_trees_and_summarises_each_metric(tmp_path, monk
                            "median", "+6.7%"]
     p50 = next(line for line in out if line.startswith("request_s_p50 "))
     assert "A IQR 0 " in p50 and "B better 0/3" in p50
-    assert len(out) == 7 + len(tool.METRICS)
+    # then one line per kind in every run: light pairs (0.010, 0.009),
+    # (0.012, 0.013), (0.011, 0.010)
+    assert [line.split()[1] for line in out[7 + len(tool.METRICS):]] == ["light", "heavy"]
+    light = out[7 + len(tool.METRICS)]
+    assert light.split() == ["p50", "light", "lower", "A", "0.011", "[0.0105,", "0.0115]", "B",
+                             "0.01", "[0.0095,", "0.0115]", "A", "IQR", "0.001", "B", "better",
+                             "2/3", "median", "-9.1%"]
+    assert len(out) == 9 + len(tool.METRICS)
 
     # a run with no result stops the comparison
     assert tool.main(["broken", "change", "--workload", "fd_supply", "--seed", "7",

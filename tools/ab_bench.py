@@ -12,7 +12,10 @@ requests.  Then, for each end-to-end metric of BENCHMARK.json, one line
 gives the median of each tree with its quartiles (numpy's linear
 percentiles), the parent's interquartile range, in how many pairs the
 change was better (strictly, in the metric's direction) and the relative
-change of the median.  Exit status: 0 when every run gave a result, 2 when
+change of the median.  After them one such line per request kind, named
+`p50 <kind>`, summarises the per-kind median request times that each run
+prints as `p50 <kind> <seconds> s` lines; a kind missing from some run is
+left out.  Exit status: 0 when every run gave a result, 2 when
 a run exited with an error or printed no result.
 """
 from __future__ import annotations
@@ -40,24 +43,27 @@ def command(tree: str, workload: str, seed: int, seconds: int) -> list[str]:
             "--seed", str(seed), "--seconds", str(seconds)]
 
 
-def run(tree: str, workload: str, seed: int, seconds: int) -> dict:
-    """The result line of one benchmark run of `tree`."""
+def run(tree: str, workload: str, seed: int, seconds: int) -> tuple[dict, dict[str, float]]:
+    """The result line of one benchmark run of `tree`, and its per-kind p50
+    seconds by kind."""
     proc = subprocess.run(command(tree, workload, seed, seconds), cwd=tree,
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RunError(f"{tree}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    kinds = {f[1]: float(f[2]) for f in map(str.split, lines[:-1])
+             if len(f) == 4 and f[0] == "p50" and f[3] == "s"}
+    return json.loads(lines[-1]), kinds
 
 
-def summary(name: str, parent: list[float], change: list[float]) -> str:
+def summary(name: str, better: str, parent: list[float], change: list[float]) -> str:
     """One metric over the pairs: medians, quartiles, the parent's IQR and
-    the wins of the change."""
+    the wins of the change, `better` "higher" or "lower"."""
     a, b = np.asarray(parent), np.asarray(change)
     (qa1, ma, qa3), (qb1, mb, qb3) = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
-    wins = int(np.sum(b > a if METRICS[name] == "higher" else b < a))
+    wins = int(np.sum(b > a if better == "higher" else b < a))
     rel = f"{(mb - ma) / abs(ma):+.1%}" if ma else "n/a"
-    return (f"{name:<16} {METRICS[name]:<6} A {ma:.6g} [{qa1:.6g}, {qa3:.6g}]  "
+    return (f"{name:<16} {better:<6} A {ma:.6g} [{qa1:.6g}, {qa3:.6g}]  "
             f"B {mb:.6g} [{qb1:.6g}, {qb3:.6g}]  A IQR {qa3 - qa1:.3g}  "
             f"B better {wins}/{len(a)}  median {rel}")
 
@@ -83,21 +89,27 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s: "
           f"A = {args.parent}, B = {args.change}", flush=True)
     values: dict[str, dict[str, list[float]]] = {"A": {}, "B": {}}
+    kinds: dict[str, list[dict[str, float]]] = {"A": [], "B": []}
     for pair in range(args.pairs):
         for side in ("AB" if pair % 2 == 0 else "BA"):
             try:
-                res = run(trees[side], args.workload, args.seed, args.seconds)
+                res, kinds_p50 = run(trees[side], args.workload, args.seed, args.seconds)
             except RunError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+            kinds[side].append(kinds_p50)
             metrics = {name: res["metrics"][name]["value"] for name in METRICS}
             for name, value in metrics.items():
                 values[side].setdefault(name, []).append(value)
             shown = " ".join(f"{name} {value:.6g}" for name, value in metrics.items())
             print(f"pair {pair + 1} {side}: {shown} failed {res['failed']}/{res['attempted']}",
                   flush=True)
-    for name in METRICS:
-        print(summary(name, values["A"][name], values["B"][name]))
+    for name, better in METRICS.items():
+        print(summary(name, better, values["A"][name], values["B"][name]))
+    for kind in kinds["A"][0]:
+        if all(kind in p50s for runs in kinds.values() for p50s in runs):
+            parent, change = ([p50s[kind] for p50s in kinds[side]] for side in "AB")
+            print(summary(f"p50 {kind}", "lower", parent, change))
     return 0
 
 
